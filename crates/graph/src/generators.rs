@@ -167,10 +167,13 @@ pub fn gnp<R: Rng>(n: usize, p: f64, rng: &mut R) -> Result<Graph, GraphError> {
         return Ok(complete(n));
     }
     // Iterate edge slots in lexicographic order, skipping ahead by
-    // geometrically distributed gaps.
+    // geometrically distributed gaps. Row `u` owns the `n − 1 − u` slots
+    // after the rows before it; slots only increase, so the row cursor only
+    // moves forward and the whole sweep costs `O(n + m)`.
     let log1p = (1.0 - p).ln();
     let total = n * (n - 1) / 2;
     let mut slot = 0usize;
+    let (mut row, mut row_start) = (0usize, 0usize);
     loop {
         let u: f64 = rng.gen_range(f64::EPSILON..1.0);
         let skip = (u.ln() / log1p).floor() as usize;
@@ -181,30 +184,15 @@ pub fn gnp<R: Rng>(n: usize, p: f64, rng: &mut R) -> Result<Graph, GraphError> {
         if slot >= total {
             break;
         }
-        let (a, bb) = edge_slot_to_pair(n, slot);
-        b.add_edge(a, bb).expect("indices in range");
+        while slot >= row_start + (n - 1 - row) {
+            row_start += n - 1 - row;
+            row += 1;
+        }
+        b.add_edge(row, row + 1 + (slot - row_start))
+            .expect("indices in range");
         slot += 1;
     }
     Ok(b.build())
-}
-
-/// Maps a lexicographic edge-slot index to the pair `(u, v)`, `u < v`.
-fn edge_slot_to_pair(n: usize, slot: usize) -> (VertexId, VertexId) {
-    // Row u owns (n-1-u) slots; find the row by walking (amortized O(1) per
-    // generated edge thanks to monotone slots would need state; use direct
-    // solve instead).
-    // slot = u*n - u*(u+1)/2 + (v - u - 1)
-    let mut u = 0usize;
-    let mut offset = 0usize;
-    loop {
-        let row = n - 1 - u;
-        if slot < offset + row {
-            let v = u + 1 + (slot - offset);
-            return (u, v);
-        }
-        offset += row;
-        u += 1;
-    }
 }
 
 /// Uniform random labelled tree on `n` vertices via a random Prüfer sequence.
@@ -514,14 +502,60 @@ mod tests {
         );
     }
 
+    /// The slot-to-pair mapping `gnp` used before its row cursor: a rescan
+    /// of the rows from 0 for every slot, `O(n)` each.
+    fn edge_slot_to_pair_by_rescan(n: usize, slot: usize) -> (VertexId, VertexId) {
+        let mut u = 0usize;
+        let mut offset = 0usize;
+        loop {
+            let row = n - 1 - u;
+            if slot < offset + row {
+                return (u, u + 1 + (slot - offset));
+            }
+            offset += row;
+            u += 1;
+        }
+    }
+
     #[test]
     fn edge_slot_mapping_is_bijective() {
         let n = 7;
         let mut seen = std::collections::HashSet::new();
         for slot in 0..(n * (n - 1) / 2) {
-            let (u, v) = edge_slot_to_pair(n, slot);
+            let (u, v) = edge_slot_to_pair_by_rescan(n, slot);
             assert!(u < v && v < n);
             assert!(seen.insert((u, v)));
+        }
+    }
+
+    #[test]
+    fn gnp_edges_are_unchanged_by_the_row_cursor() {
+        // `gnp` as it was, mapping every slot by a rescan: the same
+        // generator stream and skips, so the same edges for every seed.
+        fn gnp_by_rescan(n: usize, p: f64, rng: &mut StdRng) -> Graph {
+            let mut b = GraphBuilder::new(n);
+            let log1p = (1.0 - p).ln();
+            let total = n * (n - 1) / 2;
+            let mut slot = 0usize;
+            loop {
+                let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+                let skip = (u.ln() / log1p).floor() as usize;
+                slot = match slot.checked_add(skip) {
+                    Some(s) if s < total => s,
+                    _ => break,
+                };
+                let (a, c) = edge_slot_to_pair_by_rescan(n, slot);
+                b.add_edge(a, c).unwrap();
+                slot += 1;
+            }
+            b.build()
+        }
+        for seed in 0..20u64 {
+            for (n, p) in [(2, 0.5), (3, 0.9), (50, 0.1), (300, 0.02), (1_000, 0.008)] {
+                let new = gnp(n, p, &mut StdRng::seed_from_u64(seed)).unwrap();
+                let old = gnp_by_rescan(n, p, &mut StdRng::seed_from_u64(seed));
+                assert_eq!(new, old, "seed {seed}, n {n}, p {p}");
+            }
         }
     }
 

@@ -13,7 +13,8 @@
 //!   search, the distance oracle used throughout the workspace.
 //! - [`components`]: connected components, also restricted to vertex subsets.
 //! - [`diameter`]: exact eccentricities and diameters (global and induced),
-//!   plus a two-sweep lower-bound heuristic.
+//!   a 64-source bit-parallel BFS for batched cluster diameters, and a
+//!   two-sweep lower-bound heuristic.
 //! - [`contraction`]: quotient (super-) graphs induced by a vertex partition,
 //!   used to color the cluster graph `G(P)` of a decomposition.
 //! - [`induced`]: induced-subgraph extraction with id mapping (the

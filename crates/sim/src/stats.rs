@@ -184,6 +184,30 @@ impl RunStats {
         self.max_edge_bytes = self.max_edge_bytes.max(other.max_edge_bytes);
         self.per_round.extend(other.per_round.iter().copied());
     }
+
+    /// Combines the stats of another shard of the same run into this one.
+    ///
+    /// Shards run the same rounds side by side, so unlike
+    /// [`RunStats::merge`] the round count and the largest per-edge load
+    /// are maxima, while messages and bytes add up. `per_round` entries
+    /// combine index by index the same way. Totals saturate, as in
+    /// [`RunStats::absorb`].
+    pub fn combine_shard(&mut self, other: &RunStats) {
+        self.rounds = self.rounds.max(other.rounds);
+        self.total_messages = self.total_messages.saturating_add(other.total_messages);
+        self.total_bytes = self.total_bytes.saturating_add(other.total_bytes);
+        self.max_edge_bytes = self.max_edge_bytes.max(other.max_edge_bytes);
+        for (i, theirs) in other.per_round.iter().enumerate() {
+            match self.per_round.get_mut(i) {
+                Some(ours) => {
+                    ours.messages = ours.messages.saturating_add(theirs.messages);
+                    ours.bytes = ours.bytes.saturating_add(theirs.bytes);
+                    ours.max_edge_bytes = ours.max_edge_bytes.max(theirs.max_edge_bytes);
+                }
+                None => self.per_round.push(*theirs),
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -232,6 +256,37 @@ mod tests {
         assert_eq!(a.rounds, 2);
         assert_eq!(a.total_bytes, 48);
         assert_eq!(a.max_edge_bytes, 20);
+    }
+
+    #[test]
+    fn combine_shard_takes_the_longest_run_and_sums_traffic() {
+        let round = |round, messages, max_edge_bytes| RoundStats {
+            round,
+            messages,
+            bytes: 8 * messages,
+            max_edge_bytes,
+        };
+        let mut a = RunStats::default();
+        a.absorb(round(0, 3, 8));
+        a.absorb(round(1, 1, 8));
+        let mut b = RunStats::default();
+        b.absorb(round(0, 2, 16));
+        b.absorb(round(1, 5, 8));
+        b.absorb(round(2, 4, 8));
+        let mut combined = RunStats::default();
+        combined.combine_shard(&a);
+        combined.combine_shard(&b);
+        assert_eq!(combined.rounds, 3);
+        assert_eq!(combined.total_messages, 15);
+        assert_eq!(combined.total_bytes, 120);
+        assert_eq!(combined.max_edge_bytes, 16);
+        assert_eq!(
+            combined.per_round,
+            vec![round(0, 5, 16), round(1, 6, 8), round(2, 4, 8)]
+        );
+        // `merge` is the other combination: one run after another.
+        a.merge(&b);
+        assert_eq!(a.rounds, 5);
     }
 
     #[test]

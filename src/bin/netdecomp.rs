@@ -519,16 +519,16 @@ fn distributed_main(opts: &Options, graph: &Graph) -> Result<(), Box<dyn std::er
     let mut reference = Simulator::new(graph, |id, _ctx| Flood { best: id as u64 });
     reference.run_rounds(opts.rounds)?;
     let plan = ShardPlan::degree_balanced(graph, shards);
-    let mut all_match = true;
+    let mut digests_match = true;
     let mut merged = RunStats::default();
     let mut workers_json = Vec::with_capacity(shards);
     for shard in 0..shards {
         let expected = flood_digest(&reference.nodes()[plan.range(shard)]);
         let received = report.worker_stats.get(shard).and_then(Option::as_ref);
         let matched = received.is_some_and(|ws| ws.result_digest == expected);
-        all_match &= matched;
+        digests_match &= matched;
         if let Some(ws) = received {
-            merged.merge(&ws.stats);
+            merged.combine_shard(&ws.stats);
         }
         let restarts = report.restarts.get(shard).copied().unwrap_or(0);
         if opts.json {
@@ -547,6 +547,12 @@ fn distributed_main(opts: &Options, graph: &Graph) -> Result<(), Box<dyn std::er
             );
         }
     }
+    // Cross-check the shards' combined traffic against the reference too:
+    // digests alone would not catch a wrong count.
+    let expected = reference.stats();
+    let traffic_matches = merged.total_messages == expected.total_messages
+        && merged.total_bytes == expected.total_bytes;
+    let all_match = digests_match && traffic_matches;
     if opts.json {
         // One machine-readable object on stdout; the prose above is the
         // default precisely because existing harnesses grep for it.
@@ -594,8 +600,18 @@ fn distributed_main(opts: &Options, graph: &Graph) -> Result<(), Box<dyn std::er
             println!("flight recorder: {}", path.display());
         }
     }
-    if !all_match {
+    if !digests_match {
         return Err("distributed run diverged from the sequential engine".into());
+    }
+    if !traffic_matches {
+        return Err(format!(
+            "distributed run delivered {} messages and {} bytes, the sequential engine {} and {}",
+            merged.total_messages,
+            merged.total_bytes,
+            expected.total_messages,
+            expected.total_bytes
+        )
+        .into());
     }
     if provisioned {
         // Our temp checkpoint dir served its run; an explicitly named

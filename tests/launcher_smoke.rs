@@ -55,6 +55,27 @@ fn distributed_mode_matches_the_sequential_engine() {
 }
 
 #[test]
+fn distributed_json_reports_rounds_per_run_not_summed_over_shards() {
+    let graph = ladder_file("launch-json", 40);
+    let output = Command::new(BIN)
+        .arg(&graph)
+        .args(["--distributed", "4", "--rounds", "25", "--json"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        output.status.success(),
+        "distributed run failed:\nstdout: {stdout}\nstderr: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    assert!(
+        stdout.contains("\"rounds\":25,") && stdout.contains("\"stats\":{\"rounds\":25,"),
+        "four shards ran the same 25 rounds side by side:\n{stdout}"
+    );
+    assert!(stdout.contains("\"matches_sequential\":true"), "{stdout}");
+}
+
+#[test]
 fn a_killed_worker_is_a_typed_error_not_a_hang() {
     let graph = ladder_file("launch-kill", 30);
     let started = Instant::now();
