@@ -637,7 +637,7 @@ mod tests {
                     Engine::Framed {
                         threads: 1,
                         shards: 3,
-                        transport: netdecomp_sim::FrameTransport::Channel,
+                        transport: netdecomp_sim::FrameTransport::Socket,
                     },
                 ] {
                     let (dist, comm) =

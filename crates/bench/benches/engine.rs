@@ -17,20 +17,16 @@
 //!   table).
 //!
 //! Delivery variants pin `threads: 1` and sweep the shard count *and the
-//! delivery backend*, which isolates the per-stage overheads on a
-//! single-CPU box: `sharded_k` vs `sharded_1` prices recipient-range
-//! sharding, `framed_loopback_k` vs `sharded_k` prices the frame seam
-//! (bucket encode + checksum + decode + payload slicing),
-//! `framed_channel_k` adds the per-shard mailbox hop, and the `_v1`
-//! variants pin the previous byte-serial wire format so the v2
-//! word-parallel digest's cut is a measured delta, not a claim
-//! (multicore speedups need a multicore re-run, see ROADMAP). Each
-//! delivery variant also reports the place phase's measured work
-//! counters (`place_refs_per_round`, `place_copies_per_round`, and for
-//! framed variants `frame_bytes_per_round` — the volume a
-//! process-per-shard transport would put on the wire — plus
-//! `checksum_ns_per_round`, the decode-side frame validation time under
-//! the variant's wire format) so the header-work bound is visible
+//! delivery backend*, which isolates the per-stage overheads on one
+//! core: `sharded_k` vs `sharded_1` prices recipient-range sharding,
+//! `framed_loopback_k` vs `sharded_k` prices the frame seam (bucket
+//! encode + checksum + decode + payload slicing), and `framed_socket_4`
+//! adds a real kernel socket hop. Each delivery variant also reports the
+//! place phase's measured work counters (`place_refs_per_round`,
+//! `place_copies_per_round`, and for framed variants
+//! `frame_bytes_per_round` — the volume a process-per-shard transport
+//! would put on the wire — plus `checksum_ns_per_round`, the decode-side
+//! frame validation time) so the header-work bound is visible
 //! in the checked-in JSON rather than only in prose: unicast refs stay
 //! exactly flat (= messages) across the shard sweep, and broadcast refs
 //! grow only with adjacency-segment fragmentation — bounded by `copies`
@@ -52,8 +48,8 @@ use netdecomp_bench::workloads::Family;
 use netdecomp_graph::Graph;
 use netdecomp_sim::wire::{WireReader, WireWriter};
 use netdecomp_sim::{
-    Codec, Ctx, Engine, FrameConfig, FrameTransport, Inbox, Outbox, Protocol, Simulator, Typed,
-    TypedOutbox, TypedProtocol,
+    Codec, Ctx, Engine, FrameTransport, Inbox, Outbox, Protocol, Simulator, Typed, TypedOutbox,
+    TypedProtocol,
 };
 
 /// A carve-like wire entry: `(origin: u32, score: f64, dist: u16)`.
@@ -219,27 +215,21 @@ fn bench_graph(c: &mut Criterion, label: &str, g: &Graph) {
 }
 
 /// The delivery-bench engine sweep: `threads: 1` throughout, so the
-/// variants differ only in shard count, delivery backend, and — for the
-/// framed entries — wire-format version. The `framed_*` entries run the
-/// same rounds through the frame seam — encode every bucket into a
-/// checksummed self-delimiting frame, ship it (in-memory loopback or
-/// mpsc channel), decode, and place from payload slices — so
-/// `framed_loopback_k` vs `sharded_k` prices the seam itself and
-/// `framed_channel_k` adds the mailbox hop. The `_v1` variants pin the
-/// previous byte-serial digest, so `framed_loopback_4` vs
-/// `framed_loopback_4_v1` prices the v2 word-parallel digest (the
-/// `checksum_ns_per_round` rows report its decode side directly).
-/// `None` in the third column leaves the frame config at the default
-/// (the newest format); it must be `None` for non-framed engines.
-const DELIVERY_ENGINES: [(&str, Engine, Option<FrameConfig>); 11] = [
-    ("sequential", Engine::Sequential, None),
+/// variants differ only in shard count and delivery backend. The
+/// `framed_*` entries run the same rounds through the frame seam —
+/// encode every bucket into a checksummed self-delimiting frame, ship it
+/// (in-memory loopback or a Unix-domain socket through the hub), decode,
+/// and place from payload slices — so `framed_loopback_k` vs `sharded_k`
+/// prices the seam itself and `framed_socket_4` vs `framed_loopback_4`
+/// the kernel boundary (syscalls + copies).
+const DELIVERY_ENGINES: [(&str, Engine); 8] = [
+    ("sequential", Engine::Sequential),
     (
         "sharded_1",
         Engine::Parallel {
             threads: 1,
             shards: 1,
         },
-        None,
     ),
     (
         "sharded_2",
@@ -247,7 +237,6 @@ const DELIVERY_ENGINES: [(&str, Engine, Option<FrameConfig>); 11] = [
             threads: 1,
             shards: 2,
         },
-        None,
     ),
     (
         "sharded_4",
@@ -255,7 +244,6 @@ const DELIVERY_ENGINES: [(&str, Engine, Option<FrameConfig>); 11] = [
             threads: 1,
             shards: 4,
         },
-        None,
     ),
     (
         "sharded_8",
@@ -263,7 +251,6 @@ const DELIVERY_ENGINES: [(&str, Engine, Option<FrameConfig>); 11] = [
             threads: 1,
             shards: 8,
         },
-        None,
     ),
     (
         "framed_loopback_4",
@@ -272,19 +259,6 @@ const DELIVERY_ENGINES: [(&str, Engine, Option<FrameConfig>); 11] = [
             shards: 4,
             transport: FrameTransport::Loopback,
         },
-        None,
-    ),
-    (
-        "framed_loopback_4_v1",
-        Engine::Framed {
-            threads: 1,
-            shards: 4,
-            transport: FrameTransport::Loopback,
-        },
-        Some(FrameConfig {
-            version: 1,
-            cover_payload: false,
-        }),
     ),
     (
         "framed_loopback_8",
@@ -293,41 +267,14 @@ const DELIVERY_ENGINES: [(&str, Engine, Option<FrameConfig>); 11] = [
             shards: 8,
             transport: FrameTransport::Loopback,
         },
-        None,
     ),
     (
-        "framed_channel_4",
-        Engine::Framed {
-            threads: 1,
-            shards: 4,
-            transport: FrameTransport::Channel,
-        },
-        None,
-    ),
-    (
-        "framed_channel_4_v1",
-        Engine::Framed {
-            threads: 1,
-            shards: 4,
-            transport: FrameTransport::Channel,
-        },
-        Some(FrameConfig {
-            version: 1,
-            cover_payload: false,
-        }),
-    ),
-    (
-        // The same rounds over real Unix-domain sockets through the hub:
-        // `framed_socket_4` vs `framed_channel_4` prices crossing a true
-        // kernel boundary (syscalls + copies) over the in-process
-        // mailbox hop.
         "framed_socket_4",
         Engine::Framed {
             threads: 1,
             shards: 4,
             transport: FrameTransport::Socket,
         },
-        None,
     ),
 ];
 
@@ -338,12 +285,9 @@ where
 {
     let mut group = c.benchmark_group(group_name);
     group.sample_size(12);
-    for (name, engine, frame_config) in DELIVERY_ENGINES {
+    for (name, engine) in DELIVERY_ENGINES {
         group.bench_with_input(BenchmarkId::new(name, g.vertex_count()), g, |b, g| {
             let mut sim = Simulator::new(g, |_, _| make()).with_engine(engine);
-            if let Some(config) = frame_config {
-                sim = sim.with_frame_config(config);
-            }
             sim.step().unwrap();
             b.iter(|| sim.step().unwrap());
         });
@@ -355,9 +299,6 @@ where
         // the slab-backed inbox's defining ratio — and the slot bytes are
         // the entire per-copy memory traffic (8 bytes per copy).
         let mut probe = Simulator::new(g, |_, _| make()).with_engine(engine);
-        if let Some(config) = frame_config {
-            probe = probe.with_frame_config(config);
-        }
         probe.step().unwrap();
         probe.step().unwrap();
         let work = probe.delivery_work();
@@ -377,8 +318,7 @@ where
         if matches!(engine, Engine::Framed { .. }) {
             group.report_metric(&id, "frame_bytes_per_round", work.frame_bytes as f64);
             // Decode-side frame validation time (header parse + the fused
-            // checksum/structure walk) for the variant's pinned wire
-            // format — the v1 vs v2 rows price the word-parallel digest.
+            // checksum/structure walk).
             group.report_metric(&id, "checksum_ns_per_round", work.checksum_ns as f64);
             // Transport health (cumulative over the probe run): retries
             // and injected drops are zero on a healthy in-process run

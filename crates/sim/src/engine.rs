@@ -30,52 +30,52 @@
 //! serializes each shard's buckets (refs + payload bytes, both read only
 //! from the shard's own state) into one self-delimiting, checksummed
 //! frame per destination shard and hands them to a
-//! [`crate::frame::Transport`] — in-memory loopback or per-shard channel
-//! mailboxes — and the place phase decodes the frames addressed to it,
-//! touching no other shard's memory at all. Refs arrive in the same
-//! (sender shard, bucket) order either way, so results stay bit-identical
-//! across all backends; a frame that fails validation surfaces as a typed
+//! [`crate::frame::Transport`] — in-memory loopback or real sockets —
+//! and the place phase decodes the frames addressed to it, touching no
+//! other shard's memory at all. Refs arrive in the same (sender shard,
+//! bucket) order either way, so results stay bit-identical across all
+//! backends; a frame that fails validation surfaces as a typed
 //! [`SimError::Frame`]. The `NETDECOMP_BACKEND` environment variable
 //! reroutes [`Engine::Parallel`] through the seam for CI sweeps.
 //!
-//! # Round schedules
+//! # The round schedule
 //!
-//! Under [`Engine::Parallel`] and [`Engine::Framed`] all phases run on
-//! all shards concurrently inside a **single**
-//! [`rayon::ThreadPool::broadcast`] per step, with a barrier between
-//! phases — one scoped thread set per round, not one per phase. Only the
-//! per-shard [`RoundStats`] are merged at the end. [`Engine::Sequential`]
-//! (and a parallelism of one) runs the same phases inline with zero spawn
-//! overhead.
-//!
-//! Framed engines default to the **overlapped** schedule, which fuses
-//! encode+ship into the compute/account pass so a shard's frames are on
-//! the transport while other shards are still computing, and the round
-//! needs one barrier instead of three:
+//! Every backend runs one schedule, and every driver runs it through one
+//! per-shard **round kernel** ([`RoundKernel`]), split at the round's only
+//! barrier:
 //!
 //! ```text
-//! non-overlapped (with_overlap(false)):
-//!   [compute all] ─barrier─ [account all] ─barrier─ [ship all] ─barrier─ [place all]
-//!
-//! overlapped (default):
-//!   per owned shard: [compute → account → ship]  ─barrier─  [place all]
-//!                     └ shard A ships while B computes ┘      └ ship barrier,
-//!                                                               now before place ┘
+//! per owned shard: [compute → account → ship*]  ─barrier─  per owned shard: [place]
+//!                   └ shard A ships while B computes ┘       └ or, after an account
+//!                                                              failure, skip (drain*) ┘
+//! * framed delivery only
 //! ```
 //!
-//! The fusion is safe because every pre-place phase touches only the
-//! shard's own state (compute its own inboxes/outboxes, account its own
-//! edge counters and router, ship its own buckets): the only cross-shard
-//! hand-off is the transport itself, and the single barrier still
-//! guarantees every send lands before any collect. Delivery order — and
-//! therefore every result bit — is unchanged; [`Determinism::Verify`]
-//! still cross-checks each round against the sequential reference. On an
-//! account failure the fused pass *still ships* (the partial bucket holds
-//! only validated, charged refs), keeping the transport balanced at one
-//! frame per `(sender, dest)` pair, and after the barrier every shard
-//! drains its incoming frames undecoded instead of placing — so the
-//! error round leaves the same state as the non-overlapped abort. Toggle
-//! with [`Simulator::with_overlap`] or `NETDECOMP_FRAME_OVERLAP=0`.
+//! The send half needs no barrier inside it because it touches only the
+//! shard's own state: compute its own nodes, inbox and outboxes, account
+//! its own edge counters and router, ship its own buckets. The only
+//! cross-shard hand-off is the receive half — reading other shards'
+//! routers and outbox chunks under shared-memory delivery, collecting
+//! frames under framed delivery — and the barrier orders every send
+//! before any of it.
+//!
+//! Under [`Engine::Parallel`] and [`Engine::Framed`] both halves run on
+//! all shards concurrently inside a **single**
+//! [`rayon::ThreadPool::broadcast`] per step; only the per-shard
+//! [`RoundStats`] are merged at the end. With one worker
+//! ([`Engine::Sequential`], or a parallelism of one) the calling thread
+//! runs every shard's send half, then every shard's receive half, with
+//! zero spawn overhead. A socket worker process
+//! ([`crate::transport::run_worker`]) runs the same kernel for its one
+//! shard, with the hub's round barrier in place of the engine's.
+//!
+//! On an account failure every shard still finishes its send half — a
+//! framed shard ships its partial buckets, which hold only validated,
+//! charged refs, keeping the transport at one frame per
+//! `(sender, dest)` pair — and after the barrier the round skips
+//! placement (framed shards drain their frames undecoded), so inboxes
+//! keep the previous round's content and the reported error is the
+//! lowest shard's.
 //!
 //! Because each shard scans senders in id order, per-recipient delivery
 //! order is (sender id, send order, adjacency order for broadcasts) —
@@ -92,9 +92,7 @@ use std::sync::{Condvar, Mutex, RwLock};
 use bytes::Bytes;
 use netdecomp_graph::{Graph, VertexId};
 
-use crate::frame::{
-    ChannelTransport, FrameConfig, FrameEncoder, FrameTransport, LoopbackTransport, Transport,
-};
+use crate::frame::{FrameConfig, FrameTransport, LoopbackTransport, Transport};
 use crate::message::InboxSlot;
 use crate::shard::{DeliveryShard, RouteIndex, Router, ShardPlan};
 use crate::{
@@ -229,8 +227,8 @@ pub enum Engine {
         /// Shard count; `0` reads `NETDECOMP_SHARDS` as in
         /// [`Engine::Parallel`].
         shards: usize,
-        /// Which transport ships the frames (in-memory loopback or
-        /// per-shard channels).
+        /// Which transport ships the frames (in-memory loopback or real
+        /// sockets).
         transport: FrameTransport,
     },
 }
@@ -243,9 +241,9 @@ fn env_shards() -> Option<usize> {
 
 /// Delivery backend requested through the environment
 /// (`NETDECOMP_BACKEND`): `framed` / `loopback` select the framed
-/// loopback transport, `channel` / `framed-channel` the channel
-/// transport, `socket` / `framed-socket` / `unix` the real-socket
-/// transport; anything else (or unset) keeps shared-memory delivery.
+/// loopback transport, `socket` / `framed-socket` / `unix` the
+/// real-socket transport; anything else (or unset) keeps shared-memory
+/// delivery.
 /// Consulted only by [`Engine::Parallel`], so CI can sweep every
 /// `Parallel`-built simulator through the frame seam without code
 /// changes (mirroring how `NETDECOMP_SHARDS` reaches `shards: 0`).
@@ -253,23 +251,9 @@ fn env_backend() -> Option<FrameTransport> {
     let raw = std::env::var("NETDECOMP_BACKEND").ok()?;
     match raw.trim().to_ascii_lowercase().as_str() {
         "framed" | "loopback" | "framed-loopback" => Some(FrameTransport::Loopback),
-        "channel" | "framed-channel" => Some(FrameTransport::Channel),
         "socket" | "framed-socket" | "unix" => Some(FrameTransport::Socket),
         _ => None,
     }
-}
-
-/// Whether framed engines fuse encode+ship into the compute/account pass
-/// (`NETDECOMP_FRAME_OVERLAP`): on unless set to `0` or `off`. Read at
-/// engine construction, overridable per simulator with
-/// [`Simulator::with_overlap`].
-fn env_overlap() -> bool {
-    std::env::var("NETDECOMP_FRAME_OVERLAP")
-        .map(|v| {
-            let v = v.trim();
-            v != "0" && !v.eq_ignore_ascii_case("off")
-        })
-        .unwrap_or(true)
 }
 
 impl Engine {
@@ -321,32 +305,25 @@ pub enum Determinism {
     Verify,
 }
 
-/// A phase barrier that *poisons* instead of deadlocking: if any worker
-/// panics between phases (its [`PoisonOnPanic`] guard fires during
-/// unwinding), every other worker blocked here panics out too, so the
-/// scoped thread set joins and the original panic propagates — matching
-/// the panic behavior of an unsharded round.
+/// The round's one barrier, between the kernel's send and receive
+/// halves. It *poisons* instead of deadlocking: if any worker panics
+/// before arriving (its [`PoisonOnPanic`] guard fires during unwinding),
+/// every other worker blocked here panics out too, so the scoped thread
+/// set joins and the original panic propagates — matching the panic
+/// behavior of an unsharded round. Built per round, so each member
+/// waits exactly once.
 struct PhaseBarrier {
     members: usize,
-    state: Mutex<PhaseBarrierState>,
+    /// `(arrived, poisoned)`.
+    state: Mutex<(usize, bool)>,
     cv: Condvar,
-}
-
-struct PhaseBarrierState {
-    generation: u64,
-    waiting: usize,
-    poisoned: bool,
 }
 
 impl PhaseBarrier {
     fn new(members: usize) -> Self {
         PhaseBarrier {
             members,
-            state: Mutex::new(PhaseBarrierState {
-                generation: 0,
-                waiting: 0,
-                poisoned: false,
-            }),
+            state: Mutex::new((0, false)),
             cv: Condvar::new(),
         }
     }
@@ -355,19 +332,12 @@ impl PhaseBarrier {
     /// barrier, which panics every waiter).
     fn wait(&self) {
         let mut state = self.state.lock().expect("phase barrier lock");
-        assert!(!state.poisoned, "a worker panicked during a sharded round");
-        state.waiting += 1;
-        if state.waiting == self.members {
-            state.waiting = 0;
-            state.generation += 1;
-            self.cv.notify_all();
-            return;
-        }
-        let generation = state.generation;
-        while state.generation == generation && !state.poisoned {
+        state.0 += 1;
+        self.cv.notify_all();
+        while state.0 < self.members && !state.1 {
             state = self.cv.wait(state).expect("phase barrier lock");
         }
-        let poisoned = state.poisoned;
+        let poisoned = state.1;
         drop(state);
         assert!(!poisoned, "a worker panicked during a sharded round");
     }
@@ -377,7 +347,7 @@ impl PhaseBarrier {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         };
-        state.poisoned = true;
+        state.1 = true;
         self.cv.notify_all();
     }
 }
@@ -403,21 +373,16 @@ struct ShardSlot<'a, P> {
     nodes: &'a mut [P],
 }
 
-/// The contiguous group of shards one broadcast worker executes.
-struct WorkerTask<'a, P> {
-    slots: Vec<ShardSlot<'a, P>>,
-}
-
 /// Waits at `barrier`, measuring the blocked time once per worker and
-/// attributing it to every shard the worker drives (a worker arrives at
-/// a barrier once, however many shards it owns). Reads no clock at all
-/// when tracing is off.
-fn timed_barrier_wait<P>(barrier: &PhaseBarrier, task: &mut WorkerTask<'_, P>) {
-    let t = task.slots.first().and_then(|s| s.shard.trace.begin());
+/// attributing it to every shard the worker drives (`slots` — a worker
+/// arrives at a barrier once, however many shards it owns). Reads no
+/// clock at all when tracing is off.
+fn timed_barrier_wait<P>(barrier: &PhaseBarrier, slots: &mut [ShardSlot<'_, P>]) {
+    let t = slots.first().and_then(|s| s.shard.trace.begin());
     barrier.wait();
     if let Some(t) = t {
         let ns = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        for slot in task.slots.iter_mut() {
+        for slot in slots {
             slot.shard.trace.note_barrier_ns(ns);
         }
     }
@@ -443,20 +408,14 @@ pub struct Simulator<'g, P> {
     /// (placement) — or, under a framed backend, read only by the owning
     /// shard's frame encoder.
     routers: Vec<RwLock<Router>>,
-    /// Per-shard delivery state (inbox slice, counters, stats).
+    /// Per-shard delivery state (inbox slice, counters, stats, frame
+    /// encoder).
     shards: Vec<DeliveryShard>,
-    /// Framed backends: per-shard frame encoders (sender-side buffer
-    /// recycle rings), written only by the owning shard.
-    encoders: Vec<RwLock<FrameEncoder>>,
-    /// Framed backends: the fabric moving encoded frames between shards.
+    /// `Some` when delivery runs through the frame seam: the fabric
+    /// moving encoded frames between shards.
     transport: Option<Box<dyn Transport>>,
-    /// `Some` when delivery runs through the frame seam.
-    backend: Option<FrameTransport>,
     /// Framed backends: the wire format the encoders write.
     frame_config: FrameConfig,
-    /// Framed backends: fuse encode+ship into the compute/account pass
-    /// (one barrier per round) instead of running a dedicated ship phase.
-    overlap: bool,
     limit: CongestLimit,
     engine: Engine,
     /// Concurrent workers a step uses: `min(threads, shards)`.
@@ -472,9 +431,7 @@ pub struct Simulator<'g, P> {
 
 /// Runs the compute phase for one shard's vertex range: each node consumes
 /// its slice of the shard-owned inbox and refills its preallocated outbox.
-/// (Also the compute phase of the single-shard
-/// [`crate::transport::worker`] driver.)
-pub(crate) fn compute_shard<P: Protocol>(
+fn compute_shard<P: Protocol>(
     graph: &Graph,
     started: bool,
     shard: &DeliveryShard,
@@ -492,6 +449,180 @@ pub(crate) fn compute_shard<P: Protocol>(
             node.start(&ctx, out);
         }
     }
+}
+
+/// How a round's routed buckets reach their destination shards.
+#[derive(Clone, Copy)]
+pub(crate) enum Delivery<'a> {
+    /// Shared memory: each destination shard reads its bucket of every
+    /// sender's router and the payloads in every sender's outbox chunk.
+    Shared {
+        outboxes: &'a [RwLock<Vec<Outbox>>],
+        routers: &'a [RwLock<Router>],
+    },
+    /// The frame seam: each sender ships one frame per destination shard
+    /// through `transport`, and destination shards read only frames.
+    Framed {
+        transport: &'a dyn Transport,
+        config: FrameConfig,
+    },
+}
+
+/// The per-shard round kernel: one round of one shard, split at the
+/// round's single barrier into a send and a receive half. The inline and
+/// broadcast engine drivers and the socket worker's
+/// [`crate::transport::run_worker`] all run exactly this code — which is
+/// what keeps every backend bit-identical (see the module docs).
+pub(crate) struct RoundKernel<'a> {
+    pub(crate) graph: &'a Graph,
+    pub(crate) routes: &'a RouteIndex,
+    /// The plan boundaries: shard `k` owns `bounds[k]..bounds[k + 1]`.
+    pub(crate) bounds: &'a [VertexId],
+    pub(crate) limit: CongestLimit,
+    pub(crate) round: usize,
+    /// `false` for the round that runs [`Protocol::start`].
+    pub(crate) started: bool,
+    pub(crate) delivery: Delivery<'a>,
+}
+
+impl RoundKernel<'_> {
+    /// The send half for shard `me`: compute → account → ship (framed
+    /// delivery only), each phase timed into the shard's trace ring.
+    /// `outboxes` and `router` are the shard's own. Returns `false` when
+    /// account failed, with the error left in [`DeliveryShard::error`].
+    pub(crate) fn send<P: Protocol>(
+        &self,
+        me: usize,
+        shard: &mut DeliveryShard,
+        nodes: &mut [P],
+        outboxes: &mut [Outbox],
+        router: &mut Router,
+    ) -> bool {
+        let (graph, round) = (self.graph, self.round);
+        let t = shard.trace.begin();
+        compute_shard(graph, self.started, shard, nodes, outboxes);
+        shard.trace.note_compute(t);
+        let t = shard.trace.begin();
+        let ok = shard.account(graph, self.routes, self.limit, round, outboxes, router);
+        shard.trace.note_account(t);
+        if let Delivery::Framed { transport, config } = self.delivery {
+            // Ship even when account failed: partial buckets hold only
+            // refs charged before the violation, and every receiver
+            // expects exactly one frame per link per round (no shard
+            // knows yet whether another shard's account failed).
+            let t = shard.trace.begin();
+            shard
+                .encoder
+                .ship(me, self.bounds, router, outboxes, transport, config);
+            shard.trace.note_ship(t);
+        }
+        ok
+    }
+
+    /// The receive half for shard `me`, after the barrier: when every
+    /// shard's account succeeded (`ok`), places the round's deliveries
+    /// into the shard's inbox. Otherwise the inbox keeps the previous
+    /// round's content, and a framed shard collects and drops its frames
+    /// so the transport starts the next round empty.
+    pub(crate) fn receive(&self, me: usize, shard: &mut DeliveryShard, ok: bool) {
+        let t = shard.trace.begin();
+        match (self.delivery, ok) {
+            (Delivery::Shared { outboxes, routers }, true) => {
+                shard.place(self.graph, me, self.bounds, outboxes, routers);
+            }
+            (Delivery::Framed { transport, .. }, true) => {
+                shard.place_frames(self.graph, me, self.round, transport, self.bounds);
+            }
+            (Delivery::Framed { transport, .. }, false) => {
+                shard.drain_frames(me, transport, self.bounds.len() - 1);
+            }
+            (Delivery::Shared { .. }, false) => {}
+        }
+        shard.trace.note_place(t);
+    }
+}
+
+/// The one-worker driver: every shard's send half, then every shard's
+/// receive half, on the calling thread.
+fn drive_inline<P: Protocol>(
+    kernel: &RoundKernel<'_>,
+    shards: &mut [DeliveryShard],
+    nodes: &mut [P],
+    outboxes: &[RwLock<Vec<Outbox>>],
+    routers: &[RwLock<Router>],
+) {
+    let mut ok = true;
+    let mut node_rest = nodes;
+    for (k, shard) in shards.iter_mut().enumerate() {
+        let (mine, rest) = node_rest.split_at_mut(shard.len());
+        node_rest = rest;
+        let mut outs = outboxes[k].write().expect("no poisoned outbox chunk");
+        let mut router = routers[k].write().expect("no poisoned router");
+        ok &= kernel.send(k, shard, mine, &mut outs, &mut router);
+    }
+    for (k, shard) in shards.iter_mut().enumerate() {
+        kernel.receive(k, shard, ok);
+    }
+}
+
+/// The parallel driver: contiguous shard groups dealt to the pool's
+/// threads inside one `broadcast`, with one barrier between the kernel's
+/// halves.
+fn drive_broadcast<P: Protocol + Send>(
+    kernel: &RoundKernel<'_>,
+    pool: &rayon::ThreadPool,
+    shards: &mut [DeliveryShard],
+    nodes: &mut [P],
+    outboxes: &[RwLock<Vec<Outbox>>],
+    routers: &[RwLock<Router>],
+) {
+    // Each worker claims its group of slots through an uncontended mutex,
+    // since a broadcast closure is shared (`Fn`) across threads.
+    let (workers, total) = (pool.current_num_threads(), shards.len());
+    let mut tasks: Vec<Mutex<Vec<ShardSlot<'_, P>>>> = Vec::with_capacity(workers);
+    let mut shard_rest = shards;
+    let mut node_rest = nodes;
+    let mut next = 0usize;
+    for w in 0..workers {
+        let hi = ((w + 1) * total) / workers;
+        let (mine, rest) = shard_rest.split_at_mut(hi - next);
+        shard_rest = rest;
+        let mut slots = Vec::with_capacity(mine.len());
+        for (j, shard) in mine.iter_mut().enumerate() {
+            let (nodes, rest) = node_rest.split_at_mut(shard.len());
+            node_rest = rest;
+            slots.push(ShardSlot {
+                index: next + j,
+                shard,
+                nodes,
+            });
+        }
+        tasks.push(Mutex::new(slots));
+        next = hi;
+    }
+
+    let barrier = PhaseBarrier::new(workers);
+    let abort = AtomicBool::new(false);
+    pool.broadcast(|ctx| {
+        let _poison_guard = PoisonOnPanic(&barrier);
+        let mut slots = tasks[ctx.index()].lock().expect("no poisoned worker task");
+        for slot in slots.iter_mut() {
+            let mut outs = outboxes[slot.index]
+                .write()
+                .expect("no poisoned outbox chunk");
+            let mut router = routers[slot.index].write().expect("no poisoned router");
+            if !kernel.send(slot.index, slot.shard, slot.nodes, &mut outs, &mut router) {
+                abort.store(true, Ordering::Relaxed);
+            }
+        }
+        timed_barrier_wait(&barrier, &mut slots);
+        // Every worker reads the same flag after the barrier, so all of
+        // them skip placement together.
+        let ok = !abort.load(Ordering::Relaxed);
+        for slot in slots.iter_mut() {
+            kernel.receive(slot.index, slot.shard, ok);
+        }
+    });
 }
 
 /// The sequential single-buffer merge, kept as the reference
@@ -614,11 +745,8 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             outboxes: vec![RwLock::new(vec![Outbox::new(); n])],
             routers: vec![RwLock::new(Router::default())],
             shards: vec![DeliveryShard::new(graph, 0, n)],
-            encoders: Vec::new(),
             transport: None,
-            backend: None,
             frame_config: FrameConfig::default(),
-            overlap: true,
             limit: CongestLimit::Unlimited,
             engine: Engine::Sequential,
             workers: 1,
@@ -660,21 +788,12 @@ impl<'g, P: Protocol> Simulator<'g, P> {
                 .build()
                 .expect("pool construction is infallible")
         });
-        self.backend = backend;
         self.frame_config = FrameConfig::from_env();
-        self.overlap = env_overlap();
         let count = self.plan.count();
-        self.encoders = match backend {
-            Some(_) => (0..count)
-                .map(|_| RwLock::new(FrameEncoder::new(count, self.frame_config)))
-                .collect(),
-            None => Vec::new(),
-        };
         self.transport = backend.map(|t| match t {
             FrameTransport::Loopback => {
                 Box::new(LoopbackTransport::new(count)) as Box<dyn Transport>
             }
-            FrameTransport::Channel => Box::new(ChannelTransport::new(count)) as Box<dyn Transport>,
             FrameTransport::Socket => {
                 Box::new(crate::transport::SocketTransport::unix_mesh(count)) as Box<dyn Transport>
             }
@@ -696,17 +815,17 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     #[must_use]
     pub fn with_transport(mut self, transport: Box<dyn Transport>) -> Self {
         assert!(
-            self.backend.is_some(),
+            self.transport.is_some(),
             "with_transport requires an Engine::Framed configuration"
         );
         self.transport = Some(transport);
         self
     }
 
-    /// Pins the wire format a framed engine's encoders write (version,
-    /// payload coverage), overriding the environment-resolved default
-    /// ([`FrameConfig::from_env`]). Decoding always accepts every
-    /// supported version, so differently-configured peers interoperate.
+    /// Pins whether a framed engine's encoders extend the frame digest
+    /// over the payload region, overriding the environment-resolved
+    /// default ([`FrameConfig::from_env`]). Decoding honors either
+    /// setting, so differently-configured peers interoperate.
     /// Builder-style; call *after* [`Simulator::with_engine`].
     ///
     /// # Panics
@@ -716,27 +835,10 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     #[must_use]
     pub fn with_frame_config(mut self, config: FrameConfig) -> Self {
         assert!(
-            self.backend.is_some(),
+            self.transport.is_some(),
             "with_frame_config requires an Engine::Framed configuration"
         );
         self.frame_config = config;
-        let count = self.plan.count();
-        self.encoders = (0..count)
-            .map(|_| RwLock::new(FrameEncoder::new(count, config)))
-            .collect();
-        self
-    }
-
-    /// Enables or disables the overlapped framed schedule (fused
-    /// compute/account/ship, one barrier per round — see the module docs'
-    /// round-schedule diagram), overriding `NETDECOMP_FRAME_OVERLAP`.
-    /// Consulted only by framed engines; delivery results are
-    /// bit-identical either way. Builder-style; call *after*
-    /// [`Simulator::with_engine`], which re-resolves the environment
-    /// default.
-    #[must_use]
-    pub fn with_overlap(mut self, overlap: bool) -> Self {
-        self.overlap = overlap;
         self
     }
 
@@ -838,14 +940,6 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             // saturates every one, so a long soak run pins instead of
             // wrapping.
             work.absorb(&shard.work);
-        }
-        // Shipping is sender-side, so the overlap counter lives on the
-        // encoders (cumulative over the run, unlike the per-round place
-        // counters above — see its field docs).
-        for encoder in &self.encoders {
-            work.overlap_ships = work
-                .overlap_ships
-                .saturating_add(encoder.read().expect("no poisoned encoder").overlap_ships());
         }
         // Transport health is cumulative over the run too: retries,
         // injected faults, and time blocked in collect.
@@ -985,308 +1079,34 @@ impl<'g, P: Protocol> Simulator<'g, P> {
 }
 
 impl<P: Protocol + Send> Simulator<'_, P> {
-    /// Runs one round's three phases over all shards, leaving results and
+    /// Runs one round of the kernel over all shards, leaving results and
     /// any error in the per-shard state (surfaced by `finish_round`).
     fn execute_round(&mut self) {
-        if self.workers > 1 {
-            self.execute_round_broadcast();
-        } else {
-            self.execute_round_inline();
+        let kernel = RoundKernel {
+            graph: self.graph,
+            routes: &self.routes,
+            bounds: self.plan.boundaries(),
+            limit: self.limit,
+            round: self.round,
+            started: self.started,
+            delivery: match self.transport.as_deref() {
+                Some(transport) => Delivery::Framed {
+                    transport,
+                    config: self.frame_config,
+                },
+                None => Delivery::Shared {
+                    outboxes: &self.outboxes,
+                    routers: &self.routers,
+                },
+            },
+        };
+        let (shards, nodes) = (&mut self.shards[..], &mut self.nodes[..]);
+        let (outboxes, routers) = (&self.outboxes[..], &self.routers[..]);
+        match &self.pool {
+            Some(pool) => drive_broadcast(&kernel, pool, shards, nodes, outboxes, routers),
+            None => drive_inline(&kernel, shards, nodes, outboxes, routers),
         }
         self.started = true;
-    }
-
-    /// All phases inline on the calling thread, shard by shard.
-    fn execute_round_inline(&mut self) {
-        let graph = self.graph;
-        let (started, limit, round) = (self.started, self.limit, self.round);
-        let bounds = self.plan.boundaries();
-        if self.backend.is_some() && self.overlap {
-            // Overlapped framed schedule: each shard's frames are encoded
-            // and shipped the moment its own compute and account finish,
-            // before any later shard has computed — the inline analogue of
-            // the single-barrier parallel schedule. See the module docs.
-            let transport = self
-                .transport
-                .as_deref()
-                .expect("framed backend built a transport");
-            let count = self.shards.len();
-            let mut ok = true;
-            let mut node_rest: &mut [P] = &mut self.nodes;
-            for (k, shard) in self.shards.iter_mut().enumerate() {
-                let (mine, rest) = node_rest.split_at_mut(shard.len());
-                node_rest = rest;
-                let t = shard.trace.begin();
-                {
-                    let mut outs = self.outboxes[k].write().expect("no poisoned outbox chunk");
-                    compute_shard(graph, started, shard, mine, &mut outs);
-                }
-                shard.trace.note_compute(t);
-                let outs = self.outboxes[k].read().expect("no poisoned outbox chunk");
-                let mut router = self.routers[k].write().expect("no poisoned router");
-                let t = shard.trace.begin();
-                if !shard.account(graph, &self.routes, limit, round, &outs, &mut router) {
-                    ok = false;
-                }
-                shard.trace.note_account(t);
-                // Ship even when this (or an earlier) shard's account
-                // failed: partial buckets hold only refs that were charged
-                // before the violation, and the transport must see exactly
-                // one frame per link per round either way.
-                let t = shard.trace.begin();
-                let mut enc = self.encoders[k].write().expect("no poisoned encoder");
-                enc.ship(k, &router, &outs, bounds[k], transport, true);
-                shard.trace.note_ship(t);
-            }
-            if ok {
-                for (j, shard) in self.shards.iter_mut().enumerate() {
-                    let t = shard.trace.begin();
-                    shard.place_frames(graph, j, round, transport, bounds);
-                    shard.trace.note_place(t);
-                }
-            } else {
-                for (j, shard) in self.shards.iter_mut().enumerate() {
-                    shard.drain_frames(j, transport, count);
-                }
-            }
-            return;
-        }
-        let mut node_rest: &mut [P] = &mut self.nodes;
-        for (k, shard) in self.shards.iter_mut().enumerate() {
-            let (mine, rest) = node_rest.split_at_mut(shard.len());
-            node_rest = rest;
-            let t = shard.trace.begin();
-            {
-                let mut outs = self.outboxes[k].write().expect("no poisoned outbox chunk");
-                compute_shard(graph, started, shard, mine, &mut outs);
-            }
-            shard.trace.note_compute(t);
-        }
-        for (k, shard) in self.shards.iter_mut().enumerate() {
-            let outs = self.outboxes[k].read().expect("no poisoned outbox chunk");
-            let mut router = self.routers[k].write().expect("no poisoned router");
-            let t = shard.trace.begin();
-            let ok = shard.account(graph, &self.routes, limit, round, &outs, &mut router);
-            shard.trace.note_account(t);
-            if !ok {
-                return;
-            }
-        }
-        if self.backend.is_some() {
-            let transport = self
-                .transport
-                .as_deref()
-                .expect("framed backend built a transport");
-            for (k, encoder) in self.encoders.iter().enumerate() {
-                let outs = self.outboxes[k].read().expect("no poisoned outbox chunk");
-                let router = self.routers[k].read().expect("no poisoned router");
-                let t = self.shards[k].trace.begin();
-                let mut enc = encoder.write().expect("no poisoned encoder");
-                enc.ship(k, &router, &outs, bounds[k], transport, false);
-                self.shards[k].trace.note_ship(t);
-            }
-            for (j, shard) in self.shards.iter_mut().enumerate() {
-                let t = shard.trace.begin();
-                shard.place_frames(graph, j, round, transport, bounds);
-                shard.trace.note_place(t);
-            }
-        } else {
-            for (k, shard) in self.shards.iter_mut().enumerate() {
-                let t = shard.trace.begin();
-                shard.place(graph, k, bounds, &self.outboxes, &self.routers);
-                shard.trace.note_place(t);
-            }
-        }
-    }
-
-    /// All phases on all shards concurrently, inside one `broadcast` (one
-    /// scoped thread set per step) with a barrier between phases.
-    fn execute_round_broadcast(&mut self) {
-        let graph = self.graph;
-        let (started, limit, round) = (self.started, self.limit, self.round);
-        let overlap = self.overlap;
-        let bounds = self.plan.boundaries();
-        let outboxes = &self.outboxes;
-        let routers = &self.routers;
-        let routes = &self.routes;
-        let encoders = &self.encoders;
-        let transport = self.transport.as_deref();
-        let workers = self.workers;
-        let total = self.shards.len();
-
-        // Deal contiguous shard groups (with their node ranges) to workers;
-        // each worker claims its task through an uncontended mutex, since a
-        // broadcast closure is shared (`Fn`) across threads.
-        let mut tasks: Vec<Mutex<WorkerTask<'_, P>>> = Vec::with_capacity(workers);
-        let mut shard_rest: &mut [DeliveryShard] = &mut self.shards;
-        let mut node_rest: &mut [P] = &mut self.nodes;
-        let mut next = 0usize;
-        for w in 0..workers {
-            let hi = ((w + 1) * total) / workers;
-            let (mine, rest) = shard_rest.split_at_mut(hi - next);
-            shard_rest = rest;
-            let mut slots = Vec::with_capacity(mine.len());
-            for (j, shard) in mine.iter_mut().enumerate() {
-                let (nodes, rest) = node_rest.split_at_mut(shard.len());
-                node_rest = rest;
-                slots.push(ShardSlot {
-                    index: next + j,
-                    shard,
-                    nodes,
-                });
-            }
-            tasks.push(Mutex::new(WorkerTask { slots }));
-            next = hi;
-        }
-
-        let barrier = PhaseBarrier::new(workers);
-        let abort = AtomicBool::new(false);
-        let pool = self.pool.as_ref().expect("parallel step built a pool");
-        pool.broadcast(|ctx| {
-            let _poison_guard = PoisonOnPanic(&barrier);
-            let mut task = tasks[ctx.index()].lock().expect("no poisoned worker task");
-            if let (Some(transport), true) = (transport, overlap) {
-                // Overlapped framed schedule — one fused phase, one
-                // barrier. Compute, account, and ship all touch only the
-                // shard's own state (ship serializes the shard's own
-                // buckets), so no barrier is needed between them; the
-                // single barrier below is the ship barrier, ordering every
-                // send before any collect. See the module docs.
-                for slot in task.slots.iter_mut() {
-                    let t = slot.shard.trace.begin();
-                    {
-                        let mut outs = outboxes[slot.index]
-                            .write()
-                            .expect("no poisoned outbox chunk");
-                        compute_shard(graph, started, slot.shard, slot.nodes, &mut outs);
-                    }
-                    slot.shard.trace.note_compute(t);
-                    let outs = outboxes[slot.index]
-                        .read()
-                        .expect("no poisoned outbox chunk");
-                    let mut router = routers[slot.index].write().expect("no poisoned router");
-                    let t = slot.shard.trace.begin();
-                    if !slot
-                        .shard
-                        .account(graph, routes, limit, round, &outs, &mut router)
-                    {
-                        abort.store(true, Ordering::Relaxed);
-                    }
-                    slot.shard.trace.note_account(t);
-                    // Ship even when account failed: partial buckets hold
-                    // only refs charged before the violation, and the
-                    // transport must see exactly one frame per link per
-                    // round either way (no shard knows yet whether some
-                    // other shard's account will fail).
-                    let t = slot.shard.trace.begin();
-                    let mut enc = encoders[slot.index].write().expect("no poisoned encoder");
-                    enc.ship(
-                        slot.index,
-                        &router,
-                        &outs,
-                        bounds[slot.index],
-                        transport,
-                        true,
-                    );
-                    slot.shard.trace.note_ship(t);
-                }
-                timed_barrier_wait(&barrier, &mut task);
-                if abort.load(Ordering::Relaxed) {
-                    // Every frame was already shipped, so the aborting
-                    // round drains them (collect + drop, undecoded) to
-                    // keep the transport empty for whoever inspects the
-                    // simulator next.
-                    for slot in task.slots.iter_mut() {
-                        slot.shard.drain_frames(slot.index, transport, total);
-                    }
-                    return;
-                }
-                for slot in task.slots.iter_mut() {
-                    let t = slot.shard.trace.begin();
-                    slot.shard
-                        .place_frames(graph, slot.index, round, transport, bounds);
-                    slot.shard.trace.note_place(t);
-                }
-                return;
-            }
-            // Phase 1 — compute: own nodes fill own outbox chunks.
-            for slot in task.slots.iter_mut() {
-                let t = slot.shard.trace.begin();
-                let mut outs = outboxes[slot.index]
-                    .write()
-                    .expect("no poisoned outbox chunk");
-                compute_shard(graph, started, slot.shard, slot.nodes, &mut outs);
-                drop(outs);
-                slot.shard.trace.note_compute(t);
-            }
-            timed_barrier_wait(&barrier, &mut task);
-            // Phase 2 — account: own outboxes charge own edge counters
-            // and fill the shard's own router buckets.
-            for slot in task.slots.iter_mut() {
-                let outs = outboxes[slot.index]
-                    .read()
-                    .expect("no poisoned outbox chunk");
-                let mut router = routers[slot.index].write().expect("no poisoned router");
-                let t = slot.shard.trace.begin();
-                if !slot
-                    .shard
-                    .account(graph, routes, limit, round, &outs, &mut router)
-                {
-                    abort.store(true, Ordering::Relaxed);
-                }
-                slot.shard.trace.note_account(t);
-            }
-            timed_barrier_wait(&barrier, &mut task);
-            // Every worker observes the same flag after the barrier, so all
-            // of them skip placement together (no one left waiting). Under
-            // a framed backend this also means *no* frame is shipped, so
-            // the transport stays balanced for the next round.
-            if abort.load(Ordering::Relaxed) {
-                return;
-            }
-            if let Some(transport) = transport {
-                // Phase 3 (framed) — ship: each shard serializes its own
-                // buckets (refs + payload bytes from its own outboxes)
-                // into one frame per destination shard.
-                for slot in task.slots.iter_mut() {
-                    let outs = outboxes[slot.index]
-                        .read()
-                        .expect("no poisoned outbox chunk");
-                    let router = routers[slot.index].read().expect("no poisoned router");
-                    let t = slot.shard.trace.begin();
-                    let mut enc = encoders[slot.index].write().expect("no poisoned encoder");
-                    enc.ship(
-                        slot.index,
-                        &router,
-                        &outs,
-                        bounds[slot.index],
-                        transport,
-                        false,
-                    );
-                    slot.shard.trace.note_ship(t);
-                }
-                timed_barrier_wait(&barrier, &mut task);
-                // Phase 4 (framed) — place: each shard decodes the frames
-                // addressed to it and scatters into its own inbox slice,
-                // touching no other shard's memory.
-                for slot in task.slots.iter_mut() {
-                    let t = slot.shard.trace.begin();
-                    slot.shard
-                        .place_frames(graph, slot.index, round, transport, bounds);
-                    slot.shard.trace.note_place(t);
-                }
-            } else {
-                // Phase 3 — place: each shard consumes the route-ref
-                // buckets addressed to it and scatters into its own inbox
-                // slice.
-                for slot in task.slots.iter_mut() {
-                    let t = slot.shard.trace.begin();
-                    slot.shard
-                        .place(graph, slot.index, bounds, outboxes, routers);
-                    slot.shard.trace.note_place(t);
-                }
-            }
-        });
     }
 
     /// Executes one synchronous round: let every node compute, then merge
@@ -1382,7 +1202,7 @@ impl<P: Protocol + Send + Clone> Simulator<'_, P> {
     /// [`SimError::Nondeterminism`] on divergence, plus everything
     /// [`Simulator::step`] can return.
     pub fn step_verified(&mut self) -> Result<RoundStats, SimError> {
-        if self.workers <= 1 && self.shards.len() <= 1 && self.backend.is_none() {
+        if self.workers <= 1 && self.shards.len() <= 1 && self.transport.is_none() {
             return self.step();
         }
         // Sequential reference compute on cloned nodes, against the same
@@ -1588,11 +1408,7 @@ mod tests {
                     from_bfs,
                     "threads {threads} shards {shards}"
                 );
-                for transport in [
-                    FrameTransport::Loopback,
-                    FrameTransport::Channel,
-                    FrameTransport::Socket,
-                ] {
+                for transport in [FrameTransport::Loopback, FrameTransport::Socket] {
                     assert_eq!(
                         flood(
                             &g,
@@ -1630,33 +1446,32 @@ mod tests {
         let g = generators::grid2d(7, 9);
         let mut seq = Simulator::new(&g, |_, _| FloodDist::fresh());
         let a = seq.run_rounds(20).unwrap();
-        for transport in [
-            FrameTransport::Loopback,
-            FrameTransport::Channel,
-            FrameTransport::Socket,
-        ] {
+        for transport in [FrameTransport::Loopback, FrameTransport::Socket] {
             for (threads, shards) in [(1, 1), (1, 5), (3, 5), (4, 2)] {
-                let mut par =
-                    Simulator::new(&g, |_, _| FloodDist::fresh()).with_engine(Engine::Framed {
-                        threads,
-                        shards,
-                        transport,
-                    });
-                let b = par.run_rounds(20).unwrap();
-                assert_eq!(a, b, "{transport:?} threads {threads} shards {shards}");
-                assert_eq!(seq.nodes(), par.nodes());
-                assert_eq!(seq.stats(), par.stats());
+                // Payload coverage changes only the digest's span.
+                for cover_payload in [false, true] {
+                    let mut par = Simulator::new(&g, |_, _| FloodDist::fresh())
+                        .with_engine(Engine::Framed {
+                            threads,
+                            shards,
+                            transport,
+                        })
+                        .with_frame_config(FrameConfig { cover_payload });
+                    let b = par.run_rounds(20).unwrap();
+                    assert_eq!(
+                        a, b,
+                        "{transport:?} threads {threads} shards {shards} cover {cover_payload}"
+                    );
+                    assert_eq!(seq.nodes(), par.nodes());
+                    assert_eq!(seq.stats(), par.stats());
+                }
             }
         }
     }
 
     #[test]
     fn framed_verified_stepping_accepts_deterministic_protocols() {
-        for transport in [
-            FrameTransport::Loopback,
-            FrameTransport::Channel,
-            FrameTransport::Socket,
-        ] {
+        for transport in [FrameTransport::Loopback, FrameTransport::Socket] {
             let g = generators::grid2d(5, 5);
             let mut sim =
                 Simulator::new(&g, |_, _| FloodDist::fresh()).with_engine(Engine::Framed {
@@ -1693,9 +1508,9 @@ mod tests {
             });
         framed.step().unwrap();
         let work = framed.delivery_work();
-        // 16 frames (4x4) of >= 28 header bytes each, plus the round's
+        // 16 frames (4x4) of >= 32 header bytes each, plus the round's
         // refs and payloads.
-        assert!(work.frame_bytes >= 16 * 28, "bytes {}", work.frame_bytes);
+        assert!(work.frame_bytes >= 16 * 32, "bytes {}", work.frame_bytes);
         assert_eq!(
             work.copies_delivered,
             shared.delivery_work().copies_delivered
@@ -1703,35 +1518,18 @@ mod tests {
     }
 
     #[test]
-    fn overlap_and_checksum_counters_report_the_framed_schedule() {
+    fn checksum_time_is_measured_under_framed_delivery() {
         let g = generators::grid2d(4, 4);
-        let engine = Engine::Framed {
+        let mut sim = Simulator::new(&g, |_, _| FloodDist::fresh()).with_engine(Engine::Framed {
             threads: 1,
             shards: 4,
             transport: FrameTransport::Loopback,
-        };
-        let mut overlapped = Simulator::new(&g, |_, _| FloodDist::fresh())
-            .with_engine(engine)
-            .with_overlap(true);
-        overlapped.step().unwrap();
-        overlapped.step().unwrap();
-        let work = overlapped.delivery_work();
-        // Every frame ships from the fused phase: shards² per round,
-        // cumulative over the run (unlike the per-round place counters).
-        assert_eq!(work.overlap_ships, 2 * 16, "two rounds of 4x4 frames");
-        // Decode-side validation time is measured under framed delivery.
-        assert!(work.checksum_ns > 0, "16 frames validated per round");
-        let mut separated = Simulator::new(&g, |_, _| FloodDist::fresh())
-            .with_engine(engine)
-            .with_overlap(false);
-        separated.step().unwrap();
-        separated.step().unwrap();
-        assert_eq!(
-            separated.delivery_work().overlap_ships,
-            0,
-            "phase-separated schedule never ships from the fused phase"
+        });
+        sim.step().unwrap();
+        assert!(
+            sim.delivery_work().checksum_ns > 0,
+            "16 frames validated per round"
         );
-        assert_eq!(overlapped.nodes(), separated.nodes(), "schedules diverged");
     }
 
     #[test]
@@ -1818,11 +1616,7 @@ mod tests {
             .with_limit(CongestLimit::PerEdgeBytes(8))
             .step()
             .unwrap_err();
-        for transport in [
-            FrameTransport::Loopback,
-            FrameTransport::Channel,
-            FrameTransport::Socket,
-        ] {
+        for transport in [FrameTransport::Loopback, FrameTransport::Socket] {
             let framed_err = Simulator::new(&g, |_, _| Shout { payload: 9 })
                 .with_limit(CongestLimit::PerEdgeBytes(8))
                 .with_engine(Engine::Framed {

@@ -113,7 +113,7 @@ impl Error for FrameError {}
 
 /// Why a transport gave up on the link to a peer shard.
 ///
-/// Every blocking point in the socket and channel backends carries a
+/// Every blocking point in the socket backend carries a
 /// deadline (`NETDECOMP_FRAME_TIMEOUT_MS`, see [`crate::transport`]), so
 /// a wedged, dead, or misbehaving peer always degrades into one of these
 /// typed causes — never into an indefinite hang.

@@ -11,7 +11,7 @@
 //! of in-memory buckets, "shards stop sharing an address space" becomes a
 //! [`Transport`] swap, not an engine rewrite.
 //!
-//! # Frame layout (format v2)
+//! # Frame layout
 //!
 //! All integers are little-endian `u32` unless noted. One frame carries
 //! one `(sender shard, destination shard)` bucket:
@@ -20,7 +20,7 @@
 //! offset  bytes  field
 //! ------  -----  -----------------------------------------------------
 //!      0      3  magic  b"NDF"
-//!      3      1  format version (u8: 2; decoders also accept 1)
+//!      3      1  format version (u8: 2)
 //!      4      4  frame length — total bytes, self-delimiting
 //!      8      4  sender shard
 //!     12      4  destination shard
@@ -42,19 +42,24 @@
 //! stored once — and decoding hands each recipient a zero-copy
 //! [`Bytes::slice`] view into the payload region.
 //!
-//! # The word-parallel digest (and the v1 one it replaced)
+//! This is the only format: frames are never persisted, and the socket
+//! handshake's `Hello` refuses a peer that encodes any other version, so
+//! a decoder rejects every other version byte with
+//! [`FrameError::VersionMismatch`].
+//!
+//! # The word-parallel digest
 //!
 //! Every covered section is a whole number of `u32` words (the header is
-//! 24 + 4 bytes, a ref entry 16, a payload entry 8), so v2 checksums
+//! 24 + 4 bytes, a ref entry 16, a payload entry 8), so the digest folds
 //! *words*, not bytes: word `i` of the covered stream folds into lane
 //! `i mod 4` of four independent FNV-1a-style lane states
 //! (`lane = (lane ^ word) * FNV_PRIME`, lane `j` seeded with
 //! `FNV_INIT + j * 0x9E37_79B9`), and `finish` folds the four lanes into
 //! one `u32` with the same multiply chain. Four independent multiply
-//! chains break v1's byte-serial data dependency — the ~4 cycles/byte
-//! FNV floor that PR 5 measured dominating framed delivery — while every
-//! fold stays bijective per lane, so **any single-bit flip in a covered
-//! word still changes the digest** (see the frame_codec proptests).
+//! chains avoid the ~4 cycles/byte floor of a byte-serial FNV, while
+//! every fold stays bijective per lane, so **any single-bit flip in a
+//! covered word still changes the digest** (pinned by this module's
+//! proptests).
 //!
 //! By default the digest covers every header and table byte but not the
 //! payload region (whose bytes recipients re-read anyway, and which
@@ -64,16 +69,6 @@
 //! bytes themselves (UDP-style sockets), flag bit 0 extends coverage to
 //! the payload region, zero-padded to a word boundary
 //! ([`FrameConfig::cover_payload`]).
-//!
-//! # Version negotiation
-//!
-//! Encoders write format v2 unless pinned to v1 (`NETDECOMP_FRAME_VERSION=1`
-//! or [`FrameConfig`]; v1 frames are 28-byte-header, byte-serial-FNV, and
-//! bit-exact with what pre-v2 builds shipped). Decoders dispatch on the
-//! version byte and accept both formats, so mixed-version peers
-//! interoperate during a rollout; anything outside
-//! [`FRAME_VERSION_MIN`]`..=`[`FRAME_VERSION`] is rejected with
-//! [`FrameError::VersionMismatch`] carrying the accepted range.
 //!
 //! # Transports
 //!
@@ -90,17 +85,11 @@
 //!   frame's payload slices live in destination payload slabs for one
 //!   round, so the round-before-last's buffer is reclaimable by the time
 //!   it is needed again).
-//! - [`ChannelTransport`] — each shard owns a persistent mpsc mailbox and
-//!   receives *only* encoded frames from it, simulating process-per-shard
-//!   isolation: no shared inbox, outbox, or router memory crosses a shard
-//!   boundary. (The mailboxes persist across rounds; making the worker
-//!   *threads* persistent too awaits the real rayon pool, the same caveat
-//!   as the shared-memory engine — see ROADMAP.)
 //! - [`crate::transport::SocketTransport`] — frames cross real OS
 //!   sockets (Unix domain by default, TCP behind the same code path)
-//!   through a hub that relays by destination shard; the same client
-//!   code drives in-process shards and separate worker processes (see
-//!   [`crate::transport::launcher`]).
+//!   through a hub that relays by destination shard, with real process
+//!   semantics: the same client code drives in-process shards and
+//!   separate worker processes (see [`crate::transport::launcher`]).
 //!
 //! # Wire protocol: control frames, handshake, timeouts
 //!
@@ -113,9 +102,9 @@
 //!
 //! - `Hello { shard, frame_version, graph_digest }` — sent once per
 //!   connection (and again after a reconnect). The hub rejects a
-//!   duplicate shard id, an unsupported frame version, or a graph
-//!   digest that disagrees with the other workers': every worker must
-//!   have loaded the same graph.
+//!   duplicate shard id, a frame version other than [`FRAME_VERSION`],
+//!   or a graph digest that disagrees with the other workers': every
+//!   worker must have loaded the same graph.
 //! - `RoundBarrier { round }` — each shard sends one after shipping its
 //!   round; the hub broadcasts one back when all shards have, which
 //!   doubles as the "all frames relayed" signal.
@@ -144,35 +133,25 @@
 //! [`crate::transport::launcher`] kill tests exercise the first two with
 //! real processes.
 
-use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Mutex};
-use std::time::Instant;
+use std::sync::Mutex;
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 use netdecomp_graph::VertexId;
 
 use crate::error::{FrameError, TransportError};
 use crate::message::Outbox;
 use crate::shard::{BucketTally, RouteRef, Router};
 
-/// Newest frame format version: what encoders write by default.
+/// The frame format version every encoder writes and every decoder
+/// accepts.
 pub const FRAME_VERSION: u8 = 2;
-
-/// Oldest frame format version decoders still accept (the byte-serial
-/// FNV-1a format pre-v2 builds shipped, kept bit-exact).
-pub const FRAME_VERSION_MIN: u8 = 1;
 
 /// Magic prefix of every data frame (control frames use `b"NDC"` — see
 /// [`crate::transport::control`]).
 pub(crate) const MAGIC: &[u8; 3] = b"NDF";
 
-/// v1 header length in bytes (through the checksum word) — also the
-/// minimum bytes needed to read any frame's fixed fields.
-const HEADER_LEN_V1: usize = 28;
-
-/// v2 header length in bytes (through the flags word).
-const HEADER_LEN_V2: usize = 32;
+/// Header length in bytes (through the flags word).
+const HEADER_LEN: usize = 32;
 
 /// Byte offset of the frame-length word (shared by data and control
 /// frames — the stream reader peels both with one code path).
@@ -181,13 +160,13 @@ pub(crate) const LEN_OFFSET: usize = 4;
 /// Byte offset of the checksum word (the digest skips these 4 bytes).
 const CHECKSUM_OFFSET: usize = 24;
 
-/// Byte offset of the v2 flags word.
+/// Byte offset of the flags word.
 const FLAGS_OFFSET: usize = 28;
 
-/// v2 flag bit 0: the digest also covers the payload region.
+/// Flag bit 0: the digest also covers the payload region.
 const FLAG_COVER_PAYLOAD: u32 = 1;
 
-/// All v2 flag bits this build understands; any other set bit rejects
+/// All flag bits this build understands; any other set bit rejects
 /// the frame as malformed (after the digest verdict).
 const FLAGS_KNOWN: u32 = FLAG_COVER_PAYLOAD;
 
@@ -207,23 +186,14 @@ const FNV_PRIME: u32 = 0x0100_0193;
 /// start in the same state.
 const LANE_SEED_STRIDE: u32 = 0x9E37_79B9;
 
-/// Header length of a given (accepted) format version.
-fn header_len(version: u8) -> usize {
-    if version >= 2 {
-        HEADER_LEN_V2
-    } else {
-        HEADER_LEN_V1
-    }
-}
-
 /// Reads the little-endian `u32` at `off`.
 fn le32(data: &[u8], off: usize) -> u32 {
     u32::from_le_bytes(data[off..off + 4].try_into().expect("4 bytes"))
 }
 
-/// Folds `bytes` into a running 32-bit FNV-1a digest (the v1 checksum;
-/// also the control-frame checksum — control frames are tiny, so the
-/// byte-serial fold costs nothing).
+/// Folds `bytes` into a running 32-bit FNV-1a digest (the control-frame
+/// checksum — control frames are tiny, so the byte-serial fold costs
+/// nothing).
 pub(crate) fn fnv1a(mut h: u32, bytes: &[u8]) -> u32 {
     for &b in bytes {
         h ^= u32::from(b);
@@ -232,14 +202,7 @@ pub(crate) fn fnv1a(mut h: u32, bytes: &[u8]) -> u32 {
     h
 }
 
-/// 32-bit FNV-1a over the two v1-checksummed byte ranges (header without
-/// the checksum word, then the tables) — the decode-side verification;
-/// encoding folds the same digest incrementally as it writes.
-fn checksum(head: &[u8], tables: &[u8]) -> u32 {
-    fnv1a(fnv1a(FNV_INIT, head), tables)
-}
-
-/// The v2 word-parallel digest: four independent FNV-1a-style lanes
+/// The frame digest: four independent FNV-1a-style lanes
 /// striped across the little-endian `u32` words of the covered stream.
 ///
 /// Word `i` (counted across *all* `update` calls) folds into lane
@@ -249,8 +212,8 @@ fn checksum(head: &[u8], tables: &[u8]) -> u32 {
 /// by an odd constant, both invertible mod 2^32), and [`LaneDigest::finish`]
 /// folds the four lanes with the same chain — so flipping any single bit
 /// of any covered word always changes the final digest. Four independent
-/// multiply chains give the superscalar core ~4 folds in flight where the
-/// byte-serial v1 digest sustained one.
+/// multiply chains give the superscalar core ~4 folds in flight where a
+/// byte-serial digest sustains one.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LaneDigest {
     lanes: [u32; 4],
@@ -414,115 +377,38 @@ impl LaneDigest {
     }
 }
 
-/// The version-dispatched running digest behind the single-pass encoder
-/// and the fused decode walk: v1 frames fold the byte-serial FNV-1a
-/// (bit-exact with pre-v2 builds), v2 frames the 4-lane [`LaneDigest`].
-#[derive(Debug, Clone, Copy)]
-enum RunningDigest {
-    Serial(u32),
-    Lanes(LaneDigest),
-}
-
-impl RunningDigest {
-    /// Seeds the digest for `version` and folds the already-written
-    /// header: bytes `[0, 24)`, then — on v2 — the flags word (skipping
-    /// the zeroed checksum word between them, which is never covered).
-    fn begin(version: u8, header: &[u8]) -> Self {
-        if version >= 2 {
-            let mut d = LaneDigest::new();
-            d.update(&header[..CHECKSUM_OFFSET]);
-            d.update(&header[FLAGS_OFFSET..HEADER_LEN_V2]);
-            RunningDigest::Lanes(d)
-        } else {
-            RunningDigest::Serial(fnv1a(FNV_INIT, &header[..CHECKSUM_OFFSET]))
-        }
-    }
-
-    /// Folds one word-aligned table entry.
-    #[inline]
-    fn update(&mut self, bytes: &[u8]) {
-        match self {
-            RunningDigest::Serial(h) => *h = fnv1a(*h, bytes),
-            RunningDigest::Lanes(d) => d.update(bytes),
-        }
-    }
-
-    /// Folds the payload region (v2 with [`FLAG_COVER_PAYLOAD`] only —
-    /// v1 never covers it).
-    fn update_region(&mut self, bytes: &[u8]) {
-        match self {
-            RunningDigest::Serial(_) => unreachable!("v1 never covers the payload region"),
-            RunningDigest::Lanes(d) => d.update_padded(bytes),
-        }
-    }
-
-    fn finish(&self) -> u32 {
-        match self {
-            RunningDigest::Serial(h) => *h,
-            RunningDigest::Lanes(d) => d.finish(),
-        }
-    }
-}
-
-/// How a framed engine encodes its frames: the wire format version and
-/// whether the v2 digest also covers the payload region.
+/// How a framed engine encodes its frames: whether the digest also covers
+/// the payload region.
 ///
-/// The decode side is not configurable — every decoder accepts all of
-/// [`FRAME_VERSION_MIN`]`..=`[`FRAME_VERSION`] — so peers encoding
-/// different versions interoperate; this only selects what *this* side
-/// writes. Resolved from the environment by default (see
-/// [`FrameConfig::from_env`]), pinned explicitly via
-/// [`crate::Simulator::with_frame_config`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The decode side is not configurable — a decoder honors whatever the
+/// frame's flags word says — so peers encoding differently interoperate;
+/// this only selects what *this* side writes. Resolved from the
+/// environment by default (see [`FrameConfig::from_env`]), pinned
+/// explicitly via [`crate::Simulator::with_frame_config`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FrameConfig {
-    /// Wire format version to encode, in
-    /// [`FRAME_VERSION_MIN`]`..=`[`FRAME_VERSION`].
-    pub version: u8,
-    /// Extend the v2 digest over the payload region (flag bit 0), for
-    /// transports that do not protect payload bytes themselves. Ignored
-    /// (and never set on the wire) when `version` is 1.
+    /// Extend the digest over the payload region (flag bit 0), for
+    /// transports that do not protect payload bytes themselves.
     pub cover_payload: bool,
 }
 
-impl Default for FrameConfig {
-    /// The newest format, tables-only coverage.
-    fn default() -> Self {
-        FrameConfig {
-            version: FRAME_VERSION,
-            cover_payload: false,
-        }
-    }
-}
-
 impl FrameConfig {
-    /// Resolves the encoding config from the environment:
-    /// `NETDECOMP_FRAME_VERSION` selects the format version (out-of-range
-    /// or unparsable values fall back to [`FRAME_VERSION`]), and any
+    /// Resolves the encoding config from the environment: any
     /// `NETDECOMP_FRAME_COVER_PAYLOAD` value other than empty, `0`, or
-    /// `off` enables payload coverage (v2 only). Read per call — never
-    /// cached — so tests and benches can sweep versions in one process.
+    /// `off` enables payload coverage. Read per call — never cached — so
+    /// tests and benches can sweep it in one process.
     #[must_use]
     pub fn from_env() -> Self {
-        let version = std::env::var("NETDECOMP_FRAME_VERSION")
-            .ok()
-            .and_then(|v| v.trim().parse::<u8>().ok())
-            .filter(|v| (FRAME_VERSION_MIN..=FRAME_VERSION).contains(v))
-            .unwrap_or(FRAME_VERSION);
-        let cover = std::env::var("NETDECOMP_FRAME_COVER_PAYLOAD")
-            .map(|v| {
-                let v = v.trim();
-                !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("off")
-            })
-            .unwrap_or(false);
-        FrameConfig {
-            version,
-            cover_payload: cover && version >= 2,
-        }
+        let cover_payload = std::env::var("NETDECOMP_FRAME_COVER_PAYLOAD").is_ok_and(|v| {
+            let v = v.trim();
+            !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("off")
+        });
+        FrameConfig { cover_payload }
     }
 
-    /// The flags word this config writes (0 on v1, which has none).
+    /// The flags word this config writes.
     fn flags(self) -> u32 {
-        if self.version >= 2 && self.cover_payload {
+        if self.cover_payload {
             FLAG_COVER_PAYLOAD
         } else {
             0
@@ -538,10 +424,6 @@ pub enum FrameTransport {
     /// seam itself.
     #[default]
     Loopback,
-    /// Per-shard mpsc mailboxes: a shard receives only encoded frames,
-    /// never touching another shard's memory — process-per-shard
-    /// semantics on threads.
-    Channel,
     /// Real OS sockets (Unix domain): frames leave the address space and
     /// cross a kernel socket pair through a relay hub — the same client
     /// and hub code the process-per-shard
@@ -598,9 +480,9 @@ impl TransportHealth {
 /// Contract: during each round every sender shard calls [`Transport::send`]
 /// exactly once per destination shard (empty buckets ship header-only
 /// frames, so arrival counts are deterministic), all sends complete before
-/// any [`Transport::collect`] for that round begins (the engine
-/// barriers between the phases), and `collect` is called exactly once per
-/// destination per round.
+/// any [`Transport::collect`] for that round begins (the round's barrier
+/// sits between the engine kernel's send and receive halves), and
+/// `collect` is called exactly once per destination per round.
 pub trait Transport: Send + Sync + std::fmt::Debug {
     /// Ships one encoded frame from sender shard `from` to destination
     /// shard `to`.
@@ -667,117 +549,20 @@ impl Transport for LoopbackTransport {
     }
 }
 
-/// Message-passing [`Transport`]: one persistent mpsc mailbox per shard.
-#[derive(Debug)]
-pub struct ChannelTransport {
-    /// `senders[to]` feeds shard `to`'s mailbox (tagged with the sender).
-    senders: Vec<mpsc::Sender<(usize, Bytes)>>,
-    /// Each shard's mailbox; locked only by its owner during collect.
-    receivers: Vec<Mutex<mpsc::Receiver<(usize, Bytes)>>>,
-    /// How long one collect may wait for its frames before giving up and
-    /// surfacing the gap as [`FrameError::MissingFrame`].
-    timeout: std::time::Duration,
-    /// Cumulative nanoseconds collects spent blocked waiting.
-    collect_wait_ns: AtomicU64,
-}
-
-impl ChannelTransport {
-    /// A channel fabric connecting `shards` shards, with the
-    /// environment-resolved collect deadline
-    /// ([`crate::transport::frame_timeout`]).
-    #[must_use]
-    pub fn new(shards: usize) -> Self {
-        Self::with_timeout(shards, crate::transport::frame_timeout())
-    }
-
-    /// A channel fabric with an explicit collect deadline.
-    #[must_use]
-    pub fn with_timeout(shards: usize, timeout: std::time::Duration) -> Self {
-        let mut senders = Vec::with_capacity(shards);
-        let mut receivers = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let (tx, rx) = mpsc::channel();
-            senders.push(tx);
-            receivers.push(Mutex::new(rx));
-        }
-        ChannelTransport {
-            senders,
-            receivers,
-            timeout,
-            collect_wait_ns: AtomicU64::new(0),
-        }
-    }
-}
-
-impl Transport for ChannelTransport {
-    fn send(&self, from: usize, to: usize, frame: Bytes) {
-        self.senders[to]
-            .send((from, frame))
-            .expect("mailbox receiver outlives the round");
-    }
-
-    /// Waits — **boundedly** — until one frame per sender is in hand.
-    /// Under the [`Transport`] contract (the engine barriers ship before
-    /// collect, one frame per sender) the deadline is never reached; a
-    /// sender shard that dies mid-round, under-delivers, or duplicates a
-    /// sender tag leaves its slot `None` when the deadline expires, and
-    /// the place phase surfaces that as a typed
-    /// [`FrameError::MissingFrame`] instead of parking this thread
-    /// forever. A frame from a sender whose slot is already full (a
-    /// duplicate) is dropped without displacing anyone.
-    fn collect(&self, to: usize, into: &mut [Option<Bytes>]) -> Result<(), TransportError> {
-        let rx = self.receivers[to].lock().expect("no poisoned mailbox");
-        let start = Instant::now();
-        let deadline = start + self.timeout;
-        let mut filled = into.iter().filter(|slot| slot.is_some()).count();
-        while filled < into.len() {
-            let now = Instant::now();
-            let Some(remaining) = deadline
-                .checked_duration_since(now)
-                .filter(|d| !d.is_zero())
-            else {
-                break;
-            };
-            match rx.recv_timeout(remaining) {
-                Ok((from, frame)) => {
-                    if let Some(slot @ None) = into.get_mut(from) {
-                        *slot = Some(frame);
-                        filled += 1;
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Timeout | mpsc::RecvTimeoutError::Disconnected) => {
-                    break
-                }
-            }
-        }
-        self.collect_wait_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        Ok(())
-    }
-
-    fn health(&self) -> TransportHealth {
-        TransportHealth {
-            collect_wait_ns: self.collect_wait_ns.load(Ordering::Relaxed),
-            ..TransportHealth::default()
-        }
-    }
-}
-
 /// Encodes one router bucket into a frame in a **single pass**: the hot
-/// path behind [`FrameEncoder::ship`].
+/// path behind [`FrameEncoder::ship`], and the only frame encoder.
 ///
-/// The bucket is fully known up front (unlike the incremental
-/// [`FrameBuilder`], which must stage payload bytes because table sizes
-/// are unknown until `finish`), and its payload-section sizes arrive
-/// pre-tallied (`tally`, maintained ref by ref as the account pass routed
-/// the bucket), so the frame is laid out exactly once: the tally sizes
-/// the frame, then one walk over the refs writes the ref table, the
+/// The bucket is fully known up front, and its payload-section sizes
+/// arrive pre-tallied (`tally`, maintained ref by ref as the account pass
+/// routed the bucket), so the frame is laid out exactly once: the tally
+/// sizes the frame, then one walk over the refs writes the ref table, the
 /// payload table, and the payload region straight to their final
-/// positions (no staging, no re-walk). Payload bytes are copied exactly
-/// once (sender outbox → frame), and the checksum is folded in one
-/// contiguous pass over the just-written tables — still hot in cache —
-/// so the v2 digest's four lanes run at full block speed instead of
-/// re-entering the stripe peel on every 16-byte entry.
+/// positions (no staging, no re-walk). Payload bytes — looked up per ref
+/// by `payload_of` — are copied exactly once (sender outbox → frame), and
+/// the checksum is folded in one contiguous pass over the just-written
+/// tables — still hot in cache — so the digest's four lanes run at full
+/// block speed instead of re-entering the stripe peel on every 16-byte
+/// entry.
 ///
 /// Payload sharing uses the same rule the place phase depends on: refs of
 /// one `(sender, message)` are consecutive within a bucket, so a
@@ -789,19 +574,15 @@ impl Transport for ChannelTransport {
 ///
 /// Panics if the encoded frame would exceed the `u32` wire bound — a
 /// bucket that cannot be represented must never ship silently truncated.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn encode_bucket(
+pub(crate) fn encode_bucket<'p>(
     sender: usize,
     dest: usize,
     bucket: &[RouteRef],
     tally: BucketTally,
-    outboxes: &[Outbox],
-    base: VertexId,
+    payload_of: impl Fn(&RouteRef) -> &'p [u8],
     config: FrameConfig,
     mut buf: BytesMut,
 ) -> Bytes {
-    let payload_of =
-        |r: &RouteRef| &outboxes[r.from as usize - base].messages()[r.msg as usize].payload;
     debug_assert_eq!(
         (tally.payload_count, tally.region_len),
         {
@@ -811,7 +592,7 @@ pub(crate) fn encode_bucket(
         "router tally out of sync with the bucket"
     );
     let (payload_count, region_len) = (tally.payload_count, tally.region_len);
-    let head = header_len(config.version);
+    let head = HEADER_LEN;
     let payload_table = head + REF_BYTES * bucket.len();
     let region_start = payload_table + PAYLOAD_BYTES * payload_count;
     let total = region_start + region_len;
@@ -824,7 +605,7 @@ pub(crate) fn encode_bucket(
     buf.resize(total, 0);
     let data = &mut buf[..];
     data[..3].copy_from_slice(MAGIC);
-    data[3] = config.version;
+    data[3] = FRAME_VERSION;
     data[4..8].copy_from_slice(&total32.to_le_bytes());
     let sender32 = u32::try_from(sender).expect("shard index fits the wire format");
     let dest32 = u32::try_from(dest).expect("shard index fits the wire format");
@@ -834,9 +615,7 @@ pub(crate) fn encode_bucket(
     data[20..24].copy_from_slice(&(payload_count as u32).to_le_bytes());
     data[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 4].fill(0); // patched below
     let flags = config.flags();
-    if config.version >= 2 {
-        data[FLAGS_OFFSET..FLAGS_OFFSET + 4].copy_from_slice(&flags.to_le_bytes());
-    }
+    data[FLAGS_OFFSET..FLAGS_OFFSET + 4].copy_from_slice(&flags.to_le_bytes());
     // Body walk: both tables and the payload region are written in ONE
     // pass over the bucket, through three disjoint cursors into the
     // pre-sized buffer (the tally fixed every section boundary): direct
@@ -857,8 +636,8 @@ pub(crate) fn encode_bucket(
             }
             // Payload bytes are copied exactly once, sender outbox →
             // final frame position (covered by the digest only under the
-            // v2 payload-coverage flag — see the module docs).
-            let payload = payload_of(r).as_slice();
+            // payload-coverage flag — see the module docs).
+            let payload = payload_of(r);
             let entry = pays
                 .next()
                 .expect("payload table sized by the metadata pass");
@@ -875,195 +654,21 @@ pub(crate) fn encode_bucket(
         entry[12..16].copy_from_slice(&r.hi.to_le_bytes());
     }
     debug_assert_eq!(cursor, region_len);
-    // Digest the header and the finished tables in one contiguous fold
-    // each — the tables were just written (still cache-warm), and one
-    // region-sized `update` keeps the v2 lanes at full block speed. The
-    // only post-digest write is patching the 4-byte checksum word.
-    let mut sum = RunningDigest::begin(config.version, &buf[..head]);
+    // Digest the header (skipping the zeroed checksum word) and the
+    // finished tables in one contiguous fold each — the tables were just
+    // written (still cache-warm), and one region-sized `update` keeps the
+    // lanes at full block speed. The only post-digest write is patching
+    // the 4-byte checksum word.
+    let mut sum = LaneDigest::new();
+    sum.update(&buf[..CHECKSUM_OFFSET]);
+    sum.update(&buf[FLAGS_OFFSET..head]);
     sum.update(&buf[head..region_start]);
     if flags & FLAG_COVER_PAYLOAD != 0 {
-        sum.update_region(&buf[region_start..]);
+        sum.update_padded(&buf[region_start..]);
     }
     let sum = sum.finish();
     buf[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 4].copy_from_slice(&sum.to_le_bytes());
     buf.freeze()
-}
-
-/// Incremental encoder for one frame: push routed entries, then assemble.
-///
-/// This is the general-purpose path — tests, tools, and custom transports
-/// build arbitrary frames with it; the engine's hot path is the
-/// single-pass [`encode_bucket`], which knows its whole bucket up front
-/// and therefore never stages payload bytes. An incremental builder
-/// cannot avoid staging (table sizes are unknown until
-/// [`FrameBuilder::finish`]), but its scratch tables are retained across
-/// frames with the same decaying high-water capacity bound as [`Outbox`]:
-/// steady-state encoding allocates nothing, and one bursty frame cannot
-/// pin burst-sized staging buffers forever.
-#[derive(Debug)]
-pub struct FrameBuilder {
-    sender: u32,
-    dest: u32,
-    /// Wire format the next [`FrameBuilder::finish_into`] writes.
-    config: FrameConfig,
-    /// Ref table scratch: `{from, payload index, lo, hi}`.
-    refs: Vec<[u32; 4]>,
-    /// Payload table scratch: `(offset, length)` into `payload`.
-    payloads: Vec<(u32, u32)>,
-    /// Payload region scratch.
-    payload: Vec<u8>,
-    /// Rolling high-water marks driving the scratch capacity decay
-    /// (refs, payload table, payload region).
-    high_water: [usize; 3],
-}
-
-impl Default for FrameBuilder {
-    fn default() -> Self {
-        FrameBuilder::new()
-    }
-}
-
-impl FrameBuilder {
-    /// An empty builder (for shard `0 -> 0` until [`FrameBuilder::begin`]
-    /// retargets it), encoding the environment-resolved format
-    /// ([`FrameConfig::from_env`]).
-    #[must_use]
-    pub fn new() -> Self {
-        FrameBuilder {
-            sender: 0,
-            dest: 0,
-            config: FrameConfig::from_env(),
-            refs: Vec::new(),
-            payloads: Vec::new(),
-            payload: Vec::new(),
-            high_water: [0; 3],
-        }
-    }
-
-    /// Pins the wire format this builder encodes (overriding the
-    /// environment-resolved default).
-    #[must_use]
-    pub fn with_config(mut self, config: FrameConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Resets the builder for a new `sender -> dest` frame. Scratch
-    /// capacity is kept across frames up to the decaying high-water bound
-    /// shared with [`Outbox`] and the router buckets, so steady encoding
-    /// never reallocates while one bursty frame cannot pin burst-sized
-    /// staging buffers forever.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either shard index exceeds the `u32` wire bound.
-    pub fn begin(&mut self, sender: usize, dest: usize) {
-        self.sender = u32::try_from(sender).expect("shard index fits the wire format");
-        self.dest = u32::try_from(dest).expect("shard index fits the wire format");
-        let [refs_hw, payloads_hw, payload_hw] = &mut self.high_water;
-        crate::message::clear_with_decay(&mut self.refs, refs_hw);
-        crate::message::clear_with_decay(&mut self.payloads, payloads_hw);
-        crate::message::clear_with_decay(&mut self.payload, payload_hw);
-    }
-
-    /// Appends one routed entry carrying a new payload: sender vertex
-    /// `from` delivers `payload` along the directed-edge slot range
-    /// `slots`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot range is decreasing or any position exceeds the
-    /// `u32` wire bound — a frame that cannot represent its bucket must
-    /// never be shipped silently truncated.
-    pub fn push(&mut self, from: VertexId, slots: Range<usize>, payload: &[u8]) {
-        let off = u32::try_from(self.payload.len()).expect("payload region fits the wire format");
-        let len = u32::try_from(payload.len()).expect("payload fits the wire format");
-        assert!(
-            off.checked_add(len).is_some(),
-            "payload region fits the wire format"
-        );
-        self.payload.extend_from_slice(payload);
-        self.payloads.push((off, len));
-        self.push_ref(from, slots);
-    }
-
-    /// Appends one routed entry sharing the most recently pushed payload
-    /// (a multicast's later copies).
-    ///
-    /// # Panics
-    ///
-    /// Panics if nothing has been pushed since [`FrameBuilder::begin`],
-    /// or on the same wire-bound violations as [`FrameBuilder::push`].
-    pub fn push_shared(&mut self, from: VertexId, slots: Range<usize>) {
-        assert!(!self.payloads.is_empty(), "push_shared needs a prior push");
-        self.push_ref(from, slots);
-    }
-
-    fn push_ref(&mut self, from: VertexId, slots: Range<usize>) {
-        assert!(slots.start <= slots.end, "slot range is decreasing");
-        let from = u32::try_from(from).expect("vertex id fits the wire format");
-        let lo = u32::try_from(slots.start).expect("slot position fits the wire format");
-        let hi = u32::try_from(slots.end).expect("slot position fits the wire format");
-        let payload = (self.payloads.len() - 1) as u32;
-        self.refs.push([from, payload, lo, hi]);
-    }
-
-    /// Entries pushed since [`FrameBuilder::begin`].
-    #[must_use]
-    pub fn ref_count(&self) -> usize {
-        self.refs.len()
-    }
-
-    /// Assembles the frame into `buf` (cleared first — pass a recycled
-    /// buffer to encode without allocating) and freezes it.
-    #[must_use]
-    pub fn finish_into(&mut self, mut buf: BytesMut) -> Bytes {
-        let head = header_len(self.config.version);
-        let flags = self.config.flags();
-        buf.clear();
-        buf.put_slice(MAGIC);
-        buf.put_u8(self.config.version);
-        buf.put_u32_le(0); // frame length, patched below
-        buf.put_u32_le(self.sender);
-        buf.put_u32_le(self.dest);
-        buf.put_u32_le(self.refs.len() as u32);
-        buf.put_u32_le(self.payloads.len() as u32);
-        buf.put_u32_le(0); // checksum, patched below
-        if self.config.version >= 2 {
-            buf.put_u32_le(flags);
-        }
-        for r in &self.refs {
-            for w in r {
-                buf.put_u32_le(*w);
-            }
-        }
-        for &(off, len) in &self.payloads {
-            buf.put_u32_le(off);
-            buf.put_u32_le(len);
-        }
-        let tables_end = buf.len();
-        buf.put_slice(&self.payload);
-        let total = u32::try_from(buf.len()).expect("frame length fits the wire format");
-        buf[LEN_OFFSET..LEN_OFFSET + 4].copy_from_slice(&total.to_le_bytes());
-        let sum = if self.config.version >= 2 {
-            let mut d = RunningDigest::begin(self.config.version, &buf[..head]);
-            d.update(&buf[head..tables_end]);
-            if flags & FLAG_COVER_PAYLOAD != 0 {
-                d.update_region(&buf[tables_end..]);
-            }
-            d.finish()
-        } else {
-            checksum(&buf[..CHECKSUM_OFFSET], &buf[head..tables_end])
-        };
-        buf[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 4].copy_from_slice(&sum.to_le_bytes());
-        buf.freeze()
-    }
-
-    /// Assembles the frame into a fresh buffer.
-    #[must_use]
-    pub fn finish(&mut self) -> Bytes {
-        self.finish_into(BytesMut::new())
-    }
 }
 
 /// One decoded ref-table entry.
@@ -1090,14 +695,9 @@ pub struct Frame {
     bytes: Bytes,
     sender: u32,
     dest: u32,
-    /// Wire format version this frame was encoded in.
-    version: u8,
-    /// The v2 flags word (0 for v1 frames, which have none).
     flags: u32,
     ref_count: usize,
     payload_count: usize,
-    /// Byte offset of the ref table (the header length of `version`).
-    tables: usize,
     /// Byte offset of the payload table.
     payload_table: usize,
     /// Byte offset of the payload region.
@@ -1105,42 +705,31 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// Parses and validates one encoded frame, dispatching on the version
-    /// byte: v2 frames verify the word-parallel 4-lane digest (and, if
-    /// flagged, its payload-region extension), v1 frames the byte-serial
-    /// FNV-1a checksum, bit-exact with pre-v2 builds.
+    /// Parses and validates one encoded frame, verifying the word-parallel
+    /// digest (and, if flagged, its payload-region extension).
     ///
     /// # Errors
     ///
     /// Every malformation maps to a typed [`FrameError`]: short or
-    /// overlong input, wrong magic, a version outside
-    /// [`FRAME_VERSION_MIN`]`..=`[`FRAME_VERSION`], a checksum mismatch,
-    /// unknown flag bits, or tables/payload entries that overrun their
-    /// regions.
+    /// overlong input, wrong magic, a version other than
+    /// [`FRAME_VERSION`], a checksum mismatch, unknown flag bits, or
+    /// tables/payload entries that overrun their regions.
     pub fn decode(bytes: Bytes) -> Result<Frame, FrameError> {
         let data = bytes.as_slice();
-        if data.len() < HEADER_LEN_V1 {
+        if data.len() < HEADER_LEN {
             return Err(FrameError::Truncated {
-                needed: HEADER_LEN_V1,
+                needed: HEADER_LEN,
                 have: data.len(),
             });
         }
         if &data[..3] != MAGIC {
             return Err(FrameError::BadMagic);
         }
-        let version = data[3];
-        if !(FRAME_VERSION_MIN..=FRAME_VERSION).contains(&version) {
+        if data[3] != FRAME_VERSION {
             return Err(FrameError::VersionMismatch {
-                found: version,
-                min: FRAME_VERSION_MIN,
+                found: data[3],
+                min: FRAME_VERSION,
                 max: FRAME_VERSION,
-            });
-        }
-        let head = header_len(version);
-        if data.len() < head {
-            return Err(FrameError::Truncated {
-                needed: head,
-                have: data.len(),
             });
         }
         let declared = le32(data, LEN_OFFSET) as usize;
@@ -1159,62 +748,35 @@ impl Frame {
         let dest = le32(data, 12);
         let ref_count = le32(data, 16) as usize;
         let payload_count = le32(data, 20) as usize;
-        let flags = if version >= 2 {
-            le32(data, FLAGS_OFFSET)
-        } else {
-            0
-        };
+        let flags = le32(data, FLAGS_OFFSET);
         let tables = (ref_count as u64) * (REF_BYTES as u64)
             + (payload_count as u64) * (PAYLOAD_BYTES as u64);
-        let region = (head as u64).saturating_add(tables);
+        let region = (HEADER_LEN as u64).saturating_add(tables);
         if region > declared as u64 {
             return Err(FrameError::Malformed {
                 detail: "tables overrun the frame",
             });
         }
         let region = region as usize;
-        let payload_table = head + ref_count * REF_BYTES;
+        let payload_table = HEADER_LEN + ref_count * REF_BYTES;
         let region_len = declared - region;
         // Verification: digest and structural validation share one pass
-        // over the tables. The v2 lane digest's fused walks fold each
-        // entry and check it in the same loop iteration; the v1 serial
-        // digest streams the region, then separate branchless walks
-        // accumulate the structural verdicts (no per-entry "already
-        // failed?" test — that would serialize loops the compiler
-        // otherwise vectorizes). Either way a structural violation
-        // (unknown flag bits included) is only *recorded* — the checksum
-        // verdict takes precedence (a corrupted frame reports
-        // `ChecksumMismatch`, not whatever nonsense its flipped bits
-        // happen to spell).
+        // over the tables — the fused walks fold each entry and check it
+        // in the same loop iteration. A structural violation (unknown
+        // flag bits included) is only *recorded*: the checksum verdict
+        // takes precedence (a corrupted frame reports `ChecksumMismatch`,
+        // not whatever nonsense its flipped bits happen to spell).
         let declared_sum = le32(data, CHECKSUM_OFFSET);
-        let (computed, ref_past, ref_decreasing, payload_overrun) = if version >= 2 {
-            let mut d = LaneDigest::new();
-            d.update(&data[..CHECKSUM_OFFSET]);
-            d.update(&data[FLAGS_OFFSET..HEADER_LEN_V2]);
-            let (past, decreasing) = d.fold_ref_table(&data[head..payload_table], payload_count);
-            let overrun = d.fold_payload_table(&data[payload_table..region], region_len as u64);
-            if flags & FLAG_COVER_PAYLOAD != 0 {
-                d.update_padded(&data[region..declared]);
-            }
-            (d.finish(), past, decreasing, overrun)
-        } else {
-            let computed = checksum(&data[..CHECKSUM_OFFSET], &data[head..region]);
-            let (mut past, mut decreasing) = (false, false);
-            for entry in data[head..payload_table].chunks_exact(REF_BYTES) {
-                past |= le32(entry, 4) as usize >= payload_count;
-                decreasing |= le32(entry, 8) > le32(entry, 12);
-            }
-            let mut overrun = false;
-            for entry in data[payload_table..region].chunks_exact(PAYLOAD_BYTES) {
-                // Widen before adding: offset + length can exceed u32
-                // (and usize, on 32-bit targets) without either field
-                // alone doing so, and a wrapped sum must not sneak past
-                // the bound.
-                overrun |=
-                    u64::from(le32(entry, 0)) + u64::from(le32(entry, 4)) > region_len as u64;
-            }
-            (computed, past, decreasing, overrun)
-        };
+        let mut d = LaneDigest::new();
+        d.update(&data[..CHECKSUM_OFFSET]);
+        d.update(&data[FLAGS_OFFSET..HEADER_LEN]);
+        let (ref_past, ref_decreasing) =
+            d.fold_ref_table(&data[HEADER_LEN..payload_table], payload_count);
+        let payload_overrun = d.fold_payload_table(&data[payload_table..region], region_len as u64);
+        if flags & FLAG_COVER_PAYLOAD != 0 {
+            d.update_padded(&data[region..declared]);
+        }
+        let computed = d.finish();
         let malformed = if flags & !FLAGS_KNOWN != 0 {
             Some("unknown frame flags")
         } else if ref_past {
@@ -1239,11 +801,9 @@ impl Frame {
             bytes,
             sender,
             dest,
-            version,
             flags,
             ref_count,
             payload_count,
-            tables: head,
             payload_table,
             region,
         })
@@ -1258,14 +818,8 @@ impl Frame {
         Ok((frame, start.elapsed().as_nanos() as u64))
     }
 
-    /// The wire format version this frame was encoded in.
-    #[must_use]
-    pub fn version(&self) -> u8 {
-        self.version
-    }
-
-    /// Whether this frame's digest also covered the payload region (v2
-    /// frames with flag bit 0; always `false` for v1).
+    /// Whether this frame's digest also covered the payload region (flag
+    /// bit 0).
     #[must_use]
     pub fn covers_payload(&self) -> bool {
         self.flags & FLAG_COVER_PAYLOAD != 0
@@ -1303,7 +857,7 @@ impl Frame {
 
     /// The ref-table entries, in bucket (= delivery) order.
     pub fn refs(&self) -> impl Iterator<Item = FrameRef> + '_ {
-        self.bytes.as_slice()[self.tables..self.payload_table]
+        self.bytes.as_slice()[HEADER_LEN..self.payload_table]
             .chunks_exact(REF_BYTES)
             .map(|entry| FrameRef {
                 from: le32(entry, 0),
@@ -1359,55 +913,42 @@ pub(crate) struct FrameEncoder {
     /// Rolling high-water mark of encoded frame bytes, per destination.
     high_water: Vec<usize>,
     parity: usize,
-    /// Wire format this encoder writes.
-    config: FrameConfig,
-    /// Frames shipped from inside the fused compute/account/ship phase
-    /// (the overlapped schedule) rather than from a dedicated ship phase.
-    overlap_ships: usize,
 }
 
 /// Floor of the frame-buffer retention mark, in bytes (a header-only
-/// frame is 28–32 bytes; tiny frames must never thrash).
+/// frame is 32 bytes; tiny frames must never thrash).
 const FRAME_RETAIN_FLOOR: usize = 256;
 
 impl FrameEncoder {
-    pub(crate) fn new(shards: usize, config: FrameConfig) -> Self {
-        FrameEncoder {
-            ring: vec![[None, None]; shards],
-            high_water: vec![0; shards],
-            parity: 0,
-            config,
-            overlap_ships: 0,
-        }
-    }
-
-    /// Frames this encoder shipped from the fused (overlapped) phase.
-    pub(crate) fn overlap_ships(&self) -> usize {
-        self.overlap_ships
-    }
-
     /// Encodes shard `me`'s buckets — refs from `router`, payload bytes
     /// from the shard's own `outboxes` chunk (whose first sender is
-    /// `base`) — and ships one frame per destination shard through
-    /// `transport`. Each bucket goes through the single-pass
-    /// [`encode_bucket`]: payload bytes are copied exactly once, straight
-    /// to their final position in the (recycled) frame buffer.
-    /// `overlapped` marks (for [`crate::DeliveryWork`]) whether this call
-    /// ran inside the fused compute/account/ship phase.
+    /// `bounds[me]`) — and ships one frame per destination shard of the
+    /// plan `bounds` through `transport`, encoded under `config`. Each
+    /// bucket goes through the single-pass [`encode_bucket`]: payload
+    /// bytes are copied exactly once, straight to their final position in
+    /// the (recycled) frame buffer.
     pub(crate) fn ship(
         &mut self,
         me: usize,
+        bounds: &[VertexId],
         router: &Router,
         outboxes: &[Outbox],
-        base: VertexId,
         transport: &dyn Transport,
-        overlapped: bool,
+        config: FrameConfig,
     ) {
-        self.parity ^= 1;
-        if overlapped {
-            self.overlap_ships += self.ring.len();
+        let shards = bounds.len() - 1;
+        if self.ring.len() != shards {
+            self.ring = vec![[None, None]; shards];
+            self.high_water = vec![0; shards];
         }
-        for dest in 0..self.ring.len() {
+        let base = bounds[me];
+        let payload_of = |r: &RouteRef| {
+            outboxes[r.from as usize - base].messages()[r.msg as usize]
+                .payload
+                .as_slice()
+        };
+        self.parity ^= 1;
+        for dest in 0..shards {
             let cap = Outbox::RETAIN_FACTOR * self.high_water[dest].max(FRAME_RETAIN_FLOOR);
             let buf = match self.ring[dest][self.parity].take() {
                 Some(old) => match old.try_into_mut() {
@@ -1424,9 +965,8 @@ impl FrameEncoder {
                 dest,
                 router.bucket(dest),
                 router.tally(dest),
-                outboxes,
-                base,
-                self.config,
+                payload_of,
+                config,
                 buf,
             );
             let hw = &mut self.high_water[dest];
@@ -1437,38 +977,83 @@ impl FrameEncoder {
     }
 }
 
+/// One [`encode_entries`] entry: `(from, slots, payload)`.
+#[cfg(test)]
+pub(crate) type EntrySpec<'a> = (usize, std::ops::Range<usize>, Option<&'a [u8]>);
+
+/// Builds a frame through the production [`encode_bucket`], for tests:
+/// entry `(from, slots, payload)` routes copies from sender vertex `from`
+/// along the directed-edge slot range `slots`, carrying a new payload —
+/// or, with `None`, the previous entry's payload (a multicast's later
+/// copies; as in the engine's buckets, only consecutive entries of one
+/// sender share a payload-table entry).
+///
+/// # Panics
+///
+/// Panics if the first entry has no payload to share.
+#[cfg(test)]
+pub(crate) fn encode_entries(
+    sender: usize,
+    dest: usize,
+    entries: &[EntrySpec<'_>],
+    config: FrameConfig,
+) -> Bytes {
+    let mut payloads: Vec<&[u8]> = Vec::new();
+    let bucket: Vec<RouteRef> = entries
+        .iter()
+        .map(|(from, slots, payload)| {
+            payloads.extend(*payload);
+            RouteRef {
+                from: *from as u32,
+                msg: (payloads.len() - 1) as u32,
+                lo: slots.start as u32,
+                hi: slots.end as u32,
+            }
+        })
+        .collect();
+    let payload_of = |r: &RouteRef| payloads[r.msg as usize];
+    let tally = BucketTally::of(&bucket, |r| payload_of(r).len());
+    encode_bucket(
+        sender,
+        dest,
+        &bucket,
+        tally,
+        payload_of,
+        config,
+        BytesMut::new(),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Encoding configs the tests sweep: v1, v2, and v2 with payload
-    /// coverage.
-    fn all_configs() -> [FrameConfig; 3] {
-        [
-            FrameConfig {
-                version: 1,
-                cover_payload: false,
-            },
-            FrameConfig {
-                version: 2,
-                cover_payload: false,
-            },
-            FrameConfig {
-                version: 2,
-                cover_payload: true,
-            },
-        ]
+    /// Both encoding configs: tables-only and payload-covering digests.
+    const CONFIGS: [FrameConfig; 2] = [
+        FrameConfig {
+            cover_payload: false,
+        },
+        FrameConfig {
+            cover_payload: true,
+        },
+    ];
+
+    /// A one-ref frame `sender -> dest` carrying `payload`.
+    fn single(sender: usize, dest: usize, from: usize, payload: &[u8]) -> Bytes {
+        encode_entries(
+            sender,
+            dest,
+            &[(from, from..from + 1, Some(payload))],
+            FrameConfig::default(),
+        )
     }
 
     #[test]
-    fn empty_frame_round_trips_in_every_format() {
-        for config in all_configs() {
-            let mut b = FrameBuilder::new().with_config(config);
-            b.begin(3, 5);
-            let frame = b.finish();
-            assert_eq!(frame.len(), header_len(config.version));
+    fn empty_frame_round_trips_in_every_config() {
+        for config in CONFIGS {
+            let frame = encode_entries(3, 5, &[], config);
+            assert_eq!(frame.len(), HEADER_LEN);
             let f = Frame::decode(frame).unwrap();
-            assert_eq!(f.version(), config.version);
             assert_eq!(f.covers_payload(), config.cover_payload);
             assert_eq!(f.sender_shard(), 3);
             assert_eq!(f.dest_shard(), 5);
@@ -1479,8 +1064,8 @@ mod tests {
     }
 
     /// The lane digest is independent of how the covered stream is split
-    /// across `update` calls — the invariant the incremental encoder
-    /// leans on.
+    /// across `update` calls — the invariant the encoder's per-section
+    /// folds lean on.
     #[test]
     fn lane_digest_is_split_invariant() {
         let words: Vec<u8> = (0u8..96).collect();
@@ -1506,21 +1091,15 @@ mod tests {
     /// covered frame's decode and sails through an uncovered one.
     #[test]
     fn payload_coverage_flag_extends_the_digest() {
-        for cover in [false, true] {
-            let mut b = FrameBuilder::new().with_config(FrameConfig {
-                version: 2,
-                cover_payload: cover,
-            });
-            b.begin(0, 1);
-            b.push(7, 3..4, b"fragile bytes");
-            let encoded = b.finish();
+        for config in CONFIGS {
+            let encoded = encode_entries(0, 1, &[(7, 3..4, Some(b"fragile bytes"))], config);
             let f = Frame::decode(encoded.clone()).unwrap();
-            assert_eq!(f.covers_payload(), cover);
+            assert_eq!(f.covers_payload(), config.cover_payload);
             let mut bad = encoded.as_slice().to_vec();
             let last = bad.len() - 1;
             bad[last] ^= 0x40; // a payload-region byte (the padded tail)
             let verdict = Frame::decode(Bytes::from(bad));
-            if cover {
+            if config.cover_payload {
                 assert!(
                     matches!(verdict, Err(FrameError::ChecksumMismatch { .. })),
                     "covered payload corruption escaped: {verdict:?}"
@@ -1536,12 +1115,7 @@ mod tests {
     /// checksum failure.
     #[test]
     fn unknown_flag_bits_are_rejected() {
-        let mut b = FrameBuilder::new().with_config(FrameConfig {
-            version: 2,
-            cover_payload: false,
-        });
-        b.begin(0, 1);
-        let encoded = b.finish();
+        let encoded = encode_entries(0, 1, &[], FrameConfig::default());
         let mut bad = encoded.as_slice().to_vec();
         bad[FLAGS_OFFSET] |= 0x02; // an undefined flag, digest not fixed up
         assert!(matches!(
@@ -1552,7 +1126,7 @@ mod tests {
         // rejection surfaces.
         let mut d = LaneDigest::new();
         d.update(&bad[..CHECKSUM_OFFSET]);
-        d.update(&bad[FLAGS_OFFSET..HEADER_LEN_V2]);
+        d.update(&bad[FLAGS_OFFSET..HEADER_LEN]);
         let sum = d.finish();
         bad[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 4].copy_from_slice(&sum.to_le_bytes());
         assert_eq!(
@@ -1565,12 +1139,17 @@ mod tests {
 
     #[test]
     fn entries_round_trip_with_shared_payloads() {
-        let mut b = FrameBuilder::new();
-        b.begin(0, 1);
-        b.push(7, 40..41, b"alpha");
-        b.push_shared(7, 55..56); // same multicast payload, second target
-        b.push(9, 10..14, b"bee");
-        let f = Frame::decode(b.finish()).unwrap();
+        let encoded = encode_entries(
+            0,
+            1,
+            &[
+                (7, 40..41, Some(b"alpha")),
+                (7, 55..56, None), // same multicast payload, second target
+                (9, 10..14, Some(b"bee")),
+            ],
+            FrameConfig::default(),
+        );
+        let f = Frame::decode(encoded).unwrap();
         let refs: Vec<_> = f.refs().collect();
         assert_eq!(refs.len(), 3);
         assert_eq!(f.payload_count(), 2);
@@ -1583,28 +1162,8 @@ mod tests {
     }
 
     #[test]
-    fn builder_scratch_is_reusable() {
-        let mut b = FrameBuilder::new();
-        b.begin(0, 0);
-        b.push(1, 2..3, b"first");
-        let one = b.finish();
-        b.begin(2, 4);
-        b.push(5, 6..7, b"second");
-        let two = Frame::decode(b.finish()).unwrap();
-        assert_eq!(two.sender_shard(), 2);
-        assert_eq!(two.ref_count(), 1);
-        assert_eq!(two.payload(0).as_slice(), b"second");
-        // The first frame is unaffected by the rebuild.
-        let one = Frame::decode(one).unwrap();
-        assert_eq!(one.payload(0).as_slice(), b"first");
-    }
-
-    #[test]
     fn payload_views_share_the_frame_buffer() {
-        let mut b = FrameBuilder::new();
-        b.begin(0, 0);
-        b.push(0, 0..1, b"shared-zero-copy");
-        let encoded = b.finish();
+        let encoded = single(0, 0, 0, b"shared-zero-copy");
         let f = Frame::decode(encoded.clone()).unwrap();
         let view = f.payload(0);
         drop(f);
@@ -1618,9 +1177,7 @@ mod tests {
     #[test]
     fn loopback_moves_frames_once() {
         let t = LoopbackTransport::new(2);
-        let mut b = FrameBuilder::new();
-        b.begin(1, 0);
-        let frame = b.finish();
+        let frame = encode_entries(1, 0, &[], FrameConfig::default());
         t.send(1, 0, frame.clone());
         let mut got = vec![None, None];
         t.collect(0, &mut got).unwrap();
@@ -1633,81 +1190,13 @@ mod tests {
     }
 
     #[test]
-    fn channel_collects_one_frame_per_sender() {
-        let t = ChannelTransport::new(3);
-        let mut b = FrameBuilder::new();
-        for from in 0..3 {
-            b.begin(from, 2);
-            b.push(from, from..from + 1, &[from as u8]);
-            t.send(from, 2, b.finish());
-        }
-        let mut got = vec![None, None, None];
-        t.collect(2, &mut got).unwrap();
-        for (from, slot) in got.iter().enumerate() {
-            let f = Frame::decode(slot.clone().expect("frame arrived")).unwrap();
-            assert_eq!(f.sender_shard(), from);
-        }
-    }
-
-    /// The satellite fix: a sender shard that dies mid-round (here: one
-    /// that simply never ships) leaves its slot `None` after the bounded
-    /// wait instead of parking the collecting thread forever. The place
-    /// phase turns that `None` into [`FrameError::MissingFrame`].
-    #[test]
-    fn channel_collect_times_out_instead_of_hanging() {
-        let t = ChannelTransport::with_timeout(3, std::time::Duration::from_millis(50));
-        let mut b = FrameBuilder::new();
-        b.begin(0, 2);
-        t.send(0, 2, b.finish());
-        // Sender shard 1 "died": nothing ever arrives from it.
-        let start = Instant::now();
-        let mut got = vec![None, None, None];
-        t.collect(2, &mut got).unwrap();
-        assert!(got[0].is_some(), "the live sender's frame still arrives");
-        assert!(got[1].is_none(), "the dead sender's slot stays empty");
-        assert!(
-            start.elapsed() < std::time::Duration::from_secs(5),
-            "collect must give up at the deadline"
-        );
-        assert!(
-            t.health().collect_wait_ns > 0,
-            "the bounded wait is measured"
-        );
-    }
-
-    /// A duplicated sender tag must not displace another sender's frame;
-    /// the duplicate is dropped and the remaining senders still land.
-    #[test]
-    fn channel_collect_drops_duplicates_without_displacing() {
-        let t = ChannelTransport::with_timeout(2, std::time::Duration::from_millis(50));
-        let mut b = FrameBuilder::new();
-        b.begin(0, 0);
-        b.push(9, 0..1, b"first");
-        let first = b.finish();
-        b.begin(0, 0);
-        b.push(9, 0..1, b"duplicate");
-        t.send(0, 0, first.clone());
-        t.send(0, 0, b.finish());
-        b.begin(1, 0);
-        t.send(1, 0, b.finish());
-        let mut got = vec![None, None];
-        t.collect(0, &mut got).unwrap();
-        assert_eq!(
-            got[0].as_ref().unwrap().as_slice(),
-            first.as_slice(),
-            "the first frame from a sender wins"
-        );
-        assert!(got[1].is_some(), "other senders are not displaced");
-    }
-
-    #[test]
     fn encoder_ships_one_valid_frame_per_destination_per_round() {
         let t = LoopbackTransport::new(2);
         let mut router = Router::default();
         router.reset(2);
-        let mut enc = FrameEncoder::new(2, FrameConfig::default());
+        let mut enc = FrameEncoder::default();
         for round in 0..6 {
-            enc.ship(0, &router, &[], 0, &t, false);
+            enc.ship(0, &[0, 0, 0], &router, &[], &t, FrameConfig::default());
             for dest in 0..2 {
                 let mut got = vec![None, None];
                 t.collect(dest, &mut got).unwrap();
@@ -1720,78 +1209,52 @@ mod tests {
         }
     }
 
-    /// The single-pass bucket encoder and the incremental builder are the
-    /// same wire format, byte for byte — in every version/flag combination:
-    /// same tables, same payload sharing, same checksum — only the number
-    /// of payload copies made to produce them differs.
+    /// The engine's outbox-backed payload lookup and the test helper's
+    /// entry list produce the same frame, byte for byte, in both configs:
+    /// a broadcast-style segment ref, then a multicast (two singleton refs
+    /// sharing one payload) and a second message from another sender.
     #[test]
-    fn single_pass_encode_matches_the_incremental_builder_bit_for_bit() {
-        use crate::shard::RouteRef;
-
-        // Sender 0: a broadcast-style segment ref. Sender 1: a multicast
-        // (two singleton refs sharing one payload) then a second message.
+    fn outbox_payloads_encode_like_the_entry_list() {
         let mut out0 = Outbox::new();
         out0.broadcast(Bytes::from(b"alpha".as_slice()));
         let mut out1 = Outbox::new();
         out1.multicast(vec![0, 2], Bytes::from(b"bee".as_slice()));
         out1.unicast(2, Bytes::new());
         let outboxes = [out0, out1];
-        let bucket = [
-            RouteRef {
-                from: 0,
-                msg: 0,
-                lo: 0,
-                hi: 3,
-            },
-            RouteRef {
-                from: 1,
-                msg: 0,
-                lo: 3,
-                hi: 4,
-            },
-            RouteRef {
-                from: 1,
-                msg: 0,
-                lo: 5,
-                hi: 6,
-            },
-            RouteRef {
-                from: 1,
-                msg: 1,
-                lo: 5,
-                hi: 6,
-            },
-        ];
-        let tally = BucketTally::of(&bucket, |r| {
-            outboxes[r.from as usize].messages()[r.msg as usize]
+        let bucket = [(0, 0, 0..3), (1, 0, 3..4), (1, 0, 5..6), (1, 1, 5..6)];
+        let mut router = Router::default();
+        router.reset(1);
+        for (from, msg, slots) in bucket.clone() {
+            let route = RouteRef {
+                from,
+                msg,
+                lo: slots.start,
+                hi: slots.end,
+            };
+            let len = outboxes[from as usize].messages()[msg as usize]
                 .payload
-                .len()
-        });
-        for config in all_configs() {
-            let fast = encode_bucket(2, 5, &bucket, tally, &outboxes, 0, config, BytesMut::new());
-
-            let mut b = FrameBuilder::new().with_config(config);
-            b.begin(2, 5);
-            let mut last = None;
-            for r in &bucket {
-                let slots = r.lo as usize..r.hi as usize;
-                if last == Some((r.from, r.msg)) {
-                    b.push_shared(r.from as usize, slots);
-                } else {
-                    let payload = &outboxes[r.from as usize].messages()[r.msg as usize].payload;
-                    b.push(r.from as usize, slots, payload);
-                    last = Some((r.from, r.msg));
-                }
-            }
-            let slow = b.finish();
-            assert_eq!(
-                fast.as_slice(),
-                slow.as_slice(),
-                "wire formats diverged under {config:?}"
+                .len();
+            router.push(0, route, len);
+        }
+        for config in CONFIGS {
+            let t = LoopbackTransport::new(1);
+            FrameEncoder::default().ship(0, &[0, 2], &router, &outboxes, &t, config);
+            let mut got = vec![None];
+            t.collect(0, &mut got).unwrap();
+            let shipped = got[0].take().expect("frame arrived");
+            let listed = encode_entries(
+                0,
+                0,
+                &[
+                    (0, 0..3, Some(b"alpha")),
+                    (1, 3..4, Some(b"bee")),
+                    (1, 5..6, None),
+                    (1, 5..6, Some(b"")),
+                ],
+                config,
             );
-            // And the result is a valid frame with the expected sharing.
-            let f = Frame::decode(fast).unwrap();
-            assert_eq!(f.version(), config.version);
+            assert_eq!(shipped.as_slice(), listed.as_slice(), "{config:?}");
+            let f = Frame::decode(shipped).unwrap();
             assert_eq!(f.ref_count(), 4);
             assert_eq!(f.payload_count(), 3);
             let refs: Vec<_> = f.refs().collect();
@@ -1800,90 +1263,8 @@ mod tests {
         }
     }
 
-    /// Empty buckets encode to the same header-only frame either way.
-    #[test]
-    fn single_pass_encode_matches_builder_on_empty_buckets() {
-        for config in all_configs() {
-            let fast = encode_bucket(
-                1,
-                3,
-                &[],
-                BucketTally::default(),
-                &[],
-                0,
-                config,
-                BytesMut::new(),
-            );
-            let mut b = FrameBuilder::new().with_config(config);
-            b.begin(1, 3);
-            assert_eq!(fast.as_slice(), b.finish().as_slice());
-            assert_eq!(fast.len(), header_len(config.version));
-        }
-    }
-
-    /// Satellite: the incremental builder's staging buffers follow the
-    /// same decaying high-water retention policy as `Outbox` — a bursty
-    /// frame's capacity is kept hot briefly, then released (mirrors
-    /// `bursty_capacity_decays_toward_the_rolling_high_water_mark`).
-    #[test]
-    fn builder_staging_capacity_decays_after_a_burst() {
-        let mut b = FrameBuilder::new();
-        b.begin(0, 0);
-        for i in 0..1024usize {
-            b.push(i, i..i + 1, &[0u8; 64]);
-        }
-        let _ = b.finish();
-        b.begin(0, 0);
-        // The burst is still remembered right after it happened...
-        assert!(b.refs.capacity() >= 512, "burst capacity kept hot");
-        assert!(b.payload.capacity() >= 32 * 1024);
-        // ...but dozens of small frames later every staging table has
-        // decayed back to the steady volume's scale.
-        for _ in 0..64 {
-            b.push(0, 0..1, b"x");
-            let _ = b.finish();
-            b.begin(0, 0);
-        }
-        assert!(
-            b.refs.capacity() <= Outbox::RETAIN_FACTOR * Outbox::RETAIN_FLOOR,
-            "ref staging capacity {} still pinned after decay",
-            b.refs.capacity()
-        );
-        assert!(
-            b.payloads.capacity() <= Outbox::RETAIN_FACTOR * Outbox::RETAIN_FLOOR,
-            "payload-table staging capacity {} still pinned after decay",
-            b.payloads.capacity()
-        );
-        assert!(
-            b.payload.capacity() <= Outbox::RETAIN_FACTOR * Outbox::RETAIN_FLOOR,
-            "payload-region staging capacity {} still pinned after decay",
-            b.payload.capacity()
-        );
-        // Steady volume never reallocates: the capacities are stable.
-        let caps = (
-            b.refs.capacity(),
-            b.payloads.capacity(),
-            b.payload.capacity(),
-        );
-        for _ in 0..32 {
-            b.push(0, 0..1, b"x");
-            let _ = b.finish();
-            b.begin(0, 0);
-            assert_eq!(
-                caps,
-                (
-                    b.refs.capacity(),
-                    b.payloads.capacity(),
-                    b.payload.capacity()
-                )
-            );
-        }
-    }
-
     #[test]
     fn frame_buffer_capacity_decays_after_a_burst() {
-        use crate::shard::RouteRef;
-
         let t = LoopbackTransport::new(1);
         let drain = |t: &LoopbackTransport| {
             let mut got = vec![None];
@@ -1904,8 +1285,9 @@ mod tests {
         let mut outbox = crate::Outbox::new();
         outbox.unicast(0, Bytes::from(vec![7u8; 64 * 1024]));
         let outboxes = [outbox];
-        let mut enc = FrameEncoder::new(1, FrameConfig::default());
-        enc.ship(0, &router, &outboxes, 0, &t, false);
+        let mut enc = FrameEncoder::default();
+        let config = FrameConfig::default();
+        enc.ship(0, &[0, 1], &router, &outboxes, &t, config);
         drain(&t);
         assert!(enc.high_water[0] >= 64 * 1024, "burst mark recorded");
         // Dozens of empty rounds later, the mark — and with it the
@@ -1913,7 +1295,7 @@ mod tests {
         // decayed back to the steady scale (same policy as Outbox).
         router.reset(1);
         for _ in 0..64 {
-            enc.ship(0, &router, &[], 0, &t, false);
+            enc.ship(0, &[0, 0], &router, &[], &t, config);
             drain(&t);
         }
         assert!(
@@ -1934,14 +1316,15 @@ mod tests {
         let t = LoopbackTransport::new(1);
         let mut router = Router::default();
         router.reset(1);
-        let mut enc = FrameEncoder::new(1, FrameConfig::default());
-        enc.ship(0, &router, &[], 0, &t, false);
+        let mut enc = FrameEncoder::default();
+        let config = FrameConfig::default();
+        enc.ship(0, &[0, 0], &router, &[], &t, config);
         let mut got = vec![None];
         t.collect(0, &mut got).unwrap();
         let held = got[0].take().unwrap();
         let snapshot = held.as_slice().to_vec();
         for _ in 0..6 {
-            enc.ship(0, &router, &[], 0, &t, false);
+            enc.ship(0, &[0, 0], &router, &[], &t, config);
             let mut later = vec![None];
             t.collect(0, &mut later).unwrap();
             assert_eq!(
@@ -1950,5 +1333,384 @@ mod tests {
                 "a held frame was rewritten in place"
             );
         }
+    }
+
+    /// Frame codec robustness: encode -> decode is the identity over
+    /// arbitrary bucket contents (empty buckets and multicast-heavy
+    /// rounds included) in both encode configs, and malformed frames —
+    /// truncated, version-mismatched, checksum-corrupted — are rejected
+    /// with typed [`FrameError`]s instead of panicking. The digest is
+    /// pinned against an independent per-lane serial reference and
+    /// against a hard-coded byte vector, so an accidental format change
+    /// fails loudly here.
+    mod codec {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One bucket entry for the roundtrip property: `share` reuses
+        /// the previous entry's sender and payload (a multicast's later
+        /// copies), so shrunken cases still cover the payload-sharing
+        /// path.
+        #[derive(Debug, Clone)]
+        struct Entry {
+            from: usize,
+            lo: usize,
+            width: usize,
+            payload: Vec<u8>,
+            share: bool,
+        }
+
+        fn arb_entry() -> impl Strategy<Value = Entry> {
+            (
+                (0usize..10_000, 0usize..100_000, 0usize..64),
+                proptest::collection::vec(0u8..=255, 0..48),
+                0u32..2,
+            )
+                .prop_map(|((from, lo, width), payload, share)| Entry {
+                    from,
+                    lo,
+                    width,
+                    payload,
+                    share: share == 1,
+                })
+        }
+
+        /// Expected decoded view of one ref: `(from, lo, hi, payload bytes)`.
+        type ExpectedRef = (u32, u32, u32, Vec<u8>);
+
+        /// Encodes `entries` under `config` and returns the frame plus
+        /// the expected decoded view per ref.
+        fn encode_with(
+            config: FrameConfig,
+            sender: usize,
+            dest: usize,
+            entries: &[Entry],
+        ) -> (Bytes, Vec<ExpectedRef>) {
+            let mut listed = Vec::new();
+            let mut expected = Vec::new();
+            let mut last: Option<(usize, &[u8])> = None;
+            for e in entries {
+                let slots = e.lo..e.lo + e.width;
+                let (from, payload) = match (last, e.share) {
+                    (Some((from, payload)), true) => {
+                        listed.push((from, slots, None));
+                        (from, payload)
+                    }
+                    _ => {
+                        listed.push((e.from, slots, Some(e.payload.as_slice())));
+                        (e.from, e.payload.as_slice())
+                    }
+                };
+                let (lo, hi) = (e.lo as u32, (e.lo + e.width) as u32);
+                expected.push((from as u32, lo, hi, payload.to_vec()));
+                last = Some((from, payload));
+            }
+            (encode_entries(sender, dest, &listed, config), expected)
+        }
+
+        /// The byte ranges a frame's digest covers, concatenated: header
+        /// without the checksum word (plus the flags word), then the
+        /// tables, then — under payload coverage — the payload region.
+        /// This re-derives the covered stream from the wire bytes alone,
+        /// independent of the codec.
+        fn covered_stream(encoded: &Bytes, frame: &Frame) -> Vec<u8> {
+            let data = encoded.as_slice();
+            // Table sizes are part of the pinned format: 16 bytes per ref
+            // entry, 8 per payload entry.
+            let tables = frame.ref_count() * 16 + frame.payload_count() * 8;
+            let mut stream = Vec::new();
+            stream.extend_from_slice(&data[..24]);
+            stream.extend_from_slice(&data[28..32]);
+            stream.extend_from_slice(&data[32..32 + tables]);
+            if frame.covers_payload() {
+                stream.extend_from_slice(&data[32 + tables..]);
+                while stream.len() % 4 != 0 {
+                    stream.push(0); // the codec zero-pads the payload tail word
+                }
+            }
+            stream
+        }
+
+        /// Independent per-lane serial reference of the digest: word `i`
+        /// of the covered stream folds into lane `i mod 4`, one word at a
+        /// time (no unrolled blocks — this deliberately mirrors the
+        /// *specification*, not the implementation's peel/block/tail
+        /// structure).
+        fn reference_lane_digest(stream: &[u8]) -> u32 {
+            assert_eq!(stream.len() % 4, 0, "covered stream is word-aligned");
+            const INIT: u32 = 0x811c_9dc5;
+            const PRIME: u32 = 0x0100_0193;
+            const STRIDE: u32 = 0x9E37_79B9;
+            let mut lanes = [0u32; 4];
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                *lane = INIT.wrapping_add((i as u32).wrapping_mul(STRIDE));
+            }
+            for (i, word) in stream.chunks_exact(4).enumerate() {
+                let w = u32::from_le_bytes(word.try_into().expect("4 bytes"));
+                let lane = &mut lanes[i % 4];
+                *lane = (*lane ^ w).wrapping_mul(PRIME);
+            }
+            let mut h = INIT;
+            for lane in lanes {
+                h = (h ^ lane).wrapping_mul(PRIME);
+            }
+            h
+        }
+
+        /// Total bytes of the payload region (exempt from the digest
+        /// unless the frame was encoded with payload coverage).
+        fn frame_payload_region_len(frame: &Frame) -> usize {
+            (0..frame.payload_count())
+                .map(|i| frame.payload(i as u32).len())
+                .sum()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// encode -> decode == identity in both configs: every ref
+            /// comes back with its sender, slot range, and payload bytes
+            /// intact, in order, and the decoded frame reports the
+            /// coverage it was encoded with.
+            #[test]
+            fn roundtrip_is_identity(
+                sender in 0usize..64,
+                dest in 0usize..64,
+                entries in proptest::collection::vec(arb_entry(), 0..24),
+                config_pick in 0usize..2,
+            ) {
+                let config = CONFIGS[config_pick];
+                let (encoded, expected) = encode_with(config, sender, dest, &entries);
+                let frame = Frame::decode(encoded).expect("own encoding decodes");
+                prop_assert_eq!(frame.covers_payload(), config.cover_payload);
+                prop_assert_eq!(frame.sender_shard(), sender);
+                prop_assert_eq!(frame.dest_shard(), dest);
+                prop_assert_eq!(frame.ref_count(), expected.len());
+                let refs: Vec<_> = frame.refs().collect();
+                for (r, (from, lo, hi, payload)) in refs.iter().zip(&expected) {
+                    prop_assert_eq!(r.from, *from);
+                    prop_assert_eq!(r.lo, *lo);
+                    prop_assert_eq!(r.hi, *hi);
+                    prop_assert_eq!(frame.payload(r.payload).as_slice(), &payload[..]);
+                }
+                // Shared payloads are stored once: consecutive share
+                // entries point at the same payload-table index.
+                for (i, e) in entries.iter().enumerate().skip(1) {
+                    if e.share {
+                        prop_assert_eq!(refs[i].payload, refs[i - 1].payload);
+                    }
+                }
+                prop_assert!(frame.payload_count() <= frame.ref_count().max(1));
+            }
+
+            /// The wire checksum of every frame equals the independent
+            /// per-lane serial reference over the covered stream —
+            /// pinning lane striping, seeds, zero-padding, and the final
+            /// lane fold against the unrolled implementation.
+            #[test]
+            fn lane_digest_matches_per_lane_serial_reference(
+                sender in 0usize..64,
+                dest in 0usize..64,
+                entries in proptest::collection::vec(arb_entry(), 0..24),
+                config_pick in 0usize..2,
+            ) {
+                let (encoded, _) = encode_with(CONFIGS[config_pick], sender, dest, &entries);
+                let frame = Frame::decode(encoded.clone()).expect("own encoding decodes");
+                let declared = u32::from_le_bytes(
+                    encoded.as_slice()[24..28].try_into().expect("4 bytes"),
+                );
+                let stream = covered_stream(&encoded, &frame);
+                prop_assert_eq!(declared, reference_lane_digest(&stream));
+            }
+
+            /// Flipping any single bit of any covered word — every
+            /// position in all four lanes — changes the digest: every fold
+            /// is bijective on its lane, so no flip can cancel. With
+            /// payload coverage on, the covered region is the entire
+            /// frame.
+            #[test]
+            fn lane_digest_detects_single_bit_flips_in_every_lane_position(
+                entries in proptest::collection::vec(arb_entry(), 0..12),
+                pos_pick in 0u32..u32::MAX,
+                bit in 0u8..8,
+            ) {
+                let config = FrameConfig { cover_payload: true };
+                let (encoded, _) = encode_with(config, 1, 2, &entries);
+                // Skip the checksum word itself — the one uncovered span.
+                // (Flipping it is caught as a mismatch too, but by the
+                // other side of the comparison.)
+                let pos = match (pos_pick as usize) % (encoded.len() - 4) {
+                    p if p >= 24 => p + 4,
+                    p => p,
+                };
+                let mut bad = encoded.as_slice().to_vec();
+                bad[pos] ^= 1 << bit;
+                prop_assert!(
+                    Frame::decode(Bytes::from(bad)).is_err(),
+                    "covered flip at byte {} (lane {}) escaped validation",
+                    pos,
+                    (pos / 4) % 4
+                );
+            }
+
+            /// Every strict prefix of a frame is rejected as truncated —
+            /// never a panic, never a partial decode.
+            #[test]
+            fn truncation_is_rejected(
+                entries in proptest::collection::vec(arb_entry(), 0..12),
+                cut in 0.0f64..1.0,
+                config_pick in 0usize..2,
+            ) {
+                let (encoded, _) = encode_with(CONFIGS[config_pick], 1, 2, &entries);
+                let keep = ((encoded.len() as f64) * cut) as usize; // < len
+                let truncated = Bytes::from(encoded.as_slice()[..keep].to_vec());
+                match Frame::decode(truncated) {
+                    Err(FrameError::Truncated { needed, have }) => {
+                        prop_assert_eq!(have, keep);
+                        prop_assert!(needed > have);
+                    }
+                    other => prop_assert!(false, "expected Truncated, got {:?}", other),
+                }
+            }
+
+            /// Any bit flip in the header or tables is caught — by the
+            /// magic, version, length, structural, or checksum check —
+            /// before a single copy could be misdelivered.
+            #[test]
+            fn header_and_table_corruption_is_rejected(
+                entries in proptest::collection::vec(arb_entry(), 0..12),
+                pos_pick in 0u32..u32::MAX,
+                bit in 0u8..8,
+                config_pick in 0usize..2,
+            ) {
+                let (encoded, _) = encode_with(CONFIGS[config_pick], 1, 2, &entries);
+                let frame = Frame::decode(encoded.clone()).expect("valid before corruption");
+                // Header + tables span everything before the payload region.
+                let protected = encoded.len() - frame_payload_region_len(&frame);
+                let pos = (pos_pick as usize) % protected;
+                let mut bad = encoded.as_slice().to_vec();
+                bad[pos] ^= 1 << bit;
+                prop_assert!(
+                    Frame::decode(Bytes::from(bad)).is_err(),
+                    "flip at {} escaped validation", pos
+                );
+            }
+        }
+
+        /// A fixed single-ref bucket used by the deterministic tests below.
+        fn fixed_frame(config: FrameConfig) -> Bytes {
+            encode_entries(1, 2, &[(4, 7..9, Some(b"netdecomp"))], config)
+        }
+
+        #[test]
+        fn every_encode_config_decodes_with_the_same_decoder() {
+            for config in CONFIGS {
+                let encoded = fixed_frame(config);
+                let frame = Frame::decode(encoded.clone())
+                    .unwrap_or_else(|e| panic!("config {config:?} failed to decode: {e}"));
+                assert_eq!(frame.covers_payload(), config.cover_payload);
+                assert_eq!(frame.sender_shard(), 1);
+                assert_eq!(frame.dest_shard(), 2);
+                assert_eq!(frame.ref_count(), 1);
+                let r = frame.refs().next().expect("one ref");
+                assert_eq!((r.from, r.lo, r.hi), (4, 7, 9));
+                assert_eq!(frame.payload(r.payload).as_slice(), b"netdecomp");
+                // Header, one ref entry, one payload entry, the payload.
+                assert_eq!(encoded.len(), 32 + 16 + 8 + b"netdecomp".len());
+            }
+        }
+
+        /// Every version byte but [`FRAME_VERSION`] — older, newer, or
+        /// nonsense — is rejected, naming the version this build speaks
+        /// (see also the display test in `error.rs`).
+        #[test]
+        fn version_mismatch_is_reported_as_such() {
+            for found in [0u8, 1, 9] {
+                let encoded = fixed_frame(FrameConfig::default());
+                let mut bad = encoded.as_slice().to_vec();
+                bad[3] = found;
+                let err = Frame::decode(Bytes::from(bad)).expect_err("foreign version");
+                assert_eq!(
+                    err,
+                    FrameError::VersionMismatch {
+                        found,
+                        min: FRAME_VERSION,
+                        max: FRAME_VERSION,
+                    }
+                );
+                assert!(err.to_string().contains(&format!("version {found}")));
+            }
+        }
+
+        #[test]
+        fn checksum_corruption_is_reported_as_such() {
+            for config in CONFIGS {
+                let mut bad = fixed_frame(config).as_slice().to_vec();
+                bad[24] ^= 0x10; // the checksum word itself
+                assert!(matches!(
+                    Frame::decode(Bytes::from(bad)),
+                    Err(FrameError::ChecksumMismatch { .. })
+                ));
+            }
+        }
+
+        #[test]
+        fn trailing_bytes_are_rejected() {
+            for config in CONFIGS {
+                let mut bytes = encode_entries(0, 0, &[], config).as_slice().to_vec();
+                bytes.push(0);
+                assert!(matches!(
+                    Frame::decode(Bytes::from(bytes)),
+                    Err(FrameError::Malformed { .. })
+                ));
+            }
+        }
+
+        #[test]
+        fn empty_input_is_truncated_not_a_panic() {
+            // Every frame carries the full 32-byte header.
+            assert_eq!(
+                Frame::decode(Bytes::new()),
+                Err(FrameError::Truncated {
+                    needed: 32,
+                    have: 0
+                })
+            );
+            assert_eq!(
+                Frame::decode(Bytes::from_static(b"NDF")),
+                Err(FrameError::Truncated {
+                    needed: 32,
+                    have: 3
+                })
+            );
+        }
+
+        #[test]
+        fn wrong_magic_is_rejected() {
+            assert_eq!(
+                Frame::decode(Bytes::from(vec![0u8; 32])),
+                Err(FrameError::BadMagic)
+            );
+        }
+
+        /// Pinned wire-format vectors: the exact bytes the encoder
+        /// produces for the fixed bucket above. A failure here means the
+        /// wire format changed — which requires a version bump, not a
+        /// test update.
+        #[test]
+        fn wire_format_vectors_are_pinned() {
+            let hex = |bytes: &Bytes| -> String {
+                bytes
+                    .as_slice()
+                    .iter()
+                    .map(|b| format!("{b:02x}"))
+                    .collect()
+            };
+            assert_eq!(hex(&fixed_frame(CONFIGS[0])), V2_VECTOR);
+            assert_eq!(hex(&fixed_frame(CONFIGS[1])), V2_COVER_VECTOR);
+        }
+
+        const V2_VECTOR: &str = "4e4446024100000001000000020000000100000001000000caf0a5be000000000400000000000000070000000900000000000000090000006e65746465636f6d70";
+        const V2_COVER_VECTOR: &str = "4e44460241000000010000000200000001000000010000004033bc3e010000000400000000000000070000000900000000000000090000006e65746465636f6d70";
     }
 }

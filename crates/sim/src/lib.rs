@@ -76,13 +76,11 @@
 //! phase decodes frames instead of reading other shards' outboxes or
 //! routers. Delivery order, CONGEST accounting, and results are
 //! untouched; the only thing that changes between sharing an address
-//! space and not is which [`frame::Transport`] moves the bytes. Two
-//! transports ship: an in-memory loopback (zero-copy [`bytes::Bytes`]
-//! handoff, allocation-free in steady state — the seam itself costs only
-//! encode + checksum + decode) and per-shard channel mailboxes (a shard
-//! receives *only* encoded frames, the information boundary of a
-//! process-per-shard deployment); [`Simulator::with_transport`] plugs in
-//! any other [`Transport`] implementation.
+//! space and not is which [`frame::Transport`] moves the bytes. The
+//! in-memory loopback (zero-copy [`bytes::Bytes`] handoff,
+//! allocation-free in steady state — the seam itself costs only encode +
+//! checksum + decode) prices the seam; [`Simulator::with_transport`]
+//! plugs in any other [`Transport`] implementation.
 //!
 //! The [`transport`] module takes the seam across real process
 //! boundaries: [`SocketTransport`] moves the same frames over
@@ -132,37 +130,26 @@
 //! surfaces as a typed [`SimError::Frame`]: never a panic, never a
 //! misdelivered or reordered message. (By default the payload region is
 //! not checksummed — payload-byte integrity is the transport medium's
-//! job, exactly as in the shared-memory path — but the v2 format's
-//! coverage flag extends the digest over it for transports that want the
-//! frame self-verifying end to end; see [`frame::FrameConfig`].)
-//!
-//! Two wire-format versions ship: v1's byte-serial FNV-1a digest and
-//! v2's word-parallel four-lane digest (~4 folds in flight instead of
-//! one — the dominant per-round cost of the seam). Encoders write v2 by
-//! default; every decoder accepts both, so mixed-version peers
-//! interoperate. [`frame::FrameConfig`] (or `NETDECOMP_FRAME_VERSION` /
-//! `NETDECOMP_FRAME_COVER_PAYLOAD`) pins what gets written, and CI runs
-//! the full framed equivalence suite with the encoder pinned to v1.
-//! `NETDECOMP_BACKEND=framed` (or `channel`) reroutes every
-//! [`Engine::Parallel`] simulator through the seam, which is how CI
+//! job, exactly as in the shared-memory path — but the format's coverage
+//! flag extends the digest over it for transports that want the frame
+//! self-verifying end to end; see [`frame::FrameConfig`] and
+//! `NETDECOMP_FRAME_COVER_PAYLOAD`.) `NETDECOMP_BACKEND=framed` reroutes
+//! every [`Engine::Parallel`] simulator through the seam, which is how CI
 //! sweeps the whole equivalence surface across it.
 //!
-//! Under [`Engine::Parallel`] and [`Engine::Framed`] all phases run on
-//! all shards concurrently inside a single scoped thread set per step
-//! (barriers between phases); only per-round [`RoundStats`] are merged.
-//! [`Engine::Sequential`] runs the same phases inline. Framed engines
-//! additionally *overlap* encode and ship with compute by default: each
-//! shard's frames go out the moment its own compute and account finish —
-//! fused into one phase with a single barrier where the phase-separated
-//! schedule needs three — because shipping touches only sender-owned
-//! state. Delivery is bit-identical either way (the `engine` module docs
-//! diagram both schedules); `NETDECOMP_FRAME_OVERLAP=0` or
-//! [`Simulator::with_overlap`] restores the phase-separated schedule.
+//! Every backend runs one round schedule through one per-shard round
+//! kernel: each shard's compute → account → ship (framed delivery only),
+//! one barrier, then each shard's place. The send half touches only the
+//! shard's own state, so a shard's frames go out while other shards are
+//! still computing. Under [`Engine::Parallel`] and [`Engine::Framed`]
+//! all shards run concurrently inside a single scoped thread set per
+//! step; only per-round [`RoundStats`] are merged. [`Engine::Sequential`]
+//! runs the same kernel inline, and so does every socket worker process
+//! for its one shard (the `engine` module docs diagram the schedule).
 //!
 //! # Observability
 //!
-//! The [`trace`] module is the stack's flight recorder and metrics
-//! plane. With tracing on (`NETDECOMP_TRACE=1`, a `NETDECOMP_TRACE_OUT`
+//! The [`trace`] module is the stack's flight recorder. With tracing on (`NETDECOMP_TRACE=1`, a `NETDECOMP_TRACE_OUT`
 //! dump path, or [`Simulator::with_trace`]), every shard keeps a
 //! preallocated ring of the last *K* [`RoundTrace`] records
 //! (`NETDECOMP_TRACE_WINDOW`, default 64): per-phase
@@ -177,10 +164,7 @@
 //! and [`transport::launcher::supervise`] merges the streams with its
 //! own restart/chaos/stall annotations into one [`FlightRecorder`]
 //! timeline, dumped as JSONL (`netdecomp --trace-out file.jsonl`; the
-//! line schema is in the [`trace`] module docs). [`MetricsRegistry`]
-//! rounds out the plane with dependency-free counters, gauges, and
-//! log-bucket [`Histogram`]s fed from [`RunStats`], [`DeliveryWork`],
-//! and [`TransportHealth`] — all accumulation saturating.
+//! line schema is in the [`trace`] module docs).
 //!
 //! # Determinism guarantee
 //!
@@ -270,8 +254,7 @@ pub use seeding::stream_rng;
 pub use shard::{RouteIndex, RouteSegment, ShardPlan};
 pub use stats::{CongestLimit, DeliveryWork, RoundStats, RunStats};
 pub use trace::{
-    trace_enabled, trace_out, trace_window, FlightRecorder, Histogram, MetricsRegistry, RoundTrace,
-    TraceEvent, TraceRing,
+    trace_enabled, trace_out, trace_window, FlightRecorder, RoundTrace, TraceEvent, TraceRing,
 };
 pub use transport::{
     frame_timeout, graph_digest, replay_window, FaultInjectingTransport, FaultPlan, HubAddr,

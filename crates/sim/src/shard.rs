@@ -107,16 +107,14 @@
 //! All routing buffers (buckets, counters, the inbox, frame buffers and
 //! gather/decode tables under the loopback transport) are recycled in
 //! place across rounds, so steady-state stepping stays allocation-free
-//! (pinned by `crates/sim/tests/steady_state_alloc.rs`; the channel
-//! transport's mailboxes allocate per send, bounded per round by the
-//! shard topology rather than traffic — pinned there too).
+//! (pinned by `crates/sim/tests/steady_state_alloc.rs`).
 
 use std::sync::RwLock;
 
 use netdecomp_graph::{Graph, VertexId};
 
 use crate::error::FrameError;
-use crate::frame::{Frame, Transport};
+use crate::frame::{Frame, FrameEncoder, Transport};
 use crate::message::{InboxSlot, PayloadSlab};
 use crate::{
     CongestLimit, DeliveryWork, Inbox, Outbox, PayloadId, Recipient, RoundStats, SimError,
@@ -555,6 +553,9 @@ pub(crate) struct DeliveryShard {
     pub(crate) trace: crate::trace::TraceRing,
     /// First error this shard's account pass hit, if any.
     pub(crate) error: Option<SimError>,
+    /// Framed backends: the sender side of the frame seam (the shard's
+    /// frame-buffer recycle ring).
+    pub(crate) encoder: FrameEncoder,
     /// Framed backends: per-sender-shard frame slots filled by
     /// [`Transport::collect`] each round (recycled in place).
     gather: Vec<Option<bytes::Bytes>>,
@@ -581,6 +582,7 @@ impl DeliveryShard {
             work: DeliveryWork::default(),
             trace: crate::trace::TraceRing::from_env(),
             error: None,
+            encoder: FrameEncoder::default(),
             gather: Vec::new(),
             decoded: Vec::new(),
         }
@@ -942,14 +944,12 @@ impl DeliveryShard {
         }
     }
 
-    /// Error path of the overlapped schedule: collects (and drops) the
-    /// round's incoming frames without placing them, keeping the
-    /// transport empty for the next round. The fused
-    /// compute/account/ship phase ships every frame before any shard
-    /// knows whether the round aborted, so an aborting round must still
-    /// balance the transport's one-frame-per-link contract. Inboxes keep
-    /// the previous round's content, exactly as when the non-overlapped
-    /// schedule aborts before shipping.
+    /// Error path of a framed round: collects (and drops) the round's
+    /// incoming frames without placing them, keeping the transport empty
+    /// for the next round. Every shard ships before any knows whether the
+    /// round aborted, so an aborting round must still balance the
+    /// transport's one-frame-per-link contract. Inboxes keep the previous
+    /// round's content.
     pub(crate) fn drain_frames(
         &mut self,
         me: usize,
@@ -1301,7 +1301,7 @@ mod tests {
     /// deliver into the wrong inbox.
     #[test]
     fn bad_frames_surface_typed_errors_instead_of_panicking() {
-        use crate::frame::{FrameBuilder, LoopbackTransport, Transport};
+        use crate::frame::{encode_entries, FrameConfig, LoopbackTransport, Transport};
         use bytes::Bytes;
 
         let g = generators::path(4); // adjacency 0:[1] 1:[0,2] 2:[1,3] 3:[2]
@@ -1309,16 +1309,20 @@ mod tests {
             Some(SimError::Frame { error, .. }) => *error,
             other => panic!("expected a frame error, got {other:?}"),
         };
+        let frame = |dest: usize, from: usize, slots: std::ops::Range<usize>| {
+            encode_entries(
+                0,
+                dest,
+                &[(from, slots, Some(b"x".as_slice()))],
+                FrameConfig::default(),
+            )
+        };
 
         // A bit flip in the ref table fails the header checksum.
         let mut shard = DeliveryShard::new(&g, 0, 4);
         let t = LoopbackTransport::new(1);
-        let mut b = FrameBuilder::new();
-        b.begin(0, 0);
-        b.push(0, g.neighbor_slots(0), b"x");
-        let good = b.finish();
-        let mut bad = good.as_slice().to_vec();
-        bad[28] ^= 0xff;
+        let mut bad = frame(0, 0, g.neighbor_slots(0)).as_slice().to_vec();
+        bad[32] ^= 0xff;
         t.send(0, 0, Bytes::from(bad));
         shard.place_frames(&g, 0, 0, &t, &[0, 4]);
         assert!(matches!(
@@ -1340,8 +1344,7 @@ mod tests {
 
         // A checksummed frame whose header claims another destination.
         let t = LoopbackTransport::new(1);
-        b.begin(0, 5);
-        t.send(0, 0, b.finish());
+        t.send(0, 0, encode_entries(0, 5, &[], FrameConfig::default()));
         shard.place_frames(&g, 0, 0, &t, &[0, 4]);
         assert!(matches!(
             frame_err(&shard),
@@ -1355,9 +1358,7 @@ mod tests {
         // own (vertex 3's slot targets vertex 2, outside 0..2).
         let mut shard = DeliveryShard::new(&g, 0, 2);
         let t = LoopbackTransport::new(1);
-        b.begin(0, 0);
-        b.push(3, g.neighbor_slots(3), b"x");
-        t.send(0, 0, b.finish());
+        t.send(0, 0, frame(0, 3, g.neighbor_slots(3)));
         shard.place_frames(&g, 0, 0, &t, &[0, 4]);
         assert!(matches!(
             frame_err(&shard),
@@ -1366,9 +1367,7 @@ mod tests {
 
         // A slot range past the graph's directed-edge count.
         let t = LoopbackTransport::new(1);
-        b.begin(0, 0);
-        b.push(0, 900..901, b"x");
-        t.send(0, 0, b.finish());
+        t.send(0, 0, frame(0, 0, 900..901));
         shard.place_frames(&g, 0, 0, &t, &[0, 4]);
         assert!(matches!(
             frame_err(&shard),
@@ -1379,9 +1378,7 @@ mod tests {
         // shard the frame came from (sender shard 0 covers only 0..2).
         let mut shard = DeliveryShard::new(&g, 0, 2);
         let t = LoopbackTransport::new(1);
-        b.begin(0, 0);
-        b.push(3, g.neighbor_slots(3), b"x");
-        t.send(0, 0, b.finish());
+        t.send(0, 0, frame(0, 3, g.neighbor_slots(3)));
         shard.place_frames(&g, 0, 0, &t, &[0, 2]);
         assert!(matches!(
             frame_err(&shard),
@@ -1394,9 +1391,7 @@ mod tests {
         // a spoofed `from`.
         let mut shard = DeliveryShard::new(&g, 0, 4);
         let t = LoopbackTransport::new(1);
-        b.begin(0, 0);
-        b.push(0, g.neighbor_slots(2), b"x");
-        t.send(0, 0, b.finish());
+        t.send(0, 0, frame(0, 0, g.neighbor_slots(2)));
         shard.place_frames(&g, 0, 0, &t, &[0, 4]);
         assert!(matches!(
             frame_err(&shard),

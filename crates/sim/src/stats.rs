@@ -55,19 +55,11 @@ pub struct DeliveryWork {
     pub frame_bytes: usize,
     /// Nanoseconds receiving shards spent validating incoming frames this
     /// round (header parse + the fused checksum/structure walk — the cost
-    /// the v2 word-parallel digest attacks), summed over shards. Zero
+    /// the word-parallel digest attacks), summed over shards. Zero
     /// under the shared-memory backends; reported by the engine benches
     /// as `checksum_ns_per_round`. Wall-clock time, so never compared
     /// across backends for equality — only the structural counters are.
     pub checksum_ns: u64,
-    /// Frames shipped from inside the fused compute/account/ship phase of
-    /// the overlapped framed schedule (cumulative over the run). Zero when
-    /// the overlap is disabled (`NETDECOMP_FRAME_OVERLAP=0` or
-    /// [`crate::Simulator::with_overlap`]) and under shared-memory
-    /// backends, `shards²` per round when it is on: every frame then
-    /// ships before the round's single barrier instead of from a
-    /// dedicated post-account ship phase.
-    pub overlap_ships: usize,
     /// Transport-level retries (cumulative over the run): reconnect
     /// attempts and frame re-sends performed by backends that own a real
     /// link, e.g. the socket backend's one-shot
@@ -84,8 +76,8 @@ pub struct DeliveryWork {
     /// Nanoseconds shards spent blocked inside
     /// [`crate::frame::Transport::collect`] waiting for peer frames
     /// (cumulative over the run). Zero on the loopback backend (frames
-    /// are already in shared slots); on the channel and socket backends
-    /// it is the measured synchronization + wire latency, reported by
+    /// are already in shared slots); on the socket backend it is the
+    /// measured synchronization + wire latency, reported by
     /// the engine benches as `collect_wait_ns`. Wall-clock time, so
     /// never compared across backends for equality.
     pub collect_wait_ns: u64,
@@ -117,7 +109,6 @@ impl DeliveryWork {
         self.inbox_slot_bytes = self.inbox_slot_bytes.saturating_add(other.inbox_slot_bytes);
         self.frame_bytes = self.frame_bytes.saturating_add(other.frame_bytes);
         self.checksum_ns = self.checksum_ns.saturating_add(other.checksum_ns);
-        self.overlap_ships = self.overlap_ships.saturating_add(other.overlap_ships);
         self.frames_retried = self.frames_retried.saturating_add(other.frames_retried);
         self.frames_dropped_injected = self
             .frames_dropped_injected
@@ -318,7 +309,6 @@ mod tests {
             inbox_slot_bytes: usize::MAX - 1,
             frame_bytes: usize::MAX - 1,
             checksum_ns: u64::MAX - 1,
-            overlap_ships: usize::MAX - 1,
             frames_retried: usize::MAX - 1,
             frames_dropped_injected: usize::MAX - 1,
             collect_wait_ns: u64::MAX - 1,
@@ -334,7 +324,6 @@ mod tests {
         assert_eq!(sum.inbox_slot_bytes, usize::MAX);
         assert_eq!(sum.frame_bytes, usize::MAX);
         assert_eq!(sum.checksum_ns, u64::MAX);
-        assert_eq!(sum.overlap_ships, usize::MAX);
         assert_eq!(sum.frames_retried, usize::MAX);
         assert_eq!(sum.frames_dropped_injected, usize::MAX);
         assert_eq!(sum.collect_wait_ns, u64::MAX);

@@ -1,6 +1,6 @@
-//! Flight-recorder tracing and a dependency-free metrics plane.
+//! Flight-recorder tracing.
 //!
-//! Three layers, each usable alone:
+//! Two layers, each usable alone:
 //!
 //! - [`TraceRing`] — a preallocated per-shard ring buffer of
 //!   [`RoundTrace`] records: per-phase wall-clock nanos
@@ -13,10 +13,6 @@
 //!   delivery logic, so results stay bit-identical
 //!   ([`crate::Determinism::Verify`] passes with `NETDECOMP_TRACE=1` on
 //!   every backend).
-//! - [`MetricsRegistry`] — dependency-free counters, gauges, and
-//!   log-bucket latency [`Histogram`]s, fed from [`crate::RunStats`],
-//!   [`crate::DeliveryWork`], and [`crate::TransportHealth`]. All
-//!   accumulation saturates.
 //! - [`FlightRecorder`] — the postmortem dump: the last-K rounds of
 //!   every reachable ring plus a timeline of supervisor annotations
 //!   ([`TraceEvent`]: restarts with their backoff decision, heartbeat
@@ -44,25 +40,15 @@
 //!  "checksum_ns":210,"restarts_seen":0}
 //! {"type":"event","at_ms":1532,"shard":1,"round":7,"kind":"restart",
 //!  "detail":"attempt=1 backoff_ms=61 beat_age_ms=118 rounds_replayed=0"}
-//! {"type":"counter","name":"total_messages","value":1184}
-//! {"type":"gauge","name":"max_edge_bytes","value":8}
-//! {"type":"histogram","name":"round_bytes","count":12,"sum":9216,
-//!  "buckets":[[10,8],[11,4]]}
 //! ```
 //!
 //! `shard` is `null` on events not attributable to one shard (whole-run
-//! restarts, run completion). Histogram buckets are
-//! `[bit_length, count]` pairs: bucket `b` counts observed values `v`
-//! with `64 - v.leading_zeros() == b`, i.e. `2^(b-1) <= v < 2^b`
-//! (bucket 0 counts zeros); empty buckets are omitted.
+//! restarts, run completion).
 
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-
-use crate::frame::TransportHealth;
-use crate::stats::{DeliveryWork, RunStats};
 
 /// Whether tracing is requested through the environment:
 /// `NETDECOMP_TRACE` set truthy (anything but empty, `0`, or `off`), or
@@ -112,7 +98,7 @@ pub fn worker_attempt() -> u64 {
 /// phase, plus the frame-seam volume counters for the same round.
 ///
 /// All times are wall-clock nanoseconds measured around the phase
-/// calls; like [`DeliveryWork::checksum_ns`] they are never compared
+/// calls; like [`crate::DeliveryWork::checksum_ns`] they are never compared
 /// across backends for equality — only recorded. All accumulation
 /// saturates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -343,186 +329,6 @@ impl TraceRing {
     }
 }
 
-/// A log-bucket latency/size histogram: bucket `b` counts observed
-/// values whose bit length is `b` (`2^(b-1) <= v < 2^b`; bucket 0
-/// counts zeros). 64 fixed buckets cover the whole `u64` range with no
-/// configuration and no allocation; counts and the running sum
-/// saturate.
-#[derive(Debug, Clone, Copy)]
-pub struct Histogram {
-    buckets: [u64; 65],
-    count: u64,
-    sum: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Histogram {
-        Histogram {
-            buckets: [0; 65],
-            count: 0,
-            sum: 0,
-        }
-    }
-}
-
-impl Histogram {
-    /// Records one observation.
-    pub fn record(&mut self, value: u64) {
-        let bucket = (64 - value.leading_zeros()) as usize;
-        self.buckets[bucket] = self.buckets[bucket].saturating_add(1);
-        self.count = self.count.saturating_add(1);
-        self.sum = self.sum.saturating_add(value);
-    }
-
-    /// Observations recorded.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of observed values (saturating).
-    #[must_use]
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// `(bit_length, count)` for every non-empty bucket, ascending.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(b, &c)| (b, c))
-    }
-}
-
-/// A dependency-free metrics registry: named counters, gauges, and
-/// log-bucket histograms, with feeders for the engine's accounting
-/// structs. Names are `&'static str` so registration never allocates
-/// key storage per update.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, u64>,
-    histograms: BTreeMap<&'static str, Histogram>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    #[must_use]
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    /// Adds `delta` to counter `name` (saturating).
-    pub fn counter_add(&mut self, name: &'static str, delta: u64) {
-        let slot = self.counters.entry(name).or_insert(0);
-        *slot = slot.saturating_add(delta);
-    }
-
-    /// Sets gauge `name` to `value` (last write wins).
-    pub fn gauge_set(&mut self, name: &'static str, value: u64) {
-        self.gauges.insert(name, value);
-    }
-
-    /// Records `value` into histogram `name`.
-    pub fn observe(&mut self, name: &'static str, value: u64) {
-        self.histograms.entry(name).or_default().record(value);
-    }
-
-    /// The current value of counter `name` (0 when never touched).
-    #[must_use]
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// The current value of gauge `name`, if ever set.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Option<u64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// The histogram registered under `name`, if any.
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Feeds a run's communication accounting: message/byte totals as
-    /// counters, the edge high-water mark as a gauge, and the per-round
-    /// message and byte distributions as histograms.
-    pub fn observe_run_stats(&mut self, stats: &RunStats) {
-        self.counter_add("rounds", stats.rounds as u64);
-        self.counter_add("total_messages", stats.total_messages as u64);
-        self.counter_add("total_bytes", stats.total_bytes as u64);
-        self.gauge_set("max_edge_bytes", stats.max_edge_bytes as u64);
-        for round in &stats.per_round {
-            self.observe("round_messages", round.messages as u64);
-            self.observe("round_bytes", round.bytes as u64);
-        }
-    }
-
-    /// Feeds the mechanical delivery-work counters.
-    pub fn observe_delivery_work(&mut self, work: &DeliveryWork) {
-        self.counter_add("refs_scanned", work.refs_scanned as u64);
-        self.counter_add("copies_delivered", work.copies_delivered as u64);
-        self.counter_add("payload_registrations", work.payload_registrations as u64);
-        self.counter_add("inbox_slot_bytes", work.inbox_slot_bytes as u64);
-        self.counter_add("frame_bytes", work.frame_bytes as u64);
-        self.counter_add("checksum_ns", work.checksum_ns);
-        self.counter_add("overlap_ships", work.overlap_ships as u64);
-        self.counter_add("collect_wait_ns", work.collect_wait_ns);
-    }
-
-    /// Feeds a transport's cumulative health counters.
-    pub fn observe_transport_health(&mut self, health: &TransportHealth) {
-        self.counter_add("frames_retried", health.frames_retried as u64);
-        self.counter_add(
-            "frames_dropped_injected",
-            health.frames_dropped_injected as u64,
-        );
-        self.counter_add("collect_wait_ns", health.collect_wait_ns);
-        self.counter_add("workers_restarted", health.workers_restarted as u64);
-        self.counter_add("rounds_replayed", health.rounds_replayed as u64);
-        self.counter_add("heartbeats_missed", health.heartbeats_missed as u64);
-    }
-
-    /// Renders every metric as JSONL (`counter` / `gauge` / `histogram`
-    /// lines — see the module docs for the schema).
-    fn write_jsonl(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        for (name, value) in &self.counters {
-            let _ = write!(out, "{{\"type\":\"counter\",\"name\":");
-            write_json_string(out, name);
-            let _ = writeln!(out, ",\"value\":{value}}}");
-        }
-        for (name, value) in &self.gauges {
-            let _ = write!(out, "{{\"type\":\"gauge\",\"name\":");
-            write_json_string(out, name);
-            let _ = writeln!(out, ",\"value\":{value}}}");
-        }
-        for (name, h) in &self.histograms {
-            let _ = write!(out, "{{\"type\":\"histogram\",\"name\":");
-            write_json_string(out, name);
-            let _ = write!(
-                out,
-                ",\"count\":{},\"sum\":{},\"buckets\":[",
-                h.count(),
-                h.sum()
-            );
-            let mut first = true;
-            for (bucket, count) in h.nonzero_buckets() {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let _ = write!(out, "[{bucket},{count}]");
-            }
-            let _ = writeln!(out, "]}}");
-        }
-    }
-}
-
 /// One supervisor (or driver) annotation on the flight-recorder
 /// timeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -546,14 +352,12 @@ pub struct TraceEvent {
 ///
 /// Cold-path by design — it allocates freely; nothing here is called
 /// from the round loop. A dump is ordered: every shard's round records
-/// (shard-major, chronological), then events in insertion order, then
-/// the metrics registry if one was attached.
+/// (shard-major, chronological), then events in insertion order.
 #[derive(Debug)]
 pub struct FlightRecorder {
     epoch: Instant,
     shards: BTreeMap<usize, Vec<RoundTrace>>,
     events: Vec<TraceEvent>,
-    metrics: Option<MetricsRegistry>,
 }
 
 impl Default for FlightRecorder {
@@ -570,7 +374,6 @@ impl FlightRecorder {
             epoch: Instant::now(),
             shards: BTreeMap::new(),
             events: Vec::new(),
-            metrics: None,
         }
     }
 
@@ -594,11 +397,6 @@ impl FlightRecorder {
             kind,
             detail,
         });
-    }
-
-    /// Attaches (replacing) the metrics registry to include in dumps.
-    pub fn set_metrics(&mut self, metrics: MetricsRegistry) {
-        self.metrics = Some(metrics);
     }
 
     /// The annotations recorded so far, in insertion order.
@@ -641,9 +439,6 @@ impl FlightRecorder {
             out.push_str(",\"detail\":");
             write_json_string(&mut out, &event.detail);
             out.push_str("}\n");
-        }
-        if let Some(metrics) = &self.metrics {
-            metrics.write_jsonl(&mut out);
         }
         out
     }
@@ -739,64 +534,16 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_by_bit_length_and_saturates() {
-        let mut h = Histogram::default();
-        h.record(0);
-        h.record(1);
-        h.record(2);
-        h.record(3);
-        h.record(1024);
-        let buckets: Vec<(usize, u64)> = h.nonzero_buckets().collect();
-        assert_eq!(buckets, vec![(0, 1), (1, 1), (2, 2), (11, 1)]);
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 1030);
-        let mut s = Histogram::default();
-        s.record(u64::MAX);
-        s.record(u64::MAX);
-        assert_eq!(s.sum(), u64::MAX);
-        assert_eq!(s.nonzero_buckets().next(), Some((64, 2)));
-    }
-
-    #[test]
-    fn the_registry_feeds_from_engine_accounting() {
-        let mut m = MetricsRegistry::new();
-        let mut stats = RunStats::default();
-        stats.absorb(crate::RoundStats {
-            round: 0,
-            messages: 4,
-            bytes: 64,
-            max_edge_bytes: 16,
-        });
-        m.observe_run_stats(&stats);
-        m.observe_delivery_work(&DeliveryWork {
-            refs_scanned: 9,
-            ..DeliveryWork::default()
-        });
-        m.observe_transport_health(&TransportHealth {
-            rounds_replayed: 3,
-            ..TransportHealth::default()
-        });
-        assert_eq!(m.counter("total_messages"), 4);
-        assert_eq!(m.counter("refs_scanned"), 9);
-        assert_eq!(m.counter("rounds_replayed"), 3);
-        assert_eq!(m.gauge("max_edge_bytes"), Some(16));
-        assert_eq!(m.histogram("round_bytes").unwrap().count(), 1);
-    }
-
-    #[test]
-    fn the_recorder_dumps_rounds_events_and_metrics_as_jsonl() {
+    fn the_recorder_dumps_rounds_and_events_as_jsonl() {
         let mut recorder = FlightRecorder::new();
         let mut ring = TraceRing::new(3);
         ring.commit(5, 128, 77, 1);
         recorder.absorb_ring(2, ring.snapshot());
         recorder.event(Some(2), 5, "restart", "attempt=1 \"quoted\"".into());
         recorder.event(None, 0, "halt", "ok".into());
-        let mut metrics = MetricsRegistry::new();
-        metrics.counter_add("total_messages", 11);
-        recorder.set_metrics(metrics);
         let dump = recorder.render_jsonl();
         let lines: Vec<&str> = dump.lines().collect();
-        assert_eq!(lines.len(), 4);
+        assert_eq!(lines.len(), 3);
         assert!(lines[0].contains("\"type\":\"round\""), "{dump}");
         assert!(lines[0].contains("\"shard\":2"));
         assert!(lines[0].contains("\"round\":5"));
@@ -805,8 +552,6 @@ mod tests {
         assert!(lines[1].contains("\"kind\":\"restart\""));
         assert!(lines[1].contains("\\\"quoted\\\""));
         assert!(lines[2].contains("\"shard\":null"));
-        assert!(lines[3].contains("\"type\":\"counter\""));
-        assert!(lines[3].contains("\"value\":11"));
         // Every shard's records are reachable by index too.
         assert_eq!(recorder.shard_rounds(2).len(), 1);
         assert!(recorder.shard_rounds(0).is_empty());

@@ -956,9 +956,7 @@ mod tests {
 
     #[test]
     fn data_frame_magic_is_rejected_here() {
-        let mut b = crate::frame::FrameBuilder::new();
-        b.begin(0, 1);
-        let data = b.finish();
+        let data = crate::frame::encode_entries(0, 1, &[], crate::frame::FrameConfig::default());
         assert_eq!(
             ControlFrame::decode(data.as_slice()),
             Err(FrameError::BadMagic)

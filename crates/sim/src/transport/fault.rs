@@ -267,13 +267,15 @@ impl<T: Transport> Transport for FaultInjectingTransport<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{ChannelTransport, FrameBuilder};
+    use crate::frame::{encode_entries, FrameConfig, LoopbackTransport};
 
     fn frame(sender: usize, dest: usize, tag: u8) -> Bytes {
-        let mut b = FrameBuilder::new();
-        b.begin(sender, dest);
-        b.push(0, 0..1, &[tag]);
-        b.finish()
+        encode_entries(
+            sender,
+            dest,
+            &[(0, 0..1, Some(&[tag]))],
+            FrameConfig::default(),
+        )
     }
 
     fn run_round(t: &dyn Transport, shards: usize, tag: u8) -> Vec<Vec<Option<Bytes>>> {
@@ -295,7 +297,7 @@ mod tests {
     fn quiet_plan_is_a_pass_through() {
         let shards = 3;
         let t = FaultInjectingTransport::new(
-            ChannelTransport::new(shards),
+            LoopbackTransport::new(shards),
             shards,
             FaultPlan::quiet(1),
         );
@@ -309,7 +311,7 @@ mod tests {
         let shards = 2;
         let run = |seed| {
             let t = FaultInjectingTransport::new(
-                ChannelTransport::new(shards),
+                LoopbackTransport::new(shards),
                 shards,
                 FaultPlan::drops(seed, 500),
             );
@@ -336,7 +338,7 @@ mod tests {
     fn corruption_keeps_frame_present_but_damaged() {
         let shards = 2;
         let t = FaultInjectingTransport::new(
-            ChannelTransport::new(shards),
+            LoopbackTransport::new(shards),
             shards,
             FaultPlan::corruption(7, 1000),
         );
@@ -357,7 +359,7 @@ mod tests {
     fn delayed_frames_come_back_next_round() {
         let shards = 1;
         let t = FaultInjectingTransport::new(
-            ChannelTransport::new(shards),
+            LoopbackTransport::new(shards),
             shards,
             FaultPlan {
                 delay_per_mille: 1000,
@@ -384,7 +386,7 @@ mod tests {
     fn a_partitioned_link_drops_exactly_its_window_then_heals() {
         let shards = 2;
         let t = FaultInjectingTransport::new(
-            ChannelTransport::new(shards),
+            LoopbackTransport::new(shards),
             shards,
             FaultPlan::partitioned(
                 0,
@@ -416,7 +418,7 @@ mod tests {
     fn duplicates_and_reorders_misfile_slots() {
         let shards = 2;
         let t = FaultInjectingTransport::new(
-            ChannelTransport::new(shards),
+            LoopbackTransport::new(shards),
             shards,
             FaultPlan {
                 duplicate_per_mille: 1000,

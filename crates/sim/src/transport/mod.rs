@@ -1,23 +1,22 @@
 //! Transports that cross process boundaries, and the harnesses that
 //! abuse them.
 //!
-//! The shared-memory backends ([`crate::frame::LoopbackTransport`],
-//! [`crate::frame::ChannelTransport`]) prove the framed engine against
-//! the simplest possible delivery fabric. This module provides the rest
-//! of the story:
+//! The in-memory [`crate::frame::LoopbackTransport`] proves the framed
+//! engine against the simplest possible delivery fabric and prices the
+//! frame seam itself. This module provides the rest of the story:
 //!
 //! - [`SocketTransport`] — data and control frames over Unix-domain (or
 //!   TCP) byte streams through a hub process, the same
-//!   [`crate::frame::Transport`] seam the in-memory backends implement,
-//!   bit-identical results included.
+//!   [`crate::frame::Transport`] seam loopback implements, bit-identical
+//!   results included — and real process semantics.
 //! - [`launcher`] — one OS process per shard: bind a hub socket, spawn
 //!   workers, and reap them with a deadline, so a crashed worker is a
 //!   typed [`crate::SimError::Transport`] at the launcher, never a
 //!   zombie pipeline.
 //! - [`run_worker`] — the single-shard driver a worker process runs:
-//!   loads the graph, executes its shard's compute/account/ship/place
-//!   loop against a [`HubClient`], and reports errors through `Error`
-//!   control frames before exiting.
+//!   loads the graph, runs the engine's own per-shard round kernel
+//!   (compute → account → ship, then place) against a [`HubClient`],
+//!   and reports errors through `Error` control frames before exiting.
 //! - [`FaultInjectingTransport`] — a deterministic, seeded wrapper over
 //!   any backend that drops, corrupts, delays, duplicates, or reorders
 //!   frames so tests can prove every failure is a typed error.
@@ -291,7 +290,7 @@ mod tests {
     #[test]
     fn factory_builds_and_debugs() {
         let factory =
-            TransportFactory::new(|shards| Box::new(crate::frame::ChannelTransport::new(shards)));
+            TransportFactory::new(|shards| Box::new(crate::frame::LoopbackTransport::new(shards)));
         let t = factory.build(3);
         t.send(0, 1, bytes::Bytes::from_static(b"x"));
         let format = format!("{factory:?}");

@@ -78,9 +78,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 
 use crate::error::{FrameError, SimError, TransportCause, TransportError};
-use crate::frame::{
-    Transport, TransportHealth, FRAME_VERSION, FRAME_VERSION_MIN, LEN_OFFSET, MAGIC,
-};
+use crate::frame::{Transport, TransportHealth, FRAME_VERSION, LEN_OFFSET, MAGIC};
 use crate::stats::RunStats;
 use crate::trace::RoundTrace;
 
@@ -130,9 +128,9 @@ const EVENT_BUFFER_CAP: usize = 1024;
 /// readiness wakes a read immediately regardless.
 const READ_TICK: Duration = Duration::from_millis(200);
 
-/// Smallest well-formed data frame (a v1 header); anything shorter with
-/// the data magic means the stream is desynchronized.
-const MIN_DATA_FRAME: usize = 28;
+/// Smallest well-formed data frame (a bare header); anything shorter
+/// with the data magic means the stream is desynchronized.
+const MIN_DATA_FRAME: usize = 32;
 
 /// `u32::MAX` as an origin marks the hub itself (not any shard).
 const HUB_ORIGIN: u32 = u32::MAX;
@@ -964,11 +962,9 @@ impl HubShared {
                 "peer identified as shard {shard}, expected shard {conn}"
             ));
         }
-        let min = u32::from(FRAME_VERSION_MIN);
-        let max = u32::from(FRAME_VERSION);
-        if !(min..=max).contains(frame_version) {
+        if *frame_version != u32::from(FRAME_VERSION) {
             return Err(format!(
-                "peer encodes frame version {frame_version}, this hub decodes v{min} through v{max}"
+                "peer encodes frame version {frame_version}, this hub decodes only v{FRAME_VERSION}"
             ));
         }
         let mut expected = self.digest.lock().expect("no poisoned digest");
@@ -2271,6 +2267,31 @@ impl HubClient {
         self.fatal.lock().expect("no poisoned fatal slot").clone()
     }
 
+    /// Makes a failed write sticky. A hub tearing the fabric down relays
+    /// `Error` to every spoke *before* closing it, so a write that fails
+    /// usually has the origin's structured error already queued, unread,
+    /// on the link: pick it up (without waiting for more) so
+    /// [`HubClient::remote_error`] reports it instead of this link's
+    /// broken pipe.
+    fn fail_send(&self, link: &mut Stream, round: u64, cause: TransportCause) {
+        self.set_fatal(TransportError {
+            shard: self.shard,
+            round: round as usize,
+            cause,
+        });
+        let _ = link.set_read_timeout(Some(Duration::from_millis(1)));
+        loop {
+            match read_wire_frame(link) {
+                Ok(Wire::Control(ControlFrame::Error { error, .. })) => {
+                    *self.remote.lock().expect("no poisoned remote slot") = Some(error);
+                    return;
+                }
+                Ok(_) => {}
+                Err(_) => return,
+            }
+        }
+    }
+
     /// Ships one data frame to `to`. The `shards`-th send of a round
     /// automatically closes the round with a `RoundBarrier`. Write
     /// failures consume the one-shot reconnect, then become sticky: the
@@ -2283,11 +2304,7 @@ impl HubClient {
         let mut link = self.link.lock().expect("no poisoned link");
         let round = self.barrier_round.load(Ordering::Relaxed);
         if let Err(cause) = self.write_with_retry(&mut link, frame.as_slice()) {
-            self.set_fatal(TransportError {
-                shard: self.shard,
-                round: round as usize,
-                cause,
-            });
+            self.fail_send(&mut link, round, cause);
             return;
         }
         let sent = self.sends_this_round.fetch_add(1, Ordering::Relaxed) + 1;
@@ -2296,11 +2313,7 @@ impl HubClient {
             self.barrier_round.store(round + 1, Ordering::Relaxed);
             let barrier = ControlFrame::RoundBarrier { round }.encode();
             if let Err(cause) = self.write_with_retry(&mut link, barrier.as_slice()) {
-                self.set_fatal(TransportError {
-                    shard: self.shard,
-                    round: round as usize,
-                    cause,
-                });
+                self.fail_send(&mut link, round, cause);
             }
         }
     }
@@ -2540,7 +2553,7 @@ fn file_slot(into: &mut [Option<Bytes>], frame: &Bytes) -> bool {
 
 /// [`Transport`] over real sockets: `shards` [`HubClient`] spokes around
 /// an in-process [`Hub`]. Selected by `NETDECOMP_BACKEND=socket`;
-/// produces bit-identical results to the loopback and channel backends.
+/// produces bit-identical results to the loopback backend.
 #[derive(Debug)]
 pub struct SocketTransport {
     clients: Vec<HubClient>,
@@ -2666,17 +2679,19 @@ impl Drop for SocketTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::FrameBuilder;
+    use crate::frame::{encode_entries, FrameConfig};
 
     const FAST: Duration = Duration::from_millis(300);
 
     /// A minimal valid data frame from `sender` to `dest`, tagged with
     /// one payload byte so tests can tell frames apart.
     fn data_frame(sender: usize, dest: usize, tag: u8) -> Bytes {
-        let mut b = FrameBuilder::new();
-        b.begin(sender, dest);
-        b.push(0, 0..1, &[tag]);
-        b.finish()
+        encode_entries(
+            sender,
+            dest,
+            &[(0, 0..1, Some(&[tag]))],
+            FrameConfig::default(),
+        )
     }
 
     fn collect_all(mesh: &SocketTransport, shards: usize) -> Vec<Vec<Option<Bytes>>> {

@@ -3,12 +3,11 @@
 //! A distributed run puts one OS process on each shard. Every worker
 //! loads the graph independently, computes the same
 //! [`ShardPlan::degree_balanced`] partition, and drives only its own
-//! vertex range through the engine's compute → account → ship → place
-//! phases, with a [`HubClient`] as the delivery fabric. The phase code
-//! is the *same* code the in-process engine runs
-//! ([`crate::transport::worker`] calls into the engine's shard
-//! machinery, not a reimplementation), which is what makes the
-//! process-per-shard deployment bit-identical to the shared-memory
+//! vertex range through the engine's per-shard round kernel — compute →
+//! account → ship, then place — with a [`HubClient`] as the delivery
+//! fabric. The kernel is the *same* code the in-process engine's drivers
+//! run, not a reimplementation, which is what makes the
+//! process-per-shard deployment bit-identical to the in-process
 //! backends.
 //!
 //! Failure contract: a local violation (CONGEST overrun, frame decode
@@ -28,8 +27,8 @@ use crate::checkpoint::{
     decode_worker_payload, encode_worker_payload, load_newest_checkpoint, write_checkpoint,
     Checkpoint,
 };
-use crate::engine::{compute_shard, Ctx, Protocol, Snapshot};
-use crate::frame::{FrameConfig, FrameEncoder, Transport};
+use crate::engine::{Ctx, Delivery, Protocol, RoundKernel, Snapshot};
+use crate::frame::{FrameConfig, Transport};
 use crate::shard::{DeliveryShard, RouteIndex, Router, ShardPlan};
 use crate::{CongestLimit, Outbox, RunStats, SimError, TransportCause, TransportError};
 
@@ -411,7 +410,7 @@ where
     let me = config.shard;
     let n = graph.vertex_count();
     let routes = RouteIndex::new(graph, &plan);
-    let bounds = plan.boundaries().to_vec();
+    let bounds = plan.boundaries();
     let range = plan.range(me);
     let mut shard = DeliveryShard::new(graph, range.start, range.end);
     let mut nodes: Vec<P> = range
@@ -420,8 +419,8 @@ where
         .collect();
     let mut outboxes = vec![Outbox::new(); nodes.len()];
     let mut router = Router::default();
-    let mut encoder = FrameEncoder::new(config.shards, FrameConfig::from_env());
     let transport = ClientTransport { client };
+    let frame_config = FrameConfig::from_env();
     let mut report = WorkerReport::default();
     // Restart generation for the trace plane: 0 on a first launch, the
     // supervisor's attempt count on a relaunch (via `ENV_ATTEMPT`).
@@ -455,26 +454,25 @@ where
             client.send_shutdown();
             return Err(error);
         }
-        let t = shard.trace.begin();
-        compute_shard(graph, round > 0, &shard, &mut nodes, &mut outboxes);
-        shard.trace.note_compute(t);
-        let t = shard.trace.begin();
-        let ok = shard.account(graph, &routes, config.limit, round, &outboxes, &mut router);
-        shard.trace.note_account(t);
-        // Ship even when accounting failed: peers expect exactly one
-        // frame per link per round (partial buckets hold only refs
-        // charged before the violation), and the `Error` broadcast that
-        // follows is what actually stops them.
-        let t = shard.trace.begin();
-        encoder.ship(me, &router, &outboxes, bounds[me], &transport, false);
-        shard.trace.note_ship(t);
-        if !ok {
+        let kernel = RoundKernel {
+            graph,
+            routes: &routes,
+            bounds,
+            limit: config.limit,
+            round,
+            started: round > 0,
+            delivery: Delivery::Framed {
+                transport: &transport,
+                config: frame_config,
+            },
+        };
+        // The send half ships even when accounting failed; the `Error`
+        // broadcast that follows is what actually stops the peers.
+        if !kernel.send(me, &mut shard, &mut nodes, &mut outboxes, &mut router) {
             let error = shard.error.take().expect("failed account sets the error");
             return Err(fail(client, error));
         }
-        let t = shard.trace.begin();
-        shard.place_frames(graph, me, round, &transport, &bounds);
-        shard.trace.note_place(t);
+        kernel.receive(me, &mut shard, true);
         if let Some(error) = shard.error.take() {
             return Err(fail(client, error));
         }
@@ -604,6 +602,83 @@ mod tests {
         // already vertex-id order.
         assert_eq!(distributed.len(), graph.vertex_count());
         assert_eq!(&distributed[..], reference.nodes(), "deployments diverged");
+    }
+
+    /// Every vertex broadcasts one byte per round, except that vertex 0 —
+    /// always in shard 0 — overruns an 8-byte edge budget in round 1.
+    #[derive(Debug, Clone)]
+    struct Overrun;
+
+    impl Protocol for Overrun {
+        fn start(&mut self, _ctx: &Ctx<'_>, out: &mut Outbox) {
+            out.broadcast(Bytes::from_static(b"x"));
+        }
+
+        fn round(&mut self, ctx: &Ctx<'_>, _incoming: Inbox<'_>, out: &mut Outbox) {
+            let len = if ctx.id == 0 { 9 } else { 1 };
+            out.broadcast(Bytes::from(vec![0u8; len]));
+        }
+    }
+
+    #[test]
+    fn a_congest_overrun_fails_every_worker_with_the_engines_error() {
+        let graph = ladder(17);
+        let shards = 3;
+        let limit = CongestLimit::PerEdgeBytes(8);
+        let mut reference = Simulator::new(&graph, |_, _| Overrun).with_limit(limit);
+        reference.step().expect("round 0 stays within the budget");
+        let expected = reference.step().unwrap_err();
+        assert!(
+            matches!(
+                expected,
+                SimError::CongestViolation {
+                    from: 0,
+                    round: 1,
+                    ..
+                }
+            ),
+            "got {expected:?}"
+        );
+        let digest = graph_digest(&graph);
+        let timeout = Duration::from_secs(5);
+        let (hub, addr) = crate::transport::socket::Hub::listen(
+            &unix_addr("overrun"),
+            shards,
+            timeout,
+            Some(digest),
+        )
+        .unwrap();
+        let started = std::time::Instant::now();
+        let errors: Vec<SimError> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..shards)
+                .map(|k| {
+                    let graph = &graph;
+                    let addr = addr.clone();
+                    scope.spawn(move || {
+                        let client = HubClient::connect(&addr, k, shards, digest, timeout).unwrap();
+                        let config = WorkerConfig {
+                            shard: k,
+                            shards,
+                            rounds: 4,
+                            limit,
+                        };
+                        run_worker(graph, &client, &config, |_, _| Overrun).unwrap_err()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        drop(hub);
+        // Shard 0 fails locally; its peers stop on the hub-relayed copy of
+        // the same error instead of timing out on the missing round.
+        for (k, error) in errors.iter().enumerate() {
+            assert_eq!(error, &expected, "shard {k}");
+        }
+        assert!(
+            started.elapsed() < timeout,
+            "the relayed error took {:?}",
+            started.elapsed()
+        );
     }
 
     #[test]

@@ -121,8 +121,8 @@ impl Protocol for Mixer {
 
 proptest! {
     // 48 cases keep each delivery backend (shared-memory, framed
-    // loopback, framed channel, framed socket) at useful coverage in the
-    // equivalence property below.
+    // loopback, framed socket) at useful coverage in the equivalence
+    // property below.
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
@@ -173,8 +173,7 @@ proptest! {
         threads in 2usize..=8,
         shard_pick in 0usize..6,
         limit_pick in 0usize..3,
-        backend_pick in 0usize..4,
-        overlap in 0u32..2,
+        backend_pick in 0usize..3,
     ) {
         let limit = match limit_pick {
             0 => CongestLimit::Unlimited,
@@ -190,31 +189,26 @@ proptest! {
         let shards = [0, 1, 2, 7, 13, g.vertex_count()][shard_pick];
         // Shared-memory delivery (or whatever NETDECOMP_BACKEND selects —
         // the framed CI matrix entry reaches this property through the
-        // `Parallel` arm), framed loopback, framed channels, and the
-        // socket fabric (real Unix-domain streams through the hub).
+        // `Parallel` arm), framed loopback, and the socket fabric (real
+        // Unix-domain streams through the hub).
         let engine = match backend_pick {
             0 => Engine::Parallel { threads, shards },
             _ => Engine::Framed {
                 threads,
                 shards,
-                transport: match backend_pick {
-                    1 => FrameTransport::Loopback,
-                    2 => FrameTransport::Channel,
-                    _ => FrameTransport::Socket,
+                transport: if backend_pick == 1 {
+                    FrameTransport::Loopback
+                } else {
+                    FrameTransport::Socket
                 },
             },
         };
         let rounds = g.vertex_count().min(12) + 2;
 
         let mut seq = Simulator::new(&g, |id, _| Mixer::new(id, seed)).with_limit(limit);
-        // The overlapped (fused compute/account/ship, one barrier) and
-        // phase-separated framed schedules must be indistinguishable;
-        // `with_overlap` is a no-op for shared-memory backends, so the
-        // sweep costs the `Parallel` arm nothing.
         let mut par = Simulator::new(&g, |id, _| Mixer::new(id, seed))
             .with_limit(limit)
-            .with_engine(engine)
-            .with_overlap(overlap == 1);
+            .with_engine(engine);
 
         let a = seq.run_rounds(rounds);
         // Verified stepping doubles as a scheduling-independence check: it

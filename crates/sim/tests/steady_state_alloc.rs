@@ -4,23 +4,44 @@
 //! all reused in place. Registering a payload in a warm slab is a push
 //! within capacity; scattering a copy is a plain 8-byte slot write. This
 //! pins the "inbox slot reuse" guarantee with a counting global allocator
-//! rather than by inspection, for every delivery backend.
+//! rather than by inspection, for every in-process delivery backend.
+//!
+//! Allocations are counted per thread, so tests running concurrently
+//! under the default parallel test runner cannot leak into each other's
+//! measured windows. Every measured engine runs with `threads: 1`, so
+//! its rounds execute on the test's own thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use bytes::Bytes;
 use netdecomp_graph::generators;
 use netdecomp_sim::{Ctx, Engine, FrameTransport, Inbox, Outbox, Protocol, Simulator};
 
-/// System allocator that counts every allocation (including reallocs).
+/// System allocator that counts every allocation (including reallocs)
+/// made by the calling thread.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations made by this thread. `const`-initialized and free of
+    /// destructors, so reading it never allocates itself.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with` fails only while the thread is being torn down, after
+    // any measured window has closed.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations the calling thread has made so far.
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -29,7 +50,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -59,28 +80,24 @@ impl Protocol for SteadyBroadcast {
 
 /// Warm the simulator past every buffer's high-water mark (including the
 /// engine's amortized per-round stats vector), then require a window of
-/// further rounds to allocate nothing at all. `overlap` pins the framed
-/// round schedule (fused single-barrier vs phase-separated) explicitly,
-/// so both stay zero-alloc regardless of the environment default; it is
-/// a no-op for shared-memory engines.
-fn assert_steady_state_is_allocation_free(engine: Engine, overlap: bool) {
+/// further rounds to allocate nothing at all.
+fn assert_steady_state_is_allocation_free(engine: Engine) {
     let g = generators::grid2d(12, 12);
     let mut sim = Simulator::new(&g, |id, _| SteadyBroadcast {
         payload: Bytes::from(vec![id as u8; 8]),
         heard: 0,
     })
-    .with_engine(engine)
-    .with_overlap(overlap);
+    .with_engine(engine);
     // 300 rounds leave the per-round stats vector with capacity >= 512,
     // so the 100 measured rounds cannot trigger its amortized growth.
     for _ in 0..300 {
         sim.step().expect("no limits configured");
     }
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for _ in 0..100 {
         sim.step().expect("no limits configured");
     }
-    let during = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let during = allocations() - before;
     assert_eq!(
         during, 0,
         "steady-state rounds allocated {during} times under {engine:?}"
@@ -99,7 +116,7 @@ fn assert_steady_state_is_allocation_free(engine: Engine, overlap: bool) {
 
 #[test]
 fn sequential_steady_state_rounds_do_not_allocate() {
-    assert_steady_state_is_allocation_free(Engine::Sequential, true);
+    assert_steady_state_is_allocation_free(Engine::Sequential);
 }
 
 #[test]
@@ -109,45 +126,25 @@ fn sharded_steady_state_rounds_do_not_allocate() {
     // allocation under multi-threaded engines, see ROADMAP), but the full
     // sharded delivery path — sender-side routing included — with several
     // shards.
-    assert_steady_state_is_allocation_free(
-        Engine::Parallel {
-            threads: 1,
-            shards: 4,
-        },
-        true,
-    );
+    assert_steady_state_is_allocation_free(Engine::Parallel {
+        threads: 1,
+        shards: 4,
+    });
 }
 
 #[test]
-fn framed_loopback_overlapped_steady_state_rounds_do_not_allocate() {
+fn framed_loopback_steady_state_rounds_do_not_allocate() {
     // The whole frame seam — encode (with checksum), loopback handoff,
     // decode, zero-copy payload slicing — must recycle every buffer:
-    // builders keep their scratch, senders reclaim frame buffers through
-    // the two-round ring, and receivers reuse their gather/decode tables.
-    // Under the (default) overlapped schedule, shipping from inside the
-    // fused compute phase must not add so much as a counter allocation.
-    assert_steady_state_is_allocation_free(
-        Engine::Framed {
-            threads: 1,
-            shards: 4,
-            transport: FrameTransport::Loopback,
-        },
-        true,
-    );
-}
-
-#[test]
-fn framed_loopback_phase_separated_steady_state_rounds_do_not_allocate() {
-    // Same guarantee with the overlap disabled (the pre-v2 schedule,
-    // still selectable via NETDECOMP_FRAME_OVERLAP=0).
-    assert_steady_state_is_allocation_free(
-        Engine::Framed {
-            threads: 1,
-            shards: 4,
-            transport: FrameTransport::Loopback,
-        },
-        false,
-    );
+    // senders reclaim frame buffers through the two-round ring, and
+    // receivers reuse their gather/decode tables. Shipping from inside
+    // the send half, before the round's barrier, must not add so much as
+    // a counter allocation.
+    assert_steady_state_is_allocation_free(Engine::Framed {
+        threads: 1,
+        shards: 4,
+        transport: FrameTransport::Loopback,
+    });
 }
 
 #[test]
@@ -167,17 +164,16 @@ fn traced_framed_steady_state_rounds_do_not_allocate() {
         shards: 4,
         transport: FrameTransport::Loopback,
     })
-    .with_overlap(true)
     .with_trace(WINDOW);
     assert!(sim.trace_enabled());
     for _ in 0..300 {
         sim.step().expect("no limits configured");
     }
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for _ in 0..100 {
         sim.step().expect("no limits configured");
     }
-    let during = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let during = allocations() - before;
     assert_eq!(
         during, 0,
         "traced steady-state rounds allocated {during} times"
@@ -226,22 +222,21 @@ impl Protocol for SteadyUnicast {
     }
 }
 
-fn assert_unicast_steady_state_is_allocation_free(engine: Engine, overlap: bool) {
+fn assert_unicast_steady_state_is_allocation_free(engine: Engine) {
     let g = generators::grid2d(12, 12);
     let mut sim = Simulator::new(&g, |id, _| SteadyUnicast {
         payload: Bytes::from(vec![id as u8; 8]),
         tick: id,
     })
-    .with_engine(engine)
-    .with_overlap(overlap);
+    .with_engine(engine);
     for _ in 0..300 {
         sim.step().expect("no limits configured");
     }
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for _ in 0..100 {
         sim.step().expect("no limits configured");
     }
-    let during = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let during = allocations() - before;
     assert_eq!(
         during, 0,
         "unicast steady-state rounds allocated {during} times under {engine:?}"
@@ -258,66 +253,20 @@ fn assert_unicast_steady_state_is_allocation_free(engine: Engine, overlap: bool)
 
 #[test]
 fn sharded_unicast_steady_state_rounds_do_not_allocate() {
-    assert_unicast_steady_state_is_allocation_free(
-        Engine::Parallel {
-            threads: 1,
-            shards: 8,
-        },
-        true,
-    );
+    assert_unicast_steady_state_is_allocation_free(Engine::Parallel {
+        threads: 1,
+        shards: 8,
+    });
 }
 
 #[test]
 fn framed_loopback_unicast_steady_state_rounds_do_not_allocate() {
     // Per-round-varying bucket (and therefore frame) sizes: the rotation
     // cycles within the warmup, so every frame buffer's high-water size
-    // is reached before measuring — under both round schedules.
-    for overlap in [true, false] {
-        assert_unicast_steady_state_is_allocation_free(
-            Engine::Framed {
-                threads: 1,
-                shards: 8,
-                transport: FrameTransport::Loopback,
-            },
-            overlap,
-        );
-    }
-}
-
-#[test]
-fn framed_channel_allocations_are_bounded_per_round() {
-    // The channel backend's mpsc mailboxes allocate queue nodes per send,
-    // so it cannot be zero-alloc — but its per-round allocation count
-    // must be bounded by the shard topology (shards^2 sends per round),
-    // NOT by traffic volume: frame buffers, builder scratch, and inbox
-    // slots are all still recycled.
-    const SHARDS: usize = 4;
-    let g = generators::grid2d(12, 12);
-    let mut sim = Simulator::new(&g, |id, _| SteadyBroadcast {
-        payload: Bytes::from(vec![id as u8; 8]),
-        heard: 0,
-    })
-    .with_engine(Engine::Framed {
+    // is reached before measuring.
+    assert_unicast_steady_state_is_allocation_free(Engine::Framed {
         threads: 1,
-        shards: SHARDS,
-        transport: FrameTransport::Channel,
+        shards: 8,
+        transport: FrameTransport::Loopback,
     });
-    for _ in 0..300 {
-        sim.step().expect("no limits configured");
-    }
-    const ROUNDS: usize = 100;
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for _ in 0..ROUNDS {
-        sim.step().expect("no limits configured");
-    }
-    let during = ALLOCATIONS.load(Ordering::SeqCst) - before;
-    // Ceiling: a small constant per (sender, destination) pair per round.
-    // The grid workload delivers ~550 copies per round, so a leak that
-    // scaled with traffic would blow far past this.
-    let ceiling = ROUNDS * (4 * SHARDS * SHARDS);
-    assert!(
-        during <= ceiling,
-        "channel rounds allocated {during} times (ceiling {ceiling})"
-    );
-    assert!(sim.nodes().iter().all(|n| n.heard > 0));
 }

@@ -170,13 +170,13 @@ fn parallel_engine_is_bit_identical_across_graphs_and_modes() {
 fn framed_backends_are_bit_identical_for_the_decomposition() {
     // The full carving protocol through the frame seam: every bucket of
     // every round is serialized into a checksummed frame, shipped by the
-    // loopback or channel transport, decoded, and verified round-by-round
-    // against the sequential reference merge.
+    // loopback transport or over real sockets, decoded, and verified
+    // round-by-round against the sequential reference merge.
     let g = generators::grid2d(7, 8);
     let p = DecompositionParams::new(3, 4.0).unwrap();
     for seed in 0..2u64 {
         let seq = decompose_distributed(&g, &p, seed, &DistributedConfig::default()).unwrap();
-        for transport in [FrameTransport::Loopback, FrameTransport::Channel] {
+        for transport in [FrameTransport::Loopback, FrameTransport::Socket] {
             let framed = decompose_distributed(
                 &g,
                 &p,

@@ -15,7 +15,7 @@ use netdecomp::core::distributed::{decompose_distributed, DistributedConfig};
 use netdecomp::core::params::DecompositionParams;
 use netdecomp::core::DecompError;
 use netdecomp::graph::generators;
-use netdecomp::sim::frame::ChannelTransport;
+use netdecomp::sim::frame::LoopbackTransport;
 use netdecomp::sim::{
     CongestLimit, Engine, FaultInjectingTransport, FaultPlan, FrameTransport, SocketTransport,
     TransportFactory,
@@ -30,14 +30,14 @@ fn framed(shards: usize) -> Engine {
     Engine::Framed {
         threads: shards,
         shards,
-        transport: FrameTransport::Channel,
+        transport: FrameTransport::Loopback,
     }
 }
 
-fn faulty_channels(plan: FaultPlan) -> TransportFactory {
+fn faulty_loopback(plan: FaultPlan) -> TransportFactory {
     TransportFactory::new(move |shards| {
         Box::new(FaultInjectingTransport::new(
-            ChannelTransport::new(shards),
+            LoopbackTransport::new(shards),
             shards,
             plan,
         ))
@@ -56,7 +56,7 @@ fn a_quiet_fault_layer_keeps_the_carve_bit_identical() {
             seed,
             &DistributedConfig {
                 engine: framed(3),
-                transport: Some(faulty_channels(FaultPlan::quiet(7))),
+                transport: Some(faulty_loopback(FaultPlan::quiet(7))),
                 ..DistributedConfig::default()
             },
         )
@@ -112,7 +112,7 @@ fn dropped_frames_fail_the_carve_typed_within_the_bound() {
         5,
         &DistributedConfig {
             engine: framed(3),
-            transport: Some(faulty_channels(FaultPlan::drops(13, 500))),
+            transport: Some(faulty_loopback(FaultPlan::drops(13, 500))),
             ..DistributedConfig::default()
         },
     )
@@ -139,7 +139,7 @@ fn corrupted_frames_fail_the_carve_typed_within_the_bound() {
         5,
         &DistributedConfig {
             engine: framed(3),
-            transport: Some(faulty_channels(FaultPlan::corruption(29, 500))),
+            transport: Some(faulty_loopback(FaultPlan::corruption(29, 500))),
             ..DistributedConfig::default()
         },
     )
@@ -159,7 +159,7 @@ fn a_quiet_fault_layer_keeps_linial_saks_bit_identical() {
     let (reference, ref_comm) =
         linial_saks::decompose_distributed(&g, &p, seed, CongestLimit::Unlimited, framed(3))
             .unwrap();
-    let factory = faulty_channels(FaultPlan::quiet(17));
+    let factory = faulty_loopback(FaultPlan::quiet(17));
     let (faulted, faulted_comm) = linial_saks::decompose_distributed_with_transport(
         &g,
         &p,
@@ -180,7 +180,7 @@ fn a_quiet_fault_layer_keeps_linial_saks_bit_identical() {
 fn dropped_frames_fail_linial_saks_typed_within_the_bound() {
     let g = generators::grid2d(7, 7);
     let p = linial_saks::LinialSaksParams::new(3, 4.0).unwrap();
-    let factory = faulty_channels(FaultPlan::drops(41, 500));
+    let factory = faulty_loopback(FaultPlan::drops(41, 500));
     let started = Instant::now();
     let error = linial_saks::decompose_distributed_with_transport(
         &g,
