@@ -23,7 +23,7 @@ use netdecomp_graph::{bfs, Graph, Partition, VertexId, VertexSet};
 use netdecomp_sim::wire::{WireReader, WireWriter};
 use netdecomp_sim::{
     Codec, CongestLimit, Ctx, Engine, RunStats, Simulator, Snapshot, TransportFactory, Typed,
-    TypedOutbox, TypedProtocol,
+    TypedInbox, TypedOutbox, TypedProtocol,
 };
 use serde::Serialize;
 
@@ -226,8 +226,8 @@ impl LsLabel {
     }
 }
 
-/// Per-vertex protocol state for one Linial–Saks phase.
-#[derive(Debug)]
+/// Per-vertex protocol state, re-armed for every Linial–Saks phase.
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct LsNode {
     alive: bool,
     radius: usize,
@@ -237,6 +237,23 @@ struct LsNode {
 }
 
 impl LsNode {
+    /// A node that takes no part until [`LsNode::arm`] gives it a phase.
+    fn idle() -> Self {
+        LsNode {
+            alive: false,
+            radius: 0,
+            known: Vec::new(),
+        }
+    }
+
+    /// Arms the node for a new phase: its alive bit and radius, with no
+    /// label known yet (the frontier keeps its capacity).
+    fn arm(&mut self, alive: bool, radius: usize) {
+        self.alive = alive;
+        self.radius = radius;
+        self.known.clear();
+    }
+
     fn offer(&mut self, label: LsLabel) -> bool {
         if self.known.iter().any(|k| k.dominates(&label)) {
             return false;
@@ -285,14 +302,14 @@ impl Codec for LsCodec {
     }
 }
 
-/// Round-boundary serialization for checkpoint/restore: `alive` and the
-/// label frontier (in kept order — `offer`'s retain/push order is part
-/// of the state); `radius` is construction-time configuration a seeded
-/// rebuild re-derives bit-identically.
+/// Round-boundary serialization for checkpoint/restore: the alive bit
+/// and radius the driver re-arms every phase, then the label frontier
+/// (in kept order — `offer`'s retain/push order is part of the state).
 impl Snapshot for LsNode {
     fn save_state(&self) -> Bytes {
         let mut w = WireWriter::new()
             .u16(u16::from(self.alive))
+            .u64(self.radius as u64)
             .u32(self.known.len() as u32);
         for label in &self.known {
             w = w
@@ -305,10 +322,10 @@ impl Snapshot for LsNode {
 
     fn load_state(&mut self, bytes: &[u8]) -> bool {
         let mut r = WireReader::new(bytes);
-        let Some(alive) = r.u16() else {
+        let (Some(alive), Some(radius), Some(count)) = (r.u16(), r.u64(), r.u32()) else {
             return false;
         };
-        let Some(count) = r.u32() else {
+        let Ok(radius) = usize::try_from(radius) else {
             return false;
         };
         // Each label consumes 8 bytes; an absurd count can't be genuine.
@@ -329,7 +346,7 @@ impl Snapshot for LsNode {
         if !r.is_exhausted() {
             return false;
         }
-        self.alive = alive != 0;
+        self.arm(alive != 0, radius);
         self.known = known;
         true
     }
@@ -356,13 +373,13 @@ impl TypedProtocol for LsNode {
     fn round(
         &mut self,
         _ctx: &Ctx<'_>,
-        incoming: &[(VertexId, LsLabel)],
+        incoming: TypedInbox<'_, LsCodec>,
         out: &mut TypedOutbox<'_, LsCodec>,
     ) {
         if !self.alive {
             return;
         }
-        for &(_, label) in incoming {
+        for (_, label) in incoming {
             if self.offer(label) && label.dist < label.r {
                 out.broadcast(&label);
             }
@@ -400,12 +417,19 @@ pub fn decompose_distributed(
 }
 
 /// [`decompose_distributed`] with a custom delivery transport: when
-/// `transport` is set and `engine` is [`Engine::Framed`], every phase's
-/// simulator ships its frames through `factory.build(shard_count)` —
-/// the hook that runs the baseline over sockets or a fault-injecting
-/// fabric. Ignored for non-framed engines (nothing would be routed
-/// through it). Outcomes stay bit-identical to the in-process backends
-/// for any transport that delivers faithfully.
+/// `transport` is set and `engine` is [`Engine::Framed`], the run's
+/// simulator ships the frames of every phase through one
+/// `factory.build(shard_count)`, called once per run — the hook that
+/// runs the baseline over sockets or a fault-injecting fabric. Ignored
+/// for non-framed engines (nothing would be routed through it).
+/// Outcomes stay bit-identical to the in-process backends for any
+/// transport that delivers faithfully.
+///
+/// One simulator runs every phase: each phase re-arms every node (alive
+/// bit, radius, no labels known) and rewinds to round 0. No message is
+/// in flight at a phase boundary, because a label that reaches a vertex
+/// in the last round (`k − 1` hops out) is relayed only if its radius
+/// exceeds `k − 1`.
 ///
 /// # Errors
 ///
@@ -428,28 +452,32 @@ pub fn decompose_distributed_with_transport(
     let budget = params.phase_budget(n);
     let hard_max = budget.saturating_mul(64).saturating_add(1024);
     let mut comm = RunStats::default();
+    let mut sim = None;
 
     let mut phase = 0usize;
     while !alive.is_empty() && phase < hard_max {
-        let mut radii = vec![0usize; n];
-        for v in alive.iter() {
-            radii[v] = params.radius(n, seed, phase as u64, v);
-        }
-        let mut sim = Simulator::new(graph, |id, _| {
-            Typed::new(LsNode {
-                alive: alive.contains(id),
-                radius: radii[id],
-                known: Vec::new(),
-            })
-        })
-        .with_limit(limit)
-        .with_engine(engine);
-        if let Some(factory) = transport {
-            if matches!(engine, Engine::Framed { .. }) {
-                let shards = sim.shard_plan().count();
-                sim = sim.with_transport(factory.build(shards));
+        let sim = sim.get_or_insert_with(|| {
+            let mut sim = Simulator::new(graph, |_, _| Typed::new(LsNode::idle()))
+                .with_limit(limit)
+                .with_engine(engine);
+            if let Some(factory) = transport {
+                if matches!(engine, Engine::Framed { .. }) {
+                    let shards = sim.shard_plan().count();
+                    sim = sim.with_transport(factory.build(shards));
+                }
             }
+            sim
+        });
+        for (v, node) in sim.nodes_mut().iter_mut().enumerate() {
+            let alive = alive.contains(v);
+            let radius = if alive {
+                params.radius(n, seed, phase as u64, v)
+            } else {
+                0
+            };
+            node.inner.arm(alive, radius);
         }
+        sim.resume_at(0);
         // Radii are at most k-1, so k engine steps deliver everything.
         comm.merge(&sim.run_rounds(params.k())?);
 
@@ -693,16 +721,38 @@ mod tests {
         };
         assert!(!a.dominates(&c));
         assert!(!c.dominates(&a));
-        let mut node = LsNode {
-            alive: true,
-            radius: 0,
-            known: Vec::new(),
-        };
+        let mut node = LsNode::idle();
+        node.arm(true, 0);
         assert!(node.offer(b));
         assert!(node.offer(a)); // evicts b
         assert_eq!(node.known.len(), 1);
         assert!(node.offer(c)); // incomparable, coexists
         assert_eq!(node.known.len(), 2);
         assert!(!node.offer(b)); // dominated by a
+    }
+
+    #[test]
+    fn ls_node_snapshots_round_trip_and_refuse_malformed_bytes() {
+        let mut node = LsNode::idle();
+        node.arm(true, 3);
+        for (id, r, dist) in [(7, 3, 0), (2, 2, 1)] {
+            node.offer(LsLabel { id, r, dist });
+        }
+        let saved = node.save_state();
+        let mut restored = LsNode::idle();
+        assert!(restored.load_state(&saved));
+        assert_eq!(restored, node);
+        for cut in 0..saved.len() {
+            assert!(
+                !LsNode::idle().load_state(&saved[..cut]),
+                "truncation at {cut}"
+            );
+        }
+        let mut trailing = saved.to_vec();
+        trailing.push(0);
+        assert!(!restored.load_state(&trailing));
+        let mut absurd = saved.to_vec();
+        absurd[10..14].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(!restored.load_state(&absurd));
     }
 }

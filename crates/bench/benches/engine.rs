@@ -48,8 +48,8 @@ use netdecomp_bench::workloads::Family;
 use netdecomp_graph::Graph;
 use netdecomp_sim::wire::{WireReader, WireWriter};
 use netdecomp_sim::{
-    Codec, Ctx, Engine, FrameTransport, Inbox, Outbox, Protocol, Simulator, Typed, TypedOutbox,
-    TypedProtocol,
+    Codec, Ctx, Engine, FrameTransport, Inbox, Outbox, Protocol, Simulator, Typed, TypedInbox,
+    TypedOutbox, TypedProtocol,
 };
 
 /// A carve-like wire entry: `(origin: u32, score: f64, dist: u16)`.
@@ -128,10 +128,10 @@ impl TypedProtocol for Ranker {
     fn round(
         &mut self,
         _ctx: &Ctx<'_>,
-        incoming: &[(usize, Entry)],
+        incoming: TypedInbox<'_, EntryCodec>,
         out: &mut TypedOutbox<'_, EntryCodec>,
     ) {
-        for &(_, mut e) in incoming {
+        for (_, mut e) in incoming {
             e.dist = e.dist.saturating_add(1);
             self.offer(e);
         }

@@ -10,11 +10,17 @@
 //! [`crate::basic`]); the difference — measured by the returned
 //! [`RunStats`] — is communication volume.
 //!
+//! One simulator runs the whole decomposition: each phase re-arms every
+//! node (alive bit, shift, cap, nothing known) and rewinds to round 0, so
+//! the shard plan, route index, buffers and transport are built once per
+//! run, not once per phase.
+//!
 //! Messages are typed ([`Entry`]) and cross the wire through an
-//! [`EntryCodec`]: encoded once per send, decoded once per receipt. Rounds
-//! can run on the simulator's sharded parallel engine — compute *and*
-//! delivery ([`DistributedConfig::engine`]); decisions are bit-identical
-//! across every `(threads, shards)` configuration, and
+//! [`EntryCodec`]: encoded once per send, decoded once per receipt, as
+//! the receiver reads its inbox. Rounds can run on the simulator's
+//! sharded parallel engine — compute *and* delivery
+//! ([`DistributedConfig::engine`]); decisions are bit-identical across
+//! every `(threads, shards)` configuration, and
 //! [`DistributedConfig::determinism`] can make the simulator verify that
 //! per round.
 
@@ -23,7 +29,7 @@ use netdecomp_graph::{Graph, VertexId, VertexSet};
 use netdecomp_sim::wire::{WireReader, WireWriter};
 use netdecomp_sim::{
     Codec, CongestLimit, Ctx, Determinism, Engine, RunStats, Simulator, Snapshot, TransportFactory,
-    Typed, TypedOutbox, TypedProtocol,
+    Typed, TypedInbox, TypedOutbox, TypedProtocol,
 };
 
 use crate::carve::{CarveDecision, PhaseResult};
@@ -62,10 +68,11 @@ pub struct DistributedConfig {
     pub determinism: Determinism,
     /// Custom delivery transport for framed engines — the hook that runs
     /// the decomposition over sockets or a fault-injecting fabric. When
-    /// set and `engine` is [`Engine::Framed`], every phase's simulator
-    /// routes its frames through `factory.build(shard_count)` instead of
-    /// the engine's built-in backend; ignored for non-framed engines
-    /// (nothing would be routed through it).
+    /// set and `engine` is [`Engine::Framed`], the run's simulator routes
+    /// the frames of every phase through one `factory.build(shard_count)`,
+    /// called once per decomposition, instead of the engine's built-in
+    /// backend; ignored for non-framed engines (nothing would be routed
+    /// through it).
     pub transport: Option<TransportFactory>,
 }
 
@@ -138,8 +145,8 @@ impl Codec for EntryCodec {
     }
 }
 
-/// Per-vertex protocol state for one phase.
-#[derive(Debug, Clone)]
+/// Per-vertex protocol state, re-armed for every phase.
+#[derive(Debug, Clone, PartialEq)]
 struct CarveNode {
     alive: bool,
     r: f64,
@@ -151,14 +158,24 @@ struct CarveNode {
 }
 
 impl CarveNode {
-    fn new(alive: bool, r: f64, cap: usize, mode: Forwarding) -> Self {
+    /// A node that takes no part until [`CarveNode::arm`] gives it a phase.
+    fn idle(mode: Forwarding) -> Self {
         CarveNode {
-            alive,
-            r,
-            cap,
+            alive: false,
+            r: 0.0,
+            cap: 0,
             mode,
             known: Vec::new(),
         }
+    }
+
+    /// Arms the node for a new phase: its alive bit, shift and radius
+    /// cap, with nothing known yet (the list keeps its capacity).
+    fn arm(&mut self, alive: bool, r: f64, cap: usize) {
+        self.alive = alive;
+        self.r = r;
+        self.cap = cap;
+        self.known.clear();
     }
 
     /// Records an entry; returns `true` if the knowledge improved (new
@@ -232,14 +249,50 @@ impl CarveNode {
     }
 }
 
-/// Round-boundary serialization for checkpoint/restore: only the
-/// mutable phase state travels (`alive` and the known-entry list, in
-/// kept order); `r`, `cap`, and `mode` are construction-time
-/// configuration a seeded rebuild re-derives bit-identically.
+/// The origins a [`Forwarding::TopTwo`] node improved this round and
+/// still keeps, in first-improvement order: at most two, because every
+/// one is among the node's two kept entries.
+#[derive(Default)]
+struct Improved {
+    origins: [VertexId; 2],
+    len: usize,
+}
+
+impl Improved {
+    /// Notes that `origin` just improved `known`: forgets the noted
+    /// origin it evicted, if any, and appends `origin` unless already
+    /// noted.
+    fn note(&mut self, origin: VertexId, known: &[Entry]) {
+        if self.origins[..self.len].contains(&origin) {
+            return;
+        }
+        let mut kept = 0;
+        for i in 0..self.len {
+            let noted = self.origins[i];
+            if known.iter().any(|e| e.origin == noted) {
+                self.origins[kept] = noted;
+                kept += 1;
+            }
+        }
+        self.origins[kept] = origin;
+        self.len = kept + 1;
+    }
+
+    fn origins(&self) -> &[VertexId] {
+        &self.origins[..self.len]
+    }
+}
+
+/// Round-boundary serialization for checkpoint/restore: the alive bit,
+/// shift and radius cap the driver re-arms every phase, then the
+/// known-entry list in kept order; only `mode` is construction-time
+/// configuration a rebuild re-derives.
 impl Snapshot for CarveNode {
     fn save_state(&self) -> Bytes {
         let mut w = WireWriter::new()
             .u16(u16::from(self.alive))
+            .f64(self.r)
+            .u64(self.cap as u64)
             .u32(self.known.len() as u32);
         for entry in &self.known {
             w = w
@@ -252,10 +305,12 @@ impl Snapshot for CarveNode {
 
     fn load_state(&mut self, bytes: &[u8]) -> bool {
         let mut r = WireReader::new(bytes);
-        let Some(alive) = r.u16() else {
+        let (Some(alive), Some(shift), Some(cap), Some(count)) =
+            (r.u16(), r.f64(), r.u64(), r.u32())
+        else {
             return false;
         };
-        let Some(count) = r.u32() else {
+        let Ok(cap) = usize::try_from(cap) else {
             return false;
         };
         // Each entry consumes 14 bytes; an absurd count can't be genuine.
@@ -276,7 +331,7 @@ impl Snapshot for CarveNode {
         if !r.is_exhausted() {
             return false;
         }
-        self.alive = alive != 0;
+        self.arm(alive != 0, shift, cap);
         self.known = known;
         true
     }
@@ -300,29 +355,48 @@ impl TypedProtocol for CarveNode {
         }
     }
 
+    /// Relays each origin that improved this round once, in
+    /// first-improvement order. Every entry delivered in one round has
+    /// travelled as many hops as the round's index, so all copies of an
+    /// origin are equal: it improves at most once per round, and once
+    /// evicted from the top two it cannot return within the round.
     fn round(
         &mut self,
         _ctx: &Ctx<'_>,
-        incoming: &[(VertexId, Entry)],
+        incoming: TypedInbox<'_, EntryCodec>,
         out: &mut TypedOutbox<'_, EntryCodec>,
     ) {
         if !self.alive {
             return;
         }
-        let mut improved: Vec<Entry> = Vec::new();
-        for &(_, entry) in incoming {
-            if self.offer(entry) {
-                // Deduplicate by origin, keeping the better copy.
-                if let Some(slot) = improved.iter_mut().find(|e| e.origin == entry.origin) {
-                    if entry.value() > slot.value() {
-                        *slot = entry;
+        let mut improved = Improved::default();
+        let mut hops = None;
+        for (_, entry) in incoming {
+            debug_assert_eq!(
+                *hops.get_or_insert(entry.dist),
+                entry.dist,
+                "one round, one hop count"
+            );
+            if !self.offer(entry) {
+                continue;
+            }
+            match self.mode {
+                // Relaying depends on the entry alone: relay it now.
+                Forwarding::Full => {
+                    if self.should_forward(&entry) {
+                        out.broadcast(&entry);
                     }
-                } else {
-                    improved.push(entry);
                 }
+                // Relaying depends on the round's final top two.
+                Forwarding::TopTwo => improved.note(entry.origin, &self.known),
             }
         }
-        for entry in improved {
+        for &origin in improved.origins() {
+            let entry = *self
+                .known
+                .iter()
+                .find(|e| e.origin == origin)
+                .expect("noted origins are kept");
             if self.should_forward(&entry) {
                 out.broadcast(&entry);
             }
@@ -428,30 +502,66 @@ where
     F: Fn(usize) -> PhasePlan,
 {
     let mut comm = RunStats::default();
+    let mut sim = None;
     let outcome = run_phases_with_carver(
         graph,
         seed,
         budget,
         config.policy,
         plan_for_phase,
-        |graph, alive, shifts, cap| {
-            let (result, stats) = run_one_phase(graph, alive, shifts, cap, config)?;
-            comm.merge(&stats);
-            Ok(result)
+        |_, alive, shifts, cap| {
+            let sim = sim.get_or_insert_with(|| carve_simulator(graph, config));
+            arm_phase(sim, alive, shifts, cap);
+            comm.merge(&sim.run_rounds_with(cap + 1, config.determinism)?);
+            Ok(phase_result(sim.nodes(), alive, shifts, cap))
         },
     )?;
     Ok(DistributedRun { outcome, comm })
 }
 
-/// Executes a single phase (`cap + 1` simulator steps) and extracts each
-/// alive vertex's decision.
-fn run_one_phase(
-    graph: &Graph,
+/// The one simulator a decomposition runs on, with every node idle until
+/// [`arm_phase`]; with [`DistributedConfig::transport`] set on a framed
+/// engine, its frames go through one transport built here.
+fn carve_simulator<'g>(
+    graph: &'g Graph,
+    config: &DistributedConfig,
+) -> Simulator<'g, Typed<CarveNode>> {
+    let mut sim = Simulator::new(graph, |_, _| Typed::new(CarveNode::idle(config.forwarding)))
+        .with_limit(config.congest_limit)
+        .with_engine(config.engine);
+    if let Some(factory) = &config.transport {
+        if matches!(config.engine, Engine::Framed { .. }) {
+            let shards = sim.shard_plan().count();
+            sim = sim.with_transport(factory.build(shards));
+        }
+    }
+    sim
+}
+
+/// Re-arms every node for a phase and rewinds the simulator to round 0,
+/// so the next `cap + 1` rounds run the phase exactly as a fresh
+/// simulator would. The previous phase leaves no message in flight: a
+/// relay in its last round (round `cap`) would need an entry
+/// `cap + 1 ≤ radius ≤ cap` hops out.
+fn arm_phase(
+    sim: &mut Simulator<'_, Typed<CarveNode>>,
     alive: &VertexSet,
     shifts: &[f64],
     cap: usize,
-    config: &DistributedConfig,
-) -> Result<(PhaseResult, RunStats), DecompError> {
+) {
+    for (v, node) in sim.nodes_mut().iter_mut().enumerate() {
+        node.inner.arm(alive.contains(v), shifts[v], cap);
+    }
+    sim.resume_at(0);
+}
+
+/// Each alive vertex's decision once a phase's rounds have run.
+fn phase_result(
+    nodes: &[Typed<CarveNode>],
+    alive: &VertexSet,
+    shifts: &[f64],
+    cap: usize,
+) -> PhaseResult {
     let mut truncated = 0usize;
     let mut max_shift = 0.0f64;
     for v in alive.iter() {
@@ -460,37 +570,16 @@ fn run_one_phase(
             truncated += 1;
         }
     }
-    let mut sim = Simulator::new(graph, |id, _| {
-        Typed::new(CarveNode::new(
-            alive.contains(id),
-            shifts[id],
-            cap,
-            config.forwarding,
-        ))
-    })
-    .with_limit(config.congest_limit)
-    .with_engine(config.engine);
-    if let Some(factory) = &config.transport {
-        if matches!(config.engine, Engine::Framed { .. }) {
-            let shards = sim.shard_plan().count();
-            sim = sim.with_transport(factory.build(shards));
-        }
-    }
-    let stats = sim.run_rounds_with(cap + 1, config.determinism)?;
-    let decisions = sim
-        .nodes()
+    let decisions = nodes
         .iter()
         .enumerate()
         .map(|(v, node)| alive.contains(v).then(|| node.inner.decision()))
         .collect();
-    Ok((
-        PhaseResult {
-            decisions,
-            truncated,
-            max_shift,
-        },
-        stats,
-    ))
+    PhaseResult {
+        decisions,
+        truncated,
+        max_shift,
+    }
 }
 
 #[cfg(test)]
@@ -499,13 +588,27 @@ mod tests {
     use crate::shift::ShiftSource;
     use netdecomp_graph::generators;
 
+    /// One phase on a fresh carve simulator.
+    fn run_phase(
+        g: &Graph,
+        alive: &VertexSet,
+        shifts: &[f64],
+        cap: usize,
+        config: &DistributedConfig,
+    ) -> (PhaseResult, RunStats) {
+        let mut sim = carve_simulator(g, config);
+        arm_phase(&mut sim, alive, shifts, cap);
+        let stats = sim.run_rounds(cap + 1).unwrap();
+        (phase_result(sim.nodes(), alive, shifts, cap), stats)
+    }
+
     fn one_phase_decisions(g: &Graph, shifts: &[f64], cap: usize, mode: Forwarding) -> PhaseResult {
         let alive = VertexSet::full(g.vertex_count());
         let config = DistributedConfig {
             forwarding: mode,
             ..DistributedConfig::default()
         };
-        run_one_phase(g, &alive, shifts, cap, &config).unwrap().0
+        run_phase(g, &alive, shifts, cap, &config).0
     }
 
     #[test]
@@ -551,8 +654,8 @@ mod tests {
             forwarding: Forwarding::Full,
             ..DistributedConfig::default()
         };
-        let (_, stats_top) = run_one_phase(&g, &alive, &shifts, 6, &cfg_top).unwrap();
-        let (_, stats_full) = run_one_phase(&g, &alive, &shifts, 6, &cfg_full).unwrap();
+        let (_, stats_top) = run_phase(&g, &alive, &shifts, 6, &cfg_top);
+        let (_, stats_full) = run_phase(&g, &alive, &shifts, 6, &cfg_full);
         assert!(stats_full.total_messages >= stats_top.total_messages);
     }
 
@@ -667,10 +770,217 @@ mod tests {
         alive.remove(1);
         let shifts = [9.0, 9.0, 0.2, 0.1];
         let cfg = DistributedConfig::default();
-        let (result, _) = run_one_phase(&g, &alive, &shifts, 4, &cfg).unwrap();
+        let (result, _) = run_phase(&g, &alive, &shifts, 4, &cfg);
         assert!(result.decisions[1].is_none());
         // 0's broadcast is blocked by the dead vertex 1.
         let d2 = result.decisions[2].unwrap();
         assert_eq!(d2.center, 2);
+    }
+
+    /// Shifts and alive set of `phase` on a graph where phase 0 carved
+    /// the vertices `carved`.
+    fn phase_inputs(n: usize, seed: u64, phase: u64, carved: &[VertexId]) -> (VertexSet, Vec<f64>) {
+        let mut alive = VertexSet::full(n);
+        for &v in carved {
+            alive.remove(v);
+        }
+        let src = ShiftSource::new(seed, 0.6).unwrap();
+        let shifts = (0..n)
+            .map(|v| {
+                if alive.contains(v) {
+                    src.shift(phase, v)
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        (alive, shifts)
+    }
+
+    #[test]
+    fn a_re_armed_simulator_runs_each_phase_like_a_fresh_one() {
+        let g = generators::grid2d(6, 7);
+        let n = g.vertex_count();
+        for config in [
+            DistributedConfig::default(),
+            DistributedConfig {
+                forwarding: Forwarding::Full,
+                ..DistributedConfig::default()
+            },
+            DistributedConfig {
+                engine: Engine::Framed {
+                    threads: 2,
+                    shards: 3,
+                    transport: netdecomp_sim::FrameTransport::Loopback,
+                },
+                ..DistributedConfig::default()
+            },
+        ] {
+            let mut sim = carve_simulator(&g, &config);
+            let mut carved = Vec::new();
+            for (phase, cap) in [(0u64, 4usize), (1, 2), (2, 5)] {
+                let (alive, shifts) = phase_inputs(n, 9, phase, &carved);
+                arm_phase(&mut sim, &alive, &shifts, cap);
+                let stats = sim.run_rounds(cap + 1).unwrap();
+                let reused = phase_result(sim.nodes(), &alive, &shifts, cap);
+                let (fresh, fresh_stats) = run_phase(&g, &alive, &shifts, cap, &config);
+                assert_eq!(reused, fresh, "{config:?} phase {phase}");
+                assert_eq!(stats, fresh_stats, "{config:?} phase {phase}");
+                carved.extend(fresh.joined());
+            }
+        }
+    }
+
+    /// A checkpoint taken mid-phase on a re-armed simulator restores into
+    /// a freshly built one: the saved alive bits, shifts and caps replace
+    /// the idle nodes the rebuild starts from.
+    #[test]
+    fn a_mid_phase_checkpoint_restores_the_re_armed_nodes() {
+        let g = generators::grid2d(6, 6);
+        let n = g.vertex_count();
+        let config = DistributedConfig {
+            engine: Engine::Parallel {
+                threads: 2,
+                shards: 3,
+            },
+            ..DistributedConfig::default()
+        };
+        let (alive0, shifts0) = phase_inputs(n, 4, 0, &[]);
+        let mut full = carve_simulator(&g, &config);
+        arm_phase(&mut full, &alive0, &shifts0, 4);
+        full.run_rounds(5).unwrap();
+        let carved = phase_result(full.nodes(), &alive0, &shifts0, 4).joined();
+
+        // Phase 1 with a different cap than phase 0, cut after two rounds.
+        let (alive1, shifts1) = phase_inputs(n, 4, 1, &carved);
+        let (cap, cut) = (3, 2);
+        arm_phase(&mut full, &alive1, &shifts1, cap);
+        full.run_rounds(cut).unwrap();
+        let shards = full.shard_plan().count();
+        assert_eq!(shards, 3);
+        let payloads: Vec<Vec<u8>> = (0..shards).map(|k| full.snapshot_shard(k)).collect();
+        full.run_rounds(cap + 1 - cut).unwrap();
+
+        let mut resumed = carve_simulator(&g, &config);
+        for (k, payload) in payloads.iter().enumerate() {
+            assert!(resumed.restore_shard(k, payload), "shard {k} restore");
+        }
+        resumed.resume_at(cut);
+        resumed.run_rounds(cap + 1 - cut).unwrap();
+
+        assert_eq!(resumed.nodes(), full.nodes(), "resumed phase diverged");
+        assert_eq!(
+            phase_result(resumed.nodes(), &alive1, &shifts1, cap),
+            phase_result(full.nodes(), &alive1, &shifts1, cap)
+        );
+    }
+
+    #[test]
+    fn carve_node_snapshots_round_trip_and_refuse_malformed_bytes() {
+        let mut node = CarveNode::idle(Forwarding::TopTwo);
+        node.arm(true, 2.75, 6);
+        for (origin, r, dist) in [(4, 2.75, 0), (9, 3.5, 2)] {
+            node.offer(Entry { origin, r, dist });
+        }
+        let saved = node.save_state();
+        let mut restored = CarveNode::idle(Forwarding::TopTwo);
+        assert!(restored.load_state(&saved));
+        assert_eq!(restored, node);
+        for cut in 0..saved.len() {
+            assert!(
+                !CarveNode::idle(Forwarding::TopTwo).load_state(&saved[..cut]),
+                "truncation at {cut}"
+            );
+        }
+        let mut trailing = saved.to_vec();
+        trailing.push(0);
+        assert!(!restored.load_state(&trailing));
+        // An entry count no payload of this length can hold.
+        let mut absurd = saved.to_vec();
+        absurd[18..22].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(!restored.load_state(&absurd));
+    }
+
+    /// The relay rule as it was before it stopped allocating: every
+    /// improvement collected in a `Vec`, deduplicated by origin, relayed
+    /// in first-improvement order.
+    #[derive(Debug, Clone)]
+    struct VecRelay(CarveNode);
+
+    impl TypedProtocol for VecRelay {
+        type Codec = EntryCodec;
+
+        fn start(&mut self, ctx: &Ctx<'_>, out: &mut TypedOutbox<'_, EntryCodec>) {
+            self.0.start(ctx, out);
+        }
+
+        fn round(
+            &mut self,
+            _ctx: &Ctx<'_>,
+            incoming: TypedInbox<'_, EntryCodec>,
+            out: &mut TypedOutbox<'_, EntryCodec>,
+        ) {
+            let node = &mut self.0;
+            if !node.alive {
+                return;
+            }
+            let mut improved: Vec<Entry> = Vec::new();
+            for (_, entry) in incoming {
+                if node.offer(entry) {
+                    if let Some(slot) = improved.iter_mut().find(|e| e.origin == entry.origin) {
+                        if entry.value() > slot.value() {
+                            *slot = entry;
+                        }
+                    } else {
+                        improved.push(entry);
+                    }
+                }
+            }
+            for entry in improved {
+                if node.should_forward(&entry) {
+                    out.broadcast(&entry);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn relays_match_the_vec_based_rule_message_for_message() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let graphs = [
+            generators::gnp(90, 0.08, &mut rng).unwrap(),
+            generators::grid2d(7, 7),
+        ];
+        for (i, g) in graphs.iter().enumerate() {
+            let n = g.vertex_count();
+            for mode in [Forwarding::TopTwo, Forwarding::Full] {
+                let config = DistributedConfig {
+                    forwarding: mode,
+                    ..DistributedConfig::default()
+                };
+                for seed in 0..3u64 {
+                    let (alive, shifts) = phase_inputs(n, seed, 0, &[2, 5]);
+                    let cap = 5;
+                    let mut sim = carve_simulator(g, &config);
+                    arm_phase(&mut sim, &alive, &shifts, cap);
+                    let mut reference = Simulator::new(g, |v, _| {
+                        let mut node = CarveNode::idle(mode);
+                        node.arm(alive.contains(v), shifts[v], cap);
+                        Typed::new(VecRelay(node))
+                    });
+                    for round in 0..=cap {
+                        sim.step().unwrap();
+                        reference.step().unwrap();
+                        for v in 0..n {
+                            assert!(
+                                sim.incoming(v) == reference.incoming(v).to_vec()[..],
+                                "graph {i} {mode:?} seed {seed} round {round} vertex {v}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -5,9 +5,10 @@
 //! while the engine keeps shipping [`bytes::Bytes`]. Each outgoing message
 //! is encoded exactly once — a broadcast hands every recipient a
 //! reference-counted view of the same encoding — and each incoming payload
-//! is decoded exactly once per recipient, straight from the delivering
-//! shard's slab-backed [`Inbox`] view (a borrowed slice; no payload-handle
-//! clone, no reference-count traffic on the read path).
+//! is decoded exactly once per recipient, as the protocol reads it: a
+//! [`TypedInbox`] decodes straight from the delivering shard's
+//! slab-backed [`Inbox`] view (a borrowed slice; no payload-handle clone,
+//! no reference-count traffic, no decoded copy of the inbox).
 
 use bytes::Bytes;
 use netdecomp_graph::VertexId;
@@ -47,19 +48,46 @@ pub trait TypedProtocol {
     /// Round 0, before any delivery.
     fn start(&mut self, ctx: &Ctx<'_>, out: &mut TypedOutbox<'_, Self::Codec>);
 
-    /// Every round ≥ 1, with this round's decoded messages in delivery
-    /// order. Malformed payloads are dropped before this is called (a
-    /// debug build asserts they do not occur).
+    /// Every round ≥ 1, with this round's messages, decoded as
+    /// `incoming` is iterated (see [`TypedInbox`]).
     fn round(
         &mut self,
         ctx: &Ctx<'_>,
-        incoming: &[(VertexId, <Self::Codec as Codec>::Msg)],
+        incoming: TypedInbox<'_, Self::Codec>,
         out: &mut TypedOutbox<'_, Self::Codec>,
     );
 
     /// Local termination, as in [`Protocol::is_halted`].
     fn is_halted(&self) -> bool {
         false
+    }
+}
+
+/// One round's delivered messages, decoded on read: iterating yields
+/// `(sender, message)` in delivery order, decoding each payload as it is
+/// reached. Malformed payloads are skipped (a debug build asserts they
+/// do not occur).
+#[derive(Debug)]
+pub struct TypedInbox<'a, C: Codec> {
+    raw: Inbox<'a>,
+    next: usize,
+    _codec: std::marker::PhantomData<C>,
+}
+
+impl<C: Codec> Iterator for TypedInbox<'_, C> {
+    type Item = (VertexId, C::Msg);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        while self.next < self.raw.len() {
+            let m = self.raw.get(self.next);
+            self.next += 1;
+            let msg = C::decode(m.payload());
+            debug_assert!(msg.is_some(), "malformed payload from {}", m.from());
+            if let Some(msg) = msg {
+                return Some((m.from(), msg));
+            }
+        }
+        None
     }
 }
 
@@ -91,45 +119,22 @@ impl<C: Codec> TypedOutbox<'_, C> {
 
 /// Adapter running a [`TypedProtocol`] as a byte-level [`Protocol`].
 ///
-/// Carries a per-node scratch buffer for decoded messages, reused across
-/// rounds so the compute phase stays allocation-free in steady state.
-/// `Clone`/`PartialEq` look only at `inner` — the scratch is transient
-/// (filled and consumed within one `round` call).
-pub struct Typed<T: TypedProtocol> {
+/// Holds nothing but the wrapped protocol: outgoing messages are encoded
+/// into the engine's outbox and incoming ones decoded as the protocol
+/// reads its [`TypedInbox`], so no per-node decode buffer outlives a
+/// round.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Typed<T> {
     /// The wrapped typed protocol (accessible for result extraction).
     pub inner: T,
-    decoded: Vec<(VertexId, <T::Codec as Codec>::Msg)>,
 }
 
 impl<T: TypedProtocol> Typed<T> {
     /// Wraps a typed protocol.
     pub fn new(inner: T) -> Self {
-        Typed {
-            inner,
-            decoded: Vec::new(),
-        }
+        Typed { inner }
     }
 }
-
-impl<T: TypedProtocol + std::fmt::Debug> std::fmt::Debug for Typed<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Typed").field("inner", &self.inner).finish()
-    }
-}
-
-impl<T: TypedProtocol + Clone> Clone for Typed<T> {
-    fn clone(&self) -> Self {
-        Typed::new(self.inner.clone())
-    }
-}
-
-impl<T: TypedProtocol + PartialEq> PartialEq for Typed<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.inner == other.inner
-    }
-}
-
-impl<T: TypedProtocol + Eq> Eq for Typed<T> {}
 
 impl<T: TypedProtocol> Protocol for Typed<T> {
     fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox) {
@@ -141,17 +146,16 @@ impl<T: TypedProtocol> Protocol for Typed<T> {
     }
 
     fn round(&mut self, ctx: &Ctx<'_>, incoming: Inbox<'_>, out: &mut Outbox) {
-        self.decoded.clear();
-        self.decoded.extend(incoming.iter().filter_map(|m| {
-            let msg = T::Codec::decode(m.payload());
-            debug_assert!(msg.is_some(), "malformed payload from {}", m.from());
-            msg.map(|msg| (m.from(), msg))
-        }));
+        let incoming = TypedInbox {
+            raw: incoming,
+            next: 0,
+            _codec: std::marker::PhantomData,
+        };
         let mut typed = TypedOutbox {
             raw: out,
             _codec: std::marker::PhantomData,
         };
-        self.inner.round(ctx, &self.decoded, &mut typed);
+        self.inner.round(ctx, incoming, &mut typed);
     }
 
     fn is_halted(&self) -> bool {
@@ -161,9 +165,7 @@ impl<T: TypedProtocol> Protocol for Typed<T> {
 
 /// Blanket checkpoint plumbing: a typed protocol that can snapshot its
 /// own state makes the whole [`Typed`] wrapper snapshot-capable for
-/// free. The decode scratch buffer is per-round transient (cleared at
-/// the top of every [`Protocol::round`]), so the inner state is the
-/// wrapper's entire checkpointable state.
+/// free — the inner state is the wrapper's entire state.
 impl<T: TypedProtocol + crate::Snapshot> crate::Snapshot for Typed<T> {
     fn save_state(&self) -> Bytes {
         self.inner.save_state()
@@ -224,11 +226,11 @@ mod tests {
         fn round(
             &mut self,
             _ctx: &Ctx<'_>,
-            incoming: &[(usize, Hop)],
+            mut incoming: TypedInbox<'_, HopCodec>,
             out: &mut TypedOutbox<'_, HopCodec>,
         ) {
             if self.best.is_none() {
-                if let Some((_, first)) = incoming.first() {
+                if let Some((_, first)) = incoming.next() {
                     let mine = Hop {
                         origin: first.origin,
                         hops: first.hops + 1,

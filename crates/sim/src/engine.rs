@@ -1034,12 +1034,21 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         self.nodes.iter().all(Protocol::is_halted) && self.shards.iter().all(|s| s.slots.is_empty())
     }
 
-    /// Repositions the round cursor after restoring checkpointed shard
-    /// state ([`Simulator::restore_shard`]): the next step runs `round`
-    /// exactly as the original run did — `start` for round 0, `round`
-    /// consuming the restored inbox otherwise. Call between rounds
-    /// only; a round boundary is the consistent cut checkpoints are
-    /// taken at.
+    /// Repositions the round cursor: the next step runs `round` — `start`
+    /// for round 0, `round` consuming the pending inbox otherwise. Call
+    /// between rounds only; a round boundary is the consistent cut
+    /// checkpoints are taken at.
+    ///
+    /// Two uses. After restoring checkpointed shard state
+    /// ([`Simulator::restore_shard`]), it resumes the original run
+    /// exactly. After re-arming nodes through
+    /// [`Simulator::nodes_mut`], `resume_at(0)` runs the next phase of a
+    /// multi-phase protocol on the same simulator: `start` ignores the
+    /// pending inbox, the per-round statistics restart at round 0, and
+    /// the shard plan, buffers and transport carry over. The driver must
+    /// save every re-armed field in the node's [`Snapshot`] state, so a
+    /// checkpoint taken in a later phase restores the phase's
+    /// configuration, not the one the rebuilt nodes start from.
     pub fn resume_at(&mut self, round: usize) {
         self.round = round;
         self.started = round > 0;

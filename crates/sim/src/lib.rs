@@ -185,9 +185,10 @@
 //! Protocols may speak bytes directly ([`Protocol`]) or typed messages
 //! through a [`Codec`] ([`TypedProtocol`] wrapped in [`Typed`]): one
 //! encode per send — broadcasts included — and one decode per receipt,
-//! with malformed payloads dropped at the boundary. Decoding borrows the
-//! slab-resolved payload slice directly, so the typed read path is as
-//! handle-free as the raw one.
+//! made as the protocol reads its [`TypedInbox`], with malformed payloads
+//! dropped at the boundary. Decoding borrows the slab-resolved payload
+//! slice directly, so the typed read path is as handle-free as the raw
+//! one.
 //!
 //! # Example: flooding a token
 //!
@@ -243,7 +244,7 @@ pub mod wire;
 pub use checkpoint::{
     checkpoint_path, load_newest_checkpoint, write_checkpoint, Checkpoint, RejectedCheckpoint,
 };
-pub use codec::{Codec, Typed, TypedOutbox, TypedProtocol};
+pub use codec::{Codec, Typed, TypedInbox, TypedOutbox, TypedProtocol};
 pub use engine::{Ctx, Determinism, Engine, Protocol, Simulator, Snapshot};
 pub use error::{FrameError, SimError, TransportCause, TransportError};
 pub use frame::{FrameConfig, FrameTransport, Transport, TransportHealth};

@@ -223,11 +223,12 @@ pub fn graph_digest(graph: &Graph) -> u64 {
 /// A recipe for building a [`Transport`] per run, carried through
 /// configuration structs that must stay `Clone + Debug`.
 ///
-/// The engine owns its transport for the length of one `Simulator`, but
-/// multi-phase algorithms (the carve protocol, Linial–Saks) build a
-/// fresh simulator per phase — so configuration carries a *factory*
-/// (shard count in, boxed transport out) rather than a single
-/// pre-built instance.
+/// The engine owns its transport for the length of one `Simulator`, and
+/// the shard count is known only once the engine has resolved its plan —
+/// so configuration carries a *factory* (shard count in, boxed transport
+/// out) rather than a single pre-built instance. The multi-phase drivers
+/// (the carve protocol, Linial–Saks) build one simulator per run and
+/// call the factory once.
 #[derive(Clone)]
 pub struct TransportFactory(Arc<dyn Fn(usize) -> Box<dyn Transport> + Send + Sync>);
 

@@ -3,8 +3,12 @@
 //! forwarding modes, across sequential and parallel engines, with CONGEST
 //! budgets respected.
 
-use netdecomp::core::distributed::{decompose_distributed, DistributedConfig, Forwarding};
-use netdecomp::core::{basic, params::DecompositionParams};
+use netdecomp::core::distributed::{
+    decompose_distributed, decompose_distributed_high_radius, decompose_distributed_staged,
+    DistributedConfig, DistributedRun, Forwarding,
+};
+use netdecomp::core::params::{DecompositionParams, HighRadiusParams, StagedParams};
+use netdecomp::core::{basic, DecompError};
 use netdecomp::graph::generators;
 use netdecomp::sim::{CongestLimit, Determinism, Engine, FrameTransport};
 use rand::rngs::StdRng;
@@ -171,38 +175,57 @@ fn framed_backends_are_bit_identical_for_the_decomposition() {
     // The full carving protocol through the frame seam: every bucket of
     // every round is serialized into a checksummed frame, shipped by the
     // loopback transport or over real sockets, decoded, and verified
-    // round-by-round against the sequential reference merge.
+    // round-by-round against the sequential reference merge. Every variant
+    // runs several phases on one simulator; the staged one changes β
+    // between stages, so its consecutive phases differ in more than their
+    // alive sets.
     let g = generators::grid2d(7, 8);
     let p = DecompositionParams::new(3, 4.0).unwrap();
-    for seed in 0..2u64 {
-        let seq = decompose_distributed(&g, &p, seed, &DistributedConfig::default()).unwrap();
-        for transport in [FrameTransport::Loopback, FrameTransport::Socket] {
-            let framed = decompose_distributed(
-                &g,
-                &p,
-                seed,
-                &DistributedConfig {
-                    engine: Engine::Framed {
-                        threads: 2,
-                        shards: 5,
-                        transport,
+    let staged = StagedParams::new(3, 6.0).unwrap();
+    let high = HighRadiusParams::new(12, 4.0).unwrap();
+    let variants: [(&str, Variant); 3] = [
+        ("basic", &|config, seed| {
+            decompose_distributed(&g, &p, seed, config)
+        }),
+        ("staged", &|config, seed| {
+            decompose_distributed_staged(&g, &staged, seed, config)
+        }),
+        ("high-radius", &|config, seed| {
+            decompose_distributed_high_radius(&g, &high, seed, config)
+        }),
+    ];
+    for (name, run) in variants {
+        for seed in 0..2u64 {
+            let seq = run(&DistributedConfig::default(), seed).unwrap();
+            for transport in [FrameTransport::Loopback, FrameTransport::Socket] {
+                let framed = run(
+                    &DistributedConfig {
+                        engine: Engine::Framed {
+                            threads: 2,
+                            shards: 5,
+                            transport,
+                        },
+                        determinism: Determinism::Verify,
+                        ..DistributedConfig::default()
                     },
-                    determinism: Determinism::Verify,
-                    ..DistributedConfig::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(
-                seq.outcome, framed.outcome,
-                "seed {seed} {transport:?}: outcome diverged"
-            );
-            assert_eq!(
-                seq.comm, framed.comm,
-                "seed {seed} {transport:?}: stats diverged"
-            );
+                    seed,
+                )
+                .unwrap();
+                assert_eq!(
+                    seq.outcome, framed.outcome,
+                    "{name} seed {seed} {transport:?}: outcome diverged"
+                );
+                assert_eq!(
+                    seq.comm, framed.comm,
+                    "{name} seed {seed} {transport:?}: stats diverged"
+                );
+            }
         }
     }
 }
+
+/// One decomposition variant under a config and seed.
+type Variant<'a> = &'a dyn Fn(&DistributedConfig, u64) -> Result<DistributedRun, DecompError>;
 
 #[test]
 fn parallel_engine_respects_congest_budget() {

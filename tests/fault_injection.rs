@@ -8,11 +8,16 @@
 //! deterministic, plugged into the Elkin–Neiman carve protocol and the
 //! Linial–Saks baseline through their `transport` hooks.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use netdecomp::baselines::linial_saks;
-use netdecomp::core::distributed::{decompose_distributed, DistributedConfig};
-use netdecomp::core::params::DecompositionParams;
+use netdecomp::core::distributed::{
+    decompose_distributed, decompose_distributed_high_radius, decompose_distributed_staged,
+    DistributedConfig,
+};
+use netdecomp::core::params::{DecompositionParams, HighRadiusParams, StagedParams};
 use netdecomp::core::DecompError;
 use netdecomp::graph::generators;
 use netdecomp::sim::frame::LoopbackTransport;
@@ -42,6 +47,48 @@ fn faulty_loopback(plan: FaultPlan) -> TransportFactory {
             plan,
         ))
     })
+}
+
+/// A loopback factory that counts its builds.
+fn counting_loopback(builds: &Arc<AtomicUsize>) -> TransportFactory {
+    let builds = Arc::clone(builds);
+    TransportFactory::new(move |shards| {
+        builds.fetch_add(1, Ordering::SeqCst);
+        Box::new(LoopbackTransport::new(shards))
+    })
+}
+
+#[test]
+fn every_driver_builds_one_transport_per_run() {
+    let g = generators::grid2d(8, 8);
+    let builds = Arc::new(AtomicUsize::new(0));
+    let factory = counting_loopback(&builds);
+    let config = DistributedConfig {
+        engine: framed(3),
+        transport: Some(factory.clone()),
+        ..DistributedConfig::default()
+    };
+    let check = |name: &str, phases: usize| {
+        assert!(phases >= 3, "{name}: only {phases} phases");
+        assert_eq!(builds.swap(0, Ordering::SeqCst), 1, "{name}");
+    };
+    let basic = decompose_distributed(&g, &DecompositionParams::new(3, 4.0).unwrap(), 2, &config);
+    check("basic", basic.unwrap().outcome.phases_used());
+    let staged = decompose_distributed_staged(&g, &StagedParams::new(3, 6.0).unwrap(), 2, &config);
+    check("staged", staged.unwrap().outcome.phases_used());
+    let high =
+        decompose_distributed_high_radius(&g, &HighRadiusParams::new(12, 4.0).unwrap(), 2, &config);
+    check("high-radius", high.unwrap().outcome.phases_used());
+    let (ls93, _) = linial_saks::decompose_distributed_with_transport(
+        &g,
+        &linial_saks::LinialSaksParams::new(3, 4.0).unwrap(),
+        2,
+        CongestLimit::Unlimited,
+        framed(3),
+        Some(&factory),
+    )
+    .unwrap();
+    check("ls93", ls93.phases_used);
 }
 
 #[test]
