@@ -7,17 +7,56 @@
 //! `m₁ − m₂ > 1`, choosing `v₁` as its center.
 //!
 //! [`carve_phase`] computes this **exactly** — it is a centralized
-//! simulation of the `k` communication rounds, implemented as a multi-source
-//! best-two Dijkstra over the keys `r_v − d`. Only a vertex's two best
-//! distinct-origin labels are ever expanded, which is sound for precisely
-//! the reason the paper gives for its CONGEST implementation: if two
-//! distinct origins dominate a label at `y`, they dominate it (and outlive
-//! it, since `m_a > m_b` implies `⌊m_a⌋ ≥ ⌊m_b⌋`, so the dominators'
-//! remaining broadcast ranges are no shorter) at every vertex reachable
-//! through `y`.
+//! simulation of the phase's communication rounds. A *label* is origin
+//! `v`'s broadcast as seen at vertex `y`, `d` hops away; its value
+//! `r_v − d` lies in the *window* `W = ⌊r_v⌋ − d`. The phase sweeps the
+//! windows in decreasing `W`, jumping over empty ones. Window `W` holds
+//! two kinds of labels, each list already ordered by value descending, then
+//! origin ascending:
+//!
+//! - the relays of the labels accepted in window `W + 1` (a relay keeps its
+//!   origin and loses exactly 1 from its value, so relaying keeps the
+//!   order);
+//! - the origins with `⌊r_v⌋ = W`, one contiguous run of the alive vertices
+//!   sorted once per phase by `r` descending, then vertex ascending.
+//!
+//! One merge of the two orders the window. A vertex accepts a label unless
+//! it is dead or already holds that origin or two others. A label accepted
+//! at `y` is relayed while its broadcast range `min(⌊r_v⌋, cap)` allows: it
+//! is stored once, and offered to each neighbour of `y` when the next
+//! window is swept, so the sweep holds at most the labels one window
+//! accepted. Keeping only a vertex's two best distinct-origin labels is
+//! sound for precisely the reason the paper gives for its CONGEST
+//! implementation: if two distinct origins dominate a label at `y`, they
+//! dominate it (and outlive it, since `m_a > m_b` implies
+//! `⌊m_a⌋ ≥ ⌊m_b⌋`, so the dominators' remaining broadcast ranges are no
+//! shorter) at every vertex reachable through `y`.
+//!
+//! # Exactness
+//!
+//! The sweep visits labels in the order of a max-heap keyed on value, then
+//! smaller origin — the order a multi-source best-two Dijkstra pops them —
+//! so every vertex accepts the same two labels, truncated broadcasts
+//! included:
+//!
+//! - For `0 ≤ d ≤ ⌊r⌋` and `r < 2^53`, `r − d` is exact in `f64`, whether
+//!   it is computed once or by subtracting 1 `d` times. Comparing the
+//!   computed values under `total_cmp` is therefore comparing the real
+//!   values, and relaying a window keeps its order.
+//! - Every label of window `W` is an origin or a relay from window `W + 1`,
+//!   so it exists before `W` is swept.
+//! - What a vertex accepts depends only on the order in which it sees its
+//!   labels, and that order is fixed by (value, origin).
+//!
+//! A window is ordered by the values themselves, never by fractional
+//! parts: `r − ⌊r⌋` turns `−0.0` into `+0.0`, while `total_cmp` ranks
+//! `+0.0` above `−0.0`, and [`ShiftSource`](crate::shift::ShiftSource)
+//! draws `−0.0` when its uniform sample is 0. Propagating hop by hop
+//! instead, as the CONGEST execution in [`crate::distributed`] does, relays
+//! labels that a later, better one evicts, and can differ from this sweep
+//! after a truncated broadcast.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 use netdecomp_graph::{Graph, VertexId, VertexSet};
 
@@ -62,64 +101,9 @@ impl PhaseResult {
     }
 }
 
-/// A propagation label in the heap: origin's broadcast as seen at `vertex`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct HeapLabel {
-    value: f64,
-    origin: VertexId,
-    vertex: VertexId,
-    dist: usize,
-}
-
-impl Eq for HeapLabel {}
-
-impl Ord for HeapLabel {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap on value; ties broken toward the smaller origin id, then
-        // the smaller vertex id, so pop order is fully deterministic.
-        self.value
-            .total_cmp(&other.value)
-            .then_with(|| other.origin.cmp(&self.origin))
-            .then_with(|| other.vertex.cmp(&self.vertex))
-            .then_with(|| other.dist.cmp(&self.dist))
-    }
-}
-
-impl PartialOrd for HeapLabel {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Per-vertex record of the best two distinct-origin labels.
-#[derive(Debug, Clone, Copy, Default)]
-struct TopTwo {
-    slots: [Option<(f64, VertexId)>; 2],
-}
-
-impl TopTwo {
-    fn has_origin(&self, origin: VertexId) -> bool {
-        self.slots.iter().flatten().any(|&(_, o)| o == origin)
-    }
-
-    fn is_full(&self) -> bool {
-        self.slots.iter().all(Option::is_some)
-    }
-
-    /// Inserts keeping slot 0 as the better label (value desc, then origin
-    /// asc). Caller guarantees the origin is new and a slot is free **or**
-    /// the label belongs above an existing slot (push order guarantees
-    /// values arrive non-increasing, so simple append-then-sort suffices).
-    fn insert(&mut self, value: f64, origin: VertexId) {
-        debug_assert!(!self.has_origin(origin));
-        if self.slots[0].is_none() {
-            self.slots[0] = Some((value, origin));
-        } else {
-            debug_assert!(self.slots[1].is_none());
-            self.slots[1] = Some((value, origin));
-        }
-    }
-}
+/// Shifts at or above this bound are rejected: past it, `f64` no longer
+/// represents `r − 1` exactly, so windows would misorder labels.
+const SHIFT_LIMIT: f64 = 9_007_199_254_740_992.0; // 2^53
 
 /// Executes one carving phase with the paper's join margin of 1.
 ///
@@ -130,10 +114,15 @@ impl TopTwo {
 ///   exceeds it are truncated at `cap` hops and counted in
 ///   [`PhaseResult::truncated`].
 ///
+/// The phase is one sweep over windows of equal `⌊value⌋` (see the module
+/// docs): `O(a log a + Σ deg)` time for `a` alive vertices, plus `O(n)` to
+/// set up the per-vertex tables.
+///
 /// # Panics
 ///
 /// Panics if `alive`'s universe or `shifts`' length differ from the graph's
-/// vertex count.
+/// vertex count, or if an alive vertex's shift is negative, NaN, infinite
+/// or at least `2^53` (`−0.0` is accepted).
 #[must_use]
 pub fn carve_phase(g: &Graph, alive: &VertexSet, shifts: &[f64], cap: usize) -> PhaseResult {
     carve_phase_with_margin(g, alive, shifts, cap, 1.0)
@@ -151,8 +140,8 @@ pub fn carve_phase(g: &Graph, alive: &VertexSet, shifts: &[f64], cap: usize) -> 
 ///
 /// # Panics
 ///
-/// Panics on mismatched sizes (as [`carve_phase`]) or a negative/NaN
-/// margin.
+/// Panics on mismatched sizes or an unusable shift (as [`carve_phase`]),
+/// or on a negative/NaN margin.
 #[must_use]
 pub fn carve_phase_with_margin(
     g: &Graph,
@@ -169,70 +158,161 @@ pub fn carve_phase_with_margin(
     assert_eq!(alive.universe(), n, "alive universe must match graph");
     assert_eq!(shifts.len(), n, "one shift per vertex");
 
-    let mut tops: Vec<TopTwo> = vec![TopTwo::default(); n];
-    let mut heap: BinaryHeap<HeapLabel> = BinaryHeap::new();
+    let mut sweep = Sweep {
+        shifts,
+        cap,
+        margin,
+        holds: vec![FULL; n],
+        decisions: vec![None; n],
+        relays: Vec::new(),
+    };
     let mut truncated = 0usize;
     let mut max_shift = 0.0f64;
-
+    let mut origins: Vec<Label> = Vec::with_capacity(alive.len());
     for v in alive.iter() {
         let r = shifts[v];
-        debug_assert!(r >= 0.0, "shifts are nonnegative");
+        // The range admits `−0.0` (it equals `0.0`) and rejects NaN.
+        assert!(
+            (0.0..SHIFT_LIMIT).contains(&r),
+            "shift of alive vertex {v} must be in [0, 2^53), got {r}"
+        );
         max_shift = max_shift.max(r);
         if (r.floor() as usize) > cap {
             truncated += 1;
         }
-        heap.push(HeapLabel {
+        sweep.holds[v] = EMPTY;
+        origins.push(Label {
             value: r,
             origin: v,
             vertex: v,
-            dist: 0,
         });
     }
+    origins.sort_unstable_by(Label::sweep_order);
 
-    while let Some(label) = heap.pop() {
-        let t = &mut tops[label.vertex];
-        if t.has_origin(label.origin) || t.is_full() {
-            // Stale (same origin arrived with a better value) or dominated
-            // by two distinct origins: this label is irrelevant everywhere
-            // downstream too.
-            continue;
-        }
-        t.insert(label.value, label.origin);
-        // Expand: the origin's broadcast travels one more hop if its radius
-        // (and the phase's round budget) allow.
-        let radius = (shifts[label.origin].floor() as usize).min(cap);
-        let next_dist = label.dist + 1;
-        if next_dist > radius {
-            continue;
-        }
-        for &z in g.neighbors(label.vertex) {
-            if alive.contains(z) && !tops[z].is_full() && !tops[z].has_origin(label.origin) {
-                heap.push(HeapLabel {
-                    value: label.value - 1.0,
-                    origin: label.origin,
-                    vertex: z,
-                    dist: next_dist,
-                });
+    let mut relays: Vec<Label> = Vec::new();
+    let mut next = 0usize; // the first origin not yet swept
+    let mut w = 0usize;
+    loop {
+        // The relays out of window `w` belong to window `w − 1`; with none in
+        // flight, the sweep jumps to the next origin's window.
+        std::mem::swap(&mut relays, &mut sweep.relays);
+        sweep.relays.clear();
+        w = match (relays.is_empty(), origins.get(next)) {
+            (false, _) => w - 1,
+            (true, Some(o)) => o.value.floor() as usize,
+            (true, None) => break,
+        };
+        let count = origins[next..]
+            .iter()
+            .take_while(|o| o.value.floor() as usize == w)
+            .count();
+        let run = &origins[next..next + count];
+        let (mut i, mut j) = (0, 0);
+        while i < relays.len() || j < run.len() {
+            let relay_first = j == run.len()
+                || (i < relays.len()
+                    && Label::sweep_order(&relays[i], &run[j]) != Ordering::Greater);
+            if relay_first {
+                let relay = relays[i];
+                for &z in g.neighbors(relay.vertex) {
+                    sweep.offer(w, Label { vertex: z, ..relay });
+                }
+                i += 1;
+            } else {
+                sweep.offer(w, run[j]);
+                j += 1;
             }
         }
+        next += count;
     }
 
-    let mut decisions: Vec<Option<CarveDecision>> = vec![None; n];
-    for y in alive.iter() {
-        let t = &tops[y];
-        let (m1, center) = t.slots[0].expect("every alive vertex hears itself");
-        let m2 = t.slots[1].map_or(0.0, |(v, _)| v);
-        decisions[y] = Some(CarveDecision {
-            m1,
-            center,
-            m2,
-            joined: m1 - m2 > margin,
-        });
-    }
     PhaseResult {
-        decisions,
+        decisions: sweep.decisions,
         truncated,
         max_shift,
+    }
+}
+
+/// Marks a vertex that accepts nothing more: it holds two origins or is not
+/// alive.
+const FULL: VertexId = VertexId::MAX;
+/// Marks an alive vertex that has accepted no label yet.
+const EMPTY: VertexId = VertexId::MAX - 1;
+
+/// Origin `origin`'s broadcast worth `value`: offered to `vertex` when it is
+/// an origin's own label, and to each neighbour of `vertex` when it is a
+/// relay.
+#[derive(Debug, Clone, Copy)]
+struct Label {
+    value: f64,
+    origin: VertexId,
+    vertex: VertexId,
+}
+
+impl Label {
+    /// The sweep's order: value descending under `total_cmp`, then origin
+    /// ascending. `Less` means `a` is visited first.
+    fn sweep_order(a: &Label, b: &Label) -> Ordering {
+        b.value
+            .total_cmp(&a.value)
+            .then_with(|| a.origin.cmp(&b.origin))
+    }
+}
+
+/// The per-vertex state of one phase's sweep.
+struct Sweep<'a> {
+    shifts: &'a [f64],
+    cap: usize,
+    margin: f64,
+    /// Per vertex: [`FULL`], [`EMPTY`], or the one origin it holds.
+    holds: Vec<VertexId>,
+    decisions: Vec<Option<CarveDecision>>,
+    /// Relays of the labels accepted in the window being swept, in the
+    /// order they were accepted.
+    relays: Vec<Label>,
+}
+
+impl Sweep<'_> {
+    /// Offers `label`, of window `w`, to its vertex: accept it unless the
+    /// vertex is full or already holds the origin, then relay it if its
+    /// broadcast goes on.
+    fn offer(&mut self, w: usize, label: Label) {
+        let Label {
+            value,
+            origin,
+            vertex,
+        } = label;
+        let held = self.holds[vertex];
+        if held == FULL || held == origin {
+            return;
+        }
+        if held == EMPTY {
+            self.holds[vertex] = origin;
+            self.decisions[vertex] = Some(CarveDecision {
+                m1: value,
+                center: origin,
+                m2: 0.0,
+                // m₂ = 0 until a second origin arrives.
+                joined: value > self.margin,
+            });
+        } else {
+            self.holds[vertex] = FULL;
+            let decision = self.decisions[vertex]
+                .as_mut()
+                .expect("a vertex holding an origin has a decision");
+            decision.m2 = value;
+            decision.joined = decision.m1 - value > self.margin;
+        }
+        // The label sits `d = ⌊r⌋ − w` hops from its origin and travels one
+        // more while `d + 1 ≤ min(⌊r⌋, cap)`.
+        let d = self.shifts[origin].floor() as usize - w;
+        if w > 0 && d < self.cap {
+            self.relays.push(Label {
+                value: value - 1.0,
+                origin,
+                vertex,
+            });
+        }
     }
 }
 
@@ -412,6 +492,45 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "must be in [0, 2^53)")]
+    fn negative_shift_panics() {
+        let g = generators::path(2);
+        let _ = carve_phase(&g, &full(2), &[0.5, -0.25], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be in [0, 2^53)")]
+    fn nan_shift_panics() {
+        let g = generators::path(2);
+        let _ = carve_phase(&g, &full(2), &[f64::NAN, 0.5], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be in [0, 2^53)")]
+    fn infinite_shift_panics() {
+        let g = generators::path(2);
+        let _ = carve_phase(&g, &full(2), &[0.5, f64::INFINITY], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be in [0, 2^53)")]
+    fn shift_of_two_to_the_53_panics() {
+        let g = generators::path(2);
+        let _ = carve_phase(&g, &full(2), &[0.5, SHIFT_LIMIT], 1);
+    }
+
+    #[test]
+    fn negative_zero_and_dead_vertices_shifts_are_accepted() {
+        // ShiftSource draws −0.0; a dead vertex's shift is never read.
+        let g = generators::path(3);
+        let mut alive = full(3);
+        alive.remove(2);
+        let res = carve_phase(&g, &alive, &[-0.0, SHIFT_LIMIT.next_down(), f64::NAN], 1);
+        assert_eq!(res.decisions[0].unwrap().center, 1);
+        assert!(res.decisions[2].is_none());
+    }
+
+    #[test]
     fn claim3_path_containment_for_joiners() {
         // Claim 3: if y joined with center v, every vertex on a shortest
         // path from v to y in G_t joined with center v too.
@@ -490,6 +609,193 @@ mod tests {
                 assert!((d.m1 - expect_m1).abs() < 1e-12);
                 assert!((d.m2 - expect_m2).abs() < 1e-12);
             }
+        }
+    }
+
+    /// The binary-heap carve the window sweep replaced: a multi-source
+    /// best-two Dijkstra over the keys `r_v − d`. The sweep must reproduce
+    /// its whole [`PhaseResult`] bit for bit.
+    fn heap_oracle(
+        g: &Graph,
+        alive: &VertexSet,
+        shifts: &[f64],
+        cap: usize,
+        margin: f64,
+    ) -> PhaseResult {
+        use std::collections::BinaryHeap;
+
+        #[derive(Clone, Copy, PartialEq)]
+        struct HeapLabel {
+            value: f64,
+            origin: VertexId,
+            vertex: VertexId,
+            dist: usize,
+        }
+        impl Eq for HeapLabel {}
+        impl Ord for HeapLabel {
+            fn cmp(&self, other: &Self) -> Ordering {
+                self.value
+                    .total_cmp(&other.value)
+                    .then_with(|| other.origin.cmp(&self.origin))
+                    .then_with(|| other.vertex.cmp(&self.vertex))
+                    .then_with(|| other.dist.cmp(&self.dist))
+            }
+        }
+        impl PartialOrd for HeapLabel {
+            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+
+        let n = g.vertex_count();
+        let mut tops: Vec<[Option<(f64, VertexId)>; 2]> = vec![[None; 2]; n];
+        let has = |t: &[Option<(f64, VertexId)>; 2], o| t.iter().flatten().any(|&(_, x)| x == o);
+        let mut heap = BinaryHeap::new();
+        let mut truncated = 0usize;
+        let mut max_shift = 0.0f64;
+        for v in alive.iter() {
+            let r = shifts[v];
+            max_shift = max_shift.max(r);
+            if (r.floor() as usize) > cap {
+                truncated += 1;
+            }
+            heap.push(HeapLabel {
+                value: r,
+                origin: v,
+                vertex: v,
+                dist: 0,
+            });
+        }
+        while let Some(label) = heap.pop() {
+            let t = &mut tops[label.vertex];
+            if has(t, label.origin) || t[1].is_some() {
+                continue;
+            }
+            t[usize::from(t[0].is_some())] = Some((label.value, label.origin));
+            let radius = (shifts[label.origin].floor() as usize).min(cap);
+            if label.dist + 1 > radius {
+                continue;
+            }
+            for &z in g.neighbors(label.vertex) {
+                if alive.contains(z) && tops[z][1].is_none() && !has(&tops[z], label.origin) {
+                    heap.push(HeapLabel {
+                        value: label.value - 1.0,
+                        origin: label.origin,
+                        vertex: z,
+                        dist: label.dist + 1,
+                    });
+                }
+            }
+        }
+        let mut decisions = vec![None; n];
+        for y in alive.iter() {
+            let (m1, center) = tops[y][0].unwrap();
+            let m2 = tops[y][1].map_or(0.0, |(v, _)| v);
+            decisions[y] = Some(CarveDecision {
+                m1,
+                center,
+                m2,
+                joined: m1 - m2 > margin,
+            });
+        }
+        PhaseResult {
+            decisions,
+            truncated,
+            max_shift,
+        }
+    }
+
+    /// A [`PhaseResult`] flattened to words, every float as its bits, so
+    /// that `−0.0 ≠ +0.0`.
+    fn bits(r: &PhaseResult) -> Vec<u64> {
+        let mut words = vec![r.truncated as u64, r.max_shift.to_bits()];
+        for d in &r.decisions {
+            match d {
+                None => words.push(u64::MAX),
+                Some(d) => words.extend([
+                    d.m1.to_bits(),
+                    d.center as u64,
+                    d.m2.to_bits(),
+                    u64::from(d.joined),
+                ]),
+            }
+        }
+        words
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum ShiftMode {
+        /// Continuous `EXP(β)` draws.
+        Exponential(f64),
+        /// Whole numbers: every label of a window shares one value.
+        Integral,
+        /// One of a few fractional parts on top of a random floor, so equal
+        /// values arise across origins at different distances.
+        SharedFraction,
+        /// `+0.0`, `−0.0` and small whole numbers, whose relays reach `+0.0`.
+        SignedZeros,
+    }
+
+    fn draw(mode: ShiftMode, rng: &mut rand::rngs::StdRng) -> f64 {
+        use rand::Rng;
+        match mode {
+            ShiftMode::Exponential(beta) => crate::shift::Exponential::new(beta)
+                .unwrap()
+                .from_uniform(rng.gen_range(0.0..1.0)),
+            ShiftMode::Integral => rng.gen_range(0..7u32).into(),
+            ShiftMode::SharedFraction => {
+                f64::from(rng.gen_range(0..6u32)) + [0.0, 0.25, 0.5, 0.75][rng.gen_range(0..4usize)]
+            }
+            ShiftMode::SignedZeros => [0.0, -0.0, -0.0, 1.0, 2.0, 3.0][rng.gen_range(0..6usize)],
+        }
+    }
+
+    #[test]
+    fn window_sweep_equals_the_heap_oracle() {
+        use rand::{Rng, SeedableRng};
+        const CAPS: [usize; 7] = [0, 1, 2, 3, 5, 8, 100];
+        const MARGINS: [f64; 4] = [0.0, 0.5, 1.0, 2.0];
+        const MODES: [ShiftMode; 5] = [
+            ShiftMode::Exponential(1.2),
+            ShiftMode::Exponential(0.3),
+            ShiftMode::Integral,
+            ShiftMode::SharedFraction,
+            ShiftMode::SignedZeros,
+        ];
+        for case in 0..3000u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(case);
+            let n = rng.gen_range(1..60usize);
+            let (family, g) = match case % 4 {
+                0 => (
+                    "gnp",
+                    generators::gnp(n, rng.gen_range(0.0..0.15), &mut rng).unwrap(),
+                ),
+                1 => {
+                    let rows = rng.gen_range(1..8usize);
+                    ("grid", generators::grid2d(rows, n / rows + 1))
+                }
+                2 => ("path", generators::path(n)),
+                _ => ("cycle", generators::cycle(n.max(3))),
+            };
+            let n = g.vertex_count();
+            let dead = [0.0, 0.2, 0.5][rng.gen_range(0..3usize)];
+            let mut alive = full(n);
+            for v in 0..n {
+                if rng.gen_bool(dead) {
+                    alive.remove(v);
+                }
+            }
+            let mode = MODES[(case / 4 % 5) as usize];
+            let cap = CAPS[rng.gen_range(0..CAPS.len())];
+            let margin = MARGINS[rng.gen_range(0..MARGINS.len())];
+            let shifts: Vec<f64> = (0..n).map(|_| draw(mode, &mut rng)).collect();
+            let want = heap_oracle(&g, &alive, &shifts, cap, margin);
+            let got = carve_phase_with_margin(&g, &alive, &shifts, cap, margin);
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "case {case}: {family} n={n} dead={dead} {mode:?} cap={cap} margin={margin}"
+            );
         }
     }
 }

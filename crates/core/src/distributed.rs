@@ -103,7 +103,8 @@ impl Entry {
     }
 
     /// Ordering used everywhere: larger value first, ties toward the
-    /// smaller origin id (matches the centralized heap's tie-break).
+    /// smaller origin id — the order in which the centralized window sweep
+    /// of [`crate::carve`] visits labels.
     fn beats(&self, other: &Entry) -> bool {
         match self.value().total_cmp(&other.value()) {
             std::cmp::Ordering::Greater => true,

@@ -59,10 +59,12 @@
 //! worker) and has the supervisor dump a flight-recorder JSONL timeline
 //! — per-round per-shard phase timings plus restart/kill/halt decisions
 //! — to FILE on completion or failure. `--json` replaces the prose
-//! summary with one machine-readable JSON object on stdout.
+//! summary with one machine-readable JSON object on stdout; on the
+//! centralized path its `timings` object gives the wall seconds spent
+//! loading the graph, decomposing it and verifying the result.
 
 use std::io::Read as _;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use netdecomp::baselines::linial_saks;
@@ -648,7 +650,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(dir) = &opts.checkpoint_dir {
         std::env::set_var(launcher::ENV_CHECKPOINT_DIR, dir);
     }
+    let started = Instant::now();
     let graph = read_graph(&opts.input)?;
+    let load_s = started.elapsed().as_secs_f64();
     if opts.worker {
         return worker_main(&graph);
     }
@@ -662,6 +666,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         opts.k
     };
 
+    let started = Instant::now();
     let (decomposition, label): (NetworkDecomposition, String) = match opts.algo.as_str() {
         "basic" => {
             let c = if opts.c > 0.0 { opts.c } else { 4.0 };
@@ -712,13 +717,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     };
 
+    let decompose_s = started.elapsed().as_secs_f64();
+    let started = Instant::now();
     let report = verify::verify(&graph, &decomposition)?;
+    let verify_s = started.elapsed().as_secs_f64();
     if opts.json {
         println!(
             "{{\"type\":\"verify_report\",\"algorithm\":{},\"n\":{n},\"m\":{},\
              \"clusters\":{},\"colors\":{},\"complete\":{},\"clusters_connected\":{},\
              \"max_strong_diameter\":{},\"max_weak_diameter\":{},\
-             \"supergraph_properly_colored\":{}}}",
+             \"supergraph_properly_colored\":{},\
+             \"timings\":{{\"load_s\":{load_s},\"decompose_s\":{decompose_s},\"verify_s\":{verify_s}}}}}",
             json_str(&label),
             graph.edge_count(),
             report.cluster_count,

@@ -124,3 +124,34 @@ fn distributed_zero_falls_through_to_the_centralized_run() {
     );
     assert!(String::from_utf8_lossy(&output.stdout).contains("algorithm:"));
 }
+
+#[test]
+fn centralized_json_reports_load_decompose_and_verify_seconds() {
+    let graph = ladder_file("central-json", 30);
+    let output = Command::new(BIN)
+        .arg(&graph)
+        .arg("--json")
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        output.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    assert!(stdout.contains("\"type\":\"verify_report\""), "{stdout}");
+    for key in ["load_s", "decompose_s", "verify_s"] {
+        let field = format!("\"{key}\":");
+        let at = stdout
+            .find(&field)
+            .unwrap_or_else(|| panic!("no {key} in {stdout}"));
+        let value: f64 = stdout[at + field.len()..]
+            .split([',', '}'])
+            .next()
+            .unwrap()
+            .parse()
+            .unwrap_or_else(|e| panic!("{key} is not a number ({e}): {stdout}"));
+        assert!(value.is_finite() && value >= 0.0, "{key} = {value}");
+    }
+    assert!(stdout.contains("\"timings\":{\"load_s\":"), "{stdout}");
+}
