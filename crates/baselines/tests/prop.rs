@@ -41,20 +41,27 @@ proptest! {
     fn linial_saks_distributed_matches_centralized(
         g in arb_graph(24),
         seed in 0u64..100,
+        engine_pick in 0usize..5,
     ) {
+        use netdecomp_sim::{Engine, FrameTransport};
         let p = linial_saks::LinialSaksParams::new(3, 4.0).expect("valid");
         let central = linial_saks::decompose(&g, &p, seed).expect("runs");
+        // `shards: 0` resolves to the thread count (2); 13 shards usually
+        // exceed n/2, fragmenting the routing segments; the framed engines
+        // cross the frame seam in memory and over sockets.
+        let engine = [
+            Engine::Parallel { threads: 2, shards: 0 },
+            Engine::Parallel { threads: 2, shards: 4 },
+            Engine::Parallel { threads: 2, shards: 13 },
+            Engine::Framed { threads: 2, shards: 7, transport: FrameTransport::Loopback },
+            Engine::Framed { threads: 2, shards: 4, transport: FrameTransport::Socket },
+        ][engine_pick];
         let (dist, _) = linial_saks::decompose_distributed(
             &g,
             &p,
             seed,
             netdecomp_sim::CongestLimit::Unlimited,
-            // shards: 0 resolves from NETDECOMP_SHARDS (set by a CI matrix
-            // entry) and falls back to the thread count.
-            netdecomp_sim::Engine::Parallel {
-                threads: 2,
-                shards: 0,
-            },
+            engine,
         )
         .expect("runs");
         prop_assert_eq!(central.decomposition, dist.decomposition);

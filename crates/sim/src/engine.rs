@@ -35,8 +35,7 @@
 //! other shard's memory at all. Refs arrive in the same (sender shard,
 //! bucket) order either way, so results stay bit-identical across all
 //! backends; a frame that fails validation surfaces as a typed
-//! [`SimError::Frame`]. The `NETDECOMP_BACKEND` environment variable
-//! reroutes [`Engine::Parallel`] through the seam for CI sweeps.
+//! [`SimError::Frame`].
 //!
 //! # The round schedule
 //!
@@ -207,9 +206,8 @@ pub enum Engine {
     Parallel {
         /// Worker thread count; `0` picks the machine's parallelism.
         threads: usize,
-        /// Shard count; `0` reads the `NETDECOMP_SHARDS` environment
-        /// variable and falls back to the resolved thread count. Clamped
-        /// to `1..=n` at simulator construction.
+        /// Shard count; `0` uses the resolved thread count. Clamped to
+        /// `1..=n` at simulator construction.
         shards: usize,
     },
     /// Like [`Engine::Parallel`], but delivery crosses shard boundaries
@@ -224,7 +222,7 @@ pub enum Engine {
     Framed {
         /// Worker thread count; `0` picks the machine's parallelism.
         threads: usize,
-        /// Shard count; `0` reads `NETDECOMP_SHARDS` as in
+        /// Shard count; `0` uses the resolved thread count, as in
         /// [`Engine::Parallel`].
         shards: usize,
         /// Which transport ships the frames (in-memory loopback or real
@@ -233,61 +231,26 @@ pub enum Engine {
     },
 }
 
-/// Shard count requested through the environment (`NETDECOMP_SHARDS`).
-fn env_shards() -> Option<usize> {
-    let raw = std::env::var("NETDECOMP_SHARDS").ok()?;
-    raw.trim().parse().ok().filter(|&s| s > 0)
-}
-
-/// Delivery backend requested through the environment
-/// (`NETDECOMP_BACKEND`): `framed` / `loopback` select the framed
-/// loopback transport, `socket` / `framed-socket` / `unix` the
-/// real-socket transport; anything else (or unset) keeps shared-memory
-/// delivery.
-/// Consulted only by [`Engine::Parallel`], so CI can sweep every
-/// `Parallel`-built simulator through the frame seam without code
-/// changes (mirroring how `NETDECOMP_SHARDS` reaches `shards: 0`).
-fn env_backend() -> Option<FrameTransport> {
-    let raw = std::env::var("NETDECOMP_BACKEND").ok()?;
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "framed" | "loopback" | "framed-loopback" => Some(FrameTransport::Loopback),
-        "socket" | "framed-socket" | "unix" => Some(FrameTransport::Socket),
-        _ => None,
-    }
-}
-
 impl Engine {
     /// Resolves the configuration to concrete `(threads, shards, backend)`
     /// settings, where a `Some` backend means framed delivery.
     fn resolve(self) -> (usize, usize, Option<FrameTransport>) {
-        let counts = |threads: usize, shards: usize| {
-            let threads = if threads == 0 {
-                rayon::current_num_threads()
-            } else {
-                threads
-            };
-            let shards = if shards == 0 {
-                env_shards().unwrap_or(threads)
-            } else {
-                shards
-            };
-            (threads, shards)
-        };
-        match self {
-            Engine::Sequential => (1, 1, None),
-            Engine::Parallel { threads, shards } => {
-                let (threads, shards) = counts(threads, shards);
-                (threads, shards, env_backend())
-            }
+        let (threads, shards, backend) = match self {
+            Engine::Sequential => return (1, 1, None),
+            Engine::Parallel { threads, shards } => (threads, shards, None),
             Engine::Framed {
                 threads,
                 shards,
                 transport,
-            } => {
-                let (threads, shards) = counts(threads, shards);
-                (threads, shards, Some(transport))
-            }
-        }
+            } => (threads, shards, Some(transport)),
+        };
+        let threads = if threads == 0 {
+            rayon::current_num_threads()
+        } else {
+            threads
+        };
+        let shards = if shards == 0 { threads } else { shards };
+        (threads, shards, backend)
     }
 }
 
@@ -766,16 +729,17 @@ impl<'g, P: Protocol> Simulator<'g, P> {
 
     /// Selects the round scheduler. Builder-style.
     ///
-    /// Resolves the engine's `(threads, shards)` request (consulting
-    /// `NETDECOMP_SHARDS` for an unspecified shard count), rebuilds the
+    /// Resolves the engine's `(threads, shards)` request (an unspecified
+    /// shard count uses the resolved thread count), rebuilds the
     /// degree-balanced [`ShardPlan`], redistributes any pending state, and
     /// builds the worker-pool handle once, so each step's dispatch is a
     /// single `broadcast` on an existing pool. Note the *vendored* rayon
     /// shim backing this workspace has no persistent workers — a broadcast
     /// spawns one scoped thread set — so parallel stepping costs one spawn
-    /// set per round (not one per phase) until a real pool lands (see
-    /// ROADMAP "Open items"); with the real rayon crate the same call
-    /// reuses persistent workers and stepping becomes spawn-free.
+    /// set per round (not one per phase); with the real rayon crate the
+    /// same call reuses persistent workers and stepping becomes
+    /// spawn-free. Framed encoders write [`FrameConfig::default`] unless
+    /// [`Simulator::with_frame_config`] pins another config.
     #[must_use]
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
@@ -788,7 +752,6 @@ impl<'g, P: Protocol> Simulator<'g, P> {
                 .build()
                 .expect("pool construction is infallible")
         });
-        self.frame_config = FrameConfig::from_env();
         let count = self.plan.count();
         self.transport = backend.map(|t| match t {
             FrameTransport::Loopback => {
@@ -823,8 +786,8 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     }
 
     /// Pins whether a framed engine's encoders extend the frame digest
-    /// over the payload region, overriding the environment-resolved
-    /// default ([`FrameConfig::from_env`]). Decoding honors either
+    /// over the payload region, overriding [`FrameConfig::default`]
+    /// (digest over header and tables only). Decoding honors either
     /// setting, so differently-configured peers interoperate.
     /// Builder-style; call *after* [`Simulator::with_engine`].
     ///
@@ -843,9 +806,8 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     }
 
     /// Enables flight-recorder tracing with a ring of `window` rounds per
-    /// shard (or disables it with `window == 0`), overriding the
-    /// `NETDECOMP_TRACE` / `NETDECOMP_TRACE_WINDOW` environment defaults
-    /// every shard resolves at construction. The rings are preallocated
+    /// shard (or disables it with `window == 0`); shards are built with
+    /// tracing off, so this is the one switch. The rings are preallocated
     /// here, so steady-state stepping stays allocation-free with tracing
     /// on; recording never touches delivery, so results stay
     /// bit-identical ([`Determinism::Verify`] passes traced). Snapshot
@@ -969,9 +931,8 @@ impl<'g, P: Protocol> Simulator<'g, P> {
 
     /// Chronological snapshots of every shard's flight-recorder ring —
     /// the last-K [`crate::RoundTrace`] records per shard. Empty unless
-    /// tracing is on ([`Simulator::with_trace`] or `NETDECOMP_TRACE=1`
-    /// at construction). Allocates; a cold-path call for postmortem
-    /// dumps, never made from the round loop.
+    /// tracing is on ([`Simulator::with_trace`]). Allocates; a cold-path
+    /// call for postmortem dumps, never made from the round loop.
     #[must_use]
     pub fn flight_traces(&self) -> Vec<(usize, Vec<crate::RoundTrace>)> {
         self.shards
@@ -1503,12 +1464,7 @@ mod tests {
                 shards: 4,
             });
         shared.step().unwrap();
-        // Under a NETDECOMP_BACKEND sweep the `Parallel` engine above
-        // legitimately resolves to a framed backend, so only assert the
-        // zero when shared-memory delivery is actually in effect.
-        if env_backend().is_none() {
-            assert_eq!(shared.delivery_work().frame_bytes, 0, "no frames in memory");
-        }
+        assert_eq!(shared.delivery_work().frame_bytes, 0, "no frames in memory");
         let mut framed =
             Simulator::new(&g, |_, _| FloodDist::fresh()).with_engine(Engine::Framed {
                 threads: 1,
@@ -1594,12 +1550,6 @@ mod tests {
 
     #[test]
     fn custom_transport_without_a_framed_engine_is_rejected() {
-        // Under a NETDECOMP_BACKEND sweep `Parallel` resolves to a framed
-        // backend and attaching a transport is legitimate; the rejection
-        // only applies to genuinely shared-memory engines.
-        if env_backend().is_some() {
-            return;
-        }
         let g = generators::path(3);
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _ = Simulator::new(&g, |_, _| FloodDist::fresh())

@@ -113,10 +113,10 @@ impl Error for FrameError {}
 
 /// Why a transport gave up on the link to a peer shard.
 ///
-/// Every blocking point in the socket backend carries a
-/// deadline (`NETDECOMP_FRAME_TIMEOUT_MS`, see [`crate::transport`]), so
-/// a wedged, dead, or misbehaving peer always degrades into one of these
-/// typed causes — never into an indefinite hang.
+/// Every blocking point in the socket backend carries a deadline
+/// ([`crate::transport::DEFAULT_FRAME_TIMEOUT`] unless the caller sets
+/// one), so a wedged, dead, or misbehaving peer always degrades into one
+/// of these typed causes — never into an indefinite hang.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TransportCause {

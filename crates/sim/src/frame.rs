@@ -113,9 +113,9 @@
 //!   of each shard timing out separately.
 //! - `Shutdown` — orderly end of run.
 //!
-//! Every blocking point has a deadline (`NETDECOMP_FRAME_TIMEOUT_MS`,
-//! default 5000 — see [`crate::transport::frame_timeout`]), so a wedged
-//! or dead peer is always a typed error, never a hang:
+//! Every blocking point has a deadline (default
+//! [`crate::transport::DEFAULT_FRAME_TIMEOUT`], 5 s), so a wedged or
+//! dead peer is always a typed error, never a hang:
 //!
 //! | fault                              | what the user sees                                         |
 //! |------------------------------------|------------------------------------------------------------|
@@ -382,9 +382,9 @@ impl LaneDigest {
 ///
 /// The decode side is not configurable — a decoder honors whatever the
 /// frame's flags word says — so peers encoding differently interoperate;
-/// this only selects what *this* side writes. Resolved from the
-/// environment by default (see [`FrameConfig::from_env`]), pinned
-/// explicitly via [`crate::Simulator::with_frame_config`].
+/// this only selects what *this* side writes. The default leaves the
+/// payload out of the digest; [`crate::Simulator::with_frame_config`]
+/// pins another config.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FrameConfig {
     /// Extend the digest over the payload region (flag bit 0), for
@@ -393,19 +393,6 @@ pub struct FrameConfig {
 }
 
 impl FrameConfig {
-    /// Resolves the encoding config from the environment: any
-    /// `NETDECOMP_FRAME_COVER_PAYLOAD` value other than empty, `0`, or
-    /// `off` enables payload coverage. Read per call — never cached — so
-    /// tests and benches can sweep it in one process.
-    #[must_use]
-    pub fn from_env() -> Self {
-        let cover_payload = std::env::var("NETDECOMP_FRAME_COVER_PAYLOAD").is_ok_and(|v| {
-            let v = v.trim();
-            !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("off")
-        });
-        FrameConfig { cover_payload }
-    }
-
     /// The flags word this config writes.
     fn flags(self) -> u32 {
         if self.cover_payload {
@@ -494,7 +481,7 @@ pub trait Transport: Send + Sync + std::fmt::Debug {
     /// phase as a [`FrameError::MissingFrame`]. An implementation may
     /// return immediately with whatever arrived (loopback) or block — but
     /// never unboundedly: backends that wait must give up after a
-    /// deadline (see [`crate::transport::frame_timeout`]), either
+    /// deadline (see [`crate::transport::DEFAULT_FRAME_TIMEOUT`]), either
     /// returning `Ok` with the missing slots still `None` (surfaced as
     /// `MissingFrame`) or, when they know *why* the link failed, a typed
     /// [`TransportError`] (surfaced as [`crate::SimError::Transport`]

@@ -85,33 +85,35 @@
 //! The [`transport`] module takes the seam across real process
 //! boundaries: [`SocketTransport`] moves the same frames over
 //! Unix-domain or TCP streams through a routing hub
-//! (`NETDECOMP_BACKEND=socket`), [`transport::launcher`] puts one OS
+//! ([`FrameTransport::Socket`]), [`transport::launcher`] puts one OS
 //! process on each shard with [`transport::run_worker`] driving the
 //! identical phase code inside each, and [`FaultInjectingTransport`]
 //! deterministically drops, corrupts, delays, duplicates, or reorders
 //! frames over any backend. Every blocking point in that stack carries a
-//! deadline ([`frame_timeout`], `NETDECOMP_FRAME_TIMEOUT_MS`), so a
-//! wedged or dead shard degrades into a typed [`SimError::Transport`]
-//! with the offending shard, round, and [`TransportCause`] attached —
-//! never a hang. The fabric is additionally *self-healing* under
-//! [`transport::launcher::supervise`]: the hub keeps a bounded
-//! per-destination replay log ([`replay_window`],
-//! `NETDECOMP_REPLAY_WINDOW`), so a crashed or wedged worker is killed,
+//! deadline ([`transport::DEFAULT_FRAME_TIMEOUT`] unless the caller sets
+//! one), so a wedged or dead shard degrades into a typed
+//! [`SimError::Transport`] with the offending shard, round, and
+//! [`TransportCause`] attached — never a hang. The fabric is
+//! additionally *self-healing* under [`transport::launcher::supervise`]:
+//! the hub keeps a bounded per-destination replay log
+//! ([`transport::DEFAULT_REPLAY_WINDOW`] rounds unless the supervisor
+//! sets another window), so a crashed or wedged worker is killed,
 //! relaunched with backoff, re-admitted via handshake resume, and
 //! fast-forwarded through the rounds it missed — the run still
 //! completes bit-identically, and only an exhausted restart budget
 //! surfaces as the typed error naming the lost shard. Those relay
-//! queues are themselves bounded (`NETDECOMP_HUB_QUEUE_CAP`): a
-//! consumer that stops draining turns into a typed error naming the
-//! slow shard, never unbounded hub memory.
+//! queues are themselves bounded (256 MiB per destination): a consumer
+//! that stops draining turns into a typed error naming the slow shard,
+//! never unbounded hub memory.
 //!
 //! Crashes *older than the replay window* recover in O(interval)
 //! rather than O(run length) through the [`checkpoint`] subsystem:
-//! with `NETDECOMP_CHECKPOINT_INTERVAL=k` (and an optional
-//! `NETDECOMP_CHECKPOINT_DIR`), every worker serializes its protocol
-//! state (the [`Snapshot`] seam), inbox, CONGEST counters, and
-//! accumulated stats at each `k`-round barrier — a barrier is already a
-//! consistent cut — into a checksummed, versioned on-disk file
+//! with a [`transport::CheckpointPlan`] of interval `k` and a
+//! directory (`netdecomp --checkpoint-interval k`), every worker
+//! serializes its protocol state (the [`Snapshot`] seam), inbox,
+//! CONGEST counters, and accumulated stats at each `k`-round barrier —
+//! a barrier is already a consistent cut — into a checksummed,
+//! versioned on-disk file
 //! (magic-tagged header + lane digest, written via atomic
 //! write-then-rename). A relaunched worker loads its newest *valid*
 //! checkpoint — torn or corrupt files fail the digest, are skipped
@@ -133,9 +135,9 @@
 //! job, exactly as in the shared-memory path — but the format's coverage
 //! flag extends the digest over it for transports that want the frame
 //! self-verifying end to end; see [`frame::FrameConfig`] and
-//! `NETDECOMP_FRAME_COVER_PAYLOAD`.) `NETDECOMP_BACKEND=framed` reroutes
-//! every [`Engine::Parallel`] simulator through the seam, which is how CI
-//! sweeps the whole equivalence surface across it.
+//! [`Simulator::with_frame_config`].) The engine a caller names is the
+//! engine that runs: [`Engine::Parallel`] always delivers through shared
+//! memory, and only [`Engine::Framed`] crosses the seam.
 //!
 //! Every backend runs one round schedule through one per-shard round
 //! kernel: each shard's compute → account → ship (framed delivery only),
@@ -149,10 +151,10 @@
 //!
 //! # Observability
 //!
-//! The [`trace`] module is the stack's flight recorder. With tracing on (`NETDECOMP_TRACE=1`, a `NETDECOMP_TRACE_OUT`
-//! dump path, or [`Simulator::with_trace`]), every shard keeps a
-//! preallocated ring of the last *K* [`RoundTrace`] records
-//! (`NETDECOMP_TRACE_WINDOW`, default 64): per-phase
+//! The [`trace`] module is the stack's flight recorder. With tracing on
+//! ([`Simulator::with_trace`], or [`transport::WorkerConfig::trace`] on
+//! a socket worker), every shard keeps a preallocated ring of the last
+//! *K* [`RoundTrace`] records: per-phase
 //! compute/account/ship/place/barrier-wait nanoseconds plus the round's
 //! frame bytes, checksum nanoseconds, and restart generation. Recording
 //! is an in-place overwrite of preallocated slots, so the steady-state
@@ -254,10 +256,8 @@ pub use message::{
 pub use seeding::stream_rng;
 pub use shard::{RouteIndex, RouteSegment, ShardPlan};
 pub use stats::{CongestLimit, DeliveryWork, RoundStats, RunStats};
-pub use trace::{
-    trace_enabled, trace_out, trace_window, FlightRecorder, RoundTrace, TraceEvent, TraceRing,
-};
+pub use trace::{FlightRecorder, RoundTrace, TraceEvent, TraceRing};
 pub use transport::{
-    frame_timeout, graph_digest, replay_window, FaultInjectingTransport, FaultPlan, HubAddr,
-    HubClient, LinkPartition, SocketTransport, TransportFactory, WorkerStats,
+    graph_digest, FaultInjectingTransport, FaultPlan, HubAddr, HubClient, LinkPartition,
+    SocketTransport, TransportFactory, WorkerStats,
 };

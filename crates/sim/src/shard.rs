@@ -580,7 +580,7 @@ impl DeliveryShard {
             slab: PayloadSlab::default(),
             stats: RoundStats::default(),
             work: DeliveryWork::default(),
-            trace: crate::trace::TraceRing::from_env(),
+            trace: crate::trace::TraceRing::new(0),
             error: None,
             encoder: FrameEncoder::default(),
             gather: Vec::new(),

@@ -5,30 +5,32 @@
 //! - [`TraceRing`] — a preallocated per-shard ring buffer of
 //!   [`RoundTrace`] records: per-phase wall-clock nanos
 //!   (compute / account / ship / place / barrier wait), frame bytes,
-//!   checksum nanos, and the restart generation, for the last *K* rounds
-//!   (`NETDECOMP_TRACE_WINDOW`, default 64). Recording is zero-alloc in
-//!   steady state — every record is an in-place overwrite of a
-//!   preallocated slot — so the engine's steady-state allocation
-//!   guarantee holds with tracing enabled, and tracing never touches
-//!   delivery logic, so results stay bit-identical
-//!   ([`crate::Determinism::Verify`] passes with `NETDECOMP_TRACE=1` on
-//!   every backend).
+//!   checksum nanos, and the restart generation, for the last *K* rounds.
+//!   Recording is zero-alloc in steady state — every record is an
+//!   in-place overwrite of a preallocated slot — so the engine's
+//!   steady-state allocation guarantee holds with tracing enabled, and
+//!   tracing never touches delivery logic, so results stay bit-identical
+//!   ([`crate::Determinism::Verify`] passes traced on every backend).
 //! - [`FlightRecorder`] — the postmortem dump: the last-K rounds of
 //!   every reachable ring plus a timeline of supervisor annotations
 //!   ([`TraceEvent`]: restarts with their backoff decision, heartbeat
 //!   ages, chaos kills, stall kills, replay counts), serialized as
 //!   JSONL.
 //!
-//! # Environment knobs
+//! # Switches
 //!
-//! - `NETDECOMP_TRACE=1` — enable per-round tracing everywhere (engine
-//!   shards, workers, the hub's merged timeline).
-//! - `NETDECOMP_TRACE_WINDOW=<rounds>` — ring capacity per shard
-//!   (default 64).
-//! - `NETDECOMP_TRACE_OUT=<path>` — where the flight-recorder JSONL
-//!   dump is written (setting it also enables tracing); the `netdecomp`
-//!   binary's `--trace-out` flag sets this for itself and every worker
-//!   it spawns.
+//! Tracing is off unless a caller turns it on; nothing reads the
+//! environment.
+//!
+//! - [`crate::Simulator::with_trace`]`(window)` — per-round tracing for
+//!   an in-process engine's shards, `window` rounds per ring.
+//! - [`crate::transport::WorkerConfig::trace`] — a socket worker traces
+//!   its shard into a ring of 64 rounds and streams each record to the
+//!   hub, which keeps the same window per shard.
+//! - [`crate::transport::launcher::SuperviseOptions::trace_out`] — where
+//!   the supervisor writes the flight-recorder JSONL dump. The
+//!   `netdecomp` binary's `--trace-out FILE` sets it and hands every
+//!   worker it spawns the trace switch.
 //!
 //! # JSONL schema
 //!
@@ -43,56 +45,17 @@
 //! ```
 //!
 //! `shard` is `null` on events not attributable to one shard (whole-run
-//! restarts, run completion).
+//! restarts, run completion). The root crate's `launcher_smoke` tests
+//! pin both key lists in this order.
 
 use std::collections::BTreeMap;
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Instant;
 
-/// Whether tracing is requested through the environment:
-/// `NETDECOMP_TRACE` set truthy (anything but empty, `0`, or `off`), or
-/// `NETDECOMP_TRACE_OUT` naming a dump path.
-#[must_use]
-pub fn trace_enabled() -> bool {
-    let flagged = std::env::var("NETDECOMP_TRACE").is_ok_and(|v| {
-        let v = v.trim();
-        !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("off")
-    });
-    flagged || trace_out().is_some()
-}
-
-/// Ring capacity in rounds (`NETDECOMP_TRACE_WINDOW`, default 64,
-/// minimum 1).
-#[must_use]
-pub fn trace_window() -> usize {
-    std::env::var("NETDECOMP_TRACE_WINDOW")
-        .ok()
-        .and_then(|raw| raw.trim().parse().ok())
-        .filter(|&w| w > 0)
-        .unwrap_or(64)
-}
-
-/// The flight-recorder dump path (`NETDECOMP_TRACE_OUT`), if one is
-/// set and non-empty.
-#[must_use]
-pub fn trace_out() -> Option<PathBuf> {
-    std::env::var("NETDECOMP_TRACE_OUT")
-        .ok()
-        .filter(|raw| !raw.trim().is_empty())
-        .map(PathBuf::from)
-}
-
-/// The restart generation a supervised worker was launched as
-/// (`NETDECOMP_WORKER_ATTEMPT`, set by the supervisor's spawn closure;
-/// 0 when unset — a first launch or an unsupervised run).
-#[must_use]
-pub fn worker_attempt() -> u64 {
-    std::env::var(crate::transport::launcher::ENV_ATTEMPT)
-        .ok()
-        .and_then(|raw| raw.trim().parse().ok())
-        .unwrap_or(0)
-}
+/// Ring capacity, in rounds, of a traced socket worker and of the hub's
+/// per-shard copy of its stream.
+pub(crate) const TRACE_WINDOW: usize = 64;
 
 /// One round's attribution record: where the wall-clock went, phase by
 /// phase, plus the frame-seam volume counters for the same round.
@@ -165,9 +128,8 @@ impl RoundTrace {
 /// records of one shard.
 ///
 /// Construction decides everything: [`TraceRing::new`] with a nonzero
-/// window preallocates the whole ring up front; a zero window (or
-/// [`TraceRing::from_env`] with tracing off) builds a disabled ring
-/// whose recording methods are no-ops. Either way, steady-state
+/// window preallocates the whole ring up front; a zero window builds a
+/// disabled ring whose recording methods are no-ops. Either way, steady-state
 /// recording never allocates: a committed round overwrites the oldest
 /// slot in place.
 #[derive(Debug, Clone, Default)]
@@ -191,18 +153,6 @@ impl TraceRing {
             records: Vec::with_capacity(window),
             head: 0,
             pending: RoundTrace::default(),
-        }
-    }
-
-    /// A ring configured from the environment: enabled with
-    /// [`trace_window`] slots when [`trace_enabled`], disabled
-    /// otherwise.
-    #[must_use]
-    pub fn from_env() -> TraceRing {
-        if trace_enabled() {
-            TraceRing::new(trace_window())
-        } else {
-            TraceRing::new(0)
         }
     }
 

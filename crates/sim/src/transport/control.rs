@@ -54,7 +54,8 @@
 //!   ([`crate::RoundTrace`], nine `u64`s each, preceded by a `u64`
 //!   count) streamed by a traced worker as rounds commit; the hub keeps
 //!   the last-K per shard so a supervisor's postmortem dump covers a
-//!   worker that died mid-run. Sent only under `NETDECOMP_TRACE=1`.
+//!   worker that died mid-run. Sent only by a worker whose
+//!   [`super::WorkerConfig::trace`] is set.
 //! - `Event { shard: u32, round: u64, code: u8, detail }` — a
 //!   worker-side flight-recorder annotation (checkpoint writes, loads,
 //!   and rejections — the [`EVENT_CHECKPOINT_WRITE`] code family),

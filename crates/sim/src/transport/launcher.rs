@@ -1,27 +1,21 @@
-//! Process-per-shard orchestration: bind a hub, spawn workers, reap
-//! them with a deadline.
+//! Process-per-shard orchestration: bind a hub, spawn workers, keep
+//! them alive, and reap them with a deadline.
 //!
-//! The launcher owns the lifecycle the ISSUE's robustness contract
-//! hinges on: **no child outcome can wedge the parent**. The hub
-//! notices a dead or silent worker within the fabric timeout and halts
-//! with a typed error; the launcher waits out at most its own deadline,
-//! kills whatever is still running, reaps every child, and returns the
-//! most structured error available — the fabric's first
-//! [`SimError`] if one was broadcast, a synthesized
-//! [`SimError::Transport`] otherwise.
+//! The launcher owns the lifecycle the robustness contract hinges on:
+//! **no child outcome can wedge the parent**. [`supervise`] binds the
+//! hub, spawns one worker per shard, and heals the run: a crashed or
+//! wedged worker is killed (if needed), relaunched with exponential
+//! backoff and deterministic jitter up to a restart budget, and
+//! re-admitted by the hub's replay log so the run still completes
+//! bit-identically. Only an exhausted budget, the overall deadline or an
+//! unrecoverable protocol error surfaces to the caller, as the fabric's
+//! first [`SimError`] or a synthesized [`SimError::Transport`]. With
+//! `max_restarts: 0` the first worker failure ends the run.
 //!
 //! The launcher does not know how to start a worker — the caller
-//! supplies a spawn closure mapping `(shard, hub address)` to a
-//! [`Child`]. The `netdecomp` binary's worker mode reads the
-//! environment variables named by the `ENV_*` constants here.
-//!
-//! [`launch`] is the one-shot lifecycle: any worker failure ends the
-//! run with a typed error. [`supervise`] is the self-healing lifecycle:
-//! a crashed or wedged worker is killed (if needed), relaunched with
-//! exponential backoff and deterministic jitter up to a restart budget,
-//! and re-admitted by the hub's replay log so the run still completes
-//! bit-identically; only an exhausted budget or an unrecoverable
-//! protocol error surfaces to the caller.
+//! supplies a spawn closure mapping `(shard, hub address, attempt)` to
+//! a [`Child`]. The `netdecomp` binary hands each worker its settings
+//! as `--worker` command-line arguments.
 
 use std::io;
 use std::path::PathBuf;
@@ -35,45 +29,6 @@ use super::fault::mix;
 use super::socket::{Hub, HubOptions, EVICTED_DETAIL_PREFIX};
 use super::{HubAddr, WorkerStats};
 
-/// Environment variable carrying a worker's shard index.
-pub const ENV_SHARD: &str = "NETDECOMP_WORKER_SHARD";
-/// Environment variable carrying the fabric's shard count.
-pub const ENV_SHARDS: &str = "NETDECOMP_WORKER_SHARDS";
-/// Environment variable carrying the hub address
-/// (`unix:<path>` or `tcp:<addr>`, the [`HubAddr`] string form).
-pub const ENV_ADDR: &str = "NETDECOMP_WORKER_ADDR";
-/// Environment variable carrying the round budget.
-pub const ENV_ROUNDS: &str = "NETDECOMP_WORKER_ROUNDS";
-/// Environment variable carrying the fabric timeout in whole
-/// milliseconds — the same knob [`super::frame_timeout`] reads. A
-/// launcher that was itself invoked with `--timeout-ms` propagates the
-/// value to its workers through this variable so both ends of every
-/// link agree on the deadline.
-pub const ENV_TIMEOUT: &str = "NETDECOMP_FRAME_TIMEOUT_MS";
-/// Environment variable carrying the worker heartbeat interval in whole
-/// milliseconds (0 or unset: no heartbeats).
-pub const ENV_HEARTBEAT: &str = "NETDECOMP_HEARTBEAT_MS";
-/// Environment variable carrying the hub replay window in rounds — the
-/// same knob [`super::replay_window`] reads.
-pub const ENV_REPLAY_WINDOW: &str = "NETDECOMP_REPLAY_WINDOW";
-/// Environment variable carrying a worker's restart generation: 0 on
-/// the initial spawn, the supervisor's attempt count on a relaunch. A
-/// traced worker stamps the value into every [`crate::RoundTrace`] it
-/// records (`restarts_seen`), so a postmortem can tell which process
-/// generation produced a round. Read by
-/// [`crate::trace::worker_attempt`].
-pub const ENV_ATTEMPT: &str = "NETDECOMP_WORKER_ATTEMPT";
-/// Environment variable carrying the checkpoint directory workers write
-/// their periodic state snapshots into (and load them back from on a
-/// restart). Unset or empty: no checkpointing. Read by
-/// [`super::checkpoint_dir`].
-pub const ENV_CHECKPOINT_DIR: &str = "NETDECOMP_CHECKPOINT_DIR";
-/// Environment variable carrying the checkpoint interval in rounds —
-/// every multiple of it, a worker writes a checkpoint at the barrier.
-/// 0 or unset disables checkpointing. Read by
-/// [`super::checkpoint_interval`].
-pub const ENV_CHECKPOINT_INTERVAL: &str = "NETDECOMP_CHECKPOINT_INTERVAL";
-
 /// A hub socket path in the system temp directory, unique to this
 /// process and call.
 #[must_use]
@@ -84,194 +39,6 @@ pub fn temp_hub_addr() -> HubAddr {
     HubAddr::Unix(
         std::env::temp_dir().join(format!("netdecomp-hub-{}-{n}.sock", std::process::id())),
     )
-}
-
-/// Everything a launch needs beyond the spawn closure.
-#[derive(Debug, Clone)]
-pub struct LaunchOptions {
-    /// Worker (= shard) count.
-    pub shards: usize,
-    /// The fabric timeout handed to the hub (per blocking point).
-    pub timeout: Duration,
-    /// Overall deadline for the whole run; stragglers are killed when it
-    /// passes. Must comfortably exceed `timeout` plus the expected run
-    /// time.
-    pub deadline: Duration,
-    /// Graph digest every worker must present ([`super::graph_digest`]);
-    /// `None` accepts whatever the first worker presents and holds the
-    /// rest to it.
-    pub graph_digest: Option<u64>,
-    /// Hub address to bind; `None` picks [`temp_hub_addr`].
-    pub addr: Option<HubAddr>,
-}
-
-impl LaunchOptions {
-    /// Defaults: fabric timeout from [`super::frame_timeout`], overall
-    /// deadline six times that, temp-path Unix hub, digest unpinned.
-    #[must_use]
-    pub fn new(shards: usize) -> LaunchOptions {
-        let timeout = super::frame_timeout();
-        LaunchOptions {
-            shards,
-            timeout,
-            deadline: timeout * 6,
-            graph_digest: None,
-            addr: None,
-        }
-    }
-}
-
-/// How one worker process ended.
-#[derive(Debug)]
-pub struct WorkerExit {
-    /// The worker's shard index.
-    pub shard: usize,
-    /// Exit code; `None` when the worker died to a signal (including the
-    /// launcher's own deadline kill).
-    pub code: Option<i32>,
-    /// Captured stdout (empty unless the spawn closure piped it).
-    pub stdout: Vec<u8>,
-    /// Captured stderr (empty unless the spawn closure piped it).
-    pub stderr: Vec<u8>,
-}
-
-/// The outcome of a fully-successful launch.
-#[derive(Debug)]
-pub struct LaunchReport {
-    /// Per-worker exits, indexed by shard.
-    pub exits: Vec<WorkerExit>,
-}
-
-/// Binds the hub, spawns one worker per shard, and reaps the run.
-///
-/// The listener is bound *before* any worker starts, so a worker that
-/// connects immediately queues in the accept backlog rather than
-/// racing. Spawn order is shard order; a spawn failure kills the
-/// already-started workers and returns immediately.
-///
-/// # Errors
-///
-/// - the fabric's first broadcast [`SimError`], when the hub halted on
-///   one (a worker crashed, timed out, desynced, or reported a protocol
-///   violation);
-/// - [`TransportCause::Timeout`] when the fabric was still not halted at
-///   the deadline;
-/// - [`TransportCause::Io`] when the hub could not bind, a worker could
-///   not be spawned, or a worker exited nonzero without reporting
-///   anything.
-pub fn launch(
-    options: &LaunchOptions,
-    mut spawn: impl FnMut(usize, &HubAddr) -> io::Result<Child>,
-) -> Result<LaunchReport, SimError> {
-    let requested = options.addr.clone().unwrap_or_else(temp_hub_addr);
-    let synthesized = |shard: usize, cause: TransportCause| {
-        SimError::Transport(TransportError {
-            shard,
-            round: 0,
-            cause,
-        })
-    };
-    let (mut hub, addr) = Hub::listen(
-        &requested,
-        options.shards,
-        options.timeout,
-        options.graph_digest,
-    )
-    .map_err(|e| {
-        synthesized(
-            0,
-            TransportCause::Io {
-                detail: format!("hub bind on {requested} failed: {e}"),
-            },
-        )
-    })?;
-    let mut children: Vec<(usize, Child)> = Vec::with_capacity(options.shards);
-    for shard in 0..options.shards {
-        match spawn(shard, &addr) {
-            Ok(child) => children.push((shard, child)),
-            Err(e) => {
-                for (_, child) in &mut children {
-                    let _ = child.kill();
-                }
-                for (_, child) in &mut children {
-                    let _ = child.wait();
-                }
-                hub.stop_and_join();
-                return Err(synthesized(
-                    shard,
-                    TransportCause::Io {
-                        detail: format!("spawning worker {shard} failed: {e}"),
-                    },
-                ));
-            }
-        }
-    }
-    let started = Instant::now();
-    let halted = hub.wait_halted(options.deadline);
-    let fabric_error = hub.first_error();
-    // Grace window: halted workers exit on their own; give them one
-    // fabric timeout before the kill.
-    let grace_end = Instant::now() + options.timeout;
-    loop {
-        let all_exited = children
-            .iter_mut()
-            .all(|(_, child)| matches!(child.try_wait(), Ok(Some(_))));
-        if all_exited || Instant::now() >= grace_end {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    for (_, child) in &mut children {
-        if !matches!(child.try_wait(), Ok(Some(_))) {
-            let _ = child.kill();
-        }
-    }
-    let mut exits = Vec::with_capacity(children.len());
-    for (shard, child) in children {
-        match child.wait_with_output() {
-            Ok(output) => exits.push(WorkerExit {
-                shard,
-                code: output.status.code(),
-                stdout: output.stdout,
-                stderr: output.stderr,
-            }),
-            Err(_) => exits.push(WorkerExit {
-                shard,
-                code: None,
-                stdout: Vec::new(),
-                stderr: Vec::new(),
-            }),
-        }
-    }
-    hub.stop_and_join();
-    if let Some(error) = fabric_error {
-        return Err(error);
-    }
-    if !halted {
-        return Err(synthesized(
-            first_bad_exit(&exits).unwrap_or(0),
-            TransportCause::Timeout {
-                waited_ms: started.elapsed().as_millis() as u64,
-            },
-        ));
-    }
-    if let Some(shard) = first_bad_exit(&exits) {
-        let exit = &exits[shard];
-        return Err(synthesized(
-            shard,
-            TransportCause::Io {
-                detail: match exit.code {
-                    Some(code) => format!("worker {shard} exited with status {code}"),
-                    None => format!("worker {shard} was killed by a signal"),
-                },
-            },
-        ));
-    }
-    Ok(LaunchReport { exits })
-}
-
-fn first_bad_exit(exits: &[WorkerExit]) -> Option<usize> {
-    exits.iter().position(|e| e.code != Some(0))
 }
 
 /// Everything a supervised launch needs beyond the spawn closure.
@@ -322,24 +89,25 @@ pub struct SuperviseOptions {
     /// kill must happen.
     pub kill_at: Option<(usize, u64)>,
     /// Rounds of replay history the hub retains (see
-    /// [`super::replay_window`]).
+    /// [`super::DEFAULT_REPLAY_WINDOW`]).
     pub replay_window: u64,
     /// Where to write the flight-recorder JSONL dump (worker ring
     /// snapshots merged with the supervisor's restart / chaos / stall
     /// annotations — schema in the [`crate::trace`] module docs).
-    /// Written on *every* outcome, healed or fatal; `None` disables the
-    /// recorder. Defaults to `NETDECOMP_TRACE_OUT`.
+    /// Written on *every* outcome, healed or fatal; `None` (the
+    /// default) disables the recorder.
     pub trace_out: Option<PathBuf>,
 }
 
 impl SuperviseOptions {
-    /// Defaults: fabric timeout from [`super::frame_timeout`], deadline
-    /// twelve times that (restarts need headroom), three restarts per
-    /// shard, 50 ms base backoff, stall window of a third of a timeout
-    /// (at least 250 ms), no chaos kill.
+    /// Defaults: fabric timeout [`super::DEFAULT_FRAME_TIMEOUT`],
+    /// deadline twelve times that (restarts need headroom), three
+    /// restarts per shard, 50 ms base backoff, stall window of a third of
+    /// a timeout (at least 250 ms), the default replay window, no chaos
+    /// kill, no flight-recorder dump.
     #[must_use]
     pub fn new(shards: usize) -> SuperviseOptions {
-        let timeout = super::frame_timeout();
+        let timeout = super::DEFAULT_FRAME_TIMEOUT;
         SuperviseOptions {
             shards,
             timeout,
@@ -352,8 +120,8 @@ impl SuperviseOptions {
             heartbeat: Duration::from_millis(100),
             stall: (timeout / 3).max(Duration::from_millis(250)),
             kill_at: None,
-            replay_window: super::replay_window(),
-            trace_out: crate::trace::trace_out(),
+            replay_window: super::DEFAULT_REPLAY_WINDOW,
+            trace_out: None,
         }
     }
 }
@@ -870,38 +638,33 @@ mod tests {
     use super::*;
     use std::process::{Command, Stdio};
 
-    fn quick_options(shards: usize) -> LaunchOptions {
-        LaunchOptions {
-            shards,
-            timeout: Duration::from_millis(200),
-            deadline: Duration::from_millis(600),
-            graph_digest: None,
-            addr: None,
-        }
+    /// A supervisor that gives up on the first worker failure, with
+    /// deadlines short enough for a unit test.
+    fn quick_options(shards: usize) -> SuperviseOptions {
+        let mut options = SuperviseOptions::new(shards);
+        options.timeout = Duration::from_millis(200);
+        options.deadline = Duration::from_millis(600);
+        options.stall = Duration::from_millis(250);
+        options.max_restarts = 0;
+        options
+    }
+
+    fn quiet(program: &str, args: &[&str]) -> io::Result<Child> {
+        Command::new(program)
+            .args(args)
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
     }
 
     #[test]
-    fn workers_that_never_connect_hit_the_deadline_typed() {
-        // `sleep` stands in for a worker that wedges before connecting.
+    fn workers_that_never_connect_fail_typed_within_the_deadline() {
+        // `sleep` stands in for a worker that wedges before connecting:
+        // the stall detector kills it and, with no restart budget, the
+        // shard is lost (or the deadline fires first).
         let started = Instant::now();
-        let error = launch(&quick_options(2), |_, _| {
-            Command::new("sleep")
-                .arg("30")
-                .stdout(Stdio::null())
-                .stderr(Stdio::null())
-                .spawn()
-        })
-        .unwrap_err();
-        assert!(
-            matches!(
-                &error,
-                SimError::Transport(TransportError {
-                    cause: TransportCause::Timeout { .. },
-                    ..
-                })
-            ),
-            "got {error:?}"
-        );
+        let error = supervise(&quick_options(2), |_, _, _| quiet("sleep", &["30"])).unwrap_err();
+        assert!(matches!(error, SimError::Transport(_)), "got {error:?}");
         assert!(
             started.elapsed() < Duration::from_secs(10),
             "the deadline must bound the whole launch, took {:?}",
@@ -911,15 +674,11 @@ mod tests {
 
     #[test]
     fn a_spawn_failure_aborts_the_launch_typed() {
-        let error = launch(&quick_options(2), |shard, _| {
+        let error = supervise(&quick_options(2), |shard, _, _| {
             if shard == 1 {
                 Err(io::Error::new(io::ErrorKind::NotFound, "no such worker"))
             } else {
-                Command::new("sleep")
-                    .arg("30")
-                    .stdout(Stdio::null())
-                    .stderr(Stdio::null())
-                    .spawn()
+                quiet("sleep", &["30"])
             }
         })
         .unwrap_err();
@@ -932,18 +691,17 @@ mod tests {
 
     #[test]
     fn nonzero_worker_exits_surface_when_nothing_was_reported() {
-        // Workers that exit immediately without ever connecting: the
-        // fabric never halts, the deadline fires, and the error is
-        // typed (the bad exit is visible in the detail chain via the
-        // fabric timeout).
-        let error = launch(&quick_options(1), |_, _| {
-            Command::new("false")
-                .stdout(Stdio::null())
-                .stderr(Stdio::null())
-                .spawn()
-        })
-        .unwrap_err();
+        // Workers that exit immediately without ever connecting: with no
+        // restart budget the supervisor declares the shard lost, a typed
+        // error, well inside the deadline.
+        let started = Instant::now();
+        let error = supervise(&quick_options(1), |_, _, _| quiet("false", &[])).unwrap_err();
         assert!(matches!(error, SimError::Transport(_)), "got {error:?}");
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "took {:?}",
+            started.elapsed()
+        );
     }
 
     #[test]

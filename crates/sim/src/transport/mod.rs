@@ -10,9 +10,10 @@
 //!   [`crate::frame::Transport`] seam loopback implements, bit-identical
 //!   results included — and real process semantics.
 //! - [`launcher`] — one OS process per shard: bind a hub socket, spawn
-//!   workers, and reap them with a deadline, so a crashed worker is a
-//!   typed [`crate::SimError::Transport`] at the launcher, never a
-//!   zombie pipeline.
+//!   workers, relaunch the ones that crash or wedge, and reap them with
+//!   a deadline, so a worker that cannot be healed is a typed
+//!   [`crate::SimError::Transport`] at the launcher, never a zombie
+//!   pipeline.
 //! - [`run_worker`] — the single-shard driver a worker process runs:
 //!   loads the graph, runs the engine's own per-shard round kernel
 //!   (compute → account → ship, then place) against a [`HubClient`],
@@ -24,9 +25,10 @@
 //! # Timeouts
 //!
 //! Every blocking point — connect, handshake, per-round collect, hub
-//! relay writes, worker reaping — carries a deadline derived from
-//! [`frame_timeout`] (`NETDECOMP_FRAME_TIMEOUT_MS`, default 5000 ms). A
-//! wedged or dead peer therefore degrades into a typed
+//! relay writes, worker reaping — carries a deadline derived from the
+//! fabric timeout ([`DEFAULT_FRAME_TIMEOUT`], 5 s, unless a caller sets
+//! `launcher::SuperviseOptions::timeout` or uses a `*_with_timeout`
+//! constructor). A wedged or dead peer therefore degrades into a typed
 //! [`crate::TransportError`] within a small multiple of that window;
 //! there is no code path that waits forever.
 //!
@@ -38,13 +40,13 @@
 //! | Failure | Detected by | Signal | Recovery | Caller sees |
 //! |---|---|---|---|---|
 //! | Worker process crashes (incl. SIGKILL mid-frame) | Hub reader (EOF / close mid-frame) + supervisor exit reaping | stream close; `wait()` status | Supervisor relaunches (backoff + jitter, ≤ `max_restarts`); worker re-runs deterministically, re-handshakes with `Hello{resume_round}`, hub replays from the [`replay`] log and treats re-shipped rounds as echoes | Nothing — run completes bit-identically; `workers_restarted`/`rounds_replayed` counters tick |
-//! | Worker crashes with checkpointing on (`NETDECOMP_CHECKPOINT_INTERVAL` > 0) | As above | As above | Relaunched worker loads its newest valid checkpoint from `NETDECOMP_CHECKPOINT_DIR` and re-handshakes at the checkpoint round, so recovery re-runs at most one interval plus the in-flight rounds instead of the whole history | Nothing; `checkpoint_restores` ticks and a `checkpoint_load` event lands in the flight record |
+//! | Worker crashes with checkpointing on ([`CheckpointPlan`] interval > 0, `netdecomp --checkpoint-interval`) | As above | As above | Relaunched worker loads its newest valid checkpoint from the plan's directory (`--checkpoint-dir`) and re-handshakes at the checkpoint round, so recovery re-runs at most one interval plus the in-flight rounds instead of the whole history | Nothing; `checkpoint_restores` ticks and a `checkpoint_load` event lands in the flight record |
 //! | Worker wedges (alive, no progress) | Supervisor: global barrier stall + least-committed victim selection; heartbeat age feeds `heartbeats_missed` | `Heartbeat` control frames + barrier round | Supervisor kills the wedged process, then the crash path above applies | Nothing, or a typed timeout if the stall outlives the collect deadline |
 //! | Link drops but both ends live | Client read/write error | socket error | Client's one-shot reconnect-with-handshake; hub replays the collect round | Nothing; `frames_retried` ticks |
 //! | Reconnect resumes below the replay window | Hub admission | handshake refusal whose detail starts with the evicted-window prefix | Supervisor restarts the *whole* run from round 0 (deterministic ⇒ still bit-identical) — with checkpointing at an interval ≤ the window, a checkpoint resume always lands inside the window first, so this is the fallback, not the only deep-history path | Nothing, or the typed handshake error when unsupervised |
 //! | Checkpoint file torn or corrupted (crash mid-write, bit rot) | Worker's checkpoint loader | trailing [`crate::checkpoint`] digest / header validation | File is *skipped, never trusted*: the loader falls back to the previous retained checkpoint, then to a fresh round-0 run | Nothing; a `checkpoint_reject` event with the typed reason lands in the flight record |
 //! | Checkpoint is stale (fabric restarted from round 0 behind it) | Hub admission | handshake refusal with the stale-resume prefix | Worker redials as a fresh join from round 0 and discards the restored state; the refusal is per-connection, never fabric-fatal | Nothing |
-//! | Destination never drains its hub queue (slow or absent consumer) | Hub relay (`NETDECOMP_HUB_QUEUE_CAP`, default 256 MiB) | per-destination queued-bytes accounting | None — unbounded buffering would trade a deadlock for an OOM | Typed [`crate::SimError::Transport`] naming the slow/absent destination shard |
+//! | Destination never drains its hub queue (slow or absent consumer) | Hub relay (256 MiB per destination) | per-destination queued-bytes accounting | None — unbounded buffering would trade a deadlock for an OOM | Typed [`crate::SimError::Transport`] naming the slow/absent destination shard |
 //! | Restart budget exhausted | Supervisor | — | None — supervisor calls the hub's `declare_lost` | Typed [`crate::SimError::Transport`] naming the lost shard |
 //! | Wrong graph / frame version / shard id | Hub handshake vetting | `Error` control frame | None (config error, retrying cannot help) | Typed [`crate::TransportCause::Handshake`] |
 //! | Corrupt or truncated frame | Receiver's decoder | checksum/structure validation | None (content desync is never retried — re-reading the same bytes cannot fix them) | Typed [`crate::SimError::Frame`] |
@@ -52,8 +54,9 @@
 //!
 //! # Checkpoint/restore
 //!
-//! With `NETDECOMP_CHECKPOINT_INTERVAL=k` (rounds) and a directory in
-//! `NETDECOMP_CHECKPOINT_DIR`, every worker serializes its shard —
+//! With a [`CheckpointPlan`] of interval `k` (rounds) and a directory
+//! (`netdecomp --checkpoint-interval k --checkpoint-dir DIR`), every
+//! worker serializes its shard —
 //! protocol state through the [`crate::Snapshot`] seam, the delivered
 //! inbox of the checkpoint cut, per-edge CONGEST counters, and
 //! accumulated run statistics — into an atomically-renamed, checksummed
@@ -71,15 +74,14 @@
 //! [`crate::trace`] for the in-process half):
 //!
 //! - **`Trace` control frames.** When tracing is enabled
-//!   (`NETDECOMP_TRACE=1` or `NETDECOMP_TRACE_OUT=<path>`; workers
-//!   inherit the environment, so enabling it at the launcher enables it
-//!   everywhere), each worker commits a [`crate::RoundTrace`] per round
-//!   — per-phase compute/account/ship/place nanos, frame bytes,
-//!   checksum time, and the restart generation it is running as
-//!   (`NETDECOMP_WORKER_ATTEMPT`) — and streams it to the hub as a
+//!   ([`WorkerConfig::trace`]; `netdecomp --trace-out` turns it on for
+//!   every worker it spawns), each worker commits a [`crate::RoundTrace`]
+//!   per round — per-phase compute/account/ship/place nanos, frame
+//!   bytes, checksum time, and the restart generation it is running as
+//!   ([`WorkerConfig::attempt`]) — and streams it to the hub as a
 //!   `Trace` control frame *before* advancing to the next round.
-//! - **Hub timeline merge.** The hub keeps the last
-//!   `NETDECOMP_TRACE_WINDOW` (default 64) records per shard in memory.
+//! - **Hub timeline merge.** The hub keeps the last 64 records per
+//!   shard in memory.
 //!   Because the records were streamed eagerly, a worker killed with
 //!   SIGKILL still leaves its recent history behind on the hub side.
 //! - **Supervisor annotations.** The supervisor folds those per-shard
@@ -88,8 +90,9 @@
 //!   with jitter, heartbeat age, replay count), chaos and stall kills,
 //!   whole-run restarts, lost shards, deadline breaches, and the final
 //!   halt or fatal outcome.
-//! - **Dump.** When `NETDECOMP_TRACE_OUT` is set (or `netdecomp
-//!   --trace-out` is passed), the recorder writes everything as JSONL —
+//! - **Dump.** When `launcher::SuperviseOptions::trace_out` names a
+//!   path (`netdecomp --trace-out`), the recorder writes everything as
+//!   JSONL —
 //!   `{"type":"round",...}` lines per traced round and
 //!   `{"type":"event",...}` lines per supervisor decision — both on
 //!   clean completion and on any fatal error, so the flight recording
@@ -124,68 +127,18 @@ pub use worker::{
     WorkerReport,
 };
 
-/// The deadline every transport blocking point inherits by default.
-///
-/// Reads `NETDECOMP_FRAME_TIMEOUT_MS` (whole milliseconds, > 0) on every
-/// call and falls back to 5000 ms when unset or unparsable, so tests and
-/// deployments can tighten or relax the fabric's patience without code
-/// changes.
-#[must_use]
-pub fn frame_timeout() -> Duration {
-    let ms = std::env::var("NETDECOMP_FRAME_TIMEOUT_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(5_000);
-    Duration::from_millis(ms)
-}
+/// The deadline every transport blocking point inherits unless a
+/// caller sets another.
+pub const DEFAULT_FRAME_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// How many committed rounds of per-destination delivery history the
-/// hub retains for crash recovery.
-///
-/// Reads `NETDECOMP_REPLAY_WINDOW` (whole rounds, > 0) on every call and
-/// falls back to 1024. A reconnect asking to resume below the window is
-/// refused with a typed handshake error; a supervisor answers that by
-/// restarting the whole (deterministic) run. Window 1 is the minimum —
-/// the in-flight round must always be replayable.
-#[must_use]
-pub fn replay_window() -> u64 {
-    std::env::var("NETDECOMP_REPLAY_WINDOW")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(1024)
-}
-
-/// The checkpoint interval in committed rounds; 0 disables
-/// checkpointing.
-///
-/// Reads [`launcher::ENV_CHECKPOINT_INTERVAL`] on every call. For the
-/// hub to be guaranteed able to serve a checkpoint resume, keep the
-/// interval at or below [`replay_window`]: a crash at round `k` resumes
-/// at the latest checkpoint round `c ≥ k − interval`, and the log
-/// retains rounds down to roughly `k − window`.
-#[must_use]
-pub fn checkpoint_interval() -> u64 {
-    std::env::var(launcher::ENV_CHECKPOINT_INTERVAL)
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(0)
-}
-
-/// The directory workers write checkpoints into, if one is configured.
-///
-/// Reads [`launcher::ENV_CHECKPOINT_DIR`] on every call; unset or empty
-/// means no directory (and the `netdecomp` supervisor provisions a
-/// temporary one when an interval is set without a directory).
-#[must_use]
-pub fn checkpoint_dir() -> Option<std::path::PathBuf> {
-    std::env::var(launcher::ENV_CHECKPOINT_DIR)
-        .ok()
-        .map(|v| v.trim().to_string())
-        .filter(|v| !v.is_empty())
-        .map(std::path::PathBuf::from)
-}
+/// How many committed rounds of per-destination delivery history a hub
+/// retains for crash recovery unless a caller sets another window. A
+/// reconnect asking to resume below the window is refused with a typed
+/// handshake error; a supervisor answers that by restarting the whole
+/// (deterministic) run. For the hub to be guaranteed able to serve a
+/// checkpoint resume, keep the checkpoint interval at or below the
+/// window.
+pub const DEFAULT_REPLAY_WINDOW: u64 = 1024;
 
 const DIGEST_INIT: u64 = 0xcbf2_9ce4_8422_2325;
 const DIGEST_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -266,11 +219,11 @@ mod tests {
 
     #[test]
     fn default_timeout_is_five_seconds() {
-        // The suite does not set NETDECOMP_FRAME_TIMEOUT_MS globally; if a
-        // specific CI job does, the override is the intended behavior.
-        if std::env::var("NETDECOMP_FRAME_TIMEOUT_MS").is_err() {
-            assert_eq!(frame_timeout(), Duration::from_millis(5_000));
-        }
+        assert_eq!(DEFAULT_FRAME_TIMEOUT, Duration::from_millis(5_000));
+        let options = launcher::SuperviseOptions::new(2);
+        assert_eq!(options.timeout, DEFAULT_FRAME_TIMEOUT);
+        assert_eq!(options.replay_window, DEFAULT_REPLAY_WINDOW);
+        assert_eq!(options.trace_out, None);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! from that round on.
 //!
 //! The log is bounded to a sliding window of rounds
-//! (`NETDECOMP_REPLAY_WINDOW`, see
-//! [`crate::transport::replay_window`]): once the fabric's barrier
+//! ([`crate::transport::DEFAULT_REPLAY_WINDOW`] unless the supervisor
+//! sets `replay_window`): once the fabric's barrier
 //! commits round `r`, entries for rounds below `r + 1 - window` are
 //! evicted. A reconnect asking to resume inside the evicted region is
 //! refused with a typed handshake error (the supervisor's cue to restart

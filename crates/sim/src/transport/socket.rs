@@ -35,7 +35,8 @@
 //!
 //! # Failure handling and recovery
 //!
-//! Every blocking point carries a deadline ([`super::frame_timeout`]).
+//! Every blocking point carries a deadline (the hub's and each client's
+//! timeout, [`super::DEFAULT_FRAME_TIMEOUT`] unless a caller sets one).
 //! A dead connection gets a grace window (the supervision grace, at
 //! least the frame timeout) for a reconnect-with-handshake before the
 //! hub declares the shard gone and broadcasts a typed `Error` to every
@@ -99,25 +100,14 @@ pub(crate) const EVICTED_DETAIL_PREFIX: &str = "replay window evicted";
 /// connector redials as a fresh join from round 0.
 pub(crate) const STALE_RESUME_DETAIL_PREFIX: &str = "stale resume";
 
-/// Environment override (bytes) for [`hub_queue_cap`].
-pub(crate) const ENV_HUB_QUEUE_CAP: &str = "NETDECOMP_HUB_QUEUE_CAP";
-
-/// Default per-destination relay queue cap: 256 MiB of queued frames.
-const DEFAULT_HUB_QUEUE_CAP: usize = 256 * 1024 * 1024;
-
 /// Byte budget each per-destination relay queue may hold before the
-/// hub declares the destination wedged. The queues stay *unbounded*
-/// channels (blocking a reader on a slow destination is the deadlock
-/// the hub exists to prevent); the cap turns runaway accumulation —
-/// a consumer that is too slow or never connected — into a typed
-/// error naming the culprit instead of unbounded memory growth.
-fn hub_queue_cap() -> usize {
-    std::env::var(ENV_HUB_QUEUE_CAP)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(DEFAULT_HUB_QUEUE_CAP)
-}
+/// hub declares the destination wedged: 256 MiB of queued frames. The
+/// queues stay *unbounded* channels (blocking a reader on a slow
+/// destination is the deadlock the hub exists to prevent); the cap turns
+/// runaway accumulation — a consumer that is too slow or never
+/// connected — into a typed error naming the culprit instead of
+/// unbounded memory growth.
+const DEFAULT_HUB_QUEUE_CAP: usize = 256 * 1024 * 1024;
 
 /// Cap on the hub-side buffer of worker lifecycle events (checkpoint
 /// writes, loads, rejections) awaiting a supervisor's drain.
@@ -205,8 +195,8 @@ impl Write for Stream {
 }
 
 /// Where a hub listens — printable/parsable so a launcher can hand it
-/// to worker processes through an environment variable
-/// (`NETDECOMP_WORKER_ADDR`).
+/// to worker processes on their command line (`netdecomp --worker S
+/// --hub-addr ADDR`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HubAddr {
     /// `unix:<path>` — a Unix-domain socket path.
@@ -501,7 +491,7 @@ struct RelayState {
     /// the writer decrements through its own epoch's handle). Every
     /// enqueue of an [`Item::Frame`] counts here, so the depth measures
     /// genuine queue occupancy, and [`HubShared::relay_data`] checks it
-    /// against the [`hub_queue_cap`].
+    /// against the hub's queue cap.
     depths: Vec<Arc<AtomicUsize>>,
     senders: Vec<SenderState>,
     logs: Vec<ReplayLog>,
@@ -524,8 +514,8 @@ pub(crate) struct HubOptions {
     pub(crate) digest: Option<u64>,
     /// Rounds of per-destination replay history to retain.
     pub(crate) replay_window: u64,
-    /// Byte cap per destination relay queue ([`hub_queue_cap`] unless a
-    /// test overrides it).
+    /// Byte cap per destination relay queue ([`DEFAULT_HUB_QUEUE_CAP`]
+    /// unless a test overrides it).
     pub(crate) queue_cap: usize,
 }
 
@@ -536,8 +526,8 @@ impl HubOptions {
             timeout,
             grace: timeout,
             digest: None,
-            replay_window: super::replay_window(),
-            queue_cap: hub_queue_cap(),
+            replay_window: super::DEFAULT_REPLAY_WINDOW,
+            queue_cap: DEFAULT_HUB_QUEUE_CAP,
         }
     }
 }
@@ -603,17 +593,14 @@ struct HubShared {
     /// Per-shard end-of-run `Stats` reports.
     stats_slots: Mutex<Vec<Option<WorkerStats>>>,
     /// Per-shard flight-recorder round records streamed as `Trace`
-    /// frames, capped at the trace window — the hub-side copy of each
-    /// worker's ring, which is what survives the worker's death.
+    /// frames, capped at the workers' trace window — the hub-side copy
+    /// of each worker's ring, which is what survives the worker's death.
     traces: Mutex<Vec<VecDeque<RoundTrace>>>,
-    /// Cap on each shard's hub-side trace deque
-    /// ([`crate::trace::trace_window`] at bind time).
-    trace_window: usize,
     /// Worker lifecycle events awaiting a supervisor's drain, oldest
     /// first, capped at [`EVENT_BUFFER_CAP`].
     events: Mutex<VecDeque<WorkerEvent>>,
-    /// Per-destination relay queue byte budget ([`hub_queue_cap`] at
-    /// construction, overridable per hub for tests).
+    /// Per-destination relay queue byte budget
+    /// ([`DEFAULT_HUB_QUEUE_CAP`], overridable per hub for tests).
     queue_cap: usize,
     /// Re-registrations (epoch bumps past the first) — restarted
     /// workers plus surviving-client link reconnects.
@@ -683,7 +670,6 @@ impl HubShared {
             beats: Mutex::new(vec![None; shards]),
             stats_slots: Mutex::new((0..shards).map(|_| None).collect()),
             traces: Mutex::new((0..shards).map(|_| VecDeque::new()).collect()),
-            trace_window: crate::trace::trace_window(),
             events: Mutex::new(VecDeque::new()),
             queue_cap: options.queue_cap,
             workers_restarted: AtomicUsize::new(0),
@@ -715,7 +701,7 @@ impl HubShared {
     /// # Errors
     ///
     /// A typed error naming `dest` when its queue has accumulated more
-    /// than the [`hub_queue_cap`] byte budget — a destination that is
+    /// than the hub's queue-cap byte budget — a destination that is
     /// too slow (or never connected) to drain what peers ship it. The
     /// *caller* must turn this into [`HubShared::declare_fatal`]: the
     /// teardown broadcast re-takes the relay lock held here.
@@ -745,8 +731,8 @@ impl HubShared {
                 cause: TransportCause::Io {
                     detail: format!(
                         "hub relay queue for shard {dest} holds {queued} bytes, over the \
-                         {ENV_HUB_QUEUE_CAP} cap of {} — the destination is too slow to \
-                         drain its frames or never connected",
+                         cap of {} bytes — the destination is too slow to drain its \
+                         frames or never connected",
                         self.queue_cap
                     ),
                 },
@@ -1266,7 +1252,7 @@ fn run_reader(shared: &Arc<HubShared>, conn: usize) {
                 let mut traces = shared.traces.lock().expect("no poisoned traces");
                 let ring = &mut traces[conn];
                 for record in records {
-                    if ring.len() == shared.trace_window {
+                    if ring.len() == crate::trace::TRACE_WINDOW {
                         ring.pop_front();
                     }
                     ring.push_back(record);
@@ -2552,8 +2538,9 @@ fn file_slot(into: &mut [Option<Bytes>], frame: &Bytes) -> bool {
 // ---------------------------------------------------------------------
 
 /// [`Transport`] over real sockets: `shards` [`HubClient`] spokes around
-/// an in-process [`Hub`]. Selected by `NETDECOMP_BACKEND=socket`;
-/// produces bit-identical results to the loopback backend.
+/// an in-process [`Hub`]. Selected by [`crate::Engine::Framed`] with
+/// [`crate::FrameTransport::Socket`]; produces bit-identical results to
+/// the loopback backend.
 #[derive(Debug)]
 pub struct SocketTransport {
     clients: Vec<HubClient>,
@@ -2561,8 +2548,8 @@ pub struct SocketTransport {
 }
 
 impl SocketTransport {
-    /// Unix-domain fabric over socketpairs (no filesystem footprint).
-    /// Timeout from [`super::frame_timeout`].
+    /// Unix-domain fabric over socketpairs (no filesystem footprint),
+    /// with the [`super::DEFAULT_FRAME_TIMEOUT`] deadline.
     ///
     /// # Panics
     ///
@@ -2570,7 +2557,7 @@ impl SocketTransport {
     /// (runtime failures are all typed errors, never panics).
     #[must_use]
     pub fn unix_mesh(shards: usize) -> SocketTransport {
-        Self::unix_mesh_with_timeout(shards, super::frame_timeout())
+        Self::unix_mesh_with_timeout(shards, super::DEFAULT_FRAME_TIMEOUT)
     }
 
     /// [`SocketTransport::unix_mesh`] with an explicit deadline, for
@@ -2614,7 +2601,7 @@ impl SocketTransport {
     /// construction.
     #[must_use]
     pub fn tcp_mesh(shards: usize) -> SocketTransport {
-        Self::tcp_mesh_with_timeout(shards, super::frame_timeout())
+        Self::tcp_mesh_with_timeout(shards, super::DEFAULT_FRAME_TIMEOUT)
     }
 
     /// [`SocketTransport::tcp_mesh`] with an explicit deadline.
@@ -3059,7 +3046,7 @@ mod tests {
                 ..
             }) => {
                 assert_eq!(shard, 1, "the undrained destination gets the blame");
-                assert!(detail.contains(ENV_HUB_QUEUE_CAP), "{detail}");
+                assert!(detail.contains("cap of 1024 bytes"), "{detail}");
                 assert!(detail.contains("shard 1"), "names the consumer: {detail}");
             }
             other => panic!("want a typed Io cap breach, got {other:?}"),

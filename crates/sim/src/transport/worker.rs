@@ -30,6 +30,7 @@ use crate::checkpoint::{
 use crate::engine::{Ctx, Delivery, Protocol, RoundKernel, Snapshot};
 use crate::frame::{FrameConfig, Transport};
 use crate::shard::{DeliveryShard, RouteIndex, Router, ShardPlan};
+use crate::trace::{TraceRing, TRACE_WINDOW};
 use crate::{CongestLimit, Outbox, RunStats, SimError, TransportCause, TransportError};
 
 use super::control::{EVENT_CHECKPOINT_LOAD, EVENT_CHECKPOINT_REJECT, EVENT_CHECKPOINT_WRITE};
@@ -47,6 +48,14 @@ pub struct WorkerConfig {
     /// CONGEST byte budget, enforced identically to the in-process
     /// engine.
     pub limit: CongestLimit,
+    /// Restart generation this process runs as: 0 on the initial spawn,
+    /// the supervisor's attempt count on a relaunch. A traced worker
+    /// stamps it into every [`crate::RoundTrace`] it records
+    /// (`restarts_seen`), and only a relaunch scans for checkpoints.
+    pub attempt: u64,
+    /// Record a [`crate::RoundTrace`] per round and stream it to the hub
+    /// as a `Trace` control frame.
+    pub trace: bool,
 }
 
 /// What a worker hands back after its run.
@@ -86,15 +95,26 @@ pub struct CheckpointPlan {
 }
 
 impl CheckpointPlan {
-    /// Builds the plan from the launcher environment
-    /// (`NETDECOMP_CHECKPOINT_DIR` / `NETDECOMP_CHECKPOINT_INTERVAL`).
-    /// Disabled (a no-op plan) unless both are set and the interval is
-    /// positive. Only a *relaunched* worker (`ENV_ATTEMPT` > 0) scans
-    /// for checkpoints: a first launch is a fresh run, and any files
-    /// already in the directory are leftovers it must not resume from.
-    pub fn from_env(shard: usize, shards: usize, graph_digest: u64, rounds: usize) -> Self {
-        let interval = super::checkpoint_interval();
-        let dir = super::checkpoint_dir();
+    /// Builds the plan for `config`'s shard: checkpoints in `dir` every
+    /// `interval` committed rounds. Disabled (a no-op plan) unless a
+    /// directory is given and the interval is positive. Only a
+    /// *relaunched* worker (`config.attempt > 0`) scans for checkpoints:
+    /// a first launch is a fresh run, and any files already in the
+    /// directory are leftovers it must not resume from.
+    #[must_use]
+    pub fn new(
+        config: &WorkerConfig,
+        graph_digest: u64,
+        dir: Option<PathBuf>,
+        interval: u64,
+    ) -> Self {
+        let WorkerConfig {
+            shard,
+            shards,
+            rounds,
+            attempt,
+            ..
+        } = *config;
         let mut plan = CheckpointPlan {
             dir,
             interval,
@@ -109,7 +129,7 @@ impl CheckpointPlan {
         let Some(dir) = plan.dir.as_deref() else {
             return plan;
         };
-        if crate::trace::worker_attempt() == 0 {
+        if attempt == 0 {
             return plan;
         }
         let (loaded, rejected) =
@@ -419,12 +439,11 @@ where
         .collect();
     let mut outboxes = vec![Outbox::new(); nodes.len()];
     let mut router = Router::default();
+    if config.trace {
+        shard.trace = TraceRing::new(TRACE_WINDOW);
+    }
     let transport = ClientTransport { client };
-    let frame_config = FrameConfig::from_env();
     let mut report = WorkerReport::default();
-    // Restart generation for the trace plane: 0 on a first launch, the
-    // supervisor's attempt count on a relaunch (via `ENV_ATTEMPT`).
-    let attempt = crate::trace::worker_attempt();
 
     let fail = |client: &HubClient, local: SimError| {
         // A structured peer error beats our local rendering of it; a
@@ -463,7 +482,7 @@ where
             started: round > 0,
             delivery: Delivery::Framed {
                 transport: &transport,
-                config: frame_config,
+                config: FrameConfig::default(),
             },
         };
         // The send half ships even when accounting failed; the `Error`
@@ -484,7 +503,7 @@ where
             let checksum_ns = shard.work.checksum_ns;
             shard
                 .trace
-                .commit(round as u64, frame_bytes, checksum_ns, attempt);
+                .commit(round as u64, frame_bytes, checksum_ns, config.attempt);
             if let Some(last) = shard.trace.last() {
                 client.send_trace(std::slice::from_ref(last));
             }
@@ -582,6 +601,8 @@ mod tests {
                             shards,
                             rounds,
                             limit: CongestLimit::Unlimited,
+                            attempt: 0,
+                            trace: false,
                         };
                         run_worker(graph, &client, &config, |id, _ctx| MaxFlood {
                             best: id as u64,
@@ -661,6 +682,8 @@ mod tests {
                             shards,
                             rounds: 4,
                             limit,
+                            attempt: 0,
+                            trace: false,
                         };
                         run_worker(graph, &client, &config, |_, _| Overrun).unwrap_err()
                     })
@@ -705,6 +728,8 @@ mod tests {
                         shards,
                         rounds: 50,
                         limit: CongestLimit::Unlimited,
+                        attempt: 0,
+                        trace: false,
                     };
                     run_worker(graph, &client, &config, |id, _ctx| MaxFlood {
                         best: id as u64,
@@ -737,6 +762,8 @@ mod tests {
             shards: 64,
             rounds: 1,
             limit: CongestLimit::Unlimited,
+            attempt: 0,
+            trace: false,
         };
         let error = run_worker(&graph, mesh.client(0), &config, |id, _ctx| MaxFlood {
             best: id as u64,

@@ -162,10 +162,11 @@ proptest! {
     }
 
     /// The tentpole guarantee: across random graphs, seeds, thread counts,
-    /// shard counts, delivery backends, and CONGEST limits, the sharded
-    /// parallel engine — delivery included, whether it reads in-memory
-    /// buckets or decoded transport frames — produces bit-identical node
-    /// states and `RunStats` to the sequential reference.
+    /// shard counts, delivery backends, CONGEST limits, and tracing on or
+    /// off, the sharded parallel engine — delivery included, whether it
+    /// reads in-memory buckets or decoded transport frames — produces
+    /// bit-identical node states and `RunStats` to the sequential
+    /// reference.
     #[test]
     fn parallel_engine_is_bit_identical_to_sequential(
         g in arb_graph(24),
@@ -174,6 +175,7 @@ proptest! {
         shard_pick in 0usize..6,
         limit_pick in 0usize..3,
         backend_pick in 0usize..3,
+        trace_pick in 0usize..2,
     ) {
         let limit = match limit_pick {
             0 => CongestLimit::Unlimited,
@@ -184,13 +186,10 @@ proptest! {
         // nothing (7, 13 — 13 usually exceeds n/2 here, so many shards
         // hold one or two vertices and routing segments get maximally
         // fragmented), one shard per vertex, and `0` = the resolved
-        // default (NETDECOMP_SHARDS when set — which is how the CI matrix
-        // entries reach this property — else threads).
+        // default, one shard per thread.
         let shards = [0, 1, 2, 7, 13, g.vertex_count()][shard_pick];
-        // Shared-memory delivery (or whatever NETDECOMP_BACKEND selects —
-        // the framed CI matrix entry reaches this property through the
-        // `Parallel` arm), framed loopback, and the socket fabric (real
-        // Unix-domain streams through the hub).
+        // Shared-memory delivery, framed loopback, and the socket fabric
+        // (real Unix-domain streams through the hub).
         let engine = match backend_pick {
             0 => Engine::Parallel { threads, shards },
             _ => Engine::Framed {
@@ -209,6 +208,11 @@ proptest! {
         let mut par = Simulator::new(&g, |id, _| Mixer::new(id, seed))
             .with_limit(limit)
             .with_engine(engine);
+        // Tracing must be passive: the flight recorder times the phases
+        // and never touches delivery.
+        if trace_pick == 1 {
+            par = par.with_trace(64);
+        }
 
         let a = seq.run_rounds(rounds);
         // Verified stepping doubles as a scheduling-independence check: it

@@ -123,9 +123,8 @@ fn sequential_steady_state_rounds_do_not_allocate() {
 fn sharded_steady_state_rounds_do_not_allocate() {
     // Single worker thread (no per-round thread spawns — the vendored
     // rayon shim's scoped threads are the one remaining per-round
-    // allocation under multi-threaded engines, see ROADMAP), but the full
-    // sharded delivery path — sender-side routing included — with several
-    // shards.
+    // allocation under multi-threaded engines), but the full sharded
+    // delivery path — sender-side routing included — with several shards.
     assert_steady_state_is_allocation_free(Engine::Parallel {
         threads: 1,
         shards: 4,

@@ -7,7 +7,8 @@
 //!           [--heartbeat-ms H] [--timeout-ms T] [--hub-addr ADDR]
 //!           [--checkpoint-dir DIR] [--checkpoint-interval N]
 //!           [--json] [--trace-out FILE]
-//! netdecomp <file> --worker            # spawned by --distributed
+//! netdecomp <file> --worker S --attempt A [--trace] ...
+//!                                      # spawned by --distributed
 //! ```
 //!
 //! The input format is the crate's edge-list text (`n m` header then one
@@ -20,50 +21,58 @@
 //! OS process per shard, connected only by the hub socket), runs a
 //! max-id flood over the graph, and cross-checks every worker's final
 //! shard states against the in-process sequential engine. The run is
-//! *supervised*: each worker heartbeats (`--heartbeat-ms`, propagated
-//! through the environment), a crashed or wedged worker is relaunched up
-//! to `--max-restarts` times, and the hub's replay log fast-forwards the
-//! replacement — only an exhausted budget is an error. Worker results
-//! arrive as `Stats` control frames over the fabric itself, not by
-//! parsing worker stdout. `--timeout-ms` pins the fabric timeout for
-//! this invocation and every worker it spawns; `--hub-addr` (or
-//! `NETDECOMP_HUB_ADDR`) binds the hub somewhere specific — `unix:PATH`,
+//! *supervised*: each worker heartbeats every `--heartbeat-ms` (0 turns
+//! heartbeats and their bookkeeping off), a crashed or wedged worker is
+//! relaunched up to `--max-restarts` times, and the hub's replay log
+//! fast-forwards the replacement — only an exhausted budget is an
+//! error. Worker results arrive as `Stats` control frames over the
+//! fabric itself, not by parsing worker stdout. `--timeout-ms` sets the
+//! fabric timeout (default 5000) for this invocation and every worker it
+//! spawns; `--hub-addr` binds the hub somewhere specific — `unix:PATH`,
 //! `tcp:HOST:PORT`, or bare `HOST:PORT` (TCP) — instead of the default
 //! loopback temp socket.
 //!
-//! A worker finds its shard, fabric size, hub address, and round budget
-//! in the environment variables named by [`launcher`]'s `ENV_*`
-//! constants. Chaos hooks for the soak harness, armed only on a worker's
-//! first launch (restarts run clean): `NETDECOMP_WORKER_ABORT=<shard>`
-//! connects then dies wordlessly on *every* launch (the budget-exhaustion
-//! hook); `NETDECOMP_CHAOS_CRASH=<shard>:<round>` exits 137 when that
-//! shard computes that round; `NETDECOMP_CHAOS_WEDGE=<shard>:<round>`
-//! sleeps forever there (the supervisor must stall-detect and kill it);
+//! Flags are parsed once, by [`parse_args`]. A worker gets its settings
+//! as command-line arguments ([`worker_args`]) read by the same parser:
+//! its shard (`--worker S`), its restart generation (`--attempt A`), the
+//! trace switch (`--trace`), the hub's bound address, and the run's
+//! shard count, rounds, timeout, heartbeat and checkpoint flags.
+//!
+//! The environment carries only fault-injection hooks for the soak
+//! harness, read once by [`test_hooks`] and inherited by every worker.
+//! Crash and wedge are armed only on a worker's first launch (restarts
+//! run clean): `NETDECOMP_WORKER_ABORT=<shard>` connects then dies
+//! wordlessly on *every* launch (the budget-exhaustion hook);
+//! `NETDECOMP_CHAOS_CRASH=<shard>:<round>` exits 137 when that shard
+//! computes that round; `NETDECOMP_CHAOS_WEDGE=<shard>:<round>` sleeps
+//! forever there (the supervisor must stall-detect and kill it);
 //! `NETDECOMP_CHAOS_KILL=<shard>:<round>` has the *supervisor* SIGKILL
 //! the shard from outside when it reaches that round;
-//! `NETDECOMP_CHAOS_SLOW_MS=<ms>` slows every round of every worker.
+//! `NETDECOMP_CHAOS_SLOW_MS=<ms>` slows every round of every worker;
+//! `NETDECOMP_REPLAY_WINDOW=<rounds>` clamps the hub's replay log so a
+//! deep crash falls outside it.
 //!
-//! Crash recovery in O(interval): `--checkpoint-interval N` (or
-//! `NETDECOMP_CHECKPOINT_INTERVAL`) has every worker write a checksummed
-//! checkpoint of its shard — protocol state, pending inbox, CONGEST
-//! counters, stats — every `N` committed rounds, into `--checkpoint-dir`
-//! (`NETDECOMP_CHECKPOINT_DIR`; a temp dir is provisioned when unset). A
-//! relaunched worker resumes from its newest *valid* checkpoint (torn or
-//! corrupt files are digest-rejected and skipped, never trusted) and
-//! re-handshakes at that round, so the hub's replay log only has to
-//! cover one interval — a crash older than the replay window no longer
-//! forces a whole-run restart.
+//! Crash recovery in O(interval): `--checkpoint-interval N` has every
+//! worker write a checksummed checkpoint of its shard — protocol state,
+//! pending inbox, CONGEST counters, stats — every `N` committed rounds,
+//! into `--checkpoint-dir` (a temp dir is provisioned when none is
+//! named). A relaunched worker resumes from its newest *valid*
+//! checkpoint (torn or corrupt files are digest-rejected and skipped,
+//! never trusted) and re-handshakes at that round, so the hub's replay
+//! log only has to cover one interval — a crash older than the replay
+//! window no longer forces a whole-run restart.
 //!
-//! Observability: `--trace-out FILE` enables the trace plane
-//! (`NETDECOMP_TRACE=1` + `NETDECOMP_TRACE_OUT`, inherited by every
-//! worker) and has the supervisor dump a flight-recorder JSONL timeline
-//! — per-round per-shard phase timings plus restart/kill/halt decisions
-//! — to FILE on completion or failure. `--json` replaces the prose
-//! summary with one machine-readable JSON object on stdout; on the
-//! centralized path its `timings` object gives the wall seconds spent
-//! loading the graph, decomposing it and verifying the result.
+//! Observability: `--trace-out FILE` turns on the trace plane in every
+//! worker (`--trace`) and has the supervisor dump a flight-recorder
+//! JSONL timeline — per-round per-shard phase timings plus
+//! restart/kill/halt decisions — to FILE on completion or failure.
+//! `--json` replaces the prose summary with one machine-readable JSON
+//! object on stdout; on the centralized path its `timings` object gives
+//! the wall seconds spent loading the graph, decomposing it and
+//! verifying the result.
 
 use std::io::Read as _;
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -71,14 +80,14 @@ use netdecomp::baselines::linial_saks;
 use netdecomp::core::{basic, high_radius, params, staged, verify, NetworkDecomposition};
 use netdecomp::graph::{io, Graph};
 use netdecomp::sim::transport::{
-    checkpoint_dir, checkpoint_interval, launcher, run_worker_checkpointed, CheckpointPlan,
-    WorkerConfig,
+    launcher, run_worker_checkpointed, CheckpointPlan, WorkerConfig, DEFAULT_FRAME_TIMEOUT,
 };
 use netdecomp::sim::{
-    frame_timeout, graph_digest, replay_window, CongestLimit, Ctx, HubAddr, HubClient, Inbox,
-    Outbox, Protocol, RunStats, ShardPlan, Simulator, Snapshot,
+    graph_digest, CongestLimit, Ctx, HubAddr, HubClient, Inbox, Outbox, Protocol, RunStats,
+    ShardPlan, Simulator, Snapshot,
 };
 
+#[derive(Debug, Clone)]
 struct Options {
     input: String,
     algo: String,
@@ -87,17 +96,28 @@ struct Options {
     lambda: usize,
     seed: u64,
     assignment: bool,
-    worker: bool,
+    /// `--worker S`: this process runs shard `S` of a `--distributed` run.
+    worker: Option<usize>,
+    /// `--attempt A`: a worker's restart generation (0 on first launch).
+    attempt: u64,
+    /// `--trace`: a worker records its rounds and streams them to the hub.
+    trace: bool,
     distributed: usize,
     rounds: usize,
     max_restarts: usize,
     heartbeat_ms: u64,
-    timeout_ms: Option<u64>,
+    timeout_ms: u64,
     hub_addr: Option<String>,
     json: bool,
     trace_out: Option<String>,
     checkpoint_dir: Option<String>,
-    checkpoint_interval: Option<u64>,
+    checkpoint_interval: u64,
+}
+
+impl Options {
+    fn timeout(&self) -> Duration {
+        Duration::from_millis(self.timeout_ms)
+    }
 }
 
 fn usage() -> ! {
@@ -112,7 +132,9 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-fn parse_args() -> Options {
+/// Parses the command line (without the program name) — the user's, or
+/// the one [`worker_args`] hands a worker.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Options {
     let mut opts = Options {
         input: String::new(),
         algo: "basic".into(),
@@ -121,19 +143,21 @@ fn parse_args() -> Options {
         lambda: 3,
         seed: 0,
         assignment: false,
-        worker: false,
+        worker: None,
+        attempt: 0,
+        trace: false,
         distributed: 0,
         rounds: 16,
         max_restarts: 3,
         heartbeat_ms: 50,
-        timeout_ms: None,
-        hub_addr: std::env::var("NETDECOMP_HUB_ADDR").ok(),
+        timeout_ms: DEFAULT_FRAME_TIMEOUT.as_millis() as u64,
+        hub_addr: None,
         json: false,
         trace_out: None,
         checkpoint_dir: None,
-        checkpoint_interval: None,
+        checkpoint_interval: 0,
     };
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--algo" => opts.algo = args.next().unwrap_or_else(|| usage()),
@@ -142,19 +166,21 @@ fn parse_args() -> Options {
             "--lambda" => opts.lambda = parse_or_usage(args.next()),
             "--seed" => opts.seed = parse_or_usage(args.next()),
             "--assignment" => opts.assignment = true,
-            "--worker" => opts.worker = true,
+            "--worker" => opts.worker = Some(parse_or_usage(args.next())),
+            "--attempt" => opts.attempt = parse_or_usage(args.next()),
+            "--trace" => opts.trace = true,
             "--distributed" => opts.distributed = parse_or_usage(args.next()),
             "--rounds" => opts.rounds = parse_or_usage(args.next()),
             "--max-restarts" => opts.max_restarts = parse_or_usage(args.next()),
             "--heartbeat-ms" => opts.heartbeat_ms = parse_or_usage(args.next()),
-            "--timeout-ms" => opts.timeout_ms = Some(parse_or_usage(args.next())),
+            "--timeout-ms" => opts.timeout_ms = parse_or_usage(args.next()),
             "--hub-addr" => opts.hub_addr = Some(args.next().unwrap_or_else(|| usage())),
             "--json" => opts.json = true,
             "--trace-out" => opts.trace_out = Some(args.next().unwrap_or_else(|| usage())),
             "--checkpoint-dir" => {
                 opts.checkpoint_dir = Some(args.next().unwrap_or_else(|| usage()));
             }
-            "--checkpoint-interval" => opts.checkpoint_interval = Some(parse_or_usage(args.next())),
+            "--checkpoint-interval" => opts.checkpoint_interval = parse_or_usage(args.next()),
             "--help" | "-h" => usage(),
             other if opts.input.is_empty() && !other.starts_with("--") => {
                 opts.input = other.to_string();
@@ -168,9 +194,37 @@ fn parse_args() -> Options {
     opts
 }
 
-/// `--hub-addr` / `NETDECOMP_HUB_ADDR` accepts the canonical
-/// `unix:PATH` / `tcp:HOST:PORT` forms, plus bare `HOST:PORT` as TCP
-/// shorthand (the form most users will reach for on a real network).
+/// The command line a `--distributed` supervisor hands the worker for
+/// `shard` on launch `attempt`, read back by [`parse_args`]. `opts` is
+/// the supervisor's, with `input` a path every worker can open,
+/// `hub_addr` the hub's bound address and `checkpoint_dir` the
+/// directory checkpoints go to.
+fn worker_args(opts: &Options, shard: usize, attempt: usize) -> Vec<String> {
+    let mut args = vec![opts.input.clone()];
+    let mut flag = |name: &str, value: String| args.extend([name.to_string(), value]);
+    flag("--worker", shard.to_string());
+    flag("--attempt", attempt.to_string());
+    flag("--distributed", opts.distributed.to_string());
+    flag("--rounds", opts.rounds.to_string());
+    flag("--timeout-ms", opts.timeout_ms.to_string());
+    flag("--heartbeat-ms", opts.heartbeat_ms.to_string());
+    let interval = opts.checkpoint_interval.to_string();
+    flag("--checkpoint-interval", interval);
+    if let Some(addr) = &opts.hub_addr {
+        flag("--hub-addr", addr.clone());
+    }
+    if let Some(dir) = &opts.checkpoint_dir {
+        flag("--checkpoint-dir", dir.clone());
+    }
+    if opts.trace_out.is_some() {
+        args.push("--trace".into());
+    }
+    args
+}
+
+/// `--hub-addr` accepts the canonical `unix:PATH` / `tcp:HOST:PORT`
+/// forms, plus bare `HOST:PORT` as TCP shorthand (the form most users
+/// will reach for on a real network).
 fn parse_hub_addr(raw: &str) -> Result<HubAddr, String> {
     raw.parse::<HubAddr>()
         .or_else(|first| format!("tcp:{raw}").parse::<HubAddr>().map_err(|_| first))
@@ -178,6 +232,49 @@ fn parse_hub_addr(raw: &str) -> Result<HubAddr, String> {
 
 fn parse_or_usage<T: std::str::FromStr>(raw: Option<String>) -> T {
     raw.and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
+}
+
+/// Fault-injection hooks for the chaos soak and the launcher smoke
+/// tests (see the module docs). They stay environment variables because
+/// every worker inherits them.
+#[derive(Debug)]
+struct TestHooks {
+    /// `NETDECOMP_CHAOS_CRASH`: `(shard, round)` at which that worker
+    /// exits 137.
+    crash: Option<(usize, u64)>,
+    /// `NETDECOMP_CHAOS_WEDGE`: `(shard, round)` at which that worker
+    /// sleeps forever.
+    wedge: Option<(usize, u64)>,
+    /// `NETDECOMP_CHAOS_SLOW_MS`: a sleep before every round of every
+    /// worker.
+    slow_ms: u64,
+    /// `NETDECOMP_CHAOS_KILL`: `(shard, round)` at which the supervisor
+    /// SIGKILLs that worker.
+    kill: Option<(usize, u64)>,
+    /// `NETDECOMP_WORKER_ABORT`: the shard whose worker dies right after
+    /// its handshake, on every launch.
+    abort: Option<usize>,
+    /// `NETDECOMP_REPLAY_WINDOW`: the hub's replay window in rounds.
+    replay_window: Option<u64>,
+}
+
+/// Reads the [`TestHooks`] — the binary's only environment read.
+fn test_hooks() -> TestHooks {
+    let var = |name: &str| std::env::var(name).ok();
+    let number = |name: &str| var(name).and_then(|raw| raw.trim().parse::<u64>().ok());
+    let at = |name: &str| {
+        let raw = var(name)?;
+        let (shard, round) = raw.split_once(':')?;
+        Some((shard.trim().parse().ok()?, round.trim().parse().ok()?))
+    };
+    TestHooks {
+        crash: at("NETDECOMP_CHAOS_CRASH"),
+        wedge: at("NETDECOMP_CHAOS_WEDGE"),
+        slow_ms: number("NETDECOMP_CHAOS_SLOW_MS").unwrap_or(0),
+        kill: at("NETDECOMP_CHAOS_KILL"),
+        abort: var("NETDECOMP_WORKER_ABORT").and_then(|raw| raw.trim().parse().ok()),
+        replay_window: number("NETDECOMP_REPLAY_WINDOW").filter(|&w| w > 0),
+    }
 }
 
 /// Minimal JSON string escaping for `--json` output (no serializer dep).
@@ -273,7 +370,7 @@ fn flood_digest(nodes: &[Flood]) -> u64 {
     digest_bests(nodes.iter().map(|n| n.best))
 }
 
-/// Per-shard chaos schedule parsed from the `NETDECOMP_CHAOS_*` hooks.
+/// One worker's share of the [`TestHooks`].
 #[derive(Debug, Clone, Copy, Default)]
 struct ChaosPlan {
     crash_at: Option<u64>,
@@ -281,26 +378,13 @@ struct ChaosPlan {
     slow_ms: u64,
 }
 
-/// Parses a `"<shard>:<round>"` hook, returning the round if it names
-/// this shard.
-fn chaos_round(var: &str, shard: usize) -> Option<u64> {
-    let raw = std::env::var(var).ok()?;
-    let (s, r) = raw.split_once(':')?;
-    if s.trim().parse::<usize>().ok()? != shard {
-        return None;
-    }
-    r.trim().parse::<u64>().ok()
-}
-
 impl ChaosPlan {
-    fn from_env(shard: usize) -> ChaosPlan {
+    fn for_shard(hooks: &TestHooks, shard: usize) -> ChaosPlan {
+        let round = |hook: Option<(usize, u64)>| hook.filter(|&(s, _)| s == shard).map(|(_, r)| r);
         ChaosPlan {
-            crash_at: chaos_round("NETDECOMP_CHAOS_CRASH", shard),
-            wedge_at: chaos_round("NETDECOMP_CHAOS_WEDGE", shard),
-            slow_ms: std::env::var("NETDECOMP_CHAOS_SLOW_MS")
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-                .unwrap_or(0),
+            crash_at: round(hooks.crash),
+            wedge_at: round(hooks.wedge),
+            slow_ms: hooks.slow_ms,
         }
     }
 }
@@ -364,58 +448,61 @@ impl Protocol for ChaosFlood {
     }
 }
 
-fn env_number(name: &str) -> Result<usize, Box<dyn std::error::Error>> {
-    Ok(std::env::var(name)
-        .map_err(|_| format!("worker mode needs {name}"))?
-        .parse::<usize>()
-        .map_err(|_| format!("{name} must be a number"))?)
-}
-
-/// `--worker`: one shard of a `--distributed` run, configured entirely
-/// through the launcher's environment variables. Streams its round
+/// `--worker S`: shard `S` of a `--distributed` run, configured
+/// entirely by its command line ([`worker_args`]). Streams its round
 /// count, result digest, and [`RunStats`] to the hub as a `Stats` frame
 /// before the shutdown (stdout is only a human-readable echo).
-fn worker_main(graph: &Graph) -> Result<(), Box<dyn std::error::Error>> {
-    let shard = env_number(launcher::ENV_SHARD)?;
-    let shards = env_number(launcher::ENV_SHARDS)?;
-    let rounds = env_number(launcher::ENV_ROUNDS)?;
-    let addr: HubAddr = std::env::var(launcher::ENV_ADDR)
-        .map_err(|_| format!("worker mode needs {}", launcher::ENV_ADDR))?
-        .parse()?;
+fn worker_main(
+    opts: &Options,
+    shard: usize,
+    hooks: &TestHooks,
+    graph: &Graph,
+) -> Result<(), Box<dyn std::error::Error>> {
+    if opts.distributed == 0 {
+        return Err("worker mode needs --distributed N".into());
+    }
+    let addr = parse_hub_addr(
+        opts.hub_addr
+            .as_deref()
+            .ok_or("worker mode needs --hub-addr")?,
+    )?;
+    let config = WorkerConfig {
+        shard,
+        shards: opts.distributed,
+        rounds: opts.rounds,
+        limit: CongestLimit::Unlimited,
+        attempt: opts.attempt,
+        trace: opts.trace,
+    };
     let digest = graph_digest(graph);
     // The checkpoint must be loaded *before* the handshake — the resume
     // round rides in the Hello frame. A stale claim (fresh hub after a
     // whole-run restart) is granted round 0 instead; reconcile discards
     // the restored state and the run recomputes from scratch.
-    let mut plan = CheckpointPlan::from_env(shard, shards, digest, rounds);
+    let mut plan = CheckpointPlan::new(
+        &config,
+        digest,
+        opts.checkpoint_dir.as_ref().map(PathBuf::from),
+        opts.checkpoint_interval,
+    );
     let (client, granted) = HubClient::connect_resuming(
         &addr,
         shard,
-        shards,
+        config.shards,
         digest,
-        frame_timeout(),
+        opts.timeout(),
         plan.resume_round(),
     )?;
     plan.reconcile(granted);
-    if std::env::var("NETDECOMP_WORKER_ABORT").ok() == Some(shard.to_string()) {
+    if hooks.abort == Some(shard) {
         // Fault hook: die after the handshake without a shutdown frame,
         // exactly like a crashed worker. Peers must get a typed error.
         std::process::exit(42);
     }
-    let heartbeat_ms: u64 = std::env::var(launcher::ENV_HEARTBEAT)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0);
-    if heartbeat_ms > 0 {
-        client.start_heartbeats(Duration::from_millis(heartbeat_ms));
+    if opts.heartbeat_ms > 0 {
+        client.start_heartbeats(Duration::from_millis(opts.heartbeat_ms));
     }
-    let config = WorkerConfig {
-        shard,
-        shards,
-        rounds,
-        limit: CongestLimit::Unlimited,
-    };
-    let chaos = ChaosPlan::from_env(shard);
+    let chaos = ChaosPlan::for_shard(hooks, shard);
     let mut first = true;
     let (report, nodes) = run_worker_checkpointed(
         graph,
@@ -445,67 +532,61 @@ fn worker_main(graph: &Graph) -> Result<(), Box<dyn std::error::Error>> {
 /// a socket hub — crashed or wedged workers are relaunched and replayed
 /// — then cross-check every worker's `Stats`-frame digest against the
 /// in-process sequential engine.
-fn distributed_main(opts: &Options, graph: &Graph) -> Result<(), Box<dyn std::error::Error>> {
+fn distributed_main(
+    opts: &Options,
+    hooks: &TestHooks,
+    graph: &Graph,
+) -> Result<(), Box<dyn std::error::Error>> {
     if opts.input == "-" {
         return Err("--distributed needs a graph file workers can re-read (not stdin)".into());
     }
     let shards = opts.distributed;
-    let input = std::fs::canonicalize(&opts.input)?;
+    let timeout = opts.timeout();
     let mut options = launcher::SuperviseOptions::new(shards);
+    // The run deadline and stall window scale with the fabric timeout,
+    // as `SuperviseOptions::new` derives them from its default.
+    options.timeout = timeout;
+    options.deadline = timeout * 12;
+    options.stall = (timeout / 3).max(Duration::from_millis(250));
     options.graph_digest = Some(graph_digest(graph));
     options.max_restarts = opts.max_restarts;
-    options.heartbeat = Duration::from_millis(opts.heartbeat_ms.max(1));
+    options.heartbeat = Duration::from_millis(opts.heartbeat_ms);
     options.backoff_seed = opts.seed;
+    options.kill_at = hooks.kill;
+    if let Some(window) = hooks.replay_window {
+        options.replay_window = window;
+    }
+    options.trace_out = opts.trace_out.as_ref().map(PathBuf::from);
     if let Some(raw) = &opts.hub_addr {
         options.addr = Some(parse_hub_addr(raw)?);
     }
-    if let Some((shard, round)) = std::env::var("NETDECOMP_CHAOS_KILL").ok().and_then(|raw| {
-        let (s, r) = raw.split_once(':')?;
-        Some((s.trim().parse().ok()?, r.trim().parse().ok()?))
-    }) {
-        options.kill_at = Some((shard, round));
-    }
-    // Checkpointing: with an interval set (flag or environment) every
-    // worker checkpoints its shard each interval rounds. A directory is
-    // provisioned under the temp dir when none was named; an explicit
-    // one is created if missing and kept afterwards.
-    let ckpt_interval = checkpoint_interval();
-    let provisioned = ckpt_interval > 0 && checkpoint_dir().is_none();
-    let ckpt_dir = if ckpt_interval > 0 {
-        let dir = checkpoint_dir().unwrap_or_else(|| {
-            std::env::temp_dir().join(format!("netdecomp-ckpt-{}", std::process::id()))
-        });
+    // Checkpointing: with an interval set every worker checkpoints its
+    // shard each interval rounds. A directory is provisioned under the
+    // temp dir when none was named; an explicit one is created if
+    // missing and kept afterwards.
+    let provisioned = opts.checkpoint_interval > 0 && opts.checkpoint_dir.is_none();
+    let ckpt_dir = if opts.checkpoint_interval > 0 {
+        let dir = opts.checkpoint_dir.as_ref().map_or_else(
+            || std::env::temp_dir().join(format!("netdecomp-ckpt-{}", std::process::id())),
+            PathBuf::from,
+        );
         std::fs::create_dir_all(&dir)?;
         Some(dir)
     } else {
         None
     };
+    let mut worker = opts.clone();
+    worker.input = std::fs::canonicalize(&opts.input)?.display().to_string();
+    worker.checkpoint_dir = ckpt_dir.as_ref().map(|dir| dir.display().to_string());
     let exe = std::env::current_exe()?;
     let report = launcher::supervise(&options, |shard, addr, attempt| {
+        worker.hub_addr = Some(addr.to_string());
         let mut cmd = std::process::Command::new(&exe);
-        cmd.arg(&input)
-            .arg("--worker")
-            .env(launcher::ENV_SHARD, shard.to_string())
-            .env(launcher::ENV_SHARDS, shards.to_string())
-            .env(launcher::ENV_ROUNDS, opts.rounds.to_string())
-            .env(launcher::ENV_ADDR, addr.to_string())
-            .env(
-                launcher::ENV_TIMEOUT,
-                frame_timeout().as_millis().to_string(),
-            )
-            .env(launcher::ENV_HEARTBEAT, opts.heartbeat_ms.to_string())
-            .env(launcher::ENV_REPLAY_WINDOW, replay_window().to_string())
-            // Trace plane: the relaunch generation each worker stamps
-            // into its RoundTrace records.
-            .env(launcher::ENV_ATTEMPT, attempt.to_string())
+        cmd.args(worker_args(&worker, shard, attempt))
             // Results travel as Stats frames; nobody drains worker pipes
             // under supervision, so don't create any.
             .stdout(std::process::Stdio::null())
             .stderr(std::process::Stdio::null());
-        if let Some(dir) = &ckpt_dir {
-            cmd.env(launcher::ENV_CHECKPOINT_DIR, dir)
-                .env(launcher::ENV_CHECKPOINT_INTERVAL, ckpt_interval.to_string());
-        }
         if attempt > 0 {
             // One-shot chaos: a relaunched worker runs clean, so the
             // crash/wedge it is recovering from cannot recur forever.
@@ -515,7 +596,6 @@ fn distributed_main(opts: &Options, graph: &Graph) -> Result<(), Box<dyn std::er
         }
         cmd.spawn()
     })?;
-
     // Reference run: the same flood on the in-process sequential engine,
     // digested per worker shard range.
     let mut reference = Simulator::new(graph, |id, _ctx| Flood { best: id as u64 });
@@ -578,8 +658,7 @@ fn distributed_main(opts: &Options, graph: &Graph) -> Result<(), Box<dyn std::er
             merged.total_messages,
             merged.total_bytes,
             merged.max_edge_bytes,
-            netdecomp::sim::trace_out()
-                .map_or("null".into(), |p| json_str(&p.display().to_string())),
+            opts.trace_out.as_deref().map_or("null".into(), json_str),
         );
     } else {
         println!(
@@ -598,8 +677,8 @@ fn distributed_main(opts: &Options, graph: &Graph) -> Result<(), Box<dyn std::er
             opts.rounds,
             merged.total_messages
         );
-        if let Some(path) = netdecomp::sim::trace_out() {
-            println!("flight recorder: {}", path.display());
+        if let Some(path) = &opts.trace_out {
+            println!("flight recorder: {path}");
         }
     }
     if !digests_match {
@@ -626,38 +705,19 @@ fn distributed_main(opts: &Options, graph: &Graph) -> Result<(), Box<dyn std::er
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let opts = parse_args();
-    if let Some(ms) = opts.timeout_ms {
-        if ms == 0 {
-            return Err("--timeout-ms must be positive".into());
-        }
-        // Pin the fabric timeout for this invocation; the supervisor's
-        // spawn closure forwards it to every worker via ENV_TIMEOUT.
-        std::env::set_var("NETDECOMP_FRAME_TIMEOUT_MS", ms.to_string());
+    let opts = parse_args(std::env::args().skip(1));
+    if opts.timeout_ms == 0 {
+        return Err("--timeout-ms must be positive".into());
     }
-    if let Some(path) = &opts.trace_out {
-        // Enable the trace plane for this process and (via inherited
-        // environment) every worker it spawns; the supervisor dumps the
-        // flight recording here on completion or failure.
-        std::env::set_var("NETDECOMP_TRACE_OUT", path);
-        std::env::set_var("NETDECOMP_TRACE", "1");
-    }
-    // Checkpoint knobs pin the environment the same way --timeout-ms
-    // does, so the supervisor and every worker it spawns agree.
-    if let Some(n) = opts.checkpoint_interval {
-        std::env::set_var(launcher::ENV_CHECKPOINT_INTERVAL, n.to_string());
-    }
-    if let Some(dir) = &opts.checkpoint_dir {
-        std::env::set_var(launcher::ENV_CHECKPOINT_DIR, dir);
-    }
+    let hooks = test_hooks();
     let started = Instant::now();
     let graph = read_graph(&opts.input)?;
     let load_s = started.elapsed().as_secs_f64();
-    if opts.worker {
-        return worker_main(&graph);
+    if let Some(shard) = opts.worker {
+        return worker_main(&opts, shard, &hooks, &graph);
     }
     if opts.distributed > 0 {
-        return distributed_main(&opts, &graph);
+        return distributed_main(&opts, &hooks, &graph);
     }
     let n = graph.vertex_count();
     let k = if opts.k == 0 {
@@ -784,4 +844,43 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Options {
+        parse_args(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn worker_arguments_round_trip_through_the_parser() {
+        let mut opts = parse(
+            "graph.txt --distributed 3 --rounds 12 --timeout-ms 2000 --heartbeat-ms 0 \
+             --checkpoint-interval 3 --checkpoint-dir /ckpt --trace-out /dump.jsonl --json",
+        );
+        opts.hub_addr = Some("unix:/hub.sock".into());
+        let worker = parse_args(worker_args(&opts, 2, 1));
+        assert_eq!(worker.input, "graph.txt");
+        assert_eq!(worker.worker, Some(2));
+        assert_eq!(worker.attempt, 1);
+        assert!(worker.trace);
+        assert_eq!(worker.distributed, 3);
+        assert_eq!(worker.rounds, 12);
+        assert_eq!(worker.timeout_ms, 2000);
+        assert_eq!(worker.heartbeat_ms, 0);
+        assert_eq!(worker.hub_addr.as_deref(), Some("unix:/hub.sock"));
+        assert_eq!(worker.checkpoint_dir.as_deref(), Some("/ckpt"));
+        assert_eq!(worker.checkpoint_interval, 3);
+        // Without a dump, the worker runs untraced and with defaults.
+        let plain = parse("graph.txt --distributed 2");
+        let worker = parse_args(worker_args(&plain, 0, 0));
+        assert!(!worker.trace);
+        assert_eq!(worker.worker, Some(0));
+        assert_eq!(worker.timeout_ms, plain.timeout_ms);
+        assert_eq!(worker.heartbeat_ms, plain.heartbeat_ms);
+        assert_eq!(worker.checkpoint_dir, None);
+        assert_eq!(worker.checkpoint_interval, 0);
+    }
 }

@@ -7,7 +7,7 @@
 //!
 //! The binary's chaos hooks (`NETDECOMP_CHAOS_*`, documented in
 //! `src/bin/netdecomp.rs`) inject the faults; the sweep width is
-//! controlled by `NETDECOMP_CHAOS_SEEDS` (default 8, the CI setting).
+//! controlled by `NETDECOMP_CHAOS_SEEDS` (default 8).
 
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -44,13 +44,15 @@ fn ladder_file(name: &str, n: usize) -> PathBuf {
 }
 
 /// Runs one supervised distributed invocation under the wall-clock
-/// budget, with extra env pairs applied, and returns its output.
-fn supervised_run(graph: &PathBuf, env: &[(&str, String)]) -> (Output, Duration) {
+/// budget, with extra flags and chaos-hook env pairs applied, and
+/// returns its output.
+fn supervised_run(graph: &PathBuf, flags: &[&str], env: &[(&str, String)]) -> (Output, Duration) {
     let mut command = Command::new(BIN);
     command
         .arg(graph)
         .args(["--distributed", &SHARDS.to_string()])
-        .args(["--rounds", &ROUNDS.to_string()]);
+        .args(["--rounds", &ROUNDS.to_string()])
+        .args(flags);
     for (key, value) in env {
         command.env(key, value);
     }
@@ -103,8 +105,8 @@ fn scramble(seed: u64) -> u64 {
     x ^ (x >> 27)
 }
 
-/// How many seeds the sweep covers: `NETDECOMP_CHAOS_SEEDS` (the CI
-/// chaos matrix sets 8), defaulting to 8.
+/// How many seeds the sweep covers: `NETDECOMP_CHAOS_SEEDS`, defaulting
+/// to 8.
 fn sweep_width() -> u64 {
     std::env::var("NETDECOMP_CHAOS_SEEDS")
         .ok()
@@ -118,26 +120,28 @@ fn a_worker_crash_at_any_seeded_round_heals_bit_identically() {
     // The headline soak: sweep seeds, each picking a shard and a round
     // at which that worker's process dies mid-compute (exit 137, the
     // SIGKILL status). Every run must be supervised back to a
-    // bit-identical completion.
+    // bit-identical completion — once replaying from round 0, and once
+    // with a checkpoint every 3 rounds (the supervisor provisions the
+    // directory) to restore from.
     let graph = ladder_file("soak-crash", 36);
     for seed in 0..sweep_width() {
         let mixed = scramble(seed);
         let shard = (mixed % SHARDS as u64) as usize;
         let round = 1 + (mixed >> 8) % (ROUNDS as u64 - 2);
-        let (output, elapsed) = supervised_run(
-            &graph,
-            &[
-                ("NETDECOMP_CHAOS_CRASH", format!("{shard}:{round}")),
-                ("NETDECOMP_FRAME_TIMEOUT_MS", "2000".into()),
-            ],
-        );
-        let label = format!("seed {seed}: crash {shard}:{round}");
-        assert_healed(&output, &label);
-        assert!(
-            recovery_counter(&output, "readmissions") >= 1,
-            "[{label}] the crash must actually have been healed (took {elapsed:?}):\n{}",
-            String::from_utf8_lossy(&output.stdout)
-        );
+        for checkpoints in [&[][..], &["--checkpoint-interval", "3"][..]] {
+            let (output, elapsed) = supervised_run(
+                &graph,
+                &[&["--timeout-ms", "2000"][..], checkpoints].concat(),
+                &[("NETDECOMP_CHAOS_CRASH", format!("{shard}:{round}"))],
+            );
+            let label = format!("seed {seed}: crash {shard}:{round} {checkpoints:?}");
+            assert_healed(&output, &label);
+            assert!(
+                recovery_counter(&output, "readmissions") >= 1,
+                "[{label}] the crash must actually have been healed (took {elapsed:?}):\n{}",
+                String::from_utf8_lossy(&output.stdout)
+            );
+        }
     }
 }
 
@@ -149,13 +153,32 @@ fn a_wedged_worker_is_killed_and_the_run_recovers() {
     let graph = ladder_file("soak-wedge", 30);
     let (output, _) = supervised_run(
         &graph,
-        &[
-            ("NETDECOMP_CHAOS_WEDGE", "2:4".into()),
-            ("NETDECOMP_FRAME_TIMEOUT_MS", "2000".into()),
-        ],
+        &["--timeout-ms", "2000"],
+        &[("NETDECOMP_CHAOS_WEDGE", "2:4".into())],
     );
     assert_healed(&output, "wedge 2:4");
     assert!(recovery_counter(&output, "readmissions") >= 1);
+}
+
+#[test]
+fn a_wedge_without_heartbeats_heals_and_misses_none() {
+    // `--heartbeat-ms 0` switches heartbeats off on both sides: workers
+    // send none, so the supervisor's stall kill must not count any as
+    // missed.
+    let graph = ladder_file("soak-wedge-quiet", 30);
+    let (output, _) = supervised_run(
+        &graph,
+        &["--timeout-ms", "2000", "--heartbeat-ms", "0"],
+        &[("NETDECOMP_CHAOS_WEDGE", "2:4".into())],
+    );
+    assert_healed(&output, "wedge 2:4 without heartbeats");
+    assert!(recovery_counter(&output, "readmissions") >= 1);
+    assert_eq!(
+        recovery_counter(&output, "heartbeats_missed"),
+        0,
+        "heartbeats are off, so none can be missed:\n{}",
+        String::from_utf8_lossy(&output.stdout)
+    );
 }
 
 #[test]
@@ -166,10 +189,10 @@ fn an_external_sigkill_mid_run_heals_bit_identically() {
     let graph = ladder_file("soak-kill", 30);
     let (output, _) = supervised_run(
         &graph,
+        &["--timeout-ms", "4000"],
         &[
             ("NETDECOMP_CHAOS_KILL", "0:5".into()),
             ("NETDECOMP_CHAOS_SLOW_MS", "30".into()),
-            ("NETDECOMP_FRAME_TIMEOUT_MS", "4000".into()),
         ],
     );
     assert_healed(&output, "kill 0:5");
@@ -186,14 +209,11 @@ fn a_crash_leaves_a_flight_recorder_dump_naming_the_dead_shard() {
     let graph = ladder_file("soak-recorder", 36);
     let dump = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
         .join(format!("soak-recorder-{}.jsonl", std::process::id()));
+    let dump_path = dump.display().to_string();
     let (output, _) = supervised_run(
         &graph,
-        &[
-            ("NETDECOMP_CHAOS_CRASH", "1:5".into()),
-            ("NETDECOMP_FRAME_TIMEOUT_MS", "2000".into()),
-            ("NETDECOMP_TRACE", "1".into()),
-            ("NETDECOMP_TRACE_OUT", dump.display().to_string()),
-        ],
+        &["--timeout-ms", "2000", "--trace-out", &dump_path],
+        &[("NETDECOMP_CHAOS_CRASH", "1:5".into())],
     );
     assert_healed(&output, "recorder crash 1:5");
     assert!(recovery_counter(&output, "readmissions") >= 1);
@@ -232,10 +252,8 @@ fn an_exhausted_restart_budget_is_a_typed_error_naming_the_shard() {
     let graph = ladder_file("soak-budget", 30);
     let (output, elapsed) = supervised_run(
         &graph,
-        &[
-            ("NETDECOMP_WORKER_ABORT", "2".into()),
-            ("NETDECOMP_FRAME_TIMEOUT_MS", "1000".into()),
-        ],
+        &["--timeout-ms", "1000"],
+        &[("NETDECOMP_WORKER_ABORT", "2".into())],
     );
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(
@@ -260,14 +278,20 @@ fn a_deep_crash_with_checkpointing_heals_without_a_whole_run_restart() {
     let ckpt_dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
         .join(format!("soak-ckpt-heal-{}", std::process::id()));
     std::fs::create_dir_all(&ckpt_dir).unwrap();
+    let ckpt_path = ckpt_dir.display().to_string();
     let (output, _) = supervised_run(
         &graph,
         &[
+            "--timeout-ms",
+            "2000",
+            "--checkpoint-interval",
+            "3",
+            "--checkpoint-dir",
+            &ckpt_path,
+        ],
+        &[
             ("NETDECOMP_CHAOS_CRASH", "1:9".into()),
             ("NETDECOMP_REPLAY_WINDOW", "2".into()),
-            ("NETDECOMP_CHECKPOINT_DIR", ckpt_dir.display().to_string()),
-            ("NETDECOMP_CHECKPOINT_INTERVAL", "3".into()),
-            ("NETDECOMP_FRAME_TIMEOUT_MS", "2000".into()),
         ],
     );
     assert_healed(&output, "checkpointed deep crash 1:9");
@@ -303,16 +327,22 @@ fn a_torn_checkpoint_is_rejected_by_digest_and_reported_in_the_flight_record() {
     )
     .unwrap();
     let dump = tmp.join(format!("soak-ckpt-torn-{}.jsonl", std::process::id()));
+    let (ckpt_path, dump_path) = (ckpt_dir.display().to_string(), dump.display().to_string());
     let (output, _) = supervised_run(
         &graph,
         &[
+            "--timeout-ms",
+            "2000",
+            "--checkpoint-interval",
+            "3",
+            "--checkpoint-dir",
+            &ckpt_path,
+            "--trace-out",
+            &dump_path,
+        ],
+        &[
             ("NETDECOMP_CHAOS_CRASH", "1:9".into()),
             ("NETDECOMP_REPLAY_WINDOW", "2".into()),
-            ("NETDECOMP_CHECKPOINT_DIR", ckpt_dir.display().to_string()),
-            ("NETDECOMP_CHECKPOINT_INTERVAL", "3".into()),
-            ("NETDECOMP_FRAME_TIMEOUT_MS", "2000".into()),
-            ("NETDECOMP_TRACE", "1".into()),
-            ("NETDECOMP_TRACE_OUT", dump.display().to_string()),
         ],
     );
     assert_healed(&output, "torn checkpoint crash 1:9");
@@ -346,17 +376,14 @@ fn a_crash_outside_the_replay_window_restarts_the_whole_run() {
     // history the hub has evicted. Per-worker recovery is refused and
     // the supervisor falls back to restarting the entire run — which
     // (chaos disarmed on re-attempts) then completes bit-identically.
-    // Checkpointing is pinned off: this test is about the fallback that
-    // remains when there is no checkpoint to resume from (the CI
-    // checkpointed row exports NETDECOMP_CHECKPOINT_INTERVAL globally).
+    // Without checkpoints there is nothing else to resume from.
     let graph = ladder_file("soak-evicted", 30);
     let (output, _) = supervised_run(
         &graph,
+        &["--timeout-ms", "2000"],
         &[
             ("NETDECOMP_CHAOS_CRASH", "1:9".into()),
             ("NETDECOMP_REPLAY_WINDOW", "2".into()),
-            ("NETDECOMP_CHECKPOINT_INTERVAL", "0".into()),
-            ("NETDECOMP_FRAME_TIMEOUT_MS", "2000".into()),
         ],
     );
     assert_healed(&output, "evicted-window crash 1:9");

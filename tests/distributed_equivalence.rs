@@ -126,6 +126,32 @@ fn parallel_engine_is_bit_identical_across_graphs_and_modes() {
         generators::caveman(6, 6).unwrap(),
     ];
     let p = DecompositionParams::new(3, 4.0).unwrap();
+    // Shard counts that divide nothing evenly or leave shards of one or
+    // two vertices, and the frame seam in memory and over sockets.
+    let engines = [
+        Engine::Parallel {
+            threads: 2,
+            shards: 0,
+        },
+        Engine::Parallel {
+            threads: 2,
+            shards: 4,
+        },
+        Engine::Parallel {
+            threads: 2,
+            shards: 13,
+        },
+        Engine::Framed {
+            threads: 2,
+            shards: 7,
+            transport: FrameTransport::Loopback,
+        },
+        Engine::Framed {
+            threads: 2,
+            shards: 4,
+            transport: FrameTransport::Socket,
+        },
+    ];
     for (i, g) in graphs.iter().enumerate() {
         for seed in 0..2u64 {
             for forwarding in [Forwarding::TopTwo, Forwarding::Full] {
@@ -139,32 +165,28 @@ fn parallel_engine_is_bit_identical_across_graphs_and_modes() {
                     },
                 )
                 .unwrap();
-                let par = decompose_distributed(
-                    g,
-                    &p,
-                    seed,
-                    &DistributedConfig {
-                        forwarding,
-                        // shards: 0 honors NETDECOMP_SHARDS (exercised by a
-                        // dedicated CI matrix entry), defaulting to the
-                        // thread count.
-                        engine: Engine::Parallel {
-                            threads: 4,
-                            shards: 0,
+                for engine in engines {
+                    let par = decompose_distributed(
+                        g,
+                        &p,
+                        seed,
+                        &DistributedConfig {
+                            forwarding,
+                            engine,
+                            determinism: Determinism::Verify,
+                            ..DistributedConfig::default()
                         },
-                        determinism: Determinism::Verify,
-                        ..DistributedConfig::default()
-                    },
-                )
-                .unwrap();
-                assert_eq!(
-                    seq.outcome, par.outcome,
-                    "graph {i} seed {seed} {forwarding:?}: outcome diverged"
-                );
-                assert_eq!(
-                    seq.comm, par.comm,
-                    "graph {i} seed {seed} {forwarding:?}: stats diverged"
-                );
+                    )
+                    .unwrap();
+                    assert_eq!(
+                        seq.outcome, par.outcome,
+                        "graph {i} seed {seed} {forwarding:?} {engine:?}: outcome diverged"
+                    );
+                    assert_eq!(
+                        seq.comm, par.comm,
+                        "graph {i} seed {seed} {forwarding:?} {engine:?}: stats diverged"
+                    );
+                }
             }
         }
     }
