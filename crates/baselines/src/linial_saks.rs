@@ -16,7 +16,7 @@
 //! that happens — and that Elkin–Neiman never lets it happen — is experiment
 //! E4 of this reproduction.
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use netdecomp_core::shift::uniform;
 use netdecomp_core::{DecompError, NetworkDecomposition};
 use netdecomp_graph::{bfs, Graph, Partition, VertexId, VertexSet};
@@ -281,12 +281,13 @@ struct LsCodec;
 impl Codec for LsCodec {
     type Msg = LsLabel;
 
-    fn encode(label: &LsLabel) -> Bytes {
-        WireWriter::new()
-            .u32(label.id as u32)
-            .u16(label.r as u16)
-            .u16((label.dist + 1) as u16)
-            .finish()
+    /// Radii and relayed distances stay below `k`, and
+    /// [`decompose_distributed_with_transport`] refuses a `k − 1` past
+    /// `u16::MAX`, so neither `u16` can wrap.
+    fn encode(label: &LsLabel, buf: &mut BytesMut) {
+        buf.put_u32_le(label.id as u32);
+        buf.put_u16_le(label.r as u16);
+        buf.put_u16_le((label.dist + 1) as u16);
     }
 
     fn decode(payload: &[u8]) -> Option<LsLabel> {
@@ -352,8 +353,10 @@ impl Snapshot for LsNode {
     }
 }
 
+/// Message-driven: `round` acts only on the labels in its inbox.
 impl TypedProtocol for LsNode {
     type Codec = LsCodec;
+    const MESSAGE_DRIVEN: bool = true;
 
     fn start(&mut self, ctx: &Ctx<'_>, out: &mut TypedOutbox<'_, LsCodec>) {
         if !self.alive {
@@ -405,7 +408,7 @@ impl TypedProtocol for LsNode {
 ///
 /// # Errors
 ///
-/// [`DecompError::Simulation`] if `limit` is violated.
+/// As [`decompose_distributed_with_transport`].
 pub fn decompose_distributed(
     graph: &Graph,
     params: &LinialSaksParams,
@@ -435,7 +438,9 @@ pub fn decompose_distributed(
 ///
 /// [`DecompError::Simulation`] if `limit` is violated or the transport
 /// fails (timeout, disconnect, corruption — a typed
-/// [`netdecomp_sim::SimError`], never a hang).
+/// [`netdecomp_sim::SimError`], never a hang);
+/// [`DecompError::InvalidParameter`] if `k − 1` exceeds 65 535, the
+/// largest radius a message carries (checked before any round runs).
 pub fn decompose_distributed_with_transport(
     graph: &Graph,
     params: &LinialSaksParams,
@@ -444,6 +449,16 @@ pub fn decompose_distributed_with_transport(
     engine: Engine,
     transport: Option<&TransportFactory>,
 ) -> Result<(LinialSaksOutcome, RunStats), DecompError> {
+    if params.k() - 1 > usize::from(u16::MAX) {
+        return Err(DecompError::InvalidParameter {
+            name: "k",
+            reason: format!(
+                "radius cap {} exceeds {}, the largest radius a CONGEST message carries",
+                params.k() - 1,
+                u16::MAX
+            ),
+        });
+    }
     let n = graph.vertex_count();
     let mut alive = VertexSet::full(n);
     let mut partition = Partition::new(n);
@@ -525,6 +540,25 @@ mod tests {
         assert!(LinialSaksParams::new(3, 1.0).is_err());
         assert!(LinialSaksParams::new(3, f64::NAN).is_err());
         assert!(LinialSaksParams::new(3, 2.0).is_ok());
+    }
+
+    /// Radii travel as `u16`: a `k − 1` past 65 535 is refused before
+    /// any round runs instead of wrapping on the wire.
+    #[test]
+    fn radius_caps_past_the_wire_width_are_invalid_parameters() {
+        let g = generators::path(6);
+        let params = LinialSaksParams::new(70_000, 4.0).unwrap();
+        match decompose_distributed(&g, &params, 1, CongestLimit::Unlimited, Engine::Sequential) {
+            Err(DecompError::InvalidParameter { name: "k", reason }) => {
+                assert!(reason.contains("65535"), "{reason}");
+            }
+            other => panic!("expected an invalid k, got {other:?}"),
+        }
+        let widest = LinialSaksParams::new(usize::from(u16::MAX) + 1, 4.0).unwrap();
+        assert!(
+            decompose_distributed(&g, &widest, 1, CongestLimit::Unlimited, Engine::Sequential)
+                .is_ok()
+        );
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //! `framed_loopback_k` vs `sharded_k` prices the frame seam (bucket
 //! encode + checksum + decode + payload slicing), and `framed_socket_4`
 //! adds a real kernel socket hop. Each delivery variant also reports the
-//! place phase's measured work counters (`place_refs_per_round`,
+//! compute phase's `nodes_stepped_per_round` and the place phase's
+//! measured work counters (`place_refs_per_round`,
 //! `place_copies_per_round`, and for framed variants
 //! `frame_bytes_per_round` — the volume a process-per-shard transport
 //! would put on the wire — plus `checksum_ns_per_round`, the decode-side
@@ -42,11 +43,11 @@
 //!     cargo bench -p netdecomp-bench --bench engine
 //! ```
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use netdecomp_bench::workloads::Family;
 use netdecomp_graph::Graph;
-use netdecomp_sim::wire::{WireReader, WireWriter};
+use netdecomp_sim::wire::WireReader;
 use netdecomp_sim::{
     Codec, Ctx, Engine, FrameTransport, Inbox, Outbox, Protocol, Simulator, Typed, TypedInbox,
     TypedOutbox, TypedProtocol,
@@ -65,12 +66,10 @@ struct EntryCodec;
 impl Codec for EntryCodec {
     type Msg = Entry;
 
-    fn encode(e: &Entry) -> Bytes {
-        WireWriter::new()
-            .u32(e.origin)
-            .f64(e.score)
-            .u16(e.dist)
-            .finish()
+    fn encode(e: &Entry, buf: &mut BytesMut) {
+        buf.put_u32_le(e.origin);
+        buf.put_f64_le(e.score);
+        buf.put_u16_le(e.dist);
     }
 
     fn decode(payload: &[u8]) -> Option<Entry> {
@@ -303,6 +302,10 @@ where
         probe.step().unwrap();
         let work = probe.delivery_work();
         let id = format!("{name}/{}", g.vertex_count());
+        // Compute-side work: these workloads send every round, so every
+        // node is stepped (a message-driven protocol steps only the
+        // nodes that heard something).
+        group.report_metric(&id, "nodes_stepped_per_round", work.nodes_stepped as f64);
         group.report_metric(&id, "place_refs_per_round", work.refs_scanned as f64);
         group.report_metric(&id, "place_copies_per_round", work.copies_delivered as f64);
         group.report_metric(

@@ -15,16 +15,25 @@
 //! the shard plan, route index, buffers and transport are built once per
 //! run, not once per phase.
 //!
+//! Each phase is a broadcast frontier moving one hop per round, and
+//! [`CarveNode`] is message-driven: a vertex acts only on what it hears,
+//! so a round steps only the vertices that heard something — the
+//! frontier — not all `n` (the phase's `start` round still visits every
+//! node).
+//!
 //! Messages are typed ([`Entry`]) and cross the wire through an
-//! [`EntryCodec`]: encoded once per send, decoded once per receipt, as
-//! the receiver reads its inbox. Rounds can run on the simulator's
-//! sharded parallel engine — compute *and* delivery
+//! [`EntryCodec`]: encoded once per send, into a buffer the simulator
+//! recycles, and decoded once per receipt, as the receiver reads its
+//! inbox. An entry's hop distance travels as a `u16`, so every
+//! `decompose_distributed*` function refuses a radius cap above 65 535
+//! before any round runs. Rounds can run on the simulator's sharded
+//! parallel engine — compute *and* delivery
 //! ([`DistributedConfig::engine`]); decisions are bit-identical across
 //! every `(threads, shards)` configuration, and
 //! [`DistributedConfig::determinism`] can make the simulator verify that
-//! per round.
+//! per round, the message-driven contract included.
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use netdecomp_graph::{Graph, VertexId, VertexSet};
 use netdecomp_sim::wire::{WireReader, WireWriter};
 use netdecomp_sim::{
@@ -119,18 +128,20 @@ impl Entry {
 ///
 /// The sender pre-increments `dist`, so the wire carries the distance *at
 /// the receiver* and relaying needs no rewrite before decode.
+/// [`CarveNode`]'s snapshot stores distances as `u16` too.
 #[derive(Debug, Clone, Copy)]
 struct EntryCodec;
 
 impl Codec for EntryCodec {
     type Msg = Entry;
 
-    fn encode(entry: &Entry) -> Bytes {
-        WireWriter::new()
-            .u32(entry.origin as u32)
-            .f64(entry.r)
-            .u16((entry.dist + 1) as u16)
-            .finish()
+    /// Relayed entries travel at most `cap` hops, and every
+    /// `decompose_distributed*` function refuses a cap past
+    /// [`MAX_WIRE_CAP`], so the `u16` cannot wrap.
+    fn encode(entry: &Entry, buf: &mut BytesMut) {
+        buf.put_u32_le(entry.origin as u32);
+        buf.put_f64_le(entry.r);
+        buf.put_u16_le((entry.dist + 1) as u16);
     }
 
     fn decode(payload: &[u8]) -> Option<Entry> {
@@ -338,8 +349,12 @@ impl Snapshot for CarveNode {
     }
 }
 
+/// Message-driven: `round` reads only its inbox (an empty one improves
+/// nothing and relays nothing), so each round steps only the broadcast
+/// frontier.
 impl TypedProtocol for CarveNode {
     type Codec = EntryCodec;
+    const MESSAGE_DRIVEN: bool = true;
 
     fn start(&mut self, ctx: &Ctx<'_>, out: &mut TypedOutbox<'_, EntryCodec>) {
         if !self.alive {
@@ -420,7 +435,9 @@ impl TypedProtocol for CarveNode {
 ///
 /// [`DecompError::Simulation`] if the configured CONGEST limit is violated
 /// (only possible with [`Forwarding::Full`] or a very small limit);
-/// [`DecompError::InvalidParameter`] for degenerate rates.
+/// [`DecompError::InvalidParameter`] for degenerate rates, or for a radius
+/// cap above 65 535, the largest hop distance a message carries (checked
+/// before any round runs).
 pub fn decompose_distributed(
     graph: &Graph,
     params: &DecompositionParams,
@@ -429,7 +446,7 @@ pub fn decompose_distributed(
 ) -> Result<DistributedRun, DecompError> {
     let n = graph.vertex_count();
     let beta = params.beta(n);
-    let cap = params.radius_cap();
+    let cap = wire_cap("k", params.radius_cap())?;
     run_distributed(graph, seed, params.phase_budget(n), config, move |_| {
         PhasePlan { beta, cap }
     })
@@ -449,7 +466,7 @@ pub fn decompose_distributed_staged(
     config: &DistributedConfig,
 ) -> Result<DistributedRun, DecompError> {
     let n = graph.vertex_count();
-    let cap = params.radius_cap();
+    let cap = wire_cap("k", params.radius_cap())?;
     let budget: usize = (0..params.stage_count(n))
         .map(|i| params.stage_phases(n, i))
         .sum();
@@ -486,10 +503,31 @@ pub fn decompose_distributed_high_radius(
 ) -> Result<DistributedRun, DecompError> {
     let n = graph.vertex_count();
     let beta = params.beta(n);
-    let cap = params.radius_cap(n);
+    let cap = wire_cap("lambda", params.radius_cap(n))?;
     run_distributed(graph, seed, params.phase_budget(), config, move |_| {
         PhasePlan { beta, cap }
     })
+}
+
+/// The largest radius cap the wire format carries: an entry's hop
+/// distance travels as a `u16`.
+const MAX_WIRE_CAP: usize = u16::MAX as usize;
+
+/// `cap`, if the wire format can carry every distance a phase reaches;
+/// otherwise [`DecompError::InvalidParameter`] naming the parameter
+/// `name` that set it. Checked before any round runs: a wrapped distance
+/// would silently change decisions.
+fn wire_cap(name: &'static str, cap: usize) -> Result<usize, DecompError> {
+    if cap > MAX_WIRE_CAP {
+        return Err(DecompError::InvalidParameter {
+            name,
+            reason: format!(
+                "radius cap {cap} exceeds {MAX_WIRE_CAP}, the largest hop distance \
+                 a CONGEST message carries"
+            ),
+        });
+    }
+    Ok(cap)
 }
 
 fn run_distributed<F>(
@@ -762,6 +800,35 @@ mod tests {
                 "seed {seed}"
             );
         }
+    }
+
+    /// A radius cap past the `u16` wire distance is refused before any
+    /// round runs: k = 70 000 on a 100k-vertex path would otherwise
+    /// relay entries past 65 535 hops with wrapped distances.
+    #[test]
+    fn radius_caps_past_the_wire_width_are_invalid_parameters() {
+        let g = generators::path(6);
+        let config = DistributedConfig::default();
+        let invalid = |result: Result<DistributedRun, DecompError>, name: &str| match result {
+            Err(DecompError::InvalidParameter { name: got, reason }) => {
+                assert_eq!(got, name);
+                assert!(reason.contains("65535"), "{reason}");
+            }
+            other => panic!("expected an invalid {name}, got {other:?}"),
+        };
+        let basic = DecompositionParams::new(70_000, 4.0).unwrap();
+        invalid(decompose_distributed(&g, &basic, 1, &config), "k");
+        let staged = crate::params::StagedParams::new(70_000, 6.0).unwrap();
+        invalid(decompose_distributed_staged(&g, &staged, 1, &config), "k");
+        let high = crate::params::HighRadiusParams::new(1, 10_000.0).unwrap();
+        assert!(high.radius_cap(6) > MAX_WIRE_CAP);
+        invalid(
+            decompose_distributed_high_radius(&g, &high, 1, &config),
+            "lambda",
+        );
+        // The largest cap the wire carries still runs.
+        let widest = DecompositionParams::new(MAX_WIRE_CAP, 4.0).unwrap();
+        assert!(decompose_distributed(&g, &widest, 1, &config).is_ok());
     }
 
     #[test]

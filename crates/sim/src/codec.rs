@@ -4,15 +4,21 @@
 //! [`Typed`] adapter lets a protocol speak in terms of decoded messages
 //! while the engine keeps shipping [`bytes::Bytes`]. Each outgoing message
 //! is encoded exactly once — a broadcast hands every recipient a
-//! reference-counted view of the same encoding — and each incoming payload
-//! is decoded exactly once per recipient, as the protocol reads it: a
-//! [`TypedInbox`] decodes straight from the delivering shard's
-//! slab-backed [`Inbox`] view (a borrowed slice; no payload-handle clone,
-//! no reference-count traffic, no decoded copy of the inbox).
+//! reference-counted view of the same encoding — into a payload buffer
+//! the engine recycles: once the recipients have read it, the buffer
+//! returns to the sending shard's pool for a later send, so a steady
+//! relay allocates nothing. Each incoming payload is decoded exactly once
+//! per recipient, as the protocol reads it: a [`TypedInbox`] decodes
+//! straight from the delivering shard's slab-backed [`Inbox`] view (a
+//! borrowed slice; no payload-handle clone, no reference-count traffic,
+//! no decoded copy of the inbox).
 
-use bytes::Bytes;
+use std::cell::RefCell;
+
+use bytes::{Bytes, BytesMut};
 use netdecomp_graph::VertexId;
 
+use crate::message::PayloadPool;
 use crate::{Ctx, Inbox, Outbox, Protocol};
 
 /// A bidirectional mapping between a message type and its wire bytes.
@@ -26,8 +32,11 @@ pub trait Codec {
     /// The in-memory message type.
     type Msg;
 
-    /// Encodes one message. Called once per send, including broadcasts.
-    fn encode(msg: &Self::Msg) -> Bytes;
+    /// Appends the encoding of `msg` to `buf`, which the caller hands
+    /// over empty. Called once per send, including broadcasts; the
+    /// buffer is a recycled one, so encoding allocates nothing once its
+    /// capacity covers the message.
+    fn encode(msg: &Self::Msg, buf: &mut BytesMut);
 
     /// Decodes a payload, or `None` if malformed/truncated.
     ///
@@ -47,6 +56,10 @@ pub trait TypedProtocol {
 
     /// Round 0, before any delivery.
     fn start(&mut self, ctx: &Ctx<'_>, out: &mut TypedOutbox<'_, Self::Codec>);
+
+    /// Whether [`TypedProtocol::round`] does nothing on an empty inbox,
+    /// as in [`Protocol::MESSAGE_DRIVEN`]; [`Typed`] forwards it.
+    const MESSAGE_DRIVEN: bool = false;
 
     /// Every round ≥ 1, with this round's messages, decoded as
     /// `incoming` is iterated (see [`TypedInbox`]).
@@ -91,29 +104,53 @@ impl<C: Codec> Iterator for TypedInbox<'_, C> {
     }
 }
 
-/// Send buffer encoding typed messages through a [`Codec`].
+/// Send buffer encoding typed messages through a [`Codec`], each into a
+/// recycled payload buffer.
 #[derive(Debug)]
 pub struct TypedOutbox<'a, C: Codec> {
     raw: &'a mut Outbox,
+    pool: Option<&'a RefCell<PayloadPool>>,
     _codec: std::marker::PhantomData<C>,
 }
 
-impl<C: Codec> TypedOutbox<'_, C> {
+impl<'a, C: Codec> TypedOutbox<'a, C> {
+    fn new(raw: &'a mut Outbox, ctx: &Ctx<'a>) -> Self {
+        TypedOutbox {
+            raw,
+            pool: ctx.payloads,
+            _codec: std::marker::PhantomData,
+        }
+    }
+
+    /// Encodes `msg` into a recycled buffer, marking the outbox as one
+    /// whose payloads go back to the pool.
+    fn encode(&mut self, msg: &C::Msg) -> Bytes {
+        let mut buf = self
+            .pool
+            .map_or_else(BytesMut::new, |pool| pool.borrow_mut().take());
+        C::encode(msg, &mut buf);
+        self.raw.pooled = true;
+        buf.freeze()
+    }
+
     /// Encodes `msg` once and queues it to a single neighbor.
     pub fn unicast(&mut self, to: VertexId, msg: &C::Msg) {
-        self.raw.unicast(to, C::encode(msg));
+        let payload = self.encode(msg);
+        self.raw.unicast(to, payload);
     }
 
     /// Encodes `msg` once and queues one copy per listed neighbor; all
     /// copies share the one encoding.
     pub fn multicast(&mut self, to: Vec<VertexId>, msg: &C::Msg) {
-        self.raw.multicast(to, C::encode(msg));
+        let payload = self.encode(msg);
+        self.raw.multicast(to, payload);
     }
 
     /// Encodes `msg` once and queues it along every incident edge; all
     /// recipients share the one encoding.
     pub fn broadcast(&mut self, msg: &C::Msg) {
-        self.raw.broadcast(C::encode(msg));
+        let payload = self.encode(msg);
+        self.raw.broadcast(payload);
     }
 }
 
@@ -137,12 +174,10 @@ impl<T: TypedProtocol> Typed<T> {
 }
 
 impl<T: TypedProtocol> Protocol for Typed<T> {
+    const MESSAGE_DRIVEN: bool = T::MESSAGE_DRIVEN;
+
     fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox) {
-        let mut typed = TypedOutbox {
-            raw: out,
-            _codec: std::marker::PhantomData,
-        };
-        self.inner.start(ctx, &mut typed);
+        self.inner.start(ctx, &mut TypedOutbox::new(out, ctx));
     }
 
     fn round(&mut self, ctx: &Ctx<'_>, incoming: Inbox<'_>, out: &mut Outbox) {
@@ -151,11 +186,8 @@ impl<T: TypedProtocol> Protocol for Typed<T> {
             next: 0,
             _codec: std::marker::PhantomData,
         };
-        let mut typed = TypedOutbox {
-            raw: out,
-            _codec: std::marker::PhantomData,
-        };
-        self.inner.round(ctx, incoming, &mut typed);
+        self.inner
+            .round(ctx, incoming, &mut TypedOutbox::new(out, ctx));
     }
 
     fn is_halted(&self) -> bool {
@@ -179,8 +211,9 @@ impl<T: TypedProtocol + crate::Snapshot> crate::Snapshot for Typed<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{WireReader, WireWriter};
+    use crate::wire::WireReader;
     use crate::Simulator;
+    use bytes::BufMut;
     use netdecomp_graph::generators;
 
     /// Counter message: (origin, hops).
@@ -195,8 +228,9 @@ mod tests {
     impl Codec for HopCodec {
         type Msg = Hop;
 
-        fn encode(msg: &Hop) -> Bytes {
-            WireWriter::new().u32(msg.origin).u16(msg.hops).finish()
+        fn encode(msg: &Hop, buf: &mut BytesMut) {
+            buf.put_u32_le(msg.origin);
+            buf.put_u16_le(msg.hops);
         }
 
         fn decode(payload: &[u8]) -> Option<Hop> {
@@ -262,7 +296,9 @@ mod tests {
             origin: 77,
             hops: 3,
         };
-        assert_eq!(HopCodec::decode(&HopCodec::encode(&m)), Some(m));
+        let mut buf = BytesMut::new();
+        HopCodec::encode(&m, &mut buf);
+        assert_eq!(HopCodec::decode(&buf), Some(m));
         assert_eq!(HopCodec::decode(&Bytes::from_static(b"xx")), None);
     }
 }

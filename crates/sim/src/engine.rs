@@ -6,23 +6,33 @@
 //! directed-edge slots leaving them (see the [`crate::shard`] module docs
 //! for the full ownership invariant):
 //!
-//! 1. **Compute** — every node consumes its delivered messages and fills
-//!    its preallocated [`Outbox`]. A shard computes only its own nodes and
-//!    writes only its own outbox chunk.
-//! 2. **Account** (sender side) — each shard validates addressing,
-//!    charges per-edge byte budgets for the messages *its own* vertices
-//!    sent, and builds its sender-side routing index: outgoing message
-//!    refs bucketed by destination shard (unicasts through a flat O(1)
-//!    vertex→shard table, broadcasts through the [`RouteIndex`]'s
-//!    precomputed adjacency segmentation). Edge slots are sender-owned
-//!    and contiguous per shard, so there is no counter merge.
+//! 1. **Compute** — nodes consume their delivered messages and fill their
+//!    preallocated [`Outbox`]es, in ascending id order. Every node runs
+//!    `start`; after that a [`Protocol::MESSAGE_DRIVEN`] protocol runs
+//!    only on the shard's wake list (the nodes placement delivered to),
+//!    any other on every node. Only last round's senders have their
+//!    outboxes cleared, and the nodes that send now form the senders
+//!    list. A shard computes only its own nodes and writes only its own
+//!    outbox chunk.
+//! 2. **Account** (sender side) — each shard walks its senders list,
+//!    validates addressing, charges per-edge byte budgets for the
+//!    messages *its own* vertices sent, and builds its sender-side routing
+//!    index: outgoing message refs bucketed by destination shard
+//!    (unicasts through a flat O(1) vertex→shard table, broadcasts
+//!    through the [`RouteIndex`]'s precomputed adjacency segmentation).
+//!    Edge slots are sender-owned and contiguous per shard, so there is
+//!    no counter merge.
 //! 3. **Place** (recipient side) — each shard walks only the route-ref
 //!    buckets addressed to it and bucket-sorts those copies (unicast,
-//!    multicast, and broadcast alike) into its own CSR inbox slice. No
-//!    shard rescans another shard's outbox headers, so total header work
-//!    drops from `O(shards × messages)` to `O(messages + copies)` refs
-//!    (no shard-count multiplier); see the [`crate::shard`] module docs
-//!    for the complexity table and [`Simulator::delivery_work`] for the
+//!    multicast, and broadcast alike) into its own inbox slice, listing
+//!    the recipients in ascending order as the next wake list. It empties
+//!    last round's inboxes through last round's wake list, so it costs
+//!    `O(copies + woken)` plus a one-bit-per-vertex scan (see the
+//!    [`crate::shard`] module docs for the dense-round case). No shard
+//!    rescans another shard's outbox headers, so total header work drops
+//!    from `O(shards × messages)` to `O(messages + copies)` refs (no
+//!    shard-count multiplier); see the [`crate::shard`] module docs for
+//!    the complexity table and [`Simulator::delivery_work`] for the
 //!    measured counters.
 //!
 //! Under [`Engine::Framed`] the hand-off between phases 2 and 3 crosses
@@ -48,6 +58,8 @@
 //!                   └ shard A ships while B computes ┘       └ or, after an account
 //!                                                              failure, skip (drain*) ┘
 //! * framed delivery only
+//!
+//! place ──wake list──▶ next round's compute ──senders──▶ account
 //! ```
 //!
 //! The send half needs no barrier inside it because it touches only the
@@ -85,6 +97,7 @@
 //! compute on cloned nodes, and a reference single-buffer merge
 //! cross-checked against the sharded delivery.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, RwLock};
 
@@ -92,7 +105,7 @@ use bytes::Bytes;
 use netdecomp_graph::{Graph, VertexId};
 
 use crate::frame::{FrameConfig, FrameTransport, LoopbackTransport, Transport};
-use crate::message::InboxSlot;
+use crate::message::PayloadPool;
 use crate::shard::{DeliveryShard, RouteIndex, Router, ShardPlan};
 use crate::{
     CongestLimit, DeliveryWork, Inbox, Incoming, Outbox, Recipient, RoundStats, RunStats, SimError,
@@ -111,13 +124,21 @@ pub struct Ctx<'a> {
     /// on it, is global knowledge).
     pub n: usize,
     graph: &'a Graph,
+    /// The owning shard's recycled payload buffers, which typed sends
+    /// encode into (`None` outside a shard's compute phase).
+    pub(crate) payloads: Option<&'a RefCell<PayloadPool>>,
 }
 
 impl<'a> Ctx<'a> {
     /// Node context for drivers outside this module (the single-shard
     /// [`crate::transport::worker`] builds nodes for its vertex range).
     pub(crate) fn new(id: VertexId, n: usize, graph: &'a Graph) -> Ctx<'a> {
-        Ctx { id, n, graph }
+        Ctx {
+            id,
+            n,
+            graph,
+            payloads: None,
+        }
     }
 
     /// The ids of this node's neighbors.
@@ -144,6 +165,21 @@ impl<'a> Ctx<'a> {
 /// the compute phase may run nodes on any thread in any order within a
 /// round. [`Determinism::Verify`] can check this at runtime.
 pub trait Protocol {
+    /// Declares the protocol **message-driven**: its `round` does
+    /// nothing — sends nothing and leaves the state as it was — when the
+    /// inbox is empty. The engine then runs `round` only for the nodes
+    /// that received a message this round (every node still runs
+    /// `start`), so a round's compute costs what its messages cost, not
+    /// `n` calls. A protocol that counts rounds inside `round`, or sends
+    /// on silence, must keep the default `false`, under which every node
+    /// runs every round.
+    ///
+    /// [`Determinism::Verify`] checks the contract: its reference
+    /// compute runs every node, empty inboxes included, so a
+    /// message-driven node that sends on silence fails the round with
+    /// [`SimError::Nondeterminism`].
+    const MESSAGE_DRIVEN: bool = false;
+
     /// Called once at round 0; queues the node's initial messages.
     fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox);
 
@@ -392,26 +428,81 @@ pub struct Simulator<'g, P> {
     started: bool,
 }
 
-/// Runs the compute phase for one shard's vertex range: each node consumes
-/// its slice of the shard-owned inbox and refills its preallocated outbox.
+/// Runs one node's share of a round: `start` before the first round,
+/// `round` on its inbox after.
+fn step_node<P: Protocol>(
+    node: &mut P,
+    ctx: &Ctx<'_>,
+    started: bool,
+    inbox: Inbox<'_>,
+    out: &mut Outbox,
+) {
+    if started {
+        node.round(ctx, inbox, out);
+    } else {
+        node.start(ctx, out);
+    }
+}
+
+/// Runs the compute phase for one shard's vertex range, stepping nodes in
+/// ascending id order: every node for `start` and for protocols that are
+/// not [`Protocol::MESSAGE_DRIVEN`], only the wake list (the nodes with a
+/// non-empty inbox) otherwise. Last round's senders — the only outboxes
+/// holding messages — are cleared first, their typed payloads going back
+/// to the shard's pool for this round's typed sends to encode into; a
+/// fully stepped shard clears each one just before stepping it, while
+/// the outbox is hot. The nodes that send form the senders list account
+/// walks.
 fn compute_shard<P: Protocol>(
     graph: &Graph,
     started: bool,
-    shard: &DeliveryShard,
+    shard: &mut DeliveryShard,
     nodes: &mut [P],
     outboxes: &mut [Outbox],
 ) {
-    let n = graph.vertex_count();
-    for (i, (node, out)) in nodes.iter_mut().zip(outboxes.iter_mut()).enumerate() {
-        let id = shard.start() + i;
-        out.clear();
-        let ctx = Ctx { id, n, graph };
-        if started {
-            node.round(&ctx, shard.incoming(i), out);
-        } else {
-            node.start(&ctx, out);
+    shard.work = DeliveryWork::default();
+    let message_driven = started && P::MESSAGE_DRIVEN;
+    let mut senders = std::mem::take(&mut shard.senders);
+    shard.payloads.get_mut().begin_round();
+    if message_driven {
+        // Last round's senders need not be woken this round.
+        for &local in &senders {
+            outboxes[local as usize].retire(&shard.payloads);
         }
     }
+    senders.clear();
+    let view = &*shard;
+    let n = graph.vertex_count();
+    let mut step = |local: usize, node: &mut P, out: &mut Outbox| {
+        if !out.is_empty() {
+            out.retire(&view.payloads);
+        }
+        let ctx = Ctx {
+            id: view.start() + local,
+            n,
+            graph,
+            payloads: Some(&view.payloads),
+        };
+        step_node(node, &ctx, started, view.incoming(local), out);
+        if !out.is_empty() {
+            senders.push(local as u32);
+        }
+    };
+    let stepped = if message_driven {
+        for &local in &view.woken {
+            let local = local as usize;
+            step(local, &mut nodes[local], &mut outboxes[local]);
+        }
+        view.woken.len()
+    } else {
+        for (local, (node, out)) in nodes.iter_mut().zip(outboxes.iter_mut()).enumerate() {
+            step(local, node, out);
+        }
+        view.len()
+    };
+    shard.senders = senders;
+    shard.payloads.get_mut().end_round();
+    shard.work.nodes_stepped = stepped;
 }
 
 /// How a round's routed buckets reach their destination shards.
@@ -693,10 +784,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     {
         let n = graph.vertex_count();
         let nodes = (0..n)
-            .map(|id| {
-                let ctx = Ctx { id, n, graph };
-                make_node(id, &ctx)
-            })
+            .map(|id| make_node(id, &Ctx::new(id, n, graph)))
             .collect();
         let plan = ShardPlan::single(n);
         let routes = RouteIndex::new(graph, &plan);
@@ -838,25 +926,31 @@ impl<'g, P: Protocol> Simulator<'g, P> {
                 DeliveryShard::new(self.graph, r.start, r.end)
             })
             .collect();
-        // Vertices ascend across old shards, and each new shard's range is
-        // contiguous, so a single in-order sweep rebuilds every local CSR.
-        // Pending payloads are re-registered per copy (not per message) in
-        // the receiving slab — resharding is a cold path, and the next
-        // round's placement rebuilds the exact per-message dedup.
+        // Vertices ascend across old shards' wake lists, and each new
+        // shard's range is contiguous, so a single in-order sweep rebuilds
+        // every pending inbox and wake list. Pending payloads are
+        // re-registered per copy (not per message) in the receiving slab —
+        // resharding is a cold path, and the next round's placement
+        // rebuilds the exact per-message dedup.
         for shard in &old {
-            for local in 0..shard.len() {
-                let v = shard.start() + local;
+            for &local in &shard.woken {
+                let v = shard.start() + local as usize;
                 let new = &mut self.shards[plan.shard_of(v)];
-                for m in shard.incoming(local).iter() {
-                    let payload = new.slab.register(m.payload().clone());
-                    new.slots.push(InboxSlot {
-                        from: m.from() as u32,
-                        payload,
-                    });
+                let base = new.start();
+                for m in shard.incoming(local as usize).iter() {
+                    new.push_pending(v - base, m.from() as u32, m.payload().clone());
                 }
-                let (base, filled) = (new.start(), new.slots.len());
-                new.offsets[v - base + 1] = filled;
             }
+        }
+        // Queued messages stay put; each new shard lists the senders
+        // among its vertices for its next compute to clear.
+        for (k, shard) in self.shards.iter_mut().enumerate() {
+            let base = plan.range(k).start;
+            shard.senders.extend(
+                (0..shard.len())
+                    .filter(|&local| !flat[base + local].is_empty())
+                    .map(|local| local as u32),
+            );
         }
         let mut rest = flat.into_iter();
         self.outboxes = (0..plan.count())
@@ -887,8 +981,9 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         &self.routes
     }
 
-    /// Work counters from the most recent round's place phase, summed
-    /// over shards. With sender-side routing, `refs_scanned` is bounded
+    /// Work counters from the most recent round, summed over shards:
+    /// the nodes its compute phase stepped, and its place phase's
+    /// counters. With sender-side routing, `refs_scanned` is bounded
     /// by `messages + copies` at any shard count — exactly `messages`
     /// for unicast traffic, plus up to `min(degree, shards)` segment
     /// refs per broadcast — with no `shards × messages` rescan
@@ -898,9 +993,9 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     pub fn delivery_work(&self) -> DeliveryWork {
         let mut work = DeliveryWork::default();
         for shard in &self.shards {
-            // The per-shard counters hold only place-phase fields; absorb
-            // saturates every one, so a long soak run pins instead of
-            // wrapping.
+            // The per-shard counters hold only compute- and place-phase
+            // fields; absorb saturates every one, so a long soak run pins
+            // instead of wrapping.
             work.absorb(&shard.work);
         }
         // Transport health is cumulative over the run too: retries,
@@ -992,7 +1087,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     /// `true` when all nodes are halted and no message is in flight.
     #[must_use]
     pub fn is_quiescent(&self) -> bool {
-        self.nodes.iter().all(Protocol::is_halted) && self.shards.iter().all(|s| s.slots.is_empty())
+        self.nodes.iter().all(Protocol::is_halted) && self.shards.iter().all(|s| s.woken.is_empty())
     }
 
     /// Repositions the round cursor: the next step runs `round` — `start`
@@ -1023,7 +1118,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         // a failing round's partial phase timings are already in the ring
         // when a flight recorder dumps it. No-op (and allocation-free)
         // with tracing off; frame bytes / checksum time come from the
-        // per-round place counters reset at the top of placement.
+        // per-round counters reset at the top of compute.
         let round = self.round as u64;
         for shard in &mut self.shards {
             let frame_bytes = shard.work.frame_bytes as u64;
@@ -1172,22 +1267,27 @@ impl<P: Protocol + Send + Clone> Simulator<'_, P> {
     /// [`SimError::Nondeterminism`] on divergence, plus everything
     /// [`Simulator::step`] can return.
     pub fn step_verified(&mut self) -> Result<RoundStats, SimError> {
-        if self.workers <= 1 && self.shards.len() <= 1 && self.transport.is_none() {
+        let sharded = self.workers > 1 || self.shards.len() > 1 || self.transport.is_some();
+        if !sharded && !P::MESSAGE_DRIVEN {
             return self.step();
         }
         // Sequential reference compute on cloned nodes, against the same
-        // pre-round inboxes.
+        // pre-round inboxes. It steps every node, empty inboxes included,
+        // which is what holds a message-driven protocol to its contract.
         let mut reference_nodes = self.nodes.clone();
         let mut reference_outboxes = vec![Outbox::new(); self.nodes.len()];
-        {
-            let mut node_rest: &mut [P] = &mut reference_nodes;
-            let mut out_rest: &mut [Outbox] = &mut reference_outboxes;
-            for shard in &self.shards {
-                let (nodes, rest) = node_rest.split_at_mut(shard.len());
-                node_rest = rest;
-                let (outs, rest) = out_rest.split_at_mut(shard.len());
-                out_rest = rest;
-                compute_shard(self.graph, self.started, shard, nodes, outs);
+        let n = self.graph.vertex_count();
+        for shard in &self.shards {
+            for local in 0..shard.len() {
+                let id = shard.start() + local;
+                let ctx = Ctx::new(id, n, self.graph);
+                step_node(
+                    &mut reference_nodes[id],
+                    &ctx,
+                    self.started,
+                    shard.incoming(local),
+                    &mut reference_outboxes[id],
+                );
             }
         }
         let round = self.round;
@@ -2042,6 +2142,201 @@ mod tests {
 
         assert_eq!(resumed.nodes(), full.nodes(), "resumed run diverged");
         assert_eq!(resumed.rounds_executed(), full.rounds_executed());
+    }
+
+    /// A message-driven single-source flood: a node learns its distance
+    /// from the first copy it hears and relays once; the payload carries
+    /// the sender's distance.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Frontier {
+        dist: Option<u32>,
+    }
+
+    impl Protocol for Frontier {
+        const MESSAGE_DRIVEN: bool = true;
+
+        fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox) {
+            if ctx.id == 0 {
+                self.dist = Some(0);
+                out.broadcast(Bytes::from(0u32.to_le_bytes().to_vec()));
+            }
+        }
+
+        fn round(&mut self, _ctx: &Ctx<'_>, incoming: Inbox<'_>, out: &mut Outbox) {
+            if self.dist.is_some() {
+                return;
+            }
+            if let Some(first) = incoming.iter().next() {
+                let heard = first
+                    .payload()
+                    .as_slice()
+                    .try_into()
+                    .expect("4-byte distance");
+                let dist = u32::from_le_bytes(heard) + 1;
+                self.dist = Some(dist);
+                out.broadcast(Bytes::from(dist.to_le_bytes().to_vec()));
+            }
+        }
+
+        fn is_halted(&self) -> bool {
+            self.dist.is_some()
+        }
+    }
+
+    impl Snapshot for Frontier {
+        fn save_state(&self) -> Bytes {
+            Bytes::from(self.dist.map_or(u64::MAX, u64::from).to_le_bytes().to_vec())
+        }
+
+        fn load_state(&mut self, bytes: &[u8]) -> bool {
+            let Ok(raw) = <[u8; 8]>::try_from(bytes) else {
+                return false;
+            };
+            self.dist = match u64::from_le_bytes(raw) {
+                u64::MAX => None,
+                d => u32::try_from(d).ok(),
+            };
+            true
+        }
+    }
+
+    /// The frontier flood steps only the nodes that heard something: on
+    /// a path that is the (at most two) neighbors of the last relay,
+    /// where full stepping would run all 10 000 nodes every round.
+    #[test]
+    fn a_message_driven_flood_steps_only_its_frontier() {
+        let g = generators::path(10_000);
+        for engine in [
+            Engine::Sequential,
+            Engine::Parallel {
+                threads: 1,
+                shards: 3,
+            },
+            Engine::Framed {
+                threads: 1,
+                shards: 3,
+                transport: FrameTransport::Loopback,
+            },
+        ] {
+            let mut sim = Simulator::new(&g, |_, _| Frontier { dist: None }).with_engine(engine);
+            sim.step().unwrap();
+            assert_eq!(
+                sim.delivery_work().nodes_stepped,
+                10_000,
+                "{engine:?} start"
+            );
+            let mut rounds = 1;
+            while !sim.is_quiescent() {
+                sim.step().unwrap();
+                let stepped = sim.delivery_work().nodes_stepped;
+                assert!(stepped <= 2, "{engine:?} round {rounds} stepped {stepped}");
+                rounds += 1;
+            }
+            // 9 999 relays, plus the last node's echo back.
+            assert_eq!(rounds, 10_001, "{engine:?}");
+            assert!(sim
+                .nodes()
+                .iter()
+                .enumerate()
+                .all(|(v, n)| n.dist == Some(v as u32)));
+        }
+    }
+
+    /// A protocol that claims to be message-driven but sends on an empty
+    /// inbox breaks the contract: `Verify`'s reference steps every node,
+    /// so the silent senders it skipped surface as nondeterminism — on
+    /// the sequential engine too.
+    #[test]
+    fn verification_catches_a_message_driven_protocol_that_sends_on_silence() {
+        #[derive(Debug, Clone)]
+        struct Chatter;
+        impl Protocol for Chatter {
+            const MESSAGE_DRIVEN: bool = true;
+
+            fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox) {
+                if ctx.id == 0 {
+                    out.broadcast(Bytes::from_static(b"c"));
+                }
+            }
+
+            fn round(&mut self, _ctx: &Ctx<'_>, _incoming: Inbox<'_>, out: &mut Outbox) {
+                out.broadcast(Bytes::from_static(b"c"));
+            }
+        }
+        let g = generators::path(4);
+        for engine in [
+            Engine::Sequential,
+            Engine::Parallel {
+                threads: 2,
+                shards: 2,
+            },
+            Engine::Framed {
+                threads: 1,
+                shards: 2,
+                transport: FrameTransport::Loopback,
+            },
+        ] {
+            let mut sim = Simulator::new(&g, |_, _| Chatter).with_engine(engine);
+            sim.step_verified()
+                .expect("start is stepped for every node");
+            // Round 1 wakes only vertex 1; the reference also runs the
+            // silent vertices 0, 2 and 3, and vertex 0 is the first whose
+            // outbox differs.
+            assert_eq!(
+                sim.step_verified(),
+                Err(SimError::Nondeterminism {
+                    round: 1,
+                    vertex: 0
+                }),
+                "{engine:?}"
+            );
+        }
+    }
+
+    /// A checkpoint cut mid-flood restores the wake list with the
+    /// inboxes: the resumed message-driven run steps the same nodes,
+    /// delivers the same messages to every vertex and ends bit-identical.
+    #[test]
+    fn a_mid_flood_checkpoint_of_a_message_driven_protocol_resumes_bit_identically() {
+        let g = generators::grid2d(9, 7);
+        for engine in [
+            Engine::Sequential,
+            Engine::Parallel {
+                threads: 2,
+                shards: 3,
+            },
+        ] {
+            let (cut, tail) = (4, 12);
+            let mut full = Simulator::new(&g, |_, _| Frontier { dist: None }).with_engine(engine);
+            full.run_rounds(cut).unwrap();
+            let shards = full.shard_plan().count();
+            let payloads: Vec<Vec<u8>> = (0..shards).map(|k| full.snapshot_shard(k)).collect();
+
+            let mut resumed =
+                Simulator::new(&g, |_, _| Frontier { dist: None }).with_engine(engine);
+            for (k, payload) in payloads.iter().enumerate() {
+                assert!(resumed.restore_shard(k, payload), "shard {k} restore");
+            }
+            resumed.resume_at(cut);
+            for round in cut..cut + tail {
+                for v in 0..g.vertex_count() {
+                    assert!(
+                        resumed.incoming(v) == full.incoming(v).to_vec()[..],
+                        "{engine:?} round {round} vertex {v}"
+                    );
+                }
+                assert_eq!(resumed.is_quiescent(), full.is_quiescent());
+                assert_eq!(resumed.step(), full.step(), "{engine:?} round {round}");
+                assert_eq!(
+                    resumed.delivery_work().nodes_stepped,
+                    full.delivery_work().nodes_stepped,
+                    "{engine:?} round {round}"
+                );
+            }
+            assert!(full.is_quiescent(), "the flood finished within the tail");
+            assert_eq!(resumed.nodes(), full.nodes(), "{engine:?}");
+            assert_eq!(resumed.stats(), full.stats(), "{engine:?}");
+        }
     }
 
     /// A corrupted payload is refused (`false`) instead of trusted or

@@ -23,24 +23,37 @@
 //! [`Simulator::step`] then runs three shard-local phases:
 //!
 //! - **Compute.** Each node consumes the slice of messages delivered to it
-//!   and fills its preallocated [`Outbox`].
-//! - **Account (sender side).** Each shard validates addressing, charges
-//!   per-edge budgets for messages its own vertices sent (no counter
-//!   merge — senders own their edge slots outright), and *routes* each
-//!   message: references are bucketed by destination shard, unicast and
-//!   multicast targets through a flat O(1) vertex→shard table, broadcasts
-//!   through a per-vertex adjacency segmentation both precomputed in the
-//!   [`RouteIndex`] (once per plan, not per round).
+//!   and fills its preallocated [`Outbox`]. A protocol that declares
+//!   itself [`Protocol::MESSAGE_DRIVEN`] — its `round` does nothing on an
+//!   empty inbox — is stepped only on the shard's **wake list**, the
+//!   nodes that received a message this round (every node still runs
+//!   `start`); any other protocol steps every node. Either way nodes run
+//!   in ascending id order, and the ones that sent form the shard's
+//!   **senders** list.
+//! - **Account (sender side).** Each shard walks its senders list,
+//!   validates addressing, charges per-edge budgets for messages its own
+//!   vertices sent (no counter merge — senders own their edge slots
+//!   outright), and *routes* each message: references are bucketed by
+//!   destination shard, unicast and multicast targets through a flat O(1)
+//!   vertex→shard table, broadcasts through a per-vertex adjacency
+//!   segmentation both precomputed in the [`RouteIndex`] (once per plan,
+//!   not per round).
 //! - **Place (recipient side).** Each shard walks only the route-ref
 //!   buckets addressed to it — never another shard's outbox headers — and
-//!   bucket-sorts those copies into its own inbox slice (recycled in
-//!   place across rounds — steady-state stepping allocates nothing).
+//!   bucket-sorts those copies into its own inbox slice, listing the
+//!   recipients as the next round's wake list (recycled in place across
+//!   rounds — steady-state stepping allocates nothing).
 //!
+//! A round's work therefore follows its messages: compute steps the
+//! woken nodes, account walks the senders, and placement costs
+//! `O(copies + woken)` plus a one-bit-per-vertex scan (a pass over every
+//! vertex only after a round that woke a quarter of them). In the paper's algorithm each phase is a broadcast
+//! frontier moving one hop per round, so most nodes sit out most rounds.
 //! Sender-side routing is what drops delivery's header work from
 //! `O(shards × messages)` to `O(messages + copies)` refs, with no
 //! shard-count multiplier (the complexity table lives in the `shard`
 //! module docs; [`Simulator::delivery_work`] reports the measured
-//! [`DeliveryWork`] counters).
+//! [`DeliveryWork`] counters, nodes stepped included).
 //!
 //! # Slab-backed inboxes: delivery cost is per message, not per copy
 //!
@@ -177,10 +190,11 @@
 //! `(threads, shards)` configuration produces **bit-identical** node
 //! states, inboxes, and [`RunStats`]. [`Determinism::Verify`] (via
 //! [`Simulator::step_verified`] or the `*_with` runners) checks both
-//! halves per round — reference compute on cloned nodes, and sharded
-//! delivery against a sequential single-buffer merge — and fails with
-//! [`SimError::Nondeterminism`] if a protocol sneaks in scheduling
-//! dependence.
+//! halves per round — reference compute on cloned nodes, stepping every
+//! node whatever its inbox, and sharded delivery against a sequential
+//! single-buffer merge — and fails with [`SimError::Nondeterminism`] if a
+//! protocol sneaks in scheduling dependence or, declared message-driven,
+//! sends on an empty inbox.
 //!
 //! # Typed messages
 //!
@@ -192,6 +206,17 @@
 //! slice directly, so the typed read path is as handle-free as the raw
 //! one.
 //!
+//! Encoding writes into a recycled buffer ([`Codec::encode`] appends to a
+//! [`bytes::BytesMut`]). When the sender's outbox is cleared, at the next
+//! compute phase, each payload goes back to a per-shard pool once it is
+//! unique: at once under framed delivery, whose frames carry copies, and
+//! one round later under shared-memory delivery, whose slabs view the
+//! payload until the next placement. The pool keeps no more buffers
+//! than a rolling high-water mark of payloads per round, so a steady
+//! typed relay allocates nothing (pinned by
+//! `crates/sim/tests/steady_state_alloc.rs`)
+//! and a burst is forgotten geometrically.
+//!
 //! # Example: flooding a token
 //!
 //! ```
@@ -202,6 +227,9 @@
 //! struct Flood { seen: bool }
 //!
 //! impl Protocol for Flood {
+//!     // `round` acts only on what it hears: step just the frontier.
+//!     const MESSAGE_DRIVEN: bool = true;
+//!
 //!     fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox) {
 //!         if ctx.id == 0 {
 //!             self.seen = true;
@@ -224,6 +252,8 @@
 //! assert!(sim.nodes().iter().all(|n| n.seen));
 //! // start + 3 hops of relaying + draining the last node's echo.
 //! assert_eq!(run.rounds, 5);
+//! // That last round stepped only vertex 2, the one the echo reached.
+//! assert_eq!(sim.delivery_work().nodes_stepped, 1);
 //! ```
 
 #![forbid(unsafe_code)]

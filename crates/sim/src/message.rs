@@ -1,6 +1,8 @@
 //! Message types exchanged through the simulator.
 
-use bytes::Bytes;
+use std::cell::RefCell;
+
+use bytes::{Bytes, BytesMut};
 use netdecomp_graph::VertexId;
 
 /// Addressing of an outgoing message.
@@ -256,7 +258,9 @@ impl<'a> IncomingRef<'a> {
 /// The engine hands every node a preallocated `Outbox` (one per vertex,
 /// reused across rounds), so the compute phase allocates nothing in steady
 /// state and can run over all nodes in parallel — each node writes only
-/// its own slot.
+/// its own slot. The engine clears an outbox in the next compute phase,
+/// and only if it held messages: a node that sent nothing is never
+/// touched.
 ///
 /// Retained capacity is bounded: the buffer tracks a rolling high-water
 /// mark of recent round sizes (decaying by a quarter per round toward the
@@ -266,11 +270,19 @@ impl<'a> IncomingRef<'a> {
 /// while constant-volume workloads never reallocate (capacity from
 /// doubling growth stays under the factor), preserving the steady-state
 /// zero-allocation invariant.
+///
+/// Typed sends ([`crate::TypedOutbox`]) encode into payload buffers the
+/// engine recycles per shard; clearing the outbox hands those payloads
+/// back to the shard's pool.
 #[derive(Debug, Clone, Default)]
 pub struct Outbox {
     msgs: Vec<Outgoing>,
-    /// Rolling high-water mark of per-round message counts.
-    high_water: usize,
+    /// Rolling high-water mark of per-round message counts (`u32` keeps
+    /// the per-vertex outbox at 32 bytes).
+    high_water: u32,
+    /// Whether a queued payload was encoded into a pool buffer, so that
+    /// clearing hands the payloads back to the pool.
+    pub(crate) pooled: bool,
 }
 
 /// Equality is over queued messages only; the capacity bookkeeping is
@@ -345,10 +357,24 @@ impl Outbox {
     /// Minimum high-water mark used for the retention cap.
     pub const RETAIN_FLOOR: usize = 8;
 
-    /// Drops all queued messages (the engine does this before each
-    /// compute phase) and decays over-retained capacity.
+    /// Drops all queued messages and decays over-retained capacity.
     pub(crate) fn clear(&mut self) {
-        clear_with_decay(&mut self.msgs, &mut self.high_water);
+        let mut high_water = self.high_water as usize;
+        clear_with_decay(&mut self.msgs, &mut high_water);
+        self.high_water = u32::try_from(high_water).unwrap_or(u32::MAX);
+    }
+
+    /// Clears the outbox in the next compute phase, handing typed
+    /// payloads back to the shard's `pool`.
+    pub(crate) fn retire(&mut self, pool: &RefCell<PayloadPool>) {
+        if self.pooled {
+            self.pooled = false;
+            let mut pool = pool.borrow_mut();
+            for msg in &mut self.msgs {
+                pool.give_back(std::mem::take(&mut msg.payload));
+            }
+        }
+        self.clear();
     }
 
     /// Currently retained buffer capacity, in messages (for tests and
@@ -373,6 +399,103 @@ pub(crate) fn clear_with_decay<T>(buf: &mut Vec<T>, high_water: &mut usize) {
     let cap = Outbox::RETAIN_FACTOR * (*high_water).max(Outbox::RETAIN_FLOOR);
     if buf.capacity() > cap {
         buf.shrink_to(cap);
+    }
+}
+
+/// Payload buffers retained at most this large (bytes of capacity); a
+/// larger buffer is dropped instead of recycled. CONGEST messages are
+/// `O(log n)` bits, far below it.
+const RECYCLE_MAX_BYTES: usize = 256;
+
+/// One shard's recycled payload buffers for typed sends.
+///
+/// A payload is handed back when its sender's outbox is cleared, in the
+/// next compute phase. Under framed delivery the frames carry copies, so
+/// the payload is already unique and its buffer goes straight back to
+/// the free list. Under shared-memory delivery a recipient's
+/// [`PayloadSlab`] still views it until the next placement, so it waits
+/// one round in `retired` — the two-deep ring the frame encoder also
+/// keeps — and is reclaimed at the following compute phase. A payload
+/// some protocol still holds a handle to is dropped rather than
+/// reclaimed.
+///
+/// Retention is bounded by the round's payload count: the free list
+/// never keeps more buffers than the rolling high-water mark of payloads
+/// handed back per round (decaying by a quarter per round, as
+/// [`Outbox`]'s mark does), so a steady relay allocates nothing and a
+/// burst is forgotten geometrically.
+#[derive(Default)]
+pub(crate) struct PayloadPool {
+    /// Unique, empty buffers ready for the next typed send.
+    free: Vec<BytesMut>,
+    /// Payloads handed back while a slab still viewed them.
+    retired: Vec<Bytes>,
+    /// Payloads handed back this round.
+    returned: usize,
+    /// Rolling high-water mark of `returned`.
+    high_water: usize,
+}
+
+impl PayloadPool {
+    /// Start of a compute phase: reclaims the payloads retired last
+    /// round, which no slab views any more (placement has reset them
+    /// since).
+    pub(crate) fn begin_round(&mut self) {
+        for payload in self.retired.drain(..) {
+            if let Ok(buf) = payload.try_into_mut() {
+                keep(&mut self.free, buf);
+            }
+        }
+        self.returned = 0;
+    }
+
+    /// Takes back one payload from a cleared outbox.
+    fn give_back(&mut self, payload: Bytes) {
+        self.returned += 1;
+        match payload.try_into_mut() {
+            Ok(buf) => keep(&mut self.free, buf),
+            Err(viewed) => self.retired.push(viewed),
+        }
+    }
+
+    /// An empty buffer for one typed send: a recycled one, or a fresh
+    /// one once the free list runs dry.
+    pub(crate) fn take(&mut self) -> BytesMut {
+        self.free.pop().unwrap_or_default()
+    }
+
+    /// End of a compute phase: trims the free list to the rolling
+    /// high-water mark of hand-backs and decays over-retained capacity.
+    pub(crate) fn end_round(&mut self) {
+        self.high_water = (self.high_water - self.high_water / 4).max(self.returned);
+        self.free.truncate(self.high_water);
+        let cap = Outbox::RETAIN_FACTOR * self.high_water.max(Outbox::RETAIN_FLOOR);
+        if self.free.capacity() > cap {
+            self.free.shrink_to(cap);
+        }
+        if self.retired.capacity() > cap {
+            self.retired.shrink_to(cap);
+        }
+    }
+}
+
+/// Files a reclaimed buffer on the free list, emptied, unless it grew
+/// past [`RECYCLE_MAX_BYTES`].
+fn keep(free: &mut Vec<BytesMut>, mut buf: BytesMut) {
+    if buf.capacity() <= RECYCLE_MAX_BYTES {
+        buf.clear();
+        free.push(buf);
+    }
+}
+
+/// Counts only: the buffers themselves carry no information.
+impl std::fmt::Debug for PayloadPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PayloadPool")
+            .field("free", &self.free.len())
+            .field("retired", &self.retired.len())
+            .field("high_water", &self.high_water)
+            .finish()
     }
 }
 
@@ -526,5 +649,60 @@ mod tests {
         let mut fresh = Outbox::new();
         fresh.unicast(1, Bytes::from_static(b"a"));
         assert_eq!(bursty, fresh);
+    }
+
+    /// One compute phase's hand-backs: `sent` unique payloads, one per
+    /// outbox, cleared into the pool; returns the free list's length.
+    fn recycle_round(pool: &RefCell<PayloadPool>, sent: usize, viewed: bool) -> usize {
+        let mut outboxes: Vec<Outbox> = (0..sent)
+            .map(|_| {
+                let mut out = Outbox::new();
+                let mut buf = pool.borrow_mut().take();
+                bytes::BufMut::put_slice(&mut buf, b"fourteen bytes");
+                out.broadcast(buf.freeze());
+                out.pooled = true;
+                out
+            })
+            .collect();
+        // A recipient's slab view, as under shared-memory delivery.
+        let views: Vec<Bytes> = if viewed {
+            outboxes
+                .iter()
+                .map(|o| o.messages()[0].payload.clone())
+                .collect()
+        } else {
+            Vec::new()
+        };
+        pool.borrow_mut().begin_round();
+        for out in &mut outboxes {
+            out.retire(pool);
+            assert!(out.is_empty());
+        }
+        pool.borrow_mut().end_round();
+        drop(views);
+        pool.borrow().free.len()
+    }
+
+    #[test]
+    fn payload_pool_reuses_unique_buffers_and_forgets_a_burst() {
+        // Unique payloads go straight back to the free list.
+        let pool = RefCell::new(PayloadPool::default());
+        assert_eq!(recycle_round(&pool, 16, false), 16);
+        // Viewed ones wait a round in `retired`, then come back — up to
+        // the mark, which a round with no hand-backs decays by a quarter.
+        let pool = RefCell::new(PayloadPool::default());
+        assert_eq!(recycle_round(&pool, 16, true), 0);
+        assert_eq!(pool.borrow().retired.len(), 16);
+        assert_eq!(recycle_round(&pool, 0, false), 16 - 16 / 4);
+        // A burst is kept while remembered, then trimmed as the rolling
+        // mark decays toward the steady volume.
+        let pool = RefCell::new(PayloadPool::default());
+        assert_eq!(recycle_round(&pool, 1024, false), 1024);
+        let mut free = 1024;
+        for _ in 0..40 {
+            free = recycle_round(&pool, 8, false);
+        }
+        assert!(free <= 8 + 8 / 4 + 1, "free list still {free} buffers");
+        assert!(pool.borrow().free.capacity() <= Outbox::RETAIN_FACTOR * 16);
     }
 }

@@ -4,12 +4,15 @@
 //! A [`ShardPlan`] partitions the vertex set into contiguous ranges. Each
 //! shard owns, exclusively:
 //!
-//! - the **inbox slice** of its vertices (a per-shard CSR: local offsets
-//!   plus a flat slot table of compact `{from, payload id}` pairs) and
-//!   the **payload slab** those slots resolve through, written only by
-//!   the owning shard during placement and read only by the owning shard
+//! - the **inbox slice** of its vertices (per-vertex slot ranges into a
+//!   flat slot table of compact `{from, payload id}` pairs) and the
+//!   **payload slab** those slots resolve through, written only by the
+//!   owning shard during placement and read only by the owning shard
 //!   during the next compute phase;
-//! - the **per-recipient count/cursor table** backing the bucket sort;
+//! - the **wake list** (its vertices with a non-empty inbox, built by
+//!   placement) and the **senders list** (its vertices whose outbox
+//!   holds messages, built by compute), which keep every per-vertex pass
+//!   down to the vertices taking part in the round;
 //! - the **per-edge CONGEST counters** of the directed-edge slots leaving
 //!   its vertices. Edge accounting is *sender-owned*: the slot of the
 //!   directed edge `from -> to` lives in `from`'s CSR row, and because a
@@ -65,6 +68,18 @@
 //! separate processes, where a cross-shard rescan would become a
 //! cross-process one.
 //!
+//! Per-vertex work follows the round's participants too. The count pass
+//! keeps each recipient's copy count in its inbox range and, after a
+//! sparse round, marks it in a one-bit-per-vertex map. Sealing lists the
+//! recipients in ascending order as the wake list — from the map's
+//! `⌈len/64⌉` words, or after a dense round from one pass over the
+//! counts — and hands each its slot range; the next placement empties
+//! exactly those ranges again. Placement thus costs `O(refs + C + W)`
+//! plus the word scan, for `W ≤ C` woken vertices; the `O(len)` count
+//! pass runs only when the previous round woke a quarter of the shard.
+//! Prefix sums over every owned vertex cost `O(len)` per round however
+//! quiet it was.
+//!
 //! The remaining `O(C)` scatter term is a *cache-linear 8-byte write* per
 //! copy, not a payload-handle operation: the inbox stores compact
 //! `{from: u32, payload: PayloadId}` slots, and each unique
@@ -82,7 +97,9 @@
 //! backends a slab entry is a reference-counted handle to the sender's
 //! own outbox encoding, which the sender only ever *clears* (next
 //! round's compute) — clearing drops the sender's handle but cannot
-//! touch the bytes while recipients still hold theirs. Under the framed
+//! touch the bytes while recipients still hold theirs, and the sender's
+//! payload pool reuses the buffer of a typed send only once
+//! [`bytes::Bytes::try_into_mut`] proves no view is left. Under the framed
 //! backends a slab entry is a zero-copy slice of the decoded frame, and
 //! the sender-side recycle ring reclaims a frame buffer only once every
 //! such view has been dropped ([`bytes::Bytes::try_into_mut`] refuses
@@ -104,18 +121,20 @@
 //! is bit-identical across backends; `Determinism::Verify` cross-checks
 //! the framed paths against the same sequential reference merge.
 //!
-//! All routing buffers (buckets, counters, the inbox, frame buffers and
-//! gather/decode tables under the loopback transport) are recycled in
-//! place across rounds, so steady-state stepping stays allocation-free
-//! (pinned by `crates/sim/tests/steady_state_alloc.rs`).
+//! All routing buffers (buckets, counters, the inbox, the wake and
+//! senders lists, typed payload buffers, frame buffers and gather/decode
+//! tables under the loopback transport) are recycled in place across
+//! rounds, so steady-state stepping stays allocation-free (pinned by
+//! `crates/sim/tests/steady_state_alloc.rs`).
 
+use std::cell::RefCell;
 use std::sync::RwLock;
 
 use netdecomp_graph::{Graph, VertexId};
 
 use crate::error::FrameError;
 use crate::frame::{Frame, FrameEncoder, Transport};
-use crate::message::{InboxSlot, PayloadSlab};
+use crate::message::{InboxSlot, PayloadPool, PayloadSlab};
 use crate::{
     CongestLimit, DeliveryWork, Inbox, Outbox, PayloadId, Recipient, RoundStats, SimError,
 };
@@ -509,6 +528,19 @@ impl Router {
     }
 }
 
+/// One owned vertex's inbox: `slots[lo..hi]`. During placement `hi`
+/// holds first the vertex's copy count, then its scatter cursor.
+#[derive(Debug, Clone, Copy, Default)]
+struct InboxRange {
+    lo: u32,
+    hi: u32,
+}
+
+/// Inbox ranges are `u32` slot positions: a shard receiving more copies
+/// in one round (32 GiB of slots) panics rather than wrap into
+/// misdelivery.
+const INBOX_OVERFLOW: &str = "a shard's inbox exceeds u32::MAX copies in one round";
+
 /// Per-shard delivery state: everything one shard touches during a round,
 /// so all shards can run every delivery phase concurrently.
 ///
@@ -517,6 +549,14 @@ impl Router {
 /// pass (no payload handles live there — those sit once-per-message in
 /// the [`PayloadSlab`], reset wholesale each round), and every table only
 /// grows when a round delivers more messages than any round before it.
+///
+/// A round touches only the vertices that take part in it. Placement
+/// lists the vertices it delivered to — the **wake list** — and the next
+/// compute steps only those for a message-driven protocol; compute lists
+/// the vertices that sent — the **senders** — and account walks only
+/// those. Per-vertex inbox ranges are reset through the wake list, so
+/// placement costs `O(copies + woken)` plus a scan of one bit per owned
+/// vertex — a pass over every owned vertex only after a dense round.
 #[derive(Debug)]
 pub(crate) struct DeliveryShard {
     /// First owned vertex.
@@ -529,23 +569,37 @@ pub(crate) struct DeliveryShard {
     edge_bytes: Vec<usize>,
     /// Locally-indexed slots dirtied this round (sparse reset).
     touched: Vec<usize>,
-    /// Per-recipient counts, then scatter cursors (both local-indexed).
-    counts: Vec<usize>,
-    /// Local CSR offsets into [`DeliveryShard::slots`]: vertex `start + i`
-    /// receives `slots[offsets[i]..offsets[i + 1]]`.
-    pub(crate) offsets: Vec<usize>,
-    /// Messages delivered to this shard's vertices, CSR-packed as compact
-    /// `{from, payload id}` slots resolved through
+    /// Local inbox ranges: vertex `start + i` receives
+    /// `slots[inbox[i].lo..inbox[i].hi]`, the empty `0..0` for every
+    /// vertex off the wake list.
+    inbox: Vec<InboxRange>,
+    /// One bit per owned vertex: reached by a copy in the running count
+    /// pass (cleared again as the wake list is sealed).
+    reached: Vec<u64>,
+    /// Whether the running count pass marks `reached`.
+    marking: bool,
+    /// The wake list: owned vertices (local ids, ascending) with a
+    /// non-empty inbox.
+    pub(crate) woken: Vec<u32>,
+    /// Owned vertices (local ids, ascending) whose outbox holds the last
+    /// compute's messages.
+    pub(crate) senders: Vec<u32>,
+    /// Messages delivered to this shard's vertices, packed per recipient
+    /// as compact `{from, payload id}` slots resolved through
     /// [`DeliveryShard::slab`].
-    pub(crate) slots: Vec<InboxSlot>,
+    slots: Vec<InboxSlot>,
     /// This round's unique delivered payloads (one registration per
     /// `(sender, message)` per round — see the module docs' slab
     /// ownership rule).
-    pub(crate) slab: PayloadSlab,
+    slab: PayloadSlab,
+    /// Recycled payload buffers for the owned nodes' typed sends, lent
+    /// to them through [`crate::Ctx`] during compute.
+    pub(crate) payloads: RefCell<PayloadPool>,
     /// This shard's slice of the round's accounting (merged by the engine).
     pub(crate) stats: RoundStats,
-    /// Place-phase work counters for the last round (merged by the
-    /// engine's [`DeliveryWork`] accessor).
+    /// Work counters for the last round: nodes stepped by compute, then
+    /// the place phase's (merged by the engine's [`DeliveryWork`]
+    /// accessor).
     pub(crate) work: DeliveryWork,
     /// Flight-recorder ring of the last-K rounds' per-phase timings
     /// (disabled — zero-capacity — unless tracing is on; written only
@@ -574,10 +628,17 @@ impl DeliveryShard {
             slot_base,
             edge_bytes: vec![0; slots],
             touched: Vec::new(),
-            counts: vec![0; end - start],
-            offsets: vec![0; end - start + 1],
+            inbox: vec![InboxRange::default(); end - start],
+            reached: vec![0; (end - start).div_ceil(64)],
+            marking: false,
+            // Sized for a dense round up front: growing them inside the
+            // first rounds would interleave their reallocations with the
+            // outboxes' first allocations and scatter those.
+            woken: Vec::with_capacity(end - start),
+            senders: Vec::with_capacity(end - start),
             slots: Vec::new(),
             slab: PayloadSlab::default(),
+            payloads: RefCell::default(),
             stats: RoundStats::default(),
             work: DeliveryWork::default(),
             trace: crate::trace::TraceRing::new(0),
@@ -600,10 +661,92 @@ impl DeliveryShard {
 
     /// Messages delivered to owned vertex `start + local` last round.
     pub(crate) fn incoming(&self, local: usize) -> Inbox<'_> {
+        let range = self.inbox[local];
         Inbox::new(
-            &self.slots[self.offsets[local]..self.offsets[local + 1]],
+            &self.slots[range.lo as usize..range.hi as usize],
             &self.slab,
         )
+    }
+
+    /// Empties every inbox on the wake list, and the list.
+    fn clear_wake_list(&mut self) {
+        for &local in &self.woken {
+            self.inbox[local as usize] = InboxRange::default();
+        }
+        self.woken.clear();
+    }
+
+    /// Cold path (reshard, checkpoint restore): appends one pending copy
+    /// to owned vertex `start + local`'s inbox, registering its payload.
+    /// Calls must come in ascending `local` order onto an empty inbox.
+    pub(crate) fn push_pending(&mut self, local: usize, from: u32, payload: bytes::Bytes) {
+        let at = u32::try_from(self.slots.len()).expect(INBOX_OVERFLOW);
+        if self.woken.last() != Some(&(local as u32)) {
+            self.woken.push(local as u32);
+            self.inbox[local].lo = at;
+        }
+        let payload = self.slab.register(payload);
+        self.slots.push(InboxSlot { from, payload });
+        self.inbox[local].hi = at + 1;
+    }
+
+    /// Starts a count pass: empties last round's inboxes and returns
+    /// whether the pass should mark each vertex it reaches. Only a round
+    /// after a sparse one marks — a bit per copy, then a scan of one bit
+    /// per vertex to seal. After a dense one (a quarter of the shard or
+    /// more woken) sealing scans the counts instead, an `O(len)` pass
+    /// that costs less than a bit per copy when most vertices hear
+    /// something. Either way the wake list comes out in ascending order,
+    /// so the choice never shows in results.
+    fn begin_count_pass(&mut self) -> bool {
+        self.marking = self.woken.len() * 4 < self.len();
+        self.clear_wake_list();
+        self.marking
+    }
+
+    /// Ends a count pass: lists each reached vertex, in ascending order,
+    /// on the wake list and gives it the next `count` slots, leaving `hi`
+    /// at the range's start as the scatter cursor; then sizes the slot
+    /// table for the round's copies.
+    fn seal_wake_list(&mut self) {
+        let mut total = 0u32;
+        let mut open = |local: usize, range: &mut InboxRange, woken: &mut Vec<u32>| {
+            let count = range.hi;
+            *range = InboxRange {
+                lo: total,
+                hi: total,
+            };
+            total = total.checked_add(count).expect(INBOX_OVERFLOW);
+            woken.push(local as u32);
+        };
+        if self.marking {
+            for (w, word) in self.reached.iter_mut().enumerate() {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    let local = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    open(local, &mut self.inbox[local], &mut self.woken);
+                }
+            }
+        } else {
+            for (local, range) in self.inbox.iter_mut().enumerate() {
+                if range.hi > 0 {
+                    open(local, range, &mut self.woken);
+                }
+            }
+        }
+        let total = total as usize;
+        self.slots.resize(total, InboxSlot::default());
+        self.work.inbox_slot_bytes = total * std::mem::size_of::<InboxSlot>();
+    }
+
+    /// Leaves every inbox empty after a failed placement, whatever part
+    /// of a count pass ran (a cold path, so it resets every vertex).
+    fn abandon_count_pass(&mut self) {
+        self.reached.fill(0);
+        self.inbox.fill(InboxRange::default());
+        self.woken.clear();
+        self.slots.clear();
     }
 
     /// **Checkpoint seam** (save side): serializes the pending inbox —
@@ -642,9 +785,10 @@ impl DeliveryShard {
         if vertices as usize != self.len() {
             return false;
         }
+        // The wake list is rebuilt with the inboxes.
+        self.clear_wake_list();
         self.slots.clear();
         self.slab.reset();
-        self.offsets[0] = 0;
         for local in 0..self.len() {
             let Some(count) = r.u64() else {
                 return false;
@@ -656,10 +800,8 @@ impl DeliveryShard {
                 let Ok(from) = u32::try_from(from) else {
                     return false;
                 };
-                let payload = self.slab.register(bytes::Bytes::from(payload.to_vec()));
-                self.slots.push(InboxSlot { from, payload });
+                self.push_pending(local, from, bytes::Bytes::from(payload.to_vec()));
             }
-            self.offsets[local + 1] = self.slots.len();
         }
         // Sparse-reset whatever charges this (freshly built or reused)
         // shard held, then overlay the checkpointed counters.
@@ -688,10 +830,11 @@ impl DeliveryShard {
 
     /// **Account phase** (sender side): validates addressing, charges
     /// CONGEST byte counters, *and builds the routing index* for every
-    /// message sent *by* this shard's vertices. `outboxes` is the shard's
-    /// own outbox chunk; `router` is the shard's own (exclusively owned)
-    /// router, whose buckets the destination shards consume during
-    /// placement.
+    /// message sent *by* this shard's vertices — walking only the
+    /// senders list compute left, in ascending id order. `outboxes` is
+    /// the shard's own outbox chunk; `router` is the shard's own
+    /// (exclusively owned) router, whose buckets the destination shards
+    /// consume during placement.
     ///
     /// Returns `false` (with [`DeliveryShard::error`] set) on the first
     /// violation, mirroring the abort point of a sequential sender-order
@@ -717,9 +860,10 @@ impl DeliveryShard {
         };
         self.error = None;
         router.reset(routes.shard_count());
-        for (i, out) in outboxes.iter().enumerate() {
-            let from = self.start + i;
-            for (m, msg) in out.messages().iter().enumerate() {
+        for s in 0..self.senders.len() {
+            let local = self.senders[s] as usize;
+            let from = self.start + local;
+            for (m, msg) in outboxes[local].messages().iter().enumerate() {
                 let len = msg.payload.len();
                 let sent = match &msg.to {
                     Recipient::Neighbor(to) => {
@@ -836,11 +980,12 @@ impl DeliveryShard {
     /// phase barrier, so the locks are uncontended — and lock acquisition
     /// is allocation-free, keeping steady-state rounds zero-alloc).
     ///
-    /// Buckets are walked in sender-shard order (count pass for the local
-    /// CSR offsets, then scatter through cursors), so per-recipient
-    /// delivery order is (sender id, send order, target order for
-    /// multicasts, adjacency order for broadcasts) — identical to a
-    /// global sequential merge.
+    /// Buckets are walked in sender-shard order (a count pass sealed into
+    /// the wake list and inbox ranges, then scatter through cursors), so
+    /// per-recipient delivery order is (sender id, send order, target
+    /// order for multicasts, adjacency order for broadcasts) — identical
+    /// to a global sequential merge. Last round's inboxes are emptied
+    /// through last round's wake list.
     pub(crate) fn place(
         &mut self,
         graph: &Graph,
@@ -850,30 +995,23 @@ impl DeliveryShard {
         routers: &[RwLock<Router>],
     ) {
         let lo = self.start;
-        self.counts.fill(0);
-        self.work = DeliveryWork::default();
+        let mark = self.begin_count_pass();
         for router in routers {
             let router = router.read().expect("no poisoned router");
             for route in router.bucket(me) {
                 self.work.refs_scanned += 1;
                 for &to in graph.slot_targets(route.lo as usize..route.hi as usize) {
-                    self.counts[to - lo] += 1;
+                    let local = to - lo;
+                    self.inbox[local].hi += 1;
+                    if mark {
+                        self.reached[local / 64] |= 1 << (local % 64);
+                    }
                 }
             }
         }
-
-        // Local prefix sums; the slot table is recycled in place
-        // (steady-state rounds reuse both the buffer and its slots, see
-        // the type docs).
-        self.offsets[0] = 0;
-        for i in 0..self.len() {
-            self.offsets[i + 1] = self.offsets[i] + self.counts[i];
-        }
-        let len = self.len();
-        let total = self.offsets[len];
-        self.slots.resize(total, InboxSlot::default());
-        self.work.inbox_slot_bytes = total * std::mem::size_of::<InboxSlot>();
-        self.counts.copy_from_slice(&self.offsets[..len]);
+        // The slot table is recycled in place (steady-state rounds reuse
+        // both the buffer and its slots, see the type docs).
+        self.seal_wake_list();
 
         // Scatter. Dropping last round's payload handles here (not one by
         // one during overwrite) is what frees the scatter loop of all
@@ -940,6 +1078,9 @@ impl DeliveryShard {
         decoded.clear();
         self.decoded = decoded;
         if let Err(e) = result {
+            // A failed placement delivers nothing, even if its count pass
+            // got part-way.
+            self.abandon_count_pass();
             self.error = Some(e);
         }
     }
@@ -982,8 +1123,6 @@ impl DeliveryShard {
         };
         let shard_count = bounds.len() - 1;
         let lo_v = self.start;
-        self.counts.fill(0);
-        self.work = DeliveryWork::default();
         self.gather.resize(shard_count, None);
         transport
             .collect(me, &mut self.gather)
@@ -1020,6 +1159,7 @@ impl DeliveryShard {
         // the claimed sender must belong to the shard the frame came
         // from, the slot range must lie within that sender's own CSR row,
         // and every delivered target must be a vertex this shard owns.
+        let mark = self.begin_count_pass();
         let max_slot = graph.directed_edge_count();
         for (k, frame) in decoded.iter().enumerate() {
             self.work.refs_scanned += frame.ref_count();
@@ -1046,25 +1186,22 @@ impl DeliveryShard {
                     // exactly this shard's vertex range, so `get_mut` of
                     // the wrapping-shifted id *is* the ownership test
                     // (`to < lo_v` wraps to a huge index and misses too).
-                    match self.counts.get_mut(to.wrapping_sub(lo_v)) {
-                        Some(count) => *count += 1,
+                    let local = to.wrapping_sub(lo_v);
+                    match self.inbox.get_mut(local) {
+                        Some(range) => {
+                            range.hi += 1;
+                            if mark {
+                                self.reached[local / 64] |= 1 << (local % 64);
+                            }
+                        }
                         None => return Err(fail(foreign)),
                     }
                 }
             }
         }
-
-        // Local prefix sums; the slot table is recycled in place exactly
-        // as in the shared-memory path.
-        self.offsets[0] = 0;
-        for i in 0..self.len() {
-            self.offsets[i + 1] = self.offsets[i] + self.counts[i];
-        }
-        let len = self.len();
-        let total = self.offsets[len];
-        self.slots.resize(total, InboxSlot::default());
-        self.work.inbox_slot_bytes = total * std::mem::size_of::<InboxSlot>();
-        self.counts.copy_from_slice(&self.offsets[..len]);
+        // The slot table is recycled in place exactly as in the
+        // shared-memory path.
+        self.seal_wake_list();
 
         // Scatter pass. Each unique frame payload is registered in the
         // slab once as a zero-copy view into the frame buffer (refs
@@ -1094,8 +1231,8 @@ impl DeliveryShard {
     /// the entire per-copy cost of delivery (no payload handle moves
     /// here; the handle sits once in the slab).
     fn deposit(&mut self, to: VertexId, from: u32, payload: PayloadId) {
-        let cursor = &mut self.counts[to - self.start];
-        self.slots[*cursor] = InboxSlot { from, payload };
+        let cursor = &mut self.inbox[to - self.start].hi;
+        self.slots[*cursor as usize] = InboxSlot { from, payload };
         *cursor += 1;
     }
 }

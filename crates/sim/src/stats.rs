@@ -17,10 +17,11 @@ impl CongestLimit {
     pub const STANDARD_WORDS: CongestLimit = CongestLimit::PerEdgeBytes(16);
 }
 
-/// Work counters from the most recent delivery (place) phase, summed
-/// over all shards by [`crate::Simulator::delivery_work`].
+/// Work counters from the most recent round's compute and delivery
+/// (place) phases, summed over all shards by
+/// [`crate::Simulator::delivery_work`].
 ///
-/// These measure the *mechanical* cost of routing, not the protocol's
+/// These measure the *mechanical* cost of a round, not the protocol's
 /// communication (that is [`RoundStats`]): with the sender-side routing
 /// index, `refs_scanned` is bounded by `messages + copies` at any shard
 /// count — each unicast or multicast target is one ref, each broadcast
@@ -30,6 +31,11 @@ impl CongestLimit {
 /// claim is visible in checked-in artifacts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DeliveryWork {
+    /// Nodes the compute phase stepped this round. Every node runs
+    /// `start`, and every node runs each round of a protocol that is not
+    /// [`crate::Protocol::MESSAGE_DRIVEN`]; a message-driven protocol
+    /// steps only the nodes that received a message.
+    pub nodes_stepped: usize,
     /// Route references examined by receiving shards during the count
     /// pass (the per-message "header work").
     pub refs_scanned: usize,
@@ -101,6 +107,7 @@ impl DeliveryWork {
     /// wrong small number — the same contract as [`RunStats::absorb`]
     /// and [`crate::TransportHealth::absorb`].
     pub fn absorb(&mut self, other: &DeliveryWork) {
+        self.nodes_stepped = self.nodes_stepped.saturating_add(other.nodes_stepped);
         self.refs_scanned = self.refs_scanned.saturating_add(other.refs_scanned);
         self.copies_delivered = self.copies_delivered.saturating_add(other.copies_delivered);
         self.payload_registrations = self
@@ -303,6 +310,7 @@ mod tests {
     #[test]
     fn delivery_work_absorb_saturates_every_field() {
         let near_max = DeliveryWork {
+            nodes_stepped: usize::MAX - 1,
             refs_scanned: usize::MAX - 1,
             copies_delivered: usize::MAX - 1,
             payload_registrations: usize::MAX - 1,
@@ -318,6 +326,7 @@ mod tests {
         };
         let mut sum = near_max;
         sum.absorb(&near_max);
+        assert_eq!(sum.nodes_stepped, usize::MAX);
         assert_eq!(sum.refs_scanned, usize::MAX);
         assert_eq!(sum.copies_delivered, usize::MAX);
         assert_eq!(sum.payload_registrations, usize::MAX);

@@ -14,9 +14,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use netdecomp_graph::generators;
-use netdecomp_sim::{Ctx, Engine, FrameTransport, Inbox, Outbox, Protocol, Simulator};
+use netdecomp_sim::wire::WireReader;
+use netdecomp_sim::{
+    Codec, Ctx, Engine, FrameTransport, Inbox, Outbox, Protocol, Simulator, Typed, TypedInbox,
+    TypedOutbox, TypedProtocol,
+};
 
 /// System allocator that counts every allocation (including reallocs)
 /// made by the calling thread.
@@ -266,6 +270,132 @@ fn framed_loopback_unicast_steady_state_rounds_do_not_allocate() {
     assert_unicast_steady_state_is_allocation_free(Engine::Framed {
         threads: 1,
         shards: 8,
+        transport: FrameTransport::Loopback,
+    });
+}
+
+/// A carve-shaped typed message: `(origin: u32, score: f64, hops: u16)`,
+/// 14 bytes on the wire.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Hop {
+    origin: u32,
+    score: f64,
+    hops: u16,
+}
+
+struct HopCodec;
+
+impl Codec for HopCodec {
+    type Msg = Hop;
+
+    fn encode(msg: &Hop, buf: &mut BytesMut) {
+        buf.put_u32_le(msg.origin);
+        buf.put_f64_le(msg.score);
+        buf.put_u16_le(msg.hops);
+    }
+
+    fn decode(payload: &[u8]) -> Option<Hop> {
+        let mut r = WireReader::new(payload);
+        let hop = Hop {
+            origin: r.u32()?,
+            score: r.f64()?,
+            hops: r.u16()?,
+        };
+        r.is_exhausted().then_some(hop)
+    }
+}
+
+/// A message-driven typed relay: every round each node decodes what it
+/// heard and broadcasts a freshly encoded message (its best score, aged
+/// by the round), so every send encodes a new payload — the CONGEST
+/// carve's relay pattern at constant volume.
+#[derive(Debug, Clone)]
+struct TypedRelay {
+    best: Hop,
+}
+
+impl TypedProtocol for TypedRelay {
+    type Codec = HopCodec;
+    const MESSAGE_DRIVEN: bool = true;
+
+    fn start(&mut self, _ctx: &Ctx<'_>, out: &mut TypedOutbox<'_, HopCodec>) {
+        out.broadcast(&self.best);
+    }
+
+    fn round(
+        &mut self,
+        _ctx: &Ctx<'_>,
+        incoming: TypedInbox<'_, HopCodec>,
+        out: &mut TypedOutbox<'_, HopCodec>,
+    ) {
+        for (_, hop) in incoming {
+            if hop.score > self.best.score {
+                self.best = hop;
+            }
+        }
+        self.best.hops = self.best.hops.wrapping_add(1);
+        self.best.score -= 1.0;
+        out.broadcast(&self.best);
+    }
+}
+
+/// Typed relays encode a fresh payload per send into buffers the engine
+/// recycles: once warm, a round allocates nothing — on the shared-memory
+/// backends, where a payload waits one round for the slab to release
+/// it, and on the framed one, where the frame copy frees it at once.
+fn assert_typed_relay_is_allocation_free(engine: Engine) {
+    let g = generators::grid2d(12, 12);
+    let mut sim = Simulator::new(&g, |id, _| {
+        Typed::new(TypedRelay {
+            best: Hop {
+                origin: id as u32,
+                score: f64::from((id as u32).wrapping_mul(2_654_435_761) >> 8),
+                hops: 0,
+            },
+        })
+    })
+    .with_engine(engine);
+    for _ in 0..300 {
+        sim.step().expect("no limits configured");
+    }
+    let before = allocations();
+    for _ in 0..100 {
+        sim.step().expect("no limits configured");
+    }
+    let during = allocations() - before;
+    assert_eq!(
+        during, 0,
+        "typed relay rounds allocated {during} times under {engine:?}"
+    );
+    // Everyone hears something every round, so the wake list is every
+    // node; each broadcast still reaches all 2m edge ends.
+    let work = sim.delivery_work();
+    assert_eq!(work.nodes_stepped, g.vertex_count());
+    assert_eq!(work.copies_delivered, 2 * g.edge_count());
+    assert_eq!(
+        sim.stats().per_round.last().map(|r| r.bytes),
+        Some(14 * 2 * g.edge_count())
+    );
+}
+
+#[test]
+fn sequential_typed_relay_rounds_do_not_allocate() {
+    assert_typed_relay_is_allocation_free(Engine::Sequential);
+}
+
+#[test]
+fn sharded_typed_relay_rounds_do_not_allocate() {
+    assert_typed_relay_is_allocation_free(Engine::Parallel {
+        threads: 1,
+        shards: 4,
+    });
+}
+
+#[test]
+fn framed_loopback_typed_relay_rounds_do_not_allocate() {
+    assert_typed_relay_is_allocation_free(Engine::Framed {
+        threads: 1,
+        shards: 4,
         transport: FrameTransport::Loopback,
     });
 }

@@ -315,7 +315,11 @@ struct Flood {
     best: u64,
 }
 
+/// Message-driven: a node rebroadcasts only when its inbox raised its
+/// best id.
 impl Protocol for Flood {
+    const MESSAGE_DRIVEN: bool = true;
+
     fn start(&mut self, _ctx: &Ctx<'_>, out: &mut Outbox) {
         out.broadcast(Bytes::from(self.best.to_le_bytes().to_vec()));
     }
@@ -393,7 +397,9 @@ impl ChaosPlan {
 /// worker — the carrier, the first one built — counts rounds and fires
 /// the schedule, so a crash or wedge happens once per shard, mid-compute
 /// of a deterministic round (after earlier rounds committed, before this
-/// round ships — the worst spot for the replay log).
+/// round ships — the worst spot for the replay log). Counting rounds
+/// inside `round` is why it is not message-driven: the carrier must run
+/// every round, heard or not.
 struct ChaosFlood {
     inner: Flood,
     carrier: bool,
