@@ -13,7 +13,7 @@
 //! borrowed slice; no payload-handle clone, no reference-count traffic,
 //! no decoded copy of the inbox).
 
-use std::cell::RefCell;
+use std::sync::Mutex;
 
 use bytes::{Bytes, BytesMut};
 use netdecomp_graph::VertexId;
@@ -109,7 +109,7 @@ impl<C: Codec> Iterator for TypedInbox<'_, C> {
 #[derive(Debug)]
 pub struct TypedOutbox<'a, C: Codec> {
     raw: &'a mut Outbox,
-    pool: Option<&'a RefCell<PayloadPool>>,
+    pool: Option<&'a Mutex<PayloadPool>>,
     _codec: std::marker::PhantomData<C>,
 }
 
@@ -123,11 +123,14 @@ impl<'a, C: Codec> TypedOutbox<'a, C> {
     }
 
     /// Encodes `msg` into a recycled buffer, marking the outbox as one
-    /// whose payloads go back to the pool.
+    /// whose payloads go back to the pool. A pool held elsewhere (a
+    /// protocol sending from threads of its own) lends nothing, and the
+    /// send encodes into a fresh buffer.
     fn encode(&mut self, msg: &C::Msg) -> Bytes {
         let mut buf = self
             .pool
-            .map_or_else(BytesMut::new, |pool| pool.borrow_mut().take());
+            .and_then(|pool| pool.try_lock().ok())
+            .map_or_else(BytesMut::new, |mut pool| pool.take());
         C::encode(msg, &mut buf);
         self.raw.pooled = true;
         buf.freeze()
@@ -300,5 +303,27 @@ mod tests {
         HopCodec::encode(&m, &mut buf);
         assert_eq!(HopCodec::decode(&buf), Some(m));
         assert_eq!(HopCodec::decode(&Bytes::from_static(b"xx")), None);
+    }
+
+    /// A typed send that finds the pool held (a protocol sending from
+    /// threads of its own) encodes into a fresh buffer instead of
+    /// blocking; a free pool lends its buffer.
+    #[test]
+    fn a_held_pool_lends_nothing_and_the_send_still_encodes() {
+        let g = generators::path(2);
+        let pool = Mutex::new(PayloadPool::default());
+        let mut ctx = Ctx::new(0, 2, &g);
+        ctx.payloads = Some(&pool);
+        let m = Hop { origin: 5, hops: 9 };
+        let mut raw = Outbox::new();
+        let held = pool.lock().expect("fresh lock");
+        TypedOutbox::<HopCodec>::new(&mut raw, &ctx).broadcast(&m);
+        drop(held);
+        TypedOutbox::<HopCodec>::new(&mut raw, &ctx).unicast(1, &m);
+        assert_eq!(raw.len(), 2);
+        for sent in raw.messages() {
+            assert_eq!(HopCodec::decode(&sent.payload), Some(m));
+        }
+        assert!(raw.pooled);
     }
 }

@@ -40,15 +40,16 @@
 //!   not per round).
 //! - **Place (recipient side).** Each shard walks only the route-ref
 //!   buckets addressed to it — never another shard's outbox headers — and
-//!   bucket-sorts those copies into its own inbox slice, listing the
-//!   recipients as the next round's wake list (recycled in place across
-//!   rounds — steady-state stepping allocates nothing).
+//!   bucket-sorts those copies into its own inbox slice, marking the
+//!   recipients on the next round's wake list, one bit per vertex (every
+//!   table is recycled in place across rounds — steady-state stepping
+//!   allocates nothing).
 //!
 //! A round's work therefore follows its messages: compute steps the
 //! woken nodes, account walks the senders, and placement costs
-//! `O(copies + woken)` plus a one-bit-per-vertex scan (a pass over every
-//! vertex only after a round that woke a quarter of them). In the paper's algorithm each phase is a broadcast
-//! frontier moving one hop per round, so most nodes sit out most rounds.
+//! `O(copies + woken)` plus a one-bit-per-vertex scan. In the paper's
+//! algorithm each phase is a broadcast frontier moving one hop per
+//! round, so most nodes sit out most rounds.
 //! Sender-side routing is what drops delivery's header work from
 //! `O(shards × messages)` to `O(messages + copies)` refs, with no
 //! shard-count multiplier (the complexity table lives in the `shard`
@@ -75,8 +76,8 @@
 //! decoded frames under the framed ones — and senders never mutate a
 //! payload they have shipped. Slab entries live exactly one round
 //! (registered by placement, read by the next compute, dropped wholesale
-//! by the following placement), and slab, slot table, and offsets are all
-//! recycled in place, preserving the steady-state zero-allocation
+//! by the following placement), and slab, slot table, and inbox ranges
+//! are all recycled in place, preserving the steady-state zero-allocation
 //! invariant. See the `shard` module docs for the full rule.
 //!
 //! # The frame seam

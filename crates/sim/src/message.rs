@@ -1,7 +1,5 @@
 //! Message types exchanged through the simulator.
 
-use std::cell::RefCell;
-
 use bytes::{Bytes, BytesMut};
 use netdecomp_graph::VertexId;
 
@@ -366,10 +364,9 @@ impl Outbox {
 
     /// Clears the outbox in the next compute phase, handing typed
     /// payloads back to the shard's `pool`.
-    pub(crate) fn retire(&mut self, pool: &RefCell<PayloadPool>) {
+    pub(crate) fn retire(&mut self, pool: &mut PayloadPool) {
         if self.pooled {
             self.pooled = false;
-            let mut pool = pool.borrow_mut();
             for msg in &mut self.msgs {
                 pool.give_back(std::mem::take(&mut msg.payload));
             }
@@ -653,11 +650,11 @@ mod tests {
 
     /// One compute phase's hand-backs: `sent` unique payloads, one per
     /// outbox, cleared into the pool; returns the free list's length.
-    fn recycle_round(pool: &RefCell<PayloadPool>, sent: usize, viewed: bool) -> usize {
+    fn recycle_round(pool: &mut PayloadPool, sent: usize, viewed: bool) -> usize {
         let mut outboxes: Vec<Outbox> = (0..sent)
             .map(|_| {
                 let mut out = Outbox::new();
-                let mut buf = pool.borrow_mut().take();
+                let mut buf = pool.take();
                 bytes::BufMut::put_slice(&mut buf, b"fourteen bytes");
                 out.broadcast(buf.freeze());
                 out.pooled = true;
@@ -673,36 +670,36 @@ mod tests {
         } else {
             Vec::new()
         };
-        pool.borrow_mut().begin_round();
+        pool.begin_round();
         for out in &mut outboxes {
             out.retire(pool);
             assert!(out.is_empty());
         }
-        pool.borrow_mut().end_round();
+        pool.end_round();
         drop(views);
-        pool.borrow().free.len()
+        pool.free.len()
     }
 
     #[test]
     fn payload_pool_reuses_unique_buffers_and_forgets_a_burst() {
         // Unique payloads go straight back to the free list.
-        let pool = RefCell::new(PayloadPool::default());
-        assert_eq!(recycle_round(&pool, 16, false), 16);
+        let mut pool = PayloadPool::default();
+        assert_eq!(recycle_round(&mut pool, 16, false), 16);
         // Viewed ones wait a round in `retired`, then come back — up to
         // the mark, which a round with no hand-backs decays by a quarter.
-        let pool = RefCell::new(PayloadPool::default());
-        assert_eq!(recycle_round(&pool, 16, true), 0);
-        assert_eq!(pool.borrow().retired.len(), 16);
-        assert_eq!(recycle_round(&pool, 0, false), 16 - 16 / 4);
+        let mut pool = PayloadPool::default();
+        assert_eq!(recycle_round(&mut pool, 16, true), 0);
+        assert_eq!(pool.retired.len(), 16);
+        assert_eq!(recycle_round(&mut pool, 0, false), 16 - 16 / 4);
         // A burst is kept while remembered, then trimmed as the rolling
         // mark decays toward the steady volume.
-        let pool = RefCell::new(PayloadPool::default());
-        assert_eq!(recycle_round(&pool, 1024, false), 1024);
+        let mut pool = PayloadPool::default();
+        assert_eq!(recycle_round(&mut pool, 1024, false), 1024);
         let mut free = 1024;
         for _ in 0..40 {
-            free = recycle_round(&pool, 8, false);
+            free = recycle_round(&mut pool, 8, false);
         }
         assert!(free <= 8 + 8 / 4 + 1, "free list still {free} buffers");
-        assert!(pool.borrow().free.capacity() <= Outbox::RETAIN_FACTOR * 16);
+        assert!(pool.free.capacity() <= Outbox::RETAIN_FACTOR * 16);
     }
 }

@@ -9,10 +9,11 @@
 //!   **payload slab** those slots resolve through, written only by the
 //!   owning shard during placement and read only by the owning shard
 //!   during the next compute phase;
-//! - the **wake list** (its vertices with a non-empty inbox, built by
-//!   placement) and the **senders list** (its vertices whose outbox
-//!   holds messages, built by compute), which keep every per-vertex pass
-//!   down to the vertices taking part in the round;
+//! - the **wake list** (its vertices with a non-empty inbox, a
+//!   one-bit-per-vertex map built by placement) and the **senders list**
+//!   (its vertices whose outbox holds messages, built by compute), which
+//!   keep every per-vertex pass down to the vertices taking part in the
+//!   round;
 //! - the **per-edge CONGEST counters** of the directed-edge slots leaving
 //!   its vertices. Edge accounting is *sender-owned*: the slot of the
 //!   directed edge `from -> to` lives in `from`'s CSR row, and because a
@@ -69,16 +70,13 @@
 //! cross-process one.
 //!
 //! Per-vertex work follows the round's participants too. The count pass
-//! keeps each recipient's copy count in its inbox range and, after a
-//! sparse round, marks it in a one-bit-per-vertex map. Sealing lists the
-//! recipients in ascending order as the wake list — from the map's
-//! `⌈len/64⌉` words, or after a dense round from one pass over the
-//! counts — and hands each its slot range; the next placement empties
-//! exactly those ranges again. Placement thus costs `O(refs + C + W)`
-//! plus the word scan, for `W ≤ C` woken vertices; the `O(len)` count
-//! pass runs only when the previous round woke a quarter of the shard.
-//! Prefix sums over every owned vertex cost `O(len)` per round however
-//! quiet it was.
+//! keeps each recipient's copy count in its inbox range and marks it on
+//! the wake list, a one-bit-per-vertex map. Sealing reads the map's
+//! `⌈len/64⌉` words and hands each recipient, in ascending order, its
+//! slot range; the next placement empties exactly those ranges again.
+//! Placement thus costs `O(refs + C + W)` plus the word scans, for
+//! `W ≤ C` woken vertices, where prefix sums over every owned vertex
+//! would cost `O(len)` per round however quiet it was.
 //!
 //! The remaining `O(C)` scatter term is a *cache-linear 8-byte write* per
 //! copy, not a payload-handle operation: the inbox stores compact
@@ -127,7 +125,6 @@
 //! rounds, so steady-state stepping stays allocation-free (pinned by
 //! `crates/sim/tests/steady_state_alloc.rs`).
 
-use std::cell::RefCell;
 use std::sync::RwLock;
 
 use netdecomp_graph::{Graph, VertexId};
@@ -528,18 +525,68 @@ impl Router {
     }
 }
 
-/// One owned vertex's inbox: `slots[lo..hi]`. During placement `hi`
-/// holds first the vertex's copy count, then its scatter cursor.
-#[derive(Debug, Clone, Copy, Default)]
-struct InboxRange {
-    lo: u32,
-    hi: u32,
-}
-
 /// Inbox ranges are `u32` slot positions: a shard receiving more copies
 /// in one round (32 GiB of slots) panics rather than wrap into
 /// misdelivery.
 const INBOX_OVERFLOW: &str = "a shard's inbox exceeds u32::MAX copies in one round";
+
+/// Writes one compact slot through owned vertex `local`'s scatter cursor
+/// — the entire per-copy cost of delivery (no payload handle moves here;
+/// the handle sits once in the slab).
+fn deposit(
+    cursors: &mut [u32],
+    slots: &mut [InboxSlot],
+    local: usize,
+    from: u32,
+    payload: PayloadId,
+) {
+    let cursor = &mut cursors[local];
+    slots[*cursor as usize] = InboxSlot { from, payload };
+    *cursor += 1;
+}
+
+/// Counts one copy for owned vertex `local` in a count pass, marking it
+/// woken.
+fn count_copy(counts: &mut [u32], woken: &mut [u64], local: usize) {
+    counts[local] += 1;
+    mark(woken, local);
+}
+
+/// Sets bit `local` of a one-bit-per-vertex map.
+fn mark(map: &mut [u64], local: usize) {
+    map[local / 64] |= 1 << (local % 64);
+}
+
+/// The vertices a one-bit-per-vertex map holds, in ascending order.
+pub(crate) fn ones(map: &[u64]) -> Ones<'_> {
+    Ones {
+        map,
+        next_word: 0,
+        bits: 0,
+    }
+}
+
+/// Iterator of [`ones`]: `O(words + vertices held)`.
+pub(crate) struct Ones<'a> {
+    map: &'a [u64],
+    next_word: usize,
+    /// Unread bits of word `next_word - 1`.
+    bits: u64,
+}
+
+impl Iterator for Ones<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            self.bits = *self.map.get(self.next_word)?;
+            self.next_word += 1;
+        }
+        let bit = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some((self.next_word - 1) * 64 + bit)
+    }
+}
 
 /// Per-shard delivery state: everything one shard touches during a round,
 /// so all shards can run every delivery phase concurrently.
@@ -551,12 +598,12 @@ const INBOX_OVERFLOW: &str = "a shard's inbox exceeds u32::MAX copies in one rou
 /// grows when a round delivers more messages than any round before it.
 ///
 /// A round touches only the vertices that take part in it. Placement
-/// lists the vertices it delivered to — the **wake list** — and the next
+/// marks the vertices it delivered to — the **wake list** — and the next
 /// compute steps only those for a message-driven protocol; compute lists
 /// the vertices that sent — the **senders** — and account walks only
 /// those. Per-vertex inbox ranges are reset through the wake list, so
 /// placement costs `O(copies + woken)` plus a scan of one bit per owned
-/// vertex — a pass over every owned vertex only after a dense round.
+/// vertex.
 #[derive(Debug)]
 pub(crate) struct DeliveryShard {
     /// First owned vertex.
@@ -570,20 +617,24 @@ pub(crate) struct DeliveryShard {
     /// Locally-indexed slots dirtied this round (sparse reset).
     touched: Vec<usize>,
     /// Local inbox ranges: vertex `start + i` receives
-    /// `slots[inbox[i].lo..inbox[i].hi]`, the empty `0..0` for every
+    /// `slots[inbox_lo[i]..inbox_hi[i]]`, the empty `0..0` for every
     /// vertex off the wake list.
-    inbox: Vec<InboxRange>,
-    /// One bit per owned vertex: reached by a copy in the running count
-    /// pass (cleared again as the wake list is sealed).
-    reached: Vec<u64>,
-    /// Whether the running count pass marks `reached`.
-    marking: bool,
-    /// The wake list: owned vertices (local ids, ascending) with a
-    /// non-empty inbox.
-    pub(crate) woken: Vec<u32>,
+    inbox_lo: Vec<u32>,
+    /// Inbox range ends. During placement `inbox_hi[i]` holds first the
+    /// vertex's copy count, then its scatter cursor.
+    inbox_hi: Vec<u32>,
+    /// The wake list, one bit per owned vertex: the vertices with a
+    /// non-empty inbox (during a count pass, those a copy reached so
+    /// far).
+    pub(crate) woken: Vec<u64>,
+    /// Number of vertices on the wake list.
+    pub(crate) woken_count: usize,
     /// Owned vertices (local ids, ascending) whose outbox holds the last
     /// compute's messages.
     pub(crate) senders: Vec<u32>,
+    /// An empty list as long as `senders`: compute lists the new senders
+    /// here while it clears last round's, then swaps the two.
+    pub(crate) spare_senders: Vec<u32>,
     /// Messages delivered to this shard's vertices, packed per recipient
     /// as compact `{from, payload id}` slots resolved through
     /// [`DeliveryShard::slab`].
@@ -594,7 +645,7 @@ pub(crate) struct DeliveryShard {
     slab: PayloadSlab,
     /// Recycled payload buffers for the owned nodes' typed sends, lent
     /// to them through [`crate::Ctx`] during compute.
-    pub(crate) payloads: RefCell<PayloadPool>,
+    pub(crate) payloads: PayloadPool,
     /// This shard's slice of the round's accounting (merged by the engine).
     pub(crate) stats: RoundStats,
     /// Work counters for the last round: nodes stepped by compute, then
@@ -628,17 +679,18 @@ impl DeliveryShard {
             slot_base,
             edge_bytes: vec![0; slots],
             touched: Vec::new(),
-            inbox: vec![InboxRange::default(); end - start],
-            reached: vec![0; (end - start).div_ceil(64)],
-            marking: false,
+            inbox_lo: vec![0; end - start],
+            inbox_hi: vec![0; end - start],
+            woken: vec![0; (end - start).div_ceil(64)],
+            woken_count: 0,
             // Sized for a dense round up front: growing them inside the
             // first rounds would interleave their reallocations with the
             // outboxes' first allocations and scatter those.
-            woken: Vec::with_capacity(end - start),
             senders: Vec::with_capacity(end - start),
+            spare_senders: Vec::with_capacity(end - start),
             slots: Vec::new(),
             slab: PayloadSlab::default(),
-            payloads: RefCell::default(),
+            payloads: PayloadPool::default(),
             stats: RoundStats::default(),
             work: DeliveryWork::default(),
             trace: crate::trace::TraceRing::new(0),
@@ -661,19 +713,21 @@ impl DeliveryShard {
 
     /// Messages delivered to owned vertex `start + local` last round.
     pub(crate) fn incoming(&self, local: usize) -> Inbox<'_> {
-        let range = self.inbox[local];
         Inbox::new(
-            &self.slots[range.lo as usize..range.hi as usize],
+            &self.slots[self.inbox_lo[local] as usize..self.inbox_hi[local] as usize],
             &self.slab,
         )
     }
 
     /// Empties every inbox on the wake list, and the list.
     fn clear_wake_list(&mut self) {
-        for &local in &self.woken {
-            self.inbox[local as usize] = InboxRange::default();
+        let (lo, hi) = (&mut self.inbox_lo[..], &mut self.inbox_hi[..]);
+        for local in ones(&self.woken) {
+            lo[local] = 0;
+            hi[local] = 0;
         }
-        self.woken.clear();
+        self.woken.fill(0);
+        self.woken_count = 0;
     }
 
     /// Cold path (reshard, checkpoint restore): appends one pending copy
@@ -681,60 +735,31 @@ impl DeliveryShard {
     /// Calls must come in ascending `local` order onto an empty inbox.
     pub(crate) fn push_pending(&mut self, local: usize, from: u32, payload: bytes::Bytes) {
         let at = u32::try_from(self.slots.len()).expect(INBOX_OVERFLOW);
-        if self.woken.last() != Some(&(local as u32)) {
-            self.woken.push(local as u32);
-            self.inbox[local].lo = at;
+        if self.inbox_hi[local] == 0 {
+            mark(&mut self.woken, local);
+            self.woken_count += 1;
+            self.inbox_lo[local] = at;
         }
         let payload = self.slab.register(payload);
         self.slots.push(InboxSlot { from, payload });
-        self.inbox[local].hi = at + 1;
+        self.inbox_hi[local] = at + 1;
     }
 
-    /// Starts a count pass: empties last round's inboxes and returns
-    /// whether the pass should mark each vertex it reaches. Only a round
-    /// after a sparse one marks — a bit per copy, then a scan of one bit
-    /// per vertex to seal. After a dense one (a quarter of the shard or
-    /// more woken) sealing scans the counts instead, an `O(len)` pass
-    /// that costs less than a bit per copy when most vertices hear
-    /// something. Either way the wake list comes out in ascending order,
-    /// so the choice never shows in results.
-    fn begin_count_pass(&mut self) -> bool {
-        self.marking = self.woken.len() * 4 < self.len();
-        self.clear_wake_list();
-        self.marking
-    }
-
-    /// Ends a count pass: lists each reached vertex, in ascending order,
-    /// on the wake list and gives it the next `count` slots, leaving `hi`
-    /// at the range's start as the scatter cursor; then sizes the slot
-    /// table for the round's copies.
+    /// Ends a count pass: gives each vertex on the wake list, in
+    /// ascending order, the next `count` slots, leaving its range end at
+    /// the range's start as the scatter cursor; then sizes the slot table
+    /// for the round's copies.
     fn seal_wake_list(&mut self) {
-        let mut total = 0u32;
-        let mut open = |local: usize, range: &mut InboxRange, woken: &mut Vec<u32>| {
-            let count = range.hi;
-            *range = InboxRange {
-                lo: total,
-                hi: total,
-            };
+        let (lo, hi) = (&mut self.inbox_lo[..], &mut self.inbox_hi[..]);
+        let (mut total, mut woken) = (0u32, 0);
+        for local in ones(&self.woken) {
+            let count = hi[local];
+            lo[local] = total;
+            hi[local] = total;
             total = total.checked_add(count).expect(INBOX_OVERFLOW);
-            woken.push(local as u32);
-        };
-        if self.marking {
-            for (w, word) in self.reached.iter_mut().enumerate() {
-                let mut bits = std::mem::take(word);
-                while bits != 0 {
-                    let local = w * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    open(local, &mut self.inbox[local], &mut self.woken);
-                }
-            }
-        } else {
-            for (local, range) in self.inbox.iter_mut().enumerate() {
-                if range.hi > 0 {
-                    open(local, range, &mut self.woken);
-                }
-            }
+            woken += 1;
         }
+        self.woken_count = woken;
         let total = total as usize;
         self.slots.resize(total, InboxSlot::default());
         self.work.inbox_slot_bytes = total * std::mem::size_of::<InboxSlot>();
@@ -743,9 +768,10 @@ impl DeliveryShard {
     /// Leaves every inbox empty after a failed placement, whatever part
     /// of a count pass ran (a cold path, so it resets every vertex).
     fn abandon_count_pass(&mut self) {
-        self.reached.fill(0);
-        self.inbox.fill(InboxRange::default());
-        self.woken.clear();
+        self.woken.fill(0);
+        self.woken_count = 0;
+        self.inbox_lo.fill(0);
+        self.inbox_hi.fill(0);
         self.slots.clear();
     }
 
@@ -995,17 +1021,14 @@ impl DeliveryShard {
         routers: &[RwLock<Router>],
     ) {
         let lo = self.start;
-        let mark = self.begin_count_pass();
+        self.clear_wake_list();
+        let (counts, woken) = (&mut self.inbox_hi[..], &mut self.woken[..]);
         for router in routers {
             let router = router.read().expect("no poisoned router");
+            self.work.refs_scanned += router.bucket(me).len();
             for route in router.bucket(me) {
-                self.work.refs_scanned += 1;
                 for &to in graph.slot_targets(route.lo as usize..route.hi as usize) {
-                    let local = to - lo;
-                    self.inbox[local].hi += 1;
-                    if mark {
-                        self.reached[local / 64] |= 1 << (local % 64);
-                    }
+                    count_copy(counts, woken, to - lo);
                 }
             }
         }
@@ -1021,6 +1044,7 @@ impl DeliveryShard {
         // so a consecutive-pair check is an exact dedup — and every copy
         // is a plain 8-byte slot write.
         self.slab.reset();
+        let (cursors, slots) = (&mut self.inbox_hi[..], &mut self.slots[..]);
         let mut last: Option<(u32, u32)> = None;
         let mut payload_id: PayloadId = 0;
         for (k, (router, chunk)) in routers.iter().zip(chunks).enumerate() {
@@ -1036,7 +1060,7 @@ impl DeliveryShard {
                 }
                 self.work.copies_delivered += (route.hi - route.lo) as usize;
                 for &to in graph.slot_targets(route.lo as usize..route.hi as usize) {
-                    self.deposit(to, route.from, payload_id);
+                    deposit(cursors, slots, to - lo, route.from, payload_id);
                 }
             }
         }
@@ -1159,7 +1183,8 @@ impl DeliveryShard {
         // the claimed sender must belong to the shard the frame came
         // from, the slot range must lie within that sender's own CSR row,
         // and every delivered target must be a vertex this shard owns.
-        let mark = self.begin_count_pass();
+        self.clear_wake_list();
+        let (counts, woken) = (&mut self.inbox_hi[..], &mut self.woken[..]);
         let max_slot = graph.directed_edge_count();
         for (k, frame) in decoded.iter().enumerate() {
             self.work.refs_scanned += frame.ref_count();
@@ -1183,19 +1208,14 @@ impl DeliveryShard {
                 }
                 for &to in graph.slot_targets(slot_lo..slot_hi) {
                     // One bounds check per copy: the count table is
-                    // exactly this shard's vertex range, so `get_mut` of
-                    // the wrapping-shifted id *is* the ownership test
+                    // exactly this shard's vertex range, so bounding the
+                    // wrapping-shifted id by it *is* the ownership test
                     // (`to < lo_v` wraps to a huge index and misses too).
                     let local = to.wrapping_sub(lo_v);
-                    match self.inbox.get_mut(local) {
-                        Some(range) => {
-                            range.hi += 1;
-                            if mark {
-                                self.reached[local / 64] |= 1 << (local % 64);
-                            }
-                        }
-                        None => return Err(fail(foreign)),
+                    if local >= counts.len() {
+                        return Err(fail(foreign));
                     }
+                    count_copy(counts, woken, local);
                 }
             }
         }
@@ -1209,6 +1229,7 @@ impl DeliveryShard {
         // foreign encoder that interleaves them merely registers
         // duplicates), and every copy is a plain 8-byte slot write.
         self.slab.reset();
+        let (cursors, slots) = (&mut self.inbox_hi[..], &mut self.slots[..]);
         for frame in decoded.iter() {
             let mut last: Option<u32> = None;
             let mut payload_id: PayloadId = 0;
@@ -1219,21 +1240,12 @@ impl DeliveryShard {
                 }
                 self.work.copies_delivered += (r.hi - r.lo) as usize;
                 for &to in graph.slot_targets(r.lo as usize..r.hi as usize) {
-                    self.deposit(to, r.from, payload_id);
+                    deposit(cursors, slots, to - lo_v, r.from, payload_id);
                 }
             }
         }
         self.work.payload_registrations = self.slab.len();
         Ok(())
-    }
-
-    /// Writes one compact slot through the recipient's scatter cursor —
-    /// the entire per-copy cost of delivery (no payload handle moves
-    /// here; the handle sits once in the slab).
-    fn deposit(&mut self, to: VertexId, from: u32, payload: PayloadId) {
-        let cursor = &mut self.inbox[to - self.start].hi;
-        self.slots[*cursor as usize] = InboxSlot { from, payload };
-        *cursor += 1;
     }
 }
 
@@ -1241,6 +1253,16 @@ impl DeliveryShard {
 mod tests {
     use super::*;
     use netdecomp_graph::generators;
+
+    #[test]
+    fn a_one_bit_per_vertex_map_reads_back_in_ascending_order() {
+        let mut map = vec![0u64; 3];
+        for local in [130, 0, 64, 63, 1] {
+            mark(&mut map, local);
+        }
+        assert_eq!(ones(&map).collect::<Vec<_>>(), [0, 1, 63, 64, 130]);
+        assert_eq!(ones(&[0, 0]).next(), None);
+    }
 
     fn weights(g: &Graph, plan: &ShardPlan) -> Vec<usize> {
         (0..plan.count())
