@@ -62,12 +62,19 @@ pub fn decompose_with_policy(
     seed: u64,
     policy: BudgetPolicy,
 ) -> Result<DecompositionOutcome, DecompError> {
-    let n = graph.vertex_count();
+    let (budget, plan) = schedule(params, graph.vertex_count());
+    run_phases(graph, seed, budget, policy, plan)
+}
+
+/// Theorem 1's schedule on `n` vertices: the phase budget, and every
+/// phase's plan (one rate and cap throughout).
+pub(crate) fn schedule(
+    params: &DecompositionParams,
+    n: usize,
+) -> (usize, impl Fn(usize) -> PhasePlan) {
     let beta = params.beta(n);
     let cap = params.radius_cap();
-    run_phases(graph, seed, params.phase_budget(n), policy, move |_| {
-        PhasePlan { beta, cap }
-    })
+    (params.phase_budget(n), move |_| PhasePlan { beta, cap })
 }
 
 #[cfg(test)]

@@ -32,6 +32,13 @@
 //! `⌊m_a⌋ ≥ ⌊m_b⌋`, so the dominators' remaining broadcast ranges are no
 //! shorter) at every vertex reachable through `y`.
 //!
+//! The sweep works on the alive vertices only. Its one per-vertex table,
+//! a `u32` per vertex that the decomposition drivers keep for a whole run,
+//! holds each alive vertex's place in the phase's alive list until the
+//! vertex holds two origins, and is restored over the alive set when the
+//! phase ends; decisions come back per alive vertex. [`carve_phase`] is an
+//! adapter over it that keeps the dense [`PhaseResult`].
+//!
 //! # Exactness
 //!
 //! The sweep visits labels in the order of a max-heap keyed on value, then
@@ -115,8 +122,13 @@ const SHIFT_LIMIT: f64 = 9_007_199_254_740_992.0; // 2^53
 ///   [`PhaseResult::truncated`].
 ///
 /// The phase is one sweep over windows of equal `⌊value⌋` (see the module
-/// docs): `O(a log a + Σ deg)` time for `a` alive vertices, plus `O(n)` to
-/// set up the per-vertex tables.
+/// docs): `O(a log a + Σ deg)` time for `a` alive vertices. This function
+/// is an adapter over the sweep the decomposition drivers run: it lists
+/// the alive vertices, sweeps them with per-vertex scratch of its own, and
+/// expands their decisions into the dense [`PhaseResult`], which costs
+/// `O(n)`. The drivers keep that scratch across phases and read the
+/// decisions of the alive vertices only, so a phase costs them nothing per
+/// dead vertex.
 ///
 /// # Panics
 ///
@@ -150,94 +162,173 @@ pub fn carve_phase_with_margin(
     cap: usize,
     margin: f64,
 ) -> PhaseResult {
-    assert!(
-        margin.is_finite() && margin >= 0.0,
-        "margin must be finite and nonnegative"
-    );
     let n = g.vertex_count();
     assert_eq!(alive.universe(), n, "alive universe must match graph");
-    assert_eq!(shifts.len(), n, "one shift per vertex");
-
-    let mut sweep = Sweep {
-        shifts,
-        cap,
-        margin,
-        holds: vec![FULL; n],
-        decisions: vec![None; n],
-        relays: Vec::new(),
-    };
-    let mut truncated = 0usize;
-    let mut max_shift = 0.0f64;
-    let mut origins: Vec<Label> = Vec::with_capacity(alive.len());
-    for v in alive.iter() {
-        let r = shifts[v];
-        // The range admits `−0.0` (it equals `0.0`) and rejects NaN.
-        assert!(
-            (0.0..SHIFT_LIMIT).contains(&r),
-            "shift of alive vertex {v} must be in [0, 2^53), got {r}"
-        );
-        max_shift = max_shift.max(r);
-        if (r.floor() as usize) > cap {
-            truncated += 1;
-        }
-        sweep.holds[v] = EMPTY;
-        origins.push(Label {
-            value: r,
-            origin: v,
-            vertex: v,
-        });
+    let members: Vec<VertexId> = alive.iter().collect();
+    let sparse = SweepScratch::new(n).carve(g, &members, shifts, cap, margin);
+    let (truncated, max_shift) = shift_events(&members, shifts, cap);
+    let mut decisions = vec![None; n];
+    for (&v, d) in members.iter().zip(sparse) {
+        decisions[v] = Some(d);
     }
-    origins.sort_unstable_by(Label::sweep_order);
-
-    let mut relays: Vec<Label> = Vec::new();
-    let mut next = 0usize; // the first origin not yet swept
-    let mut w = 0usize;
-    loop {
-        // The relays out of window `w` belong to window `w − 1`; with none in
-        // flight, the sweep jumps to the next origin's window.
-        std::mem::swap(&mut relays, &mut sweep.relays);
-        sweep.relays.clear();
-        w = match (relays.is_empty(), origins.get(next)) {
-            (false, _) => w - 1,
-            (true, Some(o)) => o.value.floor() as usize,
-            (true, None) => break,
-        };
-        let count = origins[next..]
-            .iter()
-            .take_while(|o| o.value.floor() as usize == w)
-            .count();
-        let run = &origins[next..next + count];
-        let (mut i, mut j) = (0, 0);
-        while i < relays.len() || j < run.len() {
-            let relay_first = j == run.len()
-                || (i < relays.len()
-                    && Label::sweep_order(&relays[i], &run[j]) != Ordering::Greater);
-            if relay_first {
-                let relay = relays[i];
-                for &z in g.neighbors(relay.vertex) {
-                    sweep.offer(w, Label { vertex: z, ..relay });
-                }
-                i += 1;
-            } else {
-                sweep.offer(w, run[j]);
-                j += 1;
-            }
-        }
-        next += count;
-    }
-
     PhaseResult {
-        decisions: sweep.decisions,
+        decisions,
         truncated,
         max_shift,
     }
 }
 
+/// `(truncated, max_shift)` of one phase, as [`PhaseResult`] reports them:
+/// the alive vertices whose `⌊r_v⌋` exceeds `cap`, and the largest shift
+/// among them (0 when there is none).
+pub(crate) fn shift_events(alive: &[VertexId], shifts: &[f64], cap: usize) -> (usize, f64) {
+    let mut truncated = 0usize;
+    let mut max_shift = 0.0f64;
+    for &v in alive {
+        let r = shifts[v];
+        max_shift = max_shift.max(r);
+        if (r.floor() as usize) > cap {
+            truncated += 1;
+        }
+    }
+    (truncated, max_shift)
+}
+
+/// The sweep's per-vertex scratch: one `u32` per vertex, [`FULL`] for
+/// every vertex between phases. A decomposition keeps one for its whole
+/// run; each phase writes it over the alive vertices and restores it
+/// there before returning, so no phase allocates or visits `n` entries.
+#[derive(Debug)]
+pub(crate) struct SweepScratch {
+    /// Per vertex, during a phase: [`FULL`] once the vertex accepts
+    /// nothing more (it holds two origins, or is not alive), otherwise its
+    /// index in the phase's alive list.
+    holds: Vec<u32>,
+}
+
+impl SweepScratch {
+    /// Scratch for a graph of `n` vertices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds `u32::MAX`: a vertex id must fit a `u32`.
+    pub(crate) fn new(n: usize) -> Self {
+        assert!(
+            u32::try_from(n).is_ok(),
+            "the carve indexes vertices as u32, got {n} vertices"
+        );
+        SweepScratch {
+            holds: vec![FULL; n],
+        }
+    }
+
+    /// Runs one phase over the alive vertices `alive` (no repeats) and
+    /// returns their decisions, `decisions[i]` being `alive[i]`'s. Reads
+    /// `shifts[v]` for alive `v` only.
+    ///
+    /// # Panics
+    ///
+    /// As [`carve_phase_with_margin`], for the shifts of `alive` and the
+    /// margin.
+    pub(crate) fn carve(
+        &mut self,
+        g: &Graph,
+        alive: &[VertexId],
+        shifts: &[f64],
+        cap: usize,
+        margin: f64,
+    ) -> Vec<CarveDecision> {
+        assert!(
+            margin.is_finite() && margin >= 0.0,
+            "margin must be finite and nonnegative"
+        );
+        assert_eq!(shifts.len(), g.vertex_count(), "one shift per vertex");
+        assert_eq!(self.holds.len(), g.vertex_count(), "scratch sized for g");
+        let mut origins: Vec<Label> = Vec::with_capacity(alive.len());
+        for (i, &v) in alive.iter().enumerate() {
+            let r = shifts[v];
+            // The range admits `−0.0` (it equals `0.0`) and rejects NaN.
+            assert!(
+                (0.0..SHIFT_LIMIT).contains(&r),
+                "shift of alive vertex {v} must be in [0, 2^53), got {r}"
+            );
+            self.holds[v] = i as u32;
+            origins.push(Label {
+                value: r,
+                origin: v as u32,
+                vertex: v as u32,
+            });
+        }
+        origins.sort_unstable_by(Label::sweep_order);
+
+        let mut sweep = Sweep {
+            shifts,
+            cap,
+            margin,
+            holds: &mut self.holds,
+            decisions: vec![UNHEARD; alive.len()],
+            relays: Vec::new(),
+        };
+        let mut relays: Vec<Label> = Vec::new();
+        let mut next = 0usize; // the first origin not yet swept
+        let mut w = 0usize;
+        loop {
+            // The relays out of window `w` belong to window `w − 1`; with
+            // none in flight, the sweep jumps to the next origin's window.
+            std::mem::swap(&mut relays, &mut sweep.relays);
+            sweep.relays.clear();
+            w = match (relays.is_empty(), origins.get(next)) {
+                (false, _) => w - 1,
+                (true, Some(o)) => o.value.floor() as usize,
+                (true, None) => break,
+            };
+            let count = origins[next..]
+                .iter()
+                .take_while(|o| o.value.floor() as usize == w)
+                .count();
+            let run = &origins[next..next + count];
+            let (mut i, mut j) = (0, 0);
+            while i < relays.len() || j < run.len() {
+                let relay_first = j == run.len()
+                    || (i < relays.len()
+                        && Label::sweep_order(&relays[i], &run[j]) != Ordering::Greater);
+                if relay_first {
+                    let relay = relays[i];
+                    for &z in g.neighbors(relay.vertex as usize) {
+                        sweep.offer(
+                            w,
+                            Label {
+                                vertex: z as u32,
+                                ..relay
+                            },
+                        );
+                    }
+                    i += 1;
+                } else {
+                    sweep.offer(w, run[j]);
+                    j += 1;
+                }
+            }
+            next += count;
+        }
+        let decisions = sweep.decisions;
+        for &v in alive {
+            self.holds[v] = FULL;
+        }
+        decisions
+    }
+}
+
 /// Marks a vertex that accepts nothing more: it holds two origins or is not
 /// alive.
-const FULL: VertexId = VertexId::MAX;
-/// Marks an alive vertex that has accepted no label yet.
-const EMPTY: VertexId = VertexId::MAX - 1;
+const FULL: u32 = u32::MAX;
+/// The decision of an alive vertex that has accepted no label yet.
+const UNHEARD: CarveDecision = CarveDecision {
+    m1: 0.0,
+    center: VertexId::MAX,
+    m2: 0.0,
+    joined: false,
+};
 
 /// Origin `origin`'s broadcast worth `value`: offered to `vertex` when it is
 /// an origin's own label, and to each neighbour of `vertex` when it is a
@@ -245,8 +336,8 @@ const EMPTY: VertexId = VertexId::MAX - 1;
 #[derive(Debug, Clone, Copy)]
 struct Label {
     value: f64,
-    origin: VertexId,
-    vertex: VertexId,
+    origin: u32,
+    vertex: u32,
 }
 
 impl Label {
@@ -259,14 +350,17 @@ impl Label {
     }
 }
 
-/// The per-vertex state of one phase's sweep.
+/// The state of one phase's sweep.
 struct Sweep<'a> {
     shifts: &'a [f64],
     cap: usize,
     margin: f64,
-    /// Per vertex: [`FULL`], [`EMPTY`], or the one origin it holds.
-    holds: Vec<VertexId>,
-    decisions: Vec<Option<CarveDecision>>,
+    /// [`SweepScratch::holds`].
+    holds: &'a mut [u32],
+    /// Per alive-list index: the vertex's decision so far, [`UNHEARD`]
+    /// until it accepts a label; its `center` is the first origin it
+    /// accepted.
+    decisions: Vec<CarveDecision>,
     /// Relays of the labels accepted in the window being swept, in the
     /// order they were accepted.
     relays: Vec<Label>,
@@ -282,30 +376,30 @@ impl Sweep<'_> {
             origin,
             vertex,
         } = label;
-        let held = self.holds[vertex];
-        if held == FULL || held == origin {
+        let at = self.holds[vertex as usize];
+        if at == FULL {
             return;
         }
-        if held == EMPTY {
-            self.holds[vertex] = origin;
-            self.decisions[vertex] = Some(CarveDecision {
+        let decision = &mut self.decisions[at as usize];
+        if decision.center == origin as VertexId {
+            return;
+        }
+        if decision.center == UNHEARD.center {
+            *decision = CarveDecision {
                 m1: value,
-                center: origin,
+                center: origin as VertexId,
                 m2: 0.0,
                 // m₂ = 0 until a second origin arrives.
                 joined: value > self.margin,
-            });
+            };
         } else {
-            self.holds[vertex] = FULL;
-            let decision = self.decisions[vertex]
-                .as_mut()
-                .expect("a vertex holding an origin has a decision");
+            self.holds[vertex as usize] = FULL;
             decision.m2 = value;
             decision.joined = decision.m1 - value > self.margin;
         }
         // The label sits `d = ⌊r⌋ − w` hops from its origin and travels one
         // more while `d + 1 ≤ min(⌊r⌋, cap)`.
-        let d = self.shifts[origin].floor() as usize - w;
+        let d = self.shifts[origin as usize].floor() as usize - w;
         if w > 0 && d < self.cap {
             self.relays.push(Label {
                 value: value - 1.0,

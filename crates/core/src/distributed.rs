@@ -10,38 +10,39 @@
 //! [`crate::basic`]); the difference — measured by the returned
 //! [`RunStats`] — is communication volume.
 //!
-//! One simulator runs the whole decomposition: each phase re-arms every
-//! node (alive bit, shift, cap, nothing known) and rewinds to round 0, so
-//! the shard plan, route index, buffers and transport are built once per
-//! run, not once per phase.
+//! One simulator runs the whole decomposition, so the shard plan, route
+//! index, buffers and transport are built once per run, not once per
+//! phase. A phase touches only the alive vertices: it re-arms their nodes
+//! (alive bit, shift, cap, nothing known) and [`Simulator::restart`]s with
+//! them as the start list, so the start round runs only them. Reading the
+//! phase's decisions disarms the nodes that joined: a carved node must
+//! stay dead, since an alive neighbour's relay still reaches it.
 //!
-//! Each phase is a broadcast frontier moving one hop per round, and
-//! [`CarveNode`] is message-driven: a vertex acts only on what it hears,
-//! so a round steps only the vertices that heard something — the
-//! frontier — not all `n` (the phase's `start` round still visits every
-//! node).
+//! Each phase is a broadcast frontier moving one hop per round, and the
+//! per-vertex protocol is message-driven: a vertex acts only on what it
+//! hears, so a round steps only the vertices that heard something — the
+//! frontier — not all `n`.
 //!
-//! Messages are typed ([`Entry`]) and cross the wire through an
-//! [`EntryCodec`]: encoded once per send, into a buffer the simulator
-//! recycles, and decoded once per receipt, as the receiver reads its
-//! inbox. An entry's hop distance travels as a `u16`, so every
-//! `decompose_distributed*` function refuses a radius cap above 65 535
-//! before any round runs. Rounds can run on the simulator's sharded
-//! parallel engine — compute *and* delivery
+//! Messages are typed entries `(origin, r, hops)`, encoded once per send,
+//! into a buffer the simulator recycles, and decoded once per receipt, as
+//! the receiver reads its inbox. An entry's hop distance travels as a
+//! `u16`, so every `decompose_distributed*` function refuses a radius cap
+//! above 65 535 before any round runs. Rounds can run on the simulator's
+//! sharded parallel engine — compute *and* delivery
 //! ([`DistributedConfig::engine`]); decisions are bit-identical across
 //! every `(threads, shards)` configuration, and
 //! [`DistributedConfig::determinism`] can make the simulator verify that
 //! per round, the message-driven contract included.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use netdecomp_graph::{Graph, VertexId, VertexSet};
+use netdecomp_graph::{Graph, VertexId};
 use netdecomp_sim::wire::{WireReader, WireWriter};
 use netdecomp_sim::{
     Codec, CongestLimit, Ctx, Determinism, Engine, RunStats, Simulator, Snapshot, TransportFactory,
     Typed, TypedInbox, TypedOutbox, TypedProtocol,
 };
 
-use crate::carve::{CarveDecision, PhaseResult};
+use crate::carve::CarveDecision;
 use crate::driver::{run_phases_with_carver, BudgetPolicy, PhasePlan};
 use crate::outcome::DecompositionOutcome;
 use crate::params::{DecompositionParams, HighRadiusParams, StagedParams};
@@ -95,20 +96,28 @@ pub struct DistributedRun {
     pub comm: RunStats,
 }
 
-/// One known broadcast entry at a vertex.
+/// One known broadcast entry at a vertex, its fields as wide as on the
+/// wire.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Entry {
     /// Origin vertex of the broadcast.
-    origin: VertexId,
+    origin: u32,
     /// The origin's sampled shift `r`.
     r: f64,
     /// Hop distance at which this vertex heard the origin (current best).
-    dist: usize,
+    dist: u16,
 }
 
 impl Entry {
+    /// Fills the unused inline slots of an idle or freshly armed node.
+    const NONE: Entry = Entry {
+        origin: 0,
+        r: 0.0,
+        dist: 0,
+    };
+
     fn value(&self) -> f64 {
-        self.r - self.dist as f64
+        self.r - f64::from(self.dist)
     }
 
     /// Ordering used everywhere: larger value first, ties toward the
@@ -139,16 +148,16 @@ impl Codec for EntryCodec {
     /// `decompose_distributed*` function refuses a cap past
     /// [`MAX_WIRE_CAP`], so the `u16` cannot wrap.
     fn encode(entry: &Entry, buf: &mut BytesMut) {
-        buf.put_u32_le(entry.origin as u32);
+        buf.put_u32_le(entry.origin);
         buf.put_f64_le(entry.r);
-        buf.put_u16_le((entry.dist + 1) as u16);
+        buf.put_u16_le(entry.dist + 1);
     }
 
     fn decode(payload: &[u8]) -> Option<Entry> {
         let mut r = WireReader::new(payload);
-        let origin = r.u32()? as VertexId;
+        let origin = r.u32()?;
         let shift = r.f64()?;
-        let dist = r.u16()? as usize;
+        let dist = r.u16()?;
         r.is_exhausted().then_some(Entry {
             origin,
             r: shift,
@@ -157,16 +166,36 @@ impl Codec for EntryCodec {
     }
 }
 
-/// Per-vertex protocol state, re-armed for every phase.
-#[derive(Debug, Clone, PartialEq)]
+/// Per-vertex protocol state, re-armed for every phase the vertex is
+/// alive in.
+///
+/// The known entries form one list, kept sorted best-first: its first two
+/// sit inline (`top[..held]`), so a [`Forwarding::TopTwo`] node, which
+/// keeps no more, never allocates; a [`Forwarding::Full`] node keeps every
+/// further origin in `rest`. Equality reads only the live entries.
+#[derive(Debug, Clone)]
 struct CarveNode {
     alive: bool,
     r: f64,
     cap: usize,
     mode: Forwarding,
-    /// Known entries: all origins (Full) or at most two (TopTwo), kept
-    /// sorted best-first.
-    known: Vec<Entry>,
+    /// The two best known entries, best first; `top[..held]` are live.
+    top: [Entry; 2],
+    held: usize,
+    /// [`Forwarding::Full`] only: the known entries after the first two,
+    /// best first (non-empty only when `held == 2`).
+    rest: Vec<Entry>,
+}
+
+impl PartialEq for CarveNode {
+    fn eq(&self, other: &Self) -> bool {
+        self.alive == other.alive
+            && self.r == other.r
+            && self.cap == other.cap
+            && self.mode == other.mode
+            && self.top() == other.top()
+            && self.rest == other.rest
+    }
 }
 
 impl CarveNode {
@@ -177,84 +206,120 @@ impl CarveNode {
             r: 0.0,
             cap: 0,
             mode,
-            known: Vec::new(),
+            top: [Entry::NONE; 2],
+            held: 0,
+            rest: Vec::new(),
         }
     }
 
     /// Arms the node for a new phase: its alive bit, shift and radius
-    /// cap, with nothing known yet (the list keeps its capacity).
+    /// cap, with nothing known yet (the spill list keeps its capacity).
     fn arm(&mut self, alive: bool, r: f64, cap: usize) {
         self.alive = alive;
         self.r = r;
         self.cap = cap;
-        self.known.clear();
+        self.held = 0;
+        self.rest.clear();
+    }
+
+    /// The live inline entries: the best two known, best first.
+    fn top(&self) -> &[Entry] {
+        &self.top[..self.held]
+    }
+
+    /// Every known entry, best first.
+    fn known(&self) -> impl Iterator<Item = &Entry> {
+        self.top().iter().chain(&self.rest)
     }
 
     /// Records an entry; returns `true` if the knowledge improved (new
     /// origin accepted or a better distance for a known origin).
     fn offer(&mut self, entry: Entry) -> bool {
-        if let Some(existing) = self.known.iter_mut().find(|e| e.origin == entry.origin) {
-            if entry.value() > existing.value() {
-                *existing = entry;
-                self.known.sort_by(|a, b| {
-                    if a.beats(b) {
-                        std::cmp::Ordering::Less
-                    } else {
-                        std::cmp::Ordering::Greater
-                    }
-                });
-                return true;
+        let is_origin = |e: &Entry| e.origin == entry.origin;
+        let known = match self.top().iter().position(is_origin) {
+            None if !self.rest.is_empty() => self.rest.iter().position(is_origin).map(|i| i + 2),
+            at => at,
+        };
+        if let Some(i) = known {
+            let existing = if i < self.held {
+                self.top[i]
+            } else {
+                self.rest[i - self.held]
+            };
+            if entry.value() <= existing.value() {
+                return false;
             }
+            self.remove(i);
+        } else if self.mode == Forwarding::TopTwo && self.held == 2 && !entry.beats(&self.top[1]) {
             return false;
         }
-        match self.mode {
-            Forwarding::Full => {
-                self.known.push(entry);
-            }
-            Forwarding::TopTwo => {
-                if self.known.len() >= 2 {
-                    // Replace the current runner-up if the newcomer beats it.
-                    let worst = self.known.len() - 1;
-                    if entry.beats(&self.known[worst]) {
-                        self.known[worst] = entry;
-                    } else {
-                        return false;
-                    }
-                } else {
-                    self.known.push(entry);
-                }
-            }
-        }
-        self.known.sort_by(|a, b| {
-            if a.beats(b) {
-                std::cmp::Ordering::Less
-            } else {
-                std::cmp::Ordering::Greater
-            }
-        });
+        self.insert(entry);
         true
+    }
+
+    /// Removes the `i`-th best known entry.
+    fn remove(&mut self, i: usize) {
+        if i >= self.held {
+            self.rest.remove(i - self.held);
+            return;
+        }
+        if i == 0 {
+            self.top[0] = self.top[1];
+        }
+        self.held -= 1;
+        if !self.rest.is_empty() {
+            self.top[self.held] = self.rest.remove(0);
+            self.held += 1;
+        }
+    }
+
+    /// Inserts an entry whose origin is not known, in best-first order; a
+    /// [`Forwarding::TopTwo`] node drops whatever falls past second.
+    fn insert(&mut self, entry: Entry) {
+        let displaced = match self.held {
+            0 | 1 => {
+                let at = usize::from(self.held == 1 && !entry.beats(&self.top[0]));
+                if at == 0 {
+                    self.top[1] = self.top[0];
+                }
+                self.top[at] = entry;
+                self.held += 1;
+                return;
+            }
+            _ if entry.beats(&self.top[0]) => {
+                let third = self.top[1];
+                self.top = [entry, self.top[0]];
+                third
+            }
+            _ if entry.beats(&self.top[1]) => std::mem::replace(&mut self.top[1], entry),
+            _ => entry,
+        };
+        if self.mode == Forwarding::Full {
+            let at = self.rest.partition_point(|e| e.beats(&displaced));
+            self.rest.insert(at, displaced);
+        }
     }
 
     /// Should `entry` be relayed one hop further?
     fn should_forward(&self, entry: &Entry) -> bool {
         let radius = (entry.r.floor() as usize).min(self.cap);
-        if entry.dist + 1 > radius {
+        if usize::from(entry.dist) + 1 > radius {
             return false;
         }
         match self.mode {
             Forwarding::Full => true,
-            Forwarding::TopTwo => self.known.iter().take(2).any(|e| e.origin == entry.origin),
+            Forwarding::TopTwo => self.top().iter().any(|e| e.origin == entry.origin),
         }
     }
 
     /// The best two entries as a carve decision (driver reads this after
     /// the phase's rounds complete).
     fn decision(&self) -> CarveDecision {
-        let best = self.known[0];
-        let m2 = self.known.get(1).map_or(0.0, Entry::value);
+        let best = self.top()[0];
+        let m2 = self.top().get(1).map_or(0.0, Entry::value);
         CarveDecision {
             m1: best.value(),
-            center: best.origin,
+            center: best.origin as VertexId,
             m2,
             joined: best.value() - m2 > 1.0,
         }
@@ -266,7 +331,7 @@ impl CarveNode {
 /// one is among the node's two kept entries.
 #[derive(Default)]
 struct Improved {
-    origins: [VertexId; 2],
+    origins: [u32; 2],
     len: usize,
 }
 
@@ -274,7 +339,7 @@ impl Improved {
     /// Notes that `origin` just improved `known`: forgets the noted
     /// origin it evicted, if any, and appends `origin` unless already
     /// noted.
-    fn note(&mut self, origin: VertexId, known: &[Entry]) {
+    fn note(&mut self, origin: u32, known: &[Entry]) {
         if self.origins[..self.len].contains(&origin) {
             return;
         }
@@ -290,7 +355,7 @@ impl Improved {
         self.len = kept + 1;
     }
 
-    fn origins(&self) -> &[VertexId] {
+    fn origins(&self) -> &[u32] {
         &self.origins[..self.len]
     }
 }
@@ -305,12 +370,9 @@ impl Snapshot for CarveNode {
             .u16(u16::from(self.alive))
             .f64(self.r)
             .u64(self.cap as u64)
-            .u32(self.known.len() as u32);
-        for entry in &self.known {
-            w = w
-                .u32(entry.origin as u32)
-                .f64(entry.r)
-                .u16(entry.dist as u16);
+            .u32((self.held + self.rest.len()) as u32);
+        for entry in self.known() {
+            w = w.u32(entry.origin).f64(entry.r).u16(entry.dist);
         }
         w.finish()
     }
@@ -325,33 +387,36 @@ impl Snapshot for CarveNode {
         let Ok(cap) = usize::try_from(cap) else {
             return false;
         };
-        // Each entry consumes 14 bytes; an absurd count can't be genuine.
-        if count as usize > bytes.len() / 14 {
-            return false;
-        }
-        let mut known = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            let (Some(origin), Some(shift), Some(dist)) = (r.u32(), r.f64(), r.u16()) else {
-                return false;
-            };
-            known.push(Entry {
-                origin: origin as VertexId,
-                r: shift,
-                dist: dist as usize,
-            });
-        }
-        if !r.is_exhausted() {
+        // Each entry consumes 14 bytes; an absurd count can't be genuine,
+        // and a top-two node keeps at most two.
+        if count as usize > bytes.len() / 14 || (self.mode == Forwarding::TopTwo && count > 2) {
             return false;
         }
         self.arm(alive != 0, shift, cap);
-        self.known = known;
-        true
+        for i in 0..count as usize {
+            let (Some(origin), Some(shift), Some(dist)) = (r.u32(), r.f64(), r.u16()) else {
+                return false;
+            };
+            let entry = Entry {
+                origin,
+                r: shift,
+                dist,
+            };
+            if i < 2 {
+                self.top[i] = entry;
+                self.held += 1;
+            } else {
+                self.rest.push(entry);
+            }
+        }
+        r.is_exhausted()
     }
 }
 
 /// Message-driven: `round` reads only its inbox (an empty one improves
 /// nothing and relays nothing), so each round steps only the broadcast
-/// frontier.
+/// frontier; and a node that is not alive does nothing in `start`, so a
+/// phase's start list is its alive nodes.
 impl TypedProtocol for CarveNode {
     type Codec = EntryCodec;
     const MESSAGE_DRIVEN: bool = true;
@@ -361,7 +426,7 @@ impl TypedProtocol for CarveNode {
             return;
         }
         let own = Entry {
-            origin: ctx.id,
+            origin: u32::try_from(ctx.id).expect("the phase loop admits u32 vertex ids only"),
             r: self.r,
             dist: 0,
         };
@@ -404,12 +469,12 @@ impl TypedProtocol for CarveNode {
                     }
                 }
                 // Relaying depends on the round's final top two.
-                Forwarding::TopTwo => improved.note(entry.origin, &self.known),
+                Forwarding::TopTwo => improved.note(entry.origin, self.top()),
             }
         }
         for &origin in improved.origins() {
             let entry = *self
-                .known
+                .top()
                 .iter()
                 .find(|e| e.origin == origin)
                 .expect("noted origins are kept");
@@ -444,12 +509,9 @@ pub fn decompose_distributed(
     seed: u64,
     config: &DistributedConfig,
 ) -> Result<DistributedRun, DecompError> {
-    let n = graph.vertex_count();
-    let beta = params.beta(n);
-    let cap = wire_cap("k", params.radius_cap())?;
-    run_distributed(graph, seed, params.phase_budget(n), config, move |_| {
-        PhasePlan { beta, cap }
-    })
+    wire_cap("k", params.radius_cap())?;
+    let (budget, plan) = crate::basic::schedule(params, graph.vertex_count());
+    run_distributed(graph, seed, budget, config, plan)
 }
 
 /// Theorem 2's staged algorithm by actual message passing; the per-stage
@@ -465,29 +527,9 @@ pub fn decompose_distributed_staged(
     seed: u64,
     config: &DistributedConfig,
 ) -> Result<DistributedRun, DecompError> {
-    let n = graph.vertex_count();
-    let cap = wire_cap("k", params.radius_cap())?;
-    let budget: usize = (0..params.stage_count(n))
-        .map(|i| params.stage_phases(n, i))
-        .sum();
-    let p = *params;
-    run_distributed(graph, seed, budget, config, move |phase| {
-        // Same stage lookup as the centralized path.
-        let stages = p.stage_count(n);
-        let mut cursor = 0usize;
-        let mut stage = stages.saturating_sub(1);
-        for i in 0..stages {
-            cursor += p.stage_phases(n, i);
-            if phase < cursor {
-                stage = i;
-                break;
-            }
-        }
-        PhasePlan {
-            beta: p.stage_beta(n, stage),
-            cap,
-        }
-    })
+    wire_cap("k", params.radius_cap())?;
+    let (budget, plan) = crate::staged::schedule(params, graph.vertex_count());
+    run_distributed(graph, seed, budget, config, plan)
 }
 
 /// Theorem 3's high-radius algorithm by actual message passing.
@@ -502,22 +544,20 @@ pub fn decompose_distributed_high_radius(
     config: &DistributedConfig,
 ) -> Result<DistributedRun, DecompError> {
     let n = graph.vertex_count();
-    let beta = params.beta(n);
-    let cap = wire_cap("lambda", params.radius_cap(n))?;
-    run_distributed(graph, seed, params.phase_budget(), config, move |_| {
-        PhasePlan { beta, cap }
-    })
+    wire_cap("lambda", params.radius_cap(n))?;
+    let (budget, plan) = crate::high_radius::schedule(params, n);
+    run_distributed(graph, seed, budget, config, plan)
 }
 
 /// The largest radius cap the wire format carries: an entry's hop
 /// distance travels as a `u16`.
 const MAX_WIRE_CAP: usize = u16::MAX as usize;
 
-/// `cap`, if the wire format can carry every distance a phase reaches;
-/// otherwise [`DecompError::InvalidParameter`] naming the parameter
-/// `name` that set it. Checked before any round runs: a wrapped distance
-/// would silently change decisions.
-fn wire_cap(name: &'static str, cap: usize) -> Result<usize, DecompError> {
+/// `Ok` if the wire format can carry every distance a phase with radius
+/// cap `cap` reaches; otherwise [`DecompError::InvalidParameter`] naming
+/// the parameter `name` that set it. Checked before any round runs: a
+/// wrapped distance would silently change decisions.
+fn wire_cap(name: &'static str, cap: usize) -> Result<(), DecompError> {
     if cap > MAX_WIRE_CAP {
         return Err(DecompError::InvalidParameter {
             name,
@@ -527,7 +567,7 @@ fn wire_cap(name: &'static str, cap: usize) -> Result<usize, DecompError> {
             ),
         });
     }
-    Ok(cap)
+    Ok(())
 }
 
 fn run_distributed<F>(
@@ -548,18 +588,18 @@ where
         budget,
         config.policy,
         plan_for_phase,
-        |_, alive, shifts, cap| {
+        |alive, shifts, cap| {
             let sim = sim.get_or_insert_with(|| carve_simulator(graph, config));
-            arm_phase(sim, alive, shifts, cap);
+            arm_alive(sim, alive, shifts, cap);
             comm.merge(&sim.run_rounds_with(cap + 1, config.determinism)?);
-            Ok(phase_result(sim.nodes(), alive, shifts, cap))
+            Ok(take_decisions(sim, alive))
         },
     )?;
     Ok(DistributedRun { outcome, comm })
 }
 
 /// The one simulator a decomposition runs on, with every node idle until
-/// [`arm_phase`]; with [`DistributedConfig::transport`] set on a framed
+/// [`arm_alive`]; with [`DistributedConfig::transport`] set on a framed
 /// engine, its frames go through one transport built here.
 fn carve_simulator<'g>(
     graph: &'g Graph,
@@ -577,55 +617,128 @@ fn carve_simulator<'g>(
     sim
 }
 
-/// Re-arms every node for a phase and rewinds the simulator to round 0,
-/// so the next `cap + 1` rounds run the phase exactly as a fresh
-/// simulator would. The previous phase leaves no message in flight: a
-/// relay in its last round (round `cap`) would need an entry
-/// `cap + 1 ≤ radius ≤ cap` hops out.
-fn arm_phase(
+/// Re-arms the alive nodes `alive` for a phase and restarts the simulator
+/// with them as the start list, so the next `cap + 1` rounds run the phase
+/// exactly as a fresh simulator would. Every other node is already
+/// disarmed: idle since construction, or carved by [`take_decisions`].
+/// The previous phase leaves no message in flight: a relay in its last
+/// round (round `cap`) would need an entry `cap + 1 ≤ radius ≤ cap` hops
+/// out.
+fn arm_alive(
     sim: &mut Simulator<'_, Typed<CarveNode>>,
-    alive: &VertexSet,
+    alive: &[VertexId],
     shifts: &[f64],
     cap: usize,
 ) {
-    for (v, node) in sim.nodes_mut().iter_mut().enumerate() {
-        node.inner.arm(alive.contains(v), shifts[v], cap);
+    let nodes = sim.nodes_mut();
+    for &v in alive {
+        nodes[v].inner.arm(true, shifts[v], cap);
     }
-    sim.resume_at(0);
+    sim.restart(alive);
 }
 
-/// Each alive vertex's decision once a phase's rounds have run.
-fn phase_result(
-    nodes: &[Typed<CarveNode>],
-    alive: &VertexSet,
-    shifts: &[f64],
-    cap: usize,
-) -> PhaseResult {
-    let mut truncated = 0usize;
-    let mut max_shift = 0.0f64;
-    for v in alive.iter() {
-        max_shift = max_shift.max(shifts[v]);
-        if (shifts[v].floor() as usize) > cap {
-            truncated += 1;
-        }
-    }
-    let decisions = nodes
+/// Each alive vertex's decision once a phase's rounds have run, in the
+/// order of `alive`; disarms the vertices that joined, which the next
+/// phase no longer lists.
+fn take_decisions(
+    sim: &mut Simulator<'_, Typed<CarveNode>>,
+    alive: &[VertexId],
+) -> Vec<CarveDecision> {
+    let nodes = sim.nodes_mut();
+    alive
         .iter()
-        .enumerate()
-        .map(|(v, node)| alive.contains(v).then(|| node.inner.decision()))
-        .collect();
-    PhaseResult {
-        decisions,
-        truncated,
-        max_shift,
-    }
+        .map(|&v| {
+            let node = &mut nodes[v].inner;
+            let decision = node.decision();
+            if decision.joined {
+                node.alive = false;
+            }
+            decision
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::carve::PhaseResult;
+    use crate::driver::run_phases_dense;
     use crate::shift::ShiftSource;
-    use netdecomp_graph::generators;
+    use netdecomp_graph::{generators, VertexSet};
+
+    /// Re-arms every node for a phase and rewinds the simulator to round 0,
+    /// so that `start` runs on all `n` nodes: the dense re-arm that
+    /// [`arm_alive`] replaced, kept for the dense oracle.
+    fn arm_phase(
+        sim: &mut Simulator<'_, Typed<CarveNode>>,
+        alive: &VertexSet,
+        shifts: &[f64],
+        cap: usize,
+    ) {
+        for (v, node) in sim.nodes_mut().iter_mut().enumerate() {
+            node.inner.arm(alive.contains(v), shifts[v], cap);
+        }
+        sim.resume_at(0);
+    }
+
+    /// Each alive vertex's decision once a phase's rounds have run, read
+    /// into a dense [`PhaseResult`]: the result [`take_decisions`]
+    /// replaced, kept for the dense oracle.
+    fn phase_result(
+        nodes: &[Typed<CarveNode>],
+        alive: &VertexSet,
+        shifts: &[f64],
+        cap: usize,
+    ) -> PhaseResult {
+        let mut truncated = 0usize;
+        let mut max_shift = 0.0f64;
+        for v in alive.iter() {
+            max_shift = max_shift.max(shifts[v]);
+            if (shifts[v].floor() as usize) > cap {
+                truncated += 1;
+            }
+        }
+        let decisions = nodes
+            .iter()
+            .enumerate()
+            .map(|(v, node)| alive.contains(v).then(|| node.inner.decision()))
+            .collect();
+        PhaseResult {
+            decisions,
+            truncated,
+            max_shift,
+        }
+    }
+
+    /// A CONGEST decomposition as the dense loop ran it: every node
+    /// re-armed and started each phase, every decision read.
+    fn dense_congest<F>(
+        g: &Graph,
+        seed: u64,
+        budget: usize,
+        plan: F,
+        config: &DistributedConfig,
+    ) -> Result<DistributedRun, DecompError>
+    where
+        F: Fn(usize) -> PhasePlan,
+    {
+        let mut comm = RunStats::default();
+        let mut sim = None;
+        let outcome = run_phases_dense(
+            g,
+            seed,
+            budget,
+            config.policy,
+            plan,
+            |_, alive, shifts, cap| {
+                let sim = sim.get_or_insert_with(|| carve_simulator(g, config));
+                arm_phase(sim, alive, shifts, cap);
+                comm.merge(&sim.run_rounds_with(cap + 1, config.determinism)?);
+                Ok(phase_result(sim.nodes(), alive, shifts, cap))
+            },
+        )?;
+        Ok(DistributedRun { outcome, comm })
+    }
 
     /// One phase on a fresh carve simulator.
     fn run_phase(
@@ -941,6 +1054,143 @@ mod tests {
             phase_result(resumed.nodes(), &alive1, &shifts1, cap),
             phase_result(full.nodes(), &alive1, &shifts1, cap)
         );
+    }
+
+    /// Every CONGEST entry point, on every engine and both forwarding
+    /// rules, against the dense loop with the dense re-arm: whole outcomes
+    /// and communication bills, round by round.
+    #[test]
+    fn sparse_phases_equal_the_dense_loop_on_every_engine() {
+        use crate::driver::oracle_graph;
+        use crate::params::{HighRadiusParams, StagedParams};
+        use rand::{Rng, SeedableRng};
+        let engines = [
+            Engine::Sequential,
+            Engine::Parallel {
+                threads: 2,
+                shards: 3,
+            },
+            Engine::Framed {
+                threads: 2,
+                shards: 3,
+                transport: netdecomp_sim::FrameTransport::Loopback,
+            },
+        ];
+        let mut truncated = 0;
+        for case in 0..200u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(case);
+            let (family, g) = oracle_graph(case, &mut rng, 40);
+            let n = g.vertex_count();
+            let ln_n = (n.max(2) as f64).ln().ceil() as usize;
+            let k = [2, 3, ln_n][rng.gen_range(0..3usize)];
+            let policy = if rng.gen_bool(0.5) {
+                BudgetPolicy::ContinueUntilEmpty
+            } else {
+                BudgetPolicy::StopAtBudget
+            };
+            let seed = rng.gen::<u64>();
+            let kind = case / 5 % 3;
+            for forwarding in [Forwarding::TopTwo, Forwarding::Full] {
+                let config = |engine| DistributedConfig {
+                    forwarding,
+                    policy,
+                    engine,
+                    ..DistributedConfig::default()
+                };
+                let run = |config: &DistributedConfig, dense: bool| match kind {
+                    0 => {
+                        let p = DecompositionParams::new(k, 4.0).unwrap();
+                        if dense {
+                            let (budget, plan) = crate::basic::schedule(&p, n);
+                            dense_congest(&g, seed, budget, plan, config)
+                        } else {
+                            decompose_distributed(&g, &p, seed, config)
+                        }
+                    }
+                    1 => {
+                        let p = StagedParams::new(k, 6.0).unwrap();
+                        if dense {
+                            let (budget, plan) = crate::staged::schedule(&p, n);
+                            dense_congest(&g, seed, budget, plan, config)
+                        } else {
+                            decompose_distributed_staged(&g, &p, seed, config)
+                        }
+                    }
+                    _ => {
+                        let p = HighRadiusParams::new(k.max(3), 4.0).unwrap();
+                        if dense {
+                            let (budget, plan) = crate::high_radius::schedule(&p, n);
+                            dense_congest(&g, seed, budget, plan, config)
+                        } else {
+                            decompose_distributed_high_radius(&g, &p, seed, config)
+                        }
+                    }
+                };
+                let want = run(&config(Engine::Sequential), true).unwrap();
+                truncated += usize::from(!want.outcome.events().clean());
+                for engine in engines {
+                    let got = run(&config(engine), false).unwrap();
+                    let what = format!(
+                        "case {case}: kind {kind} {family} n={n} k={k} {policy:?} \
+                         {forwarding:?} {engine:?}"
+                    );
+                    assert_eq!(got.outcome, want.outcome, "{what}");
+                    assert_eq!(got.comm, want.comm, "{what}");
+                }
+            }
+        }
+        assert!(truncated >= 20, "only {truncated} runs truncated");
+    }
+
+    /// A re-armed phase's start round steps exactly its alive nodes, with
+    /// `Verify`'s reference starting every node, and reading the phase's
+    /// decisions disarms exactly the nodes that joined.
+    #[test]
+    fn a_re_armed_phase_starts_only_its_alive_nodes() {
+        let g = generators::grid2d(8, 9);
+        let n = g.vertex_count();
+        for engine in [
+            Engine::Sequential,
+            Engine::Parallel {
+                threads: 2,
+                shards: 3,
+            },
+        ] {
+            let config = DistributedConfig {
+                engine,
+                determinism: Determinism::Verify,
+                ..DistributedConfig::default()
+            };
+            let mut sim = carve_simulator(&g, &config);
+            let mut alive: Vec<VertexId> = (0..n).collect();
+            let mut carved = 0;
+            for phase in 0..4u64 {
+                let src = ShiftSource::new(2, 0.6).unwrap();
+                let mut shifts = vec![0.0; n];
+                for &v in &alive {
+                    shifts[v] = src.shift(phase, v);
+                }
+                arm_alive(&mut sim, &alive, &shifts, 3);
+                sim.step_verified().unwrap();
+                assert_eq!(sim.delivery_work().nodes_stepped, alive.len(), "{engine:?}");
+                sim.run_rounds_with(3, Determinism::Verify).unwrap();
+                let decisions = take_decisions(&mut sim, &alive);
+                let mut next = Vec::new();
+                for (&v, d) in alive.iter().zip(&decisions) {
+                    assert_eq!(sim.nodes()[v].inner.alive, !d.joined);
+                    if !d.joined {
+                        next.push(v);
+                    }
+                }
+                carved += alive.len() - next.len();
+                alive = next;
+            }
+            assert!(carved > 0 && !alive.is_empty(), "{engine:?}: {carved}");
+            assert_eq!(
+                sim.nodes().iter().filter(|node| node.inner.alive).count(),
+                alive.len()
+            );
+        }
     }
 
     #[test]

@@ -53,12 +53,19 @@ pub fn decompose_with_policy(
     seed: u64,
     policy: BudgetPolicy,
 ) -> Result<DecompositionOutcome, DecompError> {
-    let n = graph.vertex_count();
+    let (budget, plan) = schedule(params, graph.vertex_count());
+    run_phases(graph, seed, budget, policy, plan)
+}
+
+/// Theorem 3's schedule on `n` vertices: the phase budget, and every
+/// phase's plan (one rate and cap throughout).
+pub(crate) fn schedule(
+    params: &HighRadiusParams,
+    n: usize,
+) -> (usize, impl Fn(usize) -> PhasePlan) {
     let beta = params.beta(n);
     let cap = params.radius_cap(n);
-    run_phases(graph, seed, params.phase_budget(), policy, move |_| {
-        PhasePlan { beta, cap }
-    })
+    (params.phase_budget(), move |_| PhasePlan { beta, cap })
 }
 
 #[cfg(test)]

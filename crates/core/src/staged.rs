@@ -68,13 +68,19 @@ pub fn decompose_with_policy(
     seed: u64,
     policy: BudgetPolicy,
 ) -> Result<DecompositionOutcome, DecompError> {
-    let n = graph.vertex_count();
+    let (budget, plan) = schedule(params, graph.vertex_count());
+    run_phases(graph, seed, budget, policy, plan)
+}
+
+/// Theorem 2's schedule on `n` vertices: the phase budget summed over the
+/// stages, and every phase's plan (its stage's rate, one cap throughout).
+pub(crate) fn schedule(params: &StagedParams, n: usize) -> (usize, impl Fn(usize) -> PhasePlan) {
     let cap = params.radius_cap();
     let budget: usize = (0..params.stage_count(n))
         .map(|i| params.stage_phases(n, i))
         .sum();
     let p = *params;
-    run_phases(graph, seed, budget, policy, move |phase| {
+    (budget, move |phase| {
         let stage = stage_of_phase(&p, n, phase);
         PhasePlan {
             beta: p.stage_beta(n, stage),

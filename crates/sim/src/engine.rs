@@ -8,9 +8,10 @@
 //!
 //! 1. **Compute** — nodes consume their delivered messages and fill their
 //!    preallocated [`Outbox`]es, in ascending id order. Every node runs
-//!    `start`; after that a [`Protocol::MESSAGE_DRIVEN`] protocol runs
-//!    only on the shard's wake list (the nodes placement delivered to),
-//!    any other on every node. Only last round's senders have their
+//!    `start` (a [`Protocol::MESSAGE_DRIVEN`] protocol only the nodes a
+//!    [`Simulator::restart`] lists); after that a message-driven protocol
+//!    runs only on the shard's wake list (the nodes placement delivered
+//!    to), any other on every node. Only last round's senders have their
 //!    outboxes cleared, and the nodes that send now form the senders
 //!    list. A shard computes only its own nodes and writes only its own
 //!    outbox chunk.
@@ -168,15 +169,18 @@ pub trait Protocol {
     /// Declares the protocol **message-driven**: its `round` does
     /// nothing — sends nothing and leaves the state as it was — when the
     /// inbox is empty. The engine then runs `round` only for the nodes
-    /// that received a message this round (every node still runs
-    /// `start`), so a round's compute costs what its messages cost, not
-    /// `n` calls. A protocol that counts rounds inside `round`, or sends
-    /// on silence, must keep the default `false`, under which every node
-    /// runs every round.
+    /// that received a message this round, so a round's compute costs
+    /// what its messages cost, not `n` calls. Every node runs `start`,
+    /// unless [`Simulator::restart`] names the nodes whose `start` runs:
+    /// a message-driven node left off that list must do nothing in
+    /// `start` either. A protocol that counts rounds inside `round`, or
+    /// sends on silence, must keep the default `false`, under which every
+    /// node runs every round.
     ///
     /// [`Determinism::Verify`] catches a message-driven node that sends
-    /// on an empty inbox: its reference compute runs every node, empty
-    /// inboxes included, so the skipped send fails the round with
+    /// on an empty inbox, or from `start` while off the start list: its
+    /// reference compute runs every node, empty inboxes and unlisted
+    /// starts included, so the skipped send fails the round with
     /// [`SimError::Nondeterminism`]. It compares outboxes, not node
     /// state, so a node that only changes its state on silence goes
     /// unseen.
@@ -207,7 +211,7 @@ pub trait Protocol {
 ///
 /// A protocol opts in by serializing its *mutable* state — everything
 /// `start`/`round` can change — through the same wire primitives its
-/// messages use ([`crate::WireWriter`] / [`crate::WireReader`]).
+/// messages use ([`crate::wire::WireWriter`] / [`crate::wire::WireReader`]).
 /// Configuration fixed at construction (caps, modes, ids) need not be
 /// saved: restore always runs on a node freshly built by the same
 /// `make_node` closure, so [`Snapshot::load_state`] only overlays the
@@ -447,9 +451,11 @@ fn step_node<P: Protocol>(
 }
 
 /// Runs the compute phase for one shard's vertex range, stepping nodes in
-/// ascending id order: every node for `start` and for protocols that are
-/// not [`Protocol::MESSAGE_DRIVEN`], only the wake list (the nodes with a
-/// non-empty inbox) otherwise. The nodes that send form the senders list
+/// ascending id order: every node for protocols that are not
+/// [`Protocol::MESSAGE_DRIVEN`], and for a message-driven protocol's
+/// `start` unless [`Simulator::restart`] listed its nodes; only the wake
+/// list (the nodes with a non-empty inbox, or the listed starts)
+/// otherwise. The nodes that send form the senders list
 /// account walks.
 ///
 /// Last round's senders — the only outboxes holding messages — are
@@ -493,7 +499,7 @@ fn compute_shard<P: Protocol>(
             senders.push(local as u32);
         }
     };
-    let stepped = if started && P::MESSAGE_DRIVEN {
+    let stepped = if P::MESSAGE_DRIVEN && (started || view.starts_listed) {
         ones(&view.woken).for_each(step);
         view.woken_count
     } else {
@@ -506,6 +512,7 @@ fn compute_shard<P: Protocol>(
     }
     pool.end_round();
     retiring.clear();
+    shard.starts_listed = false;
     shard.payloads = pool;
     shard.senders = senders;
     shard.spare_senders = retiring;
@@ -1098,9 +1105,10 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     }
 
     /// Repositions the round cursor: the next step runs `round` — `start`
-    /// for round 0, `round` consuming the pending inbox otherwise. Call
-    /// between rounds only; a round boundary is the consistent cut
-    /// checkpoints are taken at.
+    /// on every node for round 0, `round` consuming the pending inbox
+    /// otherwise. Call between rounds only; a round boundary is the
+    /// consistent cut checkpoints are taken at. It drops a start list
+    /// [`Simulator::restart`] set.
     ///
     /// Two uses. After restoring checkpointed shard state
     /// ([`Simulator::restore_shard`]), it resumes the original run
@@ -1115,6 +1123,47 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     pub fn resume_at(&mut self, round: usize) {
         self.round = round;
         self.started = round > 0;
+        for shard in &mut self.shards {
+            shard.starts_listed = false;
+        }
+    }
+
+    /// Rewinds to round 0, like `resume_at(0)`, with a start list: the
+    /// start round runs `start` on the nodes `starters` names (any order;
+    /// repeats are harmless), and later rounds step the nodes messages
+    /// reach, as always. A phase that wakes few nodes then costs what
+    /// they cost, not `n` calls. The pending inbox is dropped, since no
+    /// `start` reads it.
+    ///
+    /// Honored only for a [`Protocol::MESSAGE_DRIVEN`] protocol, whose
+    /// contract extends to `start`: a node left off the list must do
+    /// nothing there — send nothing, change no state. Any other protocol
+    /// starts every node, as after `resume_at(0)`.
+    /// [`Determinism::Verify`]'s reference runs `start` on every node, so
+    /// an unlisted node that sends fails the start round with
+    /// [`SimError::Nondeterminism`].
+    ///
+    /// The list is not part of a checkpoint: a snapshot taken between
+    /// this call and the start round, restored and resumed with
+    /// `resume_at(0)`, starts every node — the same result for a protocol
+    /// that keeps the contract above, but not the same work.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a listed node is not a vertex of the graph.
+    pub fn restart(&mut self, starters: &[VertexId]) {
+        self.resume_at(0);
+        if !P::MESSAGE_DRIVEN {
+            return;
+        }
+        for shard in &mut self.shards {
+            shard.begin_start_list();
+        }
+        for &v in starters {
+            let shard = &mut self.shards[self.routes.shard_of(v)];
+            let local = v - shard.start();
+            shard.list_start(local);
+        }
     }
 
     /// Surfaces the round's first error (lowest shard, i.e. lowest sender
@@ -2306,6 +2355,89 @@ mod tests {
                 }),
                 "{engine:?}"
             );
+        }
+    }
+
+    /// `restart` names the start round's nodes: a message-driven
+    /// protocol's start round steps exactly those, and the run goes on as
+    /// from a fresh start. A fresh simulator, `resume_at(0)` (which drops
+    /// a start list) and a protocol that is not message-driven still
+    /// start every node.
+    #[test]
+    fn a_start_list_steps_only_the_listed_nodes() {
+        let g = generators::grid2d(6, 7);
+        let n = g.vertex_count();
+        for engine in [
+            Engine::Sequential,
+            Engine::Parallel {
+                threads: 2,
+                shards: 3,
+            },
+            Engine::Framed {
+                threads: 1,
+                shards: 3,
+                transport: FrameTransport::Loopback,
+            },
+        ] {
+            let mut fresh = Simulator::new(&g, |_, _| Frontier { dist: None }).with_engine(engine);
+            fresh.step().unwrap();
+            assert_eq!(fresh.delivery_work().nodes_stepped, n, "{engine:?}");
+            let stats = fresh.run_to_quiescence(2 * n).unwrap();
+
+            let mut sim = Simulator::new(&g, |_, _| Frontier { dist: None }).with_engine(engine);
+            sim.run_to_quiescence(2 * n).unwrap();
+            for listed in [true, false] {
+                for node in sim.nodes_mut() {
+                    node.dist = None;
+                }
+                sim.restart(&[0, 17, 0]);
+                if !listed {
+                    sim.resume_at(0);
+                }
+                sim.step().unwrap();
+                let want = if listed { 2 } else { n };
+                assert_eq!(sim.delivery_work().nodes_stepped, want, "{engine:?}");
+                assert_eq!(sim.run_to_quiescence(2 * n).unwrap(), stats, "{engine:?}");
+                assert_eq!(sim.nodes(), fresh.nodes(), "{engine:?}");
+            }
+
+            let mut flood = Simulator::new(&g, |_, _| FloodDist::fresh()).with_engine(engine);
+            flood.restart(&[0]);
+            flood.step().unwrap();
+            assert_eq!(flood.delivery_work().nodes_stepped, n, "{engine:?}");
+        }
+    }
+
+    /// A message-driven node left off the start list must do nothing in
+    /// `start`: `Verify`'s reference starts every node, so an unlisted
+    /// sender fails the start round.
+    #[test]
+    fn verification_catches_an_unlisted_start_that_sends() {
+        let g = generators::path(5);
+        for engine in [
+            Engine::Sequential,
+            Engine::Parallel {
+                threads: 2,
+                shards: 2,
+            },
+            Engine::Framed {
+                threads: 1,
+                shards: 2,
+                transport: FrameTransport::Loopback,
+            },
+        ] {
+            let mut sim = Simulator::new(&g, |_, _| Frontier { dist: None }).with_engine(engine);
+            sim.restart(&[2, 4]);
+            assert_eq!(
+                sim.step_verified(),
+                Err(SimError::Nondeterminism {
+                    round: 0,
+                    vertex: 0
+                }),
+                "{engine:?}"
+            );
+            sim.restart(&[0, 2]);
+            sim.step_verified().expect("every sender is listed");
         }
     }
 

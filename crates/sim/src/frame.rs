@@ -3,7 +3,7 @@
 //!
 //! With sender-side routing, a round's cross-shard traffic is already
 //! batched: shard `k`'s router holds one bucket of
-//! [`RouteRef`](crate::shard)s per destination shard, and the place phase
+//! `RouteRef`s per destination shard, and the place phase
 //! consumes exactly those buckets. This module serializes each bucket —
 //! its refs *plus the payload bytes they reference* — into one
 //! **self-delimiting frame** per destination shard, the unit a

@@ -26,10 +26,10 @@
 //!   and fills its preallocated [`Outbox`]. A protocol that declares
 //!   itself [`Protocol::MESSAGE_DRIVEN`] — its `round` does nothing on an
 //!   empty inbox — is stepped only on the shard's **wake list**, the
-//!   nodes that received a message this round (every node still runs
-//!   `start`); any other protocol steps every node. Either way nodes run
-//!   in ascending id order, and the ones that sent form the shard's
-//!   **senders** list.
+//!   nodes that received a message this round (every node runs `start`,
+//!   unless [`Simulator::restart`] lists the ones that do); any other
+//!   protocol steps every node. Either way nodes run in ascending id
+//!   order, and the ones that sent form the shard's **senders** list.
 //! - **Account (sender side).** Each shard walks its senders list,
 //!   validates addressing, charges per-edge budgets for messages its own
 //!   vertices sent (no counter merge — senders own their edge slots

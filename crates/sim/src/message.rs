@@ -60,7 +60,7 @@ impl Outgoing {
 /// A message as delivered to a node at the start of a round.
 ///
 /// This is the *owned* form: the engine's inboxes store compact
-/// [`InboxSlot`]s resolved through a per-shard [`PayloadSlab`] instead
+/// `InboxSlot`s resolved through a per-shard [`PayloadSlab`] instead
 /// (see [`Inbox`]), so `Incoming` appears only where an owned copy is
 /// genuinely wanted — the sequential reference merge `Determinism::Verify`
 /// cross-checks against, and callers of [`IncomingRef::to_incoming`].
@@ -89,7 +89,7 @@ pub(crate) struct InboxSlot {
 
 /// A shard's per-round payload table: each unique `(sender, message)`
 /// payload delivered to the shard is registered here exactly once, and
-/// every [`InboxSlot`] copy refers to it by [`PayloadId`].
+/// every `InboxSlot` copy refers to it by [`PayloadId`].
 ///
 /// **Slab ownership rule:** the slab holds *read-only views* of sender
 /// payloads — a reference-counted handle to the sender's outbox encoding
@@ -99,7 +99,7 @@ pub(crate) struct InboxSlot {
 /// only once unreferenced), so a view stays valid for the round its
 /// recipients read it.
 ///
-/// The table is recycled in place: [`PayloadSlab::reset`] drops last
+/// The table is recycled in place: a reset drops last
 /// round's handles and keeps the capacity (bounded by the same decaying
 /// high-water policy as [`Outbox`]), so steady-state rounds register
 /// without allocating.
@@ -262,7 +262,7 @@ impl<'a> IncomingRef<'a> {
 ///
 /// Retained capacity is bounded: the buffer tracks a rolling high-water
 /// mark of recent round sizes (decaying by a quarter per round toward the
-/// current size), and a [`Outbox::clear`] that finds the capacity above
+/// current size), and a clear that finds the capacity above
 /// [`Outbox::RETAIN_FACTOR`] times that mark shrinks it back down. A
 /// single bursty round therefore cannot pin a burst-sized buffer forever,
 /// while constant-volume workloads never reallocate (capacity from

@@ -557,6 +557,11 @@ fn mark(map: &mut [u64], local: usize) {
     map[local / 64] |= 1 << (local % 64);
 }
 
+/// Whether bit `local` of a one-bit-per-vertex map is set.
+fn is_marked(map: &[u64], local: usize) -> bool {
+    map[local / 64] >> (local % 64) & 1 == 1
+}
+
 /// The vertices a one-bit-per-vertex map holds, in ascending order.
 pub(crate) fn ones(map: &[u64]) -> Ones<'_> {
     Ones {
@@ -629,6 +634,9 @@ pub(crate) struct DeliveryShard {
     pub(crate) woken: Vec<u64>,
     /// Number of vertices on the wake list.
     pub(crate) woken_count: usize,
+    /// Set by [`crate::Simulator::restart`]: the wake list names the
+    /// nodes whose `start` the next (start) round runs, not a delivery.
+    pub(crate) starts_listed: bool,
     /// Owned vertices (local ids, ascending) whose outbox holds the last
     /// compute's messages.
     pub(crate) senders: Vec<u32>,
@@ -683,6 +691,7 @@ impl DeliveryShard {
             inbox_hi: vec![0; end - start],
             woken: vec![0; (end - start).div_ceil(64)],
             woken_count: 0,
+            starts_listed: false,
             // Sized for a dense round up front: growing them inside the
             // first rounds would interleave their reallocations with the
             // outboxes' first allocations and scatter those.
@@ -728,6 +737,22 @@ impl DeliveryShard {
         }
         self.woken.fill(0);
         self.woken_count = 0;
+    }
+
+    /// Turns the wake list into the next start round's list of nodes,
+    /// empty until [`DeliveryShard::list_start`] adds to it. The pending
+    /// inbox goes with the old list: no `start` reads it.
+    pub(crate) fn begin_start_list(&mut self) {
+        self.clear_wake_list();
+        self.starts_listed = true;
+    }
+
+    /// Adds owned vertex `start + local` to the start list.
+    pub(crate) fn list_start(&mut self, local: usize) {
+        if !is_marked(&self.woken, local) {
+            mark(&mut self.woken, local);
+            self.woken_count += 1;
+        }
     }
 
     /// Cold path (reshard, checkpoint restore): appends one pending copy

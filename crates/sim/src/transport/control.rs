@@ -63,11 +63,11 @@
 //!   timeline covers decisions made inside worker processes.
 //!
 //! [`SimError`] crosses the wire through a small tagged binary codec
-//! ([`encode_sim_error`] / [`decode_sim_error`]). The only lossy corner
+//! (`encode_sim_error` / `decode_sim_error`). The only lossy corner
 //! is [`FrameError::Malformed`]'s `&'static str` detail: the decoder
 //! restores it by matching the closed set of detail strings this build
-//! emits ([`MALFORMED_DETAILS`]); an unknown detail (a newer peer)
-//! falls back to [`MALFORMED_DETAIL_FALLBACK`] rather than failing.
+//! emits (`MALFORMED_DETAILS`); an unknown detail (a newer peer)
+//! falls back to `MALFORMED_DETAIL_FALLBACK` rather than failing.
 
 use bytes::Bytes;
 

@@ -39,7 +39,7 @@
 //!
 //! | Failure | Detected by | Signal | Recovery | Caller sees |
 //! |---|---|---|---|---|
-//! | Worker process crashes (incl. SIGKILL mid-frame) | Hub reader (EOF / close mid-frame) + supervisor exit reaping | stream close; `wait()` status | Supervisor relaunches (backoff + jitter, ≤ `max_restarts`); worker re-runs deterministically, re-handshakes with `Hello{resume_round}`, hub replays from the [`replay`] log and treats re-shipped rounds as echoes | Nothing — run completes bit-identically; `workers_restarted`/`rounds_replayed` counters tick |
+//! | Worker process crashes (incl. SIGKILL mid-frame) | Hub reader (EOF / close mid-frame) + supervisor exit reaping | stream close; `wait()` status | Supervisor relaunches (backoff + jitter, ≤ `max_restarts`); worker re-runs deterministically, re-handshakes with `Hello{resume_round}`, hub replays from the `replay` log and treats re-shipped rounds as echoes | Nothing — run completes bit-identically; `workers_restarted`/`rounds_replayed` counters tick |
 //! | Worker crashes with checkpointing on ([`CheckpointPlan`] interval > 0, `netdecomp --checkpoint-interval`) | As above | As above | Relaunched worker loads its newest valid checkpoint from the plan's directory (`--checkpoint-dir`) and re-handshakes at the checkpoint round, so recovery re-runs at most one interval plus the in-flight rounds instead of the whole history | Nothing; `checkpoint_restores` ticks and a `checkpoint_load` event lands in the flight record |
 //! | Worker wedges (alive, no progress) | Supervisor: global barrier stall + least-committed victim selection; heartbeat age feeds `heartbeats_missed` | `Heartbeat` control frames + barrier round | Supervisor kills the wedged process, then the crash path above applies | Nothing, or a typed timeout if the stall outlives the collect deadline |
 //! | Link drops but both ends live | Client read/write error | socket error | Client's one-shot reconnect-with-handshake; hub replays the collect round | Nothing; `frames_retried` ticks |

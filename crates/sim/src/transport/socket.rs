@@ -2538,7 +2538,7 @@ fn file_slot(into: &mut [Option<Bytes>], frame: &Bytes) -> bool {
 // ---------------------------------------------------------------------
 
 /// [`Transport`] over real sockets: `shards` [`HubClient`] spokes around
-/// an in-process [`Hub`]. Selected by [`crate::Engine::Framed`] with
+/// an in-process `Hub`. Selected by [`crate::Engine::Framed`] with
 /// [`crate::FrameTransport::Socket`]; produces bit-identical results to
 /// the loopback backend.
 #[derive(Debug)]

@@ -67,9 +67,13 @@
 //! JSONL timeline — per-round per-shard phase timings plus
 //! restart/kill/halt decisions — to FILE on completion or failure.
 //! `--json` replaces the prose summary with one machine-readable JSON
-//! object on stdout; on the centralized path its `timings` object gives
-//! the wall seconds spent loading the graph, decomposing it and
-//! verifying the result.
+//! object on stdout. On the centralized path it reports the phase loop —
+//! `truncation_events`, `alive_vertex_phases` (the alive vertices summed
+//! over phases, which the loop's cost follows) and one `phases` row per
+//! phase (`phase`, `beta`, `alive_before`, `carved`, `clusters_formed`;
+//! none for `ls93`, which keeps no per-phase trace) — and its `timings`
+//! object gives the wall seconds spent loading the graph, decomposing it
+//! and verifying the result.
 
 use std::io::Read as _;
 use std::path::PathBuf;
@@ -77,7 +81,10 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use netdecomp::baselines::linial_saks;
-use netdecomp::core::{basic, high_radius, params, staged, verify, NetworkDecomposition};
+use netdecomp::core::{
+    basic, high_radius, params, staged, verify, DecompositionOutcome, NetworkDecomposition,
+    PhaseTraceEntry,
+};
 use netdecomp::graph::{io, Graph};
 use netdecomp::sim::transport::{
     launcher, run_worker_checkpointed, CheckpointPlan, WorkerConfig, DEFAULT_FRAME_TIMEOUT,
@@ -733,6 +740,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     let started = Instant::now();
+    // The phase loop's trace and truncation events (`ls93` has neither).
+    let mut phases: (Vec<PhaseTraceEntry>, usize) = (Vec::new(), 0);
+    let mut traced = |o: DecompositionOutcome| {
+        phases = (o.trace().to_vec(), o.events().truncation_events);
+        o.into_decomposition()
+    };
     let (decomposition, label): (NetworkDecomposition, String) = match opts.algo.as_str() {
         "basic" => {
             let c = if opts.c > 0.0 { opts.c } else { 4.0 };
@@ -743,7 +756,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 p.diameter_bound(),
                 o.events().truncation_events
             );
-            (o.into_decomposition(), label)
+            (traced(o), label)
         }
         "staged" => {
             let c = if opts.c > 0.0 { opts.c } else { 6.0 };
@@ -754,7 +767,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 p.diameter_bound(),
                 p.color_bound(n)
             );
-            (o.into_decomposition(), label)
+            (traced(o), label)
         }
         "high-radius" => {
             let c = if opts.c > 0.0 { opts.c } else { 4.0 };
@@ -765,7 +778,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 opts.lambda,
                 p.diameter_bound(n)
             );
-            (o.into_decomposition(), label)
+            (traced(o), label)
         }
         "ls93" => {
             let c = if opts.c > 0.0 { opts.c } else { 4.0 };
@@ -788,11 +801,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let report = verify::verify(&graph, &decomposition)?;
     let verify_s = started.elapsed().as_secs_f64();
     if opts.json {
+        let (trace, truncation_events) = phases;
+        let alive_vertex_phases: usize = trace.iter().map(|t| t.alive_before).sum();
+        let rows: Vec<String> = trace
+            .iter()
+            .map(|t| {
+                format!(
+                    "{{\"phase\":{},\"beta\":{},\"alive_before\":{},\"carved\":{},\
+                     \"clusters_formed\":{}}}",
+                    t.phase, t.beta, t.alive_before, t.carved, t.clusters_formed
+                )
+            })
+            .collect();
         println!(
             "{{\"type\":\"verify_report\",\"algorithm\":{},\"n\":{n},\"m\":{},\
              \"clusters\":{},\"colors\":{},\"complete\":{},\"clusters_connected\":{},\
              \"max_strong_diameter\":{},\"max_weak_diameter\":{},\
-             \"supergraph_properly_colored\":{},\
+             \"supergraph_properly_colored\":{},\"truncation_events\":{truncation_events},\
+             \"alive_vertex_phases\":{alive_vertex_phases},\"phases\":[{}],\
              \"timings\":{{\"load_s\":{load_s},\"decompose_s\":{decompose_s},\"verify_s\":{verify_s}}}}}",
             json_str(&label),
             graph.edge_count(),
@@ -806,7 +832,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report
                 .max_weak_diameter
                 .map_or("null".into(), |d| d.to_string()),
-            report.supergraph_properly_colored
+            report.supergraph_properly_colored,
+            rows.join(",")
         );
         if opts.assignment {
             for v in 0..n {

@@ -221,12 +221,34 @@ fn json_and_flight_recorder_shapes_are_pinned() {
             "max_strong_diameter",
             "max_weak_diameter",
             "supergraph_properly_colored",
+            "truncation_events",
+            "alive_vertex_phases",
+            "phases",
+            "phases[].phase",
+            "phases[].beta",
+            "phases[].alive_before",
+            "phases[].carved",
+            "phases[].clusters_formed",
             "timings",
             "timings.load_s",
             "timings.decompose_s",
             "timings.verify_s",
         ],
         "{central}"
+    );
+    // The first phase starts with all 30 vertices alive; Linial–Saks
+    // keeps no per-phase trace.
+    assert!(central.contains("\"alive_before\":30,"), "{central}");
+    let ls93 = Command::new(BIN)
+        .arg(&graph)
+        .args(["--algo", "ls93", "--json"])
+        .output()
+        .unwrap();
+    assert!(ls93.status.success());
+    let ls93 = String::from_utf8_lossy(&ls93.stdout);
+    assert!(
+        ls93.contains("\"alive_vertex_phases\":0,\"phases\":[],"),
+        "{ls93}"
     );
     let (summary, recording) = traced_checkpointed_run();
     assert_eq!(
