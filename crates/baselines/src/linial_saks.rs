@@ -16,7 +16,7 @@
 //! that happens — and that Elkin–Neiman never lets it happen — is experiment
 //! E4 of this reproduction.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 use netdecomp_core::shift::uniform;
 use netdecomp_core::{DecompError, NetworkDecomposition};
 use netdecomp_graph::{bfs, Graph, Partition, VertexId, VertexSet};
@@ -159,16 +159,18 @@ pub fn decompose(
     let budget = params.phase_budget(n);
     let hard_max = budget.saturating_mul(64).saturating_add(1024);
 
+    // Per-vertex tables for the whole run, reset over the alive set each
+    // phase: only alive vertices are sampled, claimed, or read.
+    let mut radii = vec![0usize; n];
+    let mut elected: Vec<Option<(VertexId, usize)>> = vec![None; n]; // (center, dist)
     let mut phase = 0usize;
     while !alive.is_empty() && phase < hard_max {
-        // Sample radii for alive vertices.
-        let mut radii = vec![0usize; n];
         for v in alive.iter() {
             radii[v] = params.radius(n, seed, phase as u64, v);
+            elected[v] = None;
         }
         // Min-ID election: process centers in increasing id; claim unclaimed
         // vertices in their ball.
-        let mut elected: Vec<Option<(VertexId, usize)>> = vec![None; n]; // (center, dist)
         for v in alive.iter() {
             // v's ball claims every unclaimed alive vertex within radii[v].
             for (x, d) in bfs::ball_restricted(graph, v, radii[v], &alive) {
@@ -284,7 +286,7 @@ impl Codec for LsCodec {
     /// Radii and relayed distances stay below `k`, and
     /// [`decompose_distributed_with_transport`] refuses a `k − 1` past
     /// `u16::MAX`, so neither `u16` can wrap.
-    fn encode(label: &LsLabel, buf: &mut BytesMut) {
+    fn encode(label: &LsLabel, buf: &mut Vec<u8>) {
         buf.put_u32_le(label.id as u32);
         buf.put_u16_le(label.r as u16);
         buf.put_u16_le((label.dist + 1) as u16);
@@ -428,11 +430,12 @@ pub fn decompose_distributed(
 /// Outcomes stay bit-identical to the in-process backends for any
 /// transport that delivers faithfully.
 ///
-/// One simulator runs every phase: each phase re-arms every node (alive
-/// bit, radius, no labels known) and rewinds to round 0. No message is
-/// in flight at a phase boundary, because a label that reaches a vertex
-/// in the last round (`k − 1` hops out) is relayed only if its radius
-/// exceeds `k − 1`.
+/// One simulator runs every phase: each phase re-arms the alive nodes
+/// (radius, no labels known) and restarts at round 0 with them as the
+/// start list, so its work follows the alive set; reading the elections
+/// disarms the nodes that joined. No message is in flight at a phase
+/// boundary, because a label that reaches a vertex in the last round
+/// (`k − 1` hops out) is relayed only if its radius exceeds `k − 1`.
 ///
 /// # Errors
 ///
@@ -483,29 +486,12 @@ pub fn decompose_distributed_with_transport(
             }
             sim
         });
-        for (v, node) in sim.nodes_mut().iter_mut().enumerate() {
-            let alive = alive.contains(v);
-            let radius = if alive {
-                params.radius(n, seed, phase as u64, v)
-            } else {
-                0
-            };
-            node.inner.arm(alive, radius);
-        }
-        sim.resume_at(0);
+        let listed: Vec<VertexId> = alive.iter().collect();
+        let radius = |v| params.radius(n, seed, phase as u64, v);
+        arm_alive(sim, &listed, radius);
         // Radii are at most k-1, so k engine steps deliver everything.
         comm.merge(&sim.run_rounds(params.k())?);
-
-        let mut members_of: std::collections::BTreeMap<VertexId, Vec<VertexId>> =
-            std::collections::BTreeMap::new();
-        for y in alive.iter() {
-            if let Some((center, interior)) = sim.nodes()[y].inner.election() {
-                if interior {
-                    members_of.entry(center).or_default().push(y);
-                }
-            }
-        }
-        for (center, members) in members_of {
+        for (center, members) in take_members(sim, &listed) {
             partition.push_cluster(&members);
             blocks.push(phase);
             centers.push(center);
@@ -527,11 +513,50 @@ pub fn decompose_distributed_with_transport(
     ))
 }
 
+/// Re-arms the alive nodes `alive` (ascending) with their radii and
+/// restarts the simulator with them as the start list, so the phase's
+/// start round steps only them. Every other node is already disarmed:
+/// idle since construction, or joined in an earlier phase
+/// ([`take_members`]).
+fn arm_alive(
+    sim: &mut Simulator<'_, Typed<LsNode>>,
+    alive: &[VertexId],
+    radius: impl Fn(VertexId) -> usize,
+) {
+    let nodes = sim.nodes_mut();
+    for &v in alive {
+        nodes[v].inner.arm(true, radius(v));
+    }
+    sim.restart(alive);
+}
+
+/// The phase's clusters once its rounds have run: the alive vertices
+/// interior to their elected center, grouped by center in ascending
+/// order. Disarms the vertices that joined, which the next phase no
+/// longer lists.
+fn take_members(
+    sim: &mut Simulator<'_, Typed<LsNode>>,
+    alive: &[VertexId],
+) -> std::collections::BTreeMap<VertexId, Vec<VertexId>> {
+    let nodes = sim.nodes_mut();
+    let mut members_of: std::collections::BTreeMap<VertexId, Vec<VertexId>> =
+        std::collections::BTreeMap::new();
+    for &y in alive {
+        let node = &mut nodes[y].inner;
+        if let Some((center, true)) = node.election() {
+            node.alive = false;
+            members_of.entry(center).or_default().push(y);
+        }
+    }
+    members_of
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use netdecomp_core::verify;
     use netdecomp_graph::generators;
+    use netdecomp_sim::Determinism;
 
     #[test]
     fn params_validate() {
@@ -559,6 +584,46 @@ mod tests {
             decompose_distributed(&g, &widest, 1, CongestLimit::Unlimited, Engine::Sequential)
                 .is_ok()
         );
+    }
+
+    /// Each phase's start round steps exactly its alive nodes (verified
+    /// against a reference that starts every node, so an unlisted node
+    /// that sent would fail it), and reading the elections disarms the
+    /// vertices that joined.
+    #[test]
+    fn a_phase_starts_only_its_alive_nodes() {
+        let g = generators::grid2d(8, 9);
+        let n = g.vertex_count();
+        let params = LinialSaksParams::new(3, 4.0).unwrap();
+        for engine in [
+            Engine::Sequential,
+            Engine::Parallel {
+                threads: 2,
+                shards: 3,
+            },
+            Engine::Framed {
+                threads: 1,
+                shards: 3,
+                transport: netdecomp_sim::FrameTransport::Loopback,
+            },
+        ] {
+            let mut sim = Simulator::new(&g, |_, _| Typed::new(LsNode::idle())).with_engine(engine);
+            let mut alive: Vec<VertexId> = (0..n).collect();
+            for phase in 0..4u64 {
+                arm_alive(&mut sim, &alive, |v| params.radius(n, 7, phase, v));
+                sim.step_verified().unwrap();
+                assert_eq!(sim.delivery_work().nodes_stepped, alive.len(), "{engine:?}");
+                sim.run_rounds_with(params.k() - 1, Determinism::Verify)
+                    .unwrap();
+                let joined: Vec<VertexId> = take_members(&mut sim, &alive)
+                    .into_values()
+                    .flatten()
+                    .collect();
+                assert!(joined.iter().all(|&v| !sim.nodes()[v].inner.alive));
+                alive.retain(|v| !joined.contains(v));
+            }
+            assert!(alive.len() < n, "{engine:?}: some phase carved");
+        }
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //!     cargo bench -p netdecomp-bench --bench engine
 //! ```
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::BufMut;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use netdecomp_bench::workloads::Family;
 use netdecomp_graph::Graph;
@@ -66,7 +66,7 @@ struct EntryCodec;
 impl Codec for EntryCodec {
     type Msg = Entry;
 
-    fn encode(e: &Entry, buf: &mut BytesMut) {
+    fn encode(e: &Entry, buf: &mut Vec<u8>) {
         buf.put_u32_le(e.origin);
         buf.put_f64_le(e.score);
         buf.put_u16_le(e.dist);
@@ -142,16 +142,16 @@ impl TypedProtocol for Ranker {
 /// read nothing, so stepping is dominated by the delivery bucket sort.
 #[derive(Debug, Clone)]
 struct Pulse {
-    payload: Bytes,
+    payload: &'static [u8],
 }
 
 impl Protocol for Pulse {
-    fn start(&mut self, _ctx: &Ctx<'_>, out: &mut Outbox) {
-        out.broadcast(self.payload.clone());
+    fn start(&mut self, _ctx: &Ctx<'_>, out: &mut Outbox<'_>) {
+        out.broadcast(self.payload);
     }
 
-    fn round(&mut self, _ctx: &Ctx<'_>, _incoming: Inbox<'_>, out: &mut Outbox) {
-        out.broadcast(self.payload.clone());
+    fn round(&mut self, _ctx: &Ctx<'_>, _incoming: Inbox<'_>, out: &mut Outbox<'_>) {
+        out.broadcast(self.payload);
     }
 }
 
@@ -160,24 +160,21 @@ impl Protocol for Pulse {
 /// per-message (vertex→shard) routing and singleton-ref delivery.
 #[derive(Debug, Clone)]
 struct Dart {
-    payload: Bytes,
+    payload: &'static [u8],
     tick: usize,
 }
 
 impl Protocol for Dart {
-    fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox) {
+    fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox<'_>) {
         if ctx.degree() > 0 {
-            out.unicast(ctx.neighbors()[0], self.payload.clone());
+            out.unicast(ctx.neighbors()[0], self.payload);
         }
     }
 
-    fn round(&mut self, ctx: &Ctx<'_>, _incoming: Inbox<'_>, out: &mut Outbox) {
+    fn round(&mut self, ctx: &Ctx<'_>, _incoming: Inbox<'_>, out: &mut Outbox<'_>) {
         self.tick += 1;
         if ctx.degree() > 0 {
-            out.unicast(
-                ctx.neighbors()[self.tick % ctx.degree()],
-                self.payload.clone(),
-            );
+            out.unicast(ctx.neighbors()[self.tick % ctx.degree()], self.payload);
         }
     }
 }
@@ -341,20 +338,14 @@ where
 }
 
 fn bench_delivery(c: &mut Criterion, label: &str, g: &Graph) {
-    let payload = Bytes::from_static(&[7u8; 14]);
-    let broadcast_payload = payload.clone();
-    bench_delivery_workload(c, &format!("engine_delivery/{label}"), g, move || Pulse {
-        payload: broadcast_payload.clone(),
+    const PAYLOAD: &[u8] = &[7u8; 14];
+    bench_delivery_workload(c, &format!("engine_delivery/{label}"), g, || Pulse {
+        payload: PAYLOAD,
     });
-    bench_delivery_workload(
-        c,
-        &format!("engine_delivery_unicast/{label}"),
-        g,
-        move || Dart {
-            payload: payload.clone(),
-            tick: 0,
-        },
-    );
+    bench_delivery_workload(c, &format!("engine_delivery_unicast/{label}"), g, || Dart {
+        payload: PAYLOAD,
+        tick: 0,
+    });
 }
 
 fn bench_engines(c: &mut Criterion) {

@@ -10,10 +10,10 @@
 //!
 //! Semantics match the real crate for this surface: `Bytes::clone` and
 //! `Bytes::slice` are reference-count bumps (no byte copying), which is
-//! what makes broadcast delivery and frame-payload slicing in
-//! `netdecomp-sim` zero-copy, and `freeze` / `try_into_mut` move the
-//! backing buffer instead of reallocating it, which is what lets the
-//! frame transport recycle its encode buffers across rounds.
+//! what lets `netdecomp-sim`'s frame transport hand a frame to its
+//! destination shard without copying it, and `freeze` / `try_into_mut`
+//! move the backing buffer instead of reallocating it, which is what
+//! lets the frame transport recycle its encode buffers across rounds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

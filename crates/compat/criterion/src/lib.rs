@@ -20,6 +20,11 @@
 //! copied into a `note` field — use it to flag runs whose environment
 //! limits what they can show (e.g. a single-CPU container that can only
 //! measure overhead, not speedup).
+//!
+//! As in the real harness, `--test` on the command line (`cargo bench --
+//! --test`) runs every benchmark body once, untimed, and records and
+//! writes nothing: a check that the benchmarks still run, cheap enough
+//! for every CI run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,9 +61,20 @@ enum RecordKind {
 #[derive(Debug, Default)]
 pub struct Criterion {
     records: Vec<Record>,
+    /// Run each benchmark body once, untimed (`--test`).
+    test_mode: bool,
 }
 
 impl Criterion {
+    /// Applies the command line, as the real harness's
+    /// `configure_from_args` does: `--test` switches to test mode, where
+    /// each benchmark body runs once, untimed.
+    #[must_use]
+    pub fn configure_from_args(mut self) -> Self {
+        self.test_mode = std::env::args().skip(1).any(|arg| arg == "--test");
+        self
+    }
+
     /// Opens a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
@@ -76,6 +92,9 @@ impl Criterion {
     }
 
     fn flush(&self) {
+        if self.test_mode {
+            return;
+        }
         let Ok(path) = std::env::var("NETDECOMP_BENCH_JSON") else {
             return;
         };
@@ -184,8 +203,11 @@ impl BenchmarkGroup<'_> {
 
     /// Reports a non-timing work counter (e.g. items scanned per
     /// iteration) as its own result row; `metric` names what `value`
-    /// counts.
+    /// counts. Test mode records none.
     pub fn report_metric(&mut self, id: impl Display, metric: &str, value: f64) {
+        if self.criterion.test_mode {
+            return;
+        }
         let label = id.to_string();
         println!(
             "{:<40} {metric} {value:.0}",
@@ -202,13 +224,20 @@ impl BenchmarkGroup<'_> {
     }
 
     fn run(&mut self, id: impl Display, mut f: impl FnMut(&mut Bencher)) {
+        let test_mode = self.criterion.test_mode;
         let mut bencher = Bencher {
             samples: Vec::new(),
             iters: 1,
             calibrated: false,
             sample_size: self.sample_size,
+            test_mode,
         };
         f(&mut bencher);
+        let label = id.to_string();
+        if test_mode {
+            println!("Testing {}/{label}: Success", self.name);
+            return;
+        }
         let mut ns: Vec<f64> = bencher.samples.clone();
         if ns.is_empty() {
             return;
@@ -216,7 +245,6 @@ impl BenchmarkGroup<'_> {
         ns.sort_by(f64::total_cmp);
         let median = ns[ns.len() / 2];
         let mean = ns.iter().sum::<f64>() / ns.len() as f64;
-        let label = id.to_string();
         println!(
             "{:<40} median {:>12.1} ns/iter  mean {:>12.1} ns/iter  ({} samples x {} iters)",
             format!("{}/{}", self.name, label),
@@ -251,11 +279,18 @@ pub struct Bencher {
     iters: u64,
     calibrated: bool,
     sample_size: usize,
+    /// Run `f` once, untimed.
+    test_mode: bool,
 }
 
 impl Bencher {
-    /// Runs and times `f`, recording `sample_size` samples.
+    /// Runs and times `f`, recording `sample_size` samples (in test mode,
+    /// runs it once and records nothing).
     pub fn iter<R, F: FnMut() -> R>(&mut self, mut f: F) {
+        if self.test_mode {
+            black_box(f());
+            return;
+        }
         if !self.calibrated {
             // Calibrate the batch size so one sample takes >= ~5 ms,
             // bounding total time while keeping timer noise negligible.
@@ -281,7 +316,7 @@ impl Bencher {
 macro_rules! criterion_group {
     ($name:ident, $($bench_fn:path),+ $(,)?) => {
         fn $name() {
-            let mut criterion = $crate::Criterion::default();
+            let mut criterion = $crate::Criterion::default().configure_from_args();
             $($bench_fn(&mut criterion);)+
         }
     };
@@ -324,5 +359,21 @@ mod tests {
             &c.records[2].kind,
             RecordKind::Metric { metric, value: v } if metric == "items_per_iter" && *v == 42.0
         ));
+    }
+
+    #[test]
+    fn test_mode_runs_each_body_once_and_records_nothing() {
+        let mut c = Criterion::default();
+        c.test_mode = true;
+        let mut runs = 0;
+        {
+            let mut g = c.benchmark_group("demo");
+            g.sample_size(5);
+            g.bench_function("count", |b| b.iter(|| runs += 1));
+            g.report_metric("count", "items_per_iter", 1.0);
+            g.finish();
+        }
+        assert_eq!(runs, 1);
+        assert!(c.records.is_empty());
     }
 }

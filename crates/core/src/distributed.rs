@@ -34,7 +34,7 @@
 //! [`DistributedConfig::determinism`] can make the simulator verify that
 //! per round, the message-driven contract included.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 use netdecomp_graph::{Graph, VertexId};
 use netdecomp_sim::wire::{WireReader, WireWriter};
 use netdecomp_sim::{
@@ -147,7 +147,7 @@ impl Codec for EntryCodec {
     /// Relayed entries travel at most `cap` hops, and every
     /// `decompose_distributed*` function refuses a cap past
     /// [`MAX_WIRE_CAP`], so the `u16` cannot wrap.
-    fn encode(entry: &Entry, buf: &mut BytesMut) {
+    fn encode(entry: &Entry, buf: &mut Vec<u8>) {
         buf.put_u32_le(entry.origin);
         buf.put_f64_le(entry.r);
         buf.put_u16_le(entry.dist + 1);

@@ -3,8 +3,8 @@
 //!
 //! A checkpoint freezes one shard's complete round-boundary state — the
 //! per-vertex protocol states (through the [`crate::Snapshot`] seam),
-//! the pending inbox the next compute phase will consume, the sparse
-//! per-edge CONGEST counters, and the accumulated run statistics — so a
+//! the pending inbox the next compute phase will consume, and the
+//! accumulated run statistics — so a
 //! relaunched worker can rejoin the fabric at the checkpoint round
 //! instead of round 0. A round boundary is already a consistent cut
 //! (every delivery of the previous round has been placed, nothing of
@@ -19,7 +19,7 @@
 //! ```text
 //! offset  len  field
 //!      0    4  magic `NDKP`
-//!      4    1  format version (currently 1)
+//!      4    1  format version (currently 2)
 //!      5    3  reserved (zero)
 //!      8    4  shard u32
 //!     12    4  fabric shard count u32
@@ -55,8 +55,11 @@ use crate::{RoundStats, RunStats, Snapshot};
 /// File magic: "NetDecomp KeePoint".
 const MAGIC: [u8; 4] = *b"NDKP";
 
-/// Current checkpoint format version.
-const VERSION: u8 = 1;
+/// Current checkpoint format version. Version 1 payloads also carried
+/// each shard's per-edge CONGEST counters, which no resumed round reads
+/// (account zeroes the counters it touched before it charges); version
+/// 2 dropped them, so a version 1 file is rejected by name.
+const VERSION: u8 = 2;
 
 /// Fixed header length (everything before the payload).
 const HEADER_LEN: usize = 40;
@@ -362,8 +365,8 @@ fn decode_run_stats(r: &mut ByteReader<'_>) -> Option<RunStats> {
 }
 
 /// Packs one shard's round-boundary state — every node's
-/// [`Snapshot::save_state`], the pending inbox + CONGEST counters, and
-/// the accumulated run statistics — into a checkpoint payload.
+/// [`Snapshot::save_state`], the pending inbox, and the accumulated run
+/// statistics — into a checkpoint payload.
 pub(crate) fn encode_worker_payload<P: Snapshot>(
     nodes: &[P],
     shard: &DeliveryShard,
@@ -461,6 +464,18 @@ mod tests {
         for (result, reason) in cases {
             assert_eq!(result.unwrap_err(), reason);
         }
+    }
+
+    /// A file written under the previous format version (whose payload
+    /// carried per-edge counters) is refused by name, not misparsed.
+    #[test]
+    fn a_previous_version_file_is_a_named_rejection() {
+        let mut encoded = encode_checkpoint(&sample(7));
+        encoded[4] = VERSION - 1;
+        assert_eq!(
+            decode_checkpoint(&encoded, 1, 3, 0xfeed_beef, 100),
+            Err("unsupported version")
+        );
     }
 
     #[test]

@@ -2,23 +2,18 @@
 //!
 //! A [`Codec`] pairs a message type with its fixed wire encoding; the
 //! [`Typed`] adapter lets a protocol speak in terms of decoded messages
-//! while the engine keeps shipping [`bytes::Bytes`]. Each outgoing message
-//! is encoded exactly once — a broadcast hands every recipient a
-//! reference-counted view of the same encoding — into a payload buffer
-//! the engine recycles: once the recipients have read it, the buffer
-//! returns to the sending shard's pool for a later send, so a steady
-//! relay allocates nothing. Each incoming payload is decoded exactly once
-//! per recipient, as the protocol reads it: a [`TypedInbox`] decodes
-//! straight from the delivering shard's slab-backed [`Inbox`] view (a
-//! borrowed slice; no payload-handle clone, no reference-count traffic,
-//! no decoded copy of the inbox).
+//! while the engine keeps shipping plain bytes. Each outgoing message is
+//! encoded exactly once, straight into the sending shard's send arena —
+//! a broadcast's recipients all read that one encoding — so a typed send
+//! allocates nothing once the arena is warm. Each incoming payload is
+//! decoded exactly once per recipient, as the protocol reads it: a
+//! [`TypedInbox`] decodes straight from the delivering shard's
+//! slab-backed [`Inbox`] view (a borrowed slice; no decoded copy of the
+//! inbox).
 
-use std::sync::Mutex;
-
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use netdecomp_graph::VertexId;
 
-use crate::message::PayloadPool;
 use crate::{Ctx, Inbox, Outbox, Protocol};
 
 /// A bidirectional mapping between a message type and its wire bytes.
@@ -32,11 +27,12 @@ pub trait Codec {
     /// The in-memory message type.
     type Msg;
 
-    /// Appends the encoding of `msg` to `buf`, which the caller hands
-    /// over empty. Called once per send, including broadcasts; the
-    /// buffer is a recycled one, so encoding allocates nothing once its
-    /// capacity covers the message.
-    fn encode(msg: &Self::Msg, buf: &mut BytesMut);
+    /// Appends the encoding of `msg` to `buf`. Called once per send,
+    /// including broadcasts, with `buf` the sending shard's send arena:
+    /// it already holds the round's earlier payloads, so an encoding
+    /// must only append, and the payload is exactly the bytes appended.
+    /// Encoding allocates nothing once the arena is warm.
+    fn encode(msg: &Self::Msg, buf: &mut Vec<u8>);
 
     /// Decodes a payload, or `None` if malformed/truncated.
     ///
@@ -104,56 +100,37 @@ impl<C: Codec> Iterator for TypedInbox<'_, C> {
     }
 }
 
-/// Send buffer encoding typed messages through a [`Codec`], each into a
-/// recycled payload buffer.
+/// Send buffer encoding typed messages through a [`Codec`], each straight
+/// into the shard's send arena.
 #[derive(Debug)]
 pub struct TypedOutbox<'a, C: Codec> {
-    raw: &'a mut Outbox,
-    pool: Option<&'a Mutex<PayloadPool>>,
+    raw: Outbox<'a>,
     _codec: std::marker::PhantomData<C>,
 }
 
 impl<'a, C: Codec> TypedOutbox<'a, C> {
-    fn new(raw: &'a mut Outbox, ctx: &Ctx<'a>) -> Self {
+    fn new(raw: &'a mut Outbox<'_>) -> Self {
         TypedOutbox {
-            raw,
-            pool: ctx.payloads,
+            raw: raw.reborrow(),
             _codec: std::marker::PhantomData,
         }
     }
 
-    /// Encodes `msg` into a recycled buffer, marking the outbox as one
-    /// whose payloads go back to the pool. A pool held elsewhere (a
-    /// protocol sending from threads of its own) lends nothing, and the
-    /// send encodes into a fresh buffer.
-    fn encode(&mut self, msg: &C::Msg) -> Bytes {
-        let mut buf = self
-            .pool
-            .and_then(|pool| pool.try_lock().ok())
-            .map_or_else(BytesMut::new, |mut pool| pool.take());
-        C::encode(msg, &mut buf);
-        self.raw.pooled = true;
-        buf.freeze()
-    }
-
     /// Encodes `msg` once and queues it to a single neighbor.
     pub fn unicast(&mut self, to: VertexId, msg: &C::Msg) {
-        let payload = self.encode(msg);
-        self.raw.unicast(to, payload);
+        self.raw.unicast_with(to, |buf| C::encode(msg, buf));
     }
 
     /// Encodes `msg` once and queues one copy per listed neighbor; all
     /// copies share the one encoding.
-    pub fn multicast(&mut self, to: Vec<VertexId>, msg: &C::Msg) {
-        let payload = self.encode(msg);
-        self.raw.multicast(to, payload);
+    pub fn multicast(&mut self, to: &[VertexId], msg: &C::Msg) {
+        self.raw.multicast_with(to, |buf| C::encode(msg, buf));
     }
 
     /// Encodes `msg` once and queues it along every incident edge; all
     /// recipients share the one encoding.
     pub fn broadcast(&mut self, msg: &C::Msg) {
-        let payload = self.encode(msg);
-        self.raw.broadcast(payload);
+        self.raw.broadcast_with(|buf| C::encode(msg, buf));
     }
 }
 
@@ -179,18 +156,17 @@ impl<T: TypedProtocol> Typed<T> {
 impl<T: TypedProtocol> Protocol for Typed<T> {
     const MESSAGE_DRIVEN: bool = T::MESSAGE_DRIVEN;
 
-    fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox) {
-        self.inner.start(ctx, &mut TypedOutbox::new(out, ctx));
+    fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox<'_>) {
+        self.inner.start(ctx, &mut TypedOutbox::new(out));
     }
 
-    fn round(&mut self, ctx: &Ctx<'_>, incoming: Inbox<'_>, out: &mut Outbox) {
+    fn round(&mut self, ctx: &Ctx<'_>, incoming: Inbox<'_>, out: &mut Outbox<'_>) {
         let incoming = TypedInbox {
             raw: incoming,
             next: 0,
             _codec: std::marker::PhantomData,
         };
-        self.inner
-            .round(ctx, incoming, &mut TypedOutbox::new(out, ctx));
+        self.inner.round(ctx, incoming, &mut TypedOutbox::new(out));
     }
 
     fn is_halted(&self) -> bool {
@@ -231,7 +207,7 @@ mod tests {
     impl Codec for HopCodec {
         type Msg = Hop;
 
-        fn encode(msg: &Hop, buf: &mut BytesMut) {
+        fn encode(msg: &Hop, buf: &mut Vec<u8>) {
             buf.put_u32_le(msg.origin);
             buf.put_u16_le(msg.hops);
         }
@@ -299,31 +275,31 @@ mod tests {
             origin: 77,
             hops: 3,
         };
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         HopCodec::encode(&m, &mut buf);
         assert_eq!(HopCodec::decode(&buf), Some(m));
-        assert_eq!(HopCodec::decode(&Bytes::from_static(b"xx")), None);
+        assert_eq!(HopCodec::decode(b"xx"), None);
     }
 
-    /// A typed send that finds the pool held (a protocol sending from
-    /// threads of its own) encodes into a fresh buffer instead of
-    /// blocking; a free pool lends its buffer.
+    /// Typed sends encode straight into the send log, after whatever the
+    /// round logged before them: each payload is exactly its encoding,
+    /// and a multicast keeps its target list in order.
     #[test]
-    fn a_held_pool_lends_nothing_and_the_send_still_encodes() {
-        let g = generators::path(2);
-        let pool = Mutex::new(PayloadPool::default());
-        let mut ctx = Ctx::new(0, 2, &g);
-        ctx.payloads = Some(&pool);
+    fn typed_sends_append_their_encodings_to_the_log() {
         let m = Hop { origin: 5, hops: 9 };
-        let mut raw = Outbox::new();
-        let held = pool.lock().expect("fresh lock");
-        TypedOutbox::<HopCodec>::new(&mut raw, &ctx).broadcast(&m);
-        drop(held);
-        TypedOutbox::<HopCodec>::new(&mut raw, &ctx).unicast(1, &m);
+        let mut log = crate::message::SendLog::default();
+        Outbox::new(&mut log, 0).unicast(1, b"raw");
+        let mut raw = Outbox::new(&mut log, 1);
+        let mut out = TypedOutbox::<HopCodec>::new(&mut raw);
+        out.broadcast(&m);
+        out.multicast(&[0, 2, 0], &m);
         assert_eq!(raw.len(), 2);
-        for sent in raw.messages() {
-            assert_eq!(HopCodec::decode(&sent.payload), Some(m));
+        let sent: Vec<_> = log.resolved().collect();
+        assert_eq!(sent[0].2, b"raw");
+        for &(from, _, payload) in &sent[1..] {
+            assert_eq!(from, 1);
+            assert_eq!(HopCodec::decode(payload), Some(m));
         }
-        assert!(raw.pooled);
+        assert_eq!(sent[2].1, crate::message::Recipient::Neighbors(&[0, 2, 0]));
     }
 }

@@ -1,35 +1,35 @@
 //! The synchronous round engine: sharded parallel compute *and* delivery.
 //!
 //! Each [`Simulator::step`] runs three phases over a fixed
-//! [`ShardPlan`] — every shard owns a contiguous vertex range, the outboxes
+//! [`ShardPlan`] — every shard owns a contiguous vertex range, the send log
 //! and inbox slice of those vertices, and the CONGEST counters of the
 //! directed-edge slots leaving them (see the [`crate::shard`] module docs
 //! for the full ownership invariant):
 //!
-//! 1. **Compute** — nodes consume their delivered messages and fill their
-//!    preallocated [`Outbox`]es, in ascending id order. Every node runs
-//!    `start` (a [`Protocol::MESSAGE_DRIVEN`] protocol only the nodes a
+//! 1. **Compute** — nodes consume their delivered messages and send
+//!    through an [`Outbox`] that appends to the shard's send log, in
+//!    ascending id order. Every node runs `start` (a
+//!    [`Protocol::MESSAGE_DRIVEN`] protocol only the nodes a
 //!    [`Simulator::restart`] lists); after that a message-driven protocol
 //!    runs only on the shard's wake list (the nodes placement delivered
-//!    to), any other on every node. Only last round's senders have their
-//!    outboxes cleared, and the nodes that send now form the senders
-//!    list. A shard computes only its own nodes and writes only its own
-//!    outbox chunk.
-//! 2. **Account** (sender side) — each shard walks its senders list,
+//!    to), any other on every node. A shard computes only its own nodes
+//!    and writes only its own send log, which it clears first.
+//! 2. **Account** (sender side) — each shard walks its send log,
 //!    validates addressing, charges per-edge byte budgets for the
 //!    messages *its own* vertices sent, and builds its sender-side routing
 //!    index: outgoing message refs bucketed by destination shard
 //!    (unicasts through a flat O(1) vertex→shard table, broadcasts
 //!    through the [`RouteIndex`]'s precomputed adjacency segmentation).
 //!    Edge slots are sender-owned and contiguous per shard, so there is
-//!    no counter merge.
+//!    no counter merge; a sender's broadcasts are charged once, not per
+//!    copy.
 //! 3. **Place** (recipient side) — each shard walks only the route-ref
 //!    buckets addressed to it and bucket-sorts those copies (unicast,
 //!    multicast, and broadcast alike) into its own inbox slice, marking
 //!    the recipients on the next wake list, one bit per vertex. It empties
 //!    last round's inboxes through last round's wake list, so it costs
 //!    `O(copies + woken)` plus a one-bit-per-vertex scan. No shard
-//!    rescans another shard's outbox headers, so total header work drops
+//!    rescans another shard's send log, so total header work drops
 //!    from `O(shards × messages)` to `O(messages + copies)` refs (no
 //!    shard-count multiplier); see the [`crate::shard`] module docs for
 //!    the complexity table and [`Simulator::delivery_work`] for the
@@ -59,14 +59,14 @@
 //!                                                              failure, skip (drain*) ┘
 //! * framed delivery only
 //!
-//! place ──wake list──▶ next round's compute ──senders──▶ account
+//! place ──wake list──▶ next round's compute ──send log──▶ account
 //! ```
 //!
 //! The send half needs no barrier inside it because it touches only the
-//! shard's own state: compute its own nodes, inbox and outboxes, account
+//! shard's own state: compute its own nodes, inbox and send log, account
 //! its own edge counters and router, ship its own buckets. The only
 //! cross-shard hand-off is the receive half — reading other shards'
-//! routers and outbox chunks under shared-memory delivery, collecting
+//! routers and send logs under shared-memory delivery, collecting
 //! frames under framed delivery — and the barrier orders every send
 //! before any of it.
 //!
@@ -88,7 +88,7 @@
 //! keep the previous round's content and the reported error is the
 //! lowest shard's.
 //!
-//! Because each shard scans senders in id order, per-recipient delivery
+//! Because each shard's send log is in sender id order, per-recipient delivery
 //! order is (sender id, send order, adjacency order for broadcasts) —
 //! independent of both thread scheduling and the shard count, so results
 //! are bit-identical across every `(threads, shards)` configuration for
@@ -98,17 +98,15 @@
 //! cross-checked against the sharded delivery.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError, RwLock};
+use std::sync::{Condvar, Mutex, RwLock};
 
 use bytes::Bytes;
 use netdecomp_graph::{Graph, VertexId};
 
 use crate::frame::{FrameConfig, FrameTransport, LoopbackTransport, Transport};
-use crate::message::PayloadPool;
+use crate::message::{Recipient, SendLog};
 use crate::shard::{ones, DeliveryShard, RouteIndex, Router, ShardPlan};
-use crate::{
-    CongestLimit, DeliveryWork, Inbox, Incoming, Outbox, Recipient, RoundStats, RunStats, SimError,
-};
+use crate::{CongestLimit, DeliveryWork, Inbox, Incoming, Outbox, RoundStats, RunStats, SimError};
 
 /// Read-only view a node gets of its place in the network.
 ///
@@ -123,23 +121,13 @@ pub struct Ctx<'a> {
     /// on it, is global knowledge).
     pub n: usize,
     graph: &'a Graph,
-    /// The owning shard's recycled payload buffers, which typed sends
-    /// encode into (`None` outside a shard's compute phase). Behind a
-    /// lock only so that `Ctx` stays `Send + Sync`: one thread computes
-    /// a shard, so the lock is not contended.
-    pub(crate) payloads: Option<&'a Mutex<PayloadPool>>,
 }
 
 impl<'a> Ctx<'a> {
     /// Node context for drivers outside this module (the single-shard
     /// [`crate::transport::worker`] builds nodes for its vertex range).
     pub(crate) fn new(id: VertexId, n: usize, graph: &'a Graph) -> Ctx<'a> {
-        Ctx {
-            id,
-            n,
-            graph,
-            payloads: None,
-        }
+        Ctx { id, n, graph }
     }
 
     /// The ids of this node's neighbors.
@@ -159,8 +147,8 @@ impl<'a> Ctx<'a> {
 ///
 /// The engine drives each node through `start` (round 0, before any message
 /// is delivered) and then `round` once per subsequent round with the messages
-/// sent to it in the previous round. Outgoing messages go into the node's
-/// preallocated [`Outbox`].
+/// sent to it in the previous round. Outgoing messages go through the
+/// node's [`Outbox`] for the round.
 ///
 /// Implementations must be deterministic functions of `(state, incoming)`:
 /// the compute phase may run nodes on any thread in any order within a
@@ -181,23 +169,23 @@ pub trait Protocol {
     /// on an empty inbox, or from `start` while off the start list: its
     /// reference compute runs every node, empty inboxes and unlisted
     /// starts included, so the skipped send fails the round with
-    /// [`SimError::Nondeterminism`]. It compares outboxes, not node
+    /// [`SimError::Nondeterminism`]. It compares sends, not node
     /// state, so a node that only changes its state on silence goes
     /// unseen.
     const MESSAGE_DRIVEN: bool = false;
 
     /// Called once at round 0; queues the node's initial messages.
-    fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox);
+    fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox<'_>);
 
     /// Called every round ≥ 1 with the messages delivered this round.
     /// Messages arrive ordered by sender id (ties: sender's send order).
     ///
     /// `incoming` is a zero-copy [`Inbox`] view over the owning shard's
-    /// compact slot table and payload slab: iterating it touches no
-    /// reference counts, and a broadcast's recipients all read the same
-    /// slab entry. Call [`crate::IncomingRef::to_incoming`] when an owned
-    /// [`Incoming`] is genuinely needed.
-    fn round(&mut self, ctx: &Ctx<'_>, incoming: Inbox<'_>, out: &mut Outbox);
+    /// compact slot table and payload slab: a broadcast's recipients in
+    /// one shard all read the same slab entry. Call
+    /// [`crate::IncomingRef::to_incoming`] when an owned [`Incoming`] is
+    /// genuinely needed.
+    fn round(&mut self, ctx: &Ctx<'_>, incoming: Inbox<'_>, out: &mut Outbox<'_>);
 
     /// `true` once this node has locally terminated. A halted node still
     /// receives messages (and may un-halt by returning messages again).
@@ -305,7 +293,7 @@ pub enum Determinism {
     Trust,
     /// Re-run each round sequentially — compute on cloned nodes, delivery
     /// as a single-buffer reference merge — and require bit-identical
-    /// outboxes *and* inboxes ([`SimError::Nondeterminism`] otherwise).
+    /// sends *and* inboxes ([`SimError::Nondeterminism`] otherwise).
     /// Roughly doubles round cost; meant for tests.
     Verify,
 }
@@ -372,7 +360,7 @@ impl Drop for PoisonOnPanic<'_> {
 /// One shard's share of a round: its delivery state plus the node states
 /// of its vertex range.
 struct ShardSlot<'a, P> {
-    /// Global shard index (also indexes the outbox chunk array).
+    /// Global shard index (also indexes the send log array).
     index: usize,
     shard: &'a mut DeliveryShard,
     nodes: &'a mut [P],
@@ -405,9 +393,9 @@ pub struct Simulator<'g, P> {
     /// Precomputed routing tables (vertex→shard, per-vertex adjacency
     /// segmentation) for the current plan; rebuilt only on reshard.
     routes: RouteIndex,
-    /// Preallocated outboxes, chunked by shard. Written only by the owning
-    /// shard (compute), read by all shards after a barrier (delivery).
-    outboxes: Vec<RwLock<Vec<Outbox>>>,
+    /// Per-shard send logs. Written only by the owning shard (compute),
+    /// read by all shards after a barrier (shared-memory delivery).
+    logs: Vec<RwLock<SendLog>>,
     /// Per-shard sender-side routers. Written only by the owning shard
     /// (account), read per-bucket by destination shards after a barrier
     /// (placement) — or, under a framed backend, read only by the owning
@@ -441,7 +429,7 @@ fn step_node<P: Protocol>(
     ctx: &Ctx<'_>,
     started: bool,
     inbox: Inbox<'_>,
-    out: &mut Outbox,
+    out: &mut Outbox<'_>,
 ) {
     if started {
         node.round(ctx, inbox, out);
@@ -455,49 +443,30 @@ fn step_node<P: Protocol>(
 /// [`Protocol::MESSAGE_DRIVEN`], and for a message-driven protocol's
 /// `start` unless [`Simulator::restart`] listed its nodes; only the wake
 /// list (the nodes with a non-empty inbox, or the listed starts)
-/// otherwise. The nodes that send form the senders list
-/// account walks.
-///
-/// Last round's senders — the only outboxes holding messages — are
-/// cleared in the same id-order walk, each before any node after it
-/// steps, their typed payloads going back to the shard's pool for this
-/// round's typed sends to encode into. A fully stepped shard thus clears
-/// each outbox just before its node fills it again, while it is in
-/// cache: a separate clearing pass ahead of the steps made the compute
-/// phase of a broadcast from every node of a 300×300 grid 1.7× slower
-/// (2-CPU Xeon).
+/// otherwise. The shard's send log is cleared first — placement copied
+/// what it needed from last round's — and the stepped nodes append to it
+/// in id order, which is the order account walks it in.
 fn compute_shard<P: Protocol>(
     graph: &Graph,
     started: bool,
     shard: &mut DeliveryShard,
     nodes: &mut [P],
-    outboxes: &mut [Outbox],
+    log: &mut SendLog,
 ) {
     shard.work = DeliveryWork::default();
-    shard.payloads.begin_round();
-    // A typed send holds the lock only to pop a free buffer, which cannot
-    // panic, so a poisoned pool is still whole and its guard is taken.
-    let mut pool = Mutex::new(std::mem::take(&mut shard.payloads));
-    let mut retiring = std::mem::take(&mut shard.senders);
-    let mut senders = std::mem::take(&mut shard.spare_senders);
-    let mut uncleared = retiring.iter().map(|&local| local as usize).peekable();
+    log.clear();
     let view = &*shard;
     let n = graph.vertex_count();
     let step = |local: usize| {
-        while let Some(sender) = uncleared.next_if(|&sender| sender <= local) {
-            outboxes[sender].retire(pool.get_mut().unwrap_or_else(PoisonError::into_inner));
-        }
-        let ctx = Ctx {
-            id: view.start() + local,
-            n,
-            graph,
-            payloads: Some(&pool),
-        };
-        let out = &mut outboxes[local];
-        step_node(&mut nodes[local], &ctx, started, view.incoming(local), out);
-        if !out.is_empty() {
-            senders.push(local as u32);
-        }
+        let ctx = Ctx::new(view.start() + local, n, graph);
+        let mut out = Outbox::new(log, ctx.id);
+        step_node(
+            &mut nodes[local],
+            &ctx,
+            started,
+            view.incoming(local),
+            &mut out,
+        );
     };
     let stepped = if P::MESSAGE_DRIVEN && (started || view.starts_listed) {
         ones(&view.woken).for_each(step);
@@ -506,16 +475,7 @@ fn compute_shard<P: Protocol>(
         (0..view.len()).for_each(step);
         view.len()
     };
-    let mut pool = pool.into_inner().unwrap_or_else(PoisonError::into_inner);
-    for sender in uncleared {
-        outboxes[sender].retire(&mut pool);
-    }
-    pool.end_round();
-    retiring.clear();
     shard.starts_listed = false;
-    shard.payloads = pool;
-    shard.senders = senders;
-    shard.spare_senders = retiring;
     shard.work.nodes_stepped = stepped;
 }
 
@@ -523,9 +483,9 @@ fn compute_shard<P: Protocol>(
 #[derive(Clone, Copy)]
 pub(crate) enum Delivery<'a> {
     /// Shared memory: each destination shard reads its bucket of every
-    /// sender's router and the payloads in every sender's outbox chunk.
+    /// sender's router and the payloads in every sender's send log.
     Shared {
-        outboxes: &'a [RwLock<Vec<Outbox>>],
+        logs: &'a [RwLock<SendLog>],
         routers: &'a [RwLock<Router>],
     },
     /// The frame seam: each sender ships one frame per destination shard
@@ -556,22 +516,22 @@ pub(crate) struct RoundKernel<'a> {
 impl RoundKernel<'_> {
     /// The send half for shard `me`: compute → account → ship (framed
     /// delivery only), each phase timed into the shard's trace ring.
-    /// `outboxes` and `router` are the shard's own. Returns `false` when
+    /// `log` and `router` are the shard's own. Returns `false` when
     /// account failed, with the error left in [`DeliveryShard::error`].
     pub(crate) fn send<P: Protocol>(
         &self,
         me: usize,
         shard: &mut DeliveryShard,
         nodes: &mut [P],
-        outboxes: &mut [Outbox],
+        log: &mut SendLog,
         router: &mut Router,
     ) -> bool {
         let (graph, round) = (self.graph, self.round);
         let t = shard.trace.begin();
-        compute_shard(graph, self.started, shard, nodes, outboxes);
+        compute_shard(graph, self.started, shard, nodes, log);
         shard.trace.note_compute(t);
         let t = shard.trace.begin();
-        let ok = shard.account(graph, self.routes, self.limit, round, outboxes, router);
+        let ok = shard.account(graph, self.routes, self.limit, round, log, router);
         shard.trace.note_account(t);
         if let Delivery::Framed { transport, config } = self.delivery {
             // Ship even when account failed: partial buckets hold only
@@ -581,7 +541,7 @@ impl RoundKernel<'_> {
             let t = shard.trace.begin();
             shard
                 .encoder
-                .ship(me, self.bounds, router, outboxes, transport, config);
+                .ship(me, self.bounds, router, log, transport, config);
             shard.trace.note_ship(t);
         }
         ok
@@ -595,8 +555,8 @@ impl RoundKernel<'_> {
     pub(crate) fn receive(&self, me: usize, shard: &mut DeliveryShard, ok: bool) {
         let t = shard.trace.begin();
         match (self.delivery, ok) {
-            (Delivery::Shared { outboxes, routers }, true) => {
-                shard.place(self.graph, me, self.bounds, outboxes, routers);
+            (Delivery::Shared { logs, routers }, true) => {
+                shard.place(self.graph, me, logs, routers);
             }
             (Delivery::Framed { transport, .. }, true) => {
                 shard.place_frames(self.graph, me, self.round, transport, self.bounds);
@@ -616,7 +576,7 @@ fn drive_inline<P: Protocol>(
     kernel: &RoundKernel<'_>,
     shards: &mut [DeliveryShard],
     nodes: &mut [P],
-    outboxes: &[RwLock<Vec<Outbox>>],
+    logs: &[RwLock<SendLog>],
     routers: &[RwLock<Router>],
 ) {
     let mut ok = true;
@@ -624,9 +584,9 @@ fn drive_inline<P: Protocol>(
     for (k, shard) in shards.iter_mut().enumerate() {
         let (mine, rest) = node_rest.split_at_mut(shard.len());
         node_rest = rest;
-        let mut outs = outboxes[k].write().expect("no poisoned outbox chunk");
+        let mut log = logs[k].write().expect("no poisoned send log");
         let mut router = routers[k].write().expect("no poisoned router");
-        ok &= kernel.send(k, shard, mine, &mut outs, &mut router);
+        ok &= kernel.send(k, shard, mine, &mut log, &mut router);
     }
     for (k, shard) in shards.iter_mut().enumerate() {
         kernel.receive(k, shard, ok);
@@ -641,7 +601,7 @@ fn drive_broadcast<P: Protocol + Send>(
     pool: &rayon::ThreadPool,
     shards: &mut [DeliveryShard],
     nodes: &mut [P],
-    outboxes: &[RwLock<Vec<Outbox>>],
+    logs: &[RwLock<SendLog>],
     routers: &[RwLock<Router>],
 ) {
     // Each worker claims its group of slots through an uncontended mutex,
@@ -675,11 +635,9 @@ fn drive_broadcast<P: Protocol + Send>(
         let _poison_guard = PoisonOnPanic(&barrier);
         let mut slots = tasks[ctx.index()].lock().expect("no poisoned worker task");
         for slot in slots.iter_mut() {
-            let mut outs = outboxes[slot.index]
-                .write()
-                .expect("no poisoned outbox chunk");
+            let mut log = logs[slot.index].write().expect("no poisoned send log");
             let mut router = routers[slot.index].write().expect("no poisoned router");
-            if !kernel.send(slot.index, slot.shard, slot.nodes, &mut outs, &mut router) {
+            if !kernel.send(slot.index, slot.shard, slot.nodes, &mut log, &mut router) {
                 abort.store(true, Ordering::Relaxed);
             }
         }
@@ -695,13 +653,14 @@ fn drive_broadcast<P: Protocol + Send>(
 
 /// The sequential single-buffer merge, kept as the reference
 /// implementation [`Determinism::Verify`] cross-checks sharded delivery
-/// against: one global CSR inbox built in two passes over all outboxes in
-/// sender-id order, with flat per-edge-slot accounting.
+/// against: one global CSR inbox built in two passes over the reference
+/// send log (all vertices, in sender-id order), charging every copy to
+/// its own edge slot.
 fn deliver_reference(
     graph: &Graph,
     limit: CongestLimit,
     round: usize,
-    outboxes: &[Outbox],
+    log: &SendLog,
 ) -> Result<(Vec<usize>, Vec<Incoming>, RoundStats), SimError> {
     let n = graph.vertex_count();
     let mut stats = RoundStats {
@@ -730,30 +689,29 @@ fn deliver_reference(
         counts[to] += 1;
         Ok(())
     };
-    for (from, out) in outboxes.iter().enumerate() {
-        for msg in out.messages() {
-            let len = msg.payload.len();
-            match &msg.to {
-                Recipient::Neighbor(to) => {
-                    let slot = graph
-                        .edge_slot(from, *to)
-                        .ok_or(SimError::NotNeighbor { from, to: *to })?;
-                    charge(slot, from, *to, len)?;
-                }
-                Recipient::Neighbors(targets) => {
-                    for &to in targets {
-                        let slot = graph
-                            .edge_slot(from, to)
-                            .ok_or(SimError::NotNeighbor { from, to })?;
-                        charge(slot, from, to, len)?;
-                    }
-                }
-                Recipient::AllNeighbors => {
-                    for slot in graph.neighbor_slots(from) {
-                        charge(slot, from, graph.slot_target(slot), len)?;
-                    }
-                }
+    // Every copy of a message as (slot, recipient), in delivery order.
+    let copies = |from: VertexId, to: Recipient<'_>| -> Result<Vec<(usize, VertexId)>, SimError> {
+        let edge = |to: VertexId| {
+            let slot = graph
+                .edge_slot(from, to)
+                .ok_or(SimError::NotNeighbor { from, to })?;
+            Ok((slot, to))
+        };
+        match to {
+            Recipient::Neighbor(to) => Ok(vec![edge(to)?]),
+            Recipient::Neighbors(targets) => {
+                targets.iter().map(|&to| edge(to as VertexId)).collect()
             }
+            Recipient::AllNeighbors => Ok(graph
+                .neighbor_slots(from)
+                .map(|slot| (slot, graph.slot_target(slot)))
+                .collect()),
+        }
+    };
+    for (from, to, payload) in log.resolved() {
+        let from = from as VertexId;
+        for (slot, to) in copies(from, to)? {
+            charge(slot, from, to, payload.len())?;
         }
     }
     let mut offsets = vec![0usize; n + 1];
@@ -762,31 +720,35 @@ fn deliver_reference(
     }
     let mut data = vec![Incoming::default(); offsets[n]];
     let mut cursors = offsets[..n].to_vec();
-    let mut deposit = |to: usize, from: usize, payload: &bytes::Bytes| {
-        data[cursors[to]] = Incoming {
-            from,
-            payload: payload.clone(),
-        };
-        cursors[to] += 1;
-    };
-    for (from, out) in outboxes.iter().enumerate() {
-        for msg in out.messages() {
-            match &msg.to {
-                Recipient::Neighbor(to) => deposit(*to, from, &msg.payload),
-                Recipient::Neighbors(targets) => {
-                    for &to in targets {
-                        deposit(to, from, &msg.payload);
-                    }
-                }
-                Recipient::AllNeighbors => {
-                    for slot in graph.neighbor_slots(from) {
-                        deposit(graph.slot_target(slot), from, &msg.payload);
-                    }
-                }
-            }
+    for (from, to, payload) in log.resolved() {
+        let from = from as VertexId;
+        for (_, to) in copies(from, to)? {
+            data[cursors[to]] = Incoming {
+                from,
+                payload: payload.to_vec(),
+            };
+            cursors[to] += 1;
         }
     }
     Ok((offsets, data, stats))
+}
+
+/// The first vertex whose sends differ between two runs of a round, given
+/// each run's messages as `(sender, addressing, payload)` in sender order:
+/// the sender of the first message that differs, or the lower sender of
+/// the two messages found there.
+fn first_send_divergence<'a>(
+    mut live: impl Iterator<Item = (u32, Recipient<'a>, &'a [u8])>,
+    mut reference: impl Iterator<Item = (u32, Recipient<'a>, &'a [u8])>,
+) -> Option<VertexId> {
+    loop {
+        match (live.next(), reference.next()) {
+            (None, None) => return None,
+            (Some(a), Some(b)) if a == b => {}
+            (Some(a), Some(b)) => return Some(a.0.min(b.0) as VertexId),
+            (Some(a), None) | (None, Some(a)) => return Some(a.0 as VertexId),
+        }
+    }
 }
 
 impl<'g, P: Protocol> Simulator<'g, P> {
@@ -807,7 +769,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             nodes,
             plan,
             routes,
-            outboxes: vec![RwLock::new(vec![Outbox::new(); n])],
+            logs: vec![RwLock::new(SendLog::default())],
             routers: vec![RwLock::new(Router::default())],
             shards: vec![DeliveryShard::new(graph, 0, n)],
             transport: None,
@@ -924,14 +886,11 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     }
 
     /// Re-partitions all per-shard state under `plan`, preserving pending
-    /// (undelivered) messages and outbox buffers.
+    /// (undelivered) messages. Send logs start empty: what they held was
+    /// placed already, or belonged to an aborted round.
     fn reshard(&mut self, plan: ShardPlan) {
         if plan == self.plan {
             return;
-        }
-        let mut flat: Vec<Outbox> = Vec::with_capacity(self.nodes.len());
-        for chunk in self.outboxes.drain(..) {
-            flat.extend(chunk.into_inner().expect("no poisoned outbox chunk"));
         }
         let old = std::mem::take(&mut self.shards);
         self.shards = (0..plan.count())
@@ -952,23 +911,12 @@ impl<'g, P: Protocol> Simulator<'g, P> {
                 let new = &mut self.shards[plan.shard_of(v)];
                 let base = new.start();
                 for m in shard.incoming(local).iter() {
-                    new.push_pending(v - base, m.from() as u32, m.payload().clone());
+                    new.push_pending(v - base, m.from() as u32, m.payload());
                 }
             }
         }
-        // Queued messages stay put; each new shard lists the senders
-        // among its vertices for its next compute to clear.
-        for (k, shard) in self.shards.iter_mut().enumerate() {
-            let base = plan.range(k).start;
-            shard.senders.extend(
-                (0..shard.len())
-                    .filter(|&local| !flat[base + local].is_empty())
-                    .map(|local| local as u32),
-            );
-        }
-        let mut rest = flat.into_iter();
-        self.outboxes = (0..plan.count())
-            .map(|k| RwLock::new(rest.by_ref().take(plan.range(k).len()).collect()))
+        self.logs = (0..plan.count())
+            .map(|_| RwLock::new(SendLog::default()))
             .collect();
         self.routers = (0..plan.count())
             .map(|_| RwLock::new(Router::default()))
@@ -1216,16 +1164,16 @@ impl<P: Protocol + Send> Simulator<'_, P> {
                     config: self.frame_config,
                 },
                 None => Delivery::Shared {
-                    outboxes: &self.outboxes,
+                    logs: &self.logs,
                     routers: &self.routers,
                 },
             },
         };
         let (shards, nodes) = (&mut self.shards[..], &mut self.nodes[..]);
-        let (outboxes, routers) = (&self.outboxes[..], &self.routers[..]);
+        let (logs, routers) = (&self.logs[..], &self.routers[..]);
         match &self.pool {
-            Some(pool) => drive_broadcast(&kernel, pool, shards, nodes, outboxes, routers),
-            None => drive_inline(&kernel, shards, nodes, outboxes, routers),
+            Some(pool) => drive_broadcast(&kernel, pool, shards, nodes, logs, routers),
+            None => drive_inline(&kernel, shards, nodes, logs, routers),
         }
         self.started = true;
     }
@@ -1299,21 +1247,6 @@ impl<P: Protocol + Send> Simulator<'_, P> {
 }
 
 impl<P: Protocol + Send + Clone> Simulator<'_, P> {
-    /// First vertex whose outbox differs from the reference set, if any.
-    fn first_outbox_divergence(&self, reference: &[Outbox]) -> Option<VertexId> {
-        let mut base = 0;
-        for chunk in &self.outboxes {
-            let chunk = chunk.read().expect("no poisoned outbox chunk");
-            for (i, out) in chunk.iter().enumerate() {
-                if *out != reference[base + i] {
-                    return Some(base + i);
-                }
-            }
-            base += chunk.len();
-        }
-        None
-    }
-
     /// Like [`Simulator::step`], but also re-runs the round sequentially —
     /// compute on cloned nodes, delivery as a single-buffer reference
     /// merge — and requires both executions to be bit-identical.
@@ -1331,7 +1264,7 @@ impl<P: Protocol + Send + Clone> Simulator<'_, P> {
         // pre-round inboxes. It steps every node, empty inboxes included,
         // which catches a message-driven node that sends on silence.
         let mut reference_nodes = self.nodes.clone();
-        let mut reference_outboxes = vec![Outbox::new(); self.nodes.len()];
+        let mut reference = SendLog::default();
         let n = self.graph.vertex_count();
         for shard in &self.shards {
             for local in 0..shard.len() {
@@ -1342,21 +1275,29 @@ impl<P: Protocol + Send + Clone> Simulator<'_, P> {
                     &ctx,
                     self.started,
                     shard.incoming(local),
-                    &mut reference_outboxes[id],
+                    &mut Outbox::new(&mut reference, id),
                 );
             }
         }
         let round = self.round;
         self.execute_round();
-        if let Some(vertex) = self.first_outbox_divergence(&reference_outboxes) {
+        let logs: Vec<_> = self
+            .logs
+            .iter()
+            .map(|log| log.read().expect("no poisoned send log"))
+            .collect();
+        let live = logs.iter().flat_map(|log| log.resolved());
+        let diverged = first_send_divergence(live, reference.resolved());
+        drop(logs);
+        if let Some(vertex) = diverged {
             return Err(SimError::Nondeterminism { round, vertex });
         }
         if let Some(e) = self.shards.iter().find_map(|s| s.error.clone()) {
             return Err(e);
         }
         // Delivery cross-check: the sharded inboxes must match a global
-        // sequential merge of the (just verified) outboxes.
-        match deliver_reference(self.graph, self.limit, round, &reference_outboxes) {
+        // sequential merge of the (just verified) sends.
+        match deliver_reference(self.graph, self.limit, round, &reference) {
             Ok((offsets, data, reference_stats)) => {
                 for shard in &self.shards {
                     for local in 0..shard.len() {
@@ -1369,7 +1310,7 @@ impl<P: Protocol + Send + Clone> Simulator<'_, P> {
                 let merged: usize = self.shards.iter().map(|s| s.stats.messages).sum();
                 debug_assert_eq!(merged, reference_stats.messages, "stats diverged");
             }
-            // The sharded account pass succeeded on identical outboxes, so
+            // The sharded account pass succeeded on identical sends, so
             // a reference-side error is itself a divergence.
             Err(SimError::CongestViolation { from, .. } | SimError::NotNeighbor { from, .. }) => {
                 return Err(SimError::Nondeterminism {
@@ -1424,8 +1365,8 @@ impl<P: Protocol + Send + Clone> Simulator<'_, P> {
 impl<P: Protocol + Snapshot> Simulator<'_, P> {
     /// Serializes shard `k`'s complete round-boundary state — every
     /// owned node's [`Snapshot`] state, the pending inbox the next
-    /// compute will consume, the sparse per-edge CONGEST counters, and
-    /// the accumulated [`RunStats`] — as an opaque checkpoint payload
+    /// compute will consume, and the accumulated [`RunStats`] — as an
+    /// opaque checkpoint payload
     /// (the same bytes a socket worker writes inside a
     /// [`crate::Checkpoint`] file).
     ///
@@ -1444,7 +1385,7 @@ impl<P: Protocol + Snapshot> Simulator<'_, P> {
 
     /// Overlays a [`Simulator::snapshot_shard`] payload onto shard `k`:
     /// node states are restored through [`Snapshot::load_state`], the
-    /// pending inbox and CONGEST counters rebuilt, and the simulator's
+    /// pending inbox rebuilt, and the simulator's
     /// accumulated stats replaced by the checkpointed accumulation
     /// (snapshots of the same boundary carry identical stats, so
     /// restoring several shards is idempotent on them). Follow with
@@ -1491,18 +1432,18 @@ mod tests {
     }
 
     impl Protocol for FloodDist {
-        fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox) {
+        fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox<'_>) {
             if ctx.id == 0 {
                 self.dist = Some(0);
-                out.broadcast(Bytes::from_static(b"t"));
+                out.broadcast(b"t");
             }
         }
 
-        fn round(&mut self, _ctx: &Ctx<'_>, incoming: Inbox<'_>, out: &mut Outbox) {
+        fn round(&mut self, _ctx: &Ctx<'_>, incoming: Inbox<'_>, out: &mut Outbox<'_>) {
             self.rounds_seen += 1;
             if self.dist.is_none() && !incoming.is_empty() {
                 self.dist = Some(self.rounds_seen);
-                out.broadcast(Bytes::from_static(b"t"));
+                out.broadcast(b"t");
             }
         }
 
@@ -1772,10 +1713,10 @@ mod tests {
     }
 
     impl Protocol for EvilClone {
-        fn start(&mut self, _ctx: &Ctx<'_>, out: &mut Outbox) {
-            out.broadcast(Bytes::from(vec![u8::from(self.cloned)]));
+        fn start(&mut self, _ctx: &Ctx<'_>, out: &mut Outbox<'_>) {
+            out.broadcast(&[u8::from(self.cloned)]);
         }
-        fn round(&mut self, _: &Ctx<'_>, _: Inbox<'_>, _: &mut Outbox) {}
+        fn round(&mut self, _: &Ctx<'_>, _: Inbox<'_>, _: &mut Outbox<'_>) {}
     }
 
     #[test]
@@ -1824,10 +1765,10 @@ mod tests {
     }
 
     impl Protocol for Shout {
-        fn start(&mut self, _ctx: &Ctx<'_>, out: &mut Outbox) {
-            out.broadcast(Bytes::from(vec![0u8; self.payload]));
+        fn start(&mut self, _ctx: &Ctx<'_>, out: &mut Outbox<'_>) {
+            out.broadcast(&vec![0u8; self.payload]);
         }
-        fn round(&mut self, _ctx: &Ctx<'_>, _incoming: Inbox<'_>, _out: &mut Outbox) {}
+        fn round(&mut self, _ctx: &Ctx<'_>, _incoming: Inbox<'_>, _out: &mut Outbox<'_>) {}
         fn is_halted(&self) -> bool {
             true
         }
@@ -1879,12 +1820,12 @@ mod tests {
     struct BadAddress;
 
     impl Protocol for BadAddress {
-        fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox) {
+        fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox<'_>) {
             if ctx.id == 0 {
-                out.unicast(2, Bytes::new()); // 2 is not a neighbor of 0
+                out.unicast(2, b""); // 2 is not a neighbor of 0
             }
         }
-        fn round(&mut self, _ctx: &Ctx<'_>, _incoming: Inbox<'_>, _out: &mut Outbox) {}
+        fn round(&mut self, _ctx: &Ctx<'_>, _incoming: Inbox<'_>, _out: &mut Outbox<'_>) {}
     }
 
     #[test]
@@ -1901,12 +1842,12 @@ mod tests {
     fn multicast_to_non_neighbor_is_rejected() {
         struct BadMulticast;
         impl Protocol for BadMulticast {
-            fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox) {
+            fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox<'_>) {
                 if ctx.id == 0 {
-                    out.multicast(vec![1, 2], Bytes::new()); // 2 is not adjacent
+                    out.multicast(&[1, 2], b""); // 2 is not adjacent
                 }
             }
-            fn round(&mut self, _: &Ctx<'_>, _: Inbox<'_>, _: &mut Outbox) {}
+            fn round(&mut self, _: &Ctx<'_>, _: Inbox<'_>, _: &mut Outbox<'_>) {}
         }
         let g = generators::path(3);
         let mut sim = Simulator::new(&g, |_, _| BadMulticast);
@@ -1920,13 +1861,13 @@ mod tests {
     fn two_unicasts_on_one_edge_share_budget() {
         struct TwoMessages;
         impl Protocol for TwoMessages {
-            fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox) {
+            fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox<'_>) {
                 if ctx.id == 0 {
-                    out.unicast(1, Bytes::from(vec![0u8; 10]));
-                    out.unicast(1, Bytes::from(vec![0u8; 10]));
+                    out.unicast(1, &[0u8; 10]);
+                    out.unicast(1, &[0u8; 10]);
                 }
             }
-            fn round(&mut self, _: &Ctx<'_>, _: Inbox<'_>, _: &mut Outbox) {}
+            fn round(&mut self, _: &Ctx<'_>, _: Inbox<'_>, _: &mut Outbox<'_>) {}
             fn is_halted(&self) -> bool {
                 true
             }
@@ -1944,12 +1885,12 @@ mod tests {
         // two unicasts would be.
         struct DoubleTap;
         impl Protocol for DoubleTap {
-            fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox) {
+            fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox<'_>) {
                 if ctx.id == 0 {
-                    out.multicast(vec![1, 1], Bytes::from(vec![0u8; 10]));
+                    out.multicast(&[1, 1], &[0u8; 10]);
                 }
             }
-            fn round(&mut self, _: &Ctx<'_>, _: Inbox<'_>, _: &mut Outbox) {}
+            fn round(&mut self, _: &Ctx<'_>, _: Inbox<'_>, _: &mut Outbox<'_>) {}
             fn is_halted(&self) -> bool {
                 true
             }
@@ -1969,10 +1910,10 @@ mod tests {
             heard: Vec<usize>,
         }
         impl Protocol for Gossip {
-            fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox) {
-                out.broadcast(Bytes::from(vec![ctx.id as u8]));
+            fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox<'_>) {
+                out.broadcast(&[ctx.id as u8]);
             }
-            fn round(&mut self, _ctx: &Ctx<'_>, incoming: Inbox<'_>, _out: &mut Outbox) {
+            fn round(&mut self, _ctx: &Ctx<'_>, incoming: Inbox<'_>, _out: &mut Outbox<'_>) {
                 for m in incoming.iter() {
                     self.heard.push(m.from());
                 }
@@ -2009,12 +1950,12 @@ mod tests {
             heard: Vec<usize>,
         }
         impl Protocol for Center {
-            fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox) {
+            fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox<'_>) {
                 if ctx.id == 0 {
-                    out.multicast(vec![5, 2, 4], Bytes::from_static(b"m"));
+                    out.multicast(&[5, 2, 4], b"m");
                 }
             }
-            fn round(&mut self, _ctx: &Ctx<'_>, incoming: Inbox<'_>, _out: &mut Outbox) {
+            fn round(&mut self, _ctx: &Ctx<'_>, incoming: Inbox<'_>, _out: &mut Outbox<'_>) {
                 for m in incoming.iter() {
                     self.heard.push(m.from());
                 }
@@ -2072,11 +2013,11 @@ mod tests {
         #[derive(Debug, Clone)]
         struct PanicAt(usize);
         impl Protocol for PanicAt {
-            fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox) {
+            fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox<'_>) {
                 assert!(ctx.id != self.0, "protocol bug at node {}", self.0);
-                out.broadcast(Bytes::from_static(b"x"));
+                out.broadcast(b"x");
             }
-            fn round(&mut self, _: &Ctx<'_>, _: Inbox<'_>, _: &mut Outbox) {}
+            fn round(&mut self, _: &Ctx<'_>, _: Inbox<'_>, _: &mut Outbox<'_>) {}
         }
         let g = generators::grid2d(6, 6);
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -2211,26 +2152,22 @@ mod tests {
     impl Protocol for Frontier {
         const MESSAGE_DRIVEN: bool = true;
 
-        fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox) {
+        fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox<'_>) {
             if ctx.id == 0 {
                 self.dist = Some(0);
-                out.broadcast(Bytes::from(0u32.to_le_bytes().to_vec()));
+                out.broadcast(&0u32.to_le_bytes());
             }
         }
 
-        fn round(&mut self, _ctx: &Ctx<'_>, incoming: Inbox<'_>, out: &mut Outbox) {
+        fn round(&mut self, _ctx: &Ctx<'_>, incoming: Inbox<'_>, out: &mut Outbox<'_>) {
             if self.dist.is_some() {
                 return;
             }
             if let Some(first) = incoming.iter().next() {
-                let heard = first
-                    .payload()
-                    .as_slice()
-                    .try_into()
-                    .expect("4-byte distance");
+                let heard = first.payload().try_into().expect("4-byte distance");
                 let dist = u32::from_le_bytes(heard) + 1;
                 self.dist = Some(dist);
-                out.broadcast(Bytes::from(dist.to_le_bytes().to_vec()));
+                out.broadcast(&dist.to_le_bytes());
             }
         }
 
@@ -2299,8 +2236,7 @@ mod tests {
     }
 
     /// `Ctx` stays shareable across threads: a protocol may hand `&Ctx`
-    /// to threads of its own, and the payload pool it lends typed sends
-    /// is behind a lock.
+    /// to threads of its own.
     #[test]
     fn ctx_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
@@ -2318,14 +2254,14 @@ mod tests {
         impl Protocol for Chatter {
             const MESSAGE_DRIVEN: bool = true;
 
-            fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox) {
+            fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox<'_>) {
                 if ctx.id == 0 {
-                    out.broadcast(Bytes::from_static(b"c"));
+                    out.broadcast(b"c");
                 }
             }
 
-            fn round(&mut self, _ctx: &Ctx<'_>, _incoming: Inbox<'_>, out: &mut Outbox) {
-                out.broadcast(Bytes::from_static(b"c"));
+            fn round(&mut self, _ctx: &Ctx<'_>, _incoming: Inbox<'_>, out: &mut Outbox<'_>) {
+                out.broadcast(b"c");
             }
         }
         let g = generators::path(4);
@@ -2346,7 +2282,7 @@ mod tests {
                 .expect("start is stepped for every node");
             // Round 1 wakes only vertex 1; the reference also runs the
             // silent vertices 0, 2 and 3, and vertex 0 is the first whose
-            // outbox differs.
+            // sends differ.
             assert_eq!(
                 sim.step_verified(),
                 Err(SimError::Nondeterminism {

@@ -39,8 +39,9 @@
 //! its copies (a unicast is a singleton, a broadcast ref one precomputed
 //! adjacency segment), exactly as in the in-memory bucket. Consecutive
 //! refs may share one payload-table entry — a multicast's copies are
-//! stored once — and decoding hands each recipient a zero-copy
-//! [`Bytes::slice`] view into the payload region.
+//! stored once — and the receiving shard copies each payload-table entry
+//! once into its payload slab, so a frame is dropped as soon as it has
+//! been placed.
 //!
 //! This is the only format: frames are never persisted, and the socket
 //! handshake's `Hello` refuses a peer that encodes any other version, so
@@ -74,17 +75,15 @@
 //!
 //! A [`Transport`] moves encoded frames between shards; the engine's
 //! framed backends ([`crate::Engine::Framed`]) never let one shard read
-//! another's outboxes or routers — frames are the *only* cross-shard
+//! another's send logs or routers — frames are the *only* cross-shard
 //! channel during delivery. Two implementations ship:
 //!
 //! - [`LoopbackTransport`] — an in-memory slot matrix handing the encoded
 //!   [`Bytes`] to the destination by reference count. This prices the
 //!   seam itself (encode + checksum + decode) with zero I/O, and stays
-//!   allocation-free in steady state: senders recycle their frame
-//!   buffers through [`Bytes::try_into_mut`] on a two-round ring (a
-//!   frame's payload slices live in destination payload slabs for one
-//!   round, so the round-before-last's buffer is reclaimable by the time
-//!   it is needed again).
+//!   allocation-free in steady state: receivers drop each frame once it
+//!   is placed, so by the next round's ship a sender's last frame buffer
+//!   is unique again and [`Bytes::try_into_mut`] reclaims it.
 //! - [`crate::transport::SocketTransport`] — frames cross real OS
 //!   sockets (Unix domain by default, TCP behind the same code path)
 //!   through a hub that relays by destination shard, with real process
@@ -139,7 +138,7 @@ use bytes::{Bytes, BytesMut};
 use netdecomp_graph::VertexId;
 
 use crate::error::{FrameError, TransportError};
-use crate::message::Outbox;
+use crate::message::{SendLog, RETAIN_FACTOR};
 use crate::shard::{BucketTally, RouteRef, Router};
 
 /// The frame format version every encoder writes and every decoder
@@ -545,7 +544,7 @@ impl Transport for LoopbackTransport {
 /// sizes the frame, then one walk over the refs writes the ref table, the
 /// payload table, and the payload region straight to their final
 /// positions (no staging, no re-walk). Payload bytes — looked up per ref
-/// by `payload_of` — are copied exactly once (sender outbox → frame), and
+/// by `payload_of` — are copied exactly once (send arena → frame), and
 /// the checksum is folded in one contiguous pass over the just-written
 /// tables — still hot in cache — so the digest's four lanes run at full
 /// block speed instead of re-entering the stripe peel on every 16-byte
@@ -621,8 +620,8 @@ pub(crate) fn encode_bucket<'p>(
             if last.is_some() {
                 payload_idx += 1;
             }
-            // Payload bytes are copied exactly once, sender outbox →
-            // final frame position (covered by the digest only under the
+            // Payload bytes are copied exactly once, send arena → final
+            // frame position (covered by the digest only under the
             // payload-coverage flag — see the module docs).
             let payload = payload_of(r);
             let entry = pays
@@ -675,8 +674,8 @@ pub struct FrameRef {
 ///
 /// Decoding checks the magic, version, declared length, header checksum,
 /// and every table bound up front, so the accessors below cannot read out
-/// of range; [`Frame::payload`] hands out [`Bytes::slice`] views of the
-/// payload region without copying.
+/// of range; [`Frame::payload`] borrows from the payload region without
+/// copying.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     bytes: Bytes,
@@ -854,13 +853,13 @@ impl Frame {
             })
     }
 
-    /// A zero-copy view of payload `idx` (bounds-checked at decode).
+    /// Payload `idx`, borrowed from the frame (bounds-checked at decode).
     ///
     /// # Panics
     ///
     /// Panics if `idx >= payload_count()`.
     #[must_use]
-    pub fn payload(&self, idx: u32) -> Bytes {
+    pub fn payload(&self, idx: u32) -> &[u8] {
         assert!(
             (idx as usize) < self.payload_count,
             "payload index in range"
@@ -869,37 +868,35 @@ impl Frame {
         let entry = self.payload_table + PAYLOAD_BYTES * idx as usize;
         let off = le32(data, entry) as usize;
         let len = le32(data, entry + 4) as usize;
-        self.bytes.slice(self.region + off..self.region + off + len)
+        &data[self.region + off..self.region + off + len]
     }
 }
 
 /// One shard's sender side of the frame seam: encodes every router bucket
-/// into a frame and ships it, recycling frame buffers on a two-round ring.
+/// into a frame and ships it, recycling each destination's frame buffer
+/// from one round to the next.
 ///
-/// Why two rounds: a frame's payload slices sit in destination payload
-/// slabs for exactly one round (registered in round `r`'s place, read by
-/// round `r + 1`'s compute, dropped wholesale by its place's slab reset),
-/// so the buffer shipped in round `r - 2` is uniquely referenced again by
-/// round `r` and [`Bytes::try_into_mut`] reclaims it — steady-state
-/// framing allocates nothing. A protocol that retains payload views
-/// longer (via [`crate::IncomingRef::to_incoming`]) just makes the
-/// reclaim miss and fall back to a fresh buffer; correctness is
-/// unaffected.
+/// Receivers copy the payloads they need into their slabs and drop the
+/// frame at the end of placement, so the buffer shipped in round `r - 1`
+/// is uniquely referenced again by round `r`'s ship and
+/// [`Bytes::try_into_mut`] reclaims it — steady-state framing allocates
+/// nothing. A transport that holds frames longer (a replay log, a delay
+/// fault) just makes the reclaim miss and fall back to a fresh buffer;
+/// correctness is unaffected.
 ///
 /// Retained capacity is bounded with the same rolling-high-water policy
-/// as [`Outbox`] and the router buckets: a reclaimed buffer whose
-/// capacity sits above [`Outbox::RETAIN_FACTOR`] times the per-dest mark
-/// is dropped, so one bursty round cannot pin `2 x shards` burst-sized
-/// frame buffers per shard forever, while constant-volume rounds never
-/// shrink (doubling growth stays under the factor) and stay zero-alloc.
+/// as the send log and the router buckets: a reclaimed buffer whose
+/// capacity sits above [`RETAIN_FACTOR`] times the per-dest mark is
+/// dropped, so one bursty round cannot pin `shards` burst-sized frame
+/// buffers per shard forever, while constant-volume rounds never shrink
+/// (doubling growth stays under the factor) and stay zero-alloc.
 #[derive(Debug, Default)]
 pub(crate) struct FrameEncoder {
-    /// `ring[dest][parity]`: this shard's retained handle to the frame it
-    /// shipped to `dest` two rounds ago (reclaim candidate).
-    ring: Vec<[Option<Bytes>; 2]>,
+    /// `last[dest]`: this shard's retained handle to the frame it shipped
+    /// to `dest` last round (reclaim candidate).
+    last: Vec<Option<Bytes>>,
     /// Rolling high-water mark of encoded frame bytes, per destination.
     high_water: Vec<usize>,
-    parity: usize,
 }
 
 /// Floor of the frame-buffer retention mark, in bytes (a header-only
@@ -908,44 +905,34 @@ const FRAME_RETAIN_FLOOR: usize = 256;
 
 impl FrameEncoder {
     /// Encodes shard `me`'s buckets — refs from `router`, payload bytes
-    /// from the shard's own `outboxes` chunk (whose first sender is
-    /// `bounds[me]`) — and ships one frame per destination shard of the
-    /// plan `bounds` through `transport`, encoded under `config`. Each
-    /// bucket goes through the single-pass [`encode_bucket`]: payload
-    /// bytes are copied exactly once, straight to their final position in
-    /// the (recycled) frame buffer.
+    /// from the shard's own send `log` — and ships one frame per
+    /// destination shard of the plan `bounds` through `transport`,
+    /// encoded under `config`. Each bucket goes through the single-pass
+    /// [`encode_bucket`]: payload bytes are copied exactly once, straight
+    /// to their final position in the (recycled) frame buffer.
     pub(crate) fn ship(
         &mut self,
         me: usize,
         bounds: &[VertexId],
         router: &Router,
-        outboxes: &[Outbox],
+        log: &SendLog,
         transport: &dyn Transport,
         config: FrameConfig,
     ) {
         let shards = bounds.len() - 1;
-        if self.ring.len() != shards {
-            self.ring = vec![[None, None]; shards];
+        if self.last.len() != shards {
+            self.last = vec![None; shards];
             self.high_water = vec![0; shards];
         }
-        let base = bounds[me];
-        let payload_of = |r: &RouteRef| {
-            outboxes[r.from as usize - base].messages()[r.msg as usize]
-                .payload
-                .as_slice()
-        };
-        self.parity ^= 1;
+        let payload_of = |r: &RouteRef| log.payload(r.msg);
         for dest in 0..shards {
-            let cap = Outbox::RETAIN_FACTOR * self.high_water[dest].max(FRAME_RETAIN_FLOOR);
-            let buf = match self.ring[dest][self.parity].take() {
-                Some(old) => match old.try_into_mut() {
-                    // Dropping an over-retained buffer (rather than
-                    // shrinking in place) keeps the shim's `BytesMut`
-                    // surface identical to the real crate's.
-                    Ok(buf) if buf.capacity() <= cap => buf,
-                    Ok(_) | Err(_) => BytesMut::new(),
-                },
-                None => BytesMut::new(),
+            let cap = RETAIN_FACTOR * self.high_water[dest].max(FRAME_RETAIN_FLOOR);
+            let buf = match self.last[dest].take().map(Bytes::try_into_mut) {
+                // Dropping an over-retained buffer (rather than shrinking
+                // in place) keeps the shim's `BytesMut` surface identical
+                // to the real crate's.
+                Some(Ok(buf)) if buf.capacity() <= cap => buf,
+                _ => BytesMut::new(),
             };
             let frame = encode_bucket(
                 me,
@@ -958,7 +945,7 @@ impl FrameEncoder {
             );
             let hw = &mut self.high_water[dest];
             *hw = (*hw - *hw / 4).max(frame.len());
-            self.ring[dest][self.parity] = Some(frame.clone());
+            self.last[dest] = Some(frame.clone());
             transport.send(me, dest, frame);
         }
     }
@@ -1024,16 +1011,6 @@ mod tests {
             cover_payload: true,
         },
     ];
-
-    /// A one-ref frame `sender -> dest` carrying `payload`.
-    fn single(sender: usize, dest: usize, from: usize, payload: &[u8]) -> Bytes {
-        encode_entries(
-            sender,
-            dest,
-            &[(from, from..from + 1, Some(payload))],
-            FrameConfig::default(),
-        )
-    }
 
     #[test]
     fn empty_frame_round_trips_in_every_config() {
@@ -1143,22 +1120,9 @@ mod tests {
         assert_eq!(refs[0].from, 7);
         assert_eq!((refs[0].lo, refs[0].hi), (40, 41));
         assert_eq!(refs[0].payload, refs[1].payload, "multicast shares bytes");
-        assert_eq!(f.payload(refs[1].payload).as_slice(), b"alpha");
-        assert_eq!(f.payload(refs[2].payload).as_slice(), b"bee");
+        assert_eq!(f.payload(refs[1].payload), b"alpha");
+        assert_eq!(f.payload(refs[2].payload), b"bee");
         assert_eq!((refs[2].lo, refs[2].hi), (10, 14));
-    }
-
-    #[test]
-    fn payload_views_share_the_frame_buffer() {
-        let encoded = single(0, 0, 0, b"shared-zero-copy");
-        let f = Frame::decode(encoded.clone()).unwrap();
-        let view = f.payload(0);
-        drop(f);
-        // The view keeps the frame alive; reclaiming must fail while it
-        // (and our handle) exist, and succeed once the views are gone.
-        let encoded = encoded.try_into_mut().expect_err("view still live");
-        drop(view);
-        assert!(encoded.try_into_mut().is_ok());
     }
 
     #[test]
@@ -1183,7 +1147,14 @@ mod tests {
         router.reset(2);
         let mut enc = FrameEncoder::default();
         for round in 0..6 {
-            enc.ship(0, &[0, 0, 0], &router, &[], &t, FrameConfig::default());
+            enc.ship(
+                0,
+                &[0, 0, 0],
+                &router,
+                &SendLog::default(),
+                &t,
+                FrameConfig::default(),
+            );
             for dest in 0..2 {
                 let mut got = vec![None, None];
                 t.collect(dest, &mut got).unwrap();
@@ -1196,19 +1167,18 @@ mod tests {
         }
     }
 
-    /// The engine's outbox-backed payload lookup and the test helper's
-    /// entry list produce the same frame, byte for byte, in both configs:
-    /// a broadcast-style segment ref, then a multicast (two singleton refs
+    /// The engine's send-log payload lookup and the test helper's entry
+    /// list produce the same frame, byte for byte, in both configs: a
+    /// broadcast-style segment ref, then a multicast (two singleton refs
     /// sharing one payload) and a second message from another sender.
     #[test]
-    fn outbox_payloads_encode_like_the_entry_list() {
-        let mut out0 = Outbox::new();
-        out0.broadcast(Bytes::from(b"alpha".as_slice()));
-        let mut out1 = Outbox::new();
-        out1.multicast(vec![0, 2], Bytes::from(b"bee".as_slice()));
-        out1.unicast(2, Bytes::new());
-        let outboxes = [out0, out1];
-        let bucket = [(0, 0, 0..3), (1, 0, 3..4), (1, 0, 5..6), (1, 1, 5..6)];
+    fn send_log_payloads_encode_like_the_entry_list() {
+        let mut log = SendLog::default();
+        crate::Outbox::new(&mut log, 0).broadcast(b"alpha");
+        let mut out1 = crate::Outbox::new(&mut log, 1);
+        out1.multicast(&[0, 2], b"bee");
+        out1.unicast(2, b"");
+        let bucket = [(0, 0, 0..3), (1, 1, 3..4), (1, 1, 5..6), (1, 2, 5..6)];
         let mut router = Router::default();
         router.reset(1);
         for (from, msg, slots) in bucket.clone() {
@@ -1218,14 +1188,11 @@ mod tests {
                 lo: slots.start,
                 hi: slots.end,
             };
-            let len = outboxes[from as usize].messages()[msg as usize]
-                .payload
-                .len();
-            router.push(0, route, len);
+            router.push(0, route, log.payload(msg).len());
         }
         for config in CONFIGS {
             let t = LoopbackTransport::new(1);
-            FrameEncoder::default().ship(0, &[0, 2], &router, &outboxes, &t, config);
+            FrameEncoder::default().ship(0, &[0, 2], &router, &log, &t, config);
             let mut got = vec![None];
             t.collect(0, &mut got).unwrap();
             let shipped = got[0].take().expect("frame arrived");
@@ -1246,7 +1213,7 @@ mod tests {
             assert_eq!(f.payload_count(), 3);
             let refs: Vec<_> = f.refs().collect();
             assert_eq!(refs[1].payload, refs[2].payload, "multicast shares bytes");
-            assert_eq!(f.payload(refs[0].payload).as_slice(), b"alpha");
+            assert_eq!(f.payload(refs[0].payload), b"alpha");
         }
     }
 
@@ -1269,20 +1236,19 @@ mod tests {
             },
             64 * 1024,
         );
-        let mut outbox = crate::Outbox::new();
-        outbox.unicast(0, Bytes::from(vec![7u8; 64 * 1024]));
-        let outboxes = [outbox];
+        let mut log = SendLog::default();
+        crate::Outbox::new(&mut log, 0).unicast(0, &vec![7u8; 64 * 1024]);
         let mut enc = FrameEncoder::default();
         let config = FrameConfig::default();
-        enc.ship(0, &[0, 1], &router, &outboxes, &t, config);
+        enc.ship(0, &[0, 1], &router, &log, &t, config);
         drain(&t);
         assert!(enc.high_water[0] >= 64 * 1024, "burst mark recorded");
         // Dozens of empty rounds later, the mark — and with it the
         // retained buffer capacity the reclaim path will accept — has
-        // decayed back to the steady scale (same policy as Outbox).
+        // decayed back to the steady scale (same policy as the send log).
         router.reset(1);
         for _ in 0..64 {
-            enc.ship(0, &[0, 0], &router, &[], &t, config);
+            enc.ship(0, &[0, 0], &router, &SendLog::default(), &t, config);
             drain(&t);
         }
         assert!(
@@ -1294,24 +1260,22 @@ mod tests {
 
     #[test]
     fn recycle_ring_never_aliases_a_frame_a_receiver_still_holds() {
-        // A receiver that keeps a frame (or a payload view) alive across
-        // later rounds must see its bytes unchanged: the ring's reclaim
-        // goes through `Bytes::try_into_mut`, which refuses shared
-        // buffers, so the encoder falls back to a fresh buffer instead of
-        // rewriting one in place. Exercised far past the two-round parity
-        // window.
+        // A receiver that keeps a frame alive across later rounds must
+        // see its bytes unchanged: the encoder's reclaim goes through
+        // `Bytes::try_into_mut`, which refuses shared buffers, so it falls
+        // back to a fresh buffer instead of rewriting one in place.
         let t = LoopbackTransport::new(1);
         let mut router = Router::default();
         router.reset(1);
         let mut enc = FrameEncoder::default();
         let config = FrameConfig::default();
-        enc.ship(0, &[0, 0], &router, &[], &t, config);
+        enc.ship(0, &[0, 0], &router, &SendLog::default(), &t, config);
         let mut got = vec![None];
         t.collect(0, &mut got).unwrap();
         let held = got[0].take().unwrap();
         let snapshot = held.as_slice().to_vec();
         for _ in 0..6 {
-            enc.ship(0, &[0, 0], &router, &[], &t, config);
+            enc.ship(0, &[0, 0], &router, &SendLog::default(), &t, config);
             let mut later = vec![None];
             t.collect(0, &mut later).unwrap();
             assert_eq!(
@@ -1478,7 +1442,7 @@ mod tests {
                     prop_assert_eq!(r.from, *from);
                     prop_assert_eq!(r.lo, *lo);
                     prop_assert_eq!(r.hi, *hi);
-                    prop_assert_eq!(frame.payload(r.payload).as_slice(), &payload[..]);
+                    prop_assert_eq!(frame.payload(r.payload), &payload[..]);
                 }
                 // Shared payloads are stored once: consecutive share
                 // entries point at the same payload-table index.
@@ -1601,7 +1565,7 @@ mod tests {
                 assert_eq!(frame.ref_count(), 1);
                 let r = frame.refs().next().expect("one ref");
                 assert_eq!((r.from, r.lo, r.hi), (4, 7, 9));
-                assert_eq!(frame.payload(r.payload).as_slice(), b"netdecomp");
+                assert_eq!(frame.payload(r.payload), b"netdecomp");
                 // Header, one ref entry, one payload entry, the payload.
                 assert_eq!(encoded.len(), 32 + 16 + 8 + b"netdecomp".len());
             }

@@ -7,7 +7,7 @@
 //! model additionally caps the message size at `O(log n)` bits.
 //!
 //! This crate reproduces that model *measurably*: protocols exchange
-//! byte-encoded payloads ([`bytes::Bytes`]), and the engine records — and
+//! byte-encoded payloads (plain `&[u8]`), and the engine records — and
 //! can enforce — per-edge per-round byte budgets, so the paper's "each
 //! message consists of `O(1)` words" claim becomes a measured quantity
 //! rather than an assumption.
@@ -16,37 +16,40 @@
 //!
 //! A [`ShardPlan`] partitions the vertex set into contiguous,
 //! degree-balanced ranges. The **ownership invariant**: a shard computes
-//! only its own nodes, writes only its own outbox chunk, its own
+//! only its own nodes, writes only its own send log, its own
 //! sender-side router, and its own CSR inbox slice, and — because the
 //! slot of the directed edge `from -> to` lives in the *sender's* CSR
 //! row — owns a contiguous block of the per-edge CONGEST counters. Every
 //! [`Simulator::step`] then runs three shard-local phases:
 //!
 //! - **Compute.** Each node consumes the slice of messages delivered to it
-//!   and fills its preallocated [`Outbox`]. A protocol that declares
+//!   and sends through an [`Outbox`] that appends to the shard's **send
+//!   log**: messages in sender order, payload bytes back to back in one
+//!   arena. A protocol that declares
 //!   itself [`Protocol::MESSAGE_DRIVEN`] — its `round` does nothing on an
 //!   empty inbox — is stepped only on the shard's **wake list**, the
 //!   nodes that received a message this round (every node runs `start`,
 //!   unless [`Simulator::restart`] lists the ones that do); any other
 //!   protocol steps every node. Either way nodes run in ascending id
-//!   order, and the ones that sent form the shard's **senders** list.
-//! - **Account (sender side).** Each shard walks its senders list,
-//!   validates addressing, charges per-edge budgets for messages its own
-//!   vertices sent (no counter merge — senders own their edge slots
-//!   outright), and *routes* each message: references are bucketed by
+//!   order, so the log is in sender order.
+//! - **Account (sender side).** Each shard walks its send log, validates
+//!   addressing, charges per-edge budgets for messages its own vertices
+//!   sent (no counter merge — senders own their edge slots outright; a
+//!   sender's broadcasts are charged once, not once per edge), and
+//!   *routes* each message: references are bucketed by
 //!   destination shard, unicast and multicast targets through a flat O(1)
 //!   vertex→shard table, broadcasts through a per-vertex adjacency
 //!   segmentation both precomputed in the [`RouteIndex`] (once per plan,
 //!   not per round).
 //! - **Place (recipient side).** Each shard walks only the route-ref
-//!   buckets addressed to it — never another shard's outbox headers — and
+//!   buckets addressed to it — never another shard's send log — and
 //!   bucket-sorts those copies into its own inbox slice, marking the
 //!   recipients on the next round's wake list, one bit per vertex (every
 //!   table is recycled in place across rounds — steady-state stepping
 //!   allocates nothing).
 //!
 //! A round's work therefore follows its messages: compute steps the
-//! woken nodes, account walks the senders, and placement costs
+//! woken nodes, account walks what they sent, and placement costs
 //! `O(copies + woken)` plus a one-bit-per-vertex scan. In the paper's
 //! algorithm each phase is a broadcast frontier moving one hop per
 //! round, so most nodes sit out most rounds.
@@ -58,27 +61,26 @@
 //!
 //! # Slab-backed inboxes: delivery cost is per message, not per copy
 //!
-//! An inbox stores compact 8-byte `{from, payload id}` slots, not payload
-//! handles: placement registers each unique `(sender, message)` payload
-//! **once per shard per round** in the shard's [`PayloadSlab`] and then
-//! scatters plain slot writes, so a broadcast to ten thousand neighbors
-//! costs one payload registration and ten thousand cache-linear writes —
-//! zero reference-count traffic in the per-copy loop, under every
+//! An inbox stores compact 8-byte `{from, payload id}` slots: placement
+//! copies each unique `(sender, message)` payload **once per shard per
+//! round** into the shard's [`PayloadSlab`] arena and then scatters plain
+//! slot writes, so a broadcast to ten thousand neighbors costs one
+//! payload copy and ten thousand cache-linear writes, under every
 //! backend. Protocols read the result through the [`Inbox`] view a
 //! [`Protocol::round`] receives: iteration yields borrowed
-//! [`IncomingRef`]s resolved through the slab, again without touching a
-//! reference count ([`IncomingRef::to_incoming`] materializes an owned
-//! [`Incoming`] when one is wanted).
+//! [`IncomingRef`]s whose payload is a `&[u8]` into the slab
+//! ([`IncomingRef::to_incoming`] materializes an owned [`Incoming`] when
+//! one is wanted).
 //!
-//! The **slab ownership rule** makes this sound: a shard's slab holds
-//! *read-only views of sender payloads* — reference-counted handles to
-//! outbox encodings under the in-memory backends, zero-copy slices of
-//! decoded frames under the framed ones — and senders never mutate a
-//! payload they have shipped. Slab entries live exactly one round
-//! (registered by placement, read by the next compute, dropped wholesale
-//! by the following placement), and slab, slot table, and inbox ranges
-//! are all recycled in place, preserving the steady-state zero-allocation
-//! invariant. See the `shard` module docs for the full rule.
+//! The **slab ownership rule**: a shard's slab owns the bytes it serves.
+//! Placement copies them from the sending shard's send arena under the
+//! in-memory backends and from the decoded frame under the framed ones,
+//! so neither a send log nor a frame outlives placement. Slab entries
+//! live exactly one round (registered by placement, read by the next
+//! compute, dropped wholesale by the following placement), and slab,
+//! slot table, and inbox ranges are all recycled in place, preserving
+//! the steady-state zero-allocation invariant. See the `shard` module
+//! docs for the full rule.
 //!
 //! # The frame seam
 //!
@@ -87,13 +89,13 @@
 //! phase each shard serializes every bucket — refs plus the payload bytes
 //! they reference — into one self-delimiting, checksummed frame per
 //! destination shard (layout in the [`frame`] module docs), and the place
-//! phase decodes frames instead of reading other shards' outboxes or
+//! phase decodes frames instead of reading other shards' send logs or
 //! routers. Delivery order, CONGEST accounting, and results are
 //! untouched; the only thing that changes between sharing an address
 //! space and not is which [`frame::Transport`] moves the bytes. The
-//! in-memory loopback (zero-copy [`bytes::Bytes`] handoff,
-//! allocation-free in steady state — the seam itself costs only encode +
-//! checksum + decode) prices the seam; [`Simulator::with_transport`]
+//! in-memory loopback (a reference-counted [`bytes::Bytes`] handoff of
+//! each frame, allocation-free in steady state — the seam itself costs
+//! only encode + checksum + decode) prices the seam; [`Simulator::with_transport`]
 //! plugs in any other [`Transport`] implementation.
 //!
 //! The [`transport`] module takes the seam across real process
@@ -124,8 +126,8 @@
 //! rather than O(run length) through the [`checkpoint`] subsystem:
 //! with a [`transport::CheckpointPlan`] of interval `k` and a
 //! directory (`netdecomp --checkpoint-interval k`), every worker
-//! serializes its protocol state (the [`Snapshot`] seam), inbox,
-//! CONGEST counters, and accumulated stats at each `k`-round barrier —
+//! serializes its protocol state (the [`Snapshot`] seam), inbox, and
+//! accumulated stats at each `k`-round barrier —
 //! a barrier is already a consistent cut — into a checksummed,
 //! versioned on-disk file
 //! (magic-tagged header + lane digest, written via atomic
@@ -184,7 +186,7 @@
 //!
 //! # Determinism guarantee
 //!
-//! Each shard scans senders in id order, so per-recipient delivery order
+//! Each shard's send log is in sender id order, so per-recipient delivery order
 //! is sender id, then send order, then adjacency order for broadcasts —
 //! independent of thread scheduling *and* shard boundaries. For any
 //! protocol that is a deterministic function of `(state, incoming)`, every
@@ -204,26 +206,21 @@
 //! encode per send — broadcasts included — and one decode per receipt,
 //! made as the protocol reads its [`TypedInbox`], with malformed payloads
 //! dropped at the boundary. Decoding borrows the slab-resolved payload
-//! slice directly, so the typed read path is as handle-free as the raw
-//! one.
+//! slice directly: the typed read path decodes straight from the slab.
 //!
-//! Encoding writes into a recycled buffer ([`Codec::encode`] appends to a
-//! [`bytes::BytesMut`]). When the sender's outbox is cleared, at the next
-//! compute phase, each payload goes back to a per-shard pool once it is
-//! unique: at once under framed delivery, whose frames carry copies, and
-//! one round later under shared-memory delivery, whose slabs view the
-//! payload until the next placement. The pool keeps no more buffers
-//! than a rolling high-water mark of payloads per round, so a steady
-//! typed relay allocates nothing (pinned by
-//! `crates/sim/tests/steady_state_alloc.rs`)
-//! and a burst is forgotten geometrically.
+//! Encoding writes straight into the sending shard's send arena
+//! ([`Codec::encode`] appends to a `Vec<u8>`), the same arena raw sends
+//! copy their bytes into. The arena is cleared at the next compute phase,
+//! after placement has copied what it delivers, and keeps its capacity
+//! under a rolling high-water mark, so a steady typed relay allocates
+//! nothing (pinned by `crates/sim/tests/steady_state_alloc.rs`) and a
+//! burst is forgotten geometrically.
 //!
 //! # Example: flooding a token
 //!
 //! ```
 //! use netdecomp_graph::generators;
 //! use netdecomp_sim::{Ctx, Engine, Inbox, Outbox, Protocol, Simulator};
-//! use bytes::Bytes;
 //!
 //! struct Flood { seen: bool }
 //!
@@ -231,16 +228,16 @@
 //!     // `round` acts only on what it hears: step just the frontier.
 //!     const MESSAGE_DRIVEN: bool = true;
 //!
-//!     fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox) {
+//!     fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox<'_>) {
 //!         if ctx.id == 0 {
 //!             self.seen = true;
-//!             out.broadcast(Bytes::from_static(b"x"));
+//!             out.broadcast(b"x");
 //!         }
 //!     }
-//!     fn round(&mut self, _ctx: &Ctx<'_>, incoming: Inbox<'_>, out: &mut Outbox) {
+//!     fn round(&mut self, _ctx: &Ctx<'_>, incoming: Inbox<'_>, out: &mut Outbox<'_>) {
 //!         if !incoming.is_empty() && !self.seen {
 //!             self.seen = true;
-//!             out.broadcast(Bytes::from_static(b"x"));
+//!             out.broadcast(b"x");
 //!         }
 //!     }
 //!     fn is_halted(&self) -> bool { self.seen }
@@ -281,9 +278,7 @@ pub use codec::{Codec, Typed, TypedInbox, TypedOutbox, TypedProtocol};
 pub use engine::{Ctx, Determinism, Engine, Protocol, Simulator, Snapshot};
 pub use error::{FrameError, SimError, TransportCause, TransportError};
 pub use frame::{FrameConfig, FrameTransport, Transport, TransportHealth};
-pub use message::{
-    Inbox, Incoming, IncomingRef, Outbox, Outgoing, PayloadId, PayloadSlab, Recipient,
-};
+pub use message::{Inbox, Incoming, IncomingRef, Outbox, PayloadId, PayloadSlab};
 pub use seeding::stream_rng;
 pub use shard::{RouteIndex, RouteSegment, ShardPlan};
 pub use stats::{CongestLimit, DeliveryWork, RoundStats, RunStats};

@@ -10,15 +10,19 @@
 //!   owning shard during placement and read only by the owning shard
 //!   during the next compute phase;
 //! - the **wake list** (its vertices with a non-empty inbox, a
-//!   one-bit-per-vertex map built by placement) and the **senders list**
-//!   (its vertices whose outbox holds messages, built by compute), which
-//!   keep every per-vertex pass down to the vertices taking part in the
-//!   round;
+//!   one-bit-per-vertex map built by placement), which keeps compute
+//!   down to the vertices taking part in the round;
+//! - the **send log** its vertices append to during compute (messages in
+//!   sender order, payload bytes in one arena), which account walks;
 //! - the **per-edge CONGEST counters** of the directed-edge slots leaving
 //!   its vertices. Edge accounting is *sender-owned*: the slot of the
 //!   directed edge `from -> to` lives in `from`'s CSR row, and because a
 //!   shard is a contiguous vertex range its slots form one contiguous
-//!   block of `0..2m` — sharding needs no counter merge at all;
+//!   block of `0..2m` — sharding needs no counter merge at all. A
+//!   slot's counter holds only unicast and multicast bytes: a sender's
+//!   broadcasts load every one of its edges alike, so account sums them
+//!   once per sender, and a slot's total is its counter plus its
+//!   sender's broadcast sum;
 //! - the **[`Router`]** of its vertex range: outgoing message references
 //!   bucketed by destination shard, written by the owning shard during
 //!   the account pass and read by every destination shard during
@@ -29,8 +33,8 @@
 //! The routing index is built and consumed strictly phase-by-phase:
 //!
 //! 1. **Account (sender side).** Shard `k` — and only shard `k` — writes
-//!    `routers[k]`: while validating and CONGEST-charging each of its own
-//!    outgoing messages, it appends one [`RouteRef`] per destination shard
+//!    `routers[k]`: while validating and CONGEST-charging each message of
+//!    its own send log, it appends one [`RouteRef`] per destination shard
 //!    the message touches. Unicasts and multicast targets are resolved to
 //!    their (sender-owned) directed-edge slot and routed through a flat
 //!    O(1) vertex→shard table; broadcasts reuse the [`RouteIndex`]'s
@@ -42,8 +46,8 @@
 //!    shard, so buckets are single-writer, then frozen, then
 //!    multi-reader; no lock is ever contended.
 //!
-//! Because shard `k`'s senders are scanned in local id order, bucket
-//! entries are ordered by (sender id, send order, target order), and
+//! Because shard `k`'s send log is in sender id order, bucket entries
+//! are ordered by (sender id, send order, target order), and
 //! concatenating buckets for `j` across `k = 0, 1, …` preserves global
 //! sender order — per-recipient delivery order stays bit-identical to the
 //! sequential single-buffer reference merge that `Determinism::Verify`
@@ -51,23 +55,26 @@
 //!
 //! # Delivery complexity
 //!
-//! With `S` shards, `M` queued messages, and `C` delivered copies
-//! (`C >= M`; a broadcast counts one copy per incident edge), the place
-//! phase used to rescan every outbox from every shard. Sender-side
-//! routing removes the cross-shard rescan entirely:
+//! With `S` shards, `M` logged messages, `U` unicast and multicast
+//! copies, and `C` delivered copies (`C >= M`; a broadcast counts one
+//! copy per incident edge), a round's delivery passes cost:
 //!
-//! | pass                      | rescan (PR 2)            | routed (now)      |
-//! |---------------------------|--------------------------|-------------------|
-//! | route (fused in account)  | —                        | `O(M + segments)` |
-//! | count                     | `O(S×M)` headers + `O(C)`| `O(refs) + O(C)`  |
-//! | scatter                   | `O(S×M)` headers + `O(C)`| `O(refs) + O(C)`  |
+//! | pass                      | cost                  |
+//! |---------------------------|-----------------------|
+//! | account (charge + route)  | `O(M + U + segments)` |
+//! | count                     | `O(refs + C)`         |
+//! | scatter                   | `O(refs + C)`         |
 //!
 //! where `refs <= M + C` in total across all buckets (a unicast or
 //! multicast target is one ref; a broadcast contributes at most
-//! `min(degree, S)` segment refs). Header work no longer carries a
-//! shard-count multiplier — the gating property for running shards on
-//! separate processes, where a cross-shard rescan would become a
-//! cross-process one.
+//! `min(degree, S)` segment refs). No shard rescans another shard's
+//! messages, so header work carries no shard-count multiplier — the
+//! gating property for running shards on separate processes, where a
+//! cross-shard rescan would become a cross-process one. Account charges
+//! a broadcast in `O(1)`: it adds the bytes to the sender's broadcast sum
+//! and compares the sender's fullest edge with the limit, and only a
+//! violating broadcast walks its edges, to name the first one past the
+//! limit.
 //!
 //! Per-vertex work follows the round's participants too. The count pass
 //! keeps each recipient's copy count in its inbox range and marks it on
@@ -79,31 +86,24 @@
 //! would cost `O(len)` per round however quiet it was.
 //!
 //! The remaining `O(C)` scatter term is a *cache-linear 8-byte write* per
-//! copy, not a payload-handle operation: the inbox stores compact
-//! `{from: u32, payload: PayloadId}` slots, and each unique
-//! `(sender, message)` payload is registered **once per shard per round**
-//! in the shard's [`crate::PayloadSlab`]. Payload-handle traffic
-//! (reference-count bumps under the in-memory backends, zero-copy frame
-//! slices under the framed ones) is therefore proportional to *messages*,
-//! never to *copies* — a broadcast to ten thousand neighbors costs one
-//! slab registration and ten thousand plain slot writes.
+//! copy: the inbox stores compact `{from: u32, payload: PayloadId}`
+//! slots, and each unique `(sender, message)` payload is copied **once
+//! per shard per round** into the shard's [`crate::PayloadSlab`]. Payload
+//! bytes move in proportion to *messages*, never to *copies* — a
+//! broadcast to ten thousand neighbors costs one slab copy and ten
+//! thousand plain slot writes.
 //!
 //! # The slab ownership rule
 //!
-//! A shard's slab holds **read-only views of sender payloads**; senders
-//! never mutate a shipped payload. Concretely: under the in-memory
-//! backends a slab entry is a reference-counted handle to the sender's
-//! own outbox encoding, which the sender only ever *clears* (next
-//! round's compute) — clearing drops the sender's handle but cannot
-//! touch the bytes while recipients still hold theirs, and the sender's
-//! payload pool reuses the buffer of a typed send only once
-//! [`bytes::Bytes::try_into_mut`] proves no view is left. Under the framed
-//! backends a slab entry is a zero-copy slice of the decoded frame, and
-//! the sender-side recycle ring reclaims a frame buffer only once every
-//! such view has been dropped ([`bytes::Bytes::try_into_mut`] refuses
-//! shared buffers). Slab entries live exactly one round: registered by
-//! placement, read by the next compute phase, dropped wholesale by the
-//! following placement's [`crate::PayloadSlab::reset`].
+//! A shard's slab **owns the payload bytes it serves**. Placement copies
+//! each unique payload in — from the sending shard's send arena under the
+//! in-memory backends, from the decoded frame under the framed ones — so
+//! neither a send log nor a frame has to outlive placement: the next
+//! compute phase clears the send logs, and the framed place phase drops
+//! its frames as soon as it has scattered them. Slab entries live exactly
+//! one round: registered by placement, read by the next compute phase,
+//! dropped wholesale by the following placement's
+//! [`crate::PayloadSlab::reset`].
 //!
 //! # The frame seam
 //!
@@ -111,18 +111,18 @@
 //! ships, and under the framed backends it is shipped: after account,
 //! each shard's [`crate::frame::FrameEncoder`] serializes every bucket —
 //! refs plus the payload bytes they reference, copied out of the shard's
-//! *own* outbox chunk — into one self-delimiting, checksummed frame per
+//! *own* send arena — into one self-delimiting, checksummed frame per
 //! destination shard, and [`DeliveryShard::place_frames`] consumes
-//! decoded frames instead of reading other shards' outboxes or routers.
+//! decoded frames instead of reading other shards' send logs or routers.
 //! The two placement paths walk identical refs in identical (sender
 //! shard, bucket) order, so delivery order — and therefore every result —
 //! is bit-identical across backends; `Determinism::Verify` cross-checks
 //! the framed paths against the same sequential reference merge.
 //!
-//! All routing buffers (buckets, counters, the inbox, the wake and
-//! senders lists, typed payload buffers, frame buffers and gather/decode
-//! tables under the loopback transport) are recycled in place across
-//! rounds, so steady-state stepping stays allocation-free (pinned by
+//! All routing buffers (send logs, buckets, counters, the inbox, slab and
+//! wake list, frame buffers and gather/decode tables under the loopback
+//! transport) are recycled in place across rounds, so steady-state
+//! stepping stays allocation-free (pinned by
 //! `crates/sim/tests/steady_state_alloc.rs`).
 
 use std::sync::RwLock;
@@ -131,10 +131,8 @@ use netdecomp_graph::{Graph, VertexId};
 
 use crate::error::FrameError;
 use crate::frame::{Frame, FrameEncoder, Transport};
-use crate::message::{InboxSlot, PayloadPool, PayloadSlab};
-use crate::{
-    CongestLimit, DeliveryWork, Inbox, Outbox, PayloadId, Recipient, RoundStats, SimError,
-};
+use crate::message::{InboxSlot, PayloadSlab, Recipient, SendLog};
+use crate::{CongestLimit, DeliveryWork, Inbox, PayloadId, RoundStats, SimError};
 
 /// First directed-edge slot of `v`'s CSR row (`2m` for `v == n`, so the
 /// expression is also valid as an exclusive upper bound).
@@ -410,7 +408,7 @@ impl RouteIndex {
     }
 }
 
-/// One routed message reference: which sender, which outbox position, and
+/// One routed message reference: which sender, which send-log position, and
 /// the contiguous directed-edge slot range carrying the copies addressed
 /// to the destination shard.
 ///
@@ -422,7 +420,7 @@ impl RouteIndex {
 pub(crate) struct RouteRef {
     /// Global sender id.
     pub(crate) from: u32,
-    /// Position in the sender's outbox (for the payload lookup).
+    /// Position in the sending shard's send log (for the payload lookup).
     pub(crate) msg: u32,
     /// First directed-edge slot of the routed copies.
     pub(crate) lo: u32,
@@ -437,7 +435,7 @@ pub(crate) struct RouteRef {
 /// writer), then read — after the phase barrier — by each destination
 /// shard's place pass (multi-reader, each touching only its own bucket).
 /// Bucket storage is recycled in place with the same bounded-retention
-/// policy as [`Outbox`]: steady-state rounds allocate nothing, and a
+/// policy as the send log: steady-state rounds allocate nothing, and a
 /// bursty round cannot pin burst-sized buckets forever.
 #[derive(Debug, Default)]
 pub(crate) struct Router {
@@ -450,8 +448,8 @@ pub(crate) struct Router {
     /// maintained ref by ref as the account pass routes — this is what
     /// lets the frame encoder size a whole frame without re-walking the
     /// bucket (the tally compare is in-cache here; a rewalk at encode
-    /// time costs a pass over the bucket plus a random outbox lookup per
-    /// unique payload).
+    /// time costs a pass over the bucket plus a random send-log lookup
+    /// per unique payload).
     tallies: Vec<BucketTally>,
 }
 
@@ -523,6 +521,18 @@ impl Router {
     pub(crate) fn tally(&self, dest: usize) -> BucketTally {
         self.tallies[dest]
     }
+}
+
+/// One sender's running CONGEST charge in the account pass.
+#[derive(Debug)]
+struct SenderCharge {
+    /// Global sender id.
+    from: u32,
+    /// Bytes of the sender's broadcasts so far, carried by each of its
+    /// edges.
+    broadcast: usize,
+    /// The largest unicast and multicast byte count on one of its edges.
+    fullest: usize,
 }
 
 /// Inbox ranges are `u32` slot positions: a shard receiving more copies
@@ -598,17 +608,16 @@ impl Iterator for Ones<'_> {
 ///
 /// Buffers are sized once (per [`ShardPlan`]) and recycled in place across
 /// rounds: the slot table is overwritten 8 bytes at a time by the scatter
-/// pass (no payload handles live there — those sit once-per-message in
-/// the [`PayloadSlab`], reset wholesale each round), and every table only
-/// grows when a round delivers more messages than any round before it.
+/// pass (payload bytes sit once per message in the [`PayloadSlab`], reset
+/// wholesale each round), and every table only grows when a round
+/// delivers more messages than any round before it.
 ///
 /// A round touches only the vertices that take part in it. Placement
 /// marks the vertices it delivered to — the **wake list** — and the next
-/// compute steps only those for a message-driven protocol; compute lists
-/// the vertices that sent — the **senders** — and account walks only
-/// those. Per-vertex inbox ranges are reset through the wake list, so
-/// placement costs `O(copies + woken)` plus a scan of one bit per owned
-/// vertex.
+/// compute steps only those for a message-driven protocol; account walks
+/// the send log, which holds only the vertices that sent. Per-vertex
+/// inbox ranges are reset through the wake list, so placement costs
+/// `O(copies + woken)` plus a scan of one bit per owned vertex.
 #[derive(Debug)]
 pub(crate) struct DeliveryShard {
     /// First owned vertex.
@@ -617,7 +626,8 @@ pub(crate) struct DeliveryShard {
     end: VertexId,
     /// First directed-edge slot of the owned (contiguous) slot range.
     slot_base: usize,
-    /// Per-directed-edge bytes this round, indexed by `slot - slot_base`.
+    /// Per-directed-edge unicast and multicast bytes this round, indexed
+    /// by `slot - slot_base` (broadcast bytes are summed per sender).
     edge_bytes: Vec<usize>,
     /// Locally-indexed slots dirtied this round (sparse reset).
     touched: Vec<usize>,
@@ -637,23 +647,14 @@ pub(crate) struct DeliveryShard {
     /// Set by [`crate::Simulator::restart`]: the wake list names the
     /// nodes whose `start` the next (start) round runs, not a delivery.
     pub(crate) starts_listed: bool,
-    /// Owned vertices (local ids, ascending) whose outbox holds the last
-    /// compute's messages.
-    pub(crate) senders: Vec<u32>,
-    /// An empty list as long as `senders`: compute lists the new senders
-    /// here while it clears last round's, then swaps the two.
-    pub(crate) spare_senders: Vec<u32>,
     /// Messages delivered to this shard's vertices, packed per recipient
     /// as compact `{from, payload id}` slots resolved through
     /// [`DeliveryShard::slab`].
     slots: Vec<InboxSlot>,
-    /// This round's unique delivered payloads (one registration per
+    /// This round's unique delivered payloads (one copy per
     /// `(sender, message)` per round — see the module docs' slab
     /// ownership rule).
     slab: PayloadSlab,
-    /// Recycled payload buffers for the owned nodes' typed sends, lent
-    /// to them through [`crate::Ctx`] during compute.
-    pub(crate) payloads: PayloadPool,
     /// This shard's slice of the round's accounting (merged by the engine).
     pub(crate) stats: RoundStats,
     /// Work counters for the last round: nodes stepped by compute, then
@@ -692,14 +693,8 @@ impl DeliveryShard {
             woken: vec![0; (end - start).div_ceil(64)],
             woken_count: 0,
             starts_listed: false,
-            // Sized for a dense round up front: growing them inside the
-            // first rounds would interleave their reallocations with the
-            // outboxes' first allocations and scatter those.
-            senders: Vec::with_capacity(end - start),
-            spare_senders: Vec::with_capacity(end - start),
             slots: Vec::new(),
             slab: PayloadSlab::default(),
-            payloads: PayloadPool::default(),
             stats: RoundStats::default(),
             work: DeliveryWork::default(),
             trace: crate::trace::TraceRing::new(0),
@@ -758,7 +753,7 @@ impl DeliveryShard {
     /// Cold path (reshard, checkpoint restore): appends one pending copy
     /// to owned vertex `start + local`'s inbox, registering its payload.
     /// Calls must come in ascending `local` order onto an empty inbox.
-    pub(crate) fn push_pending(&mut self, local: usize, from: u32, payload: bytes::Bytes) {
+    pub(crate) fn push_pending(&mut self, local: usize, from: u32, payload: &[u8]) {
         let at = u32::try_from(self.slots.len()).expect(INBOX_OVERFLOW);
         if self.inbox_hi[local] == 0 {
             mark(&mut self.woken, local);
@@ -801,11 +796,12 @@ impl DeliveryShard {
     }
 
     /// **Checkpoint seam** (save side): serializes the pending inbox —
-    /// the deliveries the next compute phase will consume — plus the
-    /// sparse per-edge CONGEST counters into `out`. Together with every
-    /// node's [`crate::Snapshot`] state this makes a round boundary a
-    /// complete, restorable cut: nothing else in the shard survives a
-    /// round (counts/offsets/slots/slab are rebuilt by every placement).
+    /// the deliveries the next compute phase will consume — into `out`.
+    /// Together with every node's [`crate::Snapshot`] state this makes a
+    /// round boundary a complete, restorable cut: nothing else in the
+    /// shard survives a round (counts/offsets/slots/slab are rebuilt by
+    /// every placement, and account zeroes the per-edge counters it
+    /// touched before it charges).
     pub(crate) fn save_delivery(&self, out: &mut Vec<u8>) {
         crate::checkpoint::put_u64(out, self.len() as u64);
         for local in 0..self.len() {
@@ -816,17 +812,12 @@ impl DeliveryShard {
                 crate::checkpoint::put_bytes(out, m.payload());
             }
         }
-        crate::checkpoint::put_u64(out, self.touched.len() as u64);
-        for &local in &self.touched {
-            crate::checkpoint::put_u64(out, local as u64);
-            crate::checkpoint::put_u64(out, self.edge_bytes[local] as u64);
-        }
     }
 
     /// **Checkpoint seam** (restore side): rebuilds the pending inbox
-    /// and CONGEST counters from a [`DeliveryShard::save_delivery`]
-    /// section, re-registering each payload in this shard's slab (the
-    /// reshard idiom — a cold path, so per-copy registration is fine).
+    /// from a [`DeliveryShard::save_delivery`] section, re-registering
+    /// each payload in this shard's slab (the reshard idiom — a cold
+    /// path, so per-copy registration is fine).
     /// Returns `false` on any malformed input; the shard is then in an
     /// unspecified but safe state and the caller falls back to round 0.
     pub(crate) fn restore_delivery(&mut self, r: &mut crate::checkpoint::ByteReader<'_>) -> bool {
@@ -851,41 +842,25 @@ impl DeliveryShard {
                 let Ok(from) = u32::try_from(from) else {
                     return false;
                 };
-                self.push_pending(local, from, bytes::Bytes::from(payload.to_vec()));
+                self.push_pending(local, from, payload);
             }
-        }
-        // Sparse-reset whatever charges this (freshly built or reused)
-        // shard held, then overlay the checkpointed counters.
-        for &local in &self.touched {
-            self.edge_bytes[local] = 0;
-        }
-        self.touched.clear();
-        let Some(touched) = r.u64() else {
-            return false;
-        };
-        for _ in 0..touched {
-            let (Some(local), Some(bytes)) = (r.u64(), r.u64()) else {
-                return false;
-            };
-            let Ok(local) = usize::try_from(local) else {
-                return false;
-            };
-            if local >= self.edge_bytes.len() {
-                return false;
-            }
-            self.edge_bytes[local] = bytes as usize;
-            self.touched.push(local);
         }
         true
     }
 
     /// **Account phase** (sender side): validates addressing, charges
     /// CONGEST byte counters, *and builds the routing index* for every
-    /// message sent *by* this shard's vertices — walking only the
-    /// senders list compute left, in ascending id order. `outboxes` is
-    /// the shard's own outbox chunk; `router` is the shard's own
-    /// (exclusively owned) router, whose buckets the destination shards
-    /// consume during placement.
+    /// message of this shard's send `log`, in log (= sender id, then
+    /// send) order. `router` is the shard's own (exclusively owned)
+    /// router, whose buckets the destination shards consume during
+    /// placement.
+    ///
+    /// A sender's broadcasts are charged once, to its running broadcast
+    /// sum; its unicast and multicast copies are charged to their edge
+    /// slots. An edge's load is its slot counter plus its sender's
+    /// broadcast sum, so every check, [`RoundStats`] field and
+    /// [`SimError::CongestViolation`] equals what charging each copy to
+    /// its edge in send order would give.
     ///
     /// Returns `false` (with [`DeliveryShard::error`] set) on the first
     /// violation, mirroring the abort point of a sequential sender-order
@@ -896,7 +871,7 @@ impl DeliveryShard {
         routes: &RouteIndex,
         limit: CongestLimit,
         round: usize,
-        outboxes: &[Outbox],
+        log: &SendLog,
         router: &mut Router,
     ) -> bool {
         // Sparse reset of last round's counters; also reached on the next
@@ -911,49 +886,61 @@ impl DeliveryShard {
         };
         self.error = None;
         router.reset(routes.shard_count());
-        for s in 0..self.senders.len() {
-            let local = self.senders[s] as usize;
-            let from = self.start + local;
-            for (m, msg) in outboxes[local].messages().iter().enumerate() {
-                let len = msg.payload.len();
-                let sent = match &msg.to {
-                    Recipient::Neighbor(to) => {
-                        self.route_edge(graph, routes, router, limit, round, from, m, *to, len)
-                    }
-                    Recipient::Neighbors(targets) => targets.iter().try_for_each(|&to| {
-                        self.route_edge(graph, routes, router, limit, round, from, m, to, len)
-                    }),
-                    Recipient::AllNeighbors => graph
-                        .neighbor_slots(from)
-                        .try_for_each(|slot| {
-                            let to = graph.slot_target(slot);
-                            self.charge_slot(limit, round, slot, from, to, len)
-                        })
-                        .map(|()| {
-                            // One ref per precomputed destination-shard
-                            // segment — O(min(degree, shards)), not
-                            // O(degree), routing work per broadcast.
-                            for seg in routes.raw_segments(from) {
-                                router.push(
-                                    seg.shard,
-                                    RouteRef {
-                                        from: from as u32,
-                                        msg: m as u32,
-                                        lo: seg.lo,
-                                        hi: seg.hi,
-                                    },
-                                    len,
-                                );
-                            }
-                        }),
-                };
-                if let Err(e) = sent {
-                    self.error = Some(e);
-                    return false;
+        let mut open: Option<SenderCharge> = None;
+        for (m, msg) in log.messages().iter().enumerate() {
+            if let Some(done) = open.take_if(|c| c.from != msg.from) {
+                self.settle(done);
+            }
+            let charge = open.get_or_insert(SenderCharge {
+                from: msg.from,
+                broadcast: 0,
+                fullest: 0,
+            });
+            let len = msg.payload_len();
+            let sent = match log.recipient(msg) {
+                Recipient::Neighbor(to) => {
+                    self.route_edge(graph, routes, router, limit, round, charge, m, to, len)
                 }
+                Recipient::Neighbors(targets) => targets.iter().try_for_each(|&to| {
+                    let to = to as VertexId;
+                    self.route_edge(graph, routes, router, limit, round, charge, m, to, len)
+                }),
+                Recipient::AllNeighbors => self
+                    .charge_broadcast(graph, limit, round, charge, len)
+                    .map(|()| {
+                        // One ref per precomputed destination-shard
+                        // segment — O(min(degree, shards)), not
+                        // O(degree), routing work per broadcast.
+                        for seg in routes.raw_segments(charge.from as VertexId) {
+                            router.push(
+                                seg.shard,
+                                RouteRef {
+                                    from: charge.from,
+                                    msg: m as u32,
+                                    lo: seg.lo,
+                                    hi: seg.hi,
+                                },
+                                len,
+                            );
+                        }
+                    }),
+            };
+            if let Err(e) = sent {
+                self.error = Some(e);
+                return false;
             }
         }
+        if let Some(done) = open {
+            self.settle(done);
+        }
         true
+    }
+
+    /// Folds a sender's finished charge into the round's busiest edge:
+    /// its fullest slot counter plus its broadcast sum.
+    fn settle(&mut self, charge: SenderCharge) {
+        let busiest = charge.fullest + charge.broadcast;
+        self.stats.max_edge_bytes = self.stats.max_edge_bytes.max(busiest);
     }
 
     /// Resolves the (sender-owned) slot of `from -> to`, charges it, and
@@ -966,19 +953,40 @@ impl DeliveryShard {
         router: &mut Router,
         limit: CongestLimit,
         round: usize,
-        from: VertexId,
+        charge: &mut SenderCharge,
         msg: usize,
         to: VertexId,
         len: usize,
     ) -> Result<(), SimError> {
+        let from = charge.from as VertexId;
         let slot = graph
             .edge_slot(from, to)
             .ok_or(SimError::NotNeighbor { from, to })?;
-        self.charge_slot(limit, round, slot, from, to, len)?;
+        let local = slot - self.slot_base;
+        let counter = &mut self.edge_bytes[local];
+        if *counter == 0 {
+            self.touched.push(local);
+        }
+        *counter += len;
+        let bytes = *counter + charge.broadcast;
+        if let CongestLimit::PerEdgeBytes(limit) = limit {
+            if bytes > limit {
+                return Err(SimError::CongestViolation {
+                    from,
+                    to,
+                    bytes,
+                    limit,
+                    round,
+                });
+            }
+        }
+        charge.fullest = charge.fullest.max(*counter);
+        self.stats.messages += 1;
+        self.stats.bytes += len;
         router.push(
             routes.shard_of[to],
             RouteRef {
-                from: from as u32,
+                from: charge.from,
                 msg: msg as u32,
                 lo: slot as u32,
                 hi: slot as u32 + 1,
@@ -988,48 +996,54 @@ impl DeliveryShard {
         Ok(())
     }
 
-    /// Charges one delivered message against a directed-edge slot.
-    fn charge_slot(
+    /// Charges a broadcast of `len` bytes once, to the sender's broadcast
+    /// sum. The sender's fullest slot counter tells whether any edge
+    /// passes the limit; only then are the edges walked, to report the
+    /// first one past it in adjacency order.
+    fn charge_broadcast(
         &mut self,
+        graph: &Graph,
         limit: CongestLimit,
         round: usize,
-        slot: usize,
-        from: VertexId,
-        to: VertexId,
+        charge: &mut SenderCharge,
         len: usize,
     ) -> Result<(), SimError> {
-        let bytes = &mut self.edge_bytes[slot - self.slot_base];
-        if *bytes == 0 {
-            self.touched.push(slot - self.slot_base);
+        let from = charge.from as VertexId;
+        let slots = graph.neighbor_slots(from);
+        if slots.is_empty() {
+            return Ok(());
         }
-        *bytes += len;
+        charge.broadcast += len;
         if let CongestLimit::PerEdgeBytes(limit) = limit {
-            if *bytes > limit {
+            if charge.fullest + charge.broadcast > limit {
+                let load = |slot: usize| self.edge_bytes[slot - self.slot_base] + charge.broadcast;
+                let slot = slots
+                    .clone()
+                    .find(|&slot| load(slot) > limit)
+                    .expect("the fullest edge is past the limit");
                 return Err(SimError::CongestViolation {
                     from,
-                    to,
-                    bytes: *bytes,
+                    to: graph.slot_target(slot),
+                    bytes: load(slot),
                     limit,
                     round,
                 });
             }
         }
-        self.stats.messages += 1;
-        self.stats.bytes += len;
-        self.stats.max_edge_bytes = self.stats.max_edge_bytes.max(*bytes);
+        self.stats.messages += slots.len();
+        self.stats.bytes += slots.len() * len;
         Ok(())
     }
 
     /// **Placement phase** (recipient side): bucket-sorts every message
     /// addressed *to* this shard's vertices into the shard's own inbox
     /// slice — by walking only the route-ref buckets addressed to this
-    /// shard (`me`), never scanning another shard's outbox headers.
+    /// shard (`me`), never scanning another shard's send log.
     ///
-    /// `bounds` are the plan boundaries and `chunks` the per-shard outbox
-    /// chunks, so chunk `k`'s first sender is `bounds[k]`; chunks and
-    /// routers are read-locked one at a time (writers finished at the
-    /// phase barrier, so the locks are uncontended — and lock acquisition
-    /// is allocation-free, keeping steady-state rounds zero-alloc).
+    /// `logs` and `routers` are every shard's send log and router, read-
+    /// locked one at a time (writers finished at the phase barrier, so
+    /// the locks are uncontended — and lock acquisition is
+    /// allocation-free, keeping steady-state rounds zero-alloc).
     ///
     /// Buckets are walked in sender-shard order (a count pass sealed into
     /// the wake list and inbox ranges, then scatter through cursors), so
@@ -1041,8 +1055,7 @@ impl DeliveryShard {
         &mut self,
         graph: &Graph,
         me: usize,
-        bounds: &[VertexId],
-        chunks: &[RwLock<Vec<Outbox>>],
+        logs: &[RwLock<SendLog>],
         routers: &[RwLock<Router>],
     ) {
         let lo = self.start;
@@ -1061,26 +1074,21 @@ impl DeliveryShard {
         // both the buffer and its slots, see the type docs).
         self.seal_wake_list();
 
-        // Scatter. Dropping last round's payload handles here (not one by
-        // one during overwrite) is what frees the scatter loop of all
-        // reference-count traffic: each unique (sender, message) payload
-        // is registered once — refs for one message are consecutive
-        // within a bucket, and sender ranges are disjoint across buckets,
-        // so a consecutive-pair check is an exact dedup — and every copy
-        // is a plain 8-byte slot write.
+        // Scatter. Each unique (sender, message) payload is copied into
+        // the slab once — refs for one message are consecutive within a
+        // bucket, and sender ranges are disjoint across buckets, so a
+        // consecutive-pair check is an exact dedup — and every copy is a
+        // plain 8-byte slot write.
         self.slab.reset();
         let (cursors, slots) = (&mut self.inbox_hi[..], &mut self.slots[..]);
         let mut last: Option<(u32, u32)> = None;
         let mut payload_id: PayloadId = 0;
-        for (k, (router, chunk)) in routers.iter().zip(chunks).enumerate() {
+        for (router, log) in routers.iter().zip(logs) {
             let router = router.read().expect("no poisoned router");
-            let outs = chunk.read().expect("no poisoned outbox chunk");
-            let base = bounds[k];
+            let log = log.read().expect("no poisoned send log");
             for route in router.bucket(me) {
                 if last != Some((route.from, route.msg)) {
-                    let payload =
-                        &outs[route.from as usize - base].messages()[route.msg as usize].payload;
-                    payload_id = self.slab.register(payload.clone());
+                    payload_id = self.slab.register(log.payload(route.msg));
                     last = Some((route.from, route.msg));
                 }
                 self.work.copies_delivered += (route.hi - route.lo) as usize;
@@ -1094,7 +1102,7 @@ impl DeliveryShard {
 
     /// **Placement phase, framed backends**: like [`DeliveryShard::place`],
     /// but every bucket arrives as an encoded frame through `transport` —
-    /// this shard reads *no other shard's memory* (no outbox chunks, no
+    /// this shard reads *no other shard's memory* (no send logs, no
     /// routers), exactly the information boundary of a process-per-shard
     /// deployment. Frames are collected and decoded in sender-shard
     /// order, so per-recipient delivery order is identical to the
@@ -1121,9 +1129,8 @@ impl DeliveryShard {
         // kept across rounds either way.
         let mut decoded = std::mem::take(&mut self.decoded);
         let result = self.place_frames_inner(graph, me, round, transport, bounds, &mut decoded);
-        // Dropping the frame handles now releases the payload buffers for
-        // the sender-side recycle ring; the slab's zero-copy views keep
-        // what's needed for one round.
+        // The slab copied every payload it needs, so the frames go now,
+        // back to their senders' recycle rings.
         decoded.clear();
         self.decoded = decoded;
         if let Err(e) = result {
@@ -1248,11 +1255,11 @@ impl DeliveryShard {
         // shared-memory path.
         self.seal_wake_list();
 
-        // Scatter pass. Each unique frame payload is registered in the
-        // slab once as a zero-copy view into the frame buffer (refs
-        // sharing a payload arrive consecutively from our own encoder; a
-        // foreign encoder that interleaves them merely registers
-        // duplicates), and every copy is a plain 8-byte slot write.
+        // Scatter pass. Each unique frame payload is copied into the slab
+        // once (refs sharing a payload arrive consecutively from our own
+        // encoder; a foreign encoder that interleaves them merely
+        // registers duplicates), and every copy is a plain 8-byte slot
+        // write.
         self.slab.reset();
         let (cursors, slots) = (&mut self.inbox_hi[..], &mut self.slots[..]);
         for frame in decoded.iter() {
@@ -1467,7 +1474,7 @@ mod tests {
         // The burst is still remembered right after it happened...
         assert!(router.buckets[1].capacity() >= 512);
         // ...but dozens of small rounds later the retained capacity has
-        // decayed to the steady volume's scale (same policy as Outbox).
+        // decayed to the steady volume's scale (same policy as the send log).
         for _ in 0..64 {
             router.push(1, route, 0);
             router.reset(2);
@@ -1581,6 +1588,184 @@ mod tests {
             frame_err(&shard),
             crate::FrameError::ForeignSlots { from: 0, .. }
         ));
+    }
+
+    /// The reference the once-per-sender charge is held to: every copy
+    /// charged to its own edge slot, in send order.
+    fn per_slot_charge(
+        graph: &Graph,
+        limit: CongestLimit,
+        round: usize,
+        log: &SendLog,
+    ) -> Result<RoundStats, SimError> {
+        let mut edge_bytes = vec![0usize; graph.directed_edge_count()];
+        let mut stats = RoundStats {
+            round,
+            ..RoundStats::default()
+        };
+        let mut charge = |slot: usize, from: VertexId, to: VertexId, len: usize| {
+            let bytes = &mut edge_bytes[slot];
+            *bytes += len;
+            if let CongestLimit::PerEdgeBytes(limit) = limit {
+                if *bytes > limit {
+                    return Err(SimError::CongestViolation {
+                        from,
+                        to,
+                        bytes: *bytes,
+                        limit,
+                        round,
+                    });
+                }
+            }
+            stats.messages += 1;
+            stats.bytes += len;
+            stats.max_edge_bytes = stats.max_edge_bytes.max(*bytes);
+            Ok(())
+        };
+        for (from, to, payload) in log.resolved() {
+            let (from, len) = (from as VertexId, payload.len());
+            let mut edge = |to: VertexId| {
+                let slot = graph
+                    .edge_slot(from, to)
+                    .ok_or(SimError::NotNeighbor { from, to })?;
+                charge(slot, from, to, len)
+            };
+            match to {
+                Recipient::Neighbor(to) => edge(to)?,
+                Recipient::Neighbors(targets) => {
+                    for &to in targets {
+                        edge(to as VertexId)?;
+                    }
+                }
+                Recipient::AllNeighbors => {
+                    for to in graph.neighbors(from) {
+                        edge(*to)?;
+                    }
+                }
+            }
+        }
+        Ok(stats)
+    }
+
+    /// One queued send of a test round: kind (0 unicast, 1 multicast, 2
+    /// broadcast), targets, payload length.
+    type TestSend = (u8, Vec<usize>, usize);
+
+    /// A random round of sends: each vertex queues a few unicasts,
+    /// multicasts (repeated targets included) and broadcasts of 0–19
+    /// bytes, in random order.
+    fn random_round(graph: &Graph, rng: &mut proptest::TestRng) -> Vec<Vec<TestSend>> {
+        (0..graph.vertex_count())
+            .map(|v| {
+                let nb = graph.neighbors(v);
+                (0..rng.below(5))
+                    .map(|_| {
+                        let (kind, len) = (rng.below(3), rng.below(20) as usize);
+                        if nb.is_empty() || kind == 2 {
+                            return (2, Vec::new(), len);
+                        }
+                        let mut targets: Vec<usize> = (0..3)
+                            .map(|_| nb[rng.below(nb.len() as u64) as usize])
+                            .collect();
+                        // A multicast may name its first target twice.
+                        targets[2] = targets[0];
+                        targets.truncate(if kind == 0 {
+                            1
+                        } else {
+                            1 + rng.below(3) as usize
+                        });
+                        (kind as u8, targets, len)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Logs the sends of the vertices in `range`, in vertex order.
+    fn log_sends(range: std::ops::Range<usize>, sends: &[Vec<TestSend>]) -> SendLog {
+        let mut log = SendLog::default();
+        for v in range {
+            let mut out = crate::Outbox::new(&mut log, v);
+            for (kind, targets, len) in &sends[v] {
+                let payload = vec![7u8; *len];
+                match kind {
+                    0 => out.unicast(targets[0], &payload),
+                    1 => out.multicast(targets, &payload),
+                    _ => out.broadcast(&payload),
+                }
+            }
+        }
+        log
+    }
+
+    /// Runs `sends` through the account pass of every shard of `plan`,
+    /// merged as the engine merges them: the summed stats, or the lowest
+    /// shard's error.
+    fn sharded_charge(
+        graph: &Graph,
+        plan: &ShardPlan,
+        limit: CongestLimit,
+        sends: &[Vec<TestSend>],
+    ) -> Result<RoundStats, SimError> {
+        let routes = RouteIndex::new(graph, plan);
+        let mut merged = RoundStats {
+            round: 3,
+            ..RoundStats::default()
+        };
+        for k in 0..plan.count() {
+            let range = plan.range(k);
+            let log = log_sends(range.clone(), sends);
+            let mut shard = DeliveryShard::new(graph, range.start, range.end);
+            let mut router = Router::default();
+            if !shard.account(graph, &routes, limit, 3, &log, &mut router) {
+                return Err(shard.error.expect("a failed account sets the error"));
+            }
+            merged.messages += shard.stats.messages;
+            merged.bytes += shard.stats.bytes;
+            merged.max_edge_bytes = merged.max_edge_bytes.max(shard.stats.max_edge_bytes);
+        }
+        Ok(merged)
+    }
+
+    mod broadcast_charge {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(400))]
+
+            /// Charging a sender's broadcasts once gives the same round
+            /// stats, and the same first CONGEST violation (sender,
+            /// recipient, bytes, limit, round), as charging every copy to
+            /// its edge — on any mix of unicast, multicast and broadcast
+            /// sends, under any limit and shard count.
+            #[test]
+            fn once_per_sender_charging_equals_the_per_slot_loop(seed in 0u64..u64::MAX) {
+                let mut rng = proptest::TestRng::new(seed);
+                let n = 2 + rng.below(14) as usize;
+                let p = 0.15 + rng.below(60) as f64 / 100.0;
+                let graph = generators::gnp(n, p, &mut crate::stream_rng(seed, &[0]))
+                    .expect("a valid edge probability");
+                let sends = random_round(&graph, &mut rng);
+                let limit = match rng.below(3) {
+                    0 => CongestLimit::Unlimited,
+                    _ => CongestLimit::PerEdgeBytes(1 + rng.below(63) as usize),
+                };
+                let log = log_sends(0..n, &sends);
+                let reference = per_slot_charge(&graph, limit, 3, &log);
+                for shards in [1, 2, 5] {
+                    let plan = ShardPlan::degree_balanced(&graph, shards);
+                    prop_assert_eq!(
+                        sharded_charge(&graph, &plan, limit, &sends),
+                        reference,
+                        "seed {} shards {} limit {:?}",
+                        seed,
+                        shards,
+                        limit
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -25,9 +25,9 @@ impl CongestLimit {
 /// communication (that is [`RoundStats`]): with the sender-side routing
 /// index, `refs_scanned` is bounded by `messages + copies` at any shard
 /// count — each unicast or multicast target is one ref, each broadcast
-/// at most `min(degree, shards)` segment refs — where the pre-routing
-/// engine rescanned every outbox header from every shard
-/// (`O(shards × messages)`). The engine benches report these so the
+/// at most `min(degree, shards)` segment refs — where a per-shard
+/// rescan of every sender's messages would cost
+/// `O(shards × messages)`. The engine benches report these so the
 /// claim is visible in checked-in artifacts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DeliveryWork {
@@ -41,16 +41,16 @@ pub struct DeliveryWork {
     pub refs_scanned: usize,
     /// Message copies deposited into inboxes (one per recipient reached).
     pub copies_delivered: usize,
-    /// Payloads registered in receiving shards' slabs this round — one
-    /// per unique `(sender, message)` payload per destination shard, the
-    /// only place delivery touches a payload handle. With slab-backed
-    /// inboxes this tracks `refs_scanned` (per *message*), not
-    /// `copies_delivered` (per *copy*): a broadcast's payload is
-    /// registered once per destination shard and shared by every copy.
+    /// Payloads copied into receiving shards' slabs this round — one per
+    /// unique `(sender, message)` payload per destination shard, the only
+    /// place delivery moves payload bytes. With slab-backed inboxes this
+    /// tracks `refs_scanned` (per *message*), not `copies_delivered` (per
+    /// *copy*): a broadcast's payload is copied once per destination
+    /// shard and shared by every copy.
     pub payload_registrations: usize,
     /// Bytes of compact inbox-slot storage written by the scatter pass
     /// this round (`copies × size_of::<InboxSlot>()` — the entire
-    /// per-copy memory traffic now that payload handles are per-message).
+    /// per-copy memory traffic, since payload bytes move per message).
     pub inbox_slot_bytes: usize,
     /// Encoded bucket-frame bytes received this round, summed over
     /// shards — the volume a process-per-shard transport would put on the

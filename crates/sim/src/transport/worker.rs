@@ -29,9 +29,10 @@ use crate::checkpoint::{
 };
 use crate::engine::{Ctx, Delivery, Protocol, RoundKernel, Snapshot};
 use crate::frame::{FrameConfig, Transport};
+use crate::message::SendLog;
 use crate::shard::{DeliveryShard, RouteIndex, Router, ShardPlan};
 use crate::trace::{TraceRing, TRACE_WINDOW};
-use crate::{CongestLimit, Outbox, RunStats, SimError, TransportCause, TransportError};
+use crate::{CongestLimit, RunStats, SimError, TransportCause, TransportError};
 
 use super::control::{EVENT_CHECKPOINT_LOAD, EVENT_CHECKPOINT_REJECT, EVENT_CHECKPOINT_WRITE};
 use super::HubClient;
@@ -437,7 +438,7 @@ where
         .clone()
         .map(|id| make_node(id, &Ctx::new(id, n, graph)))
         .collect();
-    let mut outboxes = vec![Outbox::new(); nodes.len()];
+    let mut log = SendLog::default();
     let mut router = Router::default();
     if config.trace {
         shard.trace = TraceRing::new(TRACE_WINDOW);
@@ -487,7 +488,7 @@ where
         };
         // The send half ships even when accounting failed; the `Error`
         // broadcast that follows is what actually stops the peers.
-        if !kernel.send(me, &mut shard, &mut nodes, &mut outboxes, &mut router) {
+        if !kernel.send(me, &mut shard, &mut nodes, &mut log, &mut router) {
             let error = shard.error.take().expect("failed account sets the error");
             return Err(fail(client, error));
         }
@@ -521,7 +522,7 @@ where
 mod tests {
     use super::*;
     use crate::transport::{graph_digest, HubAddr};
-    use crate::{Inbox, Simulator};
+    use crate::{Inbox, Outbox, Simulator};
     use netdecomp_graph::GraphBuilder;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
@@ -534,23 +535,21 @@ mod tests {
     }
 
     impl Protocol for MaxFlood {
-        fn start(&mut self, _ctx: &Ctx<'_>, out: &mut Outbox) {
-            out.broadcast(Bytes::from(self.best.to_le_bytes().to_vec()));
+        fn start(&mut self, _ctx: &Ctx<'_>, out: &mut Outbox<'_>) {
+            out.broadcast(&self.best.to_le_bytes());
         }
 
-        fn round(&mut self, _ctx: &Ctx<'_>, incoming: Inbox<'_>, out: &mut Outbox) {
+        fn round(&mut self, _ctx: &Ctx<'_>, incoming: Inbox<'_>, out: &mut Outbox<'_>) {
             let mut grew = false;
             for msg in incoming.iter() {
-                let heard = u64::from_le_bytes(
-                    msg.payload().as_slice().try_into().expect("8-byte payload"),
-                );
+                let heard = u64::from_le_bytes(msg.payload().try_into().expect("8-byte payload"));
                 if heard > self.best {
                     self.best = heard;
                     grew = true;
                 }
             }
             if grew {
-                out.broadcast(Bytes::from(self.best.to_le_bytes().to_vec()));
+                out.broadcast(&self.best.to_le_bytes());
             }
         }
     }
@@ -631,13 +630,13 @@ mod tests {
     struct Overrun;
 
     impl Protocol for Overrun {
-        fn start(&mut self, _ctx: &Ctx<'_>, out: &mut Outbox) {
-            out.broadcast(Bytes::from_static(b"x"));
+        fn start(&mut self, _ctx: &Ctx<'_>, out: &mut Outbox<'_>) {
+            out.broadcast(b"x");
         }
 
-        fn round(&mut self, ctx: &Ctx<'_>, _incoming: Inbox<'_>, out: &mut Outbox) {
+        fn round(&mut self, ctx: &Ctx<'_>, _incoming: Inbox<'_>, out: &mut Outbox<'_>) {
             let len = if ctx.id == 0 { 9 } else { 1 };
-            out.broadcast(Bytes::from(vec![0u8; len]));
+            out.broadcast(&vec![0u8; len]);
         }
     }
 

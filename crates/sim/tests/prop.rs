@@ -2,7 +2,6 @@
 //! distances, accounting is self-consistent, budgets are enforced, and the
 //! parallel engine is bit-identical to the sequential reference.
 
-use bytes::Bytes;
 use proptest::prelude::*;
 
 use netdecomp_graph::{bfs, Graph, GraphBuilder};
@@ -32,18 +31,18 @@ struct Flood {
 }
 
 impl Protocol for Flood {
-    fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox) {
+    fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox<'_>) {
         if ctx.id == self.root {
             self.dist = Some(0);
-            out.broadcast(Bytes::from_static(b"x"));
+            out.broadcast(b"x");
         }
     }
 
-    fn round(&mut self, _ctx: &Ctx<'_>, incoming: Inbox<'_>, out: &mut Outbox) {
+    fn round(&mut self, _ctx: &Ctx<'_>, incoming: Inbox<'_>, out: &mut Outbox<'_>) {
         self.clock += 1;
         if self.dist.is_none() && !incoming.is_empty() {
             self.dist = Some(self.clock);
-            out.broadcast(Bytes::from_static(b"x"));
+            out.broadcast(b"x");
         }
     }
 
@@ -77,11 +76,11 @@ impl Mixer {
 }
 
 impl Protocol for Mixer {
-    fn start(&mut self, _ctx: &Ctx<'_>, out: &mut Outbox) {
-        out.broadcast(Bytes::from(self.acc.to_le_bytes().to_vec()));
+    fn start(&mut self, _ctx: &Ctx<'_>, out: &mut Outbox<'_>) {
+        out.broadcast(&self.acc.to_le_bytes());
     }
 
-    fn round(&mut self, ctx: &Ctx<'_>, incoming: Inbox<'_>, out: &mut Outbox) {
+    fn round(&mut self, ctx: &Ctx<'_>, incoming: Inbox<'_>, out: &mut Outbox<'_>) {
         for m in incoming.iter() {
             let mut word = [0u8; 8];
             word.copy_from_slice(&m.payload()[..8]);
@@ -95,7 +94,7 @@ impl Protocol for Mixer {
         }
         if self.budget > 0 && !incoming.is_empty() {
             self.budget -= 1;
-            let payload = Bytes::from(self.acc.to_le_bytes().to_vec());
+            let payload = &self.acc.to_le_bytes();
             let degree = ctx.degree() as u64;
             match self.quirk % 3 {
                 0 if degree > 0 => {
@@ -107,7 +106,7 @@ impl Protocol for Mixer {
                     // same neighbor twice — two copies, like two unicasts).
                     let a = ctx.neighbors()[(self.acc % degree) as usize];
                     let b = ctx.neighbors()[(self.acc.rotate_right(17) % degree) as usize];
-                    out.multicast(vec![a, b], payload);
+                    out.multicast(&[a, b], payload);
                 }
                 _ => out.broadcast(payload),
             }

@@ -1,8 +1,9 @@
-//! Steady-state rounds must not allocate: outboxes, the per-shard
-//! slab-backed inboxes — the compact slot vector, the payload slab, and
-//! the payload-handle table it recycles — counters, and cursor tables are
-//! all reused in place. Registering a payload in a warm slab is a push
-//! within capacity; scattering a copy is a plain 8-byte slot write. This
+//! Steady-state rounds must not allocate: the per-shard send logs and
+//! their payload arenas, the slab-backed inboxes — the compact slot
+//! vector and the payload slab's arena and span table — counters, and
+//! cursor tables are all reused in place. Copying a payload into a warm
+//! slab is an append within capacity; scattering a copy is a plain 8-byte
+//! slot write. This
 //! pins the "inbox slot reuse" guarantee with a counting global allocator
 //! rather than by inspection, for every in-process delivery backend.
 //!
@@ -14,7 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::BufMut;
 use netdecomp_graph::generators;
 use netdecomp_sim::wire::WireReader;
 use netdecomp_sim::{
@@ -63,22 +64,22 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static COUNTER: CountingAlloc = CountingAlloc;
 
 /// Constant-volume workload: every node broadcasts the same preencoded
-/// payload each round (a reference-count bump, not an allocation) and
-/// reads everything it hears.
+/// payload each round (a copy into the warm send arena, not an
+/// allocation) and reads everything it hears.
 #[derive(Debug, Clone)]
 struct SteadyBroadcast {
-    payload: Bytes,
+    payload: Vec<u8>,
     heard: usize,
 }
 
 impl Protocol for SteadyBroadcast {
-    fn start(&mut self, _ctx: &Ctx<'_>, out: &mut Outbox) {
-        out.broadcast(self.payload.clone());
+    fn start(&mut self, _ctx: &Ctx<'_>, out: &mut Outbox<'_>) {
+        out.broadcast(&self.payload);
     }
 
-    fn round(&mut self, _ctx: &Ctx<'_>, incoming: Inbox<'_>, out: &mut Outbox) {
+    fn round(&mut self, _ctx: &Ctx<'_>, incoming: Inbox<'_>, out: &mut Outbox<'_>) {
         self.heard += incoming.len();
-        out.broadcast(self.payload.clone());
+        out.broadcast(&self.payload);
     }
 }
 
@@ -88,7 +89,7 @@ impl Protocol for SteadyBroadcast {
 fn assert_steady_state_is_allocation_free(engine: Engine) {
     let g = generators::grid2d(12, 12);
     let mut sim = Simulator::new(&g, |id, _| SteadyBroadcast {
-        payload: Bytes::from(vec![id as u8; 8]),
+        payload: vec![id as u8; 8],
         heard: 0,
     })
     .with_engine(engine);
@@ -138,9 +139,9 @@ fn sharded_steady_state_rounds_do_not_allocate() {
 #[test]
 fn framed_loopback_steady_state_rounds_do_not_allocate() {
     // The whole frame seam — encode (with checksum), loopback handoff,
-    // decode, zero-copy payload slicing — must recycle every buffer:
-    // senders reclaim frame buffers through the two-round ring, and
-    // receivers reuse their gather/decode tables. Shipping from inside
+    // decode, the payload copy into the slab — must recycle every buffer:
+    // senders reclaim last round's frame buffers, and receivers reuse
+    // their gather/decode tables. Shipping from inside
     // the send half, before the round's barrier, must not add so much as
     // a counter allocation.
     assert_steady_state_is_allocation_free(Engine::Framed {
@@ -159,7 +160,7 @@ fn traced_framed_steady_state_rounds_do_not_allocate() {
     const WINDOW: usize = 32;
     let g = generators::grid2d(12, 12);
     let mut sim = Simulator::new(&g, |id, _| SteadyBroadcast {
-        payload: Bytes::from(vec![id as u8; 8]),
+        payload: vec![id as u8; 8],
         heard: 0,
     })
     .with_engine(Engine::Framed {
@@ -207,28 +208,25 @@ fn traced_framed_steady_state_rounds_do_not_allocate() {
 /// mark is reached before measuring).
 #[derive(Debug, Clone)]
 struct SteadyUnicast {
-    payload: Bytes,
+    payload: Vec<u8>,
     tick: usize,
 }
 
 impl Protocol for SteadyUnicast {
-    fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox) {
-        out.unicast(ctx.neighbors()[0], self.payload.clone());
+    fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox<'_>) {
+        out.unicast(ctx.neighbors()[0], &self.payload);
     }
 
-    fn round(&mut self, ctx: &Ctx<'_>, _incoming: Inbox<'_>, out: &mut Outbox) {
+    fn round(&mut self, ctx: &Ctx<'_>, _incoming: Inbox<'_>, out: &mut Outbox<'_>) {
         self.tick += 1;
-        out.unicast(
-            ctx.neighbors()[self.tick % ctx.degree()],
-            self.payload.clone(),
-        );
+        out.unicast(ctx.neighbors()[self.tick % ctx.degree()], &self.payload);
     }
 }
 
 fn assert_unicast_steady_state_is_allocation_free(engine: Engine) {
     let g = generators::grid2d(12, 12);
     let mut sim = Simulator::new(&g, |id, _| SteadyUnicast {
-        payload: Bytes::from(vec![id as u8; 8]),
+        payload: vec![id as u8; 8],
         tick: id,
     })
     .with_engine(engine);
@@ -288,7 +286,7 @@ struct HopCodec;
 impl Codec for HopCodec {
     type Msg = Hop;
 
-    fn encode(msg: &Hop, buf: &mut BytesMut) {
+    fn encode(msg: &Hop, buf: &mut Vec<u8>) {
         buf.put_u32_le(msg.origin);
         buf.put_f64_le(msg.score);
         buf.put_u16_le(msg.hops);
@@ -339,10 +337,9 @@ impl TypedProtocol for TypedRelay {
     }
 }
 
-/// Typed relays encode a fresh payload per send into buffers the engine
-/// recycles: once warm, a round allocates nothing — on the shared-memory
-/// backends, where a payload waits one round for the slab to release
-/// it, and on the framed one, where the frame copy frees it at once.
+/// Typed relays encode a fresh payload per send straight into the send
+/// arena: once warm, a round allocates nothing, on the shared-memory
+/// backends and on the framed one.
 fn assert_typed_relay_is_allocation_free(engine: Engine) {
     let g = generators::grid2d(12, 12);
     let mut sim = Simulator::new(&g, |id, _| {

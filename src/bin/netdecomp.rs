@@ -327,14 +327,14 @@ struct Flood {
 impl Protocol for Flood {
     const MESSAGE_DRIVEN: bool = true;
 
-    fn start(&mut self, _ctx: &Ctx<'_>, out: &mut Outbox) {
-        out.broadcast(Bytes::from(self.best.to_le_bytes().to_vec()));
+    fn start(&mut self, _ctx: &Ctx<'_>, out: &mut Outbox<'_>) {
+        out.broadcast(&self.best.to_le_bytes());
     }
 
-    fn round(&mut self, _ctx: &Ctx<'_>, incoming: Inbox<'_>, out: &mut Outbox) {
+    fn round(&mut self, _ctx: &Ctx<'_>, incoming: Inbox<'_>, out: &mut Outbox<'_>) {
         let mut grew = false;
         for msg in incoming.iter() {
-            let bytes: [u8; 8] = match msg.payload().as_slice().try_into() {
+            let bytes: [u8; 8] = match msg.payload().try_into() {
                 Ok(b) => b,
                 Err(_) => continue,
             };
@@ -345,7 +345,7 @@ impl Protocol for Flood {
             }
         }
         if grew {
-            out.broadcast(Bytes::from(self.best.to_le_bytes().to_vec()));
+            out.broadcast(&self.best.to_le_bytes());
         }
     }
 }
@@ -449,12 +449,12 @@ impl Snapshot for ChaosFlood {
 }
 
 impl Protocol for ChaosFlood {
-    fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox) {
+    fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox<'_>) {
         self.chaos(0);
         self.inner.start(ctx, out);
     }
 
-    fn round(&mut self, ctx: &Ctx<'_>, incoming: Inbox<'_>, out: &mut Outbox) {
+    fn round(&mut self, ctx: &Ctx<'_>, incoming: Inbox<'_>, out: &mut Outbox<'_>) {
         self.round += 1;
         self.chaos(self.round);
         self.inner.round(ctx, incoming, out);

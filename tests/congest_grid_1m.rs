@@ -3,7 +3,7 @@
 //! configuration, held to the centralized `basic::decompose` and to its
 //! exact communication counts.
 //!
-//! Release only, and ignored by default (about 8 s for the message
+//! Release only, and ignored by default (about 3 s for the message
 //! passing plus 3 s for the centralized reference on a 2-CPU x86-64
 //! box; far longer unoptimized):
 //!
