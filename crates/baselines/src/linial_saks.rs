@@ -25,14 +25,13 @@ use netdecomp_sim::{
     Codec, CongestLimit, Ctx, Engine, RunStats, Simulator, Snapshot, TransportFactory, Typed,
     TypedInbox, TypedOutbox, TypedProtocol,
 };
-use serde::Serialize;
 
 /// Parameters of the Linial–Saks algorithm.
 ///
 /// `k` is the radius budget (weak diameter `≤ 2(k−1)`); `c > 1` scales the
 /// phase budget like in the Elkin–Neiman theorems so the two algorithms are
 /// compared at equal confidence.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinialSaksParams {
     k: usize,
     c: f64,

@@ -16,7 +16,6 @@ use std::collections::BinaryHeap;
 use netdecomp_core::shift::ShiftSource;
 use netdecomp_core::DecompError;
 use netdecomp_graph::{Graph, Partition, VertexId};
-use serde::Serialize;
 
 /// A padded partition with its shifts' rate.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,7 +29,7 @@ pub struct PaddedPartition {
 }
 
 /// Measured properties of a padded partition (experiment E10's columns).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaddedReport {
     /// Number of clusters.
     pub cluster_count: usize,

@@ -6,12 +6,11 @@
 //! cargo run -p netdecomp-bench --release --bin tables -- e5 --json out.json
 //! ```
 //!
-//! Every table prints *paper bound vs. measured value*; see DESIGN.md for
-//! the experiment index and EXPERIMENTS.md for an archived full run. With
-//! `--json <file>` the tables are additionally written as a JSON array for
-//! machine consumption.
+//! Every table prints *paper bound vs. measured value*; the crate docs
+//! index the experiments. With `--json <file>` the tables are additionally
+//! written as a JSON array for machine consumption.
 
-use netdecomp_bench::{experiments, json, Effort};
+use netdecomp_bench::{experiments, table, Effort};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -76,8 +75,7 @@ fn main() {
         all_tables.extend(tables);
     }
     if let Some(path) = json_path {
-        let body = json::to_json(&all_tables).expect("tables are JSON-clean");
-        std::fs::write(&path, body).unwrap_or_else(|e| {
+        std::fs::write(&path, table::to_json(&all_tables)).unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(1);
         });

@@ -3,8 +3,7 @@
 //!
 //! The paper is a theory extended abstract — its "evaluation" is its
 //! theorems and lemmas. Each experiment module measures one of them and
-//! prints *paper bound vs. measured value* as an aligned table (see
-//! `DESIGN.md` §1 for the full index):
+//! prints *paper bound vs. measured value* as an aligned table:
 //!
 //! | id  | statement |
 //! |-----|-----------|
@@ -20,6 +19,8 @@
 //! | e10 | MPX13 padded-partition substrate |
 //! | e11 | §1.1 applications: MIS / coloring / matching in `O(D·χ)` |
 //! | e12 | the (diameter, colors) tradeoff frontier |
+//! | e13 | ablation: why the join margin is exactly 1 (Lemma 4, Claim 3) |
+//! | e14 | the headline scaling: `O(log n)` diameter and colors in `O(log² n)` rounds |
 //!
 //! Run them all: `cargo run -p netdecomp-bench --release --bin tables -- all`.
 
@@ -28,7 +29,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod experiments;
-pub mod json;
 pub mod runner;
 pub mod stats;
 pub mod table;
@@ -41,7 +41,7 @@ pub enum Effort {
     /// default.
     #[default]
     Quick,
-    /// The full sweep reported in `EXPERIMENTS.md`.
+    /// The full sweep: larger sizes and more trials (`--full`).
     Full,
 }
 

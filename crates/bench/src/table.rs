@@ -1,11 +1,9 @@
-//! Aligned text tables for experiment output.
+//! Aligned text tables for experiment output, and their JSON form.
 
-use std::fmt;
-
-use serde::Serialize;
+use std::fmt::{self, Write as _};
 
 /// A simple aligned text table with a title and caption.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Table {
     title: String,
     caption: String,
@@ -87,6 +85,53 @@ impl fmt::Display for Table {
     }
 }
 
+/// Writes `tables` as one compact JSON array of
+/// `{"title","caption","headers","rows"}` objects, every cell a string.
+#[must_use]
+pub fn to_json(tables: &[Table]) -> String {
+    let objects: Vec<String> = tables
+        .iter()
+        .map(|t| {
+            let rows: Vec<String> = t.rows.iter().map(|row| json_strs(row)).collect();
+            format!(
+                "{{\"title\":{},\"caption\":{},\"headers\":{},\"rows\":[{}]}}",
+                json_str(&t.title),
+                json_str(&t.caption),
+                json_strs(&t.headers),
+                rows.join(",")
+            )
+        })
+        .collect();
+    format!("[{}]", objects.join(","))
+}
+
+/// `cells` as a JSON array of strings.
+fn json_strs(cells: &[String]) -> String {
+    let cells: Vec<String> = cells.iter().map(|c| json_str(c)).collect();
+    format!("[{}]", cells.join(","))
+}
+
+/// `s` as a JSON string literal: quotes, backslashes, `\n`, `\r` and `\t`
+/// get short escapes, other control characters `\u00XX`.
+fn json_str(s: &str) -> String {
+    let mut out = String::from("\"");
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if u32::from(c) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 /// Formats an `Option<usize>` diameter, rendering `None` as `inf`
 /// (disconnected cluster).
 #[must_use]
@@ -126,6 +171,21 @@ mod tests {
     fn arity_mismatch_panics() {
         let mut t = Table::new("demo", &["a"]);
         t.push_row(vec!["1".into(), "2".into()]);
+    }
+
+    /// Pins the exact bytes `tables --json` writes: every escape class, a
+    /// non-ASCII caption, an empty table and an empty list.
+    #[test]
+    fn json_matches_the_pinned_literal() {
+        let mut t = Table::new("E0: \"quoted\" \\ title", &["a\\b", "n"]);
+        t.set_caption("line\nnext\ttab\r\u{1}\u{1f} é ≤");
+        t.push_row(vec!["gnp(d~6)".into(), "1.000".into()]);
+        let tables = [t, Table::new("empty", &[])];
+        assert_eq!(
+            to_json(&tables),
+            r#"[{"title":"E0: \"quoted\" \\ title","caption":"line\nnext\ttab\r\u0001\u001f é ≤","headers":["a\\b","n"],"rows":[["gnp(d~6)","1.000"]]},{"title":"empty","caption":"","headers":[],"rows":[]}]"#
+        );
+        assert_eq!(to_json(&[]), "[]");
     }
 
     #[test]

@@ -121,20 +121,22 @@ pub fn default_families() -> Vec<Family> {
 mod tests {
     use super::*;
 
+    const EVERY_FAMILY: [Family; 10] = [
+        Family::Gnp { avg_degree: 4.0 },
+        Family::RandomRegular { d: 3 },
+        Family::Grid,
+        Family::Torus,
+        Family::Cycle,
+        Family::Path,
+        Family::Tree,
+        Family::Ba { attach: 2 },
+        Family::Caveman { cave_size: 5 },
+        Family::Hypercube,
+    ];
+
     #[test]
     fn all_families_build() {
-        for f in [
-            Family::Gnp { avg_degree: 4.0 },
-            Family::RandomRegular { d: 3 },
-            Family::Grid,
-            Family::Torus,
-            Family::Cycle,
-            Family::Path,
-            Family::Tree,
-            Family::Ba { attach: 2 },
-            Family::Caveman { cave_size: 5 },
-            Family::Hypercube,
-        ] {
+        for f in EVERY_FAMILY {
             let g = f.build(64, 1);
             assert!(g.vertex_count() >= 32, "{} too small", f.label());
             assert!(!f.label().is_empty());
@@ -143,8 +145,9 @@ mod tests {
 
     #[test]
     fn builds_are_deterministic() {
-        let f = Family::Gnp { avg_degree: 5.0 };
-        assert_eq!(f.build(100, 7), f.build(100, 7));
+        for f in EVERY_FAMILY {
+            assert_eq!(f.build(100, 7), f.build(100, 7), "{}", f.label());
+        }
     }
 
     #[test]

@@ -1,11 +1,9 @@
 //! Run records: what an execution of the algorithm produced and observed.
 
-use serde::Serialize;
-
 use crate::NetworkDecomposition;
 
 /// Log of low-probability events during a run (Lemma 1's events `E_v`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EventLog {
     /// Number of (phase, vertex) pairs whose sampled radius exceeded the
     /// broadcast cap, i.e. `r_v ≥ k + 1` — the event `E_v` of Lemma 1. The
@@ -26,7 +24,7 @@ impl EventLog {
 
 /// Per-phase observations, the raw series behind the survival-curve
 /// experiments (Claims 6 and 8).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseTraceEntry {
     /// Phase index `t` (0-based).
     pub phase: usize,

@@ -5,8 +5,6 @@
 //! bound, and the failure probability — is computed here from `(k, c, n)`
 //! so experiments can print *paper bound vs. measured* side by side.
 
-use serde::{Deserialize, Serialize};
-
 use crate::DecompError;
 
 /// Parameters of the basic algorithm (Theorem 1).
@@ -28,7 +26,7 @@ use crate::DecompError;
 /// assert!(p.phase_budget(n) >= 1);
 /// # Ok::<(), netdecomp_core::DecompError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecompositionParams {
     k: usize,
     c: f64,
@@ -129,7 +127,7 @@ impl DecompositionParams {
 /// Parameters of the staged algorithm (Theorem 2): strong
 /// `(2k − 2, 4k(cn)^{1/k})` in `O(k²(cn)^{1/k})` rounds with probability
 /// `≥ 1 − 5/c`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StagedParams {
     k: usize,
     c: f64,
@@ -242,7 +240,7 @@ impl StagedParams {
 ///
 /// This is the inverse tradeoff: pick the number of colors `λ` first; the
 /// radius becomes `k = (cn)^{1/λ}·ln(cn)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HighRadiusParams {
     lambda: usize,
     c: f64,

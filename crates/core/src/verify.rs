@@ -43,15 +43,13 @@
 
 use std::cmp::Reverse;
 
-use serde::Serialize;
-
 use netdecomp_graph::diameter::BitParallelBfs;
 use netdecomp_graph::{Graph, VertexId};
 
 use crate::{DecompError, NetworkDecomposition};
 
 /// Everything measurable about a decomposition on a concrete graph.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecompositionReport {
     /// Vertices in the graph.
     pub vertex_count: usize,

@@ -347,11 +347,16 @@ pub fn barabasi_albert<R: Rng>(n: usize, attach: usize, rng: &mut R) -> Result<G
     } else {
         attach
     };
+    // The targets stay in draw order, so a seed fixes the edge order and
+    // the endpoint list (`attach` is small: a linear `contains` is cheap).
+    let mut chosen: Vec<VertexId> = Vec::with_capacity(attach);
     for v in start..n {
-        let mut chosen = std::collections::HashSet::with_capacity(attach);
+        chosen.clear();
         while chosen.len() < attach {
-            let idx = rng.gen_range(0..endpoints.len());
-            chosen.insert(endpoints[idx]);
+            let u = endpoints[rng.gen_range(0..endpoints.len())];
+            if !chosen.contains(&u) {
+                chosen.push(u);
+            }
         }
         for &u in &chosen {
             b.add_edge(v, u).expect("indices in range");

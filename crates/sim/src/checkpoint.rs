@@ -50,7 +50,8 @@ use std::path::{Path, PathBuf};
 
 use crate::frame::LaneDigest;
 use crate::shard::DeliveryShard;
-use crate::{RoundStats, RunStats, Snapshot};
+use crate::wire::{put_bytes, put_u64, WireReader};
+use crate::{RunStats, Snapshot};
 
 /// File magic: "NetDecomp KeePoint".
 const MAGIC: [u8; 4] = *b"NDKP";
@@ -274,96 +275,6 @@ pub fn load_newest_checkpoint(
 // Payload codec: the worker-loop state packed inside a checkpoint.
 // ---------------------------------------------------------------------
 
-/// Appends `v` little-endian.
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a length-prefixed byte run.
-pub(crate) fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    put_u64(out, bytes.len() as u64);
-    out.extend_from_slice(bytes);
-}
-
-/// A bounds-checked little-endian reader over untrusted bytes: every
-/// accessor returns `None` instead of panicking past the end.
-#[derive(Debug)]
-pub(crate) struct ByteReader<'a> {
-    data: &'a [u8],
-}
-
-impl<'a> ByteReader<'a> {
-    pub(crate) fn new(data: &'a [u8]) -> Self {
-        ByteReader { data }
-    }
-
-    pub(crate) fn u64(&mut self) -> Option<u64> {
-        let (head, rest) = self.data.split_first_chunk::<8>()?;
-        self.data = rest;
-        Some(u64::from_le_bytes(*head))
-    }
-
-    /// A length-prefixed byte run (the [`put_bytes`] inverse).
-    pub(crate) fn bytes(&mut self) -> Option<&'a [u8]> {
-        let len = usize::try_from(self.u64()?).ok()?;
-        if len > self.data.len() {
-            return None;
-        }
-        let (head, rest) = self.data.split_at(len);
-        self.data = rest;
-        Some(head)
-    }
-
-    /// Bytes not yet consumed.
-    pub(crate) fn remaining(&self) -> usize {
-        self.data.len()
-    }
-
-    pub(crate) fn is_exhausted(&self) -> bool {
-        self.data.is_empty()
-    }
-}
-
-fn encode_run_stats(out: &mut Vec<u8>, stats: &RunStats) {
-    put_u64(out, stats.rounds as u64);
-    put_u64(out, stats.total_messages as u64);
-    put_u64(out, stats.total_bytes as u64);
-    put_u64(out, stats.max_edge_bytes as u64);
-    put_u64(out, stats.per_round.len() as u64);
-    for r in &stats.per_round {
-        put_u64(out, r.round as u64);
-        put_u64(out, r.messages as u64);
-        put_u64(out, r.bytes as u64);
-        put_u64(out, r.max_edge_bytes as u64);
-    }
-}
-
-fn decode_run_stats(r: &mut ByteReader<'_>) -> Option<RunStats> {
-    let to_usize = |v: u64| usize::try_from(v).ok();
-    let mut stats = RunStats {
-        rounds: to_usize(r.u64()?)?,
-        total_messages: to_usize(r.u64()?)?,
-        total_bytes: to_usize(r.u64()?)?,
-        max_edge_bytes: to_usize(r.u64()?)?,
-        per_round: Vec::new(),
-    };
-    let entries = to_usize(r.u64()?)?;
-    // Each entry consumes 32 bytes; an absurd count can't be genuine.
-    if entries > r.remaining() / 32 {
-        return None;
-    }
-    stats.per_round.reserve(entries);
-    for _ in 0..entries {
-        stats.per_round.push(RoundStats {
-            round: to_usize(r.u64()?)?,
-            messages: to_usize(r.u64()?)?,
-            bytes: to_usize(r.u64()?)?,
-            max_edge_bytes: to_usize(r.u64()?)?,
-        });
-    }
-    Some(stats)
-}
-
 /// Packs one shard's round-boundary state — every node's
 /// [`Snapshot::save_state`], the pending inbox, and the accumulated run
 /// statistics — into a checkpoint payload.
@@ -378,7 +289,7 @@ pub(crate) fn encode_worker_payload<P: Snapshot>(
         put_bytes(&mut out, &node.save_state());
     }
     shard.save_delivery(&mut out);
-    encode_run_stats(&mut out, stats);
+    stats.encode(&mut out);
     out
 }
 
@@ -393,7 +304,7 @@ pub(crate) fn decode_worker_payload<P: Snapshot>(
     shard: &mut DeliveryShard,
     stats: &mut RunStats,
 ) -> bool {
-    let mut r = ByteReader::new(payload);
+    let mut r = WireReader::new(payload);
     let Some(count) = r.u64() else {
         return false;
     };
@@ -401,7 +312,7 @@ pub(crate) fn decode_worker_payload<P: Snapshot>(
         return false;
     }
     for node in nodes.iter_mut() {
-        let Some(state) = r.bytes() else {
+        let Some(state) = r.len_prefixed() else {
             return false;
         };
         if !node.load_state(state) {
@@ -411,7 +322,7 @@ pub(crate) fn decode_worker_payload<P: Snapshot>(
     if !shard.restore_delivery(&mut r) {
         return false;
     }
-    let Some(restored) = decode_run_stats(&mut r) else {
+    let Some(restored) = RunStats::decode(&mut r) else {
         return false;
     };
     *stats = restored;
@@ -558,22 +469,5 @@ mod tests {
         assert_eq!(found.unwrap().round, 12);
         assert!(rejected.is_empty());
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn the_byte_reader_refuses_overruns() {
-        let mut out = Vec::new();
-        put_u64(&mut out, 3);
-        put_bytes(&mut out, b"abc");
-        let mut r = ByteReader::new(&out);
-        assert_eq!(r.u64(), Some(3));
-        assert_eq!(r.bytes(), Some(&b"abc"[..]));
-        assert!(r.is_exhausted());
-        assert_eq!(r.u64(), None);
-        // A length prefix past the end is refused, not sliced.
-        let mut lying = Vec::new();
-        put_u64(&mut lying, 1000);
-        lying.extend_from_slice(b"short");
-        assert_eq!(ByteReader::new(&lying).bytes(), None);
     }
 }

@@ -71,9 +71,10 @@
 //! before any of it.
 //!
 //! Under [`Engine::Parallel`] and [`Engine::Framed`] both halves run on
-//! all shards concurrently inside a **single**
-//! [`rayon::ThreadPool::broadcast`] per step; only the per-shard
-//! [`RoundStats`] are merged at the end. With one worker
+//! all shards concurrently, in **one** [`std::thread::scope`] per step:
+//! each worker owns a contiguous group of shards, the calling thread
+//! runs the last group, and only the per-shard [`RoundStats`] are merged
+//! at the end. With one worker
 //! ([`Engine::Sequential`], or a parallelism of one) the calling thread
 //! runs every shard's send half, then every shard's receive half, with
 //! zero spawn overhead. A socket worker process
@@ -275,7 +276,7 @@ impl Engine {
             } => (threads, shards, Some(transport)),
         };
         let threads = if threads == 0 {
-            rayon::current_num_threads()
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         } else {
             threads
         };
@@ -346,7 +347,7 @@ impl PhaseBarrier {
 }
 
 /// Arms a worker so that unwinding (a protocol panic) releases everyone
-/// else from the barrier before the panic leaves the broadcast closure.
+/// else from the barrier before the panic leaves the worker.
 struct PoisonOnPanic<'a>(&'a PhaseBarrier);
 
 impl Drop for PoisonOnPanic<'_> {
@@ -411,12 +412,9 @@ pub struct Simulator<'g, P> {
     frame_config: FrameConfig,
     limit: CongestLimit,
     engine: Engine,
-    /// Concurrent workers a step uses: `min(threads, shards)`.
+    /// Concurrent workers a step uses: `min(threads, shards)`; above one,
+    /// each step runs one scoped thread set.
     workers: usize,
-    /// Worker pool backing parallel steps, built once in
-    /// [`Simulator::with_engine`]; one `broadcast` (one scoped thread set)
-    /// per step.
-    pool: Option<rayon::ThreadPool>,
     stats: RunStats,
     round: usize,
     started: bool,
@@ -498,7 +496,7 @@ pub(crate) enum Delivery<'a> {
 
 /// The per-shard round kernel: one round of one shard, split at the
 /// round's single barrier into a send and a receive half. The inline and
-/// broadcast engine drivers and the socket worker's
+/// threaded engine drivers and the socket worker's
 /// [`crate::transport::run_worker`] all run exactly this code — which is
 /// what keeps every backend bit-identical (see the module docs).
 pub(crate) struct RoundKernel<'a> {
@@ -593,21 +591,19 @@ fn drive_inline<P: Protocol>(
     }
 }
 
-/// The parallel driver: contiguous shard groups dealt to the pool's
-/// threads inside one `broadcast`, with one barrier between the kernel's
-/// halves.
-fn drive_broadcast<P: Protocol + Send>(
+/// The parallel driver: `workers` contiguous shard groups, each run by
+/// its own scoped thread (the last group by the calling thread), with one
+/// barrier between the kernel's halves.
+fn drive_threaded<P: Protocol + Send>(
     kernel: &RoundKernel<'_>,
-    pool: &rayon::ThreadPool,
+    workers: usize,
     shards: &mut [DeliveryShard],
     nodes: &mut [P],
     logs: &[RwLock<SendLog>],
     routers: &[RwLock<Router>],
 ) {
-    // Each worker claims its group of slots through an uncontended mutex,
-    // since a broadcast closure is shared (`Fn`) across threads.
-    let (workers, total) = (pool.current_num_threads(), shards.len());
-    let mut tasks: Vec<Mutex<Vec<ShardSlot<'_, P>>>> = Vec::with_capacity(workers);
+    let total = shards.len();
+    let mut groups: Vec<Vec<ShardSlot<'_, P>>> = Vec::with_capacity(workers);
     let mut shard_rest = shards;
     let mut node_rest = nodes;
     let mut next = 0usize;
@@ -625,16 +621,15 @@ fn drive_broadcast<P: Protocol + Send>(
                 nodes,
             });
         }
-        tasks.push(Mutex::new(slots));
+        groups.push(slots);
         next = hi;
     }
 
     let barrier = PhaseBarrier::new(workers);
     let abort = AtomicBool::new(false);
-    pool.broadcast(|ctx| {
+    let work = |mut slots: Vec<ShardSlot<'_, P>>| {
         let _poison_guard = PoisonOnPanic(&barrier);
-        let mut slots = tasks[ctx.index()].lock().expect("no poisoned worker task");
-        for slot in slots.iter_mut() {
+        for slot in &mut slots {
             let mut log = logs[slot.index].write().expect("no poisoned send log");
             let mut router = routers[slot.index].write().expect("no poisoned router");
             if !kernel.send(slot.index, slot.shard, slot.nodes, &mut log, &mut router) {
@@ -645,9 +640,17 @@ fn drive_broadcast<P: Protocol + Send>(
         // Every worker reads the same flag after the barrier, so all of
         // them skip placement together.
         let ok = !abort.load(Ordering::Relaxed);
-        for slot in slots.iter_mut() {
+        for slot in &mut slots {
             kernel.receive(slot.index, slot.shard, ok);
         }
+    };
+    let last = groups.pop().expect("at least one worker");
+    std::thread::scope(|scope| {
+        for slots in groups {
+            let work = &work;
+            scope.spawn(move || work(slots));
+        }
+        work(last);
     });
 }
 
@@ -777,7 +780,6 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             limit: CongestLimit::Unlimited,
             engine: Engine::Sequential,
             workers: 1,
-            pool: None,
             stats: RunStats::default(),
             round: 0,
             started: false,
@@ -793,29 +795,20 @@ impl<'g, P: Protocol> Simulator<'g, P> {
 
     /// Selects the round scheduler. Builder-style.
     ///
-    /// Resolves the engine's `(threads, shards)` request (an unspecified
-    /// shard count uses the resolved thread count), rebuilds the
-    /// degree-balanced [`ShardPlan`], redistributes any pending state, and
-    /// builds the worker-pool handle once, so each step's dispatch is a
-    /// single `broadcast` on an existing pool. Note the *vendored* rayon
-    /// shim backing this workspace has no persistent workers — a broadcast
-    /// spawns one scoped thread set — so parallel stepping costs one spawn
-    /// set per round (not one per phase); with the real rayon crate the
-    /// same call reuses persistent workers and stepping becomes
-    /// spawn-free. Framed encoders write [`FrameConfig::default`] unless
-    /// [`Simulator::with_frame_config`] pins another config.
+    /// Resolves the engine's `(threads, shards)` request (`threads: 0` is
+    /// [`std::thread::available_parallelism`]; an unspecified shard count
+    /// uses the resolved thread count), rebuilds the degree-balanced
+    /// [`ShardPlan`] and redistributes any pending state. With more than
+    /// one worker, each step spawns one scoped thread set (one spawn set
+    /// per round, not one per phase). Framed encoders write
+    /// [`FrameConfig::default`] unless [`Simulator::with_frame_config`]
+    /// pins another config.
     #[must_use]
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
         let (threads, shards, backend) = engine.resolve();
         self.reshard(ShardPlan::degree_balanced(self.graph, shards));
         self.workers = threads.min(self.plan.count()).max(1);
-        self.pool = (self.workers > 1).then(|| {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(self.workers)
-                .build()
-                .expect("pool construction is infallible")
-        });
         let count = self.plan.count();
         self.transport = backend.map(|t| match t {
             FrameTransport::Loopback => {
@@ -1171,9 +1164,10 @@ impl<P: Protocol + Send> Simulator<'_, P> {
         };
         let (shards, nodes) = (&mut self.shards[..], &mut self.nodes[..]);
         let (logs, routers) = (&self.logs[..], &self.routers[..]);
-        match &self.pool {
-            Some(pool) => drive_broadcast(&kernel, pool, shards, nodes, logs, routers),
-            None => drive_inline(&kernel, shards, nodes, logs, routers),
+        if self.workers > 1 {
+            drive_threaded(&kernel, self.workers, shards, nodes, logs, routers);
+        } else {
+            drive_inline(&kernel, shards, nodes, logs, routers);
         }
         self.started = true;
     }

@@ -132,6 +132,7 @@ use netdecomp_graph::{Graph, VertexId};
 use crate::error::FrameError;
 use crate::frame::{Frame, FrameEncoder, Transport};
 use crate::message::{InboxSlot, PayloadSlab, Recipient, SendLog};
+use crate::wire::{put_bytes, put_u64, WireReader};
 use crate::{CongestLimit, DeliveryWork, Inbox, PayloadId, RoundStats, SimError};
 
 /// First directed-edge slot of `v`'s CSR row (`2m` for `v == n`, so the
@@ -803,13 +804,13 @@ impl DeliveryShard {
     /// every placement, and account zeroes the per-edge counters it
     /// touched before it charges).
     pub(crate) fn save_delivery(&self, out: &mut Vec<u8>) {
-        crate::checkpoint::put_u64(out, self.len() as u64);
+        put_u64(out, self.len() as u64);
         for local in 0..self.len() {
             let inbox = self.incoming(local);
-            crate::checkpoint::put_u64(out, inbox.len() as u64);
+            put_u64(out, inbox.len() as u64);
             for m in inbox.iter() {
-                crate::checkpoint::put_u64(out, m.from() as u64);
-                crate::checkpoint::put_bytes(out, m.payload());
+                put_u64(out, m.from() as u64);
+                put_bytes(out, m.payload());
             }
         }
     }
@@ -820,7 +821,7 @@ impl DeliveryShard {
     /// path, so per-copy registration is fine).
     /// Returns `false` on any malformed input; the shard is then in an
     /// unspecified but safe state and the caller falls back to round 0.
-    pub(crate) fn restore_delivery(&mut self, r: &mut crate::checkpoint::ByteReader<'_>) -> bool {
+    pub(crate) fn restore_delivery(&mut self, r: &mut WireReader<'_>) -> bool {
         let Some(vertices) = r.u64() else {
             return false;
         };
@@ -836,7 +837,7 @@ impl DeliveryShard {
                 return false;
             };
             for _ in 0..count {
-                let (Some(from), Some(payload)) = (r.u64(), r.bytes()) else {
+                let (Some(from), Some(payload)) = (r.u64(), r.len_prefixed()) else {
                     return false;
                 };
                 let Ok(from) = u32::try_from(from) else {

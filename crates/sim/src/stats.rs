@@ -1,5 +1,7 @@
 //! Round- and run-level accounting of communication.
 
+use crate::wire::{put_u64, WireReader};
+
 /// Per-edge per-round byte budget, the defining constraint of CONGEST.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CongestLimit {
@@ -205,6 +207,54 @@ impl RunStats {
                 None => self.per_round.push(*theirs),
             }
         }
+    }
+
+    /// Appends the binary form checkpoint payloads and `Stats` control
+    /// frames carry: the four totals, the entry count, then four fields
+    /// per round, each a little-endian `u64`.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        for v in [
+            self.rounds,
+            self.total_messages,
+            self.total_bytes,
+            self.max_edge_bytes,
+            self.per_round.len(),
+        ] {
+            put_u64(out, v as u64);
+        }
+        for r in &self.per_round {
+            for v in [r.round, r.messages, r.bytes, r.max_edge_bytes] {
+                put_u64(out, v as u64);
+            }
+        }
+    }
+
+    /// The [`RunStats::encode`] inverse. `None` on a malformed section,
+    /// including an entry count the remaining bytes cannot hold, so a
+    /// corrupt count never triggers a huge reservation.
+    pub(crate) fn decode(r: &mut WireReader<'_>) -> Option<RunStats> {
+        let mut stats = RunStats {
+            rounds: r.usize()?,
+            total_messages: r.usize()?,
+            total_bytes: r.usize()?,
+            max_edge_bytes: r.usize()?,
+            per_round: Vec::new(),
+        };
+        let entries = r.usize()?;
+        // Each entry consumes 32 bytes.
+        if entries > r.remaining() / 32 {
+            return None;
+        }
+        stats.per_round.reserve(entries);
+        for _ in 0..entries {
+            stats.per_round.push(RoundStats {
+                round: r.usize()?,
+                messages: r.usize()?,
+                bytes: r.usize()?,
+                max_edge_bytes: r.usize()?,
+            });
+        }
+        Some(stats)
     }
 }
 

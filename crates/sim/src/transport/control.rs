@@ -73,8 +73,9 @@ use bytes::Bytes;
 
 use crate::error::{FrameError, SimError, TransportCause, TransportError};
 use crate::frame::{fnv1a, FNV_INIT};
-use crate::stats::{RoundStats, RunStats};
+use crate::stats::RunStats;
 use crate::trace::RoundTrace;
+use crate::wire::{put_u64, WireReader};
 
 /// Magic prefix of every control frame.
 pub(crate) const CONTROL_MAGIC: &[u8; 3] = b"NDC";
@@ -262,7 +263,7 @@ impl ControlFrame {
                 payload.extend_from_slice(&shard.to_le_bytes());
                 payload.extend_from_slice(&rounds_run.to_le_bytes());
                 payload.extend_from_slice(&result_digest.to_le_bytes());
-                encode_run_stats(stats, &mut payload);
+                stats.encode(&mut payload);
                 KIND_STATS
             }
             ControlFrame::Trace { shard, records } => {
@@ -344,9 +345,7 @@ impl ControlFrame {
                 computed,
             });
         }
-        let mut r = Reader {
-            data: &bytes[CONTROL_HEADER_LEN..],
-        };
+        let mut r = WireReader::new(&bytes[CONTROL_HEADER_LEN..]);
         let malformed = FrameError::Malformed {
             detail: "control payload has the wrong shape",
         };
@@ -376,7 +375,7 @@ impl ControlFrame {
                 shard: r.u32().ok_or(malformed)?,
                 rounds_run: r.u64().ok_or(malformed)?,
                 result_digest: r.u64().ok_or(malformed)?,
-                stats: decode_run_stats(&mut r).ok_or(malformed)?,
+                stats: RunStats::decode(&mut r).ok_or(malformed)?,
             },
             KIND_TRACE => ControlFrame::Trace {
                 shard: r.u32().ok_or(malformed)?,
@@ -386,7 +385,7 @@ impl ControlFrame {
                 shard: r.u32().ok_or(malformed)?,
                 round: r.u64().ok_or(malformed)?,
                 code: r.u8().ok_or(malformed)?,
-                detail: r.string().ok_or(malformed)?,
+                detail: read_string(&mut r).ok_or(malformed)?,
             },
             _ => {
                 return Err(FrameError::Malformed {
@@ -394,57 +393,13 @@ impl ControlFrame {
                 })
             }
         };
-        if !r.data.is_empty() {
+        if !r.is_exhausted() {
             return Err(FrameError::Malformed {
                 detail: "bytes trail the control payload",
             });
         }
         Ok(frame)
     }
-}
-
-/// Cursor over a control payload.
-struct Reader<'a> {
-    data: &'a [u8],
-}
-
-impl Reader<'_> {
-    fn bytes(&mut self, n: usize) -> Option<&[u8]> {
-        if self.data.len() < n {
-            return None;
-        }
-        let (head, rest) = self.data.split_at(n);
-        self.data = rest;
-        Some(head)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.bytes(1).map(|b| b[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.bytes(4)
-            .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.bytes(8)
-            .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    fn usize64(&mut self) -> Option<usize> {
-        self.u64().and_then(|v| usize::try_from(v).ok())
-    }
-
-    fn string(&mut self) -> Option<String> {
-        let len = self.u32()? as usize;
-        let raw = self.bytes(len)?;
-        String::from_utf8(raw.to_vec()).ok()
-    }
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
 }
 
 fn put_usize(out: &mut Vec<u8>, v: usize) {
@@ -456,52 +411,18 @@ fn put_string(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn encode_run_stats(stats: &RunStats, out: &mut Vec<u8>) {
-    put_usize(out, stats.rounds);
-    put_usize(out, stats.total_messages);
-    put_usize(out, stats.total_bytes);
-    put_usize(out, stats.max_edge_bytes);
-    put_usize(out, stats.per_round.len());
-    for r in &stats.per_round {
-        put_usize(out, r.round);
-        put_usize(out, r.messages);
-        put_usize(out, r.bytes);
-        put_usize(out, r.max_edge_bytes);
-    }
+/// Reads a `u32`-length-prefixed UTF-8 string (the [`put_string`]
+/// inverse).
+fn read_string(r: &mut WireReader<'_>) -> Option<String> {
+    let len = r.u32()? as usize;
+    String::from_utf8(r.bytes(len)?.to_vec()).ok()
 }
 
-fn decode_run_stats(r: &mut Reader<'_>) -> Option<RunStats> {
-    let mut stats = RunStats {
-        rounds: r.usize64()?,
-        total_messages: r.usize64()?,
-        total_bytes: r.usize64()?,
-        max_edge_bytes: r.usize64()?,
-        per_round: Vec::new(),
-    };
-    let entries = r.usize64()?;
-    // The frame length (≤ MAX_WIRE_FRAME) already bounds the entry
-    // count; reject counts the remaining payload cannot hold so a
-    // corrupt count cannot trigger a huge reservation.
-    if entries > r.data.len() / 32 {
-        return None;
-    }
-    stats.per_round.reserve(entries);
-    for _ in 0..entries {
-        stats.per_round.push(RoundStats {
-            round: r.usize64()?,
-            messages: r.usize64()?,
-            bytes: r.usize64()?,
-            max_edge_bytes: r.usize64()?,
-        });
-    }
-    Some(stats)
-}
-
-fn decode_trace_records(r: &mut Reader<'_>) -> Option<Vec<RoundTrace>> {
-    let entries = r.usize64()?;
+fn decode_trace_records(r: &mut WireReader<'_>) -> Option<Vec<RoundTrace>> {
+    let entries = r.usize()?;
     // Same allocation guard as the stats decoder: a corrupt count the
     // remaining payload cannot hold is rejected, not reserved.
-    if entries > r.data.len() / TRACE_RECORD_LEN {
+    if entries > r.remaining() / TRACE_RECORD_LEN {
         return None;
     }
     let mut records = Vec::with_capacity(entries);
@@ -636,45 +557,43 @@ fn encode_cause(cause: &TransportCause, out: &mut Vec<u8>) {
     }
 }
 
-fn decode_sim_error(r: &mut Reader<'_>) -> Option<SimError> {
+fn decode_sim_error(r: &mut WireReader<'_>) -> Option<SimError> {
     Some(match r.u8()? {
         1 => SimError::NotNeighbor {
-            from: r.usize64()?,
-            to: r.usize64()?,
+            from: r.usize()?,
+            to: r.usize()?,
         },
         2 => SimError::CongestViolation {
-            from: r.usize64()?,
-            to: r.usize64()?,
-            bytes: r.usize64()?,
-            limit: r.usize64()?,
-            round: r.usize64()?,
+            from: r.usize()?,
+            to: r.usize()?,
+            bytes: r.usize()?,
+            limit: r.usize()?,
+            round: r.usize()?,
         },
-        3 => SimError::RoundLimitExceeded {
-            limit: r.usize64()?,
-        },
+        3 => SimError::RoundLimitExceeded { limit: r.usize()? },
         4 => SimError::Nondeterminism {
-            round: r.usize64()?,
-            vertex: r.usize64()?,
+            round: r.usize()?,
+            vertex: r.usize()?,
         },
         5 => SimError::Frame {
-            shard: r.usize64()?,
-            round: r.usize64()?,
+            shard: r.usize()?,
+            round: r.usize()?,
             error: decode_frame_error(r)?,
         },
         6 => SimError::Transport(TransportError {
-            shard: r.usize64()?,
-            round: r.usize64()?,
+            shard: r.usize()?,
+            round: r.usize()?,
             cause: decode_cause(r)?,
         }),
         _ => return None,
     })
 }
 
-fn decode_frame_error(r: &mut Reader<'_>) -> Option<FrameError> {
+fn decode_frame_error(r: &mut WireReader<'_>) -> Option<FrameError> {
     Some(match r.u8()? {
         1 => FrameError::Truncated {
-            needed: r.usize64()?,
-            have: r.usize64()?,
+            needed: r.usize()?,
+            have: r.usize()?,
         },
         2 => FrameError::BadMagic,
         3 => FrameError::VersionMismatch {
@@ -687,7 +606,7 @@ fn decode_frame_error(r: &mut Reader<'_>) -> Option<FrameError> {
             computed: r.u32()?,
         },
         5 => {
-            let detail = r.string()?;
+            let detail = read_string(r)?;
             FrameError::Malformed {
                 detail: MALFORMED_DETAILS
                     .iter()
@@ -697,35 +616,33 @@ fn decode_frame_error(r: &mut Reader<'_>) -> Option<FrameError> {
             }
         }
         6 => FrameError::Misrouted {
-            expected: r.usize64()?,
-            found: r.usize64()?,
+            expected: r.usize()?,
+            found: r.usize()?,
         },
-        7 => FrameError::MissingFrame {
-            sender: r.usize64()?,
-        },
+        7 => FrameError::MissingFrame { sender: r.usize()? },
         8 => FrameError::ForeignSlots {
-            from: r.usize64()?,
-            lo: r.usize64()?,
-            hi: r.usize64()?,
+            from: r.usize()?,
+            lo: r.usize()?,
+            hi: r.usize()?,
         },
         _ => return None,
     })
 }
 
-fn decode_cause(r: &mut Reader<'_>) -> Option<TransportCause> {
+fn decode_cause(r: &mut WireReader<'_>) -> Option<TransportCause> {
     Some(match r.u8()? {
         1 => TransportCause::Timeout {
             waited_ms: r.u64()?,
         },
         2 => TransportCause::Disconnected,
         3 => TransportCause::Handshake {
-            detail: r.string()?,
+            detail: read_string(r)?,
         },
         4 => TransportCause::Io {
-            detail: r.string()?,
+            detail: read_string(r)?,
         },
         5 => TransportCause::Remote {
-            message: r.string()?,
+            message: read_string(r)?,
         },
         _ => return None,
     })
@@ -734,6 +651,7 @@ fn decode_cause(r: &mut Reader<'_>) -> Option<TransportCause> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::RoundStats;
 
     fn sample_errors() -> Vec<SimError> {
         vec![

@@ -3,7 +3,9 @@
 //! Protocols encode their payloads through [`WireWriter`] and decode through
 //! [`WireReader`]; all integers are little-endian, floats are IEEE-754 bit
 //! patterns. Keeping the encoding fixed-width makes the CONGEST byte
-//! accounting directly interpretable as "words".
+//! accounting directly interpretable as "words". [`WireReader`] is also
+//! the crate's one cursor over untrusted bytes: checkpoint payloads and
+//! control frames decode through it too.
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -69,7 +71,7 @@ impl WireWriter {
 
 /// Cursor decoding a payload written by [`WireWriter`].
 ///
-/// Every accessor returns `None` once the payload is exhausted, so malformed
+/// Every accessor returns `None` when too few bytes remain, so malformed
 /// (truncated) messages surface as decode failures rather than panics.
 ///
 /// The reader *borrows* its input: decoding advances a slice, so wrapping
@@ -120,6 +122,49 @@ impl<'a> WireReader<'a> {
     pub fn is_exhausted(&self) -> bool {
         self.buf.is_empty()
     }
+
+    /// Reads one byte, if one remains.
+    pub(crate) fn u8(&mut self) -> Option<u8> {
+        self.take().map(|[b]| b)
+    }
+
+    /// Reads a `u64` that fits a `usize`.
+    pub(crate) fn usize(&mut self) -> Option<usize> {
+        self.u64().and_then(|v| usize::try_from(v).ok())
+    }
+
+    /// Reads the next `n` bytes, if they remain.
+    pub(crate) fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
+        if n > self.buf.len() {
+            return None;
+        }
+        let (head, rest) = self.buf.split_at(n);
+        self.buf = rest;
+        Some(head)
+    }
+
+    /// Reads a `u64`-length-prefixed byte run (the [`put_bytes`] inverse);
+    /// a length past the end is refused, not sliced.
+    pub(crate) fn len_prefixed(&mut self) -> Option<&'a [u8]> {
+        let len = self.usize()?;
+        self.bytes(len)
+    }
+
+    /// Bytes not yet consumed.
+    pub(crate) fn remaining(&self) -> usize {
+        self.buf.len()
+    }
+}
+
+/// Appends `v` little-endian (the [`WireReader::u64`] inverse).
+pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a `u64`-length-prefixed byte run.
+pub(crate) fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    put_u64(out, bytes.len() as u64);
+    out.extend_from_slice(bytes);
 }
 
 #[cfg(test)]
@@ -163,5 +208,22 @@ mod tests {
     fn empty_payload_is_exhausted() {
         let r = WireReader::new(&[]);
         assert!(r.is_exhausted());
+    }
+
+    #[test]
+    fn length_prefixed_runs_refuse_overruns() {
+        let mut out = Vec::new();
+        put_u64(&mut out, 3);
+        put_bytes(&mut out, b"abc");
+        let mut r = WireReader::new(&out);
+        assert_eq!(r.u64(), Some(3));
+        assert_eq!(r.len_prefixed(), Some(&b"abc"[..]));
+        assert!(r.is_exhausted());
+        assert_eq!(r.u64(), None);
+        // A length prefix past the end is refused, not sliced.
+        let mut lying = Vec::new();
+        put_u64(&mut lying, 1000);
+        lying.extend_from_slice(b"short");
+        assert_eq!(WireReader::new(&lying).len_prefixed(), None);
     }
 }

@@ -126,10 +126,10 @@ fn sequential_steady_state_rounds_do_not_allocate() {
 
 #[test]
 fn sharded_steady_state_rounds_do_not_allocate() {
-    // Single worker thread (no per-round thread spawns — the vendored
-    // rayon shim's scoped threads are the one remaining per-round
-    // allocation under multi-threaded engines), but the full sharded
-    // delivery path — sender-side routing included — with several shards.
+    // Single worker thread (no per-round thread spawns — the scoped
+    // threads of a multi-threaded step are the one remaining per-round
+    // allocation), but the full sharded delivery path — sender-side
+    // routing included — with several shards.
     assert_steady_state_is_allocation_free(Engine::Parallel {
         threads: 1,
         shards: 4,
