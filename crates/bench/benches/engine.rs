@@ -7,10 +7,11 @@
 //!   14-byte wire entry each round and decodes + rank-updates everything
 //!   it hears, so compute and delivery both do real work.
 //! - `engine_delivery/*` — the broadcast-heavy delivery-bound regime:
-//!   every node broadcasts one preencoded payload (a reference-count
-//!   bump) and ignores what it hears, so a step is almost entirely the
-//!   routed bucket-sort delivery (2m copies per round, routed through the
-//!   precomputed adjacency segmentation).
+//!   every node broadcasts one preencoded payload (appended to its
+//!   shard's send log, then copied once into each receiving shard's
+//!   payload slab) and ignores what it hears, so a step is almost
+//!   entirely the routed bucket-sort delivery (2m copies per round,
+//!   routed through the precomputed adjacency segmentation).
 //! - `engine_delivery_unicast/*` — the unicast-heavy regime: every node
 //!   sends one preencoded payload to a rotating neighbor (n copies per
 //!   round, routed message-by-message through the flat vertex→shard
@@ -20,7 +21,8 @@
 //! delivery backend*, which isolates the per-stage overheads on one
 //! core: `sharded_k` vs `sharded_1` prices recipient-range sharding,
 //! `framed_loopback_k` vs `sharded_k` prices the frame seam (bucket
-//! encode + checksum + decode + payload slicing), and `framed_socket_4`
+//! encode + checksum + decode; placement copies each payload out of the
+//! frame as it would out of the send log), and `framed_socket_4`
 //! adds a real kernel socket hop. Each delivery variant also reports the
 //! compute phase's `nodes_stepped_per_round` and the place phase's
 //! measured work counters (`place_refs_per_round`,
@@ -215,7 +217,8 @@ fn bench_graph(c: &mut Criterion, label: &str, g: &Graph) {
 /// `framed_*` entries run the same rounds through the frame seam —
 /// encode every bucket into a checksummed self-delimiting frame, ship it
 /// (in-memory loopback or a Unix-domain socket through the hub), decode,
-/// and place from payload slices — so `framed_loopback_k` vs `sharded_k`
+/// and place by copying each payload from the frame into the receiving
+/// shard's slab — so `framed_loopback_k` vs `sharded_k`
 /// prices the seam itself and `framed_socket_4` vs `framed_loopback_4`
 /// the kernel boundary (syscalls + copies).
 const DELIVERY_ENGINES: [(&str, Engine); 8] = [

@@ -120,10 +120,23 @@ pub fn encode_checkpoint(ckpt: &Checkpoint) -> Vec<u8> {
     out.extend_from_slice(&ckpt.graph_digest.to_le_bytes());
     out.extend_from_slice(&(ckpt.payload.len() as u64).to_le_bytes());
     out.extend_from_slice(&ckpt.payload);
-    let mut digest = LaneDigest::new();
-    digest.update_padded(&out);
-    out.extend_from_slice(&digest.finish().to_le_bytes());
+    let sum = digest(&out);
+    out.extend_from_slice(&sum.to_le_bytes());
     out
+}
+
+/// The trailing digest: the 4-lane [`LaneDigest`] over `bytes`, its tail
+/// zero-padded to a word boundary.
+fn digest(bytes: &[u8]) -> u32 {
+    let whole = bytes.len() & !3;
+    let mut digest = LaneDigest::new();
+    digest.update(&bytes[..whole]);
+    if whole < bytes.len() {
+        let mut tail = [0u8; 4];
+        tail[..bytes.len() - whole].copy_from_slice(&bytes[whole..]);
+        digest.update(&tail);
+    }
+    digest.finish()
 }
 
 /// Validates `data` as a checkpoint for `shard` of a `shards`-wide run
@@ -159,9 +172,7 @@ pub fn decode_checkpoint(
     else {
         return Err("truncated payload");
     };
-    let mut digest = LaneDigest::new();
-    digest.update_padded(&data[..expected - 4]);
-    if digest.finish() != le32(expected - 4) {
+    if digest(&data[..expected - 4]) != le32(expected - 4) {
         return Err("digest mismatch");
     }
     if le32(8) as usize != shard {

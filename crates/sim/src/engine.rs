@@ -104,7 +104,7 @@ use std::sync::{Condvar, Mutex, RwLock};
 use bytes::Bytes;
 use netdecomp_graph::{Graph, VertexId};
 
-use crate::frame::{FrameConfig, FrameTransport, LoopbackTransport, Transport};
+use crate::frame::{FrameTransport, LoopbackTransport, Transport};
 use crate::message::{Recipient, SendLog};
 use crate::shard::{ones, DeliveryShard, RouteIndex, Router, ShardPlan};
 use crate::{CongestLimit, DeliveryWork, Inbox, Incoming, Outbox, RoundStats, RunStats, SimError};
@@ -408,8 +408,6 @@ pub struct Simulator<'g, P> {
     /// `Some` when delivery runs through the frame seam: the fabric
     /// moving encoded frames between shards.
     transport: Option<Box<dyn Transport>>,
-    /// Framed backends: the wire format the encoders write.
-    frame_config: FrameConfig,
     limit: CongestLimit,
     engine: Engine,
     /// Concurrent workers a step uses: `min(threads, shards)`; above one,
@@ -488,10 +486,7 @@ pub(crate) enum Delivery<'a> {
     },
     /// The frame seam: each sender ships one frame per destination shard
     /// through `transport`, and destination shards read only frames.
-    Framed {
-        transport: &'a dyn Transport,
-        config: FrameConfig,
-    },
+    Framed { transport: &'a dyn Transport },
 }
 
 /// The per-shard round kernel: one round of one shard, split at the
@@ -531,15 +526,13 @@ impl RoundKernel<'_> {
         let t = shard.trace.begin();
         let ok = shard.account(graph, self.routes, self.limit, round, log, router);
         shard.trace.note_account(t);
-        if let Delivery::Framed { transport, config } = self.delivery {
+        if let Delivery::Framed { transport } = self.delivery {
             // Ship even when account failed: partial buckets hold only
             // refs charged before the violation, and every receiver
             // expects exactly one frame per link per round (no shard
             // knows yet whether another shard's account failed).
             let t = shard.trace.begin();
-            shard
-                .encoder
-                .ship(me, self.bounds, router, log, transport, config);
+            shard.encoder.ship(me, self.bounds, router, log, transport);
             shard.trace.note_ship(t);
         }
         ok
@@ -776,7 +769,6 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             routers: vec![RwLock::new(Router::default())],
             shards: vec![DeliveryShard::new(graph, 0, n)],
             transport: None,
-            frame_config: FrameConfig::default(),
             limit: CongestLimit::Unlimited,
             engine: Engine::Sequential,
             workers: 1,
@@ -800,9 +792,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     /// uses the resolved thread count), rebuilds the degree-balanced
     /// [`ShardPlan`] and redistributes any pending state. With more than
     /// one worker, each step spawns one scoped thread set (one spawn set
-    /// per round, not one per phase). Framed encoders write
-    /// [`FrameConfig::default`] unless [`Simulator::with_frame_config`]
-    /// pins another config.
+    /// per round, not one per phase).
     #[must_use]
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
@@ -839,26 +829,6 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             "with_transport requires an Engine::Framed configuration"
         );
         self.transport = Some(transport);
-        self
-    }
-
-    /// Pins whether a framed engine's encoders extend the frame digest
-    /// over the payload region, overriding [`FrameConfig::default`]
-    /// (digest over header and tables only). Decoding honors either
-    /// setting, so differently-configured peers interoperate.
-    /// Builder-style; call *after* [`Simulator::with_engine`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configured engine is not framed — a frame config
-    /// with nothing encoded under it would be silently ignored otherwise.
-    #[must_use]
-    pub fn with_frame_config(mut self, config: FrameConfig) -> Self {
-        assert!(
-            self.transport.is_some(),
-            "with_frame_config requires an Engine::Framed configuration"
-        );
-        self.frame_config = config;
         self
     }
 
@@ -1152,10 +1122,7 @@ impl<P: Protocol + Send> Simulator<'_, P> {
             round: self.round,
             started: self.started,
             delivery: match self.transport.as_deref() {
-                Some(transport) => Delivery::Framed {
-                    transport,
-                    config: self.frame_config,
-                },
+                Some(transport) => Delivery::Framed { transport },
                 None => Delivery::Shared {
                     logs: &self.logs,
                     routers: &self.routers,
@@ -1509,23 +1476,16 @@ mod tests {
         let a = seq.run_rounds(20).unwrap();
         for transport in [FrameTransport::Loopback, FrameTransport::Socket] {
             for (threads, shards) in [(1, 1), (1, 5), (3, 5), (4, 2)] {
-                // Payload coverage changes only the digest's span.
-                for cover_payload in [false, true] {
-                    let mut par = Simulator::new(&g, |_, _| FloodDist::fresh())
-                        .with_engine(Engine::Framed {
-                            threads,
-                            shards,
-                            transport,
-                        })
-                        .with_frame_config(FrameConfig { cover_payload });
-                    let b = par.run_rounds(20).unwrap();
-                    assert_eq!(
-                        a, b,
-                        "{transport:?} threads {threads} shards {shards} cover {cover_payload}"
-                    );
-                    assert_eq!(seq.nodes(), par.nodes());
-                    assert_eq!(seq.stats(), par.stats());
-                }
+                let mut par =
+                    Simulator::new(&g, |_, _| FloodDist::fresh()).with_engine(Engine::Framed {
+                        threads,
+                        shards,
+                        transport,
+                    });
+                let b = par.run_rounds(20).unwrap();
+                assert_eq!(a, b, "{transport:?} threads {threads} shards {shards}");
+                assert_eq!(seq.nodes(), par.nodes());
+                assert_eq!(seq.stats(), par.stats());
             }
         }
     }

@@ -27,9 +27,8 @@
 //!     16      4  R: ref count
 //!     20      4  P: payload count
 //!     24      4  4-lane digest over bytes [0, 24) ++ [28, 32)
-//!                ++ [32, 32+16R+8P) (++ the payload region, iff flagged)
-//!     28      4  flags (bit 0: digest also covers the payload region;
-//!                unknown bits reject the frame)
+//!                ++ [32, 32+16R+8P)
+//!     28      4  flags (always 0; any set bit rejects the frame)
 //!     32    16R  ref table:     R x { from, payload index, lo, hi }
 //! 32+16R     8P  payload table: P x { offset, length }   (region-relative)
 //! 32+16R+8P   …  payload region (concatenated payload bytes)
@@ -62,14 +61,11 @@
 //! covered word still changes the digest** (pinned by this module's
 //! proptests).
 //!
-//! By default the digest covers every header and table byte but not the
-//! payload region (whose bytes recipients re-read anyway, and which
-//! in-process transports hand over intact): a corrupted ref can never
-//! misroute a message silently — it fails decode with a typed
-//! [`FrameError`] instead. For transports that do not protect payload
-//! bytes themselves (UDP-style sockets), flag bit 0 extends coverage to
-//! the payload region, zero-padded to a word boundary
-//! ([`FrameConfig::cover_payload`]).
+//! The digest covers every header and table byte but not the payload
+//! region (whose bytes recipients re-read anyway, and whose integrity is
+//! the transport medium's job, as in the shared-memory path): a
+//! corrupted ref can never misroute a message silently — it fails decode
+//! with a typed [`FrameError`] instead.
 //!
 //! # Transports
 //!
@@ -162,13 +158,6 @@ const CHECKSUM_OFFSET: usize = 24;
 /// Byte offset of the flags word.
 const FLAGS_OFFSET: usize = 28;
 
-/// Flag bit 0: the digest also covers the payload region.
-const FLAG_COVER_PAYLOAD: u32 = 1;
-
-/// All flag bits this build understands; any other set bit rejects
-/// the frame as malformed (after the digest verdict).
-const FLAGS_KNOWN: u32 = FLAG_COVER_PAYLOAD;
-
 /// Bytes per ref-table entry.
 const REF_BYTES: usize = 16;
 
@@ -246,7 +235,7 @@ impl LaneDigest {
     /// every misaligned entry and degrade to the serial digest — the
     /// split-invariance of the result is what makes the granularity a
     /// pure performance choice.)
-    fn update(&mut self, bytes: &[u8]) {
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
         debug_assert_eq!(bytes.len() % 4, 0, "lane digest input is word-aligned");
         let mut off = 0;
         // Peel single words until the stripe cursor hits a lane-0
@@ -353,19 +342,6 @@ impl LaneDigest {
         overrun
     }
 
-    /// Folds a region of arbitrary length, zero-padding its tail to a
-    /// word boundary (the payload region under [`FLAG_COVER_PAYLOAD`]).
-    pub(crate) fn update_padded(&mut self, bytes: &[u8]) {
-        let whole = bytes.len() & !3;
-        self.update(&bytes[..whole]);
-        let tail = &bytes[whole..];
-        if !tail.is_empty() {
-            let mut word = [0u8; 4];
-            word[..tail.len()].copy_from_slice(tail);
-            self.fold_word(u32::from_le_bytes(word));
-        }
-    }
-
     /// Folds the four lanes into the wire checksum word.
     pub(crate) fn finish(&self) -> u32 {
         let mut h = FNV_INIT;
@@ -373,32 +349,6 @@ impl LaneDigest {
             h = (h ^ lane).wrapping_mul(FNV_PRIME);
         }
         h
-    }
-}
-
-/// How a framed engine encodes its frames: whether the digest also covers
-/// the payload region.
-///
-/// The decode side is not configurable — a decoder honors whatever the
-/// frame's flags word says — so peers encoding differently interoperate;
-/// this only selects what *this* side writes. The default leaves the
-/// payload out of the digest; [`crate::Simulator::with_frame_config`]
-/// pins another config.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FrameConfig {
-    /// Extend the digest over the payload region (flag bit 0), for
-    /// transports that do not protect payload bytes themselves.
-    pub cover_payload: bool,
-}
-
-impl FrameConfig {
-    /// The flags word this config writes.
-    fn flags(self) -> u32 {
-        if self.cover_payload {
-            FLAG_COVER_PAYLOAD
-        } else {
-            0
-        }
     }
 }
 
@@ -566,7 +516,6 @@ pub(crate) fn encode_bucket<'p>(
     bucket: &[RouteRef],
     tally: BucketTally,
     payload_of: impl Fn(&RouteRef) -> &'p [u8],
-    config: FrameConfig,
     mut buf: BytesMut,
 ) -> Bytes {
     debug_assert_eq!(
@@ -600,8 +549,7 @@ pub(crate) fn encode_bucket<'p>(
     data[16..20].copy_from_slice(&(bucket.len() as u32).to_le_bytes());
     data[20..24].copy_from_slice(&(payload_count as u32).to_le_bytes());
     data[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 4].fill(0); // patched below
-    let flags = config.flags();
-    data[FLAGS_OFFSET..FLAGS_OFFSET + 4].copy_from_slice(&flags.to_le_bytes());
+    data[FLAGS_OFFSET..FLAGS_OFFSET + 4].fill(0);
     // Body walk: both tables and the payload region are written in ONE
     // pass over the bucket, through three disjoint cursors into the
     // pre-sized buffer (the tally fixed every section boundary): direct
@@ -621,8 +569,7 @@ pub(crate) fn encode_bucket<'p>(
                 payload_idx += 1;
             }
             // Payload bytes are copied exactly once, send arena → final
-            // frame position (covered by the digest only under the
-            // payload-coverage flag — see the module docs).
+            // frame position (outside the digest — see the module docs).
             let payload = payload_of(r);
             let entry = pays
                 .next()
@@ -649,9 +596,6 @@ pub(crate) fn encode_bucket<'p>(
     sum.update(&buf[..CHECKSUM_OFFSET]);
     sum.update(&buf[FLAGS_OFFSET..head]);
     sum.update(&buf[head..region_start]);
-    if flags & FLAG_COVER_PAYLOAD != 0 {
-        sum.update_padded(&buf[region_start..]);
-    }
     let sum = sum.finish();
     buf[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 4].copy_from_slice(&sum.to_le_bytes());
     buf.freeze()
@@ -681,7 +625,6 @@ pub struct Frame {
     bytes: Bytes,
     sender: u32,
     dest: u32,
-    flags: u32,
     ref_count: usize,
     payload_count: usize,
     /// Byte offset of the payload table.
@@ -692,13 +635,13 @@ pub struct Frame {
 
 impl Frame {
     /// Parses and validates one encoded frame, verifying the word-parallel
-    /// digest (and, if flagged, its payload-region extension).
+    /// digest.
     ///
     /// # Errors
     ///
     /// Every malformation maps to a typed [`FrameError`]: short or
     /// overlong input, wrong magic, a version other than
-    /// [`FRAME_VERSION`], a checksum mismatch, unknown flag bits, or
+    /// [`FRAME_VERSION`], a checksum mismatch, a set flag bit, or
     /// tables/payload entries that overrun their regions.
     pub fn decode(bytes: Bytes) -> Result<Frame, FrameError> {
         let data = bytes.as_slice();
@@ -759,11 +702,8 @@ impl Frame {
         let (ref_past, ref_decreasing) =
             d.fold_ref_table(&data[HEADER_LEN..payload_table], payload_count);
         let payload_overrun = d.fold_payload_table(&data[payload_table..region], region_len as u64);
-        if flags & FLAG_COVER_PAYLOAD != 0 {
-            d.update_padded(&data[region..declared]);
-        }
         let computed = d.finish();
-        let malformed = if flags & !FLAGS_KNOWN != 0 {
+        let malformed = if flags != 0 {
             Some("unknown frame flags")
         } else if ref_past {
             Some("ref points past the payload table")
@@ -787,7 +727,6 @@ impl Frame {
             bytes,
             sender,
             dest,
-            flags,
             ref_count,
             payload_count,
             payload_table,
@@ -802,13 +741,6 @@ impl Frame {
         let start = std::time::Instant::now();
         let frame = Frame::decode(bytes)?;
         Ok((frame, start.elapsed().as_nanos() as u64))
-    }
-
-    /// Whether this frame's digest also covered the payload region (flag
-    /// bit 0).
-    #[must_use]
-    pub fn covers_payload(&self) -> bool {
-        self.flags & FLAG_COVER_PAYLOAD != 0
     }
 
     /// The shard that encoded this frame.
@@ -906,8 +838,8 @@ const FRAME_RETAIN_FLOOR: usize = 256;
 impl FrameEncoder {
     /// Encodes shard `me`'s buckets — refs from `router`, payload bytes
     /// from the shard's own send `log` — and ships one frame per
-    /// destination shard of the plan `bounds` through `transport`,
-    /// encoded under `config`. Each bucket goes through the single-pass
+    /// destination shard of the plan `bounds` through `transport`. Each
+    /// bucket goes through the single-pass
     /// [`encode_bucket`]: payload bytes are copied exactly once, straight
     /// to their final position in the (recycled) frame buffer.
     pub(crate) fn ship(
@@ -917,7 +849,6 @@ impl FrameEncoder {
         router: &Router,
         log: &SendLog,
         transport: &dyn Transport,
-        config: FrameConfig,
     ) {
         let shards = bounds.len() - 1;
         if self.last.len() != shards {
@@ -940,7 +871,6 @@ impl FrameEncoder {
                 router.bucket(dest),
                 router.tally(dest),
                 payload_of,
-                config,
                 buf,
             );
             let hw = &mut self.high_water[dest];
@@ -966,12 +896,7 @@ pub(crate) type EntrySpec<'a> = (usize, std::ops::Range<usize>, Option<&'a [u8]>
 ///
 /// Panics if the first entry has no payload to share.
 #[cfg(test)]
-pub(crate) fn encode_entries(
-    sender: usize,
-    dest: usize,
-    entries: &[EntrySpec<'_>],
-    config: FrameConfig,
-) -> Bytes {
+pub(crate) fn encode_entries(sender: usize, dest: usize, entries: &[EntrySpec<'_>]) -> Bytes {
     let mut payloads: Vec<&[u8]> = Vec::new();
     let bucket: Vec<RouteRef> = entries
         .iter()
@@ -987,44 +912,23 @@ pub(crate) fn encode_entries(
         .collect();
     let payload_of = |r: &RouteRef| payloads[r.msg as usize];
     let tally = BucketTally::of(&bucket, |r| payload_of(r).len());
-    encode_bucket(
-        sender,
-        dest,
-        &bucket,
-        tally,
-        payload_of,
-        config,
-        BytesMut::new(),
-    )
+    encode_bucket(sender, dest, &bucket, tally, payload_of, BytesMut::new())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Both encoding configs: tables-only and payload-covering digests.
-    const CONFIGS: [FrameConfig; 2] = [
-        FrameConfig {
-            cover_payload: false,
-        },
-        FrameConfig {
-            cover_payload: true,
-        },
-    ];
-
     #[test]
-    fn empty_frame_round_trips_in_every_config() {
-        for config in CONFIGS {
-            let frame = encode_entries(3, 5, &[], config);
-            assert_eq!(frame.len(), HEADER_LEN);
-            let f = Frame::decode(frame).unwrap();
-            assert_eq!(f.covers_payload(), config.cover_payload);
-            assert_eq!(f.sender_shard(), 3);
-            assert_eq!(f.dest_shard(), 5);
-            assert_eq!(f.ref_count(), 0);
-            assert_eq!(f.payload_count(), 0);
-            assert_eq!(f.refs().count(), 0);
-        }
+    fn empty_frame_round_trips() {
+        let frame = encode_entries(3, 5, &[]);
+        assert_eq!(frame.len(), HEADER_LEN);
+        let f = Frame::decode(frame).unwrap();
+        assert_eq!(f.sender_shard(), 3);
+        assert_eq!(f.dest_shard(), 5);
+        assert_eq!(f.ref_count(), 0);
+        assert_eq!(f.payload_count(), 0);
+        assert_eq!(f.refs().count(), 0);
     }
 
     /// The lane digest is independent of how the covered stream is split
@@ -1041,64 +945,36 @@ mod tests {
             split.update(&words[cut..]);
             assert_eq!(split.finish(), whole.finish(), "cut at {cut}");
         }
-        // Padded tails behave like explicit zero padding.
-        let mut padded = LaneDigest::new();
-        padded.update_padded(&words[..93]);
-        let mut explicit = LaneDigest::new();
-        let mut zeroed = words[..93].to_vec();
-        zeroed.extend_from_slice(&[0, 0, 0]);
-        explicit.update(&zeroed);
-        assert_eq!(padded.finish(), explicit.finish());
     }
 
-    /// Payload coverage actually covers: flipping a payload byte fails a
-    /// covered frame's decode and sails through an uncovered one.
-    #[test]
-    fn payload_coverage_flag_extends_the_digest() {
-        for config in CONFIGS {
-            let encoded = encode_entries(0, 1, &[(7, 3..4, Some(b"fragile bytes"))], config);
-            let f = Frame::decode(encoded.clone()).unwrap();
-            assert_eq!(f.covers_payload(), config.cover_payload);
-            let mut bad = encoded.as_slice().to_vec();
-            let last = bad.len() - 1;
-            bad[last] ^= 0x40; // a payload-region byte (the padded tail)
-            let verdict = Frame::decode(Bytes::from(bad));
-            if config.cover_payload {
-                assert!(
-                    matches!(verdict, Err(FrameError::ChecksumMismatch { .. })),
-                    "covered payload corruption escaped: {verdict:?}"
-                );
-            } else {
-                assert!(verdict.is_ok(), "uncovered payload rejected: {verdict:?}");
-            }
-        }
-    }
-
-    /// An unknown flag bit rejects the frame — but only after the digest
-    /// verdict, so random corruption of the flags word still reads as a
-    /// checksum failure.
+    /// Any set flag bit — bit 0 included — rejects the frame, but only
+    /// after the digest verdict, so random corruption of the flags word
+    /// still reads as a checksum failure.
     #[test]
     fn unknown_flag_bits_are_rejected() {
-        let encoded = encode_entries(0, 1, &[], FrameConfig::default());
-        let mut bad = encoded.as_slice().to_vec();
-        bad[FLAGS_OFFSET] |= 0x02; // an undefined flag, digest not fixed up
-        assert!(matches!(
-            Frame::decode(Bytes::from(bad.clone())),
-            Err(FrameError::ChecksumMismatch { .. })
-        ));
-        // With the digest recomputed over the bogus flag, the structural
-        // rejection surfaces.
-        let mut d = LaneDigest::new();
-        d.update(&bad[..CHECKSUM_OFFSET]);
-        d.update(&bad[FLAGS_OFFSET..HEADER_LEN]);
-        let sum = d.finish();
-        bad[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 4].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(
-            Frame::decode(Bytes::from(bad)),
-            Err(FrameError::Malformed {
-                detail: "unknown frame flags"
-            })
-        );
+        for flag in [0x01, 0x02] {
+            let encoded = encode_entries(0, 1, &[]);
+            let mut bad = encoded.as_slice().to_vec();
+            bad[FLAGS_OFFSET] |= flag; // digest not fixed up
+            assert!(matches!(
+                Frame::decode(Bytes::from(bad.clone())),
+                Err(FrameError::ChecksumMismatch { .. })
+            ));
+            // With the digest recomputed over the bogus flag, the
+            // structural rejection surfaces.
+            let mut d = LaneDigest::new();
+            d.update(&bad[..CHECKSUM_OFFSET]);
+            d.update(&bad[FLAGS_OFFSET..HEADER_LEN]);
+            let sum = d.finish();
+            bad[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 4].copy_from_slice(&sum.to_le_bytes());
+            assert_eq!(
+                Frame::decode(Bytes::from(bad)),
+                Err(FrameError::Malformed {
+                    detail: "unknown frame flags"
+                }),
+                "flag {flag:#x}"
+            );
+        }
     }
 
     #[test]
@@ -1111,7 +987,6 @@ mod tests {
                 (7, 55..56, None), // same multicast payload, second target
                 (9, 10..14, Some(b"bee")),
             ],
-            FrameConfig::default(),
         );
         let f = Frame::decode(encoded).unwrap();
         let refs: Vec<_> = f.refs().collect();
@@ -1128,7 +1003,7 @@ mod tests {
     #[test]
     fn loopback_moves_frames_once() {
         let t = LoopbackTransport::new(2);
-        let frame = encode_entries(1, 0, &[], FrameConfig::default());
+        let frame = encode_entries(1, 0, &[]);
         t.send(1, 0, frame.clone());
         let mut got = vec![None, None];
         t.collect(0, &mut got).unwrap();
@@ -1147,14 +1022,7 @@ mod tests {
         router.reset(2);
         let mut enc = FrameEncoder::default();
         for round in 0..6 {
-            enc.ship(
-                0,
-                &[0, 0, 0],
-                &router,
-                &SendLog::default(),
-                &t,
-                FrameConfig::default(),
-            );
+            enc.ship(0, &[0, 0, 0], &router, &SendLog::default(), &t);
             for dest in 0..2 {
                 let mut got = vec![None, None];
                 t.collect(dest, &mut got).unwrap();
@@ -1168,7 +1036,7 @@ mod tests {
     }
 
     /// The engine's send-log payload lookup and the test helper's entry
-    /// list produce the same frame, byte for byte, in both configs: a
+    /// list produce the same frame, byte for byte: a
     /// broadcast-style segment ref, then a multicast (two singleton refs
     /// sharing one payload) and a second message from another sender.
     #[test]
@@ -1190,31 +1058,28 @@ mod tests {
             };
             router.push(0, route, log.payload(msg).len());
         }
-        for config in CONFIGS {
-            let t = LoopbackTransport::new(1);
-            FrameEncoder::default().ship(0, &[0, 2], &router, &log, &t, config);
-            let mut got = vec![None];
-            t.collect(0, &mut got).unwrap();
-            let shipped = got[0].take().expect("frame arrived");
-            let listed = encode_entries(
-                0,
-                0,
-                &[
-                    (0, 0..3, Some(b"alpha")),
-                    (1, 3..4, Some(b"bee")),
-                    (1, 5..6, None),
-                    (1, 5..6, Some(b"")),
-                ],
-                config,
-            );
-            assert_eq!(shipped.as_slice(), listed.as_slice(), "{config:?}");
-            let f = Frame::decode(shipped).unwrap();
-            assert_eq!(f.ref_count(), 4);
-            assert_eq!(f.payload_count(), 3);
-            let refs: Vec<_> = f.refs().collect();
-            assert_eq!(refs[1].payload, refs[2].payload, "multicast shares bytes");
-            assert_eq!(f.payload(refs[0].payload), b"alpha");
-        }
+        let t = LoopbackTransport::new(1);
+        FrameEncoder::default().ship(0, &[0, 2], &router, &log, &t);
+        let mut got = vec![None];
+        t.collect(0, &mut got).unwrap();
+        let shipped = got[0].take().expect("frame arrived");
+        let listed = encode_entries(
+            0,
+            0,
+            &[
+                (0, 0..3, Some(b"alpha")),
+                (1, 3..4, Some(b"bee")),
+                (1, 5..6, None),
+                (1, 5..6, Some(b"")),
+            ],
+        );
+        assert_eq!(shipped.as_slice(), listed.as_slice());
+        let f = Frame::decode(shipped).unwrap();
+        assert_eq!(f.ref_count(), 4);
+        assert_eq!(f.payload_count(), 3);
+        let refs: Vec<_> = f.refs().collect();
+        assert_eq!(refs[1].payload, refs[2].payload, "multicast shares bytes");
+        assert_eq!(f.payload(refs[0].payload), b"alpha");
     }
 
     #[test]
@@ -1239,8 +1104,7 @@ mod tests {
         let mut log = SendLog::default();
         crate::Outbox::new(&mut log, 0).unicast(0, &vec![7u8; 64 * 1024]);
         let mut enc = FrameEncoder::default();
-        let config = FrameConfig::default();
-        enc.ship(0, &[0, 1], &router, &log, &t, config);
+        enc.ship(0, &[0, 1], &router, &log, &t);
         drain(&t);
         assert!(enc.high_water[0] >= 64 * 1024, "burst mark recorded");
         // Dozens of empty rounds later, the mark — and with it the
@@ -1248,7 +1112,7 @@ mod tests {
         // decayed back to the steady scale (same policy as the send log).
         router.reset(1);
         for _ in 0..64 {
-            enc.ship(0, &[0, 0], &router, &SendLog::default(), &t, config);
+            enc.ship(0, &[0, 0], &router, &SendLog::default(), &t);
             drain(&t);
         }
         assert!(
@@ -1268,14 +1132,13 @@ mod tests {
         let mut router = Router::default();
         router.reset(1);
         let mut enc = FrameEncoder::default();
-        let config = FrameConfig::default();
-        enc.ship(0, &[0, 0], &router, &SendLog::default(), &t, config);
+        enc.ship(0, &[0, 0], &router, &SendLog::default(), &t);
         let mut got = vec![None];
         t.collect(0, &mut got).unwrap();
         let held = got[0].take().unwrap();
         let snapshot = held.as_slice().to_vec();
         for _ in 0..6 {
-            enc.ship(0, &[0, 0], &router, &SendLog::default(), &t, config);
+            enc.ship(0, &[0, 0], &router, &SendLog::default(), &t);
             let mut later = vec![None];
             t.collect(0, &mut later).unwrap();
             assert_eq!(
@@ -1288,7 +1151,7 @@ mod tests {
 
     /// Frame codec robustness: encode -> decode is the identity over
     /// arbitrary bucket contents (empty buckets and multicast-heavy
-    /// rounds included) in both encode configs, and malformed frames —
+    /// rounds included), and malformed frames —
     /// truncated, version-mismatched, checksum-corrupted — are rejected
     /// with typed [`FrameError`]s instead of panicking. The digest is
     /// pinned against an independent per-lane serial reference and
@@ -1329,14 +1192,9 @@ mod tests {
         /// Expected decoded view of one ref: `(from, lo, hi, payload bytes)`.
         type ExpectedRef = (u32, u32, u32, Vec<u8>);
 
-        /// Encodes `entries` under `config` and returns the frame plus
-        /// the expected decoded view per ref.
-        fn encode_with(
-            config: FrameConfig,
-            sender: usize,
-            dest: usize,
-            entries: &[Entry],
-        ) -> (Bytes, Vec<ExpectedRef>) {
+        /// Encodes `entries` and returns the frame plus the expected
+        /// decoded view per ref.
+        fn encode_with(sender: usize, dest: usize, entries: &[Entry]) -> (Bytes, Vec<ExpectedRef>) {
             let mut listed = Vec::new();
             let mut expected = Vec::new();
             let mut last: Option<(usize, &[u8])> = None;
@@ -1356,14 +1214,13 @@ mod tests {
                 expected.push((from as u32, lo, hi, payload.to_vec()));
                 last = Some((from, payload));
             }
-            (encode_entries(sender, dest, &listed, config), expected)
+            (encode_entries(sender, dest, &listed), expected)
         }
 
         /// The byte ranges a frame's digest covers, concatenated: header
         /// without the checksum word (plus the flags word), then the
-        /// tables, then — under payload coverage — the payload region.
-        /// This re-derives the covered stream from the wire bytes alone,
-        /// independent of the codec.
+        /// tables. This re-derives the covered stream from the wire bytes
+        /// alone, independent of the codec.
         fn covered_stream(encoded: &Bytes, frame: &Frame) -> Vec<u8> {
             let data = encoded.as_slice();
             // Table sizes are part of the pinned format: 16 bytes per ref
@@ -1373,12 +1230,6 @@ mod tests {
             stream.extend_from_slice(&data[..24]);
             stream.extend_from_slice(&data[28..32]);
             stream.extend_from_slice(&data[32..32 + tables]);
-            if frame.covers_payload() {
-                stream.extend_from_slice(&data[32 + tables..]);
-                while stream.len() % 4 != 0 {
-                    stream.push(0); // the codec zero-pads the payload tail word
-                }
-            }
             stream
         }
 
@@ -1408,8 +1259,7 @@ mod tests {
             h
         }
 
-        /// Total bytes of the payload region (exempt from the digest
-        /// unless the frame was encoded with payload coverage).
+        /// Total bytes of the payload region (exempt from the digest).
         fn frame_payload_region_len(frame: &Frame) -> usize {
             (0..frame.payload_count())
                 .map(|i| frame.payload(i as u32).len())
@@ -1419,21 +1269,16 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(128))]
 
-            /// encode -> decode == identity in both configs: every ref
-            /// comes back with its sender, slot range, and payload bytes
-            /// intact, in order, and the decoded frame reports the
-            /// coverage it was encoded with.
+            /// encode -> decode == identity: every ref comes back with its
+            /// sender, slot range, and payload bytes intact, in order.
             #[test]
             fn roundtrip_is_identity(
                 sender in 0usize..64,
                 dest in 0usize..64,
                 entries in proptest::collection::vec(arb_entry(), 0..24),
-                config_pick in 0usize..2,
             ) {
-                let config = CONFIGS[config_pick];
-                let (encoded, expected) = encode_with(config, sender, dest, &entries);
+                let (encoded, expected) = encode_with(sender, dest, &entries);
                 let frame = Frame::decode(encoded).expect("own encoding decodes");
-                prop_assert_eq!(frame.covers_payload(), config.cover_payload);
                 prop_assert_eq!(frame.sender_shard(), sender);
                 prop_assert_eq!(frame.dest_shard(), dest);
                 prop_assert_eq!(frame.ref_count(), expected.len());
@@ -1456,16 +1301,15 @@ mod tests {
 
             /// The wire checksum of every frame equals the independent
             /// per-lane serial reference over the covered stream —
-            /// pinning lane striping, seeds, zero-padding, and the final
-            /// lane fold against the unrolled implementation.
+            /// pinning lane striping, seeds, and the final lane fold
+            /// against the unrolled implementation.
             #[test]
             fn lane_digest_matches_per_lane_serial_reference(
                 sender in 0usize..64,
                 dest in 0usize..64,
                 entries in proptest::collection::vec(arb_entry(), 0..24),
-                config_pick in 0usize..2,
             ) {
-                let (encoded, _) = encode_with(CONFIGS[config_pick], sender, dest, &entries);
+                let (encoded, _) = encode_with(sender, dest, &entries);
                 let frame = Frame::decode(encoded.clone()).expect("own encoding decodes");
                 let declared = u32::from_le_bytes(
                     encoded.as_slice()[24..28].try_into().expect("4 bytes"),
@@ -1474,45 +1318,14 @@ mod tests {
                 prop_assert_eq!(declared, reference_lane_digest(&stream));
             }
 
-            /// Flipping any single bit of any covered word — every
-            /// position in all four lanes — changes the digest: every fold
-            /// is bijective on its lane, so no flip can cancel. With
-            /// payload coverage on, the covered region is the entire
-            /// frame.
-            #[test]
-            fn lane_digest_detects_single_bit_flips_in_every_lane_position(
-                entries in proptest::collection::vec(arb_entry(), 0..12),
-                pos_pick in 0u32..u32::MAX,
-                bit in 0u8..8,
-            ) {
-                let config = FrameConfig { cover_payload: true };
-                let (encoded, _) = encode_with(config, 1, 2, &entries);
-                // Skip the checksum word itself — the one uncovered span.
-                // (Flipping it is caught as a mismatch too, but by the
-                // other side of the comparison.)
-                let pos = match (pos_pick as usize) % (encoded.len() - 4) {
-                    p if p >= 24 => p + 4,
-                    p => p,
-                };
-                let mut bad = encoded.as_slice().to_vec();
-                bad[pos] ^= 1 << bit;
-                prop_assert!(
-                    Frame::decode(Bytes::from(bad)).is_err(),
-                    "covered flip at byte {} (lane {}) escaped validation",
-                    pos,
-                    (pos / 4) % 4
-                );
-            }
-
             /// Every strict prefix of a frame is rejected as truncated —
             /// never a panic, never a partial decode.
             #[test]
             fn truncation_is_rejected(
                 entries in proptest::collection::vec(arb_entry(), 0..12),
                 cut in 0.0f64..1.0,
-                config_pick in 0usize..2,
             ) {
-                let (encoded, _) = encode_with(CONFIGS[config_pick], 1, 2, &entries);
+                let (encoded, _) = encode_with(1, 2, &entries);
                 let keep = ((encoded.len() as f64) * cut) as usize; // < len
                 let truncated = Bytes::from(encoded.as_slice()[..keep].to_vec());
                 match Frame::decode(truncated) {
@@ -1532,9 +1345,8 @@ mod tests {
                 entries in proptest::collection::vec(arb_entry(), 0..12),
                 pos_pick in 0u32..u32::MAX,
                 bit in 0u8..8,
-                config_pick in 0usize..2,
             ) {
-                let (encoded, _) = encode_with(CONFIGS[config_pick], 1, 2, &entries);
+                let (encoded, _) = encode_with(1, 2, &entries);
                 let frame = Frame::decode(encoded.clone()).expect("valid before corruption");
                 // Header + tables span everything before the payload region.
                 let protected = encoded.len() - frame_payload_region_len(&frame);
@@ -1549,26 +1361,22 @@ mod tests {
         }
 
         /// A fixed single-ref bucket used by the deterministic tests below.
-        fn fixed_frame(config: FrameConfig) -> Bytes {
-            encode_entries(1, 2, &[(4, 7..9, Some(b"netdecomp"))], config)
+        fn fixed_frame() -> Bytes {
+            encode_entries(1, 2, &[(4, 7..9, Some(b"netdecomp"))])
         }
 
         #[test]
-        fn every_encode_config_decodes_with_the_same_decoder() {
-            for config in CONFIGS {
-                let encoded = fixed_frame(config);
-                let frame = Frame::decode(encoded.clone())
-                    .unwrap_or_else(|e| panic!("config {config:?} failed to decode: {e}"));
-                assert_eq!(frame.covers_payload(), config.cover_payload);
-                assert_eq!(frame.sender_shard(), 1);
-                assert_eq!(frame.dest_shard(), 2);
-                assert_eq!(frame.ref_count(), 1);
-                let r = frame.refs().next().expect("one ref");
-                assert_eq!((r.from, r.lo, r.hi), (4, 7, 9));
-                assert_eq!(frame.payload(r.payload), b"netdecomp");
-                // Header, one ref entry, one payload entry, the payload.
-                assert_eq!(encoded.len(), 32 + 16 + 8 + b"netdecomp".len());
-            }
+        fn the_fixed_bucket_decodes() {
+            let encoded = fixed_frame();
+            let frame = Frame::decode(encoded.clone()).expect("the fixed frame decodes");
+            assert_eq!(frame.sender_shard(), 1);
+            assert_eq!(frame.dest_shard(), 2);
+            assert_eq!(frame.ref_count(), 1);
+            let r = frame.refs().next().expect("one ref");
+            assert_eq!((r.from, r.lo, r.hi), (4, 7, 9));
+            assert_eq!(frame.payload(r.payload), b"netdecomp");
+            // Header, one ref entry, one payload entry, the payload.
+            assert_eq!(encoded.len(), 32 + 16 + 8 + b"netdecomp".len());
         }
 
         /// Every version byte but [`FRAME_VERSION`] — older, newer, or
@@ -1577,7 +1385,7 @@ mod tests {
         #[test]
         fn version_mismatch_is_reported_as_such() {
             for found in [0u8, 1, 9] {
-                let encoded = fixed_frame(FrameConfig::default());
+                let encoded = fixed_frame();
                 let mut bad = encoded.as_slice().to_vec();
                 bad[3] = found;
                 let err = Frame::decode(Bytes::from(bad)).expect_err("foreign version");
@@ -1595,26 +1403,22 @@ mod tests {
 
         #[test]
         fn checksum_corruption_is_reported_as_such() {
-            for config in CONFIGS {
-                let mut bad = fixed_frame(config).as_slice().to_vec();
-                bad[24] ^= 0x10; // the checksum word itself
-                assert!(matches!(
-                    Frame::decode(Bytes::from(bad)),
-                    Err(FrameError::ChecksumMismatch { .. })
-                ));
-            }
+            let mut bad = fixed_frame().as_slice().to_vec();
+            bad[24] ^= 0x10; // the checksum word itself
+            assert!(matches!(
+                Frame::decode(Bytes::from(bad)),
+                Err(FrameError::ChecksumMismatch { .. })
+            ));
         }
 
         #[test]
         fn trailing_bytes_are_rejected() {
-            for config in CONFIGS {
-                let mut bytes = encode_entries(0, 0, &[], config).as_slice().to_vec();
-                bytes.push(0);
-                assert!(matches!(
-                    Frame::decode(Bytes::from(bytes)),
-                    Err(FrameError::Malformed { .. })
-                ));
-            }
+            let mut bytes = encode_entries(0, 0, &[]).as_slice().to_vec();
+            bytes.push(0);
+            assert!(matches!(
+                Frame::decode(Bytes::from(bytes)),
+                Err(FrameError::Malformed { .. })
+            ));
         }
 
         #[test]
@@ -1657,11 +1461,9 @@ mod tests {
                     .map(|b| format!("{b:02x}"))
                     .collect()
             };
-            assert_eq!(hex(&fixed_frame(CONFIGS[0])), V2_VECTOR);
-            assert_eq!(hex(&fixed_frame(CONFIGS[1])), V2_COVER_VECTOR);
+            assert_eq!(hex(&fixed_frame()), V2_VECTOR);
         }
 
         const V2_VECTOR: &str = "4e4446024100000001000000020000000100000001000000caf0a5be000000000400000000000000070000000900000000000000090000006e65746465636f6d70";
-        const V2_COVER_VECTOR: &str = "4e44460241000000010000000200000001000000010000004033bc3e010000000400000000000000070000000900000000000000090000006e65746465636f6d70";
     }
 }

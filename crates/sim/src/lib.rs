@@ -110,50 +110,40 @@
 //! one), so a wedged or dead shard degrades into a typed
 //! [`SimError::Transport`] with the offending shard, round, and
 //! [`TransportCause`] attached — never a hang. The fabric is
-//! additionally *self-healing* under [`transport::launcher::supervise`]:
-//! the hub keeps a bounded per-destination replay log
-//! ([`transport::DEFAULT_REPLAY_WINDOW`] rounds unless the supervisor
-//! sets another window), so a crashed or wedged worker is killed,
-//! relaunched with backoff, re-admitted via handshake resume, and
-//! fast-forwarded through the rounds it missed — the run still
-//! completes bit-identically, and only an exhausted restart budget
-//! surfaces as the typed error naming the lost shard. Those relay
-//! queues are themselves bounded (256 MiB per destination): a consumer
-//! that stops draining turns into a typed error naming the slow shard,
-//! never unbounded hub memory.
-//!
-//! Crashes *older than the replay window* recover in O(interval)
-//! rather than O(run length) through the [`checkpoint`] subsystem:
-//! with a [`transport::CheckpointPlan`] of interval `k` and a
-//! directory (`netdecomp --checkpoint-interval k`), every worker
-//! serializes its protocol state (the [`Snapshot`] seam), inbox, and
-//! accumulated stats at each `k`-round barrier —
-//! a barrier is already a consistent cut — into a checksummed,
-//! versioned on-disk file
+//! additionally *self-healing* under [`transport::launcher::supervise`],
+//! through one recovery path. Every worker checkpoints its shard every
+//! `k` rounds ([`transport::CheckpointPlan`], `netdecomp
+//! --checkpoint-interval k`, default
+//! [`transport::DEFAULT_CHECKPOINT_INTERVAL`]) through the [`checkpoint`]
+//! subsystem: its protocol state (the [`Snapshot`] seam), inbox, and
+//! accumulated stats at each `k`-round barrier — a barrier is already a
+//! consistent cut — into a checksummed, versioned on-disk file
 //! (magic-tagged header + lane digest, written via atomic
-//! write-then-rename). A relaunched worker loads its newest *valid*
-//! checkpoint — torn or corrupt files fail the digest, are skipped
-//! with a typed `checkpoint_reject` flight-recorder event, and fall
-//! back to the previous checkpoint or round 0, never trusted — and
-//! re-handshakes at the checkpoint round, so the hub's replay log only
-//! ever needs to span one interval. Only with checkpointing off does a
-//! beyond-the-window crash fall back to restarting the whole
-//! (deterministic) run from round 0. The control-frame wire protocol
-//! (handshake, round barriers, heartbeats, stats, worker events, error
-//! broadcast) is documented in [`transport::control`]; the
-//! failure-mode × recovery-action matrix lives in the [`transport`]
-//! module docs, the frame-level failure table in [`frame`].
+//! write-then-rename). The hub keeps a bounded per-destination replay
+//! log of two intervals. A crashed or wedged worker is killed,
+//! relaunched with backoff, loads its newest *valid* checkpoint — torn or
+//! corrupt files fail the digest, are skipped with a typed
+//! `checkpoint_reject` flight-recorder event, and fall back to the
+//! previous checkpoint or round 0, never trusted — re-handshakes at that
+//! round, and is fast-forwarded through the rounds it missed, so
+//! recovery costs O(interval) and the run still completes
+//! bit-identically. Only an exhausted restart budget, or a resume below
+//! the replay log's floor, surfaces as a typed error. Those relay queues
+//! are themselves bounded (256 MiB per destination): a consumer that
+//! stops draining turns into a typed error naming the slow shard, never
+//! unbounded hub memory. The control-frame wire protocol (handshake,
+//! round barriers, heartbeats, stats, worker events, error broadcast) is
+//! documented in [`transport::control`]; the failure-mode ×
+//! recovery-action matrix lives in the [`transport`] module docs, the
+//! frame-level failure table in [`frame`].
 //! A frame corrupted anywhere in its header or tables — everything that
 //! addresses, sizes, or routes messages — or truncated or misrouted
 //! surfaces as a typed [`SimError::Frame`]: never a panic, never a
-//! misdelivered or reordered message. (By default the payload region is
-//! not checksummed — payload-byte integrity is the transport medium's
-//! job, exactly as in the shared-memory path — but the format's coverage
-//! flag extends the digest over it for transports that want the frame
-//! self-verifying end to end; see [`frame::FrameConfig`] and
-//! [`Simulator::with_frame_config`].) The engine a caller names is the
-//! engine that runs: [`Engine::Parallel`] always delivers through shared
-//! memory, and only [`Engine::Framed`] crosses the seam.
+//! misdelivered or reordered message. (The payload region is not
+//! checksummed: payload-byte integrity is the transport medium's job,
+//! exactly as in the shared-memory path.) The engine a caller names is
+//! the engine that runs: [`Engine::Parallel`] always delivers through
+//! shared memory, and only [`Engine::Framed`] crosses the seam.
 //!
 //! Every backend runs one round schedule through one per-shard round
 //! kernel: each shard's compute → account → ship (framed delivery only),
@@ -277,7 +267,7 @@ pub use checkpoint::{
 pub use codec::{Codec, Typed, TypedInbox, TypedOutbox, TypedProtocol};
 pub use engine::{Ctx, Determinism, Engine, Protocol, Simulator, Snapshot};
 pub use error::{FrameError, SimError, TransportCause, TransportError};
-pub use frame::{FrameConfig, FrameTransport, Transport, TransportHealth};
+pub use frame::{FrameTransport, Transport, TransportHealth};
 pub use message::{Inbox, Incoming, IncomingRef, Outbox, PayloadId, PayloadSlab};
 pub use seeding::stream_rng;
 pub use shard::{RouteIndex, RouteSegment, ShardPlan};

@@ -1493,7 +1493,7 @@ mod tests {
     /// deliver into the wrong inbox.
     #[test]
     fn bad_frames_surface_typed_errors_instead_of_panicking() {
-        use crate::frame::{encode_entries, FrameConfig, LoopbackTransport, Transport};
+        use crate::frame::{encode_entries, LoopbackTransport, Transport};
         use bytes::Bytes;
 
         let g = generators::path(4); // adjacency 0:[1] 1:[0,2] 2:[1,3] 3:[2]
@@ -1502,12 +1502,7 @@ mod tests {
             other => panic!("expected a frame error, got {other:?}"),
         };
         let frame = |dest: usize, from: usize, slots: std::ops::Range<usize>| {
-            encode_entries(
-                0,
-                dest,
-                &[(from, slots, Some(b"x".as_slice()))],
-                FrameConfig::default(),
-            )
+            encode_entries(0, dest, &[(from, slots, Some(b"x".as_slice()))])
         };
 
         // A bit flip in the ref table fails the header checksum.
@@ -1536,7 +1531,7 @@ mod tests {
 
         // A checksummed frame whose header claims another destination.
         let t = LoopbackTransport::new(1);
-        t.send(0, 0, encode_entries(0, 5, &[], FrameConfig::default()));
+        t.send(0, 0, encode_entries(0, 5, &[]));
         shard.place_frames(&g, 0, 0, &t, &[0, 4]);
         assert!(matches!(
             frame_err(&shard),

@@ -44,8 +44,8 @@
 //!  "detail":"attempt=1 backoff_ms=61 beat_age_ms=118 rounds_replayed=0"}
 //! ```
 //!
-//! `shard` is `null` on events not attributable to one shard (whole-run
-//! restarts, run completion). The root crate's `launcher_smoke` tests
+//! `shard` is `null` on events not attributable to one shard (run
+//! completion or a fatal end). The root crate's `launcher_smoke` tests
 //! pin both key lists in this order.
 
 use std::collections::BTreeMap;
@@ -290,7 +290,7 @@ pub struct TraceEvent {
     /// The round the fabric (or the shard) had reached.
     pub round: u64,
     /// Event class: `restart`, `lost`, `stall_kill`, `chaos_kill`,
-    /// `run_restart`, `halt`, ...
+    /// `halt`, `fatal`, ...
     pub kind: &'static str,
     /// Free-form detail (backoff decision, heartbeat age, replay
     /// counts, error rendering).

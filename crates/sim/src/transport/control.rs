@@ -875,7 +875,7 @@ mod tests {
 
     #[test]
     fn data_frame_magic_is_rejected_here() {
-        let data = crate::frame::encode_entries(0, 1, &[], crate::frame::FrameConfig::default());
+        let data = crate::frame::encode_entries(0, 1, &[]);
         assert_eq!(
             ControlFrame::decode(data.as_slice()),
             Err(FrameError::BadMagic)

@@ -267,15 +267,10 @@ impl<T: Transport> Transport for FaultInjectingTransport<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{encode_entries, FrameConfig, LoopbackTransport};
+    use crate::frame::{encode_entries, LoopbackTransport};
 
     fn frame(sender: usize, dest: usize, tag: u8) -> Bytes {
-        encode_entries(
-            sender,
-            dest,
-            &[(0, 0..1, Some(&[tag]))],
-            FrameConfig::default(),
-        )
+        encode_entries(sender, dest, &[(0, 0..1, Some(&[tag]))])
     }
 
     fn run_round(t: &dyn Transport, shards: usize, tag: u8) -> Vec<Vec<Option<Bytes>>> {

@@ -5,19 +5,25 @@
 //! **no child outcome can wedge the parent**. [`supervise`] binds the
 //! hub, spawns one worker per shard, and heals the run: a crashed or
 //! wedged worker is killed (if needed), relaunched with exponential
-//! backoff and deterministic jitter up to a restart budget, and
+//! backoff and deterministic jitter up to a restart budget, resumes from
+//! its newest valid checkpoint (or round 0 when it has none), and is
 //! re-admitted by the hub's replay log so the run still completes
-//! bit-identically. Only an exhausted budget, the overall deadline or an
-//! unrecoverable protocol error surfaces to the caller, as the fabric's
-//! first [`SimError`] or a synthesized [`SimError::Transport`]. With
-//! `max_restarts: 0` the first worker failure ends the run.
+//! bit-identically. That is the one recovery path. Only an exhausted
+//! budget, the overall deadline or an unrecoverable protocol error — a
+//! resume below the replay window included — surfaces to the caller, as
+//! the fabric's first [`SimError`] or a synthesized
+//! [`SimError::Transport`]. With `max_restarts: 0` the first worker
+//! failure ends the run.
 //!
 //! The launcher does not know how to start a worker — the caller
 //! supplies a spawn closure mapping `(shard, hub address, attempt)` to
-//! a [`Child`]. The `netdecomp` binary hands each worker its settings
-//! as `--worker` command-line arguments.
+//! a [`Child`], and that worker must checkpoint every
+//! [`SuperviseOptions::checkpoint_interval`] rounds. The `netdecomp`
+//! binary hands each worker its settings as `--worker` command-line
+//! arguments.
 
 use std::io;
+use std::num::NonZeroU64;
 use std::path::PathBuf;
 use std::process::Child;
 use std::time::{Duration, Instant};
@@ -26,7 +32,7 @@ use crate::error::{SimError, TransportCause, TransportError};
 use crate::trace::FlightRecorder;
 
 use super::fault::mix;
-use super::socket::{Hub, HubOptions, EVICTED_DETAIL_PREFIX};
+use super::socket::{Hub, HubOptions};
 use super::{HubAddr, WorkerStats};
 
 /// A hub socket path in the system temp directory, unique to this
@@ -58,8 +64,7 @@ pub struct SuperviseOptions {
     /// Hub address to bind; `None` picks [`temp_hub_addr`].
     pub addr: Option<HubAddr>,
     /// Restart budget **per shard**: how many relaunches a single shard
-    /// may consume before the supervisor declares it lost. Also bounds
-    /// whole-run restarts (the evicted-replay-window fallback).
+    /// may consume before the supervisor declares it lost.
     pub max_restarts: usize,
     /// Base restart delay; attempt `n` waits `backoff × 2^(n-1)` plus
     /// deterministic jitter.
@@ -88,9 +93,12 @@ pub struct SuperviseOptions {
     /// before the kill lands, so pair it with slowed rounds when the
     /// kill must happen.
     pub kill_at: Option<(usize, u64)>,
-    /// Rounds of replay history the hub retains (see
-    /// [`super::DEFAULT_REPLAY_WINDOW`]).
-    pub replay_window: u64,
+    /// Rounds between the checkpoints every worker writes (the spawn
+    /// closure must hand it to them). The hub retains
+    /// [`RETAIN_CHECKPOINTS`](crate::checkpoint::RETAIN_CHECKPOINTS)
+    /// intervals of replay history, so a relaunched worker can resume
+    /// from either checkpoint it keeps.
+    pub checkpoint_interval: NonZeroU64,
     /// Where to write the flight-recorder JSONL dump (worker ring
     /// snapshots merged with the supervisor's restart / chaos / stall
     /// annotations — schema in the [`crate::trace`] module docs).
@@ -103,8 +111,9 @@ impl SuperviseOptions {
     /// Defaults: fabric timeout [`super::DEFAULT_FRAME_TIMEOUT`],
     /// deadline twelve times that (restarts need headroom), three
     /// restarts per shard, 50 ms base backoff, stall window of a third of
-    /// a timeout (at least 250 ms), the default replay window, no chaos
-    /// kill, no flight-recorder dump.
+    /// a timeout (at least 250 ms), a checkpoint every
+    /// [`super::DEFAULT_CHECKPOINT_INTERVAL`] rounds, no chaos kill, no
+    /// flight-recorder dump.
     #[must_use]
     pub fn new(shards: usize) -> SuperviseOptions {
         let timeout = super::DEFAULT_FRAME_TIMEOUT;
@@ -120,7 +129,7 @@ impl SuperviseOptions {
             heartbeat: Duration::from_millis(100),
             stall: (timeout / 3).max(Duration::from_millis(250)),
             kill_at: None,
-            replay_window: super::DEFAULT_REPLAY_WINDOW,
+            checkpoint_interval: super::DEFAULT_CHECKPOINT_INTERVAL,
             trace_out: None,
         }
     }
@@ -135,9 +144,6 @@ pub struct SuperviseReport {
     pub worker_stats: Vec<Option<WorkerStats>>,
     /// Per-shard relaunch counts (initial spawns not included).
     pub restarts: Vec<usize>,
-    /// Whole-run restarts taken because a resume fell below the replay
-    /// window.
-    pub full_run_restarts: usize,
     /// Hub-side re-admissions (process restarts + link reconnects).
     pub workers_restarted: usize,
     /// Rounds replayed to reconnecting shards from the hub's logs.
@@ -170,11 +176,12 @@ const SUPERVISE_TICK: Duration = Duration::from_millis(10);
 ///
 /// The spawn closure receives `(shard, hub address, attempt)` where
 /// `attempt` is 0 for the initial spawn and counts up across restarts
-/// (cumulative across whole-run restarts, so a chaos hook armed only
-/// for attempt 0 stays disarmed on every relaunch). Restarted workers
-/// are plain re-spawns: a worker re-runs deterministically from round
-/// 0, re-handshakes, and the hub echo-discards re-shipped rounds while
-/// replaying the inbound history the worker missed.
+/// (so a chaos hook armed only for attempt 0 stays disarmed on every
+/// relaunch). A relaunched worker resumes from its newest valid
+/// checkpoint — or reruns deterministically from round 0 when it has
+/// none — and re-handshakes at that round; the hub echo-discards
+/// re-shipped rounds while replaying the inbound history the worker
+/// missed.
 ///
 /// Do not pipe worker stdout/stderr through the spawn closure unless
 /// something drains them — the supervisor only reaps exit statuses, so
@@ -183,7 +190,9 @@ const SUPERVISE_TICK: Duration = Duration::from_millis(10);
 /// # Errors
 ///
 /// - the fabric's first broadcast [`SimError`] — including the typed
-///   `Transport` error naming the shard whose restart budget ran out;
+///   `Transport` error naming the shard whose restart budget ran out,
+///   and the typed handshake refusal of a resume below the replay
+///   window;
 /// - [`TransportCause::Timeout`] naming the least-advanced shard when
 ///   the overall deadline passes first.
 pub fn supervise(
@@ -191,7 +200,7 @@ pub fn supervise(
     mut spawn: impl FnMut(usize, &HubAddr, usize) -> io::Result<Child>,
 ) -> Result<SuperviseReport, SimError> {
     let mut recorder = options.trace_out.as_ref().map(|_| FlightRecorder::new());
-    let result = supervise_loop(options, &mut spawn, &mut recorder);
+    let result = supervise_hub(options, &mut spawn, &mut recorder);
     if let (Some(recorder), Some(path)) = (&mut recorder, &options.trace_out) {
         match &result {
             Ok(report) => recorder.event(
@@ -199,8 +208,8 @@ pub fn supervise(
                 0,
                 "halt",
                 format!(
-                    "run complete: restarts={:?} full_run_restarts={} rounds_replayed={}",
-                    report.restarts, report.full_run_restarts, report.rounds_replayed
+                    "run complete: restarts={:?} rounds_replayed={}",
+                    report.restarts, report.rounds_replayed
                 ),
             ),
             Err(error) => recorder.event(None, 0, "fatal", error.to_string()),
@@ -210,72 +219,6 @@ pub fn supervise(
         let _ = recorder.dump_to(path);
     }
     result
-}
-
-/// The supervision loop proper: one hub generation per iteration,
-/// re-entered on a whole-run restart.
-fn supervise_loop(
-    options: &SuperviseOptions,
-    spawn: &mut impl FnMut(usize, &HubAddr, usize) -> io::Result<Child>,
-    recorder: &mut Option<FlightRecorder>,
-) -> Result<SuperviseReport, SimError> {
-    let started = Instant::now();
-    let mut attempts = vec![0usize; options.shards];
-    let mut full_run_restarts = 0usize;
-    let mut kill_at_armed = options.kill_at;
-    loop {
-        let outcome = supervise_one_hub(
-            options,
-            spawn,
-            started,
-            &mut attempts,
-            &mut kill_at_armed,
-            recorder,
-        )?;
-        match outcome {
-            HubOutcome::Done(mut report) => {
-                report.full_run_restarts = full_run_restarts;
-                return Ok(report);
-            }
-            HubOutcome::RestartRun => {
-                full_run_restarts += 1;
-                if let Some(r) = recorder {
-                    r.event(
-                        None,
-                        0,
-                        "run_restart",
-                        format!(
-                            "whole-run restart #{full_run_restarts}: resume fell below the \
-                             replay window"
-                        ),
-                    );
-                }
-                if full_run_restarts > options.max_restarts.max(1) {
-                    return Err(SimError::Transport(TransportError {
-                        shard: 0,
-                        round: 0,
-                        cause: TransportCause::Io {
-                            detail: format!(
-                                "whole-run restart budget exhausted after {full_run_restarts} \
-                                 attempts (replay window repeatedly evicted)"
-                            ),
-                        },
-                    }));
-                }
-                for a in &mut attempts {
-                    *a += 1;
-                }
-            }
-        }
-    }
-}
-
-/// What one hub generation ended with.
-enum HubOutcome {
-    Done(SuperviseReport),
-    /// A resume fell below the replay window: every committed round is
-    /// still deterministic, so re-run the whole thing from round 0.
-    RestartRun,
 }
 
 /// Drains the hub's per-shard trace streams and buffered worker
@@ -310,15 +253,17 @@ fn worker_event_kind(code: u8) -> &'static str {
     }
 }
 
+/// The supervision loop proper: binds the hub, spawns the workers, and
+/// heals them until the fabric halts or the deadline passes.
 #[allow(clippy::too_many_lines)]
-fn supervise_one_hub(
+fn supervise_hub(
     options: &SuperviseOptions,
     spawn: &mut impl FnMut(usize, &HubAddr, usize) -> io::Result<Child>,
-    started: Instant,
-    attempts: &mut [usize],
-    kill_at_armed: &mut Option<(usize, u64)>,
     recorder: &mut Option<FlightRecorder>,
-) -> Result<HubOutcome, SimError> {
+) -> Result<SuperviseReport, SimError> {
+    let started = Instant::now();
+    let mut attempts = vec![0usize; options.shards];
+    let mut kill_at_armed = options.kill_at;
     let requested = options.addr.clone().unwrap_or_else(temp_hub_addr);
     let synthesized = |shard: usize, cause: TransportCause| {
         SimError::Transport(TransportError {
@@ -329,7 +274,7 @@ fn supervise_one_hub(
     };
     let mut hub_options = HubOptions::new(options.shards, options.timeout);
     hub_options.digest = options.graph_digest;
-    hub_options.replay_window = options.replay_window;
+    hub_options.replay_window = super::replay_window(options.checkpoint_interval);
     // A dead connection waits for its replacement for up to the whole
     // run budget — the deadline kill below is the real bound, and a
     // shorter grace would race the backoff schedule.
@@ -343,7 +288,6 @@ fn supervise_one_hub(
         )
     })?;
     let settle = options.timeout.min(Duration::from_millis(300));
-    let restarts_at_entry: Vec<usize> = attempts.to_vec();
     let mut slots: Vec<Slot> = Vec::with_capacity(options.shards);
     let kill_everything = |slots: &mut Vec<Slot>| {
         for slot in slots.iter_mut() {
@@ -353,8 +297,8 @@ fn supervise_one_hub(
             }
         }
     };
-    for (shard, &attempt) in attempts.iter().enumerate().take(options.shards) {
-        match spawn(shard, &addr, attempt) {
+    for shard in 0..options.shards {
+        match spawn(shard, &addr, 0) {
             Ok(child) => slots.push(Slot::Running(child)),
             Err(e) => {
                 kill_everything(&mut slots);
@@ -413,14 +357,30 @@ fn supervise_one_hub(
                 Slot::Running(child) => match child.try_wait() {
                     Ok(Some(status)) if status.success() && shard_done => Some(Slot::Finished),
                     Ok(Some(status)) if status.success() => Some(Slot::Settling(now + settle)),
-                    Ok(Some(_)) => Some(schedule_restart(options, &hub, attempts, shard, recorder)),
+                    Ok(Some(_)) => Some(schedule_restart(
+                        options,
+                        &hub,
+                        &mut attempts,
+                        shard,
+                        recorder,
+                    )),
                     Ok(None) => None,
-                    Err(_) => Some(schedule_restart(options, &hub, attempts, shard, recorder)),
+                    Err(_) => Some(schedule_restart(
+                        options,
+                        &hub,
+                        &mut attempts,
+                        shard,
+                        recorder,
+                    )),
                 },
                 Slot::Settling(_) if shard_done => Some(Slot::Finished),
-                Slot::Settling(deadline) if now >= *deadline => {
-                    Some(schedule_restart(options, &hub, attempts, shard, recorder))
-                }
+                Slot::Settling(deadline) if now >= *deadline => Some(schedule_restart(
+                    options,
+                    &hub,
+                    &mut attempts,
+                    shard,
+                    recorder,
+                )),
                 Slot::Backoff(due) if now >= *due => match spawn(shard, &addr, attempts[shard]) {
                     Ok(child) => Some(Slot::Running(child)),
                     Err(e) => {
@@ -435,7 +395,7 @@ fn supervise_one_hub(
             }
         }
         // Chaos: external SIGKILL once the victim reaches its round.
-        if let Some((victim, at_round)) = *kill_at_armed {
+        if let Some((victim, at_round)) = kill_at_armed {
             let committed = hub.committed_rounds();
             let beat_round = hub
                 .beat_ages()
@@ -448,7 +408,7 @@ fn supervise_one_hub(
             if reached {
                 if let Some(Slot::Running(child)) = slots.get_mut(victim) {
                     let _ = child.kill();
-                    *kill_at_armed = None;
+                    kill_at_armed = None;
                     if let Some(r) = recorder {
                         r.event(
                             Some(victim),
@@ -536,33 +496,16 @@ fn supervise_one_hub(
     absorb_worker_traces(recorder, &hub);
     hub.stop_and_join();
     if let Some(error) = fabric_error {
-        // The hub usually halts on the evicted-window refusal before the
-        // in-loop check sees it; either path answers with a whole-run
-        // restart rather than the error.
-        if let SimError::Transport(TransportError {
-            cause: TransportCause::Handshake { detail },
-            ..
-        }) = &error
-        {
-            if detail.starts_with(EVICTED_DETAIL_PREFIX) {
-                return Ok(HubOutcome::RestartRun);
-            }
-        }
         return Err(error);
     }
-    Ok(HubOutcome::Done(SuperviseReport {
+    Ok(SuperviseReport {
         worker_stats,
-        restarts: attempts
-            .iter()
-            .zip(restarts_at_entry)
-            .map(|(&total, entry)| total - entry)
-            .collect(),
-        full_run_restarts: 0,
+        restarts: attempts,
         workers_restarted,
         rounds_replayed,
         heartbeats_missed,
         checkpoint_restores,
-    }))
+    })
 }
 
 /// Books one more restart for `shard`: `Backoff` with exponential

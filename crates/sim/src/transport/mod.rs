@@ -17,6 +17,7 @@
 //! - [`run_worker`] — the single-shard driver a worker process runs:
 //!   loads the graph, runs the engine's own per-shard round kernel
 //!   (compute → account → ship, then place) against a [`HubClient`],
+//!   checkpoints and restores its shard as its [`CheckpointPlan`] says,
 //!   and reports errors through `Error` control frames before exiting.
 //! - [`FaultInjectingTransport`] — a deterministic, seeded wrapper over
 //!   any backend that drops, corrupts, delays, duplicates, or reorders
@@ -39,13 +40,12 @@
 //!
 //! | Failure | Detected by | Signal | Recovery | Caller sees |
 //! |---|---|---|---|---|
-//! | Worker process crashes (incl. SIGKILL mid-frame) | Hub reader (EOF / close mid-frame) + supervisor exit reaping | stream close; `wait()` status | Supervisor relaunches (backoff + jitter, ≤ `max_restarts`); worker re-runs deterministically, re-handshakes with `Hello{resume_round}`, hub replays from the `replay` log and treats re-shipped rounds as echoes | Nothing — run completes bit-identically; `workers_restarted`/`rounds_replayed` counters tick |
-//! | Worker crashes with checkpointing on ([`CheckpointPlan`] interval > 0, `netdecomp --checkpoint-interval`) | As above | As above | Relaunched worker loads its newest valid checkpoint from the plan's directory (`--checkpoint-dir`) and re-handshakes at the checkpoint round, so recovery re-runs at most one interval plus the in-flight rounds instead of the whole history | Nothing; `checkpoint_restores` ticks and a `checkpoint_load` event lands in the flight record |
+//! | Worker process crashes (incl. SIGKILL mid-frame) | Hub reader (EOF / close mid-frame) + supervisor exit reaping | stream close; `wait()` status | Supervisor relaunches (backoff + jitter, ≤ `max_restarts`); the worker loads its newest valid checkpoint (or none, and starts at round 0), re-handshakes with `Hello{resume_round}`, and the hub replays the rounds since from its `replay` log, treating re-shipped rounds as echoes | Nothing — run completes bit-identically; `workers_restarted`/`rounds_replayed` counters tick, and `checkpoint_restores` when a checkpoint loaded (a `checkpoint_load` event lands in the flight record) |
 //! | Worker wedges (alive, no progress) | Supervisor: global barrier stall + least-committed victim selection; heartbeat age feeds `heartbeats_missed` | `Heartbeat` control frames + barrier round | Supervisor kills the wedged process, then the crash path above applies | Nothing, or a typed timeout if the stall outlives the collect deadline |
 //! | Link drops but both ends live | Client read/write error | socket error | Client's one-shot reconnect-with-handshake; hub replays the collect round | Nothing; `frames_retried` ticks |
-//! | Reconnect resumes below the replay window | Hub admission | handshake refusal whose detail starts with the evicted-window prefix | Supervisor restarts the *whole* run from round 0 (deterministic ⇒ still bit-identical) — with checkpointing at an interval ≤ the window, a checkpoint resume always lands inside the window first, so this is the fallback, not the only deep-history path | Nothing, or the typed handshake error when unsupervised |
+//! | Resume below the replay window | Hub admission | handshake refusal naming the replay floor | None — the history it needs is gone. The window holds both checkpoints a worker keeps, so this takes losing both (torn or corrupt) and a crash more than a window deep | Typed [`crate::TransportCause::Handshake`]; the run ends |
 //! | Checkpoint file torn or corrupted (crash mid-write, bit rot) | Worker's checkpoint loader | trailing [`crate::checkpoint`] digest / header validation | File is *skipped, never trusted*: the loader falls back to the previous retained checkpoint, then to a fresh round-0 run | Nothing; a `checkpoint_reject` event with the typed reason lands in the flight record |
-//! | Checkpoint is stale (fabric restarted from round 0 behind it) | Hub admission | handshake refusal with the stale-resume prefix | Worker redials as a fresh join from round 0 and discards the restored state; the refusal is per-connection, never fabric-fatal | Nothing |
+//! | Checkpoint is stale (a `--checkpoint-dir` reused across runs holds one ahead of this run's committed rounds) | Hub admission | handshake refusal with the stale-resume prefix | Worker redials as a fresh join from round 0 and discards the restored state; the refusal is per-connection, never fabric-fatal | Nothing |
 //! | Destination never drains its hub queue (slow or absent consumer) | Hub relay (256 MiB per destination) | per-destination queued-bytes accounting | None — unbounded buffering would trade a deadlock for an OOM | Typed [`crate::SimError::Transport`] naming the slow/absent destination shard |
 //! | Restart budget exhausted | Supervisor | — | None — supervisor calls the hub's `declare_lost` | Typed [`crate::SimError::Transport`] naming the lost shard |
 //! | Wrong graph / frame version / shard id | Hub handshake vetting | `Error` control frame | None (config error, retrying cannot help) | Typed [`crate::TransportCause::Handshake`] |
@@ -54,19 +54,21 @@
 //!
 //! # Checkpoint/restore
 //!
+//! Checkpoint and replay is the one way a supervised worker recovers.
 //! With a [`CheckpointPlan`] of interval `k` (rounds) and a directory
-//! (`netdecomp --checkpoint-interval k --checkpoint-dir DIR`), every
-//! worker serializes its shard —
-//! protocol state through the [`crate::Snapshot`] seam, the delivered
-//! inbox of the checkpoint cut, per-edge CONGEST counters, and
-//! accumulated run statistics — into an atomically-renamed, checksummed
-//! file every `k` committed rounds (format in [`crate::checkpoint`]).
-//! A relaunched worker loads the newest checkpoint that validates,
-//! resumes at its round, and re-handshakes with
-//! `Hello{resume_round = checkpoint round}`; choosing `k` no larger
-//! than the replay window guarantees the hub can always serve the
-//! missing suffix, so recovery costs `O(interval)` re-execution instead
-//! of `O(run length)`.
+//! (`netdecomp --checkpoint-interval k --checkpoint-dir DIR`; `k`
+//! defaults to [`DEFAULT_CHECKPOINT_INTERVAL`]), every worker serializes
+//! its shard — protocol state through the [`crate::Snapshot`] seam, the
+//! delivered inbox of the checkpoint cut, and accumulated run statistics
+//! — into an atomically-renamed, checksummed file every `k` committed
+//! rounds (format in [`crate::checkpoint`]). A relaunched worker loads
+//! the newest checkpoint that validates, resumes at its round (round 0
+//! when none does), and re-handshakes with
+//! `Hello{resume_round = checkpoint round}`. The hub keeps
+//! [`crate::checkpoint::RETAIN_CHECKPOINTS`] intervals of replay
+//! history, so it can always serve the missing suffix from either
+//! checkpoint a worker keeps, and recovery costs `O(interval)`
+//! re-execution instead of `O(run length)`.
 //!
 //! # Observability
 //!
@@ -88,8 +90,8 @@
 //!   rings into a [`crate::FlightRecorder`] and annotates the timeline
 //!   with its own decisions: restart events (attempt number, backoff
 //!   with jitter, heartbeat age, replay count), chaos and stall kills,
-//!   whole-run restarts, lost shards, deadline breaches, and the final
-//!   halt or fatal outcome.
+//!   lost shards, deadline breaches, and the final halt or fatal
+//!   outcome.
 //! - **Dump.** When `launcher::SuperviseOptions::trace_out` names a
 //!   path (`netdecomp --trace-out`), the recorder writes everything as
 //!   JSONL —
@@ -113,6 +115,7 @@ mod socket;
 mod worker;
 
 use std::fmt;
+use std::num::NonZeroU64;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -122,23 +125,30 @@ use crate::frame::Transport;
 
 pub use fault::{FaultInjectingTransport, FaultPlan, LinkPartition};
 pub use socket::{HubAddr, HubClient, SocketTransport, WorkerEvent, WorkerStats};
-pub use worker::{
-    run_worker, run_worker_checkpointed, run_worker_reporting, CheckpointPlan, WorkerConfig,
-    WorkerReport,
-};
+pub use worker::{run_worker, CheckpointPlan, WorkerConfig, WorkerReport};
 
 /// The deadline every transport blocking point inherits unless a
 /// caller sets another.
 pub const DEFAULT_FRAME_TIMEOUT: Duration = Duration::from_secs(5);
 
+/// Rounds between the checkpoints every supervised worker writes unless
+/// a caller sets another interval
+/// (`launcher::SuperviseOptions::checkpoint_interval`, `netdecomp
+/// --checkpoint-interval`).
+pub const DEFAULT_CHECKPOINT_INTERVAL: NonZeroU64 = NonZeroU64::new(512).unwrap();
+
 /// How many committed rounds of per-destination delivery history a hub
-/// retains for crash recovery unless a caller sets another window. A
-/// reconnect asking to resume below the window is refused with a typed
-/// handshake error; a supervisor answers that by restarting the whole
-/// (deterministic) run. For the hub to be guaranteed able to serve a
-/// checkpoint resume, keep the checkpoint interval at or below the
-/// window.
-pub const DEFAULT_REPLAY_WINDOW: u64 = 1024;
+/// retains when its workers checkpoint every `interval` rounds: one
+/// interval per checkpoint a worker keeps on disk
+/// ([`crate::checkpoint::RETAIN_CHECKPOINTS`]), so a relaunched worker can
+/// resume from either of them. A resume below the window is refused with
+/// a typed handshake error that ends the run.
+pub(crate) fn replay_window(interval: NonZeroU64) -> u64 {
+    // Saturating: the interval comes from the command line.
+    interval
+        .get()
+        .saturating_mul(crate::checkpoint::RETAIN_CHECKPOINTS as u64)
+}
 
 const DIGEST_INIT: u64 = 0xcbf2_9ce4_8422_2325;
 const DIGEST_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -222,7 +232,8 @@ mod tests {
         assert_eq!(DEFAULT_FRAME_TIMEOUT, Duration::from_millis(5_000));
         let options = launcher::SuperviseOptions::new(2);
         assert_eq!(options.timeout, DEFAULT_FRAME_TIMEOUT);
-        assert_eq!(options.replay_window, DEFAULT_REPLAY_WINDOW);
+        assert_eq!(options.checkpoint_interval, DEFAULT_CHECKPOINT_INTERVAL);
+        assert_eq!(replay_window(options.checkpoint_interval), 1024);
         assert_eq!(options.trace_out, None);
     }
 

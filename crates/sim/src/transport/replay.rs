@@ -10,14 +10,12 @@
 //! reproduces the byte stream the previous connection would have carried
 //! from that round on.
 //!
-//! The log is bounded to a sliding window of rounds
-//! ([`crate::transport::DEFAULT_REPLAY_WINDOW`] unless the supervisor
-//! sets `replay_window`): once the fabric's barrier
-//! commits round `r`, entries for rounds below `r + 1 - window` are
-//! evicted. A reconnect asking to resume inside the evicted region is
-//! refused with a typed handshake error (the supervisor's cue to restart
-//! the whole run from round 0, which is deterministic and therefore
-//! still bit-identical).
+//! The log is bounded to a sliding window of rounds — two checkpoint
+//! intervals under a supervisor, so both checkpoints a worker keeps stay
+//! replayable: once the fabric's barrier commits round `r`, entries for
+//! rounds below `r + 1 - window` are evicted. A reconnect asking to
+//! resume inside the evicted region is refused with a typed handshake
+//! error naming the floor, and the refusal ends the run.
 
 use bytes::Bytes;
 use std::collections::VecDeque;

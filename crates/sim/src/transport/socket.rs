@@ -57,12 +57,12 @@
 //! 0..k and the hub counts them as echoes instead of double-delivering.
 //! Per *destination*, a bounded [`super::replay::ReplayLog`] remembers
 //! every relayed data frame and barrier ack; a `Hello{resume_round}`
-//! re-handshake replays the suffix the client lost directly on the
-//! fresh stream, before the writer takes over, so replayed traffic can
-//! never be overtaken by live traffic. A resume below the log's
-//! retention floor is refused with a typed handshake error whose detail
-//! starts with [`EVICTED_DETAIL_PREFIX`] — the supervisor's cue to
-//! restart the entire (deterministic) run.
+//! re-handshake puts the acknowledgement and the suffix the client lost
+//! at the head of the connection's fresh writer queue, under the relay
+//! lock, so replayed traffic can never be overtaken by live traffic and
+//! the connection's writer is the only thread that ever writes to it.
+//! A resume below the log's retention floor is refused with a typed
+//! handshake error naming the floor, and the refusal ends the run.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -87,17 +87,11 @@ use super::control::{ControlFrame, CONTROL_MAGIC, MAX_WIRE_FRAME};
 use super::replay::{ReplayLog, Snapshot};
 
 /// Detail prefix of the typed handshake refusal the hub issues when a
-/// reconnect asks to resume below the replay log's retention floor. A
-/// supervisor seeing this restarts the whole run from round 0 (the run
-/// is deterministic, so the result is still bit-identical).
-pub(crate) const EVICTED_DETAIL_PREFIX: &str = "replay window evicted";
-
-/// Detail prefix of the typed handshake refusal the hub issues when a
-/// fresh worker asks to resume at a round the fabric has not committed
-/// yet — a checkpoint from an older fabric generation, presented after
-/// a whole-run restart. Unlike [`EVICTED_DETAIL_PREFIX`] this is *not*
-/// fabric-fatal: the accept loop refuses just that connection, and the
-/// connector redials as a fresh join from round 0.
+/// relaunched worker asks to resume at a round the fabric has not
+/// committed yet — a checkpoint an earlier run left in a reused
+/// checkpoint directory. Unlike a resume below the replay floor this is
+/// *not* fabric-fatal: the accept loop refuses just that connection, and
+/// the connector redials as a fresh join from round 0.
 pub(crate) const STALE_RESUME_DETAIL_PREFIX: &str = "stale resume";
 
 /// Byte budget each per-destination relay queue may hold before the
@@ -420,8 +414,14 @@ fn handshake(
 
 /// A unit of outgoing work for a hub writer thread.
 enum Item {
-    /// Pre-encoded frame bytes (data or control), written verbatim.
+    /// Pre-encoded frame bytes (data or control), written verbatim and
+    /// counted in the queue's depth.
     Frame(Bytes),
+    /// The hello acknowledgement or a replayed frame an admission put at
+    /// the head of a fresh queue: written verbatim, outside the depth
+    /// the queue cap checks, so replayed history never makes a later
+    /// live relay breach the cap.
+    Replay(Bytes),
     /// Flush, close the connection, and exit.
     Exit,
 }
@@ -526,7 +526,7 @@ impl HubOptions {
             timeout,
             grace: timeout,
             digest: None,
-            replay_window: super::DEFAULT_REPLAY_WINDOW,
+            replay_window: super::replay_window(super::DEFAULT_CHECKPOINT_INTERVAL),
             queue_cap: DEFAULT_HUB_QUEUE_CAP,
         }
     }
@@ -559,11 +559,10 @@ pub struct WorkerStats {
     pub stats: RunStats,
 }
 
-/// Result of vetting a reconnect's resume coordinates: the replay
-/// stream to write on the fresh connection plus the receiver of the
-/// freshly-swapped writer queue.
+/// Result of vetting a (re)connect's resume coordinates: the rounds the
+/// fresh writer queue replays plus that queue's receiver, which already
+/// holds the acknowledgement and the replay.
 struct Admission {
-    replay: Vec<Bytes>,
     replay_rounds: u64,
     rx: mpsc::Receiver<Item>,
     depth: Arc<AtomicUsize>,
@@ -858,17 +857,18 @@ impl HubShared {
     }
 
     /// Vets a (re)connect's resume coordinates and atomically swaps in a
-    /// fresh writer queue for `conn`: snapshots the replay suffix the
-    /// client asked for, resets the sender's connection-local ship
-    /// round, and replaces the queue so no stale live frame can precede
-    /// the replay on the fresh stream. The caller writes the snapshot
-    /// directly, then registers the connection (which hands the stream
-    /// and the fresh receiver to the writer).
+    /// fresh writer queue for `conn`, headed by `ack` and the replay
+    /// suffix the client asked for: resets the sender's
+    /// connection-local ship round and replaces the queue under the
+    /// relay lock, so no live frame can precede the acknowledgement or
+    /// the replay. The caller then registers the connection, which hands
+    /// the stream and the fresh receiver to the writer.
     fn prepare_resume(
         &self,
         conn: usize,
         resume_round: u64,
         next_ship_round: u64,
+        ack: Bytes,
     ) -> Result<Admission, String> {
         let mut relay = self.relay.lock().expect("no poisoned relay state");
         let relay = &mut *relay;
@@ -883,18 +883,20 @@ impl HubShared {
             Snapshot::Entries { frames, rounds } => (frames, rounds),
             Snapshot::Evicted { floor } => {
                 return Err(format!(
-                    "{EVICTED_DETAIL_PREFIX}: shard {conn} asked to resume at round \
-                     {resume_round} but the oldest retained round is {floor}"
+                    "shard {conn} asked to resume at round {resume_round}, below the \
+                     replay floor: the oldest retained round is {floor}"
                 ));
             }
         };
         relay.senders[conn].ship_round = next_ship_round;
         let (tx, rx) = mpsc::channel();
+        for frame in std::iter::once(ack).chain(replay) {
+            let _ = tx.send(Item::Replay(frame));
+        }
         let depth = Arc::new(AtomicUsize::new(0));
         relay.queues[conn] = tx;
         relay.depths[conn] = Arc::clone(&depth);
         Ok(Admission {
-            replay,
             replay_rounds,
             rx,
             depth,
@@ -1041,10 +1043,8 @@ impl HubShared {
     }
 }
 
-/// The hub's `Hello` acknowledgement. Written *directly* to a freshly
-/// vetted stream by the vetting thread — never through the per-shard
-/// queue, which may already hold data frames from fast peers that would
-/// otherwise overtake the acknowledgement.
+/// The hub's `Hello` acknowledgement, which heads the fresh writer queue
+/// of every admission — ahead of the replay and of any live frame.
 fn hello_ack(shared: &HubShared, conn: usize) -> Bytes {
     ControlFrame::Hello {
         shard: conn as u32,
@@ -1081,11 +1081,12 @@ enum AdmitError {
     Link(String),
 }
 
-/// Admits a vetted connection: swaps in a fresh writer queue, writes the
-/// acknowledgement and the replay suffix *directly* on the stream (so
-/// neither can be overtaken by queued live traffic), then registers the
-/// stream + queue pair, releasing the shard's reader and writer into the
-/// new epoch.
+/// Admits a vetted connection: swaps in a fresh writer queue headed by
+/// the acknowledgement and the replay suffix, then registers the stream
+/// with that queue, releasing the shard's reader and writer into the new
+/// epoch. The writer alone writes to the stream from then on, while the
+/// reader drains it at once — so a large replay cannot stall against a
+/// peer that is already shipping its own frames.
 fn admit_conn(
     shared: &Arc<HubShared>,
     conn: usize,
@@ -1093,7 +1094,8 @@ fn admit_conn(
     mut stream: Stream,
 ) -> Result<(), AdmitError> {
     let (resume_round, next_ship_round) = hello_resume(hello);
-    let admission = match shared.prepare_resume(conn, resume_round, next_ship_round) {
+    let ack = hello_ack(shared, conn);
+    let admission = match shared.prepare_resume(conn, resume_round, next_ship_round, ack) {
         Ok(admission) => admission,
         Err(detail) => {
             // Tell the connector why before hanging up.
@@ -1105,19 +1107,6 @@ fn admit_conn(
             return Err(AdmitError::Refused(detail));
         }
     };
-    let ack = hello_ack(shared, conn);
-    stream
-        .write_all(ack.as_slice())
-        .and_then(|()| stream.flush())
-        .map_err(|e| AdmitError::Link(format!("hello acknowledgement write failed: {e}")))?;
-    for frame in &admission.replay {
-        stream
-            .write_all(frame.as_slice())
-            .map_err(|e| AdmitError::Link(format!("replay write failed: {e}")))?;
-    }
-    stream
-        .flush()
-        .map_err(|e| AdmitError::Link(format!("replay flush failed: {e}")))?;
     let rejoin = {
         let state = shared.conns[conn]
             .state
@@ -1144,9 +1133,8 @@ fn admit_conn(
 }
 
 /// Pairs-mode connection driver: handshake on the raw hub-side stream,
-/// then admit it (releasing the writer) and relay. Admission *after*
-/// the acknowledgement write is what guarantees the client sees the
-/// acknowledgement before any queued traffic.
+/// then admit it (releasing the writer, whose fresh queue starts with
+/// the acknowledgement) and relay.
 fn run_pairs_conn(shared: &Arc<HubShared>, conn: usize, mut stream: Stream) {
     let _ = stream.set_read_timeout(Some(shared.timeout));
     let _ = stream.set_write_timeout(Some(shared.timeout));
@@ -1357,7 +1345,8 @@ fn run_reader(shared: &Arc<HubShared>, conn: usize) {
 ///
 /// The writer starts with no stream at all: every admission — including
 /// the first — swaps the shard's queue and hands the writer a `(stream,
-/// queue receiver)` pair for the new epoch. When its receiver
+/// queue receiver)` pair for the new epoch, the queue headed by the
+/// hello acknowledgement and the replay. When its receiver
 /// disconnects (the queue was swapped for a newer epoch) the writer
 /// waits out the grace window for the replacement pair. Frames that
 /// cannot be written — no stream yet, or a mid-epoch write failure —
@@ -1382,7 +1371,7 @@ fn run_writer(
     let mut stream: Option<Stream> = None;
     let mut epoch = 0u64;
     loop {
-        match rx.recv_timeout(READ_TICK) {
+        let bytes = match rx.recv_timeout(READ_TICK) {
             Ok(Item::Exit) => {
                 if let Some(s) = &mut stream {
                     let _ = s.flush();
@@ -1394,20 +1383,9 @@ fn run_writer(
                 // Dequeued: off the books whether or not the write
                 // lands (a failed write drops the frame too).
                 depth.fetch_sub(bytes.len(), Ordering::Relaxed);
-                let Some(s) = stream.as_mut() else {
-                    continue; // no stream this epoch: replay covers it
-                };
-                if s.write_all(bytes.as_slice())
-                    .and_then(|()| s.flush())
-                    .is_err()
-                {
-                    // The stream died mid-epoch. Drop the frame (the
-                    // replay log has it) and keep draining; a reconnect
-                    // swaps the queue, which lands us in the
-                    // disconnected arm below.
-                    stream = None;
-                }
+                bytes
             }
+            Ok(Item::Replay(bytes)) => bytes,
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 if shared.stopping.load(Ordering::SeqCst) {
                     if let Some(s) = &mut stream {
@@ -1415,6 +1393,7 @@ fn run_writer(
                     }
                     return;
                 }
+                continue;
             }
             Err(mpsc::RecvTimeoutError::Disconnected) => {
                 match shared.await_write_replacement(conn, epoch) {
@@ -1426,7 +1405,20 @@ fn run_writer(
                     }
                     None => return,
                 }
+                continue;
             }
+        };
+        let Some(s) = stream.as_mut() else {
+            continue; // no stream this epoch: replay covers it
+        };
+        if s.write_all(bytes.as_slice())
+            .and_then(|()| s.flush())
+            .is_err()
+        {
+            // The stream died mid-epoch. Drop the frame (the replay log
+            // has it) and keep draining; a reconnect swaps the queue,
+            // which lands us in the disconnected arm above.
+            stream = None;
         }
     }
 }
@@ -1801,24 +1793,21 @@ fn run_accept(
                 .expect("no poisoned conn slot");
             state.epoch == 0
         };
-        // Acknowledgement and replay are written directly on the fresh
-        // stream, *before* registration hands it to the writer: queued
-        // traffic from fast peers must never overtake either.
+        // Acknowledgement and replay head the fresh writer queue, so
+        // queued traffic from fast peers can never overtake either.
         match admit_conn(shared, conn, &hello, stream) {
             Ok(()) => {}
             Err(AdmitError::Refused(detail)) => {
                 if detail.starts_with(STALE_RESUME_DETAIL_PREFIX) {
-                    // A checkpoint from a previous fabric generation
-                    // (whole-run restart): the refusal frame is already
-                    // written, the worker redials from round 0. Not a
-                    // poisoned fabric — keep accepting.
+                    // A checkpoint an earlier run left in a reused
+                    // directory: the refusal frame is already written,
+                    // the worker redials from round 0. Not a poisoned
+                    // fabric — keep accepting.
                     continue;
                 }
                 // A resume below the replay floor poisons the run the
                 // same way a wrong graph does: refuse fabric-wide,
-                // typed. A supervisor recognizes the replay-floor case
-                // by its [`EVICTED_DETAIL_PREFIX`] and restarts the
-                // whole (deterministic) run instead.
+                // typed. The history it needs is gone, so the run ends.
                 shared.declare_fatal(
                     conn as u32,
                     SimError::Transport(TransportError {
@@ -1952,17 +1941,20 @@ impl HubClient {
     /// Dials a hub asking to resume at `resume_round` (a checkpoint's
     /// barrier round): the hub replays every inbound frame from that
     /// round on and treats re-shipped earlier rounds as echoes. When
-    /// the hub refuses the claim as *stale* — a fresh fabric after a
-    /// whole-run restart has committed fewer rounds than the checkpoint
-    /// covers — the client transparently redials as a fresh join from
-    /// round 0. Returns the client plus the granted resume round (`0`
-    /// after the stale fallback: the caller must then discard its
-    /// restored state and start clean).
+    /// the hub refuses the claim as *stale* — the fabric has committed
+    /// fewer rounds than the checkpoint covers, because an earlier run
+    /// left it in a reused checkpoint directory — the client
+    /// transparently redials as a fresh join from round 0. Returns the
+    /// client plus the granted resume round (`0` after the stale
+    /// fallback: the caller must then discard its restored state and
+    /// start clean).
     ///
     /// # Errors
     ///
     /// As [`HubClient::connect`]; stale-resume refusals are handled
-    /// internally, every other refusal surfaces typed.
+    /// internally, every other refusal surfaces typed — a resume below
+    /// the hub's replay floor as [`TransportCause::Handshake`] naming the
+    /// floor.
     pub fn connect_resuming(
         addr: &HubAddr,
         shard: usize,
@@ -2666,19 +2658,14 @@ impl Drop for SocketTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{encode_entries, FrameConfig};
+    use crate::frame::encode_entries;
 
     const FAST: Duration = Duration::from_millis(300);
 
     /// A minimal valid data frame from `sender` to `dest`, tagged with
     /// one payload byte so tests can tell frames apart.
     fn data_frame(sender: usize, dest: usize, tag: u8) -> Bytes {
-        encode_entries(
-            sender,
-            dest,
-            &[(0, 0..1, Some(&[tag]))],
-            FrameConfig::default(),
-        )
+        encode_entries(sender, dest, &[(0, 0..1, Some(&[tag]))])
     }
 
     fn collect_all(mesh: &SocketTransport, shards: usize) -> Vec<Vec<Option<Bytes>>> {
@@ -3055,10 +3042,34 @@ mod tests {
     }
 
     #[test]
+    fn replayed_history_does_not_count_against_the_queue_cap() {
+        // A cap that holds one frame but not two: shard 1 rejoins and
+        // its fresh queue replays round 0's frame, after which one live
+        // frame must still fit. Driven against the relay state directly,
+        // as the readers and the accept thread would.
+        let frame = data_frame(0, 1, 7);
+        let mut options = HubOptions::new(2, FAST);
+        options.queue_cap = frame.len() + 8;
+        let (shared, receivers) = HubShared::new(&options);
+        shared.relay_data(0, 1, frame.clone()).unwrap();
+        shared.on_barrier(0, 0).unwrap();
+        shared.on_barrier(1, 0).unwrap();
+        let admission = shared
+            .prepare_resume(1, 0, 0, hello_ack(&shared, 1))
+            .unwrap();
+        assert_eq!(admission.replay_rounds, 1);
+        assert_eq!(admission.depth.load(Ordering::Relaxed), 0);
+        shared
+            .relay_data(0, 1, frame)
+            .expect("the replay is not counted against the cap");
+        drop((admission, receivers));
+    }
+
+    #[test]
     fn a_checkpoint_resume_is_granted_and_skips_replayed_history() {
-        // The tentpole's O(interval) recovery, in miniature: three
-        // committed rounds, a crash, and a replacement that — unlike the
-        // from-scratch restart — presents a checkpoint at the committed
+        // Checkpoint recovery in O(interval), in miniature: three
+        // committed rounds, a crash, and a replacement that — unlike a
+        // rerun from round 0 — presents a checkpoint at the committed
         // frontier. The hub must grant the round and replay *nothing*.
         let request = HubAddr::Unix(test_socket_path("resumeckpt"));
         let (hub, addr) = Hub::listen(&request, 1, Duration::from_secs(5), None).unwrap();
@@ -3085,12 +3096,88 @@ mod tests {
     }
 
     #[test]
+    fn a_resume_below_the_replay_floor_is_a_typed_refusal_that_ends_the_run() {
+        // A hub keeping 2 rounds of history commits 5, so its floor is
+        // round 3. A replacement asking for round 0 needs history that
+        // is gone: it gets a typed handshake refusal naming the floor,
+        // and the hub halts on the same error.
+        let request = HubAddr::Unix(test_socket_path("belowfloor"));
+        let mut options = HubOptions::new(1, Duration::from_secs(5));
+        options.replay_window = 2;
+        let (hub, addr) = Hub::listen_with(&request, options).unwrap();
+        let client = HubClient::connect(&addr, 0, 1, 0, Duration::from_secs(5)).unwrap();
+        for round in 0..5u8 {
+            client.send(0, data_frame(0, 0, round));
+            client.collect(&mut vec![None; 1]).unwrap();
+        }
+        drop(client); // the worker process dies
+        let error = HubClient::connect_resuming(&addr, 0, 1, 0, Duration::from_secs(5), 0)
+            .expect_err("round 0 lies below the floor");
+        let TransportCause::Handshake { detail } = &error.cause else {
+            panic!("want a handshake refusal, got {error}");
+        };
+        assert!(detail.contains("oldest retained round is 3"), "{detail}");
+        assert!(
+            hub.wait_halted(Duration::from_secs(2)),
+            "the refusal ends the run"
+        );
+        match hub.first_error() {
+            Some(SimError::Transport(TransportError {
+                shard: 0,
+                cause: TransportCause::Handshake { detail: held },
+                ..
+            })) => assert_eq!(&held, detail),
+            other => panic!("the hub must hold the refusal, got {other:?}"),
+        }
+        drop(hub);
+    }
+
+    #[test]
+    fn a_late_shards_large_replay_cannot_deadlock_its_admission() {
+        // Shard 0 ships 1 MiB to shard 1 before shard 1 connects, so
+        // shard 1's admission replays more than a socket buffer holds —
+        // while shard 1, right after its handshake, ships 1 MiB of its
+        // own before it collects. The hub must read that stream while
+        // it writes the replay, or both sides stall until they time out.
+        let shards = 2;
+        let timeout = Duration::from_secs(5);
+        let big = |sender: usize, dest: usize| {
+            encode_entries(sender, dest, &[(0, 0..1, Some(&vec![7u8; 1 << 20]))])
+        };
+        let request = HubAddr::Unix(test_socket_path("latereplay"));
+        let (hub, addr) = Hub::listen(&request, shards, timeout, None).unwrap();
+        let c0 = HubClient::connect(&addr, 0, shards, 0, timeout).unwrap();
+        c0.send(1, big(0, 1));
+        c0.send(0, data_frame(0, 0, 1));
+        let deadline = Instant::now() + timeout;
+        while hub.committed_rounds()[0] == 0 {
+            assert!(Instant::now() < deadline, "shard 0's round never landed");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        std::thread::scope(|scope| {
+            let early = scope.spawn(|| c0.collect(&mut vec![None; shards]));
+            let c1 = HubClient::connect(&addr, 1, shards, 0, timeout).unwrap();
+            c1.send(0, big(1, 0));
+            c1.send(1, data_frame(1, 1, 2));
+            let mut slots = vec![None; shards];
+            c1.collect(&mut slots)
+                .expect("the late shard collects round 0");
+            assert_eq!(slots[0].as_ref().unwrap().as_slice(), big(0, 1).as_slice());
+            early
+                .join()
+                .unwrap()
+                .expect("the early shard collects round 0");
+        });
+        drop(hub);
+    }
+
+    #[test]
     fn a_stale_resume_claim_falls_back_to_a_fresh_join() {
-        // A fresh hub (whole-run restart) has committed nothing; a
-        // worker clutching a checkpoint from the previous incarnation
-        // claims round 5. The refusal must stay connection-local — the
-        // client transparently downgrades to a round-0 join and the
-        // fabric keeps running.
+        // A fresh hub has committed nothing; a worker clutching a
+        // checkpoint an earlier run left in a reused directory claims
+        // round 5. The refusal must stay connection-local — the client
+        // transparently downgrades to a round-0 join and the fabric
+        // keeps running.
         let request = HubAddr::Unix(test_socket_path("staleresume"));
         let (hub, addr) = Hub::listen(&request, 1, Duration::from_secs(5), None).unwrap();
         let (client, granted) =

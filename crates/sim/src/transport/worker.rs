@@ -18,6 +18,7 @@
 //! [`run_worker`] returns the error — it never hangs and never panics on
 //! runtime failures.
 
+use std::num::NonZeroU64;
 use std::path::PathBuf;
 
 use bytes::Bytes;
@@ -28,7 +29,7 @@ use crate::checkpoint::{
     Checkpoint,
 };
 use crate::engine::{Ctx, Delivery, Protocol, RoundKernel, Snapshot};
-use crate::frame::{FrameConfig, Transport};
+use crate::frame::Transport;
 use crate::message::SendLog;
 use crate::shard::{DeliveryShard, RouteIndex, Router, ShardPlan};
 use crate::trace::{TraceRing, TRACE_WINDOW};
@@ -77,15 +78,19 @@ pub struct WorkerReport {
 /// checkpoint must be loaded before the handshake — build the plan
 /// first, pass [`CheckpointPlan::resume_round`] to
 /// [`HubClient::connect_resuming`], [`reconcile`](Self::reconcile) the
-/// granted round, then hand the plan to [`run_worker_checkpointed`].
-/// Flight-recorder events staged while offline (one per rejected file,
-/// one for the winning load) are flushed to the hub right after the
-/// round loop connects.
+/// granted round, then hand the plan to [`run_worker`]. Flight-recorder
+/// events staged while offline (one per rejected file, one for the
+/// winning load) are flushed to the hub right after the round loop
+/// connects.
+///
+/// `CheckpointPlan::default()` is the disabled plan — nothing to restore,
+/// nothing written — for a worker that runs without a supervisor to
+/// relaunch it.
 #[derive(Debug, Default)]
 pub struct CheckpointPlan {
-    /// Where checkpoints live; `None` disables both restore and writes.
+    /// Where checkpoints live; `None` only in the disabled plan.
     dir: Option<PathBuf>,
-    /// Write a checkpoint every this many committed rounds (0 = never).
+    /// Write a checkpoint every this many committed rounds.
     interval: u64,
     /// The graph fingerprint stamped into every checkpoint header.
     graph_digest: u64,
@@ -97,64 +102,56 @@ pub struct CheckpointPlan {
 
 impl CheckpointPlan {
     /// Builds the plan for `config`'s shard: checkpoints in `dir` every
-    /// `interval` committed rounds. Disabled (a no-op plan) unless a
-    /// directory is given and the interval is positive. Only a
-    /// *relaunched* worker (`config.attempt > 0`) scans for checkpoints:
-    /// a first launch is a fresh run, and any files already in the
-    /// directory are leftovers it must not resume from.
+    /// `interval` committed rounds. Only a *relaunched* worker
+    /// (`config.attempt > 0`) scans for checkpoints: a first launch is a
+    /// fresh run, and any files already in the directory are leftovers it
+    /// must not resume from. A relaunch that finds no valid checkpoint
+    /// resumes at round 0.
     #[must_use]
     pub fn new(
         config: &WorkerConfig,
         graph_digest: u64,
-        dir: Option<PathBuf>,
-        interval: u64,
+        dir: PathBuf,
+        interval: NonZeroU64,
     ) -> Self {
-        let WorkerConfig {
-            shard,
-            shards,
-            rounds,
-            attempt,
-            ..
-        } = *config;
-        let mut plan = CheckpointPlan {
-            dir,
-            interval,
+        let mut loaded = None;
+        let mut pending = Vec::new();
+        if config.attempt > 0 {
+            let (found, rejected) = load_newest_checkpoint(
+                &dir,
+                config.shard,
+                config.shards,
+                graph_digest,
+                config.rounds as u64,
+            );
+            for reject in rejected {
+                pending.push((
+                    0,
+                    EVENT_CHECKPOINT_REJECT,
+                    format!("{}: {}", reject.path.display(), reject.reason),
+                ));
+            }
+            if let Some(ckpt) = &found {
+                pending.push((
+                    ckpt.round,
+                    EVENT_CHECKPOINT_LOAD,
+                    format!(
+                        "{}: resuming at round {}",
+                        crate::checkpoint::checkpoint_path(&dir, config.shard, ckpt.round)
+                            .display(),
+                        ckpt.round
+                    ),
+                ));
+            }
+            loaded = found;
+        }
+        CheckpointPlan {
+            dir: Some(dir),
+            interval: interval.get(),
             graph_digest,
-            loaded: None,
-            pending: Vec::new(),
-        };
-        if plan.interval == 0 {
-            plan.dir = None;
-            return plan;
+            loaded,
+            pending,
         }
-        let Some(dir) = plan.dir.as_deref() else {
-            return plan;
-        };
-        if attempt == 0 {
-            return plan;
-        }
-        let (loaded, rejected) =
-            load_newest_checkpoint(dir, shard, shards, graph_digest, rounds as u64);
-        for reject in rejected {
-            plan.pending.push((
-                0,
-                EVENT_CHECKPOINT_REJECT,
-                format!("{}: {}", reject.path.display(), reject.reason),
-            ));
-        }
-        if let Some(ckpt) = &loaded {
-            plan.pending.push((
-                ckpt.round,
-                EVENT_CHECKPOINT_LOAD,
-                format!(
-                    "{}: resuming at round {}",
-                    crate::checkpoint::checkpoint_path(dir, shard, ckpt.round).display(),
-                    ckpt.round
-                ),
-            ));
-        }
-        plan.loaded = loaded;
-        plan
     }
 
     /// The round this plan can resume from: the loaded checkpoint's cut,
@@ -166,11 +163,11 @@ impl CheckpointPlan {
 
     /// Reconciles the plan with the round the hub actually granted. A
     /// grant below the checkpoint round means the hub refused the resume
-    /// (a fresh hub after a whole-run restart knows nothing of our
-    /// history — the checkpoint is stale) and admitted us at `granted`
-    /// instead; the restored state is discarded and the refusal staged
-    /// for the flight recorder. Determinism makes the discard safe: the
-    /// re-run recomputes bit-identical state.
+    /// as stale — the checkpoint is ahead of what this fabric committed,
+    /// left in a reused checkpoint directory by an earlier run — and
+    /// admitted us at `granted` instead; the restored state is discarded
+    /// and the refusal staged for the flight recorder. Determinism makes
+    /// the discard safe: the re-run recomputes bit-identical state.
     pub fn reconcile(&mut self, granted: u64) {
         let claimed = self.resume_round();
         if granted >= claimed {
@@ -187,9 +184,37 @@ impl CheckpointPlan {
         ));
     }
 
-    /// Whether the round loop should write checkpoints.
-    fn writes(&self) -> bool {
-        self.interval > 0 && self.dir.is_some()
+    /// Writes shard `config.shard`'s round-boundary state when
+    /// `report.rounds_run` committed rounds land on the interval.
+    /// Best-effort, like stats and traces: a full disk must not kill a
+    /// healthy run, but the flight record names it.
+    fn write_if_due<P: Snapshot>(
+        &self,
+        client: &HubClient,
+        config: &WorkerConfig,
+        nodes: &[P],
+        shard: &DeliveryShard,
+        report: &WorkerReport,
+    ) {
+        let round = report.rounds_run as u64;
+        let Some(dir) = self.dir.as_deref() else {
+            return;
+        };
+        if !round.is_multiple_of(self.interval) {
+            return;
+        }
+        let ckpt = Checkpoint {
+            shard: config.shard,
+            shards: config.shards,
+            round,
+            graph_digest: self.graph_digest,
+            payload: encode_worker_payload(nodes, shard, &report.stats),
+        };
+        let detail = match write_checkpoint(dir, &ckpt) {
+            Ok(path) => path.display().to_string(),
+            Err(error) => format!("failed: {error}"),
+        };
+        client.send_event(round, EVENT_CHECKPOINT_WRITE, detail);
     }
 }
 
@@ -222,87 +247,42 @@ impl Transport for ClientTransport<'_> {
 /// `make_node` sees exactly what [`crate::Simulator::new`]'s closure
 /// sees, so the same constructor drives both deployments.
 ///
+/// Checkpoint/restore follows `plan`: a plan that recovered a checkpoint
+/// overlays it onto the freshly built shard and starts the round loop at
+/// the checkpoint round instead of round 0, and every `interval` rounds
+/// the worker writes its full round-boundary state (node snapshots,
+/// pending inbox, accumulated stats) to an atomically-renamed
+/// checkpoint file. The caller must have dialed with
+/// [`HubClient::connect_resuming`]`(…, plan.resume_round())` and
+/// [`reconcile`](CheckpointPlan::reconcile)d the granted round: the hub
+/// only replays frames from the round the handshake claimed, so loop
+/// start and handshake round must agree. A worker without a supervisor
+/// passes `CheckpointPlan::default()`.
+///
+/// On success the worker streams its [`RunStats`] and `digest_of` its
+/// final states to the hub as a `Stats` control frame *before* the
+/// `Shutdown` frame (the hub stops reading this connection at
+/// `Shutdown`, so order matters). The launcher merges the reports
+/// instead of parsing worker stdout, and the digest lets it cross-check
+/// that restarted workers converged on the same result.
+///
 /// # Errors
 ///
 /// The first [`SimError`] the round loop hits: this shard's own CONGEST
 /// or frame violation (reported to peers before returning), a peer's
 /// structured error relayed by the hub, or a typed
 /// [`SimError::Transport`] when the fabric times out, disconnects, or
-/// desyncs.
-pub fn run_worker<P, F>(
+/// desyncs — plus a typed handshake error if the recovered checkpoint's
+/// payload does not overlay this worker's shard (a digest collision or a
+/// `Snapshot` impl that changed between builds: the handshake already
+/// promised the checkpoint round, so running from 0 instead would desync
+/// the fabric).
+pub fn run_worker<P, F, D>(
     graph: &Graph,
     client: &HubClient,
     config: &WorkerConfig,
-    make_node: F,
-) -> Result<(WorkerReport, Vec<P>), SimError>
-where
-    P: Protocol,
-    F: FnMut(VertexId, &Ctx<'_>) -> P,
-{
-    run_worker_reporting(graph, client, config, make_node, |_| 0)
-}
-
-/// [`run_worker`] plus end-of-run reporting: on success the worker
-/// streams its [`RunStats`] and a caller-computed result digest to the
-/// hub as a `Stats` control frame *before* the `Shutdown` frame (the
-/// hub stops reading this connection at `Shutdown`, so order matters).
-/// The launcher merges the reports instead of parsing worker stdout,
-/// and the digest lets it cross-check that restarted workers converged
-/// on the same result.
-///
-/// # Errors
-///
-/// As [`run_worker`].
-pub fn run_worker_reporting<P, F, D>(
-    graph: &Graph,
-    client: &HubClient,
-    config: &WorkerConfig,
-    make_node: F,
-    digest_of: D,
-) -> Result<(WorkerReport, Vec<P>), SimError>
-where
-    P: Protocol,
-    F: FnMut(VertexId, &Ctx<'_>) -> P,
-    D: FnOnce(&[P]) -> u64,
-{
-    drive_worker(
-        graph,
-        client,
-        config,
-        make_node,
-        digest_of,
-        |_, _, _, _| Ok(0),
-        |_, _, _, _| (),
-    )
-}
-
-/// [`run_worker_reporting`] with deterministic checkpoint/restore: every
-/// `plan` interval rounds the worker writes its full round-boundary
-/// state (node snapshots, pending inbox, CONGEST counters, accumulated
-/// stats) to an atomically-renamed checkpoint file, and a relaunched
-/// worker whose plan recovered a checkpoint starts the round loop at the
-/// checkpoint round instead of round 0 — crash recovery costs one
-/// interval plus the replay window, not the whole run.
-///
-/// The caller must have dialed with
-/// [`HubClient::connect_resuming`]`(…, plan.resume_round())` and
-/// [`reconcile`](CheckpointPlan::reconcile)d the granted round: the hub
-/// only replays frames from the round the handshake claimed, so loop
-/// start and handshake round must agree.
-///
-/// # Errors
-///
-/// As [`run_worker`], plus a typed handshake error if the recovered
-/// checkpoint's payload does not overlay this worker's shard (a digest
-/// collision or a `Snapshot` impl that changed between builds — the
-/// handshake already promised the checkpoint round, so running from 0
-/// instead would desync the fabric).
-pub fn run_worker_checkpointed<P, F, D>(
-    graph: &Graph,
-    client: &HubClient,
-    config: &WorkerConfig,
-    plan: CheckpointPlan,
-    make_node: F,
+    mut plan: CheckpointPlan,
+    mut make_node: F,
     digest_of: D,
 ) -> Result<(WorkerReport, Vec<P>), SimError>
 where
@@ -310,108 +290,8 @@ where
     F: FnMut(VertexId, &Ctx<'_>) -> P,
     D: FnOnce(&[P]) -> u64,
 {
-    let writes = plan.writes();
-    let CheckpointPlan {
-        dir,
-        interval,
-        graph_digest,
-        mut loaded,
-        mut pending,
-    } = plan;
-    let me = config.shard;
-    let shards = config.shards;
-    drive_worker(
-        graph,
-        client,
-        config,
-        make_node,
-        digest_of,
-        |client: &HubClient,
-         nodes: &mut [P],
-         shard: &mut DeliveryShard,
-         report: &mut WorkerReport| {
-            // The fabric is up: flush the events staged while offline.
-            for (round, code, detail) in pending.drain(..) {
-                client.send_event(round, code, detail);
-            }
-            let Some(ckpt) = loaded.take() else {
-                return Ok(0);
-            };
-            if !decode_worker_payload(&ckpt.payload, nodes, shard, &mut report.stats) {
-                return Err(SimError::Transport(TransportError {
-                    shard: me,
-                    round: ckpt.round as usize,
-                    cause: TransportCause::Handshake {
-                        detail: format!(
-                            "checkpoint for round {} passed its digest but does not \
-                             overlay shard {me}'s state (mismatched build?)",
-                            ckpt.round
-                        ),
-                    },
-                }));
-            }
-            let start = ckpt.round as usize;
-            report.rounds_run = start;
-            Ok(start)
-        },
-        |client: &HubClient, nodes: &[P], shard: &DeliveryShard, report: &WorkerReport| {
-            if !writes || !(report.rounds_run as u64).is_multiple_of(interval) {
-                return;
-            }
-            let dir = dir.as_deref().expect("writes() checked dir");
-            let round = report.rounds_run as u64;
-            let ckpt = Checkpoint {
-                shard: me,
-                shards,
-                round,
-                graph_digest,
-                payload: encode_worker_payload(nodes, shard, &report.stats),
-            };
-            // Best-effort, like stats and traces: a full disk must not
-            // kill a healthy run, but the flight record names it.
-            match write_checkpoint(dir, &ckpt) {
-                Ok(path) => {
-                    client.send_event(round, EVENT_CHECKPOINT_WRITE, path.display().to_string());
-                }
-                Err(error) => {
-                    client.send_event(round, EVENT_CHECKPOINT_WRITE, format!("failed: {error}"));
-                }
-            }
-        },
-    )
-}
-
-/// The shared round loop behind [`run_worker_reporting`] and
-/// [`run_worker_checkpointed`]. `prologue` runs once after the shard
-/// state is built and returns the round to start from (restoring state
-/// and setting `report.rounds_run` if it resumes); `after_round` runs
-/// at every round boundary — `report.rounds_run` rounds are committed,
-/// `shard` holds the next round's pending inbox — which is exactly the
-/// consistent cut a checkpoint captures.
-#[allow(clippy::too_many_arguments)]
-fn drive_worker<P, F, D, R, A>(
-    graph: &Graph,
-    client: &HubClient,
-    config: &WorkerConfig,
-    mut make_node: F,
-    digest_of: D,
-    prologue: R,
-    mut after_round: A,
-) -> Result<(WorkerReport, Vec<P>), SimError>
-where
-    P: Protocol,
-    F: FnMut(VertexId, &Ctx<'_>) -> P,
-    D: FnOnce(&[P]) -> u64,
-    R: FnOnce(
-        &HubClient,
-        &mut [P],
-        &mut DeliveryShard,
-        &mut WorkerReport,
-    ) -> Result<usize, SimError>,
-    A: FnMut(&HubClient, &[P], &DeliveryShard, &WorkerReport),
-{
-    let plan = ShardPlan::degree_balanced(graph, config.shards);
-    if plan.count() != config.shards || config.shard >= config.shards {
+    let shard_plan = ShardPlan::degree_balanced(graph, config.shards);
+    if shard_plan.count() != config.shards || config.shard >= config.shards {
         // The plan clamps to the vertex count; a fabric larger than the
         // graph (or a shard index outside it) cannot agree on a
         // partition, and every worker must fail the same typed way.
@@ -423,16 +303,16 @@ where
                     "no {}-shard plan over {} vertices (plan has {} shards)",
                     config.shards,
                     graph.vertex_count(),
-                    plan.count()
+                    shard_plan.count()
                 ),
             },
         }));
     }
     let me = config.shard;
     let n = graph.vertex_count();
-    let routes = RouteIndex::new(graph, &plan);
-    let bounds = plan.boundaries();
-    let range = plan.range(me);
+    let routes = RouteIndex::new(graph, &shard_plan);
+    let bounds = shard_plan.boundaries();
+    let range = shard_plan.range(me);
     let mut shard = DeliveryShard::new(graph, range.start, range.end);
     let mut nodes: Vec<P> = range
         .clone()
@@ -464,12 +344,29 @@ where
         }
     };
 
-    let start = match prologue(client, &mut nodes, &mut shard, &mut report) {
-        Ok(start) => start,
-        Err(error) => return Err(fail(client, error)),
-    };
+    // The fabric is up: flush the events staged while offline.
+    for (round, code, detail) in plan.pending.drain(..) {
+        client.send_event(round, code, detail);
+    }
+    if let Some(ckpt) = plan.loaded.take() {
+        if !decode_worker_payload(&ckpt.payload, &mut nodes, &mut shard, &mut report.stats) {
+            let error = SimError::Transport(TransportError {
+                shard: me,
+                round: ckpt.round as usize,
+                cause: TransportCause::Handshake {
+                    detail: format!(
+                        "checkpoint for round {} passed its digest but does not \
+                         overlay shard {me}'s state (mismatched build?)",
+                        ckpt.round
+                    ),
+                },
+            });
+            return Err(fail(client, error));
+        }
+        report.rounds_run = ckpt.round as usize;
+    }
 
-    for round in start..config.rounds {
+    for round in report.rounds_run..config.rounds {
         if let Some(error) = client.remote_error() {
             client.send_shutdown();
             return Err(error);
@@ -483,7 +380,6 @@ where
             started: round > 0,
             delivery: Delivery::Framed {
                 transport: &transport,
-                config: FrameConfig::default(),
             },
         };
         // The send half ships even when accounting failed; the `Error`
@@ -511,7 +407,10 @@ where
         }
         report.stats.absorb(shard.stats);
         report.rounds_run += 1;
-        after_round(client, &nodes, &shard, &report);
+        // A round boundary: `report.rounds_run` rounds are committed and
+        // `shard` holds the next round's pending inbox — exactly the
+        // consistent cut a checkpoint captures.
+        plan.write_if_due(client, config, &nodes, &shard, &report);
     }
     client.send_stats(report.rounds_run as u64, digest_of(&nodes), &report.stats);
     client.send_shutdown();
@@ -551,6 +450,20 @@ mod tests {
             if grew {
                 out.broadcast(&self.best.to_le_bytes());
             }
+        }
+    }
+
+    impl Snapshot for MaxFlood {
+        fn save_state(&self) -> Bytes {
+            Bytes::from(self.best.to_le_bytes().to_vec())
+        }
+
+        fn load_state(&mut self, bytes: &[u8]) -> bool {
+            let Ok(raw) = <[u8; 8]>::try_from(bytes) else {
+                return false;
+            };
+            self.best = u64::from_le_bytes(raw);
+            true
         }
     }
 
@@ -603,9 +516,15 @@ mod tests {
                             attempt: 0,
                             trace: false,
                         };
-                        run_worker(graph, &client, &config, |id, _ctx| MaxFlood {
-                            best: id as u64,
-                        })
+                        let make = |id, _: &Ctx<'_>| MaxFlood { best: id as u64 };
+                        run_worker(
+                            graph,
+                            &client,
+                            &config,
+                            CheckpointPlan::default(),
+                            make,
+                            |_| 0,
+                        )
                         .unwrap()
                     })
                 })
@@ -637,6 +556,16 @@ mod tests {
         fn round(&mut self, ctx: &Ctx<'_>, _incoming: Inbox<'_>, out: &mut Outbox<'_>) {
             let len = if ctx.id == 0 { 9 } else { 1 };
             out.broadcast(&vec![0u8; len]);
+        }
+    }
+
+    impl Snapshot for Overrun {
+        fn save_state(&self) -> Bytes {
+            Bytes::new()
+        }
+
+        fn load_state(&mut self, bytes: &[u8]) -> bool {
+            bytes.is_empty()
         }
     }
 
@@ -684,7 +613,9 @@ mod tests {
                             attempt: 0,
                             trace: false,
                         };
-                        run_worker(graph, &client, &config, |_, _| Overrun).unwrap_err()
+                        let plan = CheckpointPlan::default();
+                        run_worker(graph, &client, &config, plan, |_, _| Overrun, |_| 0)
+                            .unwrap_err()
                     })
                 })
                 .collect();
@@ -730,9 +661,15 @@ mod tests {
                         attempt: 0,
                         trace: false,
                     };
-                    run_worker(graph, &client, &config, |id, _ctx| MaxFlood {
-                        best: id as u64,
-                    })
+                    let make = |id, _: &Ctx<'_>| MaxFlood { best: id as u64 };
+                    run_worker(
+                        graph,
+                        &client,
+                        &config,
+                        CheckpointPlan::default(),
+                        make,
+                        |_| 0,
+                    )
                     .unwrap_err()
                 })
             };
@@ -764,10 +701,9 @@ mod tests {
             attempt: 0,
             trace: false,
         };
-        let error = run_worker(&graph, mesh.client(0), &config, |id, _ctx| MaxFlood {
-            best: id as u64,
-        })
-        .unwrap_err();
+        let make = |id, _: &Ctx<'_>| MaxFlood { best: id as u64 };
+        let plan = CheckpointPlan::default();
+        let error = run_worker(&graph, mesh.client(0), &config, plan, make, |_| 0).unwrap_err();
         assert!(
             matches!(
                 &error,

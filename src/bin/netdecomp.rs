@@ -23,10 +23,11 @@
 //! shard states against the in-process sequential engine. The run is
 //! *supervised*: each worker heartbeats every `--heartbeat-ms` (0 turns
 //! heartbeats and their bookkeeping off), a crashed or wedged worker is
-//! relaunched up to `--max-restarts` times, and the hub's replay log
-//! fast-forwards the replacement — only an exhausted budget is an
-//! error. Worker results arrive as `Stats` control frames over the
-//! fabric itself, not by parsing worker stdout. `--timeout-ms` sets the
+//! relaunched up to `--max-restarts` times, resumes from its newest
+//! checkpoint, and the hub's replay log fast-forwards it through the
+//! rounds since — only an exhausted budget is an error. Worker results
+//! arrive as `Stats` control frames over the fabric itself, not by
+//! parsing worker stdout. `--timeout-ms` sets the
 //! fabric timeout (default 5000) for this invocation and every worker it
 //! spawns; `--hub-addr` binds the hub somewhere specific — `unix:PATH`,
 //! `tcp:HOST:PORT`, or bare `HOST:PORT` (TCP) — instead of the default
@@ -48,19 +49,16 @@
 //! forever there (the supervisor must stall-detect and kill it);
 //! `NETDECOMP_CHAOS_KILL=<shard>:<round>` has the *supervisor* SIGKILL
 //! the shard from outside when it reaches that round;
-//! `NETDECOMP_CHAOS_SLOW_MS=<ms>` slows every round of every worker;
-//! `NETDECOMP_REPLAY_WINDOW=<rounds>` clamps the hub's replay log so a
-//! deep crash falls outside it.
+//! `NETDECOMP_CHAOS_SLOW_MS=<ms>` slows every round of every worker.
 //!
-//! Crash recovery in O(interval): `--checkpoint-interval N` has every
-//! worker write a checksummed checkpoint of its shard — protocol state,
-//! pending inbox, CONGEST counters, stats — every `N` committed rounds,
-//! into `--checkpoint-dir` (a temp dir is provisioned when none is
-//! named). A relaunched worker resumes from its newest *valid*
-//! checkpoint (torn or corrupt files are digest-rejected and skipped,
-//! never trusted) and re-handshakes at that round, so the hub's replay
-//! log only has to cover one interval — a crash older than the replay
-//! window no longer forces a whole-run restart.
+//! Crash recovery, in O(interval): every worker writes a checksummed
+//! checkpoint of its shard — protocol state, pending inbox, stats — every
+//! `--checkpoint-interval N ≥ 1` committed rounds (default 512) into
+//! `--checkpoint-dir`, or into a temp dir provisioned for the run and
+//! removed when it ends, whatever the outcome. A relaunched worker
+//! resumes from its newest *valid* checkpoint (torn or corrupt files are
+//! digest-rejected and skipped, never trusted), or from round 0 when it
+//! has none; the hub keeps two intervals of replay history to serve it.
 //!
 //! Observability: `--trace-out FILE` turns on the trace plane in every
 //! worker (`--trace`) and has the supervisor dump a flight-recorder
@@ -76,7 +74,8 @@
 //! and verifying the result.
 
 use std::io::Read as _;
-use std::path::PathBuf;
+use std::num::NonZeroU64;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -87,7 +86,8 @@ use netdecomp::core::{
 };
 use netdecomp::graph::{io, Graph};
 use netdecomp::sim::transport::{
-    launcher, run_worker_checkpointed, CheckpointPlan, WorkerConfig, DEFAULT_FRAME_TIMEOUT,
+    launcher, run_worker, CheckpointPlan, WorkerConfig, DEFAULT_CHECKPOINT_INTERVAL,
+    DEFAULT_FRAME_TIMEOUT,
 };
 use netdecomp::sim::{
     graph_digest, CongestLimit, Ctx, HubAddr, HubClient, Inbox, Outbox, Protocol, RunStats,
@@ -118,7 +118,7 @@ struct Options {
     json: bool,
     trace_out: Option<String>,
     checkpoint_dir: Option<String>,
-    checkpoint_interval: u64,
+    checkpoint_interval: NonZeroU64,
 }
 
 impl Options {
@@ -162,7 +162,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Options {
         json: false,
         trace_out: None,
         checkpoint_dir: None,
-        checkpoint_interval: 0,
+        checkpoint_interval: DEFAULT_CHECKPOINT_INTERVAL,
     };
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
@@ -261,8 +261,6 @@ struct TestHooks {
     /// `NETDECOMP_WORKER_ABORT`: the shard whose worker dies right after
     /// its handshake, on every launch.
     abort: Option<usize>,
-    /// `NETDECOMP_REPLAY_WINDOW`: the hub's replay window in rounds.
-    replay_window: Option<u64>,
 }
 
 /// Reads the [`TestHooks`] — the binary's only environment read.
@@ -280,7 +278,6 @@ fn test_hooks() -> TestHooks {
         slow_ms: number("NETDECOMP_CHAOS_SLOW_MS").unwrap_or(0),
         kill: at("NETDECOMP_CHAOS_KILL"),
         abort: var("NETDECOMP_WORKER_ABORT").and_then(|raw| raw.trim().parse().ok()),
-        replay_window: number("NETDECOMP_REPLAY_WINDOW").filter(|&w| w > 0),
     }
 }
 
@@ -479,6 +476,10 @@ fn worker_main(
             .as_deref()
             .ok_or("worker mode needs --hub-addr")?,
     )?;
+    let dir = opts
+        .checkpoint_dir
+        .as_ref()
+        .ok_or("worker mode needs --checkpoint-dir")?;
     let config = WorkerConfig {
         shard,
         shards: opts.distributed,
@@ -489,13 +490,13 @@ fn worker_main(
     };
     let digest = graph_digest(graph);
     // The checkpoint must be loaded *before* the handshake — the resume
-    // round rides in the Hello frame. A stale claim (fresh hub after a
-    // whole-run restart) is granted round 0 instead; reconcile discards
-    // the restored state and the run recomputes from scratch.
+    // round rides in the Hello frame. A stale claim (left by an earlier
+    // run in a reused --checkpoint-dir) is granted round 0 instead;
+    // reconcile discards the restored state.
     let mut plan = CheckpointPlan::new(
         &config,
         digest,
-        opts.checkpoint_dir.as_ref().map(PathBuf::from),
+        PathBuf::from(dir),
         opts.checkpoint_interval,
     );
     let (client, granted) = HubClient::connect_resuming(
@@ -517,7 +518,7 @@ fn worker_main(
     }
     let chaos = ChaosPlan::for_shard(hooks, shard);
     let mut first = true;
-    let (report, nodes) = run_worker_checkpointed(
+    let (report, nodes) = run_worker(
         graph,
         &client,
         &config,
@@ -541,10 +542,8 @@ fn worker_main(
     Ok(())
 }
 
-/// `--distributed N`: supervise one `--worker` process per shard against
-/// a socket hub — crashed or wedged workers are relaunched and replayed
-/// — then cross-check every worker's `Stats`-frame digest against the
-/// in-process sequential engine.
+/// `--distributed N`: [`supervised_run`] in the named checkpoint
+/// directory, or in one provisioned for the run and removed after it.
 fn distributed_main(
     opts: &Options,
     hooks: &TestHooks,
@@ -553,6 +552,28 @@ fn distributed_main(
     if opts.input == "-" {
         return Err("--distributed needs a graph file workers can re-read (not stdin)".into());
     }
+    let dir = opts.checkpoint_dir.as_ref().map_or_else(
+        || std::env::temp_dir().join(format!("netdecomp-ckpt-{}", std::process::id())),
+        PathBuf::from,
+    );
+    std::fs::create_dir_all(&dir)?;
+    let result = supervised_run(opts, hooks, graph, &dir);
+    if opts.checkpoint_dir.is_none() {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    result
+}
+
+/// Supervises one `--worker` process per shard against a socket hub —
+/// crashed or wedged workers are relaunched and resume from their
+/// checkpoints in `dir` — then cross-checks every worker's `Stats`-frame
+/// digest against the in-process sequential engine.
+fn supervised_run(
+    opts: &Options,
+    hooks: &TestHooks,
+    graph: &Graph,
+    dir: &Path,
+) -> Result<(), Box<dyn std::error::Error>> {
     let shards = opts.distributed;
     let timeout = opts.timeout();
     let mut options = launcher::SuperviseOptions::new(shards);
@@ -566,31 +587,14 @@ fn distributed_main(
     options.heartbeat = Duration::from_millis(opts.heartbeat_ms);
     options.backoff_seed = opts.seed;
     options.kill_at = hooks.kill;
-    if let Some(window) = hooks.replay_window {
-        options.replay_window = window;
-    }
+    options.checkpoint_interval = opts.checkpoint_interval;
     options.trace_out = opts.trace_out.as_ref().map(PathBuf::from);
     if let Some(raw) = &opts.hub_addr {
         options.addr = Some(parse_hub_addr(raw)?);
     }
-    // Checkpointing: with an interval set every worker checkpoints its
-    // shard each interval rounds. A directory is provisioned under the
-    // temp dir when none was named; an explicit one is created if
-    // missing and kept afterwards.
-    let provisioned = opts.checkpoint_interval > 0 && opts.checkpoint_dir.is_none();
-    let ckpt_dir = if opts.checkpoint_interval > 0 {
-        let dir = opts.checkpoint_dir.as_ref().map_or_else(
-            || std::env::temp_dir().join(format!("netdecomp-ckpt-{}", std::process::id())),
-            PathBuf::from,
-        );
-        std::fs::create_dir_all(&dir)?;
-        Some(dir)
-    } else {
-        None
-    };
     let mut worker = opts.clone();
     worker.input = std::fs::canonicalize(&opts.input)?.display().to_string();
-    worker.checkpoint_dir = ckpt_dir.as_ref().map(|dir| dir.display().to_string());
+    worker.checkpoint_dir = Some(dir.display().to_string());
     let exe = std::env::current_exe()?;
     let report = launcher::supervise(&options, |shard, addr, attempt| {
         worker.hub_addr = Some(addr.to_string());
@@ -655,8 +659,7 @@ fn distributed_main(
             "{{\"type\":\"distributed_summary\",\"shards\":{shards},\"vertices\":{},\
              \"rounds\":{},\"matches_sequential\":{all_match},\"workers\":[{}],\
              \"recovery\":{{\"workers_restarted\":{},\"rounds_replayed\":{},\
-             \"heartbeats_missed\":{},\"full_run_restarts\":{},\
-             \"checkpoint_restores\":{}}},\
+             \"heartbeats_missed\":{},\"checkpoint_restores\":{}}},\
              \"stats\":{{\"rounds\":{},\"total_messages\":{},\"total_bytes\":{},\
              \"max_edge_bytes\":{}}},\"trace_out\":{}}}",
             graph.vertex_count(),
@@ -665,7 +668,6 @@ fn distributed_main(
             report.workers_restarted,
             report.rounds_replayed,
             report.heartbeats_missed,
-            report.full_run_restarts,
             report.checkpoint_restores,
             merged.rounds,
             merged.total_messages,
@@ -676,11 +678,10 @@ fn distributed_main(
     } else {
         println!(
             "recovery: readmissions={} rounds_replayed={} heartbeats_missed={} \
-             full_run_restarts={} checkpoint_restores={}",
+             checkpoint_restores={}",
             report.workers_restarted,
             report.rounds_replayed,
             report.heartbeats_missed,
-            report.full_run_restarts,
             report.checkpoint_restores
         );
         println!(
@@ -706,13 +707,6 @@ fn distributed_main(
             expected.total_bytes
         )
         .into());
-    }
-    if provisioned {
-        // Our temp checkpoint dir served its run; an explicitly named
-        // one (or any dir after a failure) is left for forensics.
-        if let Some(dir) = &ckpt_dir {
-            let _ = std::fs::remove_dir_all(dir);
-        }
     }
     Ok(())
 }
@@ -905,7 +899,7 @@ mod tests {
         assert_eq!(worker.heartbeat_ms, 0);
         assert_eq!(worker.hub_addr.as_deref(), Some("unix:/hub.sock"));
         assert_eq!(worker.checkpoint_dir.as_deref(), Some("/ckpt"));
-        assert_eq!(worker.checkpoint_interval, 3);
+        assert_eq!(worker.checkpoint_interval.get(), 3);
         // Without a dump, the worker runs untraced and with defaults.
         let plain = parse("graph.txt --distributed 2");
         let worker = parse_args(worker_args(&plain, 0, 0));
@@ -914,6 +908,6 @@ mod tests {
         assert_eq!(worker.timeout_ms, plain.timeout_ms);
         assert_eq!(worker.heartbeat_ms, plain.heartbeat_ms);
         assert_eq!(worker.checkpoint_dir, None);
-        assert_eq!(worker.checkpoint_interval, 0);
+        assert_eq!(worker.checkpoint_interval, DEFAULT_CHECKPOINT_INTERVAL);
     }
 }

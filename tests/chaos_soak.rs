@@ -120,9 +120,10 @@ fn a_worker_crash_at_any_seeded_round_heals_bit_identically() {
     // The headline soak: sweep seeds, each picking a shard and a round
     // at which that worker's process dies mid-compute (exit 137, the
     // SIGKILL status). Every run must be supervised back to a
-    // bit-identical completion — once replaying from round 0, and once
-    // with a checkpoint every 3 rounds (the supervisor provisions the
-    // directory) to restore from.
+    // bit-identical completion — once with the default checkpoint
+    // interval, which these 12 rounds never reach, so the relaunch
+    // replays from round 0, and once with a checkpoint every 3 rounds to
+    // restore from (the supervisor provisions the directory either way).
     let graph = ladder_file("soak-crash", 36);
     for seed in 0..sweep_width() {
         let mixed = scramble(seed);
@@ -268,12 +269,10 @@ fn an_exhausted_restart_budget_is_a_typed_error_naming_the_shard() {
 
 #[test]
 fn a_deep_crash_with_checkpointing_heals_without_a_whole_run_restart() {
-    // The same deep crash as the whole-run-restart test below — round 9
-    // with only 2 rounds of replay history — but with checkpointing at
-    // interval 3. The crashed worker's newest checkpoint (round 9) is
-    // inside the hub's replay window, so it resumes in O(interval):
-    // recovery must go through a checkpoint restore, never the
-    // O(run-length) whole-run fallback.
+    // A crash at round 9 with checkpointing at interval 3, so the hub
+    // keeps only 6 rounds of replay history. The crashed worker's newest
+    // checkpoint (round 9) is inside that window, so it resumes in
+    // O(interval): recovery must go through a checkpoint restore.
     let graph = ladder_file("soak-ckpt-heal", 30);
     let ckpt_dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
         .join(format!("soak-ckpt-heal-{}", std::process::id()));
@@ -289,18 +288,10 @@ fn a_deep_crash_with_checkpointing_heals_without_a_whole_run_restart() {
             "--checkpoint-dir",
             &ckpt_path,
         ],
-        &[
-            ("NETDECOMP_CHAOS_CRASH", "1:9".into()),
-            ("NETDECOMP_REPLAY_WINDOW", "2".into()),
-        ],
+        &[("NETDECOMP_CHAOS_CRASH", "1:9".into())],
     );
     assert_healed(&output, "checkpointed deep crash 1:9");
     let stdout = String::from_utf8_lossy(&output.stdout);
-    assert_eq!(
-        recovery_counter(&output, "full_run_restarts"),
-        0,
-        "a checkpointed worker must never need the whole-run fallback:\n{stdout}"
-    );
     assert!(
         recovery_counter(&output, "checkpoint_restores") >= 1,
         "recovery must have gone through a checkpoint restore:\n{stdout}"
@@ -340,10 +331,7 @@ fn a_torn_checkpoint_is_rejected_by_digest_and_reported_in_the_flight_record() {
             "--trace-out",
             &dump_path,
         ],
-        &[
-            ("NETDECOMP_CHAOS_CRASH", "1:9".into()),
-            ("NETDECOMP_REPLAY_WINDOW", "2".into()),
-        ],
+        &[("NETDECOMP_CHAOS_CRASH", "1:9".into())],
     );
     assert_healed(&output, "torn checkpoint crash 1:9");
     assert!(
@@ -371,25 +359,27 @@ fn a_torn_checkpoint_is_rejected_by_digest_and_reported_in_the_flight_record() {
 }
 
 #[test]
-fn a_crash_outside_the_replay_window_restarts_the_whole_run() {
-    // With the replay log clamped to 2 rounds, a crash at round 9 needs
-    // history the hub has evicted. Per-worker recovery is refused and
-    // the supervisor falls back to restarting the entire run — which
-    // (chaos disarmed on re-attempts) then completes bit-identically.
-    // Without checkpoints there is nothing else to resume from.
-    let graph = ladder_file("soak-evicted", 30);
+fn a_crash_past_the_default_window_heals_from_a_checkpoint() {
+    // 1 100 rounds with no checkpoint flags: every worker checkpoints at
+    // the default interval (rounds 512 and 1024), and the hub keeps two
+    // intervals (1 024 rounds) of history. A crash at round 1 050 needs
+    // round 0, which the hub has evicted, so only the round-1024
+    // checkpoint can heal it: a restore plus a short replay, never a
+    // rerun of the whole history.
+    let graph = ladder_file("soak-default-window", 30);
     let (output, _) = supervised_run(
         &graph,
-        &["--timeout-ms", "2000"],
-        &[
-            ("NETDECOMP_CHAOS_CRASH", "1:9".into()),
-            ("NETDECOMP_REPLAY_WINDOW", "2".into()),
-        ],
+        &["--timeout-ms", "2000", "--rounds", "1100"],
+        &[("NETDECOMP_CHAOS_CRASH", "1:1050".into())],
     );
-    assert_healed(&output, "evicted-window crash 1:9");
+    assert_healed(&output, "default-window crash 1:1050");
+    let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(
-        recovery_counter(&output, "full_run_restarts") >= 1,
-        "recovery must have gone through the whole-run fallback:\n{}",
-        String::from_utf8_lossy(&output.stdout)
+        recovery_counter(&output, "checkpoint_restores") >= 1,
+        "recovery must have gone through a checkpoint restore:\n{stdout}"
+    );
+    assert!(
+        recovery_counter(&output, "rounds_replayed") < 1024,
+        "a restore replays only the rounds since its checkpoint:\n{stdout}"
     );
 }

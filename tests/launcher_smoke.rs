@@ -270,7 +270,6 @@ fn json_and_flight_recorder_shapes_are_pinned() {
             "recovery.workers_restarted",
             "recovery.rounds_replayed",
             "recovery.heartbeats_missed",
-            "recovery.full_run_restarts",
             "recovery.checkpoint_restores",
             "stats",
             "stats.rounds",
