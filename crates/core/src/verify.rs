@@ -10,9 +10,11 @@
 //! diameters without a BFS from every member of every cluster.
 //!
 //! - **Bounds.** Members are grouped by cluster with one counting sort.
-//!   One BFS per cluster, inside the cluster, from its recorded center (or
-//!   its first member if the center lies outside) decides connectivity and
-//!   gives a radius `r`, so `r ≤ strong ≤ 2r`, and `weak ≤ strong`.
+//!   One plain BFS per cluster, inside the cluster, from its recorded
+//!   center (or its first member if the center lies outside) decides
+//!   connectivity and gives a radius `r`, so `r ≤ strong ≤ 2r`, and
+//!   `weak ≤ strong`. It needs one source per cluster, so bit-parallel
+//!   searches buy it nothing.
 //! - **Pruning.** Clusters are visited in decreasing upper bound, and a
 //!   cluster's diameter is computed exactly only while its bound exceeds
 //!   the largest diameter found so far. The strong pass starts from the
@@ -21,29 +23,44 @@
 //!   `G(C)` has no bound and always gets the weak pass, which also finds a
 //!   pair disconnected in `G`. With a disconnected cluster the maximum
 //!   strong diameter is `None`, so no strong diameter is computed.
-//! - **Kernel.** Exact diameters come from [`BitParallelBfs`], 64
-//!   members at a time: inside the cluster for strong, through `G` for
-//!   weak, each search stopping at the level where all its sources have
-//!   reached every member. On top of the one BFS per cluster for the
-//!   bounds, this costs at most `⌈|C|/64⌉ · levels · (n + m)` summed over
-//!   the clusters that survive pruning. Scratch is `O(n)` words, allocated
-//!   once per call.
+//! - **Packing.** The members of the clusters a pass visits are the
+//!   sources of [`BitParallelBfs`] searches of 256 sources, filled back to
+//!   back: a large cluster spans several, and one search can carry the
+//!   last sources of one cluster and the first of the next few. After each
+//!   search the running maximum takes the largest distance found, so the
+//!   next search is filled against it; a pass's first search carries its
+//!   first cluster alone, because on grids that one result usually prunes
+//!   every other cluster.
+//! - **Kernel.** Strong searches stay inside each cluster, and weak ones
+//!   run through `G`, where the packed clusters share each level's edge
+//!   scans; each search stops at the level where every cluster's sources
+//!   have reached all its members. A pass costs `⌈s/256⌉` searches (one
+//!   more at most, for its first), `s` being the member count of the
+//!   clusters that survive pruning, each at most `levels · (n + m)`
+//!   operations on four-word bit strings, on top of the one BFS per
+//!   cluster for the bounds.
+//! - **Scratch.** One `u32` label per vertex for the radius searches, and
+//!   one [`BitParallelBfs`] allocated once per call: a `u32` per vertex,
+//!   plus three 32-byte strings per packed member for strong searches, and
+//!   for weak ones per vertex reached while they stay local, or per vertex
+//!   of `G` (96 bytes) once one spreads far enough to pull.
 //! - **Coloring.** One edge scan checks that no edge joins two clusters of
 //!   one block, which is what a proper coloring of `G(P)` means.
 //!
 //! The report is the one the exhaustive per-cluster loop (the
 //! [`strong_diameter`] and [`weak_diameter`] references) gives. A skipped
 //! cluster's diameter is at most its bound, and that bound is at most the
-//! running maximum, which is some cluster's diameter or radius and so at
-//! most the true maximum. The maxima and their `None` cases are therefore
-//! unchanged.
+//! running maximum, which is a radius or a distance between two members of
+//! one cluster and so at most the true maximum. The maxima and their
+//! `None` cases are therefore unchanged.
 //!
 //! [`strong_diameter`]: netdecomp_graph::diameter::strong_diameter
 //! [`weak_diameter`]: netdecomp_graph::diameter::weak_diameter
 
 use std::cmp::Reverse;
+use std::ops::Range;
 
-use netdecomp_graph::diameter::BitParallelBfs;
+use netdecomp_graph::diameter::{BitParallelBfs, SourceSet};
 use netdecomp_graph::{Graph, VertexId};
 
 use crate::{DecompError, NetworkDecomposition};
@@ -151,19 +168,11 @@ pub fn verify(
     by_bound.sort_by_key(|&c| Reverse(bound[c].unwrap_or(usize::MAX)));
 
     let max_strong = if clusters_connected {
-        let mut best = radius.iter().flatten().copied().max().unwrap_or(0);
-        for &c in &by_bound {
-            let ub = bound[c].expect("connected clusters are bounded");
-            if ub <= best {
-                break;
-            }
-            let d = clusters
-                .diameter(c, true, Some(ub))
-                .expect("a connected cluster has a finite strong diameter");
-            bound[c] = Some(d);
-            best = best.max(d);
-        }
-        Some(best)
+        let best = radius.iter().flatten().copied().max().unwrap_or(0);
+        let max = clusters
+            .max_diameter(&by_bound, &mut bound, best, true)
+            .expect("connected clusters have finite strong diameters");
+        Some(max)
     } else {
         None
     };
@@ -171,14 +180,7 @@ pub fn verify(
     // Re-sort by the tightened bounds. Unbounded (disconnected) clusters
     // come first, so they are always measured.
     by_bound.sort_by_key(|&c| Reverse(bound[c].unwrap_or(usize::MAX)));
-    let mut max_weak = Some(0);
-    for &c in &by_bound {
-        let Some(best) = max_weak else { break };
-        if bound[c].is_some_and(|ub| ub <= best) {
-            break;
-        }
-        max_weak = clusters.diameter(c, false, bound[c]).map(|d| best.max(d));
-    }
+    let max_weak = clusters.max_diameter(&by_bound, &mut bound, 0, false);
 
     // The block tags properly color `G(P)` iff no edge joins two clusters
     // of one block.
@@ -215,13 +217,25 @@ struct Clusters<'a> {
     /// Cluster `c`'s members are `members[start[c]..start[c + 1]]`.
     start: Vec<usize>,
     members: Vec<VertexId>,
+    /// Each vertex's cluster, until [`Clusters::radius`] reaches it;
+    /// [`UNLABELED`] for vertices outside every cluster or reached.
+    label: Vec<u32>,
+    /// The radius search's queue.
+    queue: Vec<VertexId>,
     bfs: BitParallelBfs,
 }
+
+/// The label of a vertex no radius search will enter.
+const UNLABELED: u32 = u32::MAX;
 
 impl<'a> Clusters<'a> {
     /// Groups the assigned vertices by cluster with one counting sort; each
     /// group is in increasing vertex order.
     fn group(graph: &'a Graph, assignment: &[Option<usize>], cluster_count: usize) -> Self {
+        assert!(
+            cluster_count < UNLABELED as usize,
+            "fewer than 2^32 - 1 clusters"
+        );
         let mut start = vec![0usize; cluster_count + 1];
         for &c in assignment.iter().flatten() {
             start[c + 1] += 1;
@@ -231,17 +245,21 @@ impl<'a> Clusters<'a> {
         }
         let mut members = vec![0; start[cluster_count]];
         let mut fill = start.clone();
+        let mut label = vec![UNLABELED; assignment.len()];
         for (v, &a) in assignment.iter().enumerate() {
             if let Some(c) = a {
                 members[fill[c]] = v;
                 fill[c] += 1;
+                label[v] = c as u32;
             }
         }
         Clusters {
             graph,
             start,
             members,
-            bfs: BitParallelBfs::new(graph.vertex_count()),
+            label,
+            queue: Vec::new(),
+            bfs: BitParallelBfs::default(),
         }
     }
 
@@ -251,8 +269,17 @@ impl<'a> Clusters<'a> {
 
     /// Eccentricity inside cluster `c` of `center`, or of the first member
     /// if `center` lies outside; `None` if the cluster is disconnected.
+    /// One plain BFS, level by level, which unlabels what it reaches.
     fn radius(&mut self, c: usize, center: VertexId) -> Option<usize> {
-        let members = &self.members[self.start[c]..self.start[c + 1]];
+        let Clusters {
+            graph,
+            start,
+            members,
+            label,
+            queue,
+            ..
+        } = self;
+        let members = &members[start[c]..start[c + 1]];
         let Some(&first) = members.first() else {
             return Some(0);
         };
@@ -261,23 +288,114 @@ impl<'a> Clusters<'a> {
         } else {
             first
         };
-        self.bfs.max_distance(self.graph, &[source], members, true)
-    }
-
-    /// Exact diameter of cluster `c`, inside it (`induced`, strong) or
-    /// through `G` (weak), 64 members at a time; `None` if some pair is
-    /// disconnected. Stops once a batch reaches `cap`, a known upper bound.
-    fn diameter(&mut self, c: usize, induced: bool, cap: Option<usize>) -> Option<usize> {
-        let members = &self.members[self.start[c]..self.start[c + 1]];
-        let mut best = 0;
-        for batch in members.chunks(BitParallelBfs::MAX_SOURCES) {
-            let d = self.bfs.max_distance(self.graph, batch, members, induced)?;
-            best = best.max(d);
-            if cap.is_some_and(|cap| best >= cap) {
+        let own = c as u32;
+        queue.clear();
+        queue.push(source);
+        label[source] = UNLABELED;
+        let (mut head, mut level) = (0, 0);
+        loop {
+            let end = queue.len();
+            for i in head..end {
+                for &v in graph.neighbors(queue[i]) {
+                    if label[v] == own {
+                        label[v] = UNLABELED;
+                        queue.push(v);
+                    }
+                }
+            }
+            if queue.len() == end {
                 break;
             }
+            head = end;
+            level += 1;
         }
-        Some(best)
+        (queue.len() == members.len()).then_some(level)
+    }
+
+    /// The largest diameter, inside each cluster (`induced`, strong) or
+    /// through `G` (weak), of the clusters in `order`, given `best`, a
+    /// lower bound on it; `None` if a searched cluster has a pair
+    /// disconnected in `G`.
+    ///
+    /// `order` lists the clusters by decreasing `bound`, an upper bound on
+    /// each diameter (`None` = unbounded, listed first). Their members are
+    /// the sources of searches of [`BitParallelBfs::MAX_SOURCES`], filled
+    /// back to back, so one search can carry the last sources of a
+    /// cluster and the first of the next. Every search raises `best` to
+    /// the largest distance found. Searching stops at the first cluster
+    /// whose bound is at most `best`, and a cluster's searches stop once
+    /// it reaches its bound. A cluster searched from every member, or up
+    /// to its bound, gets its exact diameter as its new bound.
+    fn max_diameter(
+        &mut self,
+        order: &[usize],
+        bound: &mut [Option<usize>],
+        mut best: usize,
+        induced: bool,
+    ) -> Option<usize> {
+        let Clusters {
+            graph,
+            start,
+            members,
+            bfs,
+            ..
+        } = self;
+        let members = |c: usize| &members[start[c]..start[c + 1]];
+        // The next sources: the cluster at `order[next]`, from `from` on,
+        // whose sources before `from` found distances up to `carried`.
+        let (mut next, mut from, mut carried) = (0, 0, 0);
+        let mut batch: Vec<(usize, Range<usize>)> = Vec::new();
+        let mut first = true;
+        loop {
+            batch.clear();
+            let mut room = BitParallelBfs::MAX_SOURCES;
+            while room > 0 && next < order.len() {
+                let c = order[next];
+                if bound[c].is_some_and(|ub| ub <= best) {
+                    // Every later cluster is bounded at most as high.
+                    break;
+                }
+                if first && !batch.is_empty() {
+                    break;
+                }
+                let take = (members(c).len() - from).min(room);
+                if take > 0 {
+                    batch.push((c, from..from + take));
+                }
+                room -= take;
+                from += take;
+                if from == members(c).len() {
+                    (next, from) = (next + 1, 0);
+                }
+            }
+            if batch.is_empty() {
+                return Some(best);
+            }
+            let sets: Vec<SourceSet<'_>> = batch
+                .iter()
+                .map(|(c, sources)| SourceSet {
+                    members: members(*c),
+                    sources: sources.clone(),
+                })
+                .collect();
+            let found = bfs.max_distances(graph, &sets, induced);
+            first = false;
+            for ((c, sources), d) in batch.iter().zip(found) {
+                // Only the first set can continue a cluster, and only the
+                // last can stop short of its end.
+                let far = if sources.start > 0 {
+                    carried.max(d?)
+                } else {
+                    d?
+                };
+                best = best.max(far);
+                if sources.end == members(*c).len() || bound[*c].is_some_and(|ub| far >= ub) {
+                    bound[*c] = Some(far);
+                } else {
+                    carried = far;
+                }
+            }
+        }
     }
 }
 

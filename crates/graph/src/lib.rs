@@ -13,7 +13,7 @@
 //!   search, the distance oracle used throughout the workspace.
 //! - [`components`]: connected components, also restricted to vertex subsets.
 //! - [`diameter`]: exact eccentricities and diameters (global and induced),
-//!   a 64-source bit-parallel BFS for batched cluster diameters, and a
+//!   a 256-source bit-parallel BFS for packed cluster diameters, and a
 //!   two-sweep lower-bound heuristic.
 //! - [`contraction`]: quotient (super-) graphs induced by a vertex partition,
 //!   used to color the cluster graph `G(P)` of a decomposition.

@@ -40,9 +40,11 @@
 //! Writes are atomic: the file is assembled under a `.tmp` name in the
 //! same directory and renamed into place, so a reader never observes a
 //! half-written file under the checkpoint name. After each successful
-//! write the shard's older checkpoints are pruned down to the newest
-//! [`RETAIN_CHECKPOINTS`], keeping disk usage flat over arbitrarily
-//! long runs while always leaving one fallback generation.
+//! write the shard's checkpoints at or below the round just written are
+//! pruned down to the newest [`RETAIN_CHECKPOINTS`], keeping disk usage
+//! flat over arbitrarily long runs while always leaving one fallback
+//! generation. A file named above that round cannot be the run's own, so
+//! it is left for the loader to judge and takes no generation's place.
 
 use std::fs;
 use std::io::{self, Write as _};
@@ -198,8 +200,14 @@ pub fn decode_checkpoint(
 }
 
 /// Atomically writes `ckpt` into `dir` (temp file + rename, best-effort
-/// fsync) and prunes the shard's older checkpoints down to the newest
-/// [`RETAIN_CHECKPOINTS`]. Returns the final path.
+/// fsync) and prunes the shard's files at or below its round down to the
+/// newest [`RETAIN_CHECKPOINTS`], this one first. Returns the final path.
+///
+/// A file of the shard named above `ckpt.round` is torn, foreign or left
+/// by an earlier run. It is neither counted nor deleted: counting it
+/// would cost a valid fallback generation its place (or the file just
+/// written), and a relaunched worker's loader rejects it by name in the
+/// flight record.
 ///
 /// # Errors
 ///
@@ -219,6 +227,7 @@ pub fn write_checkpoint(dir: &Path, ckpt: &Checkpoint) -> io::Result<PathBuf> {
     fs::rename(&tmp, &path)?;
     for (_, old) in shard_files(dir, ckpt.shard)
         .into_iter()
+        .filter(|&(round, _)| round <= ckpt.round)
         .skip(RETAIN_CHECKPOINTS)
     {
         let _ = fs::remove_file(old);
@@ -479,6 +488,52 @@ mod tests {
         let (found, rejected) = load_newest_checkpoint(&dir, 1, 3, 0xfeed_beef, 100);
         assert_eq!(found.unwrap().round, 12);
         assert!(rejected.is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A garbage file whose name outranks the run's rounds costs the run
+    /// none of its generations, and the loader still rejects it by name.
+    #[test]
+    fn a_garbage_file_named_above_the_run_costs_no_generation() {
+        let dir = std::env::temp_dir().join(format!("ndk-ckpt-garbage-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let garbage = checkpoint_path(&dir, 1, 12);
+        fs::write(&garbage, b"garbage").unwrap();
+        for round in [3, 6, 9] {
+            write_checkpoint(&dir, &sample(round)).unwrap();
+        }
+        let rounds: Vec<u64> = shard_files(&dir, 1).into_iter().map(|(r, _)| r).collect();
+        assert_eq!(
+            rounds,
+            vec![12, 9, 6],
+            "two valid generations beside the garbage"
+        );
+        // Tear the newest valid one: the older generation still resumes.
+        let newest = checkpoint_path(&dir, 1, 9);
+        let full = fs::read(&newest).unwrap();
+        fs::write(&newest, &full[..full.len() / 2]).unwrap();
+        let (found, rejected) = load_newest_checkpoint(&dir, 1, 3, 0xfeed_beef, 100);
+        assert_eq!(found.unwrap().round, 6);
+        let rejected: Vec<&Path> = rejected.iter().map(|r| r.path.as_path()).collect();
+        assert_eq!(rejected, [garbage.as_path(), newest.as_path()]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// In a reused directory, an earlier run's later rounds cannot prune
+    /// away the checkpoint just written.
+    #[test]
+    fn the_round_just_written_survives_an_earlier_runs_later_rounds() {
+        let dir = std::env::temp_dir().join(format!("ndk-ckpt-reused-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        for round in [12, 15] {
+            write_checkpoint(&dir, &sample(round)).unwrap();
+        }
+        let path = write_checkpoint(&dir, &sample(3)).unwrap();
+        assert!(path.exists(), "the returned path must hold the checkpoint");
+        write_checkpoint(&dir, &sample(6)).unwrap();
+        let rounds: Vec<u64> = shard_files(&dir, 1).into_iter().map(|(r, _)| r).collect();
+        assert_eq!(rounds, vec![15, 12, 6, 3]);
         let _ = fs::remove_dir_all(&dir);
     }
 }

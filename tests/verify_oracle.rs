@@ -296,3 +296,166 @@ fn decompositions_of_gnm_graphs() {
         }
     }
 }
+
+#[test]
+fn clusters_across_256_source_search_boundaries() {
+    let mut rng = StdRng::seed_from_u64(43);
+    for size in [255, 256, 257, 513] {
+        for trial in 0..2 {
+            let n = 1100;
+            let g = gnm(n, [2 * n, 4 * n][trial], &mut rng);
+            // One connected cluster (a BFS ball, within the component of
+            // its root), one scattered cluster of the same size, and the
+            // rest as singletons or left out.
+            let root = rng.gen_range(0..n);
+            let ball: Vec<VertexId> = bfs::ball_restricted(&g, root, n, &VertexSet::full(n))
+                .into_iter()
+                .map(|(v, _)| v)
+                .take(size)
+                .collect();
+            let mut rest: Vec<VertexId> = g.vertices().filter(|v| !ball.contains(v)).collect();
+            rest.shuffle(&mut rng);
+            let scattered = rest.split_off(rest.len() - size);
+            let mut clusters = vec![ball, scattered];
+            if trial == 0 {
+                clusters.extend(rest.iter().map(|&v| vec![v]));
+            }
+            let blocks = (0..clusters.len()).map(|_| rng.gen_range(0..4)).collect();
+            let centers = clusters
+                .iter()
+                .map(|c| c.first().copied().unwrap_or(0))
+                .collect();
+            let d = decomposition(n, &clusters, blocks, centers);
+            assert_matches_oracle(&g, &d, &format!("size {size}, trial {trial}"));
+
+            // The connected cluster alone, so its diameters are the maxima.
+            let alone = decomposition(n, &clusters[..1], vec![0], vec![root]);
+            assert_matches_oracle(&g, &alone, &format!("size {size} alone, trial {trial}"));
+        }
+    }
+}
+
+#[test]
+fn a_diameter_pair_found_only_by_the_last_256_source_search() {
+    // A path of 515 vertices whose two ends carry the largest ids, so only
+    // the third search of 256 sources holds an end. Its center is the
+    // middle vertex, whose radius 257 makes `2r` exactly the diameter 514:
+    // the first two searches reach 513 and must not stop the search.
+    let n = 2 * 256 + 3;
+    let order: Vec<VertexId> = std::iter::once(n - 2)
+        .chain(0..n - 2)
+        .chain(std::iter::once(n - 1))
+        .collect();
+    let mut b = GraphBuilder::new(n);
+    for pair in order.windows(2) {
+        b.add_edge(pair[0], pair[1]).unwrap();
+    }
+    let g = b.build();
+    let d = decomposition(n, &[(0..n).collect()], vec![0], vec![order[257]]);
+    assert_matches_oracle(&g, &d, "path");
+    let report = verify::verify(&g, &d).unwrap();
+    assert_eq!(report.max_strong_diameter, Some(514));
+    assert_eq!(report.max_weak_diameter, Some(514));
+}
+
+/// A path through `vertices` in order.
+fn add_path(b: &mut GraphBuilder, vertices: impl IntoIterator<Item = VertexId>) {
+    let vertices: Vec<VertexId> = vertices.into_iter().collect();
+    for pair in vertices.windows(2) {
+        b.add_edge(pair[0], pair[1]).unwrap();
+    }
+}
+
+#[test]
+fn no_bit_leaks_between_adjacent_clusters_of_one_search() {
+    // A 36 × 36 grid cluster (diameter 70) centered at a corner, so its
+    // bound is 140, and a path of 101 (diameter 100) centered at its
+    // middle, bound 100, whose two ends are both adjacent to the grid's far
+    // corner. The grid's six searches end with its last 16 members packed
+    // with the whole path; with 117 sources among 1 397 members, that
+    // search pushes. A bit that crossed from the path into the grid and
+    // back would cut the path's diameter to 51, below the grid's 70.
+    let side = 36;
+    let grid = side * side;
+    let n = grid + 101;
+    let mut b = GraphBuilder::new(n);
+    for v in 0..grid {
+        if v % side + 1 < side {
+            b.add_edge(v, v + 1).unwrap();
+        }
+        if v + side < grid {
+            b.add_edge(v, v + side).unwrap();
+        }
+    }
+    add_path(&mut b, grid..n);
+    b.add_edge(grid, grid - 1).unwrap();
+    b.add_edge(n - 1, grid - 1).unwrap();
+    let g = b.build();
+    let clusters = [(0..grid).collect(), (grid..n).collect()];
+    let d = decomposition(n, &clusters, vec![0, 1], vec![0, grid + 50]);
+    assert_matches_oracle(&g, &d, "adjacent clusters");
+    let report = verify::verify(&g, &d).unwrap();
+    assert_eq!(report.max_strong_diameter, Some(100));
+    assert_eq!(report.max_weak_diameter, Some(70));
+}
+
+#[test]
+fn packed_searches_with_a_cluster_disconnected_in_its_subgraph_or_in_g() {
+    // A cycle of 16 (0..16) and, apart from it, a cycle of 8 (16..24).
+    let mut b = GraphBuilder::new(24);
+    add_path(&mut b, (0..16).chain(std::iter::once(0)));
+    add_path(&mut b, (16..24).chain(std::iter::once(16)));
+    let g = b.build();
+    // {0, 2} and {4, 7} are disconnected in their subgraphs, so the weak
+    // pass searches them first, {0, 2} alone, then {4, 7} packed with the
+    // two paths, searched from an end, whose bounds 6 and 4 beat the 2
+    // found so far.
+    let through_g = [
+        vec![0, 2],
+        vec![4, 7],
+        vec![9, 10, 11, 12],
+        vec![18, 19, 20],
+    ];
+    let d = decomposition(24, &through_g, vec![0, 1, 2, 3], vec![0, 4, 9, 18]);
+    assert_matches_oracle(&g, &d, "disconnected in G(C)");
+    let report = verify::verify(&g, &d).unwrap();
+    assert_eq!(report.max_strong_diameter, None);
+    assert_eq!(report.max_weak_diameter, Some(3));
+
+    // {4, 21} has its members in different components of G: the packed
+    // search must report it disconnected whatever it is packed with.
+    let apart = [
+        vec![0, 2],
+        vec![4, 21],
+        vec![9, 10, 11, 12],
+        vec![18, 19, 20],
+    ];
+    let d = decomposition(24, &apart, vec![0, 1, 2, 3], vec![0, 4, 9, 18]);
+    assert_matches_oracle(&g, &d, "disconnected in G");
+    assert_eq!(verify::verify(&g, &d).unwrap().max_weak_diameter, None);
+}
+
+/// The exhaustive loop on the benchmark's `G(5 000, 20 000)` size, whose
+/// largest clusters hold hundreds to thousands of members, so their
+/// searches span several 256-source searches and pack with smaller
+/// clusters. Ignored by default (the exhaustive loop takes seconds in a
+/// release build); CI runs it.
+#[test]
+#[ignore = "seconds of exhaustive BFS; run with --release -- --ignored"]
+fn decompositions_with_giant_clusters() {
+    let n = 5_000;
+    let mut rng = StdRng::seed_from_u64(5);
+    let g = gnm(n, 4 * n, &mut rng);
+    let params = DecompositionParams::for_graph_size(n);
+    for seed in 1..=3 {
+        let d = basic::decompose(&g, &params, seed)
+            .unwrap()
+            .into_decomposition();
+        let largest = (0..d.cluster_count())
+            .map(|c| d.partition().cluster_set(c).len())
+            .max()
+            .unwrap_or(0);
+        println!("seed {seed}: largest cluster {largest} members");
+        assert_matches_oracle(&g, &d, &format!("G(5000, 20000), seed {seed}"));
+    }
+}
