@@ -98,7 +98,7 @@ impl Family {
                 generators::caveman(caves, *cave_size).expect("positive sizes")
             }
             Family::Hypercube => {
-                let d = (n.max(2) as f64).log2().floor() as u32;
+                let d = (n.max(2) as f64).log2() as u32;
                 generators::hypercube(d).expect("small dimension")
             }
         }

@@ -187,7 +187,7 @@ pub(crate) fn shift_events(alive: &[VertexId], shifts: &[f64], cap: usize) -> (u
     for &v in alive {
         let r = shifts[v];
         max_shift = max_shift.max(r);
-        if (r.floor() as usize) > cap {
+        if (r as usize) > cap {
             truncated += 1;
         }
     }
@@ -279,12 +279,12 @@ impl SweepScratch {
             sweep.relays.clear();
             w = match (relays.is_empty(), origins.get(next)) {
                 (false, _) => w - 1,
-                (true, Some(o)) => o.value.floor() as usize,
+                (true, Some(o)) => o.value as usize,
                 (true, None) => break,
             };
             let count = origins[next..]
                 .iter()
-                .take_while(|o| o.value.floor() as usize == w)
+                .take_while(|o| o.value as usize == w)
                 .count();
             let run = &origins[next..next + count];
             let (mut i, mut j) = (0, 0);
@@ -399,7 +399,7 @@ impl Sweep<'_> {
         }
         // The label sits `d = ⌊r⌋ − w` hops from its origin and travels one
         // more while `d + 1 ≤ min(⌊r⌋, cap)`.
-        let d = self.shifts[origin as usize].floor() as usize - w;
+        let d = self.shifts[origin as usize] as usize - w;
         if w > 0 && d < self.cap {
             self.relays.push(Label {
                 value: value - 1.0,
@@ -418,6 +418,43 @@ mod tests {
 
     fn full(n: usize) -> VertexSet {
         VertexSet::full(n)
+    }
+
+    /// The carve reads `⌊r⌋` as `r as usize`: the cast truncates toward
+    /// zero and saturates (NaN and negatives to 0, +∞ to the maximum), so
+    /// it equals `r.floor() as usize` on every `f64`, without the libm
+    /// `floor` call the default x86-64 target makes for it.
+    #[test]
+    fn a_truncating_cast_is_floor_on_every_f64() {
+        use rand::{RngCore, SeedableRng};
+        let below_one = 1.0 - f64::EPSILON / 2.0;
+        let two_53 = 9_007_199_254_740_992.0;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let specials = [
+            f64::NAN,
+            -f64::NAN,
+            0.0,
+            -0.0,
+            -0.5,
+            -1.0,
+            below_one,
+            -below_one,
+            1.0,
+            4.5,
+            two_53,
+            two_53 + 2.0,
+            -two_53,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let drawn = (0..100_000).map(|_| f64::from_bits(rng.next_u64()));
+        for x in specials.into_iter().chain(drawn) {
+            assert_eq!(x as usize, x.floor() as usize, "{x:e}");
+            assert_eq!(x as u32, x.floor() as u32, "{x:e}");
+        }
     }
 
     #[test]
@@ -685,7 +722,7 @@ mod tests {
                 for v in 0..n {
                     let d = bfs::distances_restricted(&g, v, &alive)[y];
                     if let Some(d) = d {
-                        let radius = (shifts[v].floor() as usize).min(cap);
+                        let radius = (shifts[v] as usize).min(cap);
                         if d <= radius {
                             vals.push((shifts[v] - d as f64, v));
                         }
@@ -750,7 +787,7 @@ mod tests {
         for v in alive.iter() {
             let r = shifts[v];
             max_shift = max_shift.max(r);
-            if (r.floor() as usize) > cap {
+            if (r as usize) > cap {
                 truncated += 1;
             }
             heap.push(HeapLabel {
@@ -766,7 +803,7 @@ mod tests {
                 continue;
             }
             t[usize::from(t[0].is_some())] = Some((label.value, label.origin));
-            let radius = (shifts[label.origin].floor() as usize).min(cap);
+            let radius = (shifts[label.origin] as usize).min(cap);
             if label.dist + 1 > radius {
                 continue;
             }

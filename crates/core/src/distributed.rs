@@ -302,7 +302,7 @@ impl CarveNode {
 
     /// Should `entry` be relayed one hop further?
     fn should_forward(&self, entry: &Entry) -> bool {
-        let radius = (entry.r.floor() as usize).min(self.cap);
+        let radius = (entry.r as usize).min(self.cap);
         if usize::from(entry.dist) + 1 > radius {
             return false;
         }
@@ -694,7 +694,7 @@ mod tests {
         let mut max_shift = 0.0f64;
         for v in alive.iter() {
             max_shift = max_shift.max(shifts[v]);
-            if (shifts[v].floor() as usize) > cap {
+            if (shifts[v] as usize) > cap {
                 truncated += 1;
             }
         }

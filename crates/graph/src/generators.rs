@@ -176,7 +176,7 @@ pub fn gnp<R: Rng>(n: usize, p: f64, rng: &mut R) -> Result<Graph, GraphError> {
     let (mut row, mut row_start) = (0usize, 0usize);
     loop {
         let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let skip = (u.ln() / log1p).floor() as usize;
+        let skip = (u.ln() / log1p) as usize;
         slot = match slot.checked_add(skip) {
             Some(s) => s,
             None => break,
@@ -544,7 +544,7 @@ mod tests {
             let mut slot = 0usize;
             loop {
                 let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-                let skip = (u.ln() / log1p).floor() as usize;
+                let skip = (u.ln() / log1p) as usize;
                 slot = match slot.checked_add(skip) {
                     Some(s) if s < total => s,
                     _ => break,

@@ -9,7 +9,7 @@
 use std::io::Write as _;
 use std::iter::Peekable;
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 use std::str::Chars;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -387,4 +387,38 @@ fn centralized_json_reports_load_decompose_and_verify_seconds() {
         assert!(value.is_finite() && value >= 0.0, "{key} = {value}");
     }
     assert!(stdout.contains("\"timings\":{\"load_s\":"), "{stdout}");
+}
+
+#[test]
+fn a_header_whose_tables_cannot_be_had_is_a_typed_error_not_an_abort() {
+    // Each header once aborted the loader: the first reserved a trillion
+    // edge pairs, the other two the tables of their vertex counts. Those
+    // tables exceed `isize::MAX` bytes, so the error does not hang on
+    // whether the system would overcommit a merely huge request.
+    for text in [
+        "3 1000000000000\n0 1\n",
+        "2305843009213693952 0\n",
+        "18446744073709551615 0\n",
+    ] {
+        let mut child = Command::new(BIN)
+            .arg("-")
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        child
+            .stdin
+            .take()
+            .unwrap()
+            .write_all(text.as_bytes())
+            .unwrap();
+        let output = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{text:?}: {stderr}");
+        assert!(
+            stderr.starts_with("Error: Parse { line: 1, reason: "),
+            "{text:?}: {stderr}"
+        );
+    }
 }
