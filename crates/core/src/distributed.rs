@@ -32,7 +32,18 @@
 //! ([`DistributedConfig::engine`]); decisions are bit-identical across
 //! every `(threads, shards)` configuration, and
 //! [`DistributedConfig::determinism`] can make the simulator verify that
-//! per round, the message-driven contract included.
+//! per round, the message-driven contract included. On a framed engine
+//! only the entries bound for another shard are framed: the self link
+//! carries an empty frame, and each shard places the entries it sends to
+//! its own vertices straight from its router and send log.
+//!
+//! One offer rule serves both forwarding modes, at the cost of a few
+//! comparisons per delivered copy: each copy's value `r − hops` is
+//! computed once, the kept entries' values stay in a local for the whole
+//! round, a [`Forwarding::TopTwo`] node never touches the spill list, and
+//! a copy of a known origin is rejected outright. Every copy delivered in
+//! round `t` has travelled `t` hops, and an origin became known no later,
+//! so such a copy never improves what the node holds.
 
 use bytes::{BufMut, Bytes};
 use netdecomp_graph::{Graph, VertexId};
@@ -124,11 +135,17 @@ impl Entry {
     /// smaller origin id — the order in which the centralized window sweep
     /// of [`crate::carve`] visits labels.
     fn beats(&self, other: &Entry) -> bool {
-        match self.value().total_cmp(&other.value()) {
-            std::cmp::Ordering::Greater => true,
-            std::cmp::Ordering::Less => false,
-            std::cmp::Ordering::Equal => self.origin < other.origin,
-        }
+        ahead((self.value(), self.origin), (other.value(), other.origin))
+    }
+}
+
+/// [`Entry::beats`] on `(value, origin)` pairs whose values are already
+/// computed.
+fn ahead(a: (f64, u32), b: (f64, u32)) -> bool {
+    match a.0.total_cmp(&b.0) {
+        std::cmp::Ordering::Greater => true,
+        std::cmp::Ordering::Less => false,
+        std::cmp::Ordering::Equal => a.1 < b.1,
     }
 }
 
@@ -232,66 +249,86 @@ impl CarveNode {
         self.top().iter().chain(&self.rest)
     }
 
-    /// Records an entry; returns `true` if the knowledge improved (new
-    /// origin accepted or a better distance for a known origin).
+    /// Records an entry; returns `true` if the knowledge improved (a new
+    /// origin was accepted).
     fn offer(&mut self, entry: Entry) -> bool {
-        let is_origin = |e: &Entry| e.origin == entry.origin;
-        let known = match self.top().iter().position(is_origin) {
-            None if !self.rest.is_empty() => self.rest.iter().position(is_origin).map(|i| i + 2),
-            at => at,
-        };
-        if let Some(i) = known {
-            let existing = if i < self.held {
-                self.top[i]
-            } else {
-                self.rest[i - self.held]
-            };
-            if entry.value() <= existing.value() {
-                return false;
-            }
-            self.remove(i);
-        } else if self.mode == Forwarding::TopTwo && self.held == 2 && !entry.beats(&self.top[1]) {
+        let mut values = self.top_values();
+        self.offer_valued(entry, entry.value(), &mut values)
+    }
+
+    /// The values of the inline entries, best first (`[..held]` are
+    /// live).
+    fn top_values(&self) -> [f64; 2] {
+        [self.top[0].value(), self.top[1].value()]
+    }
+
+    /// The offer rule, for both forwarding modes: [`CarveNode::offer`]
+    /// with the entry's `value` and the inline entries' `values` computed
+    /// by the caller, who keeps `values` in step across a round's offers.
+    ///
+    /// A known origin is rejected outright. Every copy delivered in a
+    /// round has travelled as many hops as the round's index, and an
+    /// origin became known no later, so no copy improves a known origin's
+    /// value.
+    fn offer_valued(&mut self, entry: Entry, value: f64, values: &mut [f64; 2]) -> bool {
+        let key = (value, entry.origin);
+        if self.mode == Forwarding::TopTwo
+            && self.held == 2
+            && !ahead(key, (values[1], self.top[1].origin))
+        {
             return false;
         }
-        self.insert(entry);
+        let is_origin = |e: &Entry| e.origin == entry.origin;
+        if let Some(i) = self.top().iter().position(is_origin) {
+            debug_assert!(value <= values[i], "a later copy improved a known origin");
+            return false;
+        }
+        if self.mode == Forwarding::Full {
+            if let Some(known) = self.rest.iter().find(|e| is_origin(e)) {
+                debug_assert!(
+                    value <= known.value(),
+                    "a later copy improved a known origin"
+                );
+                return false;
+            }
+        }
+        self.insert(entry, value, values);
         true
     }
 
-    /// Removes the `i`-th best known entry.
-    fn remove(&mut self, i: usize) {
-        if i >= self.held {
-            self.rest.remove(i - self.held);
-            return;
-        }
-        if i == 0 {
-            self.top[0] = self.top[1];
-        }
-        self.held -= 1;
-        if !self.rest.is_empty() {
-            self.top[self.held] = self.rest.remove(0);
-            self.held += 1;
-        }
-    }
-
-    /// Inserts an entry whose origin is not known, in best-first order; a
+    /// Inserts an entry whose origin is not known, in best-first order,
+    /// keeping `values` in step with the inline entries; a
     /// [`Forwarding::TopTwo`] node drops whatever falls past second.
-    fn insert(&mut self, entry: Entry) {
+    fn insert(&mut self, entry: Entry, value: f64, values: &mut [f64; 2]) {
+        let key = (value, entry.origin);
         let displaced = match self.held {
-            0 | 1 => {
-                let at = usize::from(self.held == 1 && !entry.beats(&self.top[0]));
-                if at == 0 {
-                    self.top[1] = self.top[0];
-                }
-                self.top[at] = entry;
-                self.held += 1;
+            0 => {
+                self.top[0] = entry;
+                values[0] = value;
+                self.held = 1;
                 return;
             }
-            _ if entry.beats(&self.top[0]) => {
+            1 => {
+                if ahead(key, (values[0], self.top[0].origin)) {
+                    self.top = [entry, self.top[0]];
+                    *values = [value, values[0]];
+                } else {
+                    self.top[1] = entry;
+                    values[1] = value;
+                }
+                self.held = 2;
+                return;
+            }
+            _ if ahead(key, (values[0], self.top[0].origin)) => {
                 let third = self.top[1];
                 self.top = [entry, self.top[0]];
+                *values = [value, values[0]];
                 third
             }
-            _ if entry.beats(&self.top[1]) => std::mem::replace(&mut self.top[1], entry),
+            _ if ahead(key, (values[1], self.top[1].origin)) => {
+                values[1] = value;
+                std::mem::replace(&mut self.top[1], entry)
+            }
             _ => entry,
         };
         if self.mode == Forwarding::Full {
@@ -451,6 +488,7 @@ impl TypedProtocol for CarveNode {
             return;
         }
         let mut improved = Improved::default();
+        let mut values = self.top_values();
         let mut hops = None;
         for (_, entry) in incoming {
             debug_assert_eq!(
@@ -458,7 +496,7 @@ impl TypedProtocol for CarveNode {
                 entry.dist,
                 "one round, one hop count"
             );
-            if !self.offer(entry) {
+            if !self.offer_valued(entry, entry.value(), &mut values) {
                 continue;
             }
             match self.mode {

@@ -38,17 +38,34 @@ pub struct Exponential {
     beta: f64,
 }
 
+/// The largest rate [`Exponential::new`] refuses: `53·ln 2 / 2^53`.
+///
+/// The largest uniform value drawn is `1 − 2^−53`, so the largest sample
+/// is `53·ln 2/β`, and the carve takes shifts below 2^53 only. Every rate
+/// above this bound keeps that sample below 2^53.
+pub const MIN_BETA: f64 = 53.0 * std::f64::consts::LN_2 / 9_007_199_254_740_992.0;
+
 impl Exponential {
     /// Creates the distribution.
     ///
     /// # Errors
     ///
-    /// [`DecompError::InvalidParameter`] unless `β` is finite and positive.
+    /// [`DecompError::InvalidParameter`] named `beta` unless `β` is finite
+    /// and above [`MIN_BETA`] (a smaller rate could draw a shift of 2^53
+    /// or more).
     pub fn new(beta: f64) -> Result<Self, DecompError> {
         if !beta.is_finite() || beta <= 0.0 {
             return Err(DecompError::InvalidParameter {
                 name: "beta",
                 reason: format!("rate must be finite and positive, got {beta}"),
+            });
+        }
+        if beta <= MIN_BETA {
+            return Err(DecompError::InvalidParameter {
+                name: "beta",
+                reason: format!(
+                    "rate {beta} must exceed 53·ln 2/2^53 = {MIN_BETA}, or a shift could reach 2^53"
+                ),
             });
         }
         Ok(Exponential { beta })
@@ -186,6 +203,28 @@ mod tests {
         assert!(Exponential::new(-1.0).is_err());
         assert!(Exponential::new(f64::INFINITY).is_err());
         assert!(Exponential::new(1.5).is_ok());
+    }
+
+    /// The smallest accepted rate keeps the largest draw below 2^53, the
+    /// carve's shift bound; the refused bound itself would reach it.
+    #[test]
+    fn rates_at_or_below_the_bound_are_refused() {
+        let largest_uniform = ((1u64 << 53) - 1) as f64 / (1u64 << 53) as f64;
+        let limit = (1u64 << 53) as f64;
+        for beta in [MIN_BETA, MIN_BETA.next_down(), 1e-18] {
+            assert!(
+                matches!(
+                    Exponential::new(beta),
+                    Err(DecompError::InvalidParameter { name: "beta", .. })
+                ),
+                "{beta}"
+            );
+            assert!(-(1.0 - largest_uniform).ln() / beta >= limit, "{beta}");
+        }
+        let smallest = Exponential::new(MIN_BETA.next_up()).expect("just above the bound");
+        assert!(smallest.from_uniform(largest_uniform) < limit);
+        let source = ShiftSource::new(7, MIN_BETA.next_up()).expect("just above the bound");
+        assert!((0..1_000).all(|v| source.shift(0, v) < limit));
     }
 
     #[test]

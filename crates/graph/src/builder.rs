@@ -51,6 +51,11 @@ pub struct GraphBuilder {
 
 impl GraphBuilder {
     /// Creates a builder for a graph on vertices `0..n`.
+    ///
+    /// Any `n` whose tables can be allocated builds, but the decomposition
+    /// indexes vertices as `u32`: its phase loop panics on a graph of
+    /// more than `u32::MAX` vertices, and [`crate::io::from_edge_list`]
+    /// refuses such a header as a [`GraphError::Parse`].
     #[must_use]
     pub fn new(n: usize) -> Self {
         GraphBuilder {
@@ -260,6 +265,13 @@ impl GraphBuilder {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Tables of 2^61 vertices exceed `isize::MAX` bytes, so the build
+    /// reports the failed reservation without asking the allocator.
+    #[test]
+    fn tables_that_cannot_be_had_are_an_error_not_an_abort() {
+        assert!(GraphBuilder::new(1 << 61).try_build().is_err());
+    }
 
     #[test]
     fn builder_normalizes_orientation_and_dedups() {

@@ -21,6 +21,8 @@
 //!   with an optional leading `+`, at most `usize::MAX`.
 //! - Exactly `m` edge lines must follow the header. Repeats of an edge, in
 //!   either orientation, are one edge of the graph.
+//! - `n` is at most `u32::MAX`, the most vertices the decomposition's
+//!   phase loop indexes (it stores vertex ids as `u32`).
 //!
 //! # Cost
 //!
@@ -30,15 +32,15 @@
 //! the same pass; every other line goes to the one tokenizer that defines
 //! the grammar above, which reads a canonical line the same way. The graph
 //! is then built in O(n + m) with no comparison sort (see
-//! [`GraphBuilder::build`]). The edge list never reserves more than the
-//! text can hold, the O(n) tables are allocated only after the whole text
-//! has parsed, and a header whose tables cannot be allocated is a
-//! [`GraphError::Parse`] on the header's line, not an abort. That holds
-//! for every `n` whose tables no allocation can hold, more than
-//! `isize::MAX` bytes (`n ≥ 2^60` on a 64-bit target); a merely huge `n` is
-//! an error only where the allocator refuses it, and a system that
-//! overcommits memory may instead grant the tables and kill the process as
-//! it fills them.
+//! [`GraphBuilder::build`]). A header with `n > u32::MAX` is a
+//! [`GraphError::Parse`] on the header's line before anything is
+//! reserved. The edge list never reserves more than the text can hold,
+//! the O(n) tables are allocated only after the whole text has parsed,
+//! and a header whose tables cannot be allocated is a
+//! [`GraphError::Parse`] on the header's line, not an abort. Below the
+//! `u32` limit that holds only where the allocator refuses the tables: a
+//! system that overcommits memory may instead grant them and kill the
+//! process as it fills them.
 
 use crate::{Graph, GraphBuilder, GraphError};
 use std::fmt::Write as _;
@@ -73,9 +75,10 @@ pub fn to_edge_list(g: &Graph) -> String {
 /// # Errors
 ///
 /// [`GraphError::Parse`] on malformed input (missing header, non-integer
-/// tokens, wrong edge count) and on a header whose vertex count cannot be
-/// allocated; [`GraphError::VertexOutOfRange`] / [`GraphError::SelfLoop`]
-/// for invalid edges.
+/// tokens, wrong edge count), on a header with more than `u32::MAX`
+/// vertices and on a header whose vertex count cannot be allocated;
+/// [`GraphError::VertexOutOfRange`] / [`GraphError::SelfLoop`] for
+/// invalid edges.
 pub fn from_edge_list(text: &str) -> Result<Graph, GraphError> {
     let mut lines = Scanner {
         text,
@@ -94,6 +97,14 @@ pub fn from_edge_list(text: &str) -> Result<Graph, GraphError> {
         }
     };
 
+    // The phase loop indexes vertices as `u32`; refuse a larger graph
+    // before reserving anything for it.
+    if u32::try_from(n).is_err() {
+        return Err(GraphError::Parse {
+            line: header,
+            reason: format!("vertex count {n} exceeds u32::MAX = {}", u32::MAX),
+        });
+    }
     // An edge line takes at least four bytes, `0 1\n`, or three if last:
     // the header cannot make the edge list reserve more than the text holds.
     let room = (text.len().saturating_sub(lines.at) + 1) / 4;
@@ -404,15 +415,23 @@ mod tests {
     }
 
     #[test]
-    fn a_header_whose_tables_cannot_be_allocated_is_a_parse_error() {
-        // Tables of 2^61 or `usize::MAX` words exceed `isize::MAX` bytes, so
-        // no allocator is asked for them, whatever it would grant.
-        for text in ["2305843009213693952 0\n", "# c\n18446744073709551615 0\n"] {
+    fn a_header_past_u32_vertices_is_a_parse_error_before_any_table() {
+        // The first would reserve 32 GiB of tables, which an overcommitting
+        // system grants; the check must come first. The other two once
+        // reached the allocator with more than `isize::MAX` bytes.
+        for text in [
+            "4294967296 0",
+            "2305843009213693952 0\n",
+            "# c\n18446744073709551615 0\n",
+        ] {
             let header = if text.starts_with('#') { 2 } else { 1 };
             match from_edge_list(text) {
                 Err(GraphError::Parse { line, reason }) => {
                     assert_eq!(line, header, "{text:?}");
-                    assert!(reason.starts_with("cannot allocate"), "{text:?}: {reason}");
+                    assert!(
+                        reason.ends_with("exceeds u32::MAX = 4294967295"),
+                        "{text:?}: {reason}"
+                    );
                 }
                 other => panic!("{text:?}: {other:?}"),
             }

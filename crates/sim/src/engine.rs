@@ -37,14 +37,17 @@
 //!
 //! Under [`Engine::Framed`] the hand-off between phases 2 and 3 crosses
 //! the **frame seam** instead of shared memory: an extra **ship** phase
-//! serializes each shard's buckets (refs + payload bytes, both read only
-//! from the shard's own state) into one self-delimiting, checksummed
-//! frame per destination shard and hands them to a
-//! [`crate::frame::Transport`] — in-memory loopback or real sockets —
-//! and the place phase decodes the frames addressed to it, touching no
-//! other shard's memory at all. Refs arrive in the same (sender shard,
-//! bucket) order either way, so results stay bit-identical across all
-//! backends; a frame that fails validation surfaces as a typed
+//! serializes each shard's buckets for the other shards (refs + payload
+//! bytes, both read only from the shard's own state) into one
+//! self-delimiting, checksummed frame per destination shard and hands
+//! them to a [`crate::frame::Transport`] — in-memory loopback or real
+//! sockets — and the place phase decodes the frames addressed to it,
+//! touching no other shard's memory at all. The bucket a shard addresses
+//! to itself crosses no boundary: the self link carries an empty frame,
+//! and the place phase reads that bucket from the shard's own router and
+//! send log, as under shared memory. Buckets are placed in the same
+//! sender-shard order either way, so results stay bit-identical across
+//! all backends; a frame that fails validation surfaces as a typed
 //! [`SimError::Frame`].
 //!
 //! # The round schedule
@@ -106,7 +109,7 @@ use netdecomp_graph::{Graph, VertexId};
 
 use crate::frame::{FrameTransport, LoopbackTransport, Transport};
 use crate::message::{Recipient, SendLog};
-use crate::shard::{ones, DeliveryShard, RouteIndex, Router, ShardPlan};
+use crate::shard::{ones, DeliveryShard, Own, RouteIndex, Router, ShardPlan};
 use crate::{CongestLimit, DeliveryWork, Inbox, Incoming, Outbox, RoundStats, RunStats, SimError};
 
 /// Read-only view a node gets of its place in the network.
@@ -245,8 +248,10 @@ pub enum Engine {
     /// only as encoded bucket frames shipped through a
     /// [`crate::frame::Transport`]: each shard serializes its router
     /// buckets (refs *and* payload bytes) into one self-delimiting frame
-    /// per destination shard, and the place phase decodes frames instead
-    /// of reading other shards' memory. Results remain bit-identical to
+    /// per other shard, and the place phase decodes frames instead of
+    /// reading other shards' memory (a shard's own bucket is placed from
+    /// its own router and send log; its self link carries an empty
+    /// frame). Results remain bit-identical to
     /// [`Engine::Sequential`] — [`Determinism::Verify`] cross-checks this
     /// round by round — while a corrupted frame surfaces as a typed
     /// [`SimError::Frame`].
@@ -485,7 +490,9 @@ pub(crate) enum Delivery<'a> {
         routers: &'a [RwLock<Router>],
     },
     /// The frame seam: each sender ships one frame per destination shard
-    /// through `transport`, and destination shards read only frames.
+    /// through `transport`, and destination shards read only frames, and
+    /// their own router and send log for the bucket they address to
+    /// themselves (whose frame is empty).
     Framed { transport: &'a dyn Transport },
 }
 
@@ -540,17 +547,19 @@ impl RoundKernel<'_> {
 
     /// The receive half for shard `me`, after the barrier: when every
     /// shard's account succeeded (`ok`), places the round's deliveries
-    /// into the shard's inbox. Otherwise the inbox keeps the previous
-    /// round's content, and a framed shard collects and drops its frames
-    /// so the transport starts the next round empty.
-    pub(crate) fn receive(&self, me: usize, shard: &mut DeliveryShard, ok: bool) {
+    /// into the shard's inbox — the shard's own bucket straight from
+    /// `own`, its send log and router, under either delivery. Otherwise
+    /// the inbox keeps the previous round's content, and a framed shard
+    /// collects and drops its frames so the transport starts the next
+    /// round empty.
+    pub(crate) fn receive(&self, me: usize, shard: &mut DeliveryShard, ok: bool, own: Own<'_>) {
         let t = shard.trace.begin();
         match (self.delivery, ok) {
             (Delivery::Shared { logs, routers }, true) => {
-                shard.place(self.graph, me, logs, routers);
+                shard.place(self.graph, me, logs, routers, own);
             }
             (Delivery::Framed { transport, .. }, true) => {
-                shard.place_frames(self.graph, me, self.round, transport, self.bounds);
+                shard.place_frames(self.graph, me, self.round, transport, self.bounds, own);
             }
             (Delivery::Framed { transport, .. }, false) => {
                 shard.drain_frames(me, transport, self.bounds.len() - 1);
@@ -580,7 +589,13 @@ fn drive_inline<P: Protocol>(
         ok &= kernel.send(k, shard, mine, &mut log, &mut router);
     }
     for (k, shard) in shards.iter_mut().enumerate() {
-        kernel.receive(k, shard, ok);
+        let log = logs[k].read().expect("no poisoned send log");
+        let router = routers[k].read().expect("no poisoned router");
+        let own = Own {
+            log: &log,
+            router: &router,
+        };
+        kernel.receive(k, shard, ok, own);
     }
 }
 
@@ -634,7 +649,13 @@ fn drive_threaded<P: Protocol + Send>(
         // them skip placement together.
         let ok = !abort.load(Ordering::Relaxed);
         for slot in &mut slots {
-            kernel.receive(slot.index, slot.shard, ok);
+            let log = logs[slot.index].read().expect("no poisoned send log");
+            let router = routers[slot.index].read().expect("no poisoned router");
+            let own = Own {
+                log: &log,
+                router: &router,
+            };
+            kernel.receive(slot.index, slot.shard, ok, own);
         }
     };
     let last = groups.pop().expect("at least one worker");

@@ -4,12 +4,21 @@
 //! With sender-side routing, a round's cross-shard traffic is already
 //! batched: shard `k`'s router holds one bucket of
 //! `RouteRef`s per destination shard, and the place phase
-//! consumes exactly those buckets. This module serializes each bucket —
-//! its refs *plus the payload bytes they reference* — into one
-//! **self-delimiting frame** per destination shard, the unit a
-//! process-per-shard transport ships. Once delivery reads frames instead
-//! of in-memory buckets, "shards stop sharing an address space" becomes a
-//! [`Transport`] swap, not an engine rewrite.
+//! consumes exactly those buckets. This module serializes each bucket
+//! for another shard — its refs *plus the payload bytes they reference*
+//! — into one **self-delimiting frame** per destination shard, the unit
+//! a process-per-shard transport ships. Once delivery reads frames
+//! instead of in-memory buckets, "shards stop sharing an address space"
+//! becomes a [`Transport`] swap, not an engine rewrite.
+//!
+//! Every link carries one frame per round, the self link `(k, k)`
+//! included, but the self link's frame is always **empty** (the bare
+//! 32-byte header: no refs, no payloads). The bucket a shard addresses to
+//! itself crosses no process boundary, so its receive half places it
+//! straight from its own router and send log, and never encodes, digests
+//! or decodes it. The empty frame keeps arrival counts, a socket round
+//! barrier and missing-frame detection the same on every link; a self
+//! frame that is not empty is a [`FrameError::Malformed`].
 //!
 //! # Frame layout
 //!
@@ -69,10 +78,11 @@
 //!
 //! # Transports
 //!
-//! A [`Transport`] moves encoded frames between shards; the engine's
-//! framed backends ([`crate::Engine::Framed`]) never let one shard read
-//! another's send logs or routers — frames are the *only* cross-shard
-//! channel during delivery. Two implementations ship:
+//! A [`Transport`] moves encoded frames between shards, one frame per
+//! `(sender, destination)` link per round (the self link's empty); the
+//! engine's framed backends ([`crate::Engine::Framed`]) never let one
+//! shard read another's send logs or routers — frames are the *only*
+//! cross-shard channel during delivery. Two implementations ship:
 //!
 //! - [`LoopbackTransport`] — an in-memory slot matrix handing the encoded
 //!   [`Bytes`] to the destination by reference count. This prices the
@@ -140,6 +150,11 @@ use crate::shard::{BucketTally, RouteRef, Router};
 /// The frame format version every encoder writes and every decoder
 /// accepts.
 pub const FRAME_VERSION: u8 = 2;
+
+/// The [`FrameError::Malformed`] detail of a self-link frame that is not
+/// the bare header: a shard places its own bucket without a frame, so the
+/// frame it ships to itself carries no refs, payloads or payload bytes.
+pub(crate) const SELF_FRAME_NOT_EMPTY: &str = "the self link's frame is not empty";
 
 /// Magic prefix of every data frame (control frames use `b"NDC"` — see
 /// [`crate::transport::control`]).
@@ -414,10 +429,12 @@ impl TransportHealth {
 /// Moves one round's encoded bucket frames between shards.
 ///
 /// Contract: during each round every sender shard calls [`Transport::send`]
-/// exactly once per destination shard (empty buckets ship header-only
-/// frames, so arrival counts are deterministic), all sends complete before
-/// any [`Transport::collect`] for that round begins (the round's barrier
-/// sits between the engine kernel's send and receive halves), and
+/// exactly once per destination shard, itself included (empty buckets
+/// ship header-only frames, so arrival counts are deterministic; the
+/// self link always carries a header-only frame, since a shard places
+/// its own bucket from its router and send log), all sends complete
+/// before any [`Transport::collect`] for that round begins (the round's
+/// barrier sits between the engine kernel's send and receive halves), and
 /// `collect` is called exactly once per destination per round.
 pub trait Transport: Send + Sync + std::fmt::Debug {
     /// Ships one encoded frame from sender shard `from` to destination
@@ -425,9 +442,10 @@ pub trait Transport: Send + Sync + std::fmt::Debug {
     fn send(&self, from: usize, to: usize, frame: Bytes);
 
     /// Collects the frames addressed to shard `to`: stores the frame from
-    /// sender shard `k` at `into[k]`. `into` has one slot per shard; slots
-    /// left `None` (a frame that never arrived) are surfaced by the place
-    /// phase as a [`FrameError::MissingFrame`]. An implementation may
+    /// sender shard `k` at `into[k]`, the empty self frame at `into[to]`
+    /// included. `into` has one slot per shard; slots left `None` (a
+    /// frame that never arrived) are surfaced by the place phase as a
+    /// [`FrameError::MissingFrame`]. An implementation may
     /// return immediately with whatever arrived (loopback) or block — but
     /// never unboundedly: backends that wait must give up after a
     /// deadline (see [`crate::transport::DEFAULT_FRAME_TIMEOUT`]), either
@@ -773,6 +791,12 @@ impl Frame {
         self.bytes.len()
     }
 
+    /// Whether the frame is the bare header: no refs, no payloads, no
+    /// payload bytes (what the self link carries).
+    pub(crate) fn is_empty(&self) -> bool {
+        self.bytes.len() == HEADER_LEN
+    }
+
     /// The ref-table entries, in bucket (= delivery) order.
     pub fn refs(&self) -> impl Iterator<Item = FrameRef> + '_ {
         self.bytes.as_slice()[HEADER_LEN..self.payload_table]
@@ -842,6 +866,13 @@ impl FrameEncoder {
     /// bucket goes through the single-pass
     /// [`encode_bucket`]: payload bytes are copied exactly once, straight
     /// to their final position in the (recycled) frame buffer.
+    ///
+    /// The self link (`dest == me`) ships an empty frame, the bare
+    /// header: the shard's own bucket crosses no shard boundary, and its
+    /// receive half places it straight from `router` and `log`. The
+    /// empty frame keeps one frame per link per round, which is what
+    /// [`Transport::collect`]'s arrival counts, a socket round barrier
+    /// and missing-frame detection rest on.
     pub(crate) fn ship(
         &mut self,
         me: usize,
@@ -865,14 +896,12 @@ impl FrameEncoder {
                 Some(Ok(buf)) if buf.capacity() <= cap => buf,
                 _ => BytesMut::new(),
             };
-            let frame = encode_bucket(
-                me,
-                dest,
-                router.bucket(dest),
-                router.tally(dest),
-                payload_of,
-                buf,
-            );
+            let (bucket, tally) = if dest == me {
+                (&[][..], BucketTally::default())
+            } else {
+                (router.bucket(dest), router.tally(dest))
+            };
+            let frame = encode_bucket(me, dest, bucket, tally, payload_of, buf);
             let hw = &mut self.high_water[dest];
             *hw = (*hw - *hw / 4).max(frame.len());
             self.last[dest] = Some(frame.clone());
@@ -1039,6 +1068,7 @@ mod tests {
     /// list produce the same frame, byte for byte: a
     /// broadcast-style segment ref, then a multicast (two singleton refs
     /// sharing one payload) and a second message from another sender.
+    /// The self link ships the bare header whatever the own bucket holds.
     #[test]
     fn send_log_payloads_encode_like_the_entry_list() {
         let mut log = SendLog::default();
@@ -1048,24 +1078,26 @@ mod tests {
         out1.unicast(2, b"");
         let bucket = [(0, 0, 0..3), (1, 1, 3..4), (1, 1, 5..6), (1, 2, 5..6)];
         let mut router = Router::default();
-        router.reset(1);
-        for (from, msg, slots) in bucket.clone() {
-            let route = RouteRef {
-                from,
-                msg,
-                lo: slots.start,
-                hi: slots.end,
-            };
-            router.push(0, route, log.payload(msg).len());
+        router.reset(2);
+        for dest in [0, 1] {
+            for (from, msg, slots) in bucket.clone() {
+                let route = RouteRef {
+                    from,
+                    msg,
+                    lo: slots.start,
+                    hi: slots.end,
+                };
+                router.push(dest, route, log.payload(msg).len());
+            }
         }
-        let t = LoopbackTransport::new(1);
-        FrameEncoder::default().ship(0, &[0, 2], &router, &log, &t);
-        let mut got = vec![None];
-        t.collect(0, &mut got).unwrap();
+        let t = LoopbackTransport::new(2);
+        FrameEncoder::default().ship(0, &[0, 2, 3], &router, &log, &t);
+        let mut got = vec![None, None];
+        t.collect(1, &mut got).unwrap();
         let shipped = got[0].take().expect("frame arrived");
         let listed = encode_entries(
             0,
-            0,
+            1,
             &[
                 (0, 0..3, Some(b"alpha")),
                 (1, 3..4, Some(b"bee")),
@@ -1080,19 +1112,25 @@ mod tests {
         let refs: Vec<_> = f.refs().collect();
         assert_eq!(refs[1].payload, refs[2].payload, "multicast shares bytes");
         assert_eq!(f.payload(refs[0].payload), b"alpha");
+        t.collect(0, &mut got).unwrap();
+        let own = got[0].take().expect("the self frame arrived");
+        assert_eq!(own.as_slice(), encode_entries(0, 0, &[]).as_slice());
+        assert!(Frame::decode(own).unwrap().is_empty());
     }
 
     #[test]
     fn frame_buffer_capacity_decays_after_a_burst() {
-        let t = LoopbackTransport::new(1);
+        let t = LoopbackTransport::new(2);
         let drain = |t: &LoopbackTransport| {
-            let mut got = vec![None];
-            t.collect(0, &mut got).unwrap();
+            for dest in 0..2 {
+                let mut got = vec![None, None];
+                t.collect(dest, &mut got).unwrap();
+            }
         };
         let mut router = Router::default();
-        router.reset(1);
+        router.reset(2);
         router.push(
-            0,
+            1,
             RouteRef {
                 from: 0,
                 msg: 0,
@@ -1102,23 +1140,23 @@ mod tests {
             64 * 1024,
         );
         let mut log = SendLog::default();
-        crate::Outbox::new(&mut log, 0).unicast(0, &vec![7u8; 64 * 1024]);
+        crate::Outbox::new(&mut log, 0).unicast(1, &vec![7u8; 64 * 1024]);
         let mut enc = FrameEncoder::default();
-        enc.ship(0, &[0, 1], &router, &log, &t);
+        enc.ship(0, &[0, 1, 2], &router, &log, &t);
         drain(&t);
-        assert!(enc.high_water[0] >= 64 * 1024, "burst mark recorded");
+        assert!(enc.high_water[1] >= 64 * 1024, "burst mark recorded");
         // Dozens of empty rounds later, the mark — and with it the
         // retained buffer capacity the reclaim path will accept — has
         // decayed back to the steady scale (same policy as the send log).
-        router.reset(1);
+        router.reset(2);
         for _ in 0..64 {
-            enc.ship(0, &[0, 0], &router, &SendLog::default(), &t);
+            enc.ship(0, &[0, 1, 2], &router, &SendLog::default(), &t);
             drain(&t);
         }
         assert!(
-            enc.high_water[0] <= FRAME_RETAIN_FLOOR,
+            enc.high_water[1] <= FRAME_RETAIN_FLOOR,
             "mark {} still pinned after decay",
-            enc.high_water[0]
+            enc.high_water[1]
         );
     }
 

@@ -74,8 +74,9 @@
 //!
 //! The **slab ownership rule**: a shard's slab owns the bytes it serves.
 //! Placement copies them from the sending shard's send arena under the
-//! in-memory backends and from the decoded frame under the framed ones,
-//! so neither a send log nor a frame outlives placement. Slab entries
+//! in-memory backends (and for a shard's own bucket under every
+//! backend), and from the decoded frame for another shard's bucket under
+//! the framed ones, so neither a send log nor a frame outlives placement. Slab entries
 //! live exactly one round (registered by placement, read by the next
 //! compute, dropped wholesale by the following placement), and slab,
 //! slot table, and inbox ranges are all recycled in place, preserving
@@ -86,11 +87,15 @@
 //!
 //! A per-`(sender, destination)` bucket is exactly the batch a transport
 //! ships, and under [`Engine::Framed`] it *is* shipped: after the account
-//! phase each shard serializes every bucket — refs plus the payload bytes
-//! they reference — into one self-delimiting, checksummed frame per
-//! destination shard (layout in the [`frame`] module docs), and the place
-//! phase decodes frames instead of reading other shards' send logs or
-//! routers. Delivery order, CONGEST accounting, and results are
+//! phase each shard serializes every bucket for another shard — refs plus
+//! the payload bytes they reference — into one self-delimiting,
+//! checksummed frame per destination shard (layout in the [`frame`]
+//! module docs), and the place phase decodes frames instead of reading
+//! other shards' send logs or routers. A shard's bucket to itself crosses
+//! no boundary and is never framed: the self link carries an empty frame
+//! (one frame per link per round stays the transport's contract), and
+//! the place phase reads that bucket from the shard's own router and send
+//! log, as under shared memory. Delivery order, CONGEST accounting, and results are
 //! untouched; the only thing that changes between sharing an address
 //! space and not is which [`frame::Transport`] moves the bytes. The
 //! in-memory loopback (a reference-counted [`bytes::Bytes`] handoff of

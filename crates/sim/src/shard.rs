@@ -97,8 +97,10 @@
 //!
 //! A shard's slab **owns the payload bytes it serves**. Placement copies
 //! each unique payload in — from the sending shard's send arena under the
-//! in-memory backends, from the decoded frame under the framed ones — so
-//! neither a send log nor a frame has to outlive placement: the next
+//! in-memory backends and for a shard's own bucket under every backend,
+//! from the decoded frame for another shard's bucket under the framed
+//! ones — so neither a send log nor a frame has to outlive placement:
+//! the next
 //! compute phase clears the send logs, and the framed place phase drops
 //! its frames as soon as it has scattered them. Slab entries live exactly
 //! one round: registered by placement, read by the next compute phase,
@@ -109,15 +111,20 @@
 //!
 //! A per-`(sender, destination)` bucket is exactly the batch a transport
 //! ships, and under the framed backends it is shipped: after account,
-//! each shard's [`crate::frame::FrameEncoder`] serializes every bucket —
-//! refs plus the payload bytes they reference, copied out of the shard's
-//! *own* send arena — into one self-delimiting, checksummed frame per
-//! destination shard, and [`DeliveryShard::place_frames`] consumes
-//! decoded frames instead of reading other shards' send logs or routers.
-//! The two placement paths walk identical refs in identical (sender
-//! shard, bucket) order, so delivery order — and therefore every result —
-//! is bit-identical across backends; `Determinism::Verify` cross-checks
-//! the framed paths against the same sequential reference merge.
+//! each shard's [`crate::frame::FrameEncoder`] serializes every bucket
+//! for another shard — refs plus the payload bytes they reference,
+//! copied out of the shard's *own* send arena — into one
+//! self-delimiting, checksummed frame per destination shard, and
+//! [`DeliveryShard::place_frames`] consumes decoded frames instead of
+//! reading other shards' send logs or routers. The bucket a shard
+//! addresses to itself crosses no shard boundary: its self link carries
+//! an empty frame (one frame per link keeps the transport's contract),
+//! and both placement paths place that bucket from the shard's own
+//! router and send log ([`Own`]), with no encode, digest or decode. The
+//! two placement paths walk identical refs in identical (sender shard,
+//! bucket) order, so delivery order — and therefore every result — is
+//! bit-identical across backends; `Determinism::Verify` cross-checks the
+//! framed paths against the same sequential reference merge.
 //!
 //! All routing buffers (send logs, buckets, counters, the inbox, slab and
 //! wake list, frame buffers and gather/decode tables under the loopback
@@ -130,7 +137,7 @@ use std::sync::RwLock;
 use netdecomp_graph::{Graph, VertexId};
 
 use crate::error::FrameError;
-use crate::frame::{Frame, FrameEncoder, Transport};
+use crate::frame::{Frame, FrameEncoder, Transport, SELF_FRAME_NOT_EMPTY};
 use crate::message::{InboxSlot, PayloadSlab, Recipient, SendLog};
 use crate::wire::{put_bytes, put_u64, WireReader};
 use crate::{CongestLimit, DeliveryWork, Inbox, PayloadId, RoundStats, SimError};
@@ -522,6 +529,18 @@ impl Router {
     pub(crate) fn tally(&self, dest: usize) -> BucketTally {
         self.tallies[dest]
     }
+}
+
+/// A shard's own send log and router, which its receive half already
+/// holds. The bucket a shard addresses to itself is placed straight from
+/// them under every delivery backend: it crosses no shard boundary, so it
+/// is never framed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Own<'a> {
+    /// The shard's send log (the own bucket's payload bytes).
+    pub(crate) log: &'a SendLog,
+    /// The shard's router (the own bucket's refs).
+    pub(crate) router: &'a Router,
 }
 
 /// One sender's running CONGEST charge in the account pass.
@@ -1041,10 +1060,12 @@ impl DeliveryShard {
     /// slice — by walking only the route-ref buckets addressed to this
     /// shard (`me`), never scanning another shard's send log.
     ///
-    /// `logs` and `routers` are every shard's send log and router, read-
-    /// locked one at a time (writers finished at the phase barrier, so
-    /// the locks are uncontended — and lock acquisition is
-    /// allocation-free, keeping steady-state rounds zero-alloc).
+    /// `logs` and `routers` are every shard's send log and router; the
+    /// other shards' are read-locked one at a time (writers finished at
+    /// the phase barrier, so the locks are uncontended — and lock
+    /// acquisition is allocation-free, keeping steady-state rounds
+    /// zero-alloc), and this shard's own bucket comes from `own`, which
+    /// the caller already holds.
     ///
     /// Buckets are walked in sender-shard order (a count pass sealed into
     /// the wake list and inbox ranges, then scatter through cursors), so
@@ -1058,65 +1079,88 @@ impl DeliveryShard {
         me: usize,
         logs: &[RwLock<SendLog>],
         routers: &[RwLock<Router>],
+        own: Own<'_>,
     ) {
-        let lo = self.start;
         self.clear_wake_list();
-        let (counts, woken) = (&mut self.inbox_hi[..], &mut self.woken[..]);
-        for router in routers {
-            let router = router.read().expect("no poisoned router");
-            self.work.refs_scanned += router.bucket(me).len();
-            for route in router.bucket(me) {
-                for &to in graph.slot_targets(route.lo as usize..route.hi as usize) {
-                    count_copy(counts, woken, to - lo);
-                }
+        for (k, router) in routers.iter().enumerate() {
+            if k == me {
+                self.count_bucket(graph, own.router.bucket(me));
+            } else {
+                let router = router.read().expect("no poisoned router");
+                self.count_bucket(graph, router.bucket(me));
             }
         }
         // The slot table is recycled in place (steady-state rounds reuse
         // both the buffer and its slots, see the type docs).
         self.seal_wake_list();
-
-        // Scatter. Each unique (sender, message) payload is copied into
-        // the slab once — refs for one message are consecutive within a
-        // bucket, and sender ranges are disjoint across buckets, so a
-        // consecutive-pair check is an exact dedup — and every copy is a
-        // plain 8-byte slot write.
         self.slab.reset();
-        let (cursors, slots) = (&mut self.inbox_hi[..], &mut self.slots[..]);
-        let mut last: Option<(u32, u32)> = None;
-        let mut payload_id: PayloadId = 0;
-        for (router, log) in routers.iter().zip(logs) {
-            let router = router.read().expect("no poisoned router");
-            let log = log.read().expect("no poisoned send log");
-            for route in router.bucket(me) {
-                if last != Some((route.from, route.msg)) {
-                    payload_id = self.slab.register(log.payload(route.msg));
-                    last = Some((route.from, route.msg));
-                }
-                self.work.copies_delivered += (route.hi - route.lo) as usize;
-                for &to in graph.slot_targets(route.lo as usize..route.hi as usize) {
-                    deposit(cursors, slots, to - lo, route.from, payload_id);
-                }
+        for (k, (router, log)) in routers.iter().zip(logs).enumerate() {
+            if k == me {
+                self.scatter_bucket(graph, own.router.bucket(me), own.log);
+            } else {
+                let router = router.read().expect("no poisoned router");
+                let log = log.read().expect("no poisoned send log");
+                self.scatter_bucket(graph, router.bucket(me), &log);
             }
         }
         self.work.payload_registrations = self.slab.len();
     }
 
+    /// Count pass over one in-memory bucket addressed to this shard. Its
+    /// refs come from a router of this process, so they need none of the
+    /// checks a frame's refs get.
+    fn count_bucket(&mut self, graph: &Graph, bucket: &[RouteRef]) {
+        self.work.refs_scanned += bucket.len();
+        let (counts, woken, lo) = (&mut self.inbox_hi[..], &mut self.woken[..], self.start);
+        for route in bucket {
+            for &to in graph.slot_targets(route.lo as usize..route.hi as usize) {
+                count_copy(counts, woken, to - lo);
+            }
+        }
+    }
+
+    /// Scatter pass over one in-memory bucket addressed to this shard,
+    /// reading payloads from the sending shard's `log`. Each unique
+    /// (sender, message) payload is copied into the slab once — refs for
+    /// one message are consecutive within a bucket, so a consecutive-pair
+    /// check is an exact dedup — and every copy is a plain 8-byte slot
+    /// write.
+    fn scatter_bucket(&mut self, graph: &Graph, bucket: &[RouteRef], log: &SendLog) {
+        let lo = self.start;
+        let (cursors, slots) = (&mut self.inbox_hi[..], &mut self.slots[..]);
+        let mut last: Option<(u32, u32)> = None;
+        let mut payload_id: PayloadId = 0;
+        for route in bucket {
+            if last != Some((route.from, route.msg)) {
+                payload_id = self.slab.register(log.payload(route.msg));
+                last = Some((route.from, route.msg));
+            }
+            self.work.copies_delivered += (route.hi - route.lo) as usize;
+            for &to in graph.slot_targets(route.lo as usize..route.hi as usize) {
+                deposit(cursors, slots, to - lo, route.from, payload_id);
+            }
+        }
+    }
+
     /// **Placement phase, framed backends**: like [`DeliveryShard::place`],
-    /// but every bucket arrives as an encoded frame through `transport` —
-    /// this shard reads *no other shard's memory* (no send logs, no
-    /// routers), exactly the information boundary of a process-per-shard
-    /// deployment. Frames are collected and decoded in sender-shard
+    /// but every other shard's bucket arrives as an encoded frame through
+    /// `transport` — this shard reads *no other shard's memory* (no send
+    /// logs, no routers), exactly the information boundary of a
+    /// process-per-shard deployment. The shard's own bucket crosses no
+    /// boundary, so it is placed straight from `own`, as under shared
+    /// memory; the self link carries an empty frame, which keeps one
+    /// frame per link per round. Buckets are placed in sender-shard
     /// order, so per-recipient delivery order is identical to the
     /// shared-memory path and to the sequential reference merge.
     ///
     /// Every frame is validated before any copy is counted: structure and
     /// checksum by [`Frame::decode`], link addressing against `(k, me)`,
-    /// each ref's claimed sender against the sending shard's vertex range
-    /// and its own CSR row (`bounds` are the plan boundaries), and every
-    /// delivered target against this shard's vertex bounds — a corrupted
-    /// or misrouted frame, or one fabricating a sender it does not own,
-    /// sets a typed [`SimError::Frame`] on this shard instead of
-    /// panicking or misdelivering.
+    /// emptiness on the self link, each ref's claimed sender against the
+    /// sending shard's vertex range and its own CSR row (`bounds` are the
+    /// plan boundaries), and every delivered target against this shard's
+    /// vertex bounds — a corrupted or misrouted frame, or one fabricating
+    /// a sender it does not own, sets a typed [`SimError::Frame`] on this
+    /// shard instead of panicking or misdelivering.
     pub(crate) fn place_frames(
         &mut self,
         graph: &Graph,
@@ -1124,12 +1168,14 @@ impl DeliveryShard {
         round: usize,
         transport: &dyn Transport,
         bounds: &[VertexId],
+        own: Own<'_>,
     ) {
         // The decoded-frame scratch is moved out so the count and scatter
         // loops can borrow it alongside `self`'s tables; its capacity is
         // kept across rounds either way.
         let mut decoded = std::mem::take(&mut self.decoded);
-        let result = self.place_frames_inner(graph, me, round, transport, bounds, &mut decoded);
+        let result =
+            self.place_frames_inner(graph, me, round, transport, bounds, own, &mut decoded);
         // The slab copied every payload it needs, so the frames go now,
         // back to their senders' recycle rings.
         decoded.clear();
@@ -1164,6 +1210,7 @@ impl DeliveryShard {
         }
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn place_frames_inner(
         &mut self,
         graph: &Graph,
@@ -1171,6 +1218,7 @@ impl DeliveryShard {
         round: usize,
         transport: &dyn Transport,
         bounds: &[VertexId],
+        own: Own<'_>,
         decoded: &mut Vec<Frame>,
     ) -> Result<(), SimError> {
         let fail = |error: FrameError| SimError::Frame {
@@ -1179,7 +1227,6 @@ impl DeliveryShard {
             error,
         };
         let shard_count = bounds.len() - 1;
-        let lo_v = self.start;
         self.gather.resize(shard_count, None);
         transport
             .collect(me, &mut self.gather)
@@ -1208,77 +1255,114 @@ impl DeliveryShard {
                     found: frame.dest_shard(),
                 }));
             }
-            decoded.push(frame);
+            if k == me {
+                if !frame.is_empty() {
+                    return Err(fail(FrameError::Malformed {
+                        detail: SELF_FRAME_NOT_EMPTY,
+                    }));
+                }
+            } else {
+                decoded.push(frame);
+            }
         }
-        // Count pass. The checksum already rules out transport corruption
-        // of the ref table; the checks here also rule out a well-formed
-        // frame that routes into foreign inboxes or fabricates a sender:
-        // the claimed sender must belong to the shard the frame came
-        // from, the slot range must lie within that sender's own CSR row,
-        // and every delivered target must be a vertex this shard owns.
+        // Count pass, over the frames (sender shards other than `me`) and
+        // the own bucket in sender-shard order.
         self.clear_wake_list();
-        let (counts, woken) = (&mut self.inbox_hi[..], &mut self.woken[..]);
-        let max_slot = graph.directed_edge_count();
-        for (k, frame) in decoded.iter().enumerate() {
-            self.work.refs_scanned += frame.ref_count();
-            let (sender_lo, sender_hi) = (bounds[k], bounds[k + 1]);
-            for r in frame.refs() {
-                let from = r.from as usize;
-                let (slot_lo, slot_hi) = (r.lo as usize, r.hi as usize);
-                let foreign = FrameError::ForeignSlots {
-                    from,
-                    lo: slot_lo,
-                    hi: slot_hi,
-                };
-                if slot_hi > max_slot || from < sender_lo || from >= sender_hi {
-                    return Err(fail(foreign));
-                }
-                if slot_lo < slot_hi {
-                    let row = graph.neighbor_slots(from);
-                    if slot_lo < row.start || slot_hi > row.end {
-                        return Err(fail(foreign));
-                    }
-                }
-                for &to in graph.slot_targets(slot_lo..slot_hi) {
-                    // One bounds check per copy: the count table is
-                    // exactly this shard's vertex range, so bounding the
-                    // wrapping-shifted id by it *is* the ownership test
-                    // (`to < lo_v` wraps to a huge index and misses too).
-                    let local = to.wrapping_sub(lo_v);
-                    if local >= counts.len() {
-                        return Err(fail(foreign));
-                    }
-                    count_copy(counts, woken, local);
-                }
+        let mut frames = decoded.iter();
+        for k in 0..shard_count {
+            if k == me {
+                self.count_bucket(graph, own.router.bucket(me));
+            } else {
+                let frame = frames.next().expect("one decoded frame per other shard");
+                self.count_frame(graph, frame, bounds[k]..bounds[k + 1])
+                    .map_err(&fail)?;
             }
         }
         // The slot table is recycled in place exactly as in the
         // shared-memory path.
         self.seal_wake_list();
-
-        // Scatter pass. Each unique frame payload is copied into the slab
-        // once (refs sharing a payload arrive consecutively from our own
-        // encoder; a foreign encoder that interleaves them merely
-        // registers duplicates), and every copy is a plain 8-byte slot
-        // write.
         self.slab.reset();
-        let (cursors, slots) = (&mut self.inbox_hi[..], &mut self.slots[..]);
-        for frame in decoded.iter() {
-            let mut last: Option<u32> = None;
-            let mut payload_id: PayloadId = 0;
-            for r in frame.refs() {
-                if last != Some(r.payload) {
-                    payload_id = self.slab.register(frame.payload(r.payload));
-                    last = Some(r.payload);
-                }
-                self.work.copies_delivered += (r.hi - r.lo) as usize;
-                for &to in graph.slot_targets(r.lo as usize..r.hi as usize) {
-                    deposit(cursors, slots, to - lo_v, r.from, payload_id);
-                }
+        let mut frames = decoded.iter();
+        for k in 0..shard_count {
+            if k == me {
+                self.scatter_bucket(graph, own.router.bucket(me), own.log);
+            } else {
+                let frame = frames.next().expect("one decoded frame per other shard");
+                self.scatter_frame(graph, frame);
             }
         }
         self.work.payload_registrations = self.slab.len();
         Ok(())
+    }
+
+    /// Count pass over one decoded frame from the shard owning `senders`.
+    /// The checksum already rules out transport corruption of the ref
+    /// table; the checks here also rule out a well-formed frame that
+    /// routes into foreign inboxes or fabricates a sender: the claimed
+    /// sender must belong to the shard the frame came from, the slot range
+    /// must lie within that sender's own CSR row, and every delivered
+    /// target must be a vertex this shard owns.
+    fn count_frame(
+        &mut self,
+        graph: &Graph,
+        frame: &Frame,
+        senders: std::ops::Range<VertexId>,
+    ) -> Result<(), FrameError> {
+        self.work.refs_scanned += frame.ref_count();
+        let (counts, woken, lo_v) = (&mut self.inbox_hi[..], &mut self.woken[..], self.start);
+        let max_slot = graph.directed_edge_count();
+        for r in frame.refs() {
+            let from = r.from as usize;
+            let (slot_lo, slot_hi) = (r.lo as usize, r.hi as usize);
+            let foreign = FrameError::ForeignSlots {
+                from,
+                lo: slot_lo,
+                hi: slot_hi,
+            };
+            if slot_hi > max_slot || !senders.contains(&from) {
+                return Err(foreign);
+            }
+            if slot_lo < slot_hi {
+                let row = graph.neighbor_slots(from);
+                if slot_lo < row.start || slot_hi > row.end {
+                    return Err(foreign);
+                }
+            }
+            for &to in graph.slot_targets(slot_lo..slot_hi) {
+                // One bounds check per copy: the count table is exactly
+                // this shard's vertex range, so bounding the
+                // wrapping-shifted id by it *is* the ownership test
+                // (`to < lo_v` wraps to a huge index and misses too).
+                let local = to.wrapping_sub(lo_v);
+                if local >= counts.len() {
+                    return Err(foreign);
+                }
+                count_copy(counts, woken, local);
+            }
+        }
+        Ok(())
+    }
+
+    /// Scatter pass over one decoded frame. Each unique frame payload is
+    /// copied into the slab once (refs sharing a payload arrive
+    /// consecutively from our own encoder; a foreign encoder that
+    /// interleaves them merely registers duplicates), and every copy is a
+    /// plain 8-byte slot write.
+    fn scatter_frame(&mut self, graph: &Graph, frame: &Frame) {
+        let lo = self.start;
+        let (cursors, slots) = (&mut self.inbox_hi[..], &mut self.slots[..]);
+        let mut last: Option<u32> = None;
+        let mut payload_id: PayloadId = 0;
+        for r in frame.refs() {
+            if last != Some(r.payload) {
+                payload_id = self.slab.register(frame.payload(r.payload));
+                last = Some(r.payload);
+            }
+            self.work.copies_delivered += (r.hi - r.lo) as usize;
+            for &to in graph.slot_targets(r.lo as usize..r.hi as usize) {
+                deposit(cursors, slots, to - lo, r.from, payload_id);
+            }
+        }
     }
 }
 
@@ -1497,29 +1581,44 @@ mod tests {
         use bytes::Bytes;
 
         let g = generators::path(4); // adjacency 0:[1] 1:[0,2] 2:[1,3] 3:[2]
+        let log = SendLog::default();
+        let mut router = Router::default();
+        router.reset(2);
+        let own = Own {
+            log: &log,
+            router: &router,
+        };
         let frame_err = |shard: &DeliveryShard| match &shard.error {
             Some(SimError::Frame { error, .. }) => *error,
             other => panic!("expected a frame error, got {other:?}"),
         };
-        let frame = |dest: usize, from: usize, slots: std::ops::Range<usize>| {
-            encode_entries(0, dest, &[(from, slots, Some(b"x".as_slice()))])
+        let frame = |sender: usize, from: usize, slots: std::ops::Range<usize>| {
+            encode_entries(sender, 0, &[(from, slots, Some(b"x".as_slice()))])
+        };
+        // Shard 0 of the plan `[0, 2, 4]` receives `foreign` from shard 1,
+        // and the empty self frame on its own link.
+        let place_from_shard_1 = |shard: &mut DeliveryShard, foreign: Bytes| {
+            let t = LoopbackTransport::new(2);
+            t.send(0, 0, encode_entries(0, 0, &[]));
+            t.send(1, 0, foreign);
+            shard.place_frames(&g, 0, 0, &t, &[0, 2, 4], own);
         };
 
         // A bit flip in the ref table fails the header checksum.
-        let mut shard = DeliveryShard::new(&g, 0, 4);
-        let t = LoopbackTransport::new(1);
-        let mut bad = frame(0, 0, g.neighbor_slots(0)).as_slice().to_vec();
+        let mut shard = DeliveryShard::new(&g, 0, 2);
+        let mut bad = frame(1, 2, 4..5).as_slice().to_vec();
         bad[32] ^= 0xff;
-        t.send(0, 0, Bytes::from(bad));
-        shard.place_frames(&g, 0, 0, &t, &[0, 4]);
+        place_from_shard_1(&mut shard, Bytes::from(bad));
         assert!(matches!(
             frame_err(&shard),
             crate::FrameError::ChecksumMismatch { .. }
         ));
 
-        // A frame that never arrives is a MissingFrame for its sender.
+        // A frame that never arrives is a MissingFrame for its sender,
+        // the self link's included.
+        let mut shard = DeliveryShard::new(&g, 0, 4);
         let t = LoopbackTransport::new(1);
-        shard.place_frames(&g, 0, 3, &t, &[0, 4]);
+        shard.place_frames(&g, 0, 3, &t, &[0, 4], own);
         assert_eq!(
             shard.error,
             Some(SimError::Frame {
@@ -1532,7 +1631,7 @@ mod tests {
         // A checksummed frame whose header claims another destination.
         let t = LoopbackTransport::new(1);
         t.send(0, 0, encode_entries(0, 5, &[]));
-        shard.place_frames(&g, 0, 0, &t, &[0, 4]);
+        shard.place_frames(&g, 0, 0, &t, &[0, 4], own);
         assert!(matches!(
             frame_err(&shard),
             crate::FrameError::Misrouted {
@@ -1541,49 +1640,61 @@ mod tests {
             }
         ));
 
+        // The self link carries the bare header: a shard places its own
+        // bucket from its router and send log, so refs on it are an error.
+        let t = LoopbackTransport::new(1);
+        t.send(0, 0, frame(0, 0, g.neighbor_slots(0)));
+        shard.place_frames(&g, 0, 0, &t, &[0, 4], own);
+        assert_eq!(
+            frame_err(&shard),
+            crate::FrameError::Malformed {
+                detail: crate::frame::SELF_FRAME_NOT_EMPTY
+            }
+        );
+
         // A well-formed frame routing into vertices this shard does not
         // own (vertex 3's slot targets vertex 2, outside 0..2).
         let mut shard = DeliveryShard::new(&g, 0, 2);
-        let t = LoopbackTransport::new(1);
-        t.send(0, 0, frame(0, 3, g.neighbor_slots(3)));
-        shard.place_frames(&g, 0, 0, &t, &[0, 4]);
+        place_from_shard_1(&mut shard, frame(1, 3, g.neighbor_slots(3)));
         assert!(matches!(
             frame_err(&shard),
             crate::FrameError::ForeignSlots { from: 3, .. }
         ));
 
         // A slot range past the graph's directed-edge count.
-        let t = LoopbackTransport::new(1);
-        t.send(0, 0, frame(0, 0, 900..901));
-        shard.place_frames(&g, 0, 0, &t, &[0, 4]);
+        place_from_shard_1(&mut shard, frame(1, 2, 900..901));
         assert!(matches!(
             frame_err(&shard),
             crate::FrameError::ForeignSlots { lo: 900, .. }
         ));
 
         // A fabricated sender: the claimed vertex is not owned by the
-        // shard the frame came from (sender shard 0 covers only 0..2).
-        let mut shard = DeliveryShard::new(&g, 0, 2);
-        let t = LoopbackTransport::new(1);
-        t.send(0, 0, frame(0, 3, g.neighbor_slots(3)));
-        shard.place_frames(&g, 0, 0, &t, &[0, 2]);
-        assert!(matches!(
-            frame_err(&shard),
-            crate::FrameError::ForeignSlots { from: 3, .. }
-        ));
-
-        // A sender claiming another vertex's slots: vertex 0 shipping
-        // vertex 2's CSR row (whose targets 1 and 3 are otherwise valid)
-        // must be rejected by the row-ownership check, not delivered with
-        // a spoofed `from`.
-        let mut shard = DeliveryShard::new(&g, 0, 4);
-        let t = LoopbackTransport::new(1);
-        t.send(0, 0, frame(0, 0, g.neighbor_slots(2)));
-        shard.place_frames(&g, 0, 0, &t, &[0, 4]);
+        // shard the frame came from (sender shard 1 covers only 2..4).
+        place_from_shard_1(&mut shard, frame(1, 0, g.neighbor_slots(0)));
         assert!(matches!(
             frame_err(&shard),
             crate::FrameError::ForeignSlots { from: 0, .. }
         ));
+
+        // A sender claiming another vertex's slots: vertex 2 shipping
+        // vertex 0's CSR row (whose target 1 is otherwise valid) must be
+        // rejected by the row-ownership check, not delivered with a
+        // spoofed `from`.
+        place_from_shard_1(&mut shard, frame(1, 2, g.neighbor_slots(0)));
+        assert!(matches!(
+            frame_err(&shard),
+            crate::FrameError::ForeignSlots { from: 2, .. }
+        ));
+
+        // The same link with a valid ref (vertex 2's slot to vertex 1)
+        // delivers it.
+        let mut shard = DeliveryShard::new(&g, 0, 2);
+        place_from_shard_1(&mut shard, frame(1, 2, 3..4));
+        assert_eq!(shard.error, None);
+        let inbox = shard.incoming(1);
+        assert_eq!(inbox.len(), 1);
+        let m = inbox.iter().next().expect("one copy");
+        assert_eq!((m.from(), m.payload()), (2, b"x".as_slice()));
     }
 
     /// The reference the once-per-sender charge is held to: every copy

@@ -109,6 +109,7 @@ pub(crate) const MALFORMED_DETAILS: &[&str] = &[
     "ref points past the payload table",
     "ref slot range is decreasing",
     "payload entry overruns the payload region",
+    crate::frame::SELF_FRAME_NOT_EMPTY,
 ];
 
 /// What a malformed-frame detail decodes to when the sender's string is

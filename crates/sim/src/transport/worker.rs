@@ -31,7 +31,7 @@ use crate::checkpoint::{
 use crate::engine::{Ctx, Delivery, Protocol, RoundKernel, Snapshot};
 use crate::frame::Transport;
 use crate::message::SendLog;
-use crate::shard::{DeliveryShard, RouteIndex, Router, ShardPlan};
+use crate::shard::{DeliveryShard, Own, RouteIndex, Router, ShardPlan};
 use crate::trace::{TraceRing, TRACE_WINDOW};
 use crate::{CongestLimit, RunStats, SimError, TransportCause, TransportError};
 
@@ -388,7 +388,11 @@ where
             let error = shard.error.take().expect("failed account sets the error");
             return Err(fail(client, error));
         }
-        kernel.receive(me, &mut shard, true);
+        let own = Own {
+            log: &log,
+            router: &router,
+        };
+        kernel.receive(me, &mut shard, true, own);
         if let Some(error) = shard.error.take() {
             return Err(fail(client, error));
         }

@@ -99,7 +99,8 @@ struct Options {
     input: String,
     algo: String,
     k: usize,
-    c: f64,
+    /// `--c C`; each algorithm's default when absent.
+    c: Option<f64>,
     lambda: usize,
     seed: u64,
     assignment: bool,
@@ -146,7 +147,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Options {
         input: String::new(),
         algo: "basic".into(),
         k: 0, // 0 = derive from n
-        c: 0.0,
+        c: None,
         lambda: 3,
         seed: 0,
         assignment: false,
@@ -169,7 +170,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Options {
         match arg.as_str() {
             "--algo" => opts.algo = args.next().unwrap_or_else(|| usage()),
             "--k" => opts.k = parse_or_usage(args.next()),
-            "--c" => opts.c = parse_or_usage(args.next()),
+            "--c" => opts.c = Some(parse_or_usage(args.next())),
             "--lambda" => opts.lambda = parse_or_usage(args.next()),
             "--seed" => opts.seed = parse_or_usage(args.next()),
             "--assignment" => opts.assignment = true,
@@ -742,7 +743,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let (decomposition, label): (NetworkDecomposition, String) = match opts.algo.as_str() {
         "basic" => {
-            let c = if opts.c > 0.0 { opts.c } else { 4.0 };
+            let c = opts.c.unwrap_or(4.0);
             let p = params::DecompositionParams::new(k, c)?;
             let o = basic::decompose(&graph, &p, opts.seed)?;
             let label = format!(
@@ -753,7 +754,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             (traced(o), label)
         }
         "staged" => {
-            let c = if opts.c > 0.0 { opts.c } else { 6.0 };
+            let c = opts.c.unwrap_or(6.0);
             let p = params::StagedParams::new(k, c)?;
             let o = staged::decompose(&graph, &p, opts.seed)?;
             let label = format!(
@@ -764,7 +765,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             (traced(o), label)
         }
         "high-radius" => {
-            let c = if opts.c > 0.0 { opts.c } else { 4.0 };
+            let c = opts.c.unwrap_or(4.0);
             let p = params::HighRadiusParams::new(opts.lambda, c)?;
             let o = high_radius::decompose(&graph, &p, opts.seed)?;
             let label = format!(
@@ -775,7 +776,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             (traced(o), label)
         }
         "ls93" => {
-            let c = if opts.c > 0.0 { opts.c } else { 4.0 };
+            let c = opts.c.unwrap_or(4.0);
             let p = linial_saks::LinialSaksParams::new(k, c)?;
             let o = linial_saks::decompose(&graph, &p, opts.seed)?;
             let label = format!(

@@ -422,3 +422,35 @@ fn a_header_whose_tables_cannot_be_had_is_a_typed_error_not_an_abort() {
         );
     }
 }
+
+#[test]
+fn parameters_no_theorem_admits_are_typed_errors() {
+    // `--c` reaches the parameter constructors whatever its value, and a
+    // `--k` so large that a shift could reach 2^53 is refused before any
+    // phase runs (it once panicked in the carve, exit 101).
+    let graph = ladder_file("bad-params", 10);
+    for (args, name) in [
+        (&["--c", "nan"][..], "c"),
+        (&["--c", "-1"], "c"),
+        (&["--c", "0"], "c"),
+        (&["--algo", "staged", "--c", "5"], "c"),
+        (&["--k", "18446744073709551615"], "beta"),
+    ] {
+        let output = Command::new(BIN).arg(&graph).args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+        let typed = format!("Error: InvalidParameter {{ name: \"{name}\", reason: ");
+        assert!(stderr.starts_with(&typed), "{args:?}: {stderr}");
+    }
+    let output = Command::new(BIN)
+        .arg(&graph)
+        .args(["--c", "5", "--json"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(output.status.success(), "{stdout}");
+    assert!(
+        stdout.contains(" c=5 "),
+        "the flag's value is the one used: {stdout}"
+    );
+}
