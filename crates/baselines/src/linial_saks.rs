@@ -421,13 +421,12 @@ pub fn decompose_distributed(
 }
 
 /// [`decompose_distributed`] with a custom delivery transport: when
-/// `transport` is set and `engine` is [`Engine::Framed`], the run's
-/// simulator ships the frames of every phase through one
-/// `factory.build(shard_count)`, called once per run — the hook that
-/// runs the baseline over sockets or a fault-injecting fabric. Ignored
-/// for non-framed engines (nothing would be routed through it).
-/// Outcomes stay bit-identical to the in-process backends for any
-/// transport that delivers faithfully.
+/// `transport` is set, the run's simulator ships the frames of every
+/// phase through one `factory.build(shard_count)`, called once per run —
+/// the hook that runs the baseline over sockets or a fault-injecting
+/// fabric. `engine` must then be [`Engine::Framed`], the one engine that
+/// ships frames. Outcomes stay bit-identical to the in-process backends
+/// for any transport that delivers faithfully.
 ///
 /// One simulator runs every phase: each phase re-arms the alive nodes
 /// (radius, no labels known) and restarts at round 0 with them as the
@@ -442,7 +441,9 @@ pub fn decompose_distributed(
 /// fails (timeout, disconnect, corruption — a typed
 /// [`netdecomp_sim::SimError`], never a hang);
 /// [`DecompError::InvalidParameter`] if `k − 1` exceeds 65 535, the
-/// largest radius a message carries (checked before any round runs).
+/// largest radius a message carries, or naming `transport` if one is set
+/// on an engine other than [`Engine::Framed`] (both checked before any
+/// round runs).
 pub fn decompose_distributed_with_transport(
     graph: &Graph,
     params: &LinialSaksParams,
@@ -461,6 +462,7 @@ pub fn decompose_distributed_with_transport(
             ),
         });
     }
+    netdecomp_core::distributed::check_transport(engine, transport.is_some())?;
     let n = graph.vertex_count();
     let mut alive = VertexSet::full(n);
     let mut partition = Partition::new(n);
@@ -478,10 +480,8 @@ pub fn decompose_distributed_with_transport(
                 .with_limit(limit)
                 .with_engine(engine);
             if let Some(factory) = transport {
-                if matches!(engine, Engine::Framed { .. }) {
-                    let shards = sim.shard_plan().count();
-                    sim = sim.with_transport(factory.build(shards));
-                }
+                let shards = sim.shard_plan().count();
+                sim = sim.with_transport(factory.build(shards));
             }
             sim
         });

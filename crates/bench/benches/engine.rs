@@ -323,12 +323,11 @@ where
             // Decode-side frame validation time (header parse + the fused
             // checksum/structure walk).
             group.report_metric(&id, "checksum_ns_per_round", work.checksum_ns as f64);
-            // Transport health (cumulative over the probe run): retries
-            // and injected drops are zero on a healthy in-process run
-            // (nonzero rows flag a flaky fabric); collect_wait is the
+            // Transport health (cumulative over the probe run): injected
+            // drops are zero on a healthy in-process run (a nonzero row
+            // flags a fault harness left wired in); collect_wait is the
             // receive-side blocking time and prices the socket hop
             // against the in-memory backends.
-            group.report_metric(&id, "frames_retried", work.frames_retried as f64);
             group.report_metric(
                 &id,
                 "frames_dropped_injected",

@@ -89,11 +89,12 @@ pub struct DistributedConfig {
     pub determinism: Determinism,
     /// Custom delivery transport for framed engines — the hook that runs
     /// the decomposition over sockets or a fault-injecting fabric. When
-    /// set and `engine` is [`Engine::Framed`], the run's simulator routes
-    /// the frames of every phase through one `factory.build(shard_count)`,
-    /// called once per decomposition, instead of the engine's built-in
-    /// backend; ignored for non-framed engines (nothing would be routed
-    /// through it).
+    /// set, the run's simulator routes the frames of every phase through
+    /// one `factory.build(shard_count)`, called once per decomposition,
+    /// instead of the engine's built-in backend. Only
+    /// [`Engine::Framed`] ships frames: with any other engine nothing
+    /// would be routed through it, so the run is refused as
+    /// [`DecompError::InvalidParameter`] naming `transport`.
     pub transport: Option<TransportFactory>,
 }
 
@@ -538,9 +539,10 @@ impl TypedProtocol for CarveNode {
 ///
 /// [`DecompError::Simulation`] if the configured CONGEST limit is violated
 /// (only possible with [`Forwarding::Full`] or a very small limit);
-/// [`DecompError::InvalidParameter`] for degenerate rates, or for a radius
-/// cap above 65 535, the largest hop distance a message carries (checked
-/// before any round runs).
+/// [`DecompError::InvalidParameter`] for degenerate rates, for a radius
+/// cap above 65 535, the largest hop distance a message carries, or for a
+/// [`DistributedConfig::transport`] on an engine other than
+/// [`Engine::Framed`] (all checked before any round runs).
 pub fn decompose_distributed(
     graph: &Graph,
     params: &DecompositionParams,
@@ -618,6 +620,7 @@ fn run_distributed<F>(
 where
     F: Fn(usize) -> PhasePlan,
 {
+    check_transport(config.engine, config.transport.is_some())?;
     let mut comm = RunStats::default();
     let mut sim = None;
     let outcome = run_phases_with_carver(
@@ -636,9 +639,31 @@ where
     Ok(DistributedRun { outcome, comm })
 }
 
+/// Refuses a custom transport on an engine that ships no frames, which
+/// would never build it. Shared by every CONGEST driver that takes a
+/// [`TransportFactory`].
+///
+/// # Errors
+///
+/// [`DecompError::InvalidParameter`] naming `transport` when
+/// `has_transport` is set and `engine` is not [`Engine::Framed`].
+pub fn check_transport(engine: Engine, has_transport: bool) -> Result<(), DecompError> {
+    if has_transport && !matches!(engine, Engine::Framed { .. }) {
+        return Err(DecompError::InvalidParameter {
+            name: "transport",
+            reason: format!(
+                "only Engine::Framed ships frames through a transport; {engine:?} \
+                 would never build it"
+            ),
+        });
+    }
+    Ok(())
+}
+
 /// The one simulator a decomposition runs on, with every node idle until
-/// [`arm_alive`]; with [`DistributedConfig::transport`] set on a framed
-/// engine, its frames go through one transport built here.
+/// [`arm_alive`]; with [`DistributedConfig::transport`] set (on a framed
+/// engine, as [`check_transport`] checked), its frames go through one
+/// transport built here.
 fn carve_simulator<'g>(
     graph: &'g Graph,
     config: &DistributedConfig,
@@ -647,10 +672,8 @@ fn carve_simulator<'g>(
         .with_limit(config.congest_limit)
         .with_engine(config.engine);
     if let Some(factory) = &config.transport {
-        if matches!(config.engine, Engine::Framed { .. }) {
-            let shards = sim.shard_plan().count();
-            sim = sim.with_transport(factory.build(shards));
-        }
+        let shards = sim.shard_plan().count();
+        sim = sim.with_transport(factory.build(shards));
     }
     sim
 }

@@ -19,15 +19,16 @@
 //! ```text
 //! offset  len  field
 //!      0    4  magic `NDKP`
-//!      4    1  format version (currently 2)
+//!      4    1  format version (currently 3)
 //!      5    3  reserved (zero)
 //!      8    4  shard u32
 //!     12    4  fabric shard count u32
 //!     16    8  checkpoint round u64
 //!     24    8  graph digest u64
-//!     32    8  payload length u64
-//!     40    n  payload (opaque to this header)
-//!   40+n    4  digest u32 — the 4-lane [`LaneDigest`] over every
+//!     32    8  run identity u64
+//!     40    8  payload length u64
+//!     48    n  payload (opaque to this header)
+//!   48+n    4  digest u32 — the 4-lane [`LaneDigest`] over every
 //!               preceding byte, zero-padded to a word boundary
 //! ```
 //!
@@ -36,6 +37,11 @@
 //! file with a typed reason and falls back to the next-older checkpoint
 //! — or to nothing, which the caller treats as "start from round 0". A
 //! checkpoint is never trusted, only verified.
+//!
+//! The run identity names the supervised run that wrote the file, so in
+//! a directory reused across runs the loader rejects an earlier run's
+//! file by name, even one valid for the same graph, shard and command:
+//! a relaunched worker resumes from its own run's newest checkpoint.
 //!
 //! Writes are atomic: the file is assembled under a `.tmp` name in the
 //! same directory and renamed into place, so a reader never observes a
@@ -61,11 +67,12 @@ const MAGIC: [u8; 4] = *b"NDKP";
 /// Current checkpoint format version. Version 1 payloads also carried
 /// each shard's per-edge CONGEST counters, which no resumed round reads
 /// (account zeroes the counters it touched before it charges); version
-/// 2 dropped them, so a version 1 file is rejected by name.
-const VERSION: u8 = 2;
+/// 2 dropped them, and version 3 added the run identity to the header.
+/// A file of an earlier version is rejected by name.
+const VERSION: u8 = 3;
 
 /// Fixed header length (everything before the payload).
-const HEADER_LEN: usize = 40;
+const HEADER_LEN: usize = 48;
 
 /// Checkpoints kept per shard after a successful write: the newest,
 /// plus one older generation to fall back to when the newest turns out
@@ -88,6 +95,9 @@ pub struct Checkpoint {
     pub round: u64,
     /// Digest of the graph the run executes over.
     pub graph_digest: u64,
+    /// Identity of the supervised run that wrote the checkpoint
+    /// ([`crate::transport::WorkerConfig::run`]).
+    pub run: u64,
     /// The opaque serialized state.
     pub payload: Vec<u8>,
 }
@@ -120,6 +130,7 @@ pub fn encode_checkpoint(ckpt: &Checkpoint) -> Vec<u8> {
     out.extend_from_slice(&(ckpt.shards as u32).to_le_bytes());
     out.extend_from_slice(&ckpt.round.to_le_bytes());
     out.extend_from_slice(&ckpt.graph_digest.to_le_bytes());
+    out.extend_from_slice(&ckpt.run.to_le_bytes());
     out.extend_from_slice(&(ckpt.payload.len() as u64).to_le_bytes());
     out.extend_from_slice(&ckpt.payload);
     let sum = digest(&out);
@@ -142,18 +153,20 @@ fn digest(bytes: &[u8]) -> u32 {
 }
 
 /// Validates `data` as a checkpoint for `shard` of a `shards`-wide run
-/// over the graph with `graph_digest`, taken at a round `<= max_round`.
+/// `run` over the graph with `graph_digest`, taken at a round
+/// `<= max_round`.
 ///
 /// # Errors
 ///
 /// Returns the first validation step that failed, in check order:
 /// structural (truncation, magic, version, digest) before semantic
-/// (wrong shard / fabric shape / graph / round).
+/// (wrong shard / fabric shape / graph / round / run).
 pub fn decode_checkpoint(
     data: &[u8],
     shard: usize,
     shards: usize,
     graph_digest: u64,
+    run: u64,
     max_round: u64,
 ) -> Result<Checkpoint, &'static str> {
     if data.len() < HEADER_LEN + 4 {
@@ -167,7 +180,7 @@ pub fn decode_checkpoint(
     }
     let le32 = |at: usize| u32::from_le_bytes(data[at..at + 4].try_into().expect("4 bytes"));
     let le64 = |at: usize| u64::from_le_bytes(data[at..at + 8].try_into().expect("8 bytes"));
-    let payload_len = le64(32);
+    let payload_len = le64(40);
     let Some(expected) = (payload_len as usize)
         .checked_add(HEADER_LEN + 4)
         .filter(|&total| total == data.len())
@@ -190,11 +203,15 @@ pub fn decode_checkpoint(
     if round > max_round {
         return Err("round beyond run");
     }
+    if le64(32) != run {
+        return Err("another run's checkpoint");
+    }
     Ok(Checkpoint {
         shard,
         shards,
         round,
         graph_digest,
+        run,
         payload: data[HEADER_LEN..expected - 4].to_vec(),
     })
 }
@@ -259,16 +276,18 @@ fn shard_files(dir: &Path, shard: usize) -> Vec<(u64, PathBuf)> {
 }
 
 /// Loads the newest checkpoint in `dir` that validates for this shard,
-/// fabric shape, graph, and run length, skipping (never trusting) every
-/// torn or corrupt file on the way down. Returns the winner — `None`
-/// means "no usable checkpoint, start from round 0" — plus one
-/// [`RejectedCheckpoint`] per file that failed, for the flight record.
+/// fabric shape, graph, run length and run identity, skipping (never
+/// trusting) every torn or corrupt file, and every earlier run's, on the
+/// way down. Returns the winner — `None` means "no usable checkpoint,
+/// start from round 0" — plus one [`RejectedCheckpoint`] per file that
+/// failed, for the flight record.
 #[must_use]
 pub fn load_newest_checkpoint(
     dir: &Path,
     shard: usize,
     shards: usize,
     graph_digest: u64,
+    run: u64,
     max_round: u64,
 ) -> (Option<Checkpoint>, Vec<RejectedCheckpoint>) {
     let mut rejected = Vec::new();
@@ -283,7 +302,7 @@ pub fn load_newest_checkpoint(
                 continue;
             }
         };
-        match decode_checkpoint(&data, shard, shards, graph_digest, max_round) {
+        match decode_checkpoint(&data, shard, shards, graph_digest, run, max_round) {
             Ok(ckpt) => return (Some(ckpt), rejected),
             Err(reason) => rejected.push(RejectedCheckpoint { path, reason }),
         }
@@ -353,12 +372,16 @@ pub(crate) fn decode_worker_payload<P: Snapshot>(
 mod tests {
     use super::*;
 
+    /// The run identity the samples are written under.
+    const RUN: u64 = 0x5eed_0001;
+
     fn sample(round: u64) -> Checkpoint {
         Checkpoint {
             shard: 1,
             shards: 3,
             round,
             graph_digest: 0xfeed_beef,
+            run: RUN,
             payload: (0..=200u8).collect(),
         }
     }
@@ -367,7 +390,7 @@ mod tests {
     fn a_checkpoint_round_trips_through_the_wire_format() {
         let ckpt = sample(7);
         let encoded = encode_checkpoint(&ckpt);
-        let decoded = decode_checkpoint(&encoded, 1, 3, 0xfeed_beef, 100).unwrap();
+        let decoded = decode_checkpoint(&encoded, 1, 3, 0xfeed_beef, RUN, 100).unwrap();
         assert_eq!(decoded, ckpt);
     }
 
@@ -376,20 +399,24 @@ mod tests {
         let encoded = encode_checkpoint(&sample(7));
         let cases = [
             (
-                decode_checkpoint(&encoded, 2, 3, 0xfeed_beef, 100),
+                decode_checkpoint(&encoded, 2, 3, 0xfeed_beef, RUN, 100),
                 "wrong shard",
             ),
             (
-                decode_checkpoint(&encoded, 1, 4, 0xfeed_beef, 100),
+                decode_checkpoint(&encoded, 1, 4, 0xfeed_beef, RUN, 100),
                 "wrong fabric shape",
             ),
             (
-                decode_checkpoint(&encoded, 1, 3, 0xdead, 100),
+                decode_checkpoint(&encoded, 1, 3, 0xdead, RUN, 100),
                 "wrong graph",
             ),
             (
-                decode_checkpoint(&encoded, 1, 3, 0xfeed_beef, 6),
+                decode_checkpoint(&encoded, 1, 3, 0xfeed_beef, RUN, 6),
                 "round beyond run",
+            ),
+            (
+                decode_checkpoint(&encoded, 1, 3, 0xfeed_beef, RUN + 1, 100),
+                "another run's checkpoint",
             ),
         ];
         for (result, reason) in cases {
@@ -404,7 +431,7 @@ mod tests {
         let mut encoded = encode_checkpoint(&sample(7));
         encoded[4] = VERSION - 1;
         assert_eq!(
-            decode_checkpoint(&encoded, 1, 3, 0xfeed_beef, 100),
+            decode_checkpoint(&encoded, 1, 3, 0xfeed_beef, RUN, 100),
             Err("unsupported version")
         );
     }
@@ -418,14 +445,14 @@ mod tests {
             let mut bad = encoded.clone();
             bad[at] ^= 0x10;
             assert!(
-                decode_checkpoint(&bad, 1, 3, 0xfeed_beef, 100).is_err(),
+                decode_checkpoint(&bad, 1, 3, 0xfeed_beef, RUN, 100).is_err(),
                 "flip at {at} must be rejected"
             );
         }
         // A torn write (any prefix) is structurally rejected.
         for cut in [0, 3, HEADER_LEN - 1, HEADER_LEN + 4, encoded.len() - 1] {
             assert!(
-                decode_checkpoint(&encoded[..cut], 1, 3, 0xfeed_beef, 100).is_err(),
+                decode_checkpoint(&encoded[..cut], 1, 3, 0xfeed_beef, RUN, 100).is_err(),
                 "cut at {cut} must be rejected"
             );
         }
@@ -441,7 +468,7 @@ mod tests {
         let newest = checkpoint_path(&dir, 1, 8);
         let full = fs::read(&newest).unwrap();
         fs::write(&newest, &full[..full.len() / 2]).unwrap();
-        let (found, rejected) = load_newest_checkpoint(&dir, 1, 3, 0xfeed_beef, 100);
+        let (found, rejected) = load_newest_checkpoint(&dir, 1, 3, 0xfeed_beef, RUN, 100);
         assert_eq!(found.unwrap().round, 4, "must fall back to the older round");
         assert_eq!(rejected.len(), 1);
         assert_eq!(rejected[0].path, newest);
@@ -452,7 +479,7 @@ mod tests {
         let at = bytes.len() - 2;
         bytes[at] ^= 0xff;
         fs::write(&older, &bytes).unwrap();
-        let (found, rejected) = load_newest_checkpoint(&dir, 1, 3, 0xfeed_beef, 100);
+        let (found, rejected) = load_newest_checkpoint(&dir, 1, 3, 0xfeed_beef, RUN, 100);
         assert!(found.is_none());
         assert_eq!(rejected.len(), 2);
         assert_eq!(rejected[1].reason, "digest mismatch");
@@ -485,7 +512,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(shard_files(&dir, 1).len(), 2);
-        let (found, rejected) = load_newest_checkpoint(&dir, 1, 3, 0xfeed_beef, 100);
+        let (found, rejected) = load_newest_checkpoint(&dir, 1, 3, 0xfeed_beef, RUN, 100);
         assert_eq!(found.unwrap().round, 12);
         assert!(rejected.is_empty());
         let _ = fs::remove_dir_all(&dir);
@@ -513,7 +540,7 @@ mod tests {
         let newest = checkpoint_path(&dir, 1, 9);
         let full = fs::read(&newest).unwrap();
         fs::write(&newest, &full[..full.len() / 2]).unwrap();
-        let (found, rejected) = load_newest_checkpoint(&dir, 1, 3, 0xfeed_beef, 100);
+        let (found, rejected) = load_newest_checkpoint(&dir, 1, 3, 0xfeed_beef, RUN, 100);
         assert_eq!(found.unwrap().round, 6);
         let rejected: Vec<&Path> = rejected.iter().map(|r| r.path.as_path()).collect();
         assert_eq!(rejected, [garbage.as_path(), newest.as_path()]);
@@ -521,19 +548,43 @@ mod tests {
     }
 
     /// In a reused directory, an earlier run's later rounds cannot prune
-    /// away the checkpoint just written.
+    /// away the checkpoint just written, and the loader returns this
+    /// run's newest checkpoint, rejecting the earlier run's by name.
     #[test]
     fn the_round_just_written_survives_an_earlier_runs_later_rounds() {
         let dir = std::env::temp_dir().join(format!("ndk-ckpt-reused-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         for round in [12, 15] {
-            write_checkpoint(&dir, &sample(round)).unwrap();
+            let earlier = Checkpoint {
+                run: RUN + 1,
+                ..sample(round)
+            };
+            write_checkpoint(&dir, &earlier).unwrap();
         }
         let path = write_checkpoint(&dir, &sample(3)).unwrap();
         assert!(path.exists(), "the returned path must hold the checkpoint");
         write_checkpoint(&dir, &sample(6)).unwrap();
         let rounds: Vec<u64> = shard_files(&dir, 1).into_iter().map(|(r, _)| r).collect();
         assert_eq!(rounds, vec![15, 12, 6, 3]);
+        let (found, rejected) = load_newest_checkpoint(&dir, 1, 3, 0xfeed_beef, RUN, 100);
+        assert_eq!(found, Some(sample(6)), "this run's r6, not the earlier r15");
+        let rejected: Vec<(&Path, &str)> = rejected
+            .iter()
+            .map(|r| (r.path.as_path(), r.reason))
+            .collect();
+        assert_eq!(
+            rejected,
+            [
+                (
+                    checkpoint_path(&dir, 1, 15).as_path(),
+                    "another run's checkpoint"
+                ),
+                (
+                    checkpoint_path(&dir, 1, 12).as_path(),
+                    "another run's checkpoint"
+                ),
+            ]
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -944,11 +944,10 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             // instead of wrapping.
             work.absorb(&shard.work);
         }
-        // Transport health is cumulative over the run too: retries,
-        // injected faults, and time blocked in collect.
+        // Transport health is cumulative over the run too: injected
+        // faults, time blocked in collect, and recovery counters.
         if let Some(transport) = &self.transport {
             let health = transport.health();
-            work.frames_retried = work.frames_retried.saturating_add(health.frames_retried);
             work.frames_dropped_injected = work
                 .frames_dropped_injected
                 .saturating_add(health.frames_dropped_injected);

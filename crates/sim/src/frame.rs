@@ -105,11 +105,12 @@
 //! frames carry their version byte, the same self-delimiting total
 //! length at offset 4, and a FNV-1a checksum:
 //!
-//! - `Hello { shard, frame_version, graph_digest }` — sent once per
-//!   connection (and again after a reconnect). The hub rejects a
-//!   duplicate shard id, a frame version other than [`FRAME_VERSION`],
-//!   or a graph digest that disagrees with the other workers': every
-//!   worker must have loaded the same graph.
+//! - `Hello { shard, frame_version, graph_digest, resume_round }` — sent
+//!   once per connection, by each worker process a shard runs as. The
+//!   hub rejects a shard id outside the fabric, a frame version other
+//!   than [`FRAME_VERSION`], a graph digest that disagrees with the other
+//!   workers' (every worker must have loaded the same graph), or a
+//!   resume round it cannot serve.
 //! - `RoundBarrier { round }` — each shard sends one after shipping its
 //!   round; the hub broadcasts one back when all shards have, which
 //!   doubles as the "all frames relayed" signal.
@@ -389,19 +390,17 @@ pub enum FrameTransport {
 /// whole lifetime (a run), not one round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TransportHealth {
-    /// Retries performed: reconnect attempts and frame re-sends.
-    pub frames_retried: usize,
     /// Frames deliberately discarded or withheld by a fault-injection
     /// wrapper (always zero on production backends).
     pub frames_dropped_injected: usize,
     /// Nanoseconds spent blocked inside [`Transport::collect`] waiting
     /// for peer frames.
     pub collect_wait_ns: u64,
-    /// Worker re-admissions on the socket fabric: restarted worker
-    /// processes plus surviving-client link reconnects (each one is an
-    /// epoch bump past a shard's first registration).
+    /// Worker re-admissions on the socket fabric: relaunched worker
+    /// processes (each one is an epoch bump past a shard's first
+    /// registration).
     pub workers_restarted: usize,
-    /// Rounds fast-forwarded to reconnecting shards from the hub's
+    /// Rounds fast-forwarded to relaunched workers from the hub's
     /// per-destination replay logs.
     pub rounds_replayed: usize,
     /// Heartbeats a supervisor judged overdue before intervening.
@@ -411,7 +410,6 @@ pub struct TransportHealth {
 impl TransportHealth {
     /// Adds another health report into this one (saturating).
     pub fn absorb(&mut self, other: TransportHealth) {
-        self.frames_retried = self.frames_retried.saturating_add(other.frames_retried);
         self.frames_dropped_injected = self
             .frames_dropped_injected
             .saturating_add(other.frames_dropped_injected);

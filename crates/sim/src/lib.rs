@@ -125,15 +125,16 @@
 //! consistent cut — into a checksummed, versioned on-disk file
 //! (magic-tagged header + lane digest, written via atomic
 //! write-then-rename). The hub keeps a bounded per-destination replay
-//! log of two intervals. A crashed or wedged worker is killed,
-//! relaunched with backoff, loads its newest *valid* checkpoint — torn or
-//! corrupt files fail the digest, are skipped with a typed
-//! `checkpoint_reject` flight-recorder event, and fall back to the
-//! previous checkpoint or round 0, never trusted — re-handshakes at that
-//! round, and is fast-forwarded through the rounds it missed, so
-//! recovery costs O(interval) and the run still completes
-//! bit-identically. Only an exhausted restart budget, or a resume below
-//! the replay log's floor, surfaces as a typed error. Those relay queues
+//! log of two intervals. A crashed or wedged worker (or one whose link
+//! died: a client never redials) is killed, relaunched with backoff,
+//! loads its run's newest *valid* checkpoint — torn or corrupt files
+//! fail the digest, an earlier run's fail the run identity, and each is
+//! skipped with a typed `checkpoint_reject` flight-recorder event, never
+//! trusted — handshakes at that round, and is fast-forwarded through the
+//! rounds it missed, so recovery costs O(interval) and the run still
+//! completes bit-identically. Only an exhausted restart budget, a
+//! worker's own error, or a resume below the replay log's floor
+//! surfaces as a typed error. Those relay queues
 //! are themselves bounded (256 MiB per destination): a consumer that
 //! stops draining turns into a typed error naming the slow shard, never
 //! unbounded hub memory. The control-frame wire protocol (handshake,

@@ -68,12 +68,6 @@ pub struct DeliveryWork {
     /// as `checksum_ns_per_round`. Wall-clock time, so never compared
     /// across backends for equality — only the structural counters are.
     pub checksum_ns: u64,
-    /// Transport-level retries (cumulative over the run): reconnect
-    /// attempts and frame re-sends performed by backends that own a real
-    /// link, e.g. the socket backend's one-shot
-    /// reconnect-with-handshake. Zero on the shared-memory backends.
-    /// Reported by the engine benches as `frames_retried`.
-    pub frames_retried: usize,
     /// Frames deliberately discarded or withheld by a
     /// [`crate::transport::FaultInjectingTransport`] wrapper (cumulative
     /// over the run): drop and delay faults both count here, since both
@@ -90,11 +84,10 @@ pub struct DeliveryWork {
     /// never compared across backends for equality.
     pub collect_wait_ns: u64,
     /// Worker re-admissions on the socket fabric (cumulative over the
-    /// run): restarted worker processes plus surviving-client link
-    /// reconnects. Zero on the shared-memory backends and on failure-free
-    /// socket runs.
+    /// run): relaunched worker processes. Zero on the shared-memory
+    /// backends and on failure-free socket runs.
     pub workers_restarted: usize,
-    /// Rounds the socket hub fast-forwarded to reconnecting shards from
+    /// Rounds the socket hub fast-forwarded to relaunched workers from
     /// its per-destination replay logs (cumulative over the run).
     pub rounds_replayed: usize,
     /// Heartbeats a supervisor judged overdue before intervening
@@ -118,7 +111,6 @@ impl DeliveryWork {
         self.inbox_slot_bytes = self.inbox_slot_bytes.saturating_add(other.inbox_slot_bytes);
         self.frame_bytes = self.frame_bytes.saturating_add(other.frame_bytes);
         self.checksum_ns = self.checksum_ns.saturating_add(other.checksum_ns);
-        self.frames_retried = self.frames_retried.saturating_add(other.frames_retried);
         self.frames_dropped_injected = self
             .frames_dropped_injected
             .saturating_add(other.frames_dropped_injected);
@@ -367,7 +359,6 @@ mod tests {
             inbox_slot_bytes: usize::MAX - 1,
             frame_bytes: usize::MAX - 1,
             checksum_ns: u64::MAX - 1,
-            frames_retried: usize::MAX - 1,
             frames_dropped_injected: usize::MAX - 1,
             collect_wait_ns: u64::MAX - 1,
             workers_restarted: usize::MAX - 1,
@@ -383,7 +374,6 @@ mod tests {
         assert_eq!(sum.inbox_slot_bytes, usize::MAX);
         assert_eq!(sum.frame_bytes, usize::MAX);
         assert_eq!(sum.checksum_ns, u64::MAX);
-        assert_eq!(sum.frames_retried, usize::MAX);
         assert_eq!(sum.frames_dropped_injected, usize::MAX);
         assert_eq!(sum.collect_wait_ns, u64::MAX);
         assert_eq!(sum.workers_restarted, usize::MAX);

@@ -26,14 +26,13 @@
 //! Payloads:
 //!
 //! - `Hello { shard: u32, frame_version: u32, graph_digest: u64,
-//!   resume_round: u64, next_ship_round: u64 }` — sent by a client right
-//!   after connecting (and after a reconnect); echoed by the hub as the
-//!   handshake acknowledgement. `resume_round` asks the hub to replay
-//!   this shard's inbound traffic from that round (0 for a freshly
-//!   restarted worker, the in-progress collect round for a surviving
-//!   client whose link was severed); `next_ship_round` declares the
-//!   round this client will ship next, so the hub can discard the
-//!   deterministic re-sends of already-relayed rounds.
+//!   resume_round: u64 }` — sent by a client right after connecting;
+//!   echoed by the hub as the handshake acknowledgement.
+//!   `resume_round` is the round the worker process starts at: 0 on a
+//!   first launch or a relaunch without a usable checkpoint, the
+//!   checkpoint's round otherwise. The hub replays this shard's inbound
+//!   traffic from that round, and counts the worker's re-sends of rounds
+//!   it already relayed as echoes.
 //! - `RoundBarrier { round: u64 }` — sent by each shard after shipping
 //!   a round's data frames; broadcast back by the hub once all shards
 //!   have, releasing everyone's collect.
@@ -131,17 +130,12 @@ pub enum ControlFrame {
         /// [`crate::transport::graph_digest`]); every shard of a run
         /// must agree.
         graph_digest: u64,
-        /// First round of inbound traffic the hub should replay on this
-        /// connection: 0 for a fresh process (first connect or a
-        /// supervised restart, which recomputes every round), the
-        /// in-flight collect round for a surviving client that lost
-        /// only its link.
+        /// The round the connecting process starts at — 0, or the round
+        /// of the checkpoint it restored. The hub replays inbound
+        /// traffic from this round on, and counts the process's
+        /// deterministic re-sends of rounds it already relayed as echoes
+        /// instead of double-delivering them to peers.
         resume_round: u64,
-        /// The round this client will ship next. A restarted worker
-        /// deterministically re-ships rounds the hub already relayed;
-        /// the hub uses this to count those re-sends as echoes instead
-        /// of double-delivering them to peers.
-        next_ship_round: u64,
     },
     /// A shard finished shipping `round` (client → hub), or every shard
     /// did and collects may proceed (hub → clients).
@@ -184,7 +178,7 @@ pub enum ControlFrame {
         stats: RunStats,
     },
     /// Flight-recorder round records streamed by a traced worker (one
-    /// per committed round in steady state; a burst after a reconnect).
+    /// per committed round).
     Trace {
         /// Shard reporting.
         shard: u32,
@@ -228,13 +222,11 @@ impl ControlFrame {
                 frame_version,
                 graph_digest,
                 resume_round,
-                next_ship_round,
             } => {
                 payload.extend_from_slice(&shard.to_le_bytes());
                 payload.extend_from_slice(&frame_version.to_le_bytes());
                 payload.extend_from_slice(&graph_digest.to_le_bytes());
                 payload.extend_from_slice(&resume_round.to_le_bytes());
-                payload.extend_from_slice(&next_ship_round.to_le_bytes());
                 KIND_HELLO
             }
             ControlFrame::RoundBarrier { round } => {
@@ -356,7 +348,6 @@ impl ControlFrame {
                 frame_version: r.u32().ok_or(malformed)?,
                 graph_digest: r.u64().ok_or(malformed)?,
                 resume_round: r.u64().ok_or(malformed)?,
-                next_ship_round: r.u64().ok_or(malformed)?,
             },
             KIND_ROUND_BARRIER => ControlFrame::RoundBarrier {
                 round: r.u64().ok_or(malformed)?,
@@ -729,7 +720,6 @@ mod tests {
                 frame_version: 2,
                 graph_digest: 0xdead_beef_cafe_f00d,
                 resume_round: 17,
-                next_ship_round: 18,
             },
             ControlFrame::RoundBarrier { round: 41 },
             ControlFrame::Shutdown { origin: 7 },

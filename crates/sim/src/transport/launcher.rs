@@ -16,17 +16,18 @@
 //! failure ends the run.
 //!
 //! The launcher does not know how to start a worker — the caller
-//! supplies a spawn closure mapping `(shard, hub address, attempt)` to
-//! a [`Child`], and that worker must checkpoint every
-//! [`SuperviseOptions::checkpoint_interval`] rounds. The `netdecomp`
-//! binary hands each worker its settings as `--worker` command-line
-//! arguments.
+//! supplies a spawn closure mapping `(shard, hub address, attempt, run)`
+//! to a [`Child`], and that worker must checkpoint every
+//! [`SuperviseOptions::checkpoint_interval`] rounds under the run
+//! identity `run` ([`super::WorkerConfig::run`]), which the supervisor
+//! mints once per run. The `netdecomp` binary hands each worker its
+//! settings as `--worker` command-line arguments.
 
 use std::io;
 use std::num::NonZeroU64;
 use std::path::PathBuf;
 use std::process::Child;
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime};
 
 use crate::error::{SimError, TransportCause, TransportError};
 use crate::trace::FlightRecorder;
@@ -45,6 +46,19 @@ pub fn temp_hub_addr() -> HubAddr {
     HubAddr::Unix(
         std::env::temp_dir().join(format!("netdecomp-hub-{}-{n}.sock", std::process::id())),
     )
+}
+
+/// A fresh run identity for [`supervise`]: the wall clock, this process
+/// and a per-process count, mixed. Two runs that share a checkpoint
+/// directory, even of the same command, get different identities.
+fn mint_run_id() -> u64 {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let nanos = SystemTime::now()
+        .duration_since(SystemTime::UNIX_EPOCH)
+        .map_or(0, |since| since.as_nanos() as u64);
+    let local = (u64::from(std::process::id()) << 32) | SEQ.fetch_add(1, Ordering::Relaxed);
+    mix(nanos ^ mix(local))
 }
 
 /// Everything a supervised launch needs beyond the spawn closure.
@@ -144,9 +158,9 @@ pub struct SuperviseReport {
     pub worker_stats: Vec<Option<WorkerStats>>,
     /// Per-shard relaunch counts (initial spawns not included).
     pub restarts: Vec<usize>,
-    /// Hub-side re-admissions (process restarts + link reconnects).
+    /// Hub-side re-admissions: relaunched workers that rejoined.
     pub workers_restarted: usize,
-    /// Rounds replayed to reconnecting shards from the hub's logs.
+    /// Rounds replayed to relaunched workers from the hub's logs.
     pub rounds_replayed: usize,
     /// Heartbeats judged overdue before a supervisor intervention.
     pub heartbeats_missed: usize,
@@ -174,14 +188,15 @@ const SUPERVISE_TICK: Duration = Duration::from_millis(10);
 /// Binds the hub, spawns one worker per shard, and keeps the run alive
 /// through worker crashes and wedges.
 ///
-/// The spawn closure receives `(shard, hub address, attempt)` where
-/// `attempt` is 0 for the initial spawn and counts up across restarts
-/// (so a chaos hook armed only for attempt 0 stays disarmed on every
-/// relaunch). A relaunched worker resumes from its newest valid
-/// checkpoint — or reruns deterministically from round 0 when it has
-/// none — and re-handshakes at that round; the hub echo-discards
-/// re-shipped rounds while replaying the inbound history the worker
-/// missed.
+/// The spawn closure receives `(shard, hub address, attempt, run)`
+/// where `attempt` is 0 for the initial spawn and counts up across
+/// restarts (so a chaos hook armed only for attempt 0 stays disarmed on
+/// every relaunch), and `run` is the identity minted for this run, the
+/// same for every spawn of it. A relaunched worker resumes from the
+/// newest valid checkpoint of its run — or reruns deterministically
+/// from round 0 when it has none — and handshakes at that round; the
+/// hub echo-discards re-shipped rounds while replaying the inbound
+/// history the worker missed.
 ///
 /// Do not pipe worker stdout/stderr through the spawn closure unless
 /// something drains them — the supervisor only reaps exit statuses, so
@@ -191,13 +206,13 @@ const SUPERVISE_TICK: Duration = Duration::from_millis(10);
 ///
 /// - the fabric's first broadcast [`SimError`] — including the typed
 ///   `Transport` error naming the shard whose restart budget ran out,
-///   and the typed handshake refusal of a resume below the replay
-///   window;
+///   a worker's own error (a fabric wider than the graph included), and
+///   the typed handshake refusal of a resume round the hub cannot serve;
 /// - [`TransportCause::Timeout`] naming the least-advanced shard when
 ///   the overall deadline passes first.
 pub fn supervise(
     options: &SuperviseOptions,
-    mut spawn: impl FnMut(usize, &HubAddr, usize) -> io::Result<Child>,
+    mut spawn: impl FnMut(usize, &HubAddr, usize, u64) -> io::Result<Child>,
 ) -> Result<SuperviseReport, SimError> {
     let mut recorder = options.trace_out.as_ref().map(|_| FlightRecorder::new());
     let result = supervise_hub(options, &mut spawn, &mut recorder);
@@ -258,10 +273,13 @@ fn worker_event_kind(code: u8) -> &'static str {
 #[allow(clippy::too_many_lines)]
 fn supervise_hub(
     options: &SuperviseOptions,
-    spawn: &mut impl FnMut(usize, &HubAddr, usize) -> io::Result<Child>,
+    spawn: &mut impl FnMut(usize, &HubAddr, usize, u64) -> io::Result<Child>,
     recorder: &mut Option<FlightRecorder>,
 ) -> Result<SuperviseReport, SimError> {
     let started = Instant::now();
+    // Every spawn of this run carries the one identity minted for it.
+    let run = mint_run_id();
+    let mut spawn = |shard, addr: &HubAddr, attempt| spawn(shard, addr, attempt, run);
     let mut attempts = vec![0usize; options.shards];
     let mut kill_at_armed = options.kill_at;
     let requested = options.addr.clone().unwrap_or_else(temp_hub_addr);
@@ -606,7 +624,7 @@ mod tests {
         // the stall detector kills it and, with no restart budget, the
         // shard is lost (or the deadline fires first).
         let started = Instant::now();
-        let error = supervise(&quick_options(2), |_, _, _| quiet("sleep", &["30"])).unwrap_err();
+        let error = supervise(&quick_options(2), |_, _, _, _| quiet("sleep", &["30"])).unwrap_err();
         assert!(matches!(error, SimError::Transport(_)), "got {error:?}");
         assert!(
             started.elapsed() < Duration::from_secs(10),
@@ -617,7 +635,7 @@ mod tests {
 
     #[test]
     fn a_spawn_failure_aborts_the_launch_typed() {
-        let error = supervise(&quick_options(2), |shard, _, _| {
+        let error = supervise(&quick_options(2), |shard, _, _, _| {
             if shard == 1 {
                 Err(io::Error::new(io::ErrorKind::NotFound, "no such worker"))
             } else {
@@ -638,7 +656,7 @@ mod tests {
         // restart budget the supervisor declares the shard lost, a typed
         // error, well inside the deadline.
         let started = Instant::now();
-        let error = supervise(&quick_options(1), |_, _, _| quiet("false", &[])).unwrap_err();
+        let error = supervise(&quick_options(1), |_, _, _, _| quiet("false", &[])).unwrap_err();
         assert!(matches!(error, SimError::Transport(_)), "got {error:?}");
         assert!(
             started.elapsed() < Duration::from_secs(10),
@@ -650,5 +668,26 @@ mod tests {
     #[test]
     fn temp_addresses_are_unique() {
         assert_ne!(temp_hub_addr(), temp_hub_addr());
+    }
+
+    #[test]
+    fn every_spawn_of_a_run_carries_one_fresh_run_identity() {
+        // Workers that exit at once, with one restart each: both spawns
+        // of a run see the same identity, and the next run another.
+        let mut options = quick_options(1);
+        options.max_restarts = 1;
+        let mut runs = Vec::new();
+        for _ in 0..2 {
+            let mut seen = Vec::new();
+            let _ = supervise(&options, |_, _, attempt, run| {
+                seen.push((attempt, run));
+                quiet("false", &[])
+            });
+            let attempts: Vec<usize> = seen.iter().map(|&(attempt, _)| attempt).collect();
+            assert_eq!(attempts, [0, 1], "the spawn and its relaunch");
+            assert_eq!(seen[0].1, seen[1].1, "one identity per run");
+            runs.push(seen[0].1);
+        }
+        assert_ne!(runs[0], runs[1], "each run mints its own identity");
     }
 }

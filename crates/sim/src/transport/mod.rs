@@ -40,17 +40,17 @@
 //!
 //! | Failure | Detected by | Signal | Recovery | Caller sees |
 //! |---|---|---|---|---|
-//! | Worker process crashes (incl. SIGKILL mid-frame) | Hub reader (EOF / close mid-frame) + supervisor exit reaping | stream close; `wait()` status | Supervisor relaunches (backoff + jitter, ≤ `max_restarts`); the worker loads its newest valid checkpoint (or none, and starts at round 0), re-handshakes with `Hello{resume_round}`, and the hub replays the rounds since from its `replay` log, treating re-shipped rounds as echoes | Nothing — run completes bit-identically; `workers_restarted`/`rounds_replayed` counters tick, and `checkpoint_restores` when a checkpoint loaded (a `checkpoint_load` event lands in the flight record) |
+//! | Worker process crashes (incl. SIGKILL mid-frame) | Hub reader (EOF / close mid-frame) + supervisor exit reaping | stream close; `wait()` status | Supervisor relaunches (backoff + jitter, ≤ `max_restarts`); the worker loads its run's newest valid checkpoint (or none, and starts at round 0), handshakes with `Hello{resume_round}`, and the hub replays the rounds since from its `replay` log, treating re-shipped rounds as echoes | Nothing — run completes bit-identically; `workers_restarted`/`rounds_replayed` counters tick, and `checkpoint_restores` when a checkpoint loaded (a `checkpoint_load` event lands in the flight record) |
 //! | Worker wedges (alive, no progress) | Supervisor: global barrier stall + least-committed victim selection; heartbeat age feeds `heartbeats_missed` | `Heartbeat` control frames + barrier round | Supervisor kills the wedged process, then the crash path above applies | Nothing, or a typed timeout if the stall outlives the collect deadline |
-//! | Link drops but both ends live | Client read/write error | socket error | Client's one-shot reconnect-with-handshake; hub replays the collect round | Nothing; `frames_retried` ticks |
-//! | Resume below the replay window | Hub admission | handshake refusal naming the replay floor | None — the history it needs is gone. The window holds both checkpoints a worker keeps, so this takes losing both (torn or corrupt) and a crash more than a window deep | Typed [`crate::TransportCause::Handshake`]; the run ends |
+//! | Link drops but both ends live | Client read/write error | socket error | None in the client, which never redials: its collect fails [`crate::TransportCause::Disconnected`] (a failed write, `Io`), the worker exits with it, and the crash path above applies. An in-process mesh has no supervisor | Nothing under supervision; in-process, that typed error |
+//! | Resume round the hub cannot serve: below the replay window, or above the rounds the fabric committed | Hub admission | handshake refusal naming the floor or the committed rounds | None. The window holds both checkpoints a worker keeps, so the first takes losing both (torn or corrupt) and a crash more than a window deep; the loader accepts only its own run's checkpoints, so the second takes a broken worker | Typed [`crate::TransportCause::Handshake`]; the run ends |
 //! | Checkpoint file torn or corrupted (crash mid-write, bit rot) | Worker's checkpoint loader | trailing [`crate::checkpoint`] digest / header validation | File is *skipped, never trusted*: the loader falls back to the previous retained checkpoint, then to a fresh round-0 run | Nothing; a `checkpoint_reject` event with the typed reason lands in the flight record |
-//! | Checkpoint is stale (a `--checkpoint-dir` reused across runs holds one ahead of this run's committed rounds) | Hub admission | handshake refusal with the stale-resume prefix | Worker redials as a fresh join from round 0 and discards the restored state; the refusal is per-connection, never fabric-fatal | Nothing |
+//! | Checkpoint left by an earlier run (a `--checkpoint-dir` reused across runs) | Worker's checkpoint loader | the header's run identity differs from the one the supervisor minted for this run | File is *skipped*, exactly like a torn one: the loader falls back to this run's newest checkpoint, then to round 0 | Nothing; a `checkpoint_reject` event naming the file and "another run's checkpoint" lands in the flight record |
 //! | Destination never drains its hub queue (slow or absent consumer) | Hub relay (256 MiB per destination) | per-destination queued-bytes accounting | None — unbounded buffering would trade a deadlock for an OOM | Typed [`crate::SimError::Transport`] naming the slow/absent destination shard |
 //! | Restart budget exhausted | Supervisor | — | None — supervisor calls the hub's `declare_lost` | Typed [`crate::SimError::Transport`] naming the lost shard |
 //! | Wrong graph / frame version / shard id | Hub handshake vetting | `Error` control frame | None (config error, retrying cannot help) | Typed [`crate::TransportCause::Handshake`] |
 //! | Corrupt or truncated frame | Receiver's decoder | checksum/structure validation | None (content desync is never retried — re-reading the same bytes cannot fix them) | Typed [`crate::SimError::Frame`] |
-//! | Peer reports its own failure | Everyone | `Error` control frame relayed hub-wide | None — orderly teardown | The originating shard's typed error |
+//! | Peer reports its own failure (CONGEST overrun, frame decode, a fabric wider than the graph) | Everyone | `Error` control frame relayed hub-wide | None — orderly teardown: the hub halts, so the supervisor relaunches nothing (a relaunch would repeat a deterministic error) | The originating shard's typed error |
 //!
 //! # Checkpoint/restore
 //!
@@ -61,9 +61,10 @@
 //! its shard — protocol state through the [`crate::Snapshot`] seam, the
 //! delivered inbox of the checkpoint cut, and accumulated run statistics
 //! — into an atomically-renamed, checksummed file every `k` committed
-//! rounds (format in [`crate::checkpoint`]). A relaunched worker loads
-//! the newest checkpoint that validates, resumes at its round (round 0
-//! when none does), and re-handshakes with
+//! rounds (format in [`crate::checkpoint`]), stamped with the run
+//! identity the supervisor minted ([`WorkerConfig::run`]). A relaunched
+//! worker loads the newest checkpoint of its run that validates, resumes
+//! at its round (round 0 when none does), and handshakes with
 //! `Hello{resume_round = checkpoint round}`. The hub keeps
 //! [`crate::checkpoint::RETAIN_CHECKPOINTS`] intervals of replay
 //! history, so it can always serve the missing suffix from either

@@ -13,8 +13,8 @@
 //! The log is bounded to a sliding window of rounds — two checkpoint
 //! intervals under a supervisor, so both checkpoints a worker keeps stay
 //! replayable: once the fabric's barrier commits round `r`, entries for
-//! rounds below `r + 1 - window` are evicted. A reconnect asking to
-//! resume inside the evicted region is refused with a typed handshake
+//! rounds below `r + 1 - window` are evicted. A relaunched worker asking
+//! to resume inside the evicted region is refused with a typed handshake
 //! error naming the floor, and the refusal ends the run.
 
 use bytes::Bytes;
@@ -52,7 +52,7 @@ pub(crate) enum Snapshot {
 impl ReplayLog {
     /// An empty log retaining `window` committed rounds of history.
     /// `window == 0` is clamped to 1: the in-flight round must always
-    /// be replayable or no reconnect could ever succeed.
+    /// be replayable or no relaunched worker could ever rejoin.
     pub(crate) fn new(window: u64) -> Self {
         ReplayLog {
             window: window.max(1),

@@ -37,32 +37,36 @@
 //!
 //! Every blocking point carries a deadline (the hub's and each client's
 //! timeout, [`super::DEFAULT_FRAME_TIMEOUT`] unless a caller sets one).
-//! A dead connection gets a grace window (the supervision grace, at
-//! least the frame timeout) for a reconnect-with-handshake before the
-//! hub declares the shard gone and broadcasts a typed `Error` to every
-//! peer; a client whose link dies mid-run performs a one-shot reconnect
-//! before giving up. All terminal outcomes are [`TransportError`]s —
-//! see the failure-mode table in [`crate::transport`].
+//! A client never redials: a dead link fails it typed (the next collect
+//! returns [`TransportCause::Disconnected`]), its worker exits, and the
+//! supervisor relaunches the worker as after any crash. The hub gives a
+//! dead connection a grace window (the supervision grace, at least the
+//! frame timeout) for the relaunched worker's handshake before it
+//! declares the shard gone and broadcasts a typed `Error` to every peer.
+//! All terminal outcomes are [`TransportError`]s — see the failure-mode
+//! table in [`crate::transport`].
 //!
 //! # Deterministic crash recovery
 //!
-//! Each shard's connection slot supports an **N-epoch lifecycle**: any
-//! number of re-registrations, each atomically swapping in a fresh
-//! stream and a fresh writer queue. The hub keeps, per *sender*, the
-//! rounds it has globally committed (`committed`), the barrier count of
-//! the sender's current connection (`ship_round`, reset by each
-//! re-handshake's `next_ship_round`), and a per-destination bitmap of
+//! Each shard's connection slot supports an **N-epoch lifecycle**: one
+//! registration per worker process the shard runs as, each atomically
+//! swapping in a fresh stream and a fresh writer queue. The hub keeps,
+//! per *sender*, the rounds it has globally committed (`committed`), the
+//! barrier count of the sender's current connection (`ship_round`, set
+//! by each handshake's `resume_round`), and a per-destination bitmap of
 //! the partially-shipped round — together these make relay
-//! exactly-once: a restarted worker deterministically re-ships rounds
-//! 0..k and the hub counts them as echoes instead of double-delivering.
-//! Per *destination*, a bounded [`super::replay::ReplayLog`] remembers
-//! every relayed data frame and barrier ack; a `Hello{resume_round}`
-//! re-handshake puts the acknowledgement and the suffix the client lost
-//! at the head of the connection's fresh writer queue, under the relay
-//! lock, so replayed traffic can never be overtaken by live traffic and
-//! the connection's writer is the only thread that ever writes to it.
-//! A resume below the log's retention floor is refused with a typed
-//! handshake error naming the floor, and the refusal ends the run.
+//! exactly-once: a relaunched worker deterministically re-ships the
+//! rounds from its resume round on, and the hub counts the committed
+//! ones as echoes instead of double-delivering them. Per *destination*,
+//! a bounded [`super::replay::ReplayLog`] remembers every relayed data
+//! frame and barrier ack; a `Hello{resume_round}` handshake puts the
+//! acknowledgement and the suffix from that round on at the head of the
+//! connection's fresh writer queue, under the relay lock, so replayed
+//! traffic can never be overtaken by live traffic and the connection's
+//! writer is the only thread that ever writes to it. A resume the hub
+//! cannot serve — below the log's retention floor, or above the rounds
+//! the fabric committed — is refused with one typed handshake error
+//! naming the reason, and the refusal ends the run.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -85,14 +89,6 @@ use crate::trace::RoundTrace;
 
 use super::control::{ControlFrame, CONTROL_MAGIC, MAX_WIRE_FRAME};
 use super::replay::{ReplayLog, Snapshot};
-
-/// Detail prefix of the typed handshake refusal the hub issues when a
-/// relaunched worker asks to resume at a round the fabric has not
-/// committed yet — a checkpoint an earlier run left in a reused
-/// checkpoint directory. Unlike a resume below the replay floor this is
-/// *not* fabric-fatal: the accept loop refuses just that connection, and
-/// the connector redials as a fresh join from round 0.
-pub(crate) const STALE_RESUME_DETAIL_PREFIX: &str = "stale resume";
 
 /// Byte budget each per-destination relay queue may hold before the
 /// hub declares the destination wedged: 256 MiB of queued frames. The
@@ -250,7 +246,9 @@ enum Wire {
 /// Why a stream read stopped without producing a frame.
 #[derive(Debug)]
 enum ReadEnd {
-    /// Clean EOF at a frame boundary.
+    /// The peer closed (or was killed), at a frame boundary or mid-frame
+    /// (a SIGKILL mid-ship): unlike a content desync, the stream itself
+    /// is gone.
     Eof,
     /// The read timeout elapsed with zero bytes consumed — a poll tick;
     /// the stream is still framed and usable.
@@ -258,10 +256,6 @@ enum ReadEnd {
     /// The read timeout elapsed mid-frame: bytes are stranded and the
     /// stream can no longer be trusted to be at a frame boundary.
     Stalled,
-    /// The peer closed (or was killed) mid-frame. Unlike a content
-    /// desync, the stream itself is gone — recoverable by reconnect,
-    /// exactly like [`ReadEnd::Eof`]; a SIGKILL mid-ship lands here.
-    ClosedMidFrame,
     /// An OS-level read failure.
     Io(String),
     /// The bytes are not a frame (bad magic, implausible length, or a
@@ -283,13 +277,7 @@ fn read_fully(stream: &mut Stream, buf: &mut [u8], mut started: bool) -> Result<
     let mut got = 0;
     while got < buf.len() {
         match stream.read(&mut buf[got..]) {
-            Ok(0) => {
-                return Err(if started || got > 0 {
-                    ReadEnd::ClosedMidFrame
-                } else {
-                    ReadEnd::Eof
-                })
-            }
+            Ok(0) => return Err(ReadEnd::Eof),
             Ok(n) => {
                 got += n;
                 started = true;
@@ -355,14 +343,13 @@ fn data_addressing(frame: &Bytes) -> (usize, usize) {
 // ---------------------------------------------------------------------
 
 /// Client side of the connect-time handshake: send `Hello` (with the
-/// resume coordinates — both zero on a first connect), await the hub's
-/// echo (or its typed rejection).
+/// round the process starts at), await the hub's echo (or its typed
+/// rejection).
 fn handshake(
     stream: &mut Stream,
     shard: usize,
     graph_digest: u64,
     resume_round: u64,
-    next_ship_round: u64,
     timeout: Duration,
 ) -> Result<(), TransportCause> {
     let io_cause = |e: &io::Error| TransportCause::Io {
@@ -379,7 +366,6 @@ fn handshake(
         frame_version: u32::from(FRAME_VERSION),
         graph_digest,
         resume_round,
-        next_ship_round,
     };
     stream
         .write_all(hello.encode().as_slice())
@@ -396,11 +382,9 @@ fn handshake(
         Ok(_) => Err(TransportCause::Handshake {
             detail: "unexpected reply to hello".into(),
         }),
-        Err(ReadEnd::Eof | ReadEnd::ClosedMidFrame | ReadEnd::Desync(_)) => {
-            Err(TransportCause::Handshake {
-                detail: "connection closed before the hello acknowledgement".into(),
-            })
-        }
+        Err(ReadEnd::Eof | ReadEnd::Desync(_)) => Err(TransportCause::Handshake {
+            detail: "connection closed before the hello acknowledgement".into(),
+        }),
         Err(ReadEnd::Tick | ReadEnd::Stalled) => Err(TransportCause::Timeout {
             waited_ms: timeout.as_millis() as u64,
         }),
@@ -428,10 +412,11 @@ enum Item {
 
 /// Replaceable halves of one shard's connection. `epoch` counts
 /// registrations; a reader or writer whose stream died waits here for a
-/// higher epoch (a reconnect) before declaring the shard gone. The
-/// lifecycle supports any number of epochs: every registration installs
-/// a fresh read half, a fresh write half, and the receiver of the fresh
-/// writer queue swapped in by [`HubShared::prepare_resume`].
+/// higher epoch (a relaunched worker's connection) before declaring the
+/// shard gone. The lifecycle supports any number of epochs: every
+/// registration installs a fresh read half, a fresh write half, and the
+/// receiver of the fresh writer queue swapped in by
+/// [`HubShared::prepare_resume`].
 #[derive(Debug, Default)]
 struct ConnState {
     epoch: u64,
@@ -460,19 +445,18 @@ struct BarrierState {
 /// worker restarts.
 #[derive(Debug)]
 struct SenderState {
-    /// Round barriers seen on this sender's *current* connection (reset
-    /// to the re-handshake's `next_ship_round` on re-admission): the
-    /// round its next data frame belongs to. Invariant:
-    /// `ship_round <= committed`.
+    /// Round barriers seen on this sender's *current* connection (set to
+    /// the handshake's `resume_round` on each admission): the round its
+    /// next data frame belongs to. Invariant: `ship_round <= committed`.
     ship_round: u64,
     /// Rounds of this sender globally committed by the barrier
     /// (monotone across epochs). Frames of rounds below this are
     /// deterministic re-sends from a restarted worker — discarded.
     committed: u64,
     /// Destinations already relayed in the in-flight round `committed`;
-    /// cleared when that round's live barrier lands. Deduplicates both
-    /// a restarted worker's partial re-ship and a surviving client's
-    /// ambiguous post-reconnect retry.
+    /// cleared when that round's live barrier lands. Deduplicates a
+    /// relaunched worker's re-ship of a round its crashed process had
+    /// partly shipped.
     sent_to: Vec<bool>,
 }
 
@@ -601,10 +585,10 @@ struct HubShared {
     /// Per-destination relay queue byte budget
     /// ([`DEFAULT_HUB_QUEUE_CAP`], overridable per hub for tests).
     queue_cap: usize,
-    /// Re-registrations (epoch bumps past the first) — restarted
-    /// workers plus surviving-client link reconnects.
+    /// Re-registrations (epoch bumps past the first): relaunched
+    /// workers.
     workers_restarted: AtomicUsize,
-    /// Rounds fast-forwarded to reconnecting clients from replay logs.
+    /// Rounds fast-forwarded to relaunched workers from replay logs.
     rounds_replayed: AtomicUsize,
     /// Heartbeats a supervisor judged overdue before killing a worker.
     heartbeats_missed: AtomicUsize,
@@ -715,8 +699,8 @@ impl HubShared {
             return Ok(());
         }
         if s.sent_to[dest] {
-            // Duplicate within the in-flight round (partial re-ship
-            // after a crash, or an ambiguous post-reconnect retry).
+            // Duplicate within the in-flight round (a partial re-ship
+            // after a crash).
             return Ok(());
         }
         s.sent_to[dest] = true;
@@ -803,21 +787,17 @@ impl HubShared {
     /// barrier lock*, which orders it after every reader's enqueues of
     /// that round's data frames.
     ///
-    /// Re-admission rules: a barrier strictly below the sender's
-    /// connection-local `ship_round` is a duplicate retry (ignored); a
-    /// barrier at `ship_round` but below `committed` is a restarted
-    /// worker's echo (advances `ship_round` only); a barrier at
+    /// Re-admission rules: a barrier at the sender's connection-local
+    /// `ship_round` but below `committed` is a relaunched worker's echo
+    /// (advances `ship_round` only); a barrier at
     /// `ship_round == committed` is live and goes through the global
-    /// barrier as always.
+    /// barrier as always; any other round is a desync.
     fn on_barrier(&self, from: usize, round: u64) -> Result<(), SimError> {
         self.note_beat(from, round);
         let mut b = self.barrier.lock().expect("no poisoned barrier");
         let mut relay = self.relay.lock().expect("no poisoned relay state");
         let relay = &mut *relay;
         let s = &mut relay.senders[from];
-        if round < s.ship_round {
-            return Ok(());
-        }
         if round == s.ship_round && round < s.committed {
             s.ship_round = round + 1;
             return Ok(());
@@ -856,27 +836,27 @@ impl HubShared {
         Ok(())
     }
 
-    /// Vets a (re)connect's resume coordinates and atomically swaps in a
-    /// fresh writer queue for `conn`, headed by `ack` and the replay
-    /// suffix the client asked for: resets the sender's
-    /// connection-local ship round and replaces the queue under the
-    /// relay lock, so no live frame can precede the acknowledgement or
-    /// the replay. The caller then registers the connection, which hands
-    /// the stream and the fresh receiver to the writer.
+    /// Vets a connection's resume round and atomically swaps in a fresh
+    /// writer queue for `conn`, headed by `ack` and the replay suffix
+    /// from that round on: sets the sender's connection-local ship round
+    /// and replaces the queue under the relay lock, so no live frame can
+    /// precede the acknowledgement or the replay. The caller then
+    /// registers the connection, which hands the stream and the fresh
+    /// receiver to the writer. A round the fabric has not committed, or
+    /// one below the replay floor, is refused with the reason.
     fn prepare_resume(
         &self,
         conn: usize,
         resume_round: u64,
-        next_ship_round: u64,
         ack: Bytes,
     ) -> Result<Admission, String> {
         let mut relay = self.relay.lock().expect("no poisoned relay state");
         let relay = &mut *relay;
         let committed = relay.senders[conn].committed;
-        if next_ship_round > committed {
+        if resume_round > committed {
             return Err(format!(
-                "{STALE_RESUME_DETAIL_PREFIX}: shard {conn} claims it will ship round \
-                 {next_ship_round} but only {committed} of its rounds are committed"
+                "shard {conn} asked to resume at round {resume_round}, above the \
+                 {committed} rounds the fabric committed for it"
             ));
         }
         let (replay, replay_rounds) = match relay.logs[conn].snapshot_from(resume_round) {
@@ -888,7 +868,7 @@ impl HubShared {
                 ));
             }
         };
-        relay.senders[conn].ship_round = next_ship_round;
+        relay.senders[conn].ship_round = resume_round;
         let (tx, rx) = mpsc::channel();
         for frame in std::iter::once(ack).chain(replay) {
             let _ = tx.send(Item::Replay(frame));
@@ -903,10 +883,10 @@ impl HubShared {
         })
     }
 
-    /// Installs (or replaces, on reconnect) shard `shard`'s connection
-    /// and wakes any reader/writer waiting out a dead stream. `rx` is
-    /// the receiver of the queue [`HubShared::prepare_resume`] swapped
-    /// in for this epoch.
+    /// Installs (or replaces, for a relaunched worker) shard `shard`'s
+    /// connection and wakes any reader/writer waiting out a dead stream.
+    /// `rx` is the receiver of the queue [`HubShared::prepare_resume`]
+    /// swapped in for this epoch.
     fn register_conn(
         &self,
         shard: usize,
@@ -977,8 +957,8 @@ impl HubShared {
         state.fresh_read.take().map(|s| (s, state.epoch))
     }
 
-    /// Waits up to the supervision grace window for a reconnect to
-    /// supply a newer read half than `epoch`.
+    /// Waits up to the supervision grace window for a relaunched
+    /// worker's connection to supply a newer read half than `epoch`.
     fn await_read_replacement(&self, conn: usize, epoch: u64) -> Option<(Stream, u64)> {
         let slot = &self.conns[conn];
         let deadline = Instant::now() + self.grace;
@@ -1055,27 +1035,21 @@ fn hello_ack(shared: &HubShared, conn: usize) -> Bytes {
             .expect("no poisoned digest")
             .unwrap_or(0),
         resume_round: 0,
-        next_ship_round: 0,
     }
     .encode()
 }
 
-/// The resume coordinates carried by a vetted `Hello`.
-fn hello_resume(hello: &ControlFrame) -> (u64, u64) {
+/// The resume round carried by a vetted `Hello`.
+fn hello_resume(hello: &ControlFrame) -> u64 {
     match hello {
-        ControlFrame::Hello {
-            resume_round,
-            next_ship_round,
-            ..
-        } => (*resume_round, *next_ship_round),
+        ControlFrame::Hello { resume_round, .. } => *resume_round,
         _ => unreachable!("caller matched this frame as a hello"),
     }
 }
 
-/// Why an admission failed: a protocol-level refusal (the claim was
-/// invalid or fell below the replay floor — fabric-fatal) versus the
-/// fresh link dying mid-admission (quietly retriable: the peer can just
-/// reconnect again).
+/// Why an admission failed: a refused resume round (fabric-fatal)
+/// versus the fresh link failing mid-admission (not fatal: the worker
+/// fails on its own link, and its relaunch connects anew).
 enum AdmitError {
     Refused(String),
     Link(String),
@@ -1093,9 +1067,8 @@ fn admit_conn(
     hello: &ControlFrame,
     mut stream: Stream,
 ) -> Result<(), AdmitError> {
-    let (resume_round, next_ship_round) = hello_resume(hello);
     let ack = hello_ack(shared, conn);
-    let admission = match shared.prepare_resume(conn, resume_round, next_ship_round, ack) {
+    let admission = match shared.prepare_resume(conn, hello_resume(hello), ack) {
         Ok(admission) => admission,
         Err(detail) => {
             // Tell the connector why before hanging up.
@@ -1288,14 +1261,15 @@ fn run_reader(shared: &Arc<HubShared>, conn: usize) {
                 return;
             }
             Err(ReadEnd::Tick) => {}
-            Err(ReadEnd::Eof | ReadEnd::ClosedMidFrame | ReadEnd::Io(_)) => {
+            Err(ReadEnd::Eof | ReadEnd::Io(_)) => {
                 if shared.is_done(conn) || shared.halted() {
                     return;
                 }
-                // Grace window: a reconnect may replace this stream. A
-                // close mid-frame (SIGKILL mid-ship) is recoverable too:
-                // the fresh stream starts at a frame boundary and the
-                // relay's exactly-once accounting absorbs the re-ship.
+                // Grace window: a relaunched worker's connection may
+                // replace this stream. A close mid-frame (SIGKILL
+                // mid-ship) is recoverable too: the fresh stream starts
+                // at a frame boundary and the relay's exactly-once
+                // accounting absorbs the re-ship.
                 if let Some((fresh, e)) = shared.await_read_replacement(conn, epoch) {
                     stream = fresh;
                     epoch = e;
@@ -1416,8 +1390,9 @@ fn run_writer(
             .is_err()
         {
             // The stream died mid-epoch. Drop the frame (the replay log
-            // has it) and keep draining; a reconnect swaps the queue,
-            // which lands us in the disconnected arm above.
+            // has it) and keep draining; the relaunched worker's
+            // admission swaps the queue, which lands us in the
+            // disconnected arm above.
             stream = None;
         }
     }
@@ -1435,7 +1410,7 @@ pub(crate) struct Hub {
 
 impl Hub {
     /// In-process fabric over `UnixStream::pair()`s — no listener, no
-    /// filesystem, no reconnect. Returns the hub and the client-side
+    /// filesystem, no relaunch. Returns the hub and the client-side
     /// stream of each shard.
     fn new_pairs(shards: usize, timeout: Duration) -> io::Result<(Hub, Vec<Stream>)> {
         let (shared, receivers) = HubShared::new(&HubOptions::new(shards, timeout));
@@ -1477,8 +1452,8 @@ impl Hub {
     /// Listening fabric for independent clients (worker processes, or
     /// in-process TCP tests). The accept loop handshakes each
     /// connection, installs it by shard id — replacing a dead
-    /// connection on reconnect — and keeps accepting until the fabric
-    /// halts.
+    /// connection when its worker is relaunched — and keeps accepting
+    /// until the fabric halts.
     pub(crate) fn listen(
         addr: &HubAddr,
         shards: usize,
@@ -1731,8 +1706,8 @@ impl Listener {
     }
 }
 
-/// Accept loop of a listening hub: handshake, register (initial connect
-/// or reconnect-replacement), spawn the reader on first registration.
+/// Accept loop of a listening hub: handshake, register (a first connect
+/// or a relaunched worker's), spawn the reader on first registration.
 fn run_accept(
     shared: &Arc<HubShared>,
     threads: &Arc<Mutex<Vec<JoinHandle<()>>>>,
@@ -1798,16 +1773,9 @@ fn run_accept(
         match admit_conn(shared, conn, &hello, stream) {
             Ok(()) => {}
             Err(AdmitError::Refused(detail)) => {
-                if detail.starts_with(STALE_RESUME_DETAIL_PREFIX) {
-                    // A checkpoint an earlier run left in a reused
-                    // directory: the refusal frame is already written,
-                    // the worker redials from round 0. Not a poisoned
-                    // fabric — keep accepting.
-                    continue;
-                }
-                // A resume below the replay floor poisons the run the
-                // same way a wrong graph does: refuse fabric-wide,
-                // typed. The history it needs is gone, so the run ends.
+                // A resume round the hub cannot serve poisons the run
+                // the same way a wrong graph does: refuse fabric-wide,
+                // typed. No history fits the claim, so the run ends.
                 shared.declare_fatal(
                     conn as u32,
                     SimError::Transport(TransportError {
@@ -1819,7 +1787,8 @@ fn run_accept(
                 continue;
             }
             Err(AdmitError::Link(_)) => {
-                // The peer died mid-admission; it may simply try again.
+                // The peer died mid-admission; its relaunch connects
+                // anew.
                 continue;
             }
         }
@@ -1860,20 +1829,17 @@ fn refusal_frame(shard: usize, detail: String) -> Bytes {
 /// Used in-process by [`SocketTransport`] and directly by
 /// [`super::run_worker`] in worker processes. All blocking is bounded by
 /// the configured timeout; every terminal failure is sticky and typed.
+/// A client never redials: recovering a shard whose link died is the
+/// supervisor's job, by relaunching its worker.
 #[derive(Debug)]
 pub struct HubClient {
     shard: usize,
     shards: usize,
     timeout: Duration,
-    graph_digest: u64,
     /// Shared with the heartbeat pacer thread: *all* writes to the hub
     /// go through this one mutex, because interleaving two writers'
     /// partial writes on one stream would desynchronize the framing.
     link: Arc<Mutex<Stream>>,
-    /// Redial target; `None` in pairs mode (no reconnect possible).
-    addr: Option<HubAddr>,
-    /// One-shot reconnect budget.
-    reconnected: AtomicBool,
     sends_this_round: AtomicUsize,
     /// Shared with the pacer so heartbeats report the round being
     /// shipped.
@@ -1890,7 +1856,6 @@ pub struct HubClient {
     /// First local transport failure; sticky — every later send is a
     /// no-op and every later collect returns it again.
     fatal: Mutex<Option<TransportError>>,
-    frames_retried: AtomicUsize,
     collect_wait_ns: AtomicU64,
 }
 
@@ -1902,154 +1867,67 @@ struct Pacer {
 }
 
 impl HubClient {
-    /// Dials a listening hub and performs the `Hello` handshake.
+    /// Dials a listening hub and performs the `Hello` handshake for a
+    /// process that starts at `resume_round`: 0 on a first launch, or the
+    /// round of the checkpoint a relaunched worker restored. The hub
+    /// replays every inbound frame from that round on and treats
+    /// re-shipped earlier rounds as echoes.
     ///
     /// # Errors
     ///
     /// A typed [`TransportError`] when the dial, the handshake exchange,
-    /// or the hub's validation fails (cause
-    /// [`TransportCause::Handshake`] for rejections, `Io`/`Timeout` for
-    /// link trouble).
+    /// or the hub's validation fails: cause
+    /// [`TransportCause::Handshake`] for refusals — a resume round below
+    /// the hub's replay floor or above the rounds it committed included
+    /// — and `Io`/`Timeout` for link trouble.
     pub fn connect(
         addr: &HubAddr,
         shard: usize,
         shards: usize,
         graph_digest: u64,
         timeout: Duration,
+        resume_round: u64,
     ) -> Result<HubClient, TransportError> {
-        let fail = |cause| TransportError {
+        let stream = addr.connect(timeout).map_err(|e| TransportError {
             shard,
             round: 0,
-            cause,
-        };
-        let mut stream = addr.connect(timeout).map_err(|e| {
-            fail(TransportCause::Io {
+            cause: TransportCause::Io {
                 detail: format!("connect to {addr} failed: {e}"),
-            })
+            },
         })?;
-        handshake(&mut stream, shard, graph_digest, 0, 0, timeout).map_err(fail)?;
-        Ok(Self::from_parts(
-            stream,
-            Some(addr.clone()),
-            shard,
-            shards,
-            graph_digest,
-            timeout,
-        ))
+        Self::handshaken(stream, shard, shards, graph_digest, timeout, resume_round)
     }
 
-    /// Dials a hub asking to resume at `resume_round` (a checkpoint's
-    /// barrier round): the hub replays every inbound frame from that
-    /// round on and treats re-shipped earlier rounds as echoes. When
-    /// the hub refuses the claim as *stale* — the fabric has committed
-    /// fewer rounds than the checkpoint covers, because an earlier run
-    /// left it in a reused checkpoint directory — the client
-    /// transparently redials as a fresh join from round 0. Returns the
-    /// client plus the granted resume round (`0` after the stale
-    /// fallback: the caller must then discard its restored state and
-    /// start clean).
-    ///
-    /// # Errors
-    ///
-    /// As [`HubClient::connect`]; stale-resume refusals are handled
-    /// internally, every other refusal surfaces typed — a resume below
-    /// the hub's replay floor as [`TransportCause::Handshake`] naming the
-    /// floor.
-    pub fn connect_resuming(
-        addr: &HubAddr,
+    /// Performs the handshake on a connected stream and wraps it.
+    fn handshaken(
+        mut stream: Stream,
         shard: usize,
         shards: usize,
         graph_digest: u64,
         timeout: Duration,
         resume_round: u64,
-    ) -> Result<(HubClient, u64), TransportError> {
-        let fail = |cause| TransportError {
-            shard,
-            round: 0,
-            cause,
-        };
-        let dial = |detail: &str| {
-            addr.connect(timeout).map_err(|e| {
-                fail(TransportCause::Io {
-                    detail: format!("{detail} {addr} failed: {e}"),
-                })
-            })
-        };
-        let mut stream = dial("connect to")?;
-        let granted = match handshake(
-            &mut stream,
-            shard,
-            graph_digest,
-            resume_round,
-            resume_round,
-            timeout,
-        ) {
-            Ok(()) => resume_round,
-            Err(TransportCause::Handshake { detail })
-                if detail.starts_with(STALE_RESUME_DETAIL_PREFIX) =>
-            {
-                // The hub hung up with the refusal; redial fresh.
-                stream = dial("reconnect to")?;
-                handshake(&mut stream, shard, graph_digest, 0, 0, timeout).map_err(fail)?;
-                0
-            }
-            Err(cause) => return Err(fail(cause)),
-        };
-        let client = Self::from_parts(
-            stream,
-            Some(addr.clone()),
-            shard,
-            shards,
-            graph_digest,
-            timeout,
-        );
-        client.barrier_round.store(granted, Ordering::SeqCst);
-        client.collect_round.store(granted, Ordering::SeqCst);
-        Ok((client, granted))
-    }
-
-    /// Wraps a pre-connected stream (pairs mode) and performs the
-    /// handshake on it.
-    fn from_stream(
-        mut stream: Stream,
-        shard: usize,
-        shards: usize,
-        timeout: Duration,
     ) -> Result<HubClient, TransportError> {
-        handshake(&mut stream, shard, 0, 0, 0, timeout).map_err(|cause| TransportError {
-            shard,
-            round: 0,
-            cause,
+        handshake(&mut stream, shard, graph_digest, resume_round, timeout).map_err(|cause| {
+            TransportError {
+                shard,
+                round: 0,
+                cause,
+            }
         })?;
-        Ok(Self::from_parts(stream, None, shard, shards, 0, timeout))
-    }
-
-    fn from_parts(
-        stream: Stream,
-        addr: Option<HubAddr>,
-        shard: usize,
-        shards: usize,
-        graph_digest: u64,
-        timeout: Duration,
-    ) -> HubClient {
-        HubClient {
+        Ok(HubClient {
             shard,
             shards,
             timeout,
-            graph_digest,
             link: Arc::new(Mutex::new(stream)),
-            addr,
-            reconnected: AtomicBool::new(false),
             sends_this_round: AtomicUsize::new(0),
-            barrier_round: Arc::new(AtomicU64::new(0)),
-            collect_round: AtomicU64::new(0),
+            barrier_round: Arc::new(AtomicU64::new(resume_round)),
+            collect_round: AtomicU64::new(resume_round),
             pacer: Mutex::new(None),
             pending: Mutex::new(VecDeque::new()),
             remote: Mutex::new(None),
             fatal: Mutex::new(None),
-            frames_retried: AtomicUsize::new(0),
             collect_wait_ns: AtomicU64::new(0),
-        }
+        })
     }
 
     /// This client's shard index.
@@ -2075,53 +1953,9 @@ impl HubClient {
     #[must_use]
     pub fn health(&self) -> TransportHealth {
         TransportHealth {
-            frames_retried: self.frames_retried.load(Ordering::Relaxed),
             collect_wait_ns: self.collect_wait_ns.load(Ordering::Relaxed),
             ..TransportHealth::default()
         }
-    }
-
-    /// One-shot reconnect-with-handshake. Consumes the budget even on
-    /// failure; counts into `frames_retried` on success.
-    ///
-    /// The re-handshake carries this client's resume coordinates: the
-    /// round it is collecting (the hub replays everything it delivered
-    /// from that round on) and the round its next data frame belongs
-    /// to (resetting the hub's connection-local barrier count). The
-    /// pending buffer is cleared — every frame it held is in the hub's
-    /// replay window and will be re-delivered in order, and keeping
-    /// stale copies would double-file them.
-    fn reconnect(&self, link: &mut Stream, first_detail: &str) -> Result<(), TransportCause> {
-        let Some(addr) = &self.addr else {
-            return Err(TransportCause::Io {
-                detail: format!("{first_detail} (no hub address to reconnect to)"),
-            });
-        };
-        if self.reconnected.swap(true, Ordering::SeqCst) {
-            return Err(TransportCause::Io {
-                detail: format!("{first_detail} (reconnect already spent)"),
-            });
-        }
-        let mut fresh = addr.connect(self.timeout).map_err(|e| TransportCause::Io {
-            detail: format!("{first_detail}; reconnect failed: {e}"),
-        })?;
-        let resume = self.collect_round.load(Ordering::SeqCst);
-        let next_ship = self.barrier_round.load(Ordering::SeqCst);
-        handshake(
-            &mut fresh,
-            self.shard,
-            self.graph_digest,
-            resume,
-            next_ship,
-            self.timeout,
-        )?;
-        self.pending
-            .lock()
-            .expect("no poisoned pending queue")
-            .clear();
-        self.frames_retried.fetch_add(1, Ordering::Relaxed);
-        *link = fresh;
-        Ok(())
     }
 
     /// Starts a background pacer that writes a `Heartbeat` control
@@ -2219,21 +2053,6 @@ impl HubClient {
         let _ = link.write_all(frame.as_slice()).and_then(|()| link.flush());
     }
 
-    fn write_with_retry(&self, link: &mut Stream, bytes: &[u8]) -> Result<(), TransportCause> {
-        match link.write_all(bytes).and_then(|()| link.flush()) {
-            Ok(()) => Ok(()),
-            Err(first) => {
-                self.reconnect(link, &first.to_string())?;
-                self.frames_retried.fetch_add(1, Ordering::Relaxed);
-                link.write_all(bytes)
-                    .and_then(|()| link.flush())
-                    .map_err(|e| TransportCause::Io {
-                        detail: format!("retried write failed: {e}"),
-                    })
-            }
-        }
-    }
-
     fn set_fatal(&self, error: TransportError) {
         let mut slot = self.fatal.lock().expect("no poisoned fatal slot");
         if slot.is_none() {
@@ -2251,11 +2070,13 @@ impl HubClient {
     /// on the link: pick it up (without waiting for more) so
     /// [`HubClient::remote_error`] reports it instead of this link's
     /// broken pipe.
-    fn fail_send(&self, link: &mut Stream, round: u64, cause: TransportCause) {
+    fn fail_send(&self, link: &mut Stream, round: u64, error: &io::Error) {
         self.set_fatal(TransportError {
             shard: self.shard,
             round: round as usize,
-            cause,
+            cause: TransportCause::Io {
+                detail: format!("write to the hub failed: {error}"),
+            },
         });
         let _ = link.set_read_timeout(Some(Duration::from_millis(1)));
         loop {
@@ -2271,9 +2092,9 @@ impl HubClient {
     }
 
     /// Ships one data frame to `to`. The `shards`-th send of a round
-    /// automatically closes the round with a `RoundBarrier`. Write
-    /// failures consume the one-shot reconnect, then become sticky: the
-    /// next [`HubClient::collect`] surfaces them typed.
+    /// automatically closes the round with a `RoundBarrier`. A write
+    /// failure is sticky: later sends are no-ops, and the next
+    /// [`HubClient::collect`] surfaces it typed.
     pub fn send(&self, to: usize, frame: Bytes) {
         debug_assert!(to < self.shards, "destination shard out of range");
         if self.taken_fatal().is_some() {
@@ -2281,8 +2102,8 @@ impl HubClient {
         }
         let mut link = self.link.lock().expect("no poisoned link");
         let round = self.barrier_round.load(Ordering::Relaxed);
-        if let Err(cause) = self.write_with_retry(&mut link, frame.as_slice()) {
-            self.fail_send(&mut link, round, cause);
+        if let Err(error) = link.write_all(frame.as_slice()).and_then(|()| link.flush()) {
+            self.fail_send(&mut link, round, &error);
             return;
         }
         let sent = self.sends_this_round.fetch_add(1, Ordering::Relaxed) + 1;
@@ -2290,8 +2111,11 @@ impl HubClient {
             self.sends_this_round.store(0, Ordering::Relaxed);
             self.barrier_round.store(round + 1, Ordering::Relaxed);
             let barrier = ControlFrame::RoundBarrier { round }.encode();
-            if let Err(cause) = self.write_with_retry(&mut link, barrier.as_slice()) {
-                self.fail_send(&mut link, round, cause);
+            if let Err(error) = link
+                .write_all(barrier.as_slice())
+                .and_then(|()| link.flush())
+            {
+                self.fail_send(&mut link, round, &error);
             }
         }
     }
@@ -2334,9 +2158,9 @@ impl HubClient {
     ///
     /// # Errors
     ///
-    /// A [`TransportError`] on timeout, disconnect (after the one-shot
-    /// reconnect), desync, or when a peer's `Error` frame arrives (the
-    /// structured original stays available via
+    /// A [`TransportError`] on timeout, disconnect (a dead link is
+    /// [`TransportCause::Disconnected`]), desync, or when a peer's `Error`
+    /// frame arrives (the structured original stays available via
     /// [`HubClient::remote_error`]). All failures are sticky.
     pub fn collect(&self, into: &mut [Option<Bytes>]) -> Result<(), TransportError> {
         let round = self.collect_round.load(Ordering::Relaxed) as usize;
@@ -2392,22 +2216,21 @@ impl HubClient {
                     }
                 }
                 Ok(Wire::Control(ControlFrame::RoundBarrier { round: acked })) => {
-                    match acked.cmp(&(round as u64)) {
-                        std::cmp::Ordering::Equal => got_ack = true,
-                        // A stale ack can replay after a reconnect.
-                        std::cmp::Ordering::Less => {}
-                        std::cmp::Ordering::Greater => {
-                            break Err(TransportError {
-                                shard: self.shard,
-                                round,
-                                cause: TransportCause::Io {
-                                    detail: format!(
-                                        "barrier acknowledgement for round {acked} while collecting round {round}"
-                                    ),
-                                },
-                            });
-                        }
+                    // Acknowledgements arrive once per round, in order,
+                    // on every connection (a relaunched worker's replay
+                    // starts at its resume round): any other is a desync.
+                    if acked != round as u64 {
+                        break Err(TransportError {
+                            shard: self.shard,
+                            round,
+                            cause: TransportCause::Io {
+                                detail: format!(
+                                    "barrier acknowledgement for round {acked} while collecting round {round}"
+                                ),
+                            },
+                        });
                     }
+                    got_ack = true;
                 }
                 Ok(Wire::Control(ControlFrame::Error { origin, error })) => {
                     *self.remote.lock().expect("no poisoned remote slot") = Some(error.clone());
@@ -2453,33 +2276,19 @@ impl HubClient {
                 Err(ReadEnd::Tick | ReadEnd::Stalled) => {
                     // Deadline recheck happens at the loop head.
                 }
-                Err(ReadEnd::Eof | ReadEnd::ClosedMidFrame) => {
-                    if let Err(cause) = self.reconnect(&mut link, "hub closed the connection") {
-                        break Err(TransportError {
-                            shard: self.blame_shard(into),
-                            round,
-                            cause: match cause {
-                                TransportCause::Io { .. } => TransportCause::Disconnected,
-                                other => other,
-                            },
-                        });
-                    }
-                    // The hub will replay this round from scratch:
-                    // restart the collect so re-delivered frames file
-                    // cleanly instead of double-filing.
-                    into.iter_mut().for_each(|slot| *slot = None);
-                    got_ack = false;
+                Err(ReadEnd::Eof) => {
+                    break Err(TransportError {
+                        shard: self.blame_shard(into),
+                        round,
+                        cause: TransportCause::Disconnected,
+                    });
                 }
                 Err(ReadEnd::Io(detail)) => {
-                    if let Err(cause) = self.reconnect(&mut link, &detail) {
-                        break Err(TransportError {
-                            shard: self.blame_shard(into),
-                            round,
-                            cause,
-                        });
-                    }
-                    into.iter_mut().for_each(|slot| *slot = None);
-                    got_ack = false;
+                    break Err(TransportError {
+                        shard: self.blame_shard(into),
+                        round,
+                        cause: TransportCause::Io { detail },
+                    });
                 }
                 Err(ReadEnd::Desync(detail)) => {
                     break Err(TransportError {
@@ -2566,7 +2375,7 @@ impl SocketTransport {
             .into_iter()
             .enumerate()
             .map(|(shard, stream)| {
-                HubClient::from_stream(stream, shard, shards, timeout)
+                HubClient::handshaken(stream, shard, shards, 0, timeout, 0)
                     .expect("in-process handshake")
             })
             .collect();
@@ -2609,7 +2418,7 @@ impl SocketTransport {
             Hub::listen(&request, shards, timeout, None).expect("loopback tcp fabric");
         let clients = (0..shards)
             .map(|shard| {
-                HubClient::connect(&addr, shard, shards, 0, timeout)
+                HubClient::connect(&addr, shard, shards, 0, timeout, 0)
                     .expect("loopback tcp handshake")
             })
             .collect();
@@ -2698,7 +2507,6 @@ mod tests {
             }
         }
         assert!(mesh.health().collect_wait_ns > 0);
-        assert_eq!(mesh.health().frames_retried, 0);
     }
 
     #[test]
@@ -2791,8 +2599,8 @@ mod tests {
         let shards = 2;
         let (hub, mut halves) = Hub::new_pairs(shards, FAST).unwrap();
         let c1_stream = halves.pop().unwrap();
-        let c0 = HubClient::from_stream(halves.pop().unwrap(), 0, shards, FAST).unwrap();
-        let c1 = HubClient::from_stream(c1_stream, 1, shards, FAST).unwrap();
+        let c0 = HubClient::handshaken(halves.pop().unwrap(), 0, shards, 0, FAST, 0).unwrap();
+        let c1 = HubClient::handshaken(c1_stream, 1, shards, 0, FAST, 0).unwrap();
         drop(c1); // shard 1 "dies": its socket closes
         let started = Instant::now();
         let mut slots = vec![None; shards];
@@ -2826,7 +2634,7 @@ mod tests {
     fn handshake_rejects_wrong_digest() {
         let request = HubAddr::Unix(test_socket_path("digest"));
         let (hub, addr) = Hub::listen(&request, 1, FAST, Some(42)).unwrap();
-        let error = HubClient::connect(&addr, 0, 1, 7, FAST).unwrap_err();
+        let error = HubClient::connect(&addr, 0, 1, 7, FAST, 0).unwrap_err();
         assert!(
             matches!(error.cause, TransportCause::Handshake { .. }),
             "want handshake rejection, got {error}"
@@ -2838,7 +2646,7 @@ mod tests {
     fn handshake_rejects_foreign_shard_ids() {
         let request = HubAddr::Unix(test_socket_path("shardid"));
         let (hub, addr) = Hub::listen(&request, 2, FAST, None).unwrap();
-        let error = HubClient::connect(&addr, 9, 2, 0, FAST).unwrap_err();
+        let error = HubClient::connect(&addr, 9, 2, 0, FAST, 0).unwrap_err();
         assert!(
             matches!(error.cause, TransportCause::Handshake { .. }),
             "{error}"
@@ -2847,52 +2655,30 @@ mod tests {
     }
 
     #[test]
-    fn severed_link_reconnects_once_and_delivers() {
-        let request = HubAddr::Unix(test_socket_path("reconnect"));
-        let (hub, addr) = Hub::listen(&request, 1, Duration::from_secs(5), None).unwrap();
-        let client = HubClient::connect(&addr, 0, 1, 0, Duration::from_secs(5)).unwrap();
+    fn a_severed_link_fails_the_collect_typed_and_is_never_redialed() {
+        // The client never redials: the collect on a severed link
+        // returns a typed `Disconnected` at once, the failure is sticky,
+        // and the hub admits nothing new (relaunching the worker is the
+        // supervisor's job).
+        let request = HubAddr::Unix(test_socket_path("sever"));
+        let timeout = Duration::from_secs(5);
+        let (hub, addr) = Hub::listen(&request, 1, timeout, None).unwrap();
+        let client = HubClient::connect(&addr, 0, 1, 0, timeout, 0).unwrap();
         hub.sever(0);
-        // Give the kernel a beat to surface the close on the client side.
-        std::thread::sleep(Duration::from_millis(50));
-        client.send(0, data_frame(0, 0, 9));
-        let mut slots = vec![None; 1];
-        client.collect(&mut slots).unwrap();
-        assert_eq!(
-            slots[0].as_ref().unwrap().as_slice(),
-            data_frame(0, 0, 9).as_slice()
+        let started = Instant::now();
+        let error = client.collect(&mut vec![None; 1]).unwrap_err();
+        assert!(
+            matches!(error.cause, TransportCause::Disconnected),
+            "{error}"
         );
         assert!(
-            client.health().frames_retried > 0,
-            "reconnect must be counted"
+            started.elapsed() < timeout,
+            "a dead link fails at once, not at the deadline: {:?}",
+            started.elapsed()
         );
-        drop(hub);
-    }
-
-    #[test]
-    fn a_severed_links_readmission_bumps_the_epoch_and_counts() {
-        // Surviving-client reconnect: the write to the severed link
-        // fails, the client re-handshakes, and the hub re-admits it as
-        // a new epoch — visible in the recovery counters.
-        let request = HubAddr::Unix(test_socket_path("epochcount"));
-        let (hub, addr) = Hub::listen(&request, 1, Duration::from_secs(5), None).unwrap();
-        let client = HubClient::connect(&addr, 0, 1, 0, Duration::from_secs(5)).unwrap();
-        assert_eq!(
-            hub.recovery_counters().0,
-            0,
-            "first admission is not a restart"
-        );
-        hub.sever(0);
-        std::thread::sleep(Duration::from_millis(50));
         client.send(0, data_frame(0, 0, 9));
-        let mut slots = vec![None; 1];
-        client.collect(&mut slots).unwrap();
-        assert_eq!(
-            slots[0].as_ref().unwrap().as_slice(),
-            data_frame(0, 0, 9).as_slice()
-        );
-        let (restarted, _, _, _) = hub.recovery_counters();
-        assert_eq!(restarted, 1, "the re-admission must be counted");
-        assert!(client.health().frames_retried >= 1);
+        assert_eq!(client.collect(&mut vec![None; 1]).unwrap_err(), error);
+        assert_eq!(hub.recovery_counters().0, 0, "nothing was re-admitted");
         drop(hub);
     }
 
@@ -2907,14 +2693,14 @@ mod tests {
         // the re-sent data as echoes, and then accept new rounds live.
         let request = HubAddr::Unix(test_socket_path("restartreplay"));
         let (hub, addr) = Hub::listen(&request, 1, Duration::from_secs(5), None).unwrap();
-        let client = HubClient::connect(&addr, 0, 1, 0, Duration::from_secs(5)).unwrap();
+        let client = HubClient::connect(&addr, 0, 1, 0, Duration::from_secs(5), 0).unwrap();
         for round in 0..2u8 {
             client.send(0, data_frame(0, 0, round));
             let mut slots = vec![None; 1];
             client.collect(&mut slots).unwrap();
         }
         drop(client); // the worker process dies
-        let replacement = HubClient::connect(&addr, 0, 1, 0, Duration::from_secs(5)).unwrap();
+        let replacement = HubClient::connect(&addr, 0, 1, 0, Duration::from_secs(5), 0).unwrap();
         for round in 0..3u8 {
             // Rounds 0 and 1 are re-runs: data echo-discarded, barrier
             // echo-acked, content served from the replay log. Round 2
@@ -2938,7 +2724,7 @@ mod tests {
     fn heartbeats_refresh_the_hubs_liveness_view() {
         let request = HubAddr::Unix(test_socket_path("beats"));
         let (hub, addr) = Hub::listen(&request, 1, Duration::from_secs(5), None).unwrap();
-        let client = HubClient::connect(&addr, 0, 1, 0, Duration::from_secs(5)).unwrap();
+        let client = HubClient::connect(&addr, 0, 1, 0, Duration::from_secs(5), 0).unwrap();
         assert!(hub.beat_ages()[0].is_none(), "no proof of life yet");
         client.start_heartbeats(Duration::from_millis(10));
         let deadline = Instant::now() + Duration::from_secs(2);
@@ -2956,7 +2742,7 @@ mod tests {
     fn stats_frames_land_in_the_hubs_slots() {
         let request = HubAddr::Unix(test_socket_path("stats"));
         let (hub, addr) = Hub::listen(&request, 1, Duration::from_secs(5), None).unwrap();
-        let client = HubClient::connect(&addr, 0, 1, 0, Duration::from_secs(5)).unwrap();
+        let client = HubClient::connect(&addr, 0, 1, 0, Duration::from_secs(5), 0).unwrap();
         let mut stats = RunStats::default();
         stats.absorb(crate::stats::RoundStats {
             round: 0,
@@ -2980,8 +2766,8 @@ mod tests {
     fn a_lost_shard_declaration_is_a_typed_error_for_peers() {
         let request = HubAddr::Unix(test_socket_path("lost"));
         let (hub, addr) = Hub::listen(&request, 2, FAST, None).unwrap();
-        let c0 = HubClient::connect(&addr, 0, 2, 0, FAST).unwrap();
-        let _c1 = HubClient::connect(&addr, 1, 2, 0, FAST).unwrap();
+        let c0 = HubClient::connect(&addr, 0, 2, 0, FAST, 0).unwrap();
+        let _c1 = HubClient::connect(&addr, 1, 2, 0, FAST, 0).unwrap();
         hub.declare_lost(1, "restart budget exhausted".into());
         let error = c0.collect(&mut vec![None; 2]).unwrap_err();
         assert_eq!(error.shard, 1, "the lost shard gets the blame");
@@ -3054,9 +2840,7 @@ mod tests {
         shared.relay_data(0, 1, frame.clone()).unwrap();
         shared.on_barrier(0, 0).unwrap();
         shared.on_barrier(1, 0).unwrap();
-        let admission = shared
-            .prepare_resume(1, 0, 0, hello_ack(&shared, 1))
-            .unwrap();
+        let admission = shared.prepare_resume(1, 0, hello_ack(&shared, 1)).unwrap();
         assert_eq!(admission.replay_rounds, 1);
         assert_eq!(admission.depth.load(Ordering::Relaxed), 0);
         shared
@@ -3073,15 +2857,13 @@ mod tests {
         // frontier. The hub must grant the round and replay *nothing*.
         let request = HubAddr::Unix(test_socket_path("resumeckpt"));
         let (hub, addr) = Hub::listen(&request, 1, Duration::from_secs(5), None).unwrap();
-        let client = HubClient::connect(&addr, 0, 1, 0, Duration::from_secs(5)).unwrap();
+        let client = HubClient::connect(&addr, 0, 1, 0, Duration::from_secs(5), 0).unwrap();
         for round in 0..3u8 {
             client.send(0, data_frame(0, 0, round));
             client.collect(&mut vec![None; 1]).unwrap();
         }
         drop(client); // the worker process dies
-        let (replacement, granted) =
-            HubClient::connect_resuming(&addr, 0, 1, 0, Duration::from_secs(5), 3).unwrap();
-        assert_eq!(granted, 3, "the hub honors the checkpoint round");
+        let replacement = HubClient::connect(&addr, 0, 1, 0, Duration::from_secs(5), 3).unwrap();
         replacement.send(0, data_frame(0, 0, 33));
         let mut slots = vec![None; 1];
         replacement.collect(&mut slots).unwrap();
@@ -3105,13 +2887,13 @@ mod tests {
         let mut options = HubOptions::new(1, Duration::from_secs(5));
         options.replay_window = 2;
         let (hub, addr) = Hub::listen_with(&request, options).unwrap();
-        let client = HubClient::connect(&addr, 0, 1, 0, Duration::from_secs(5)).unwrap();
+        let client = HubClient::connect(&addr, 0, 1, 0, Duration::from_secs(5), 0).unwrap();
         for round in 0..5u8 {
             client.send(0, data_frame(0, 0, round));
             client.collect(&mut vec![None; 1]).unwrap();
         }
         drop(client); // the worker process dies
-        let error = HubClient::connect_resuming(&addr, 0, 1, 0, Duration::from_secs(5), 0)
+        let error = HubClient::connect(&addr, 0, 1, 0, Duration::from_secs(5), 0)
             .expect_err("round 0 lies below the floor");
         let TransportCause::Handshake { detail } = &error.cause else {
             panic!("want a handshake refusal, got {error}");
@@ -3146,7 +2928,7 @@ mod tests {
         };
         let request = HubAddr::Unix(test_socket_path("latereplay"));
         let (hub, addr) = Hub::listen(&request, shards, timeout, None).unwrap();
-        let c0 = HubClient::connect(&addr, 0, shards, 0, timeout).unwrap();
+        let c0 = HubClient::connect(&addr, 0, shards, 0, timeout, 0).unwrap();
         c0.send(1, big(0, 1));
         c0.send(0, data_frame(0, 0, 1));
         let deadline = Instant::now() + timeout;
@@ -3156,7 +2938,7 @@ mod tests {
         }
         std::thread::scope(|scope| {
             let early = scope.spawn(|| c0.collect(&mut vec![None; shards]));
-            let c1 = HubClient::connect(&addr, 1, shards, 0, timeout).unwrap();
+            let c1 = HubClient::connect(&addr, 1, shards, 0, timeout, 0).unwrap();
             c1.send(0, big(1, 0));
             c1.send(1, data_frame(1, 1, 2));
             let mut slots = vec![None; shards];
@@ -3172,27 +2954,34 @@ mod tests {
     }
 
     #[test]
-    fn a_stale_resume_claim_falls_back_to_a_fresh_join() {
-        // A fresh hub has committed nothing; a worker clutching a
-        // checkpoint an earlier run left in a reused directory claims
-        // round 5. The refusal must stay connection-local — the client
-        // transparently downgrades to a round-0 join and the fabric
-        // keeps running.
-        let request = HubAddr::Unix(test_socket_path("staleresume"));
+    fn a_resume_above_the_committed_rounds_is_a_typed_refusal_that_ends_the_run() {
+        // A fresh hub has committed nothing, so a worker claiming round 5
+        // resumes from a checkpoint no round of this fabric produced. The
+        // claim gets a typed handshake refusal naming the rounds, and the
+        // hub halts on the same error.
+        let request = HubAddr::Unix(test_socket_path("aboveresume"));
         let (hub, addr) = Hub::listen(&request, 1, Duration::from_secs(5), None).unwrap();
-        let (client, granted) =
-            HubClient::connect_resuming(&addr, 0, 1, 0, Duration::from_secs(5), 5).unwrap();
-        assert_eq!(
-            granted, 0,
-            "the stale claim is refused, the join downgraded"
+        let error = HubClient::connect(&addr, 0, 1, 0, Duration::from_secs(5), 5)
+            .expect_err("round 5 was never committed");
+        let TransportCause::Handshake { detail } = &error.cause else {
+            panic!("want a handshake refusal, got {error}");
+        };
+        assert!(
+            detail.contains("resume at round 5, above the 0 rounds"),
+            "{detail}"
         );
-        client.send(0, data_frame(0, 0, 7));
-        let mut slots = vec![None; 1];
-        client.collect(&mut slots).unwrap();
-        assert_eq!(
-            slots[0].as_ref().unwrap().as_slice(),
-            data_frame(0, 0, 7).as_slice()
+        assert!(
+            hub.wait_halted(Duration::from_secs(2)),
+            "the refusal ends the run"
         );
+        match hub.first_error() {
+            Some(SimError::Transport(TransportError {
+                shard: 0,
+                cause: TransportCause::Handshake { detail: held },
+                ..
+            })) => assert_eq!(&held, detail),
+            other => panic!("the hub must hold the refusal, got {other:?}"),
+        }
         drop(hub);
     }
 
@@ -3201,7 +2990,7 @@ mod tests {
         use crate::transport::control::{EVENT_CHECKPOINT_LOAD, EVENT_CHECKPOINT_REJECT};
         let request = HubAddr::Unix(test_socket_path("events"));
         let (hub, addr) = Hub::listen(&request, 1, Duration::from_secs(5), None).unwrap();
-        let client = HubClient::connect(&addr, 0, 1, 0, Duration::from_secs(5)).unwrap();
+        let client = HubClient::connect(&addr, 0, 1, 0, Duration::from_secs(5), 0).unwrap();
         client.send_event(0, EVENT_CHECKPOINT_REJECT, "torn file".into());
         client.send_event(3, EVENT_CHECKPOINT_LOAD, "resumed at round 3".into());
         let deadline = Instant::now() + Duration::from_secs(2);

@@ -10,10 +10,11 @@
 //! process-per-shard deployment bit-identical to the in-process
 //! backends.
 //!
-//! Failure contract: a local violation (CONGEST overrun, frame decode
-//! failure) is reported to the fabric as an `Error` control frame before
-//! the worker exits, so peers stop on the structured error instead of a
-//! timeout; a peer or link failure arrives as a typed
+//! Failure contract: a local error (CONGEST overrun, frame decode
+//! failure, a fabric wider than the graph has vertices) is reported to
+//! the fabric as an `Error` control frame before the worker exits, so
+//! peers and the supervisor stop on the structured error instead of a
+//! timeout or a relaunch; a peer or link failure arrives as a typed
 //! [`SimError::Transport`] out of the collect path. Either way
 //! [`run_worker`] returns the error — it never hangs and never panics on
 //! runtime failures.
@@ -55,6 +56,11 @@ pub struct WorkerConfig {
     /// stamps it into every [`crate::RoundTrace`] it records
     /// (`restarts_seen`), and only a relaunch scans for checkpoints.
     pub attempt: u64,
+    /// Identity of the supervised run, minted once per run by the
+    /// supervisor and handed to every spawn of it, as `attempt` is. Every
+    /// checkpoint the worker writes carries it, and a relaunch resumes
+    /// only from checkpoints that do.
+    pub run: u64,
     /// Record a [`crate::RoundTrace`] per round and stream it to the hub
     /// as a `Trace` control frame.
     pub trace: bool,
@@ -76,12 +82,10 @@ pub struct WorkerReport {
 ///
 /// The resume round rides in the `Hello` frame, so the newest valid
 /// checkpoint must be loaded before the handshake — build the plan
-/// first, pass [`CheckpointPlan::resume_round`] to
-/// [`HubClient::connect_resuming`], [`reconcile`](Self::reconcile) the
-/// granted round, then hand the plan to [`run_worker`]. Flight-recorder
-/// events staged while offline (one per rejected file, one for the
-/// winning load) are flushed to the hub right after the round loop
-/// connects.
+/// first, pass [`CheckpointPlan::resume_round`] to [`HubClient::connect`],
+/// then hand the plan to [`run_worker`]. Flight-recorder events staged
+/// while offline (one per rejected file, one for the winning load) are
+/// flushed to the hub right after the round loop connects.
 ///
 /// `CheckpointPlan::default()` is the disabled plan — nothing to restore,
 /// nothing written — for a worker that runs without a supervisor to
@@ -105,8 +109,9 @@ impl CheckpointPlan {
     /// `interval` committed rounds. Only a *relaunched* worker
     /// (`config.attempt > 0`) scans for checkpoints: a first launch is a
     /// fresh run, and any files already in the directory are leftovers it
-    /// must not resume from. A relaunch that finds no valid checkpoint
-    /// resumes at round 0.
+    /// must not resume from. A relaunch resumes from the newest valid
+    /// checkpoint of its own run (`config.run`), or at round 0 when it
+    /// finds none.
     #[must_use]
     pub fn new(
         config: &WorkerConfig,
@@ -122,6 +127,7 @@ impl CheckpointPlan {
                 config.shard,
                 config.shards,
                 graph_digest,
+                config.run,
                 config.rounds as u64,
             );
             for reject in rejected {
@@ -155,33 +161,9 @@ impl CheckpointPlan {
     }
 
     /// The round this plan can resume from: the loaded checkpoint's cut,
-    /// or 0 when starting fresh. Pass it to
-    /// [`HubClient::connect_resuming`].
+    /// or 0 when starting fresh. Pass it to [`HubClient::connect`].
     pub fn resume_round(&self) -> u64 {
         self.loaded.as_ref().map_or(0, |c| c.round)
-    }
-
-    /// Reconciles the plan with the round the hub actually granted. A
-    /// grant below the checkpoint round means the hub refused the resume
-    /// as stale — the checkpoint is ahead of what this fabric committed,
-    /// left in a reused checkpoint directory by an earlier run — and
-    /// admitted us at `granted` instead; the restored state is discarded
-    /// and the refusal staged for the flight recorder. Determinism makes
-    /// the discard safe: the re-run recomputes bit-identical state.
-    pub fn reconcile(&mut self, granted: u64) {
-        let claimed = self.resume_round();
-        if granted >= claimed {
-            return;
-        }
-        self.loaded = None;
-        self.pending.push((
-            granted,
-            EVENT_CHECKPOINT_REJECT,
-            format!(
-                "stale resume: hub granted round {granted}, not the checkpoint's \
-                 round {claimed} — restarting from the granted round"
-            ),
-        ));
     }
 
     /// Writes shard `config.shard`'s round-boundary state when
@@ -208,6 +190,7 @@ impl CheckpointPlan {
             shards: config.shards,
             round,
             graph_digest: self.graph_digest,
+            run: config.run,
             payload: encode_worker_payload(nodes, shard, &report.stats),
         };
         let detail = match write_checkpoint(dir, &ckpt) {
@@ -253,11 +236,10 @@ impl Transport for ClientTransport<'_> {
 /// the worker writes its full round-boundary state (node snapshots,
 /// pending inbox, accumulated stats) to an atomically-renamed
 /// checkpoint file. The caller must have dialed with
-/// [`HubClient::connect_resuming`]`(…, plan.resume_round())` and
-/// [`reconcile`](CheckpointPlan::reconcile)d the granted round: the hub
-/// only replays frames from the round the handshake claimed, so loop
-/// start and handshake round must agree. A worker without a supervisor
-/// passes `CheckpointPlan::default()`.
+/// [`HubClient::connect`]`(…, plan.resume_round())`: the hub only
+/// replays frames from the round the handshake claimed, so loop start
+/// and handshake round must agree. A worker without a supervisor passes
+/// `CheckpointPlan::default()`.
 ///
 /// On success the worker streams its [`RunStats`] and `digest_of` its
 /// final states to the hub as a `Stats` control frame *before* the
@@ -269,14 +251,16 @@ impl Transport for ClientTransport<'_> {
 /// # Errors
 ///
 /// The first [`SimError`] the round loop hits: this shard's own CONGEST
-/// or frame violation (reported to peers before returning), a peer's
-/// structured error relayed by the hub, or a typed
-/// [`SimError::Transport`] when the fabric times out, disconnects, or
-/// desyncs — plus a typed handshake error if the recovered checkpoint's
+/// or frame violation, a peer's structured error relayed by the hub, or
+/// a typed [`SimError::Transport`] when the fabric times out,
+/// disconnects, or desyncs. Two typed handshake errors come before any
+/// round: a fabric of more shards than the graph has vertices (no shard
+/// plan every worker agrees on), and a recovered checkpoint whose
 /// payload does not overlay this worker's shard (a digest collision or a
 /// `Snapshot` impl that changed between builds: the handshake already
 /// promised the checkpoint round, so running from 0 instead would desync
-/// the fabric).
+/// the fabric). Every local error is reported to the fabric before
+/// returning, so the run ends with it.
 pub fn run_worker<P, F, D>(
     graph: &Graph,
     client: &HubClient,
@@ -290,12 +274,31 @@ where
     F: FnMut(VertexId, &Ctx<'_>) -> P,
     D: FnOnce(&[P]) -> u64,
 {
+    let fail = |client: &HubClient, local: SimError| {
+        // A structured peer error beats our local rendering of it; a
+        // local diagnosis (CONGEST, decode, even a collect timeout) is
+        // news the fabric should halt on — report it best-effort (the
+        // hub keeps the first error, so echoes are harmless).
+        match client.remote_error() {
+            Some(remote) => {
+                client.send_shutdown();
+                remote
+            }
+            None => {
+                client.report_error(&local);
+                client.send_shutdown();
+                local
+            }
+        }
+    };
+
     let shard_plan = ShardPlan::degree_balanced(graph, config.shards);
     if shard_plan.count() != config.shards || config.shard >= config.shards {
         // The plan clamps to the vertex count; a fabric larger than the
         // graph (or a shard index outside it) cannot agree on a
-        // partition, and every worker must fail the same typed way.
-        return Err(SimError::Transport(TransportError {
+        // partition, and every worker must fail the same typed way. A
+        // relaunch would fail identically, so the fabric must hear it.
+        let error = SimError::Transport(TransportError {
             shard: config.shard,
             round: 0,
             cause: TransportCause::Handshake {
@@ -306,7 +309,8 @@ where
                     shard_plan.count()
                 ),
             },
-        }));
+        });
+        return Err(fail(client, error));
     }
     let me = config.shard;
     let n = graph.vertex_count();
@@ -325,24 +329,6 @@ where
     }
     let transport = ClientTransport { client };
     let mut report = WorkerReport::default();
-
-    let fail = |client: &HubClient, local: SimError| {
-        // A structured peer error beats our local rendering of it; a
-        // local diagnosis (CONGEST, decode, even a collect timeout) is
-        // news the fabric should halt on — report it best-effort (the
-        // hub keeps the first error, so echoes are harmless).
-        match client.remote_error() {
-            Some(remote) => {
-                client.send_shutdown();
-                remote
-            }
-            None => {
-                client.report_error(&local);
-                client.send_shutdown();
-                local
-            }
-        }
-    };
 
     // The fabric is up: flush the events staged while offline.
     for (round, code, detail) in plan.pending.drain(..) {
@@ -511,13 +497,15 @@ mod tests {
                     let graph = &graph;
                     let addr = addr.clone();
                     scope.spawn(move || {
-                        let client = HubClient::connect(&addr, k, shards, digest, timeout).unwrap();
+                        let client =
+                            HubClient::connect(&addr, k, shards, digest, timeout, 0).unwrap();
                         let config = WorkerConfig {
                             shard: k,
                             shards,
                             rounds,
                             limit: CongestLimit::Unlimited,
                             attempt: 0,
+                            run: 0,
                             trace: false,
                         };
                         let make = |id, _: &Ctx<'_>| MaxFlood { best: id as u64 };
@@ -608,13 +596,15 @@ mod tests {
                     let graph = &graph;
                     let addr = addr.clone();
                     scope.spawn(move || {
-                        let client = HubClient::connect(&addr, k, shards, digest, timeout).unwrap();
+                        let client =
+                            HubClient::connect(&addr, k, shards, digest, timeout, 0).unwrap();
                         let config = WorkerConfig {
                             shard: k,
                             shards,
                             rounds: 4,
                             limit,
                             attempt: 0,
+                            run: 0,
                             trace: false,
                         };
                         let plan = CheckpointPlan::default();
@@ -656,13 +646,14 @@ mod tests {
                 let graph = &graph;
                 let addr = addr.clone();
                 scope.spawn(move || {
-                    let client = HubClient::connect(&addr, 0, shards, digest, timeout).unwrap();
+                    let client = HubClient::connect(&addr, 0, shards, digest, timeout, 0).unwrap();
                     let config = WorkerConfig {
                         shard: 0,
                         shards,
                         rounds: 50,
                         limit: CongestLimit::Unlimited,
                         attempt: 0,
+                        run: 0,
                         trace: false,
                     };
                     let make = |id, _: &Ctx<'_>| MaxFlood { best: id as u64 };
@@ -679,7 +670,7 @@ mod tests {
             };
             // Shard 1 handshakes, then "crashes": the connection drops
             // without a shutdown frame.
-            let casualty = HubClient::connect(&addr, 1, shards, digest, timeout).unwrap();
+            let casualty = HubClient::connect(&addr, 1, shards, digest, timeout, 0).unwrap();
             drop(casualty);
             survivor.join().unwrap()
         });
@@ -691,32 +682,44 @@ mod tests {
     }
 
     #[test]
-    fn an_oversized_fabric_is_a_typed_refusal() {
+    fn an_oversized_fabric_is_a_typed_refusal_the_fabric_hears() {
+        // A relaunch would fail the same way, so the worker reports the
+        // error to the hub, which halts the run on it.
         let graph = ladder(3);
-        let mesh = crate::transport::SocketTransport::unix_mesh_with_timeout(
+        let digest = graph_digest(&graph);
+        let timeout = Duration::from_secs(5);
+        let (hub, addr) = crate::transport::socket::Hub::listen(
+            &unix_addr("oversized"),
             1,
-            Duration::from_millis(200),
-        );
+            timeout,
+            Some(digest),
+        )
+        .unwrap();
+        let client = HubClient::connect(&addr, 0, 64, digest, timeout, 0).unwrap();
         let config = WorkerConfig {
             shard: 0,
             shards: 64,
             rounds: 1,
             limit: CongestLimit::Unlimited,
             attempt: 0,
+            run: 0,
             trace: false,
         };
         let make = |id, _: &Ctx<'_>| MaxFlood { best: id as u64 };
         let plan = CheckpointPlan::default();
-        let error = run_worker(&graph, mesh.client(0), &config, plan, make, |_| 0).unwrap_err();
+        let error = run_worker(&graph, &client, &config, plan, make, |_| 0).unwrap_err();
+        let SimError::Transport(TransportError {
+            cause: TransportCause::Handshake { detail },
+            ..
+        }) = &error
+        else {
+            panic!("got {error:?}");
+        };
         assert!(
-            matches!(
-                &error,
-                SimError::Transport(TransportError {
-                    cause: TransportCause::Handshake { .. },
-                    ..
-                })
-            ),
-            "got {error:?}"
+            detail.contains("no 64-shard plan over 3 vertices"),
+            "{detail}"
         );
+        assert!(hub.wait_halted(timeout), "the fabric must hear the error");
+        assert_eq!(hub.first_error(), Some(error));
     }
 }

@@ -7,7 +7,7 @@
 //!           [--heartbeat-ms H] [--timeout-ms T] [--hub-addr ADDR]
 //!           [--checkpoint-dir DIR] [--checkpoint-interval N]
 //!           [--json] [--trace-out FILE]
-//! netdecomp <file> --worker S --attempt A [--trace] ...
+//! netdecomp <file> --worker S --attempt A --run R [--trace] ...
 //!                                      # spawned by --distributed
 //! ```
 //!
@@ -36,8 +36,9 @@
 //! Flags are parsed once, by [`parse_args`]. A worker gets its settings
 //! as command-line arguments ([`worker_args`]) read by the same parser:
 //! its shard (`--worker S`), its restart generation (`--attempt A`), the
-//! trace switch (`--trace`), the hub's bound address, and the run's
-//! shard count, rounds, timeout, heartbeat and checkpoint flags.
+//! identity the supervisor minted for the run (`--run R`), the trace
+//! switch (`--trace`), the hub's bound address, and the run's shard
+//! count, rounds, timeout, heartbeat and checkpoint flags.
 //!
 //! The environment carries only fault-injection hooks for the soak
 //! harness, read once by [`test_hooks`] and inherited by every worker.
@@ -56,9 +57,11 @@
 //! `--checkpoint-interval N ≥ 1` committed rounds (default 512) into
 //! `--checkpoint-dir`, or into a temp dir provisioned for the run and
 //! removed when it ends, whatever the outcome. A relaunched worker
-//! resumes from its newest *valid* checkpoint (torn or corrupt files are
-//! digest-rejected and skipped, never trusted), or from round 0 when it
-//! has none; the hub keeps two intervals of replay history to serve it.
+//! resumes from the newest *valid* checkpoint of its run (torn or
+//! corrupt files are digest-rejected and skipped, never trusted, and so
+//! are an earlier run's files in a reused `--checkpoint-dir`), or from
+//! round 0 when it has none; the hub keeps two intervals of replay
+//! history to serve it.
 //!
 //! Observability: `--trace-out FILE` turns on the trace plane in every
 //! worker (`--trace`) and has the supervisor dump a flight-recorder
@@ -108,6 +111,8 @@ struct Options {
     worker: Option<usize>,
     /// `--attempt A`: a worker's restart generation (0 on first launch).
     attempt: u64,
+    /// `--run R`: the identity the supervisor minted for a worker's run.
+    run: u64,
     /// `--trace`: a worker records its rounds and streams them to the hub.
     trace: bool,
     distributed: usize,
@@ -153,6 +158,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Options {
         assignment: false,
         worker: None,
         attempt: 0,
+        run: 0,
         trace: false,
         distributed: 0,
         rounds: 16,
@@ -176,6 +182,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Options {
             "--assignment" => opts.assignment = true,
             "--worker" => opts.worker = Some(parse_or_usage(args.next())),
             "--attempt" => opts.attempt = parse_or_usage(args.next()),
+            "--run" => opts.run = parse_or_usage(args.next()),
             "--trace" => opts.trace = true,
             "--distributed" => opts.distributed = parse_or_usage(args.next()),
             "--rounds" => opts.rounds = parse_or_usage(args.next()),
@@ -203,15 +210,16 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Options {
 }
 
 /// The command line a `--distributed` supervisor hands the worker for
-/// `shard` on launch `attempt`, read back by [`parse_args`]. `opts` is
-/// the supervisor's, with `input` a path every worker can open,
-/// `hub_addr` the hub's bound address and `checkpoint_dir` the
-/// directory checkpoints go to.
-fn worker_args(opts: &Options, shard: usize, attempt: usize) -> Vec<String> {
+/// `shard` on launch `attempt` of run `run`, read back by
+/// [`parse_args`]. `opts` is the supervisor's, with `input` a path every
+/// worker can open, `hub_addr` the hub's bound address and
+/// `checkpoint_dir` the directory checkpoints go to.
+fn worker_args(opts: &Options, shard: usize, attempt: usize, run: u64) -> Vec<String> {
     let mut args = vec![opts.input.clone()];
     let mut flag = |name: &str, value: String| args.extend([name.to_string(), value]);
     flag("--worker", shard.to_string());
     flag("--attempt", attempt.to_string());
+    flag("--run", run.to_string());
     flag("--distributed", opts.distributed.to_string());
     flag("--rounds", opts.rounds.to_string());
     flag("--timeout-ms", opts.timeout_ms.to_string());
@@ -487,20 +495,19 @@ fn worker_main(
         rounds: opts.rounds,
         limit: CongestLimit::Unlimited,
         attempt: opts.attempt,
+        run: opts.run,
         trace: opts.trace,
     };
     let digest = graph_digest(graph);
     // The checkpoint must be loaded *before* the handshake — the resume
-    // round rides in the Hello frame. A stale claim (left by an earlier
-    // run in a reused --checkpoint-dir) is granted round 0 instead;
-    // reconcile discards the restored state.
-    let mut plan = CheckpointPlan::new(
+    // round rides in the Hello frame.
+    let plan = CheckpointPlan::new(
         &config,
         digest,
         PathBuf::from(dir),
         opts.checkpoint_interval,
     );
-    let (client, granted) = HubClient::connect_resuming(
+    let client = HubClient::connect(
         &addr,
         shard,
         config.shards,
@@ -508,7 +515,6 @@ fn worker_main(
         opts.timeout(),
         plan.resume_round(),
     )?;
-    plan.reconcile(granted);
     if hooks.abort == Some(shard) {
         // Fault hook: die after the handshake without a shutdown frame,
         // exactly like a crashed worker. Peers must get a typed error.
@@ -597,10 +603,10 @@ fn supervised_run(
     worker.input = std::fs::canonicalize(&opts.input)?.display().to_string();
     worker.checkpoint_dir = Some(dir.display().to_string());
     let exe = std::env::current_exe()?;
-    let report = launcher::supervise(&options, |shard, addr, attempt| {
+    let report = launcher::supervise(&options, |shard, addr, attempt, run| {
         worker.hub_addr = Some(addr.to_string());
         let mut cmd = std::process::Command::new(&exe);
-        cmd.args(worker_args(&worker, shard, attempt))
+        cmd.args(worker_args(&worker, shard, attempt, run))
             // Results travel as Stats frames; nobody drains worker pipes
             // under supervision, so don't create any.
             .stdout(std::process::Stdio::null())
@@ -889,10 +895,11 @@ mod tests {
              --checkpoint-interval 3 --checkpoint-dir /ckpt --trace-out /dump.jsonl --json",
         );
         opts.hub_addr = Some("unix:/hub.sock".into());
-        let worker = parse_args(worker_args(&opts, 2, 1));
+        let worker = parse_args(worker_args(&opts, 2, 1, 0xfeed_beef_0bad_f00d));
         assert_eq!(worker.input, "graph.txt");
         assert_eq!(worker.worker, Some(2));
         assert_eq!(worker.attempt, 1);
+        assert_eq!(worker.run, 0xfeed_beef_0bad_f00d);
         assert!(worker.trace);
         assert_eq!(worker.distributed, 3);
         assert_eq!(worker.rounds, 12);
@@ -903,7 +910,7 @@ mod tests {
         assert_eq!(worker.checkpoint_interval.get(), 3);
         // Without a dump, the worker runs untraced and with defaults.
         let plain = parse("graph.txt --distributed 2");
-        let worker = parse_args(worker_args(&plain, 0, 0));
+        let worker = parse_args(worker_args(&plain, 0, 0, 7));
         assert!(!worker.trace);
         assert_eq!(worker.worker, Some(0));
         assert_eq!(worker.timeout_ms, plain.timeout_ms);

@@ -359,6 +359,65 @@ fn a_torn_checkpoint_is_rejected_by_digest_and_reported_in_the_flight_record() {
 }
 
 #[test]
+fn a_reused_checkpoint_dir_resumes_from_this_runs_own_checkpoint() {
+    // The same command twice in one checkpoint directory. The first run
+    // leaves its round-9 and round-12 checkpoints behind; the second
+    // crashes shard 1 at round 9. The first run's round 12 outranks the
+    // second run's round 9 and validates for the same graph, shard and
+    // command, so only the run identity tells them apart: the relaunch
+    // must reject it by name and resume from its own round 9.
+    let graph = ladder_file("soak-ckpt-reused", 30);
+    let tmp = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let ckpt_dir = tmp.join(format!("soak-ckpt-reused-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&ckpt_dir);
+    std::fs::create_dir_all(&ckpt_dir).unwrap();
+    let dump = tmp.join(format!("soak-ckpt-reused-{}.jsonl", std::process::id()));
+    let (ckpt_path, dump_path) = (ckpt_dir.display().to_string(), dump.display().to_string());
+    let flags = [
+        "--timeout-ms",
+        "2000",
+        "--checkpoint-interval",
+        "3",
+        "--checkpoint-dir",
+        &ckpt_path,
+    ];
+    let (first, _) = supervised_run(&graph, &flags, &[]);
+    assert_healed(&first, "first run in the directory");
+    let earlier = ckpt_dir.join("ckpt-s1-r00000012.ndk");
+    assert!(earlier.exists(), "the first run leaves its round 12 behind");
+    let (output, _) = supervised_run(
+        &graph,
+        &[&flags[..], &["--trace-out", &dump_path]].concat(),
+        &[("NETDECOMP_CHAOS_CRASH", "1:9".into())],
+    );
+    assert_healed(&output, "reused directory crash 1:9");
+    assert!(
+        recovery_counter(&output, "checkpoint_restores") >= 1,
+        "the relaunch must restore this run's checkpoint:\n{}",
+        String::from_utf8_lossy(&output.stdout)
+    );
+    let recording = std::fs::read_to_string(&dump)
+        .unwrap_or_else(|e| panic!("the flight recording {} must exist: {e}", dump.display()));
+    assert!(
+        recording
+            .lines()
+            .any(|line| line.contains("\"kind\":\"checkpoint_reject\"")
+                && line.contains("ckpt-s1-r00000012.ndk")
+                && line.contains("another run's checkpoint")),
+        "the first run's round 12 must be rejected by name:\n{recording}"
+    );
+    assert!(
+        recording
+            .lines()
+            .any(|line| line.contains("\"kind\":\"checkpoint_load\"")
+                && line.contains("ckpt-s1-r00000009.ndk")),
+        "the relaunch must resume from this run's round 9:\n{recording}"
+    );
+    let _ = std::fs::remove_file(&dump);
+    let _ = std::fs::remove_dir_all(&ckpt_dir);
+}
+
+#[test]
 fn a_crash_past_the_default_window_heals_from_a_checkpoint() {
     // 1 100 rounds with no checkpoint flags: every worker checkpoints at
     // the default interval (rounds 512 and 1024), and the hub keeps two

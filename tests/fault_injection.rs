@@ -91,6 +91,79 @@ fn every_driver_builds_one_transport_per_run() {
     check("ls93", ls93.phases_used);
 }
 
+/// A non-framed engine: it ships no frames, so a transport set beside
+/// it would never be built.
+const PARALLEL: Engine = Engine::Parallel {
+    threads: 2,
+    shards: 2,
+};
+
+/// Asserts that a driver refused its transport as an invalid parameter,
+/// before it built one.
+fn assert_transport_refused<T>(name: &str, result: Result<T, DecompError>, builds: &AtomicUsize) {
+    match result {
+        Err(DecompError::InvalidParameter {
+            name: "transport",
+            reason,
+        }) => assert!(reason.contains("Engine::Framed"), "{name}: {reason}"),
+        Err(other) => panic!("{name}: want the transport refused, got {other:?}"),
+        Ok(_) => panic!("{name}: the run went without its transport"),
+    }
+    assert_eq!(builds.load(Ordering::SeqCst), 0, "{name}");
+}
+
+/// A counting transport beside a non-framed engine. Such a run would go
+/// without the transport — a fault-injection run would inject nothing —
+/// so every driver refuses it; one test per entry point follows.
+fn parallel_with_transport(builds: &Arc<AtomicUsize>) -> DistributedConfig {
+    DistributedConfig {
+        engine: PARALLEL,
+        transport: Some(counting_loopback(builds)),
+        ..DistributedConfig::default()
+    }
+}
+
+#[test]
+fn the_carve_refuses_a_transport_its_engine_would_not_build() {
+    let builds = Arc::new(AtomicUsize::new(0));
+    let p = DecompositionParams::new(3, 4.0).unwrap();
+    let config = parallel_with_transport(&builds);
+    let result = decompose_distributed(&generators::grid2d(6, 6), &p, 1, &config);
+    assert_transport_refused("basic", result, &builds);
+}
+
+#[test]
+fn the_staged_carve_refuses_a_transport_its_engine_would_not_build() {
+    let builds = Arc::new(AtomicUsize::new(0));
+    let p = StagedParams::new(3, 6.0).unwrap();
+    let config = parallel_with_transport(&builds);
+    let result = decompose_distributed_staged(&generators::grid2d(6, 6), &p, 1, &config);
+    assert_transport_refused("staged", result, &builds);
+}
+
+#[test]
+fn the_high_radius_carve_refuses_a_transport_its_engine_would_not_build() {
+    let builds = Arc::new(AtomicUsize::new(0));
+    let p = HighRadiusParams::new(12, 4.0).unwrap();
+    let config = parallel_with_transport(&builds);
+    let result = decompose_distributed_high_radius(&generators::grid2d(6, 6), &p, 1, &config);
+    assert_transport_refused("high-radius", result, &builds);
+}
+
+#[test]
+fn linial_saks_refuses_a_transport_its_engine_would_not_build() {
+    let builds = Arc::new(AtomicUsize::new(0));
+    let result = linial_saks::decompose_distributed_with_transport(
+        &generators::grid2d(6, 6),
+        &linial_saks::LinialSaksParams::new(3, 4.0).unwrap(),
+        1,
+        CongestLimit::Unlimited,
+        PARALLEL,
+        Some(&counting_loopback(&builds)),
+    );
+    assert_transport_refused("ls93", result, &builds);
+}
+
 #[test]
 fn a_quiet_fault_layer_keeps_the_carve_bit_identical() {
     let g = generators::grid2d(8, 8);

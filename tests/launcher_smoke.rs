@@ -338,6 +338,33 @@ fn a_killed_worker_is_a_typed_error_not_a_hang() {
 }
 
 #[test]
+fn an_oversized_fabric_ends_the_run_with_the_workers_error() {
+    // Forty workers over thirty vertices: no shard plan exists, and a
+    // relaunch would fail the same way. Every worker reports the typed
+    // error to the fabric, and the run ends with it, not with a restart
+    // budget spent relaunching it.
+    let graph = ladder_file("launch-oversized", 30);
+    let started = Instant::now();
+    let output = Command::new(BIN)
+        .arg(&graph)
+        .args(["--distributed", "40", "--rounds", "5"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("Handshake") && stderr.contains("no 40-shard plan over 30 vertices"),
+        "the run must end with the workers' error:\n{stderr}"
+    );
+    assert!(!stderr.contains("restart budget"), "{stderr}");
+    assert!(
+        started.elapsed() < Duration::from_secs(30),
+        "took {:?}",
+        started.elapsed()
+    );
+}
+
+#[test]
 fn distributed_zero_falls_through_to_the_centralized_run() {
     // `--distributed 0` means "off": the normal centralized path runs
     // and verifies (the digest-gated handshake refusals themselves are
